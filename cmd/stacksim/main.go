@@ -104,13 +104,13 @@ func main() {
 		stackTagLat = flag.Int("stack-tag-lat", 2, "SRAM tag-probe latency in CPU cycles")
 		stackFill   = flag.Int("stack-fill-bytes", 0, "fill/allocation granularity in bytes (0 = one page)")
 		stackHot    = flag.Float64("stack-hot-frac", 0.5, "memcache: fraction of the stack that is direct-addressed hot memory")
-		cohMode  = flag.String("coherence", "", "coherence mode: shared (seed default) or mesi (private per-core L2s under a directory protocol)")
-		topology = flag.String("topology", "", "interconnect: bus (seed default) or mesh (2D mesh NoC; required by -coherence mesi)")
-		cores    = flag.Int("cores", 0, "override the core count (0 = preset; counts > 4 need -coherence mesi)")
+		cohMode     = flag.String("coherence", "", "coherence mode: shared (seed default) or mesi (private per-core L2s under a directory protocol)")
+		topology    = flag.String("topology", "", "interconnect: bus (seed default) or mesh (2D mesh NoC; required by -coherence mesi)")
+		cores       = flag.Int("cores", 0, "override the core count (0 = preset; counts > 4 need -coherence mesi)")
 
-		traces      = flag.String("traces", "", "comma-separated trace files (from tracegen), one per core")
-		list        = flag.Bool("list", false, "list benchmarks and mixes, then exit")
-		jobs        = flag.Int("j", 0, "concurrent simulations for a multi-mix sweep (0 = GOMAXPROCS)")
+		traces = flag.String("traces", "", "comma-separated trace files (from tracegen), one per core")
+		list   = flag.Bool("list", false, "list benchmarks and mixes, then exit")
+		jobs   = flag.Int("j", 0, "concurrent simulations for a multi-mix sweep (0 = GOMAXPROCS)")
 
 		faultScenario = flag.String("fault-scenario", "", "JSON fault scenario to inject into the memory hierarchy (see docs/ROBUSTNESS.md)")
 		faultSeed     = flag.Int64("fault-seed", 0, "override the scenario's fault-stream seed (0 keeps the scenario/run default)")

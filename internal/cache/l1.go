@@ -25,7 +25,10 @@ const (
 	// Miss: an MSHR was allocated or merged; the done callback fires
 	// when the fill completes.
 	Miss
-	// Blocked: no MSHR available; the core must retry next cycle.
+	// Blocked: no MSHR available; the core must retry. The answer can
+	// only change when an MSHR entry is freed, which wakes the core
+	// (WakeOnFree); the per-cycle re-probes in between are settled by
+	// SettleBlocked rather than performed.
 	Blocked
 )
 
@@ -73,6 +76,13 @@ type L1 struct {
 	// handle, when set, lets the controller sleep whenever the retry
 	// queue is empty — Tick's only job is retrying rejected requests.
 	handle *sim.TickHandle
+
+	// owner is the tick handle of the core above, woken when an MSHR
+	// entry is freed after an access was answered Blocked — the only
+	// event that can change that answer, since a line enters the array
+	// or the miss map only through the core's own accesses or a fill.
+	owner      *sim.TickHandle
+	sawBlocked bool
 
 	// onDone is the prebuilt completion callback shared by every
 	// request this controller issues (no per-miss closure), and
@@ -139,6 +149,33 @@ func (l *L1) SetHandle(h *sim.TickHandle) {
 	h.SleepUntil(sim.FarFuture)
 }
 
+// WakeOnFree names the core to wake when an MSHR entry frees up after a
+// Blocked answer, so it need not poll a full MSHR file every cycle.
+func (l *L1) WakeOnFree(core *sim.TickHandle) { l.owner = core }
+
+// SettleBlocked counts k re-probes of a full MSHR file that the core
+// slept through, exactly as k Access calls answered Blocked would have:
+// each is a load or store, a tag lookup that misses, and a Blocked.
+func (l *L1) SettleBlocked(store bool, k uint64) {
+	if store {
+		l.stats.Stores += k
+	} else {
+		l.stats.Loads += k
+	}
+	l.stats.Blocked += k
+	l.arr.stats.Lookups += k
+}
+
+// freeMSHR deletes the MSHR entry for ln and, if the core was turned
+// away since the last one freed, wakes it to retry.
+func (l *L1) freeMSHR(ln mem.Addr) {
+	delete(l.misses, ln)
+	if l.sawBlocked {
+		l.sawBlocked = false
+		l.owner.Wake()
+	}
+}
+
 // newMiss returns a recycled (or fresh) miss node.
 func (l *L1) newMiss(ln mem.Addr, prefetch, dirty bool) *l1Miss {
 	if n := len(l.freeMiss); n > 0 {
@@ -160,6 +197,9 @@ func (l *L1) releaseMiss(m *l1Miss) { l.freeMiss = append(l.freeMiss, m) }
 
 // Stats returns the counters.
 func (l *L1) Stats() *L1Stats { return &l.stats }
+
+// ArrayStats returns the tag array's counters.
+func (l *L1) ArrayStats() *ArrayStats { return l.arr.Stats() }
 
 // Latency reports the hit latency in cycles.
 func (l *L1) Latency() sim.Cycle { return l.latency }
@@ -208,6 +248,7 @@ func (l *L1) Access(now sim.Cycle, pc uint64, addr mem.Addr, store bool, done fu
 	}
 	if len(l.misses) >= l.mshrCap {
 		l.stats.Blocked++
+		l.sawBlocked = true
 		return Blocked
 	}
 	l.stats.Misses++
@@ -288,7 +329,7 @@ func (l *L1) drop(r *mem.Request, now sim.Cycle) {
 	if len(m.waiters) == 0 && !m.dirty {
 		l.stats.PrefetchDrops++
 		l.pfStats.Drops++
-		delete(l.misses, r.Line)
+		l.freeMSHR(r.Line)
 		l.releaseMiss(m)
 		return
 	}
@@ -312,7 +353,7 @@ func (l *L1) fill(ln mem.Addr, now sim.Cycle) {
 	if !ok {
 		panic(fmt.Sprintf("cache: L1 fill for unknown line %#x", uint64(ln)))
 	}
-	delete(l.misses, ln)
+	l.freeMSHR(ln)
 	victim, victimDirty, evicted := l.arr.Fill(ln, m.dirty)
 	if evicted {
 		delete(l.pfPending, victim)

@@ -45,19 +45,19 @@ import (
 type msgKind uint8
 
 const (
-	mGetS   msgKind = iota // read request
-	mGetM                  // write / ownership request
-	mPutM                  // owned-line eviction (clean flag → PutE)
-	mInvAck                // sharer invalidated (collected at the directory)
-	mWBData                // demotion data from a FwdGetS
-	mData                  // shared-state fill from memory
-	mDataE                 // exclusive fill from memory (E on GetS, M on GetM)
-	mDataOwner             // cache-to-cache fill from the previous owner
-	mAckM                  // upgrade grant (requester already holds the data in S)
-	mWBAck                 // eviction acknowledged; writeback buffer entry retires
-	mInv                   // invalidate a shared copy
-	mFwdGetS               // owner: demote to S, send data to requester + directory
-	mFwdGetM               // owner: invalidate, send exclusive data to requester
+	mGetS      msgKind = iota // read request
+	mGetM                     // write / ownership request
+	mPutM                     // owned-line eviction (clean flag → PutE)
+	mInvAck                   // sharer invalidated (collected at the directory)
+	mWBData                   // demotion data from a FwdGetS
+	mData                     // shared-state fill from memory
+	mDataE                    // exclusive fill from memory (E on GetS, M on GetM)
+	mDataOwner                // cache-to-cache fill from the previous owner
+	mAckM                     // upgrade grant (requester already holds the data in S)
+	mWBAck                    // eviction acknowledged; writeback buffer entry retires
+	mInv                      // invalidate a shared copy
+	mFwdGetS                  // owner: demote to S, send data to requester + directory
+	mFwdGetM                  // owner: invalidate, send exclusive data to requester
 )
 
 var kindNames = [...]string{
@@ -82,8 +82,8 @@ func (k msgKind) toDirectory() bool { return k <= mWBData }
 type message struct {
 	kind      msgKind
 	line      mem.Addr
-	from      int // sender core (mesh node); directory responses carry the bank's node
-	requester int // Fwd*: core the owner must send data to
+	from      int  // sender core (mesh node); directory responses carry the bank's node
+	requester int  // Fwd*: core the owner must send data to
 	clean     bool // PutM: the line was never written (PutE) — no memory update
 	dirty     bool // WBData: the demoted line was modified
 	excl      bool // DataE/DataOwner: the grant is exclusive (GetM response)
@@ -204,6 +204,20 @@ func (f *Fabric) Register(e *sim.Engine) {
 	f.mesh.SetHandle(e.RegisterEvery(1, 0, sim.TickFunc(f.mesh.Tick)))
 }
 
+// DeferredRequests counts the requests parked behind busy lines across
+// every directory bank. Zero once the machine has quiesced: a request
+// still parked then can never be replayed (the invariant checker's
+// liveness clause).
+func (f *Fabric) DeferredRequests() int {
+	n := 0
+	for _, d := range f.dirs {
+		for _, e := range d.lines {
+			n += len(e.deferred)
+		}
+	}
+	return n
+}
+
 // AttachAttrib enables cycle accounting on every demand miss flowing
 // through the fabric. Nil disables (the default).
 func (f *Fabric) AttachAttrib(col *attrib.Collector) { f.attrib = col }
@@ -272,18 +286,18 @@ func (f *Fabric) putMsg(m *message) {
 
 // Stats aggregates the fabric-wide counters for metrics collection.
 type Stats struct {
-	Accesses     uint64 // private L2 lookups (demand + prefetch)
-	Hits         uint64
-	DemandMisses uint64
-	MSHRStalls   uint64 // demand misses bounced off a full miss table
-	Upgrades     uint64 // S→M ownership chases (GetM with data in hand)
+	Accesses      uint64 // private L2 lookups (demand + prefetch)
+	Hits          uint64
+	DemandMisses  uint64
+	MSHRStalls    uint64 // demand misses bounced off a full miss table
+	Upgrades      uint64 // S→M ownership chases (GetM with data in hand)
 	Invalidations uint64 // Inv messages processed by sharers
-	C2CTransfers uint64 // fills served cache-to-cache by the previous owner
-	WBRaces      uint64 // forwards served from a writeback buffer
-	OrphanWBs    uint64 // L1 writebacks whose line the L2 had evicted
-	Deferred     uint64 // directory requests queued behind a busy line
-	MemReads     uint64 // directory-issued memory reads
-	MemWrites    uint64 // directory-issued memory writes
+	C2CTransfers  uint64 // fills served cache-to-cache by the previous owner
+	WBRaces       uint64 // forwards served from a writeback buffer
+	OrphanWBs     uint64 // L1 writebacks whose line the L2 had evicted
+	Deferred      uint64 // directory requests queued behind a busy line
+	MemReads      uint64 // directory-issued memory reads
+	MemWrites     uint64 // directory-issued memory writes
 }
 
 // MissRate is the private-L2 aggregate miss rate.

@@ -9,12 +9,15 @@ import (
 )
 
 // dstate is a directory entry's protocol state. Entries exist only for
-// lines away from Invalid: absence from the map is I.
+// lines away from Invalid — absence from the map is I — except that an
+// entry which returns to I with requests still deferred behind it lives
+// on, at dirI, until settle has replayed them.
 type dstate uint8
 
 const (
+	dirI dstate = iota
 	// dirS: one or more clean sharers (exact bitvector).
-	dirS dstate = iota + 1
+	dirS
 	// dirM: one owner holding the line E or M (MESI's E is tracked as
 	// ownership — the directory cannot tell whether the owner wrote).
 	dirM
@@ -119,8 +122,8 @@ type Directory struct {
 	lines map[mem.Addr]*dirEntry
 
 	inbox  *sim.Queue[*message]
-	out    []outMsg        // mesh-rejected responses, retried in order
-	outq   []*mem.Request  // MC-rejected memory requests, retried in order
+	out    []outMsg       // mesh-rejected responses, retried in order
+	outq   []*mem.Request // MC-rejected memory requests, retried in order
 	events sim.EventQueue
 	handle *sim.TickHandle
 
@@ -172,7 +175,7 @@ func (d *Directory) newEntry() *dirEntry {
 		e := d.freeEntry[n-1]
 		d.freeEntry[n-1] = nil
 		d.freeEntry = d.freeEntry[:n-1]
-		e.state = 0
+		e.state = dirI
 		e.owner = -1
 		e.acksLeft = 0
 		e.req = nil
@@ -344,23 +347,34 @@ func (d *Directory) memReadDone(r *mem.Request, now sim.Cycle) {
 		d.inject(grant, req.from, now)
 	}
 	d.f.putMsg(req)
-	d.settle(line, e, now)
+	d.settle(line, now)
 }
 
-// settle replays the first deferred request now that the line is
-// stable, and reclaims entries that returned to Invalid.
-func (d *Directory) settle(line mem.Addr, e *dirEntry, now sim.Cycle) {
-	if len(e.deferred) > 0 {
+// settle replays deferred requests, oldest first, for as long as the
+// line stays stable, and reclaims an entry that ends up Invalid with
+// nothing queued. One replay is not enough: a GetM replayed against
+// dirM is forwarded and forgotten, leaving the line stable without
+// another settle ever coming, so whatever queued behind it would wait
+// forever. The entry is looked up afresh each round because a replay
+// may release it.
+func (d *Directory) settle(line mem.Addr, now sim.Cycle) {
+	for {
+		e := d.lines[line]
+		if e == nil || e.state.busy() {
+			return
+		}
+		if len(e.deferred) == 0 {
+			if e.state == dirI {
+				delete(d.lines, line)
+				d.releaseEntry(e)
+			}
+			return
+		}
 		m := e.deferred[0]
 		copy(e.deferred, e.deferred[1:])
 		e.deferred[len(e.deferred)-1] = nil
 		e.deferred = e.deferred[:len(e.deferred)-1]
 		d.process(m, now)
-		return
-	}
-	if e.state == 0 {
-		delete(d.lines, line)
-		d.releaseEntry(e)
 	}
 }
 
@@ -389,11 +403,20 @@ func (d *Directory) defer_(m *message, e *dirEntry) {
 	e.deferred = append(e.deferred, m)
 }
 
+// entryFor returns the entry a request against an Invalid line starts
+// from: a fresh one, or the dirI entry its deferred queue kept alive.
+func (d *Directory) entryFor(line mem.Addr, e *dirEntry) *dirEntry {
+	if e == nil {
+		e = d.newEntry()
+		d.lines[line] = e
+	}
+	return e
+}
+
 func (d *Directory) getS(m *message, e *dirEntry, now sim.Cycle) {
 	switch {
-	case e == nil:
-		e = d.newEntry()
-		d.lines[m.line] = e
+	case e == nil || e.state == dirI:
+		e = d.entryFor(m.line, e)
 		e.state = trBusyMemS
 		e.req = m
 		d.memRead(m, now)
@@ -417,9 +440,8 @@ func (d *Directory) getS(m *message, e *dirEntry, now sim.Cycle) {
 
 func (d *Directory) getM(m *message, e *dirEntry, now sim.Cycle) {
 	switch {
-	case e == nil:
-		e = d.newEntry()
-		d.lines[m.line] = e
+	case e == nil || e.state == dirI:
+		e = d.entryFor(m.line, e)
 		e.state = trBusyMemM
 		e.req = m
 		d.memRead(m, now)
@@ -434,7 +456,7 @@ func (d *Directory) getM(m *message, e *dirEntry, now sim.Cycle) {
 		if others == 0 {
 			// Sole sharer upgrading: grant immediately.
 			d.grantAckM(m, e, now)
-			d.settle(m.line, e, now)
+			d.settle(m.line, now)
 			return
 		}
 		e.state = trBusyInv
@@ -481,10 +503,10 @@ func (d *Directory) putM(m *message, e *dirEntry, now sim.Cycle) {
 		if !m.clean {
 			d.memWrite(m.line, now)
 		}
-		e.state = 0
+		e.state = dirI
 		e.owner = -1
 		d.ackWB(m, now)
-		d.settle(m.line, e, now)
+		d.settle(m.line, now)
 	case e != nil && e.state == trBusyFwdS && e.owner == m.from:
 		// Writeback race: our FwdGetS crossed the owner's eviction.
 		// The owner serves the requester from its writeback buffer,
@@ -502,7 +524,7 @@ func (d *Directory) putM(m *message, e *dirEntry, now sim.Cycle) {
 		e.setSharer(req.from)
 		d.f.putMsg(req)
 		d.ackWB(m, now)
-		d.settle(m.line, e, now)
+		d.settle(m.line, now)
 	case e != nil && e.state.busy():
 		d.defer_(m, e)
 	default:
@@ -512,7 +534,7 @@ func (d *Directory) putM(m *message, e *dirEntry, now sim.Cycle) {
 		// freshest copy, so it reaches memory; under dirM the new
 		// owner's copy supersedes it and the data is dropped.
 		d.stats.StalePutM++
-		if !m.clean && (e == nil || e.state == dirS) {
+		if !m.clean && (e == nil || e.state != dirM) {
 			d.memWrite(m.line, now)
 		}
 		d.ackWB(m, now)
@@ -542,7 +564,7 @@ func (d *Directory) invAck(m *message, e *dirEntry, now sim.Cycle) {
 		// The requester held the data in S all along: upgrade.
 		e.req = nil
 		d.grantAckM(req, e, now)
-		d.settle(m.line, e, now)
+		d.settle(m.line, now)
 		return
 	}
 	// The requester never had the data (its S copy was evicted, or it
@@ -567,5 +589,5 @@ func (d *Directory) wbData(m *message, e *dirEntry, now sim.Cycle) {
 	e.owner = -1
 	d.f.putMsg(req)
 	d.f.putMsg(m)
-	d.settle(m.line, e, now)
+	d.settle(m.line, now)
 }

@@ -82,11 +82,11 @@ type outMsg struct {
 // configured latency; misses allocate a bounded miss table entry and
 // send GetS/GetM to the line's home directory.
 type PrivateL2 struct {
-	f    *Fabric
-	id   int // core == mesh node
-	arr  *cache.Array
-	lat  sim.Cycle
-	cap  int // miss table bound
+	f   *Fabric
+	id  int // core == mesh node
+	arr *cache.Array
+	lat sim.Cycle
+	cap int // miss table bound
 
 	states map[mem.Addr]pstate
 	misses map[mem.Addr]*pl2Miss

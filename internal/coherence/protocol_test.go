@@ -293,6 +293,64 @@ func TestOwnershipTransfersCacheToCache(t *testing.T) {
 	}
 }
 
+// TestDeferredQueueDrainsPastForwardAndForget pins the directory's
+// liveness: A's GetM sits in BusyMemM while B's GetM and C's GetS defer
+// behind it. Replaying B's GetM against dirM forwards it and forgets —
+// no later event settles the line — so the replay must carry on to C's
+// GetS itself, or C starves with the line stable.
+func TestDeferredQueueDrainsPastForwardAndForget(t *testing.T) {
+	r := newRig(t, 4, 1)
+	doneA := r.access(0, 1, line0, true)
+	doneB := r.access(1, 8, line0, true)
+	doneC := r.access(2, 16, line0, false)
+
+	maxDeferred := 0
+	probe := func() {
+		if e, ok := r.f.dirs[0].lines[line0]; ok && len(e.deferred) > maxDeferred {
+			maxDeferred = len(e.deferred)
+		}
+	}
+	for c := sim.Cycle(2); c < 120; c++ {
+		r.eng.Schedule(c, probe)
+	}
+	r.run(20000)
+	if maxDeferred != 2 {
+		t.Fatalf("at most %d requests deferred at once, want 2: the scenario did not form", maxDeferred)
+	}
+	if !*doneA || !*doneB || !*doneC {
+		t.Errorf("accesses stuck: A=%v B=%v C=%v (directory %s)", *doneA, *doneB, *doneC, r.f.dirs[0].EntryState(line0))
+	}
+	if n := r.f.DeferredRequests(); n != 0 {
+		t.Errorf("%d requests still deferred", n)
+	}
+}
+
+// TestDeferredRequestReplaysAgainstInvalidLine covers the other way a
+// queue could strand: the owner's eviction returns the line to Invalid
+// with a request still parked, and the replay must treat the entry the
+// queue kept alive as an absent line, not drop the request. With settle
+// draining whole queues no interleaving leaves a request parked on a
+// stable line any more, so the state is built by hand.
+func TestDeferredRequestReplaysAgainstInvalidLine(t *testing.T) {
+	r := newRig(t, 4, 1)
+	d := r.f.dirs[0]
+	owned := r.access(0, 1, line0, true)
+	r.run(2000)
+	if !*owned || d.EntryState(line0) != "M" {
+		t.Fatalf("setup: owned=%v state=%s", *owned, d.EntryState(line0))
+	}
+	e := d.lines[line0]
+	getS := r.f.newMsg(mGetS, line0, 1)
+	d.defer_(getS, e)
+	d.process(r.f.newMsg(mPutM, line0, 0), r.eng.Now())
+	if got := d.EntryState(line0); got != "BusyMemS" {
+		t.Fatalf("line is %s after the eviction, want BusyMemS: the parked GetS was not replayed", got)
+	}
+	if e := d.lines[line0]; e.req != getS || len(e.deferred) != 0 {
+		t.Fatalf("entry serves %v with %d still parked, want the parked GetS and none", e.req, len(e.deferred))
+	}
+}
+
 // forceEvict pushes an owned line out of a private L2 through the real
 // eviction path, as a capacity victim would be.
 func forceEvict(l2 *PrivateL2, ln mem.Addr, now sim.Cycle) {

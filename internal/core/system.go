@@ -44,9 +44,9 @@ type System struct {
 	// MESI, connected by a mesh NoC — takes its place. Exactly one of
 	// the two is non-nil; seed mode never constructs the fabric, so
 	// seed runs stay bit-identical.
-	L2  *cache.L2
-	Coh *coherence.Fabric
-	MCs []*memctrl.Controller
+	L2    *cache.L2
+	Coh   *coherence.Fabric
+	MCs   []*memctrl.Controller
 	Buses []*bus.Bus
 	Pages *mem.PageTable
 	TLBs  []*tlb.TLB

@@ -371,9 +371,23 @@ func TestFigureCSV(t *testing.T) {
 }
 
 func TestInvariantsAfterQuiesce(t *testing.T) {
-	for _, mk := range []func() *config.Config{config.Baseline2D, config.QuadMC} {
-		cfg := short(mk())
-		sys, err := NewSystem(cfg, []string{"S.all", "mcf", "qsort", "gzip"})
+	// The coherent machine's write sharing is what exercises the
+	// liveness clause: a request stranded in a directory's deferred
+	// queue keeps its private-L2 miss open and the drain never ends.
+	sharers := make([]string, 16)
+	for i := range sharers {
+		sharers[i] = "producer-consumer"
+	}
+	for _, tc := range []struct {
+		cfg     *config.Config
+		benches []string
+	}{
+		{config.Baseline2D(), []string{"S.all", "mcf", "qsort", "gzip"}},
+		{config.QuadMC(), []string{"S.all", "mcf", "qsort", "gzip"}},
+		{config.ManyCore(16, 4), sharers},
+	} {
+		cfg := short(tc.cfg)
+		sys, err := NewSystem(cfg, tc.benches)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,10 @@ import (
 	"reflect"
 	"testing"
 
+	"stackedsim/internal/cache"
 	"stackedsim/internal/config"
+	"stackedsim/internal/cpu"
+	"stackedsim/internal/tlb"
 	"stackedsim/internal/workload"
 )
 
@@ -53,20 +56,50 @@ func TestTickSchedulingParity(t *testing.T) {
 				benches[i] = "producer-consumer"
 			}
 		}
-		run := func(fullTick bool) Metrics {
+		run := func(fullTick bool) (Metrics, uint64, []coreSide) {
 			sys, err := NewSystem(cfg, benches)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sys.Engine.SetFullTick(fullTick)
-			return sys.Run()
+			m := sys.Run()
+			return m, sys.Digest(), coreSides(sys)
 		}
-		full := run(true)
-		fast := run(false)
-		if !reflect.DeepEqual(full, fast) {
-			t.Errorf("%s: idle-skip scheduling changed results:\nfull-tick: %+v\nscheduled: %+v", cfg.Name, full, fast)
+		full, fullDigest, fullSides := run(true)
+		fast, fastDigest, fastSides := run(false)
+		if !reflect.DeepEqual(full, fast) || fullDigest != fastDigest {
+			t.Errorf("%s: idle-skip scheduling changed results:\nfull-tick: %016x %+v\nscheduled: %016x %+v",
+				cfg.Name, fullDigest, full, fastDigest, fast)
+		}
+		for i := range fullSides {
+			if !reflect.DeepEqual(fullSides[i], fastSides[i]) {
+				t.Errorf("%s core %d: lazily settled counters differ:\nfull-tick: %+v\nscheduled: %+v",
+					cfg.Name, i, fullSides[i], fastSides[i])
+			}
 		}
 	}
+}
+
+// coreSide is everything a core leaves behind in itself, its DL1 and
+// its DTLB — the state a sleeping core settles in closed form, which
+// Metrics does not read.
+type coreSide struct {
+	CPU      cpu.Stats
+	L1       cache.L1Stats
+	Array    cache.ArrayStats
+	TLB      tlb.Stats
+	TLBOrder []uint64
+}
+
+// coreSides snapshots every core's side state; call it after Run or
+// Collect, which flush the lazily counted spans.
+func coreSides(s *System) []coreSide {
+	out := make([]coreSide, len(s.Cores))
+	for i, c := range s.Cores {
+		out[i] = coreSide{*c.Stats(), *s.L1s[i].Stats(), *s.L1s[i].ArrayStats(),
+			*s.TLBs[i].Stats(), s.TLBs[i].ReplacementOrder()}
+	}
+	return out
 }
 
 // TestCheckpointAcrossSkippedRegion pins that checkpoint/resume and the
@@ -121,5 +154,39 @@ func TestCheckpointAcrossSkippedRegion(t *testing.T) {
 	}
 	if d := resumed.Digest(); d != wantDigest {
 		t.Fatalf("resumed digest %#x, uninterrupted %#x", d, wantDigest)
+	}
+}
+
+// TestSaturatedCoresDoNotPoll is the efficiency floor under the
+// wake-on-free rule: with every core stalled on full MSHRs most of the
+// time, the engine must deliver few ticks per cycle. Polling cores
+// alone cost 4 ticks/cycle on the 4-core machine (5.2 in all) and 64
+// (66.7 in all) on the 64-core one.
+func TestSaturatedCoresDoNotPoll(t *testing.T) {
+	vh1, _ := workload.MixByName("VH1")
+	sharers := make([]string, 64)
+	for i := range sharers {
+		sharers[i] = "producer-consumer"
+	}
+	for _, tc := range []struct {
+		cfg     *config.Config
+		benches []string
+		floor   float64
+	}{
+		{config.QuadMC(), vh1.Benchmarks[:], 2.5},
+		{config.ManyCore(64, 4), sharers, 10},
+	} {
+		tc.cfg.WarmupCycles = 5_000
+		tc.cfg.MeasureCycles = 45_000
+		sys, err := NewSystem(tc.cfg, tc.benches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Run()
+		perCycle := float64(sys.Engine.TicksDelivered()) / float64(sys.Engine.Now())
+		t.Logf("%s: %.2f ticks/cycle", tc.cfg.Name, perCycle)
+		if perCycle >= tc.floor {
+			t.Errorf("%s: %.2f ticks/cycle, want < %v: stalled cores are being ticked", tc.cfg.Name, perCycle, tc.floor)
+		}
 	}
 }

@@ -124,14 +124,17 @@ type Core struct {
 	committedTotal  uint64
 
 	// Idle fast-path state (active only once SetHandle is called).
-	// While the core sleeps, the per-cycle statistics a full-tick run
-	// would have counted (Cycles plus one stall counter, fixed across
-	// the span by construction) are caught up lazily: idleReason is
-	// snapshotted when the sleep is chosen, and the skipped cycles are
-	// settled on the next Tick or by FlushIdle.
+	// While the core sleeps, what a full-tick run would have done on
+	// each skipped cycle (count Cycles plus one stall counter, and
+	// re-probe the L1 if the head of memQ was turned away, all fixed
+	// across the span by construction) is caught up lazily: idleReason
+	// is snapshotted when the sleep is chosen, l1Blocked holds the last
+	// tick's outcome, and the skipped cycles are settled on the next
+	// Tick or by FlushIdle.
 	handle     *sim.TickHandle
 	lastTick   sim.Cycle
 	idleReason idleReason
+	l1Blocked  bool // this tick, the L1 answered the head of memQ Blocked
 
 	// fillFns are prebuilt per-ROB-slot L1 fill callbacks, so issuing a
 	// load allocates no closure. fillSeq[i] records the μop sequence the
@@ -211,10 +214,14 @@ func New(p Params) *Core {
 
 // SetHandle arms the idle fast-path: with an engine tick handle the
 // core sleeps through cycles it can prove are stalls (waiting on a
-// fill, a TLB walk, a front-end refill, or a full ROB) and settles the
-// per-cycle stall statistics lazily. Without it, behaviour is the seed
+// fill, a TLB walk, a front-end refill, a full ROB, or a full L1 MSHR
+// file, which wakes it when an entry frees) and settles the per-cycle
+// stall statistics lazily. Without it, behaviour is the seed
 // tick-every-cycle model.
-func (c *Core) SetHandle(h *sim.TickHandle) { c.handle = h }
+func (c *Core) SetHandle(h *sim.TickHandle) {
+	c.handle = h
+	c.l1.WakeOnFree(h)
+}
 
 // Stats returns the counters.
 func (c *Core) Stats() *Stats { return &c.stats }
@@ -239,7 +246,9 @@ func (c *Core) Instrument(reg *telemetry.Registry) {
 
 // Freeze stops statistics collection while execution continues — the
 // paper's methodology for multi-programmed runs where one program
-// finishes its sample early.
+// finishes its sample early. Like any change to how stats are counted,
+// it follows a FlushIdle so a sleep span in flight is settled under the
+// old rule.
 func (c *Core) Freeze() { c.frozen = true }
 
 // Frozen reports whether stats are frozen.
@@ -262,10 +271,11 @@ func (c *Core) Halt() {
 	c.handle.Wake()
 }
 
-// FlushIdle settles the lazily-counted stall statistics of a sleeping
-// core up to and including cycle now, exactly as if it had ticked on
-// every skipped cycle. Anything that reads or resets per-core stats
-// mid-run (warmup boundary, collection, drain) must flush first.
+// FlushIdle settles the lazily-counted statistics of a sleeping core up
+// to and including cycle now, exactly as if it had ticked on every
+// skipped cycle. Anything that reads or resets this core's stats, or
+// its DL1's or DTLB's, mid-run (warmup boundary, collection, drain)
+// must flush first.
 func (c *Core) FlushIdle(now sim.Cycle) {
 	if c.handle == nil || now <= c.lastTick {
 		return
@@ -275,11 +285,22 @@ func (c *Core) FlushIdle(now sim.Cycle) {
 }
 
 // applyIdle counts cycles of a skipped idle span: each would have
-// incremented Cycles plus at most one stall counter, fixed across the
-// span because nothing that decides the stall can change while the
-// core sleeps.
+// incremented Cycles plus at most one stall counter, and re-probed the
+// DTLB and the L1 for the head of memQ if the L1 had turned it away —
+// all fixed across the span because nothing that decides them can
+// change while the core sleeps. The re-probe leaves no trace in this
+// core's own stats (Loads++ then Loads--), and what it leaves in the
+// DTLB and DL1 is not gated on frozen.
 func (c *Core) applyIdle(cycles sim.Cycle) {
-	if cycles <= 0 || c.frozen {
+	if cycles <= 0 {
+		return
+	}
+	if c.l1Blocked {
+		op := &c.rob[c.memQ[0]].op
+		c.dt.Rehit(c.vpage(c.vaddr(op)), uint64(cycles))
+		c.l1.SettleBlocked(op.Store, uint64(cycles))
+	}
+	if c.frozen {
 		return
 	}
 	c.stats.Cycles += uint64(cycles)
@@ -323,8 +344,9 @@ func (c *Core) peekDone(i int, now sim.Cycle) bool {
 // sched decides how long the core can sleep after ticking at now, and
 // which stall statistic each skipped cycle would have counted. The
 // core stays awake (sleep target now+1) whenever any pipeline stage
-// could make progress — or must keep retrying a side-effectful access
-// (a Blocked L1 probes its MSHRs every cycle) — on the next cycle.
+// could make progress on the next cycle. A head of memQ the L1 answered
+// Blocked is not progress: the L1 wakes the core when an MSHR frees,
+// and applyIdle settles the re-probes the sleep skipped.
 func (c *Core) sched(now sim.Cycle) {
 	wake := sim.FarFuture
 
@@ -355,9 +377,8 @@ func (c *Core) sched(now sim.Cycle) {
 			if e.readyAt < wake {
 				wake = e.readyAt
 			}
-		default:
-			// Issueable next cycle (port pressure, or a Blocked L1
-			// that must be re-probed every cycle): stay awake.
+		case !c.l1Blocked:
+			// Issueable next cycle (it only ran out of ports).
 			c.setIdle(now+1, idleNone)
 			return
 		}
@@ -436,6 +457,7 @@ func (c *Core) entryDone(i int, now sim.Cycle) bool {
 }
 
 func (c *Core) issueMem(now sim.Cycle) {
+	c.l1Blocked = false
 	loads, stores := c.cfg.LoadPorts, c.cfg.StorePorts
 	for len(c.memQ) > 0 && (loads > 0 || stores > 0) {
 		idx := c.memQ[0]
@@ -456,7 +478,7 @@ func (c *Core) issueMem(now sim.Cycle) {
 			return
 		}
 		if !c.tryIssue(idx, now) {
-			return // L1 blocked (MSHRs full): retry next cycle
+			return // TLB walk started, or L1 blocked (MSHRs full)
 		}
 		c.memQ = c.memQ[1:]
 		if e.op.Store {
@@ -467,15 +489,24 @@ func (c *Core) issueMem(now sim.Cycle) {
 	}
 }
 
+// vaddr places a memory μop's address in its core-private or the
+// process-wide shared space.
+func (c *Core) vaddr(op *UOp) mem.VAddr {
+	if op.Shared {
+		return mem.SharedSpace(op.VAddr)
+	}
+	return mem.CoreSpace(c.id, op.VAddr)
+}
+
+// vpage is the DTLB key of a virtual address.
+func (c *Core) vpage(v mem.VAddr) uint64 { return uint64(v) / uint64(c.cfg.PageBytes) }
+
 // tryIssue performs the TLB and L1 access for the memory μop at ROB
 // index idx. It reports false when the L1 cannot accept it.
 func (c *Core) tryIssue(idx int, now sim.Cycle) bool {
 	e := &c.rob[idx]
-	vaddr := mem.CoreSpace(c.id, e.op.VAddr)
-	if e.op.Shared {
-		vaddr = mem.SharedSpace(e.op.VAddr)
-	}
-	if e.readyAt <= now && !c.dt.Access(uint64(vaddr)/uint64(c.cfg.PageBytes)) {
+	vaddr := c.vaddr(&e.op)
+	if e.readyAt <= now && !c.dt.Access(c.vpage(vaddr)) {
 		// TLB miss: pay the walk; the μop stays queued and retries
 		// when the walk completes.
 		if !c.frozen {
@@ -496,6 +527,7 @@ func (c *Core) tryIssue(idx int, now sim.Cycle) bool {
 			if !c.frozen {
 				c.stats.Stores--
 			}
+			c.l1Blocked = true
 			return false
 		}
 		e.state = stDone
@@ -516,6 +548,7 @@ func (c *Core) tryIssue(idx int, now sim.Cycle) bool {
 		if !c.frozen {
 			c.stats.Loads--
 		}
+		c.l1Blocked = true
 		return false
 	}
 	return true

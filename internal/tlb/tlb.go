@@ -3,7 +3,10 @@
 // page-walk penalty added to the issuing operation's ready time.
 package tlb
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Stats counts TLB events.
 type Stats struct {
@@ -74,6 +77,42 @@ func (t *TLB) Access(vpage uint64) bool {
 	t.clock++
 	t.ents[victim] = entry{vpage: vpage, valid: true, used: t.clock}
 	return false
+}
+
+// Rehit leaves the TLB exactly as k consecutive Access(vpage) hits
+// would: a caller that can prove its next k lookups are re-probes of a
+// resident page (a core stalled on a full L1 MSHR file) settles them in
+// one step instead of performing them.
+func (t *TLB) Rehit(vpage uint64, k uint64) {
+	base := int(vpage%uint64(t.sets)) * t.ways
+	for w := 0; w < t.ways; w++ {
+		if e := &t.ents[base+w]; e.valid && e.vpage == vpage {
+			t.stats.Accesses += k
+			t.clock += k
+			e.used = t.clock
+			return
+		}
+	}
+	panic(fmt.Sprintf("tlb: Rehit of absent page %#x", vpage))
+}
+
+// ReplacementOrder lists the resident pages set by set, each set from
+// least to most recently used — the order misses would evict them in.
+func (t *TLB) ReplacementOrder() []uint64 {
+	var out []uint64
+	for base := 0; base < len(t.ents); base += t.ways {
+		set := make([]entry, 0, t.ways)
+		for _, e := range t.ents[base : base+t.ways] {
+			if e.valid {
+				set = append(set, e)
+			}
+		}
+		sort.Slice(set, func(i, j int) bool { return set[i].used < set[j].used })
+		for _, e := range set {
+			out = append(out, e.vpage)
+		}
+	}
+	return out
 }
 
 // ResetStats zeroes the counters (end of warmup).

@@ -19,7 +19,7 @@ func FuzzSpec(f *testing.F) {
 	f.Add(uint64(4<<20), int(ProducerConsumer), uint64(0), uint64(0), 0, 0.35, 0.5, 0.0, 1.0, 0.002, uint64(256<<10))
 	f.Add(uint64(4<<20), int(LockContended), uint64(0), uint64(0), 0, 0.3, 0.5, 0.0, 1.0, 0.004, uint64(32<<10))
 	f.Add(uint64(4<<20), int(ReadMostlyShared), uint64(0), uint64(0), 0, 0.35, 0.02, 0.0, 1.0, 0.002, uint64(2<<20))
-	f.Add(uint64(4<<20), int(LockContended), uint64(0), uint64(0), 0, 0.3, 0.5, 0.0, 1.0, 0.0, uint64(63))  // sub-line shared region
+	f.Add(uint64(4<<20), int(LockContended), uint64(0), uint64(0), 0, 0.3, 0.5, 0.0, 1.0, 0.0, uint64(63))    // sub-line shared region
 	f.Add(uint64(4<<20), int(ProducerConsumer), uint64(0), uint64(0), 0, 0.3, 0.5, 0.0, 1.0, 0.0, uint64(64)) // one-line ring
 	f.Fuzz(func(t *testing.T, footprint uint64, pattern int, stride, elem uint64, streams int,
 		memFrac, storeFrac, randFrac, coldFrac, mispred float64, sharedBytes uint64) {

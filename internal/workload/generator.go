@@ -36,8 +36,12 @@ type Generator struct {
 	hotBytes uint64
 	coldFrac float64
 
-	// Pending μops for the current "iteration".
+	// Pending μops for the current "iteration", handed out from next on;
+	// memOps is memBatch's scratch. Both are reused across iterations so
+	// a steady-state Next allocates nothing.
 	pending []cpu.UOp
+	next    int
+	memOps  []cpu.UOp
 	pc      uint64 // synthetic PC space
 
 	// Emitted counts μops handed out (tests and trace tools).
@@ -81,11 +85,11 @@ func (g *Generator) Spec() Spec { return g.spec }
 
 // Next implements cpu.UOpSource.
 func (g *Generator) Next() cpu.UOp {
-	if len(g.pending) == 0 {
+	if g.next == len(g.pending) {
 		g.refill()
 	}
-	op := g.pending[0]
-	g.pending = g.pending[1:]
+	op := g.pending[g.next]
+	g.next++
 	g.Emitted++
 	return op
 }
@@ -94,10 +98,11 @@ func (g *Generator) Next() cpu.UOp {
 // pattern, interleaved with the filler compute μops implied by MemFrac
 // and the occasional mispredicted branch.
 func (g *Generator) refill() {
-	memOps := g.memBatch()
+	g.pending, g.next = g.pending[:0], 0
+	g.memOps = g.memBatch(g.memOps[:0])
 	fillPerMem := (1 - g.spec.MemFrac) / g.spec.MemFrac
 	carry := 0.0
-	for _, m := range memOps {
+	for _, m := range g.memOps {
 		g.pending = append(g.pending, m)
 		carry += fillPerMem
 		for carry >= 1 {
@@ -151,11 +156,10 @@ func (g *Generator) cold() bool {
 	return g.coldFrac >= 1 || g.rng.Float64() < g.coldFrac
 }
 
-// memBatch emits the memory μops of one iteration.
-func (g *Generator) memBatch() []cpu.UOp {
+// memBatch appends the memory μops of one iteration to ops.
+func (g *Generator) memBatch(ops []cpu.UOp) []cpu.UOp {
 	switch g.spec.Pattern {
 	case Streaming, Strided:
-		ops := make([]cpu.UOp, 0, len(g.streamBase))
 		for s := range g.streamBase {
 			if !g.cold() {
 				ops = append(ops, g.hotOp())
@@ -174,25 +178,25 @@ func (g *Generator) memBatch() []cpu.UOp {
 		return ops
 	case RandomAccess:
 		if !g.cold() {
-			return []cpu.UOp{g.hotOp()}
+			return append(ops, g.hotOp())
 		}
 		store := g.rng.Float64() < g.spec.StoreFrac
-		return []cpu.UOp{{Mem: true, Store: store, VAddr: g.randomLine() + uint64(g.rng.Intn(8))*8, PC: 0x200 << 20}}
+		return append(ops, cpu.UOp{Mem: true, Store: store, VAddr: g.randomLine() + uint64(g.rng.Intn(8))*8, PC: 0x200 << 20})
 	case PointerChase:
 		if !g.cold() {
-			return []cpu.UOp{g.hotOp()}
+			return append(ops, g.hotOp())
 		}
 		// The next node address "depends" on the loaded value: model as
 		// a random hop that must wait for the previous load.
 		g.chaseAddr = g.randomLine()
-		ops := []cpu.UOp{{Mem: true, VAddr: g.chaseAddr, PC: 0x300 << 20, DependsOnPrev: true}}
+		ops = append(ops, cpu.UOp{Mem: true, VAddr: g.chaseAddr, PC: 0x300 << 20, DependsOnPrev: true})
 		if g.rng.Float64() < g.spec.StoreFrac {
 			ops = append(ops, cpu.UOp{Mem: true, Store: true, VAddr: g.chaseAddr + 8, PC: 0x301 << 20})
 		}
 		return ops
 	case Mixed:
 		if !g.cold() {
-			return []cpu.UOp{g.hotOp()}
+			return append(ops, g.hotOp())
 		}
 		if g.runLeft <= 0 {
 			if g.rng.Float64() < g.spec.RandFrac {
@@ -209,7 +213,7 @@ func (g *Generator) memBatch() []cpu.UOp {
 			g.runAddr = 0
 		}
 		store := g.rng.Float64() < g.spec.StoreFrac
-		return []cpu.UOp{{Mem: true, Store: store, VAddr: addr, PC: 0x400 << 20}}
+		return append(ops, cpu.UOp{Mem: true, Store: store, VAddr: addr, PC: 0x400 << 20})
 	case ProducerConsumer:
 		// Write the leading edge of a sliding window over the shared
 		// ring and read half a ring behind it. Every core walks the
@@ -219,10 +223,9 @@ func (g *Generator) memBatch() []cpu.UOp {
 		w := (g.shIter % lines) * 64
 		r := ((g.shIter + lines/2) % lines) * 64
 		g.shIter++
-		return []cpu.UOp{
-			{Mem: true, Store: true, Shared: true, VAddr: w, PC: 0x600 << 20},
-			{Mem: true, Shared: true, VAddr: r, PC: 0x601 << 20},
-		}
+		return append(ops,
+			cpu.UOp{Mem: true, Store: true, Shared: true, VAddr: w, PC: 0x600 << 20},
+			cpu.UOp{Mem: true, Shared: true, VAddr: r, PC: 0x601 << 20})
 	case LockContended:
 		// Pick one of a few page-spaced lock lines (pages interleave
 		// across directory banks) and do a load-then-store on it: the
@@ -235,16 +238,15 @@ func (g *Generator) memBatch() []cpu.UOp {
 		if l+64 > g.spec.SharedBytes {
 			l = 0
 		}
-		return []cpu.UOp{
-			{Mem: true, Shared: true, VAddr: l, PC: 0x610 << 20},
-			{Mem: true, Store: true, Shared: true, VAddr: l, PC: 0x611 << 20, DependsOnPrev: true},
-		}
+		return append(ops,
+			cpu.UOp{Mem: true, Shared: true, VAddr: l, PC: 0x610 << 20},
+			cpu.UOp{Mem: true, Store: true, Shared: true, VAddr: l, PC: 0x611 << 20, DependsOnPrev: true})
 	case ReadMostlyShared:
 		// Random reads over a shared table; the rare store invalidates
 		// every reader's copy.
 		store := g.rng.Float64() < g.spec.StoreFrac
-		return []cpu.UOp{{Mem: true, Store: store, Shared: true,
-			VAddr: g.randomSharedLine() + uint64(g.rng.Intn(8))*8, PC: 0x620 << 20}}
+		return append(ops, cpu.UOp{Mem: true, Store: store, Shared: true,
+			VAddr: g.randomSharedLine() + uint64(g.rng.Intn(8))*8, PC: 0x620 << 20})
 	default:
 		panic(fmt.Sprintf("workload %s: unknown pattern %v", g.spec.Name, g.spec.Pattern))
 	}
