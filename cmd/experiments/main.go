@@ -6,7 +6,7 @@
 //
 //	experiments -exp all
 //	experiments -exp fig4,fig6a -measure 1000000 -v
-//	experiments -exp all -j 8 -perf-json perf.json
+//	experiments -exp all -j 8
 //	experiments -exp all -ledger-dir runs/ -monitor-addr :8080
 //
 // Runs fan out over a worker pool (-j, default GOMAXPROCS); output is
@@ -27,11 +27,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
@@ -47,25 +45,6 @@ import (
 	"stackedsim/internal/monitor"
 )
 
-// perfReport is the -perf-json payload; scripts/bench.sh consumes it.
-type perfReport struct {
-	WallSeconds float64 `json:"wall_seconds"`
-	Runs        uint64  `json:"runs"`
-	RunsPerSec  float64 `json:"runs_per_sec"`
-	GOMAXPROCS  int     `json:"gomaxprocs"`
-	Workers     int     `json:"workers"`
-	LedgerHits  int64   `json:"ledger_hits"`
-	// LedgerWriteRetries counts retried transient ledger writes
-	// (0 when no ledger is attached).
-	LedgerWriteRetries int64 `json:"ledger_write_retries,omitempty"`
-	// Farm is the coordinator address when runs were dispatched
-	// remotely via -farm.
-	Farm string `json:"farm,omitempty"`
-	// Interrupted marks a sweep cancelled by SIGINT/SIGTERM or a
-	// deadline: the stats cover only the runs that finished.
-	Interrupted bool `json:"interrupted,omitempty"`
-}
-
 func main() { os.Exit(run()) }
 
 // run is main's body behind an exit code, so the deferred cleanups
@@ -78,7 +57,6 @@ func run() int {
 		verbose = flag.Bool("v", false, "print per-run progress")
 		csvOut  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		jobs    = flag.Int("j", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		perfOut = flag.String("perf-json", "", "write wall-clock/throughput stats to this file")
 		monAddr = flag.String("monitor-addr", "", "serve live runner progress (/metrics, /snapshot, /healthz, pprof) on this address")
 		ledDir  = flag.String("ledger-dir", "", "content-addressed run ledger: record completed runs here and serve known runs from it without re-simulating")
 		runTmo  = flag.Duration("run-timeout", 0, "per-simulation wall-time limit (0 = none); an over-budget run fails alone")
@@ -140,9 +118,9 @@ func run() int {
 	// whose runs completed still prints before exit.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// After the first signal the sweep only drains (figures print, perf
-	// JSON flushes); restore the default signal disposition so a second
-	// ^C exits immediately instead of being silently swallowed.
+	// After the first signal the sweep only drains (figures print);
+	// restore the default signal disposition so a second ^C exits
+	// immediately instead of being silently swallowed.
 	go func() {
 		<-ctx.Done()
 		stop()
@@ -167,7 +145,7 @@ func run() int {
 		}
 		r.Ledger = led
 		r.Experiment = *expFlag
-		r.GitRevision = gitDescribe()
+		r.GitRevision = ledger.GitDescribe()
 	}
 
 	// A long sweep is a black box until it exits; the monitor makes the
@@ -200,7 +178,6 @@ func run() int {
 		}()
 		fmt.Fprintf(os.Stderr, "monitor: serving runner progress on %s\n", mon.Addr())
 	}
-	started := time.Now()
 
 	wanted := map[string]bool{}
 	for _, e := range strings.Split(*expFlag, ",") {
@@ -299,42 +276,12 @@ func run() int {
 		return 2
 	}
 
-	if *perfOut != "" {
-		wall := time.Since(started).Seconds()
-		workers := *jobs
-		if workers < 1 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		st := r.Status()
-		rep := perfReport{
-			WallSeconds:        wall,
-			Runs:               r.Runs(),
-			GOMAXPROCS:         runtime.GOMAXPROCS(0),
-			Workers:            workers,
-			LedgerHits:         st.LedgerHits,
-			LedgerWriteRetries: st.LedgerWriteRetries,
-			Farm:               *farmFlg,
-			Interrupted:        ctx.Err() != nil,
-		}
-		if wall > 0 {
-			rep.RunsPerSec = float64(rep.Runs) / wall
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(*perfOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
-		}
-	}
 	if led != nil {
 		fmt.Fprintf(os.Stderr, "ledger: %d of %d runs served from %s\n",
 			r.Status().LedgerHits, r.Runs(), led.Dir())
 	}
 	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "experiments: interrupted; completed figures and perf stats were flushed")
+		fmt.Fprintln(os.Stderr, "experiments: interrupted; completed figures were flushed")
 	}
 	if failed > 0 {
 		// Surface which runs went wrong (the first error per run), then
@@ -349,14 +296,4 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// gitDescribe best-effort identifies the source tree for run manifests;
-// empty when git is unavailable.
-func gitDescribe() string {
-	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }

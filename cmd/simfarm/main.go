@@ -104,7 +104,6 @@ func runCoordinator(args []string) int {
 		fmt.Fprintf(os.Stderr, "simfarm: %v\n", err)
 		return 1
 	}
-	// bench.sh parses this line to discover the :0-assigned port.
 	fmt.Printf("simfarm coordinator: serving on %s\n", mon.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -39,11 +39,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"runtime"
@@ -82,90 +83,116 @@ func preset(name string) (*config.Config, bool) {
 	return nil, false
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main's body behind an exit code with injectable streams: 0 on
+// success, 1 on a failed or interrupted run, 2 on a usage error. Nothing
+// below main calls os.Exit, so the deferred cleanups (profile flush,
+// graceful monitor shutdown) run on every path and the command is
+// testable in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("stacksim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		cfgName = flag.String("config", "3D-fast", "preset: 2D, 3D, 3D-wide, 3D-fast, dualMC, quadMC")
-		mixName = flag.String("mix", "", "Table 2b mix to run (H1..M3)")
-		benches = flag.String("bench", "", "comma-separated benchmarks (alternative to -mix)")
-		warmup  = flag.Int64("warmup", 200_000, "warmup cycles")
-		measure = flag.Int64("measure", 600_000, "measured cycles")
-		mshrX   = flag.Int("mshr", 1, "L2 MSHR capacity multiplier (1,2,4,8)")
-		vbf     = flag.Bool("vbf", false, "use the VBF-based L2 MSHR")
-		dynamic = flag.Bool("dynamic", false, "enable dynamic MSHR resizing")
-		seed    = flag.Int64("seed", 1, "workload seed")
-		cwf     = flag.Bool("cwf", false, "critical-word-first read delivery")
-		smart   = flag.Bool("smartrefresh", false, "skip refreshes for access-restored rows")
-		unified = flag.Bool("unified-mshr", false, "one shared L2 MSHR file instead of per-MC banks")
+		cfgName = fs.String("config", "3D-fast", "preset: 2D, 3D, 3D-wide, 3D-fast, dualMC, quadMC")
+		mixName = fs.String("mix", "", "Table 2b mix to run (H1..M3)")
+		benches = fs.String("bench", "", "comma-separated benchmarks (alternative to -mix)")
+		warmup  = fs.Int64("warmup", 200_000, "warmup cycles")
+		measure = fs.Int64("measure", 600_000, "measured cycles")
+		mshrX   = fs.Int("mshr", 1, "L2 MSHR capacity multiplier (1,2,4,8)")
+		vbf     = fs.Bool("vbf", false, "use the VBF-based L2 MSHR")
+		dynamic = fs.Bool("dynamic", false, "enable dynamic MSHR resizing")
+		seed    = fs.Int64("seed", 1, "workload seed")
+		cwf     = fs.Bool("cwf", false, "critical-word-first read delivery")
+		smart   = fs.Bool("smartrefresh", false, "skip refreshes for access-restored rows")
+		unified = fs.Bool("unified-mshr", false, "one shared L2 MSHR file instead of per-MC banks")
 
-		stackMode   = flag.String("stack-mode", "memory", "stacked-DRAM use: memory (all of main memory), cache, or memcache (hot region + cache)")
-		stackCapMB  = flag.Int("stack-cap-mb", 64, "stack capacity in MB (cache/memcache modes)")
-		stackWays   = flag.Int("stack-ways", 16, "stack cache associativity")
-		stackSRAM   = flag.Bool("stack-tags-sram", true, "tag directory in SRAM (false = tags stored in the stacked DRAM)")
-		stackTagLat = flag.Int("stack-tag-lat", 2, "SRAM tag-probe latency in CPU cycles")
-		stackFill   = flag.Int("stack-fill-bytes", 0, "fill/allocation granularity in bytes (0 = one page)")
-		stackHot    = flag.Float64("stack-hot-frac", 0.5, "memcache: fraction of the stack that is direct-addressed hot memory")
-		cohMode     = flag.String("coherence", "", "coherence mode: shared (seed default) or mesi (private per-core L2s under a directory protocol)")
-		topology    = flag.String("topology", "", "interconnect: bus (seed default) or mesh (2D mesh NoC; required by -coherence mesi)")
-		cores       = flag.Int("cores", 0, "override the core count (0 = preset; counts > 4 need -coherence mesi)")
+		stackMode   = fs.String("stack-mode", "memory", "stacked-DRAM use: memory (all of main memory), cache, or memcache (hot region + cache)")
+		stackCapMB  = fs.Int("stack-cap-mb", 64, "stack capacity in MB (cache/memcache modes)")
+		stackWays   = fs.Int("stack-ways", 16, "stack cache associativity")
+		stackSRAM   = fs.Bool("stack-tags-sram", true, "tag directory in SRAM (false = tags stored in the stacked DRAM)")
+		stackTagLat = fs.Int("stack-tag-lat", 2, "SRAM tag-probe latency in CPU cycles")
+		stackFill   = fs.Int("stack-fill-bytes", 0, "fill/allocation granularity in bytes (0 = one page)")
+		stackHot    = fs.Float64("stack-hot-frac", 0.5, "memcache: fraction of the stack that is direct-addressed hot memory")
+		cohMode     = fs.String("coherence", "", "coherence mode: shared (seed default) or mesi (private per-core L2s under a directory protocol)")
+		topology    = fs.String("topology", "", "interconnect: bus (seed default) or mesh (2D mesh NoC; required by -coherence mesi)")
+		cores       = fs.Int("cores", 0, "override the core count (0 = preset; counts > 4 need -coherence mesi)")
 
-		traces = flag.String("traces", "", "comma-separated trace files (from tracegen), one per core")
-		list   = flag.Bool("list", false, "list benchmarks and mixes, then exit")
-		jobs   = flag.Int("j", 0, "concurrent simulations for a multi-mix sweep (0 = GOMAXPROCS)")
+		traces = fs.String("traces", "", "comma-separated trace files (from tracegen), one per core")
+		list   = fs.Bool("list", false, "list benchmarks and mixes, then exit")
+		jobs   = fs.Int("j", 0, "concurrent simulations for a multi-mix sweep (0 = GOMAXPROCS)")
 
-		faultScenario = flag.String("fault-scenario", "", "JSON fault scenario to inject into the memory hierarchy (see docs/ROBUSTNESS.md)")
-		faultSeed     = flag.Int64("fault-seed", 0, "override the scenario's fault-stream seed (0 keeps the scenario/run default)")
-		checkpoint    = flag.String("checkpoint", "", "write periodic replay checkpoints to this file (single run only)")
-		ckptEvery     = flag.Int64("checkpoint-every", 1_000_000, "cycles between checkpoint writes")
-		resume        = flag.String("resume", "", "resume from this checkpoint file; the run's config and workload come from the checkpoint")
-		deadline      = flag.Duration("deadline", 0, "wall-clock limit for the run (0 = none); a cut-off run still reports and exports")
+		faultScenario = fs.String("fault-scenario", "", "JSON fault scenario to inject into the memory hierarchy (see docs/ROBUSTNESS.md)")
+		faultSeed     = fs.Int64("fault-seed", 0, "override the scenario's fault-stream seed (0 keeps the scenario/run default)")
+		checkpoint    = fs.String("checkpoint", "", "write periodic replay checkpoints to this file (single run only)")
+		ckptEvery     = fs.Int64("checkpoint-every", 1_000_000, "cycles between checkpoint writes")
+		resume        = fs.String("resume", "", "resume from this checkpoint file; the run's config and workload come from the checkpoint")
+		deadline      = fs.Duration("deadline", 0, "wall-clock limit for the run (0 = none); a cut-off run still reports and exports")
 
-		telemetryDir = flag.String("telemetry-dir", "", "directory for telemetry exports (enables telemetry)")
-		sampleEvery  = flag.Int64("sample-every", 1000, "time-series sample interval in cycles")
-		traceEvents  = flag.Bool("trace-events", false, "emit Chrome trace_event JSON for sampled request lifecycles")
-		traceSample  = flag.Int("trace-sample", 64, "trace 1 in N demand-miss lifecycles")
-		attribOn     = flag.Bool("attrib", true, "memory-latency attribution (cycle accounting) when telemetry is enabled")
-		powerOn      = flag.Bool("power", true, "power/thermal tracking (per-layer power, transient temperatures) when telemetry is enabled")
-		monitorAddr  = flag.String("monitor-addr", "", "serve /metrics, /snapshot, /healthz and pprof on this address during the run")
-		ledgerDir    = flag.String("ledger-dir", "", "content-addressed run ledger: record completed runs here and serve known (config, workload, seed) runs from it without re-simulating")
+		telemetryDir = fs.String("telemetry-dir", "", "directory for telemetry exports (enables telemetry)")
+		sampleEvery  = fs.Int64("sample-every", 1000, "time-series sample interval in cycles")
+		traceEvents  = fs.Bool("trace-events", false, "emit Chrome trace_event JSON for sampled request lifecycles")
+		traceSample  = fs.Int("trace-sample", 64, "trace 1 in N demand-miss lifecycles")
+		attribOn     = fs.Bool("attrib", true, "memory-latency attribution (cycle accounting) when telemetry is enabled")
+		powerOn      = fs.Bool("power", true, "power/thermal tracking (per-layer power, transient temperatures) when telemetry is enabled")
+		monitorAddr  = fs.String("monitor-addr", "", "serve /metrics, /snapshot, /healthz and pprof on this address during the run")
+		ledgerDir    = fs.String("ledger-dir", "", "content-addressed run ledger: record completed runs here and serve known (config, workload, seed) runs from it without re-simulating")
 
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file")
+		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write a pprof heap profile to this file")
 	)
-	flag.Parse()
-	validateFlags(*telemetryDir, *sampleEvery, *monitorAddr, *mixName,
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(err error) int {
+		fmt.Fprintf(stderr, "stacksim: %v\n", err)
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintf(stderr, "stacksim: %v\n", err)
+		return 1
+	}
+	// Every explicitly set flag: validation tells a no-op flag from a
+	// default, and the telemetry manifest records them.
+	explicit := map[string]string{}
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = f.Value.String() })
+	sweep := strings.Contains(*mixName, ",")
+	if err := validateFlags(explicit, *telemetryDir, *sampleEvery, *monitorAddr, sweep,
 		*checkpoint, *resume, *traces, *ckptEvery, *stackMode, *ledgerDir,
-		*cohMode, *cores, *faultScenario, *dynamic)
+		*cohMode, *cores, *faultScenario, *dynamic, *jobs); err != nil {
+		return usage(err)
+	}
 
 	if *list {
-		fmt.Println("benchmarks (Table 2a):")
+		fmt.Fprintln(stdout, "benchmarks (Table 2a):")
 		for _, s := range workload.Specs {
-			fmt.Printf("  %-12s %-9s paper MPKI %6.1f  pattern %s\n", s.Name, s.Suite, s.PaperMPKI, s.Pattern)
+			fmt.Fprintf(stdout, "  %-12s %-9s paper MPKI %6.1f  pattern %s\n", s.Name, s.Suite, s.PaperMPKI, s.Pattern)
 		}
-		fmt.Println("mixes (Table 2b):")
+		fmt.Fprintln(stdout, "mixes (Table 2b):")
 		for _, m := range workload.Mixes {
-			fmt.Printf("  %-4s (%s): %v\n", m.Name, m.Group, m.Benchmarks)
+			fmt.Fprintf(stdout, "  %-4s (%s): %v\n", m.Name, m.Group, m.Benchmarks)
 		}
-		return
+		return 0
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+		defer pprof.StopCPUProfile()
 	}
 
 	cfg, ok := preset(*cfgName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "stacksim: unknown config %q\n", *cfgName)
-		os.Exit(2)
+		return usage(fmt.Errorf("unknown config %q", *cfgName))
 	}
 	if *mshrX != 1 || *vbf || *dynamic {
 		kind := config.MSHRIdealCAM
@@ -177,8 +204,7 @@ func main() {
 	if *stackMode != "memory" {
 		mode, err := config.ParseStackMode(*stackMode)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "stacksim: %v\n", err)
-			os.Exit(2)
+			return usage(err)
 		}
 		cfg = cfg.WithStackCache(mode, *stackCapMB)
 		cfg.StackWays = *stackWays
@@ -192,7 +218,9 @@ func main() {
 		}
 	}
 	if *cohMode != "" || *topology != "" || *cores > 0 {
-		cfg = applyManycore(cfg, *cohMode, *topology, *cores)
+		if err := applyManycore(cfg, *cohMode, *topology, *cores); err != nil {
+			return usage(err)
+		}
 	}
 	cfg.WarmupCycles = *warmup
 	cfg.MeasureCycles = *measure
@@ -204,7 +232,7 @@ func main() {
 	if *faultScenario != "" {
 		sc, err := fault.Load(*faultScenario)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		if *faultSeed != 0 {
 			sc.Seed = *faultSeed
@@ -231,23 +259,20 @@ func main() {
 
 	var led *ledger.Ledger
 	if *ledgerDir != "" {
-		var lerr error
-		if led, lerr = ledger.Open(*ledgerDir); lerr != nil {
-			fatal(lerr)
+		var err error
+		if led, err = ledger.Open(*ledgerDir); err != nil {
+			return fatal(err)
 		}
 	}
 
-	if strings.Contains(*mixName, ",") {
+	if sweep {
 		if *telemetryDir != "" || *traces != "" {
-			fmt.Fprintln(os.Stderr, "stacksim: -telemetry-dir and -traces describe a single run; use one -mix")
-			os.Exit(2)
+			return usage(errors.New("-telemetry-dir and -traces describe a single run; use one -mix"))
 		}
-		runSweep(ctx, cfg, strings.Split(*mixName, ","), *jobs, *warmup, *measure, led)
-		return
+		return runSweep(ctx, stdout, stderr, cfg, strings.Split(*mixName, ","), *jobs, led)
 	}
 	if *jobs > 1 {
-		fmt.Fprintln(os.Stderr, "stacksim: -j only applies to a multi-mix sweep (comma-separated -mix)")
-		os.Exit(2)
+		return usage(errors.New("-j only applies to a multi-mix sweep (comma-separated -mix)"))
 	}
 
 	var tel *telemetry.Telemetry
@@ -260,82 +285,76 @@ func main() {
 		})
 	}
 
+	// w stays the zero Workload for resumed and trace-driven runs, which
+	// the ledger never addresses; labels name the cores in the manifest.
 	var sys *core.System
 	var err error
-	var labels, workloadKey []string
-	if *resume != "" {
+	var w workload.Workload
+	var labels []string
+	switch {
+	case *resume != "":
 		cp, lerr := core.LoadCheckpoint(*resume)
 		if lerr != nil {
-			fatal(lerr)
+			return fatal(lerr)
 		}
-		cfg = cp.Config
-		labels = cp.Benchmarks
+		cfg, labels = cp.Config, cp.Benchmarks
 		sys, err = core.NewSystemFromCheckpoint(cp)
-		fmt.Printf("resume: %s at cycle %d (%s)\n", *resume, cp.Cycle, cfg.Name)
-	} else if *traces != "" {
-		files := strings.Split(*traces, ",")
-		sources := make([]cpu.UOpSource, len(files))
-		for i, path := range files {
+		fmt.Fprintf(stdout, "resume: %s at cycle %d (%s)\n", *resume, cp.Cycle, cfg.Name)
+	case *traces != "":
+		labels = strings.Split(*traces, ",")
+		sources := make([]cpu.UOpSource, len(labels))
+		for i, path := range labels {
 			f, err := os.Open(path)
 			if err != nil {
-				fatal(err)
+				return fatal(err)
 			}
 			r, err := trace.NewReader(f)
 			f.Close()
 			if err != nil {
-				fatal(err)
+				return fatal(err)
 			}
 			sources[i] = r
 		}
-		labels = files
-		sys, err = core.NewSystemFromSources(cfg, sources, files)
-	} else {
+		sys, err = core.NewSystemFromSources(cfg, sources, labels)
+	default:
 		switch {
 		case *mixName != "":
-			mix, ok := workload.MixByName(*mixName)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "stacksim: unknown mix %q\n", *mixName)
-				os.Exit(2)
+			// The canonical mix label keys the ledger the same way the
+			// sweep and the experiment harness do, so all three dedupe
+			// against each other.
+			if w, err = workload.OfMix(*mixName); err != nil {
+				return usage(err)
 			}
-			labels = mix.Benchmarks[:]
-			// The canonical mix name keys the ledger the same way the
-			// experiment harness does, so a stacksim run and a sweep run
-			// of the same organization dedupe against each other.
-			workloadKey = []string{"mix:" + mix.Name}
-		case *benches != "":
-			labels = strings.Split(*benches, ",")
+		case *benches == "":
+			return usage(errors.New("need -mix or -bench (see -list)"))
+		case cfg.Coherent() && cfg.Cores > 1 && !strings.Contains(*benches, ","):
 			// A coherent many-core run with a single benchmark means
 			// "run it on every core" (the -exp manycore convention);
 			// seed-mode runs keep the one-core-per-entry behavior.
-			if cfg.Coherent() && len(labels) == 1 && cfg.Cores > 1 {
-				uniform := make([]string, cfg.Cores)
-				for i := range uniform {
-					uniform[i] = labels[0]
-				}
-				labels = uniform
-			}
-			for _, b := range labels {
-				workloadKey = append(workloadKey, "bench:"+b)
-			}
+			w = workload.Uniform(*benches, cfg.Cores)
 		default:
-			fmt.Fprintln(os.Stderr, "stacksim: need -mix or -bench (see -list)")
-			os.Exit(2)
+			w = workload.List(strings.Split(*benches, ",")...)
 		}
+		labels = w.Benchmarks()
 		// A recorded run is served from the ledger instead of simulated
 		// — but only when no telemetry was asked for: the time-series and
 		// trace artifacts exist only for a live run.
-		if led != nil && *telemetryDir == "" {
-			if m, rec, ok := ledgerRecall(led, cfg, workloadKey); ok {
-				fmt.Printf("ledger: cache hit %s (recorded %s, %.2fs wall); not re-simulating\n",
+		if led != nil && tel == nil {
+			m, rec, rerr := core.Recall(led, cfg, w.Labels())
+			if rerr != nil {
+				return fatal(rerr)
+			}
+			if rec != nil {
+				fmt.Fprintf(stdout, "ledger: cache hit %s (recorded %s, %.2fs wall); not re-simulating\n",
 					rec.Manifest.ID, rec.Manifest.StartedAt, rec.Manifest.WallSeconds)
-				report(cfg, m)
-				return
+				report(stdout, cfg, m)
+				return 0
 			}
 		}
 		sys, err = core.NewSystem(cfg, labels)
 	}
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	// Power/thermal tracking rides the telemetry registry. Attached
 	// before the sampler so each closed window's power.*/thermal.*
@@ -390,7 +409,7 @@ func main() {
 			}
 		}
 		if err := mon.Start(*monitorAddr); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		defer func() {
 			// Graceful: in-flight scrapes of the final snapshot finish.
@@ -398,7 +417,7 @@ func main() {
 			defer cancel()
 			mon.Shutdown(sctx) //nolint:errcheck // best-effort on exit
 		}()
-		fmt.Printf("monitor: serving /metrics /snapshot /dashboard /healthz and /debug/pprof on %s\n", mon.Addr())
+		fmt.Fprintf(stdout, "monitor: serving /metrics /snapshot /dashboard /healthz and /debug/pprof on %s\n", mon.Addr())
 		// -sample-every 0 disables the time-series but the monitor
 		// still needs a snapshot cadence; fall back to the default.
 		collectEvery := int(*sampleEvery)
@@ -408,49 +427,48 @@ func main() {
 		sys.Engine.RegisterEvery(collectEvery, 0, mon)
 	}
 
-	started := time.Now()
-	var m core.Metrics
-	var runErr error
+	// One run loop for every single run: a plain run is a checkpointed
+	// run with an empty plan.
+	var plan core.CheckpointPlan
 	if *checkpoint != "" || *resume != "" {
-		path := *checkpoint
-		if path == "" {
-			path = *resume
-		}
-		m, runErr = sys.RunCheckpointed(ctx, core.CheckpointPlan{
-			Every: *ckptEvery, Path: path, Resume: *resume != "",
-		})
-		if runErr != nil && ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "stacksim: interrupted at cycle %d; checkpoint saved to %s\n", sys.Engine.Now(), path)
-		}
-	} else {
-		m, runErr = sys.RunContext(ctx)
-		if runErr != nil {
-			fmt.Fprintf(os.Stderr, "stacksim: interrupted at cycle %d; metrics below are partial\n", sys.Engine.Now())
+		plan = core.CheckpointPlan{Every: *ckptEvery, Path: *checkpoint, Resume: *resume != ""}
+		if plan.Path == "" {
+			plan.Path = *resume
 		}
 	}
-	if runErr != nil && ctx.Err() == nil {
+	started := time.Now()
+	m, runErr := sys.RunCheckpointed(ctx, plan)
+	switch {
+	case runErr == nil:
+	case ctx.Err() == nil:
 		// Not a cancellation: a bad checkpoint or a failed write.
-		fatal(runErr)
+		return fatal(runErr)
+	case plan.Path != "":
+		fmt.Fprintf(stderr, "stacksim: interrupted at cycle %d; checkpoint saved to %s\n", sys.Engine.Now(), plan.Path)
+	default:
+		fmt.Fprintf(stderr, "stacksim: interrupted at cycle %d; metrics below are partial\n", sys.Engine.Now())
 	}
-	report(cfg, m)
-	engineReport(sys)
+	report(stdout, cfg, m)
+	engineReport(stdout, sys)
 	if mon != nil {
 		// Publish the end-of-run state for scrapes that outlive the run.
 		mon.Collect(sys.Engine.Now())
 	}
 	if col != nil {
-		fmt.Print(col.Breakdown().Table())
+		fmt.Fprint(stdout, col.Breakdown().Table())
 	}
 	if pt != nil {
-		fmt.Print(pt.Report())
+		fmt.Fprint(stdout, pt.Report())
 	}
 
 	// Record the completed run before the telemetry export so the
-	// exported manifest's wall time prices the ledger write too (that is
-	// what scripts/bench.sh gates). Only finished runs are recorded: a
-	// partial result must never be served as the real answer later.
-	if led != nil && runErr == nil && len(workloadKey) > 0 {
-		recordRun(led, cfg, workloadKey, &m, sys, tel, col, pt, started)
+	// exported manifest's wall time prices the ledger write too. Only
+	// finished runs are recorded: a partial result must never be served
+	// as the real answer later.
+	if led != nil && runErr == nil && len(w.Labels()) > 0 {
+		if err := recordRun(stdout, led, cfg, w.Labels(), &m, sys, tel, col, pt, started); err != nil {
+			return fatal(err)
+		}
 	}
 
 	if tel != nil {
@@ -460,73 +478,65 @@ func main() {
 			Config:      cfg.Name,
 			Seed:        cfg.Seed,
 			Workload:    labels,
-			Flags:       flagValues(),
-			GitDescribe: gitDescribe(),
+			Flags:       explicit,
+			GitDescribe: ledger.GitDescribe(),
 			StartedAt:   started.UTC().Format(time.RFC3339),
 			WallSeconds: time.Since(started).Seconds(),
 			Cycles:      int64(sys.Engine.Now()),
 		})
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		if col != nil {
-			if err := writeAttribJSON(filepath.Join(*telemetryDir, "attrib.json"), col.Breakdown()); err != nil {
-				fatal(err)
+			if err := writeJSON(filepath.Join(*telemetryDir, "attrib.json"), col.Breakdown()); err != nil {
+				return fatal(err)
 			}
 		}
 		if pt != nil {
 			if err := writeJSON(filepath.Join(*telemetryDir, "powerthermal.json"), pt.Summary()); err != nil {
-				fatal(err)
+				return fatal(err)
 			}
 		}
-		fmt.Printf("telemetry: exports written to %s\n", *telemetryDir)
+		fmt.Fprintf(stdout, "telemetry: exports written to %s\n", *telemetryDir)
 	}
 
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
+		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		f.Close()
 	}
 
 	if runErr != nil {
 		// Everything useful was flushed above; now fail the invocation.
-		// os.Exit skips the deferred graceful shutdown, so do it here
-		// (Shutdown is idempotent).
-		if mon != nil {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			mon.Shutdown(sctx) //nolint:errcheck // best-effort on exit
-			cancel()
-		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // applyManycore applies the coherent-mode flags on top of the chosen
 // preset: parse the mode/topology spellings, override the core count,
 // fill the mesh and private-L2 knobs from the ManyCore preset, and
 // validate here so a bad combination (non-square mesh, MCs not
-// dividing the cores) exits 2 with the config error instead of
-// surfacing later as a run failure.
-func applyManycore(cfg *config.Config, coherence, topology string, cores int) *config.Config {
+// dividing the cores) is a usage error carrying the config error
+// instead of surfacing later as a run failure.
+func applyManycore(cfg *config.Config, coherence, topology string, cores int) error {
 	if coherence != "" {
 		m, err := config.ParseCoherenceMode(coherence)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "stacksim: %v\n", err)
-			os.Exit(2)
+			return err
 		}
 		cfg.Coherence = m
 	}
 	if topology != "" {
 		tp, err := config.ParseTopology(topology)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "stacksim: %v\n", err)
-			os.Exit(2)
+			return err
 		}
 		cfg.Topology = tp
 	} else if cfg.Coherent() {
@@ -548,82 +558,67 @@ func applyManycore(cfg *config.Config, coherence, topology string, cores int) *c
 		cfg.DirLatency = donor.DirLatency
 		cfg.Name = fmt.Sprintf("%s-%dc-mesh", cfg.Name, cfg.Cores)
 	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "stacksim: %v\n", err)
-		os.Exit(2)
-	}
-	return cfg
+	return cfg.Validate()
 }
 
 // validateFlags rejects flag combinations that would otherwise be
 // silent no-ops: the telemetry sub-flags do nothing without
 // -telemetry-dir, the monitor serves a single run's registry, so it
 // conflicts with sweep mode, and checkpoint/resume describe one
-// generator-driven run.
-func validateFlags(telemetryDir string, sampleEvery int64, monitorAddr, mixName,
+// generator-driven run. explicit holds the flags set on the command
+// line; the returned error is the usage message, without the "stacksim: "
+// prefix.
+func validateFlags(explicit map[string]string, telemetryDir string, sampleEvery int64, monitorAddr string, sweep bool,
 	checkpoint, resume, traces string, ckptEvery int64, stackMode, ledgerDir string,
-	coherence string, cores int, faultScenario string, dynamic bool) {
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if explicit["topology"] && coherence != "mesi" {
-		fmt.Fprintln(os.Stderr, "stacksim: -topology does nothing without -coherence mesi (the shared L2 has no modeled interconnect)")
-		os.Exit(2)
+	coherence string, cores int, faultScenario string, dynamic bool, jobs int) error {
+	set := func(name string) bool { _, ok := explicit[name]; return ok }
+	if set("topology") && coherence != "mesi" {
+		return errors.New("-topology does nothing without -coherence mesi (the shared L2 has no modeled interconnect)")
 	}
 	if cores > 4 && coherence != "mesi" {
-		fmt.Fprintf(os.Stderr, "stacksim: -cores %d needs the directory/mesh hierarchy; add -coherence mesi\n", cores)
-		os.Exit(2)
+		return fmt.Errorf("-cores %d needs the directory/mesh hierarchy; add -coherence mesi", cores)
 	}
-	if explicit["cores"] && cores <= 0 {
-		fmt.Fprintln(os.Stderr, "stacksim: -cores must be a positive core count")
-		os.Exit(2)
+	if set("cores") && cores <= 0 {
+		return errors.New("-cores must be a positive core count")
 	}
 	if coherence == "mesi" {
 		if stackMode != "memory" {
-			fmt.Fprintln(os.Stderr, "stacksim: -coherence mesi requires -stack-mode memory (directory banks ride the stacked controllers)")
-			os.Exit(2)
+			return errors.New("-coherence mesi requires -stack-mode memory (directory banks ride the stacked controllers)")
 		}
 		if faultScenario != "" {
-			fmt.Fprintln(os.Stderr, "stacksim: -coherence mesi does not support -fault-scenario")
-			os.Exit(2)
+			return errors.New("-coherence mesi does not support -fault-scenario")
 		}
 		if dynamic {
-			fmt.Fprintln(os.Stderr, "stacksim: -dynamic resizes the shared L2's MSHR banks; it does nothing under -coherence mesi")
-			os.Exit(2)
+			return errors.New("-dynamic resizes the shared L2's MSHR banks; it does nothing under -coherence mesi")
 		}
 		if resume != "" || checkpoint != "" {
-			fmt.Fprintln(os.Stderr, "stacksim: -checkpoint/-resume do not support -coherence mesi runs yet")
-			os.Exit(2)
+			return errors.New("-checkpoint/-resume do not support -coherence mesi runs yet")
 		}
 	}
 	if stackMode == "memory" {
 		for _, name := range []string{"stack-cap-mb", "stack-ways", "stack-tags-sram",
 			"stack-tag-lat", "stack-fill-bytes", "stack-hot-frac"} {
-			if explicit[name] {
-				fmt.Fprintf(os.Stderr, "stacksim: -%s does nothing in memory mode; add -stack-mode cache or memcache\n", name)
-				os.Exit(2)
+			if set(name) {
+				return fmt.Errorf("-%s does nothing in memory mode; add -stack-mode cache or memcache", name)
 			}
 		}
 	}
-	if explicit["stack-hot-frac"] && stackMode == "cache" {
-		fmt.Fprintln(os.Stderr, "stacksim: -stack-hot-frac only applies to -stack-mode memcache")
-		os.Exit(2)
+	if set("stack-hot-frac") && stackMode == "cache" {
+		return errors.New("-stack-hot-frac only applies to -stack-mode memcache")
 	}
 	if telemetryDir == "" {
 		for _, name := range []string{"sample-every", "trace-events", "trace-sample", "attrib", "power"} {
-			if explicit[name] {
-				fmt.Fprintf(os.Stderr, "stacksim: -%s does nothing without -telemetry-dir; add -telemetry-dir <dir>\n", name)
-				os.Exit(2)
+			if set(name) {
+				return fmt.Errorf("-%s does nothing without -telemetry-dir; add -telemetry-dir <dir>", name)
 			}
 		}
 	}
 	if checkpoint != "" || resume != "" {
-		if strings.Contains(mixName, ",") {
-			fmt.Fprintln(os.Stderr, "stacksim: -checkpoint/-resume describe a single run; they conflict with a multi-mix sweep")
-			os.Exit(2)
+		if sweep {
+			return errors.New("-checkpoint/-resume describe a single run; they conflict with a multi-mix sweep")
 		}
 		if traces != "" {
-			fmt.Fprintln(os.Stderr, "stacksim: -checkpoint/-resume rebuild the workload from benchmark generators; they conflict with -traces")
-			os.Exit(2)
+			return errors.New("-checkpoint/-resume rebuild the workload from benchmark generators; they conflict with -traces")
 		}
 	}
 	if resume != "" {
@@ -631,29 +626,24 @@ func validateFlags(telemetryDir string, sampleEvery int64, monitorAddr, mixName,
 		// fault scenario; flags that would contradict it are rejected
 		// rather than silently ignored.
 		for _, name := range []string{"config", "mix", "bench", "fault-scenario", "fault-seed", "seed", "warmup", "measure"} {
-			if explicit[name] {
-				fmt.Fprintf(os.Stderr, "stacksim: -%s conflicts with -resume (the checkpoint carries the run's config)\n", name)
-				os.Exit(2)
+			if set(name) {
+				return fmt.Errorf("-%s conflicts with -resume (the checkpoint carries the run's config)", name)
 			}
 		}
 	}
-	if explicit["checkpoint-every"] && checkpoint == "" && resume == "" {
-		fmt.Fprintln(os.Stderr, "stacksim: -checkpoint-every does nothing without -checkpoint or -resume")
-		os.Exit(2)
+	if set("checkpoint-every") && checkpoint == "" && resume == "" {
+		return errors.New("-checkpoint-every does nothing without -checkpoint or -resume")
 	}
 	if ckptEvery <= 0 && (checkpoint != "" || resume != "") {
-		fmt.Fprintln(os.Stderr, "stacksim: -checkpoint-every must be a positive cycle count")
-		os.Exit(2)
+		return errors.New("-checkpoint-every must be a positive cycle count")
 	}
-	if explicit["fault-seed"] && !explicit["fault-scenario"] {
-		fmt.Fprintln(os.Stderr, "stacksim: -fault-seed does nothing without -fault-scenario")
-		os.Exit(2)
+	if set("fault-seed") && !set("fault-scenario") {
+		return errors.New("-fault-seed does nothing without -fault-scenario")
 	}
 	// 0 is meaningful (disable the time-series, keep the other
 	// exports); only negative intervals are nonsense.
 	if sampleEvery < 0 {
-		fmt.Fprintln(os.Stderr, "stacksim: -sample-every must be >= 0 cycles (0 disables the time-series)")
-		os.Exit(2)
+		return errors.New("-sample-every must be >= 0 cycles (0 disables the time-series)")
 	}
 	if ledgerDir != "" {
 		// The ledger addresses a run by its config and workload *names*;
@@ -661,30 +651,24 @@ func validateFlags(telemetryDir string, sampleEvery int64, monitorAddr, mixName,
 		// which the digest never sees, so a hit could serve the wrong
 		// run. Checkpoint/resume runs are partial by construction.
 		if traces != "" {
-			fmt.Fprintln(os.Stderr, "stacksim: -ledger-dir conflicts with -traces (trace contents are outside the run's content address)")
-			os.Exit(2)
+			return errors.New("-ledger-dir conflicts with -traces (trace contents are outside the run's content address)")
 		}
 		if checkpoint != "" || resume != "" {
-			fmt.Fprintln(os.Stderr, "stacksim: -ledger-dir conflicts with -checkpoint/-resume (the ledger records only complete, from-scratch runs)")
-			os.Exit(2)
+			return errors.New("-ledger-dir conflicts with -checkpoint/-resume (the ledger records only complete, from-scratch runs)")
 		}
 	}
 	if monitorAddr != "" {
-		if strings.Contains(mixName, ",") {
-			fmt.Fprintln(os.Stderr, "stacksim: -monitor-addr serves a single run; it conflicts with a multi-mix sweep (use cmd/experiments -monitor-addr for fleet progress)")
-			os.Exit(2)
+		if sweep {
+			return errors.New("-monitor-addr serves a single run; it conflicts with a multi-mix sweep (use cmd/experiments -monitor-addr for fleet progress)")
 		}
 		if telemetryDir == "" {
-			fmt.Fprintln(os.Stderr, "stacksim: -monitor-addr needs the telemetry registry; add -telemetry-dir <dir>")
-			os.Exit(2)
+			return errors.New("-monitor-addr needs the telemetry registry; add -telemetry-dir <dir>")
 		}
 	}
-}
-
-// writeAttribJSON exports the attribution breakdown next to the other
-// telemetry artifacts.
-func writeAttribJSON(path string, b *attrib.Breakdown) error {
-	return writeJSON(path, b)
+	if jobs < 0 {
+		return errors.New("-j must be >= 0 (0 = GOMAXPROCS)")
+	}
+	return nil
 }
 
 // writeJSON exports one telemetry artifact as indented JSON.
@@ -725,82 +709,60 @@ func powerThermalWire(s core.PowerThermalSummary) *monitor.PowerThermal {
 // report is independent of -j: runs are deterministic in isolation and
 // collection follows submission order. A cancelled or failed run marks
 // its own line and the exit code; completed siblings still print.
-func runSweep(ctx context.Context, cfg *config.Config, mixes []string, jobs int, warmup, measure int64, led *ledger.Ledger) {
+func runSweep(ctx context.Context, stdout, stderr io.Writer, cfg *config.Config, mixes []string, jobs int, led *ledger.Ledger) int {
 	for i := range mixes {
-		mixes[i] = strings.TrimSpace(mixes[i])
-		m, ok := workload.MixByName(mixes[i])
-		if !ok {
-			fmt.Fprintf(os.Stderr, "stacksim: unknown mix %q\n", mixes[i])
-			os.Exit(2)
+		w, err := workload.OfMix(strings.TrimSpace(mixes[i]))
+		if err != nil {
+			fmt.Fprintf(stderr, "stacksim: %v\n", err)
+			return 2
 		}
-		// Canonical spelling, so the ledger key is casing-independent.
-		mixes[i] = m.Name
+		mixes[i] = w.String()
 	}
-	r := core.NewRunner(warmup, measure)
+	r := core.NewRunner(cfg.WarmupCycles, cfg.MeasureCycles)
 	r.Workers = jobs
 	r.Ctx = ctx
 	if led != nil {
 		r.Ledger = led
-		r.GitRevision = gitDescribe()
+		r.GitRevision = ledger.GitDescribe()
 	}
 	started := time.Now()
 	r.Prefetch(cfg, mixes...)
-	fmt.Printf("config: %s   warmup=%d measured=%d cycles   %d mixes\n",
-		cfg.Name, warmup, measure, len(mixes))
+	fmt.Fprintf(stdout, "config: %s   warmup=%d measured=%d cycles   %d mixes\n",
+		cfg.Name, cfg.WarmupCycles, cfg.MeasureCycles, len(mixes))
 	failed := 0
 	for _, mix := range mixes {
 		m, err := r.MixMetrics(cfg, mix)
 		if err != nil {
-			fmt.Printf("  %-4s FAILED: %v\n", mix, err)
+			fmt.Fprintf(stdout, "  %-4s FAILED: %v\n", mix, err)
 			failed++
 			continue
 		}
-		fmt.Printf("  %-4s HMIPC=%.4f  L2miss=%.3f  rowhit=%.3f  busutil=%.3f\n",
+		fmt.Fprintf(stdout, "  %-4s HMIPC=%.4f  L2miss=%.3f  rowhit=%.3f  busutil=%.3f\n",
 			mix, m.HMIPC, m.L2MissRate, m.RowHitRate, m.BusUtilization)
 	}
 	workers := jobs
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	fmt.Printf("sweep: %d runs in %.2fs (j=%d)\n", r.Runs(), time.Since(started).Seconds(), workers)
+	fmt.Fprintf(stdout, "sweep: %d runs in %.2fs (j=%d)\n", r.Runs(), time.Since(started).Seconds(), workers)
 	if led != nil {
-		fmt.Printf("ledger: %d of %d runs served from %s\n",
+		fmt.Fprintf(stdout, "ledger: %d of %d runs served from %s\n",
 			r.Status().LedgerHits, len(mixes), led.Dir())
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "stacksim: %d of %d sweep runs failed\n", failed, len(mixes))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "stacksim: %d of %d sweep runs failed\n", failed, len(mixes))
+		return 1
 	}
-}
-
-// ledgerRecall looks the run up by its content address and, on a hit,
-// decodes the recorded metrics — numerically identical to re-running.
-func ledgerRecall(led *ledger.Ledger, cfg *config.Config, workloadKey []string) (core.Metrics, *ledger.Record, bool) {
-	id, _, err := core.RunIdentity(cfg, workloadKey)
-	if err != nil {
-		fatal(err)
-	}
-	if !led.Has(id) {
-		return core.Metrics{}, nil, false
-	}
-	rec, err := led.Get(id)
-	if err != nil {
-		fatal(err)
-	}
-	m, err := core.RecallMetrics(rec)
-	if err != nil {
-		fatal(err)
-	}
-	return m, rec, true
+	return 0
 }
 
 // recordRun appends the completed run to the ledger: manifest with the
 // real engine-efficiency counters, the registry's final scalars as the
 // metric map (when telemetry ran; otherwise the flattened Metrics), and
 // the attribution / power-thermal payloads when those trackers ran.
-func recordRun(led *ledger.Ledger, cfg *config.Config, workloadKey []string, m *core.Metrics,
+func recordRun(stdout io.Writer, led *ledger.Ledger, cfg *config.Config, labels []string, m *core.Metrics,
 	sys *core.System, tel *telemetry.Telemetry, col *attrib.Collector, pt *core.PowerThermal, started time.Time,
-) {
+) error {
 	var final map[string]float64
 	if tel != nil {
 		final = make(map[string]float64)
@@ -812,10 +774,10 @@ func recordRun(led *ledger.Ledger, cfg *config.Config, workloadKey []string, m *
 			}
 		})
 	}
-	rec, err := core.NewRunRecord(cfg, workloadKey, m, sys.EngineReport(), final,
-		"", gitDescribe(), started, time.Since(started).Seconds())
+	rec, err := core.NewRunRecord(cfg, labels, m, sys.EngineReport(), final,
+		"", ledger.GitDescribe(), started, time.Since(started).Seconds())
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if col != nil {
 		if data, jerr := json.Marshal(col.Breakdown()); jerr == nil {
@@ -829,30 +791,14 @@ func recordRun(led *ledger.Ledger, cfg *config.Config, workloadKey []string, m *
 	}
 	added, err := led.Put(rec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if added {
-		fmt.Printf("ledger: recorded %s in %s\n", rec.Manifest.ID, led.Dir())
+		fmt.Fprintf(stdout, "ledger: recorded %s in %s\n", rec.Manifest.ID, led.Dir())
 	} else {
-		fmt.Printf("ledger: %s already recorded in %s\n", rec.Manifest.ID, led.Dir())
+		fmt.Fprintf(stdout, "ledger: %s already recorded in %s\n", rec.Manifest.ID, led.Dir())
 	}
-}
-
-// flagValues snapshots every explicitly set flag for the manifest.
-func flagValues() map[string]string {
-	fv := make(map[string]string)
-	flag.Visit(func(f *flag.Flag) { fv[f.Name] = f.Value.String() })
-	return fv
-}
-
-// gitDescribe best-effort identifies the source tree; empty when git is
-// unavailable (the manifest field is omitted).
-func gitDescribe() string {
-	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
+	return nil
 }
 
 // engineReport prints how hard the event-driven engine worked for the
@@ -860,74 +806,69 @@ func gitDescribe() string {
 // cycles jumped without stepping, and how well the request pool kept
 // the hot path allocation-free. The same numbers are exported as
 // engine.* gauges when telemetry is on.
-func engineReport(sys *core.System) {
+func engineReport(stdout io.Writer, sys *core.System) {
 	er := sys.EngineReport()
 	if er.Cycles == 0 {
 		return
 	}
-	fmt.Printf("engine: %d ticks / %d cycles (%.2f ticks/cycle), %d cycles skipped (%.1f%%)\n",
+	fmt.Fprintf(stdout, "engine: %d ticks / %d cycles (%.2f ticks/cycle), %d cycles skipped (%.1f%%)\n",
 		er.TicksDelivered, er.Cycles, er.TicksPerCycle, er.CyclesSkipped, 100*er.SkipRatio)
 	if er.PoolGets > 0 {
-		fmt.Printf("  request pool: %d requests, %.1f%% served from the free list\n",
+		fmt.Fprintf(stdout, "  request pool: %d requests, %.1f%% served from the free list\n",
 			er.PoolGets, 100*er.PoolHitRate)
 	}
 }
 
 // report prints the collected metrics.
-func report(cfg *config.Config, m core.Metrics) {
-	fmt.Printf("config: %s   warmup=%d measured=%d cycles\n", cfg.Name, cfg.WarmupCycles, cfg.MeasureCycles)
-	fmt.Printf("HMIPC: %.4f\n", m.HMIPC)
+func report(stdout io.Writer, cfg *config.Config, m core.Metrics) {
+	fmt.Fprintf(stdout, "config: %s   warmup=%d measured=%d cycles\n", cfg.Name, cfg.WarmupCycles, cfg.MeasureCycles)
+	fmt.Fprintf(stdout, "HMIPC: %.4f\n", m.HMIPC)
 	for i, b := range m.Benchmarks {
-		fmt.Printf("  core%d %-12s IPC=%.4f  L2 demand MPKI=%.1f\n", i, b, m.IPC[i], m.MPKI[i])
+		fmt.Fprintf(stdout, "  core%d %-12s IPC=%.4f  L2 demand MPKI=%.1f\n", i, b, m.IPC[i], m.MPKI[i])
 	}
-	fmt.Printf("L2 miss rate:      %.3f\n", m.L2MissRate)
-	fmt.Printf("DRAM row-hit rate: %.3f\n", m.RowHitRate)
-	fmt.Printf("bus utilization:   %.3f\n", m.BusUtilization)
-	fmt.Printf("DRAM reads/writes: %d / %d\n", m.DRAMReads, m.DRAMWrites)
-	fmt.Printf("MSHR-full set-asides: %d\n", m.MSHRFullStalls)
-	fmt.Printf("DRAM energy: %s\n", m.Energy)
+	fmt.Fprintf(stdout, "L2 miss rate:      %.3f\n", m.L2MissRate)
+	fmt.Fprintf(stdout, "DRAM row-hit rate: %.3f\n", m.RowHitRate)
+	fmt.Fprintf(stdout, "bus utilization:   %.3f\n", m.BusUtilization)
+	fmt.Fprintf(stdout, "DRAM reads/writes: %d / %d\n", m.DRAMReads, m.DRAMWrites)
+	fmt.Fprintf(stdout, "MSHR-full set-asides: %d\n", m.MSHRFullStalls)
+	fmt.Fprintf(stdout, "DRAM energy: %s\n", m.Energy)
 	if m.EnergyBacking.TotalUJ() > 0 {
-		fmt.Printf("backing energy: %s\n", m.EnergyBacking)
+		fmt.Fprintf(stdout, "backing energy: %s\n", m.EnergyBacking)
 	}
 	if st := m.Stack; st.Probes+st.DirectReads+st.DirectWrites > 0 {
-		fmt.Printf("stack cache: hit rate %.3f  (probes=%d hits=%d merges=%d fills=%d)\n",
+		fmt.Fprintf(stdout, "stack cache: hit rate %.3f  (probes=%d hits=%d merges=%d fills=%d)\n",
 			m.StackHitRate, st.Probes, st.Hits, st.MissMerges, st.Fills)
-		fmt.Printf("  writebacks absorbed/forwarded: %d / %d   backing reads/writes: %d / %d\n",
+		fmt.Fprintf(stdout, "  writebacks absorbed/forwarded: %d / %d   backing reads/writes: %d / %d\n",
 			st.WritebacksIn, st.WritebacksOut, m.BackingReads, m.BackingWrites)
 		if st.DirectReads+st.DirectWrites > 0 {
-			fmt.Printf("  hot-region direct reads/writes: %d / %d\n", st.DirectReads, st.DirectWrites)
+			fmt.Fprintf(stdout, "  hot-region direct reads/writes: %d / %d\n", st.DirectReads, st.DirectWrites)
 		}
 	}
 	if cs := m.Coherence; cs.Accesses > 0 {
-		fmt.Printf("coherence: upgrades=%d invalidations=%d c2c=%d wb-races=%d\n",
+		fmt.Fprintf(stdout, "coherence: upgrades=%d invalidations=%d c2c=%d wb-races=%d\n",
 			cs.Upgrades, cs.Invalidations, cs.C2CTransfers, cs.WBRaces)
 		n := m.NoC
-		fmt.Printf("noc: injected=%d delivered=%d avg-latency=%.1f avg-hops=%.1f\n",
+		fmt.Fprintf(stdout, "noc: injected=%d delivered=%d avg-latency=%.1f avg-hops=%.1f\n",
 			n.Injected, n.Delivered, n.AvgLatency(), n.AvgHops())
 	}
 	if pf := m.PrefetchL1; pf.Issued > 0 {
-		fmt.Printf("L1 prefetch: issued=%d useful=%d accuracy=%.2f drops=%d\n",
+		fmt.Fprintf(stdout, "L1 prefetch: issued=%d useful=%d accuracy=%.2f drops=%d\n",
 			pf.Issued, pf.Useful, pf.Accuracy(), pf.Drops)
 	}
 	if pf := m.PrefetchL2; pf.Issued > 0 {
-		fmt.Printf("L2 prefetch: issued=%d useful=%d accuracy=%.2f drops=%d\n",
+		fmt.Fprintf(stdout, "L2 prefetch: issued=%d useful=%d accuracy=%.2f drops=%d\n",
 			pf.Issued, pf.Useful, pf.Accuracy(), pf.Drops)
 	}
 	if m.RefreshSkipRate > 0 {
-		fmt.Printf("refreshes skipped: %.1f%%\n", 100*m.RefreshSkipRate)
+		fmt.Fprintf(stdout, "refreshes skipped: %.1f%%\n", 100*m.RefreshSkipRate)
 	}
 	if m.ProbesPerAccess > 0 {
-		fmt.Printf("MSHR probes/access: %.2f\n", m.ProbesPerAccess)
+		fmt.Fprintf(stdout, "MSHR probes/access: %.2f\n", m.ProbesPerAccess)
 	}
 	if f := m.Faults; f.Total() > 0 {
-		fmt.Printf("faults injected: %d  (ECC corrected=%d uncorrectable=%d retry-cycles=%d)\n",
+		fmt.Fprintf(stdout, "faults injected: %d  (ECC corrected=%d uncorrectable=%d retry-cycles=%d)\n",
 			f.Total(), f.BitErrorsCorrected, f.BitErrorsUncorrectable, f.ECCRetryCycles)
-		fmt.Printf("  rank remaps=%d blocked=%d  MC stall-edges=%d  TSV degraded=%d dead-wait=%d  MSHR parity=%d\n",
+		fmt.Fprintf(stdout, "  rank remaps=%d blocked=%d  MC stall-edges=%d  TSV degraded=%d dead-wait=%d  MSHR parity=%d\n",
 			f.RankRemaps, f.RankBlocked, f.MCStallEdges, f.LinkDegradedTransfers, f.LinkDeadWaitCycles, f.MSHRParityErrors)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "stacksim: %v\n", err)
-	os.Exit(1)
 }

@@ -151,8 +151,9 @@ func (s *System) advance(ctx context.Context, target sim.Cycle) error {
 	return nil
 }
 
-// RunCheckpointed executes the run (warmup + measured window) writing
-// periodic checkpoints, optionally resuming from one first. On
+// RunCheckpointed is the one run loop: it executes the run (warmup +
+// measured window) writing periodic checkpoints, optionally resuming
+// from one first; with an empty plan it is RunContext. On
 // cancellation it writes a final checkpoint at the interrupted cycle —
 // so the run can be picked up where it stopped — and returns the
 // partial metrics with ctx's error. Resume verifies the replayed state
@@ -160,6 +161,11 @@ func (s *System) advance(ctx context.Context, target sim.Cycle) error {
 // divergent simulation (wrong binary, edited config, wrong seed).
 func (s *System) RunCheckpointed(ctx context.Context, plan CheckpointPlan) (Metrics, error) {
 	total := sim.Cycle(s.Cfg.WarmupCycles + s.Cfg.MeasureCycles)
+	if s.Cfg.WarmupCycles == 0 && s.Engine.Now() == 0 {
+		// An empty warmup still ends: advance resets only on reaching the
+		// end of a warmup it ran, and Run has always reset here.
+		s.ResetStats()
+	}
 	cp := plan.From
 	if cp == nil && plan.Resume {
 		loaded, err := LoadCheckpoint(plan.Path)

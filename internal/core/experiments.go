@@ -215,10 +215,12 @@ func (r *Runner) apply(cfg *config.Config) *config.Config {
 	return c
 }
 
-// start returns the single-flight slot for key, launching fn on the
-// worker pool if this is the first request. cfgName and label feed the
-// progress line.
-func (r *Runner) start(key, cfgName, label string, fn func(context.Context) (Metrics, error)) *inflight {
+// start enqueues (cfg, w) without waiting and returns its single-flight
+// slot, launching the run on the worker pool if this is the first
+// request for the key. The config is cloned before returning, so callers
+// may mutate cfg afterwards.
+func (r *Runner) start(cfg *config.Config, w workload.Workload) *inflight {
+	key := cfg.Name + "\x00" + strings.Join(w.Labels(), "\x00")
 	r.mu.Lock()
 	if r.memo == nil {
 		r.memo = map[string]*inflight{}
@@ -230,6 +232,7 @@ func (r *Runner) start(key, cfgName, label string, fn func(context.Context) (Met
 	in := &inflight{done: make(chan struct{})}
 	r.memo[key] = in
 	r.mu.Unlock()
+	run := r.apply(cfg)
 	sem := r.pool()
 	r.queued.Add(1)
 	go func() {
@@ -238,7 +241,7 @@ func (r *Runner) start(key, cfgName, label string, fn func(context.Context) (Met
 		r.queued.Add(-1)
 		r.running.Add(1)
 		started := time.Now()
-		in.m, in.err = r.execute(fn)
+		in.m, in.err = r.execute(run, w)
 		wall := time.Since(started).Seconds()
 		r.running.Add(-1)
 		if in.err != nil {
@@ -247,25 +250,21 @@ func (r *Runner) start(key, cfgName, label string, fn func(context.Context) (Met
 			r.completed.Add(1)
 		}
 		r.reportMu.Lock()
-		r.reports = append(r.reports, RunReport{Config: cfgName, Label: label, WallSeconds: wall, Err: in.err})
+		r.reports = append(r.reports, RunReport{Config: run.Name, Label: w.String(), WallSeconds: wall, Err: in.err})
 		r.reportMu.Unlock()
 		if in.err == nil {
 			r.runs.Add(1)
-			if r.Progress != nil {
-				r.progressMu.Lock()
-				fmt.Fprintf(r.Progress, "ran %-28s %-4s HMIPC=%.4f\n", cfgName, label, in.m.HMIPC)
-				r.progressMu.Unlock()
-			}
+			r.progressf("ran %-28s %-4s HMIPC=%.4f\n", run.Name, w, in.m.HMIPC)
 		}
 		close(in.done)
 	}()
 	return in
 }
 
-// execute runs one simulation under the runner's context and timeout,
+// execute runs one cell under the runner's context and timeout,
 // converting a panic into that run's error (with the stack attached)
 // so a defective configuration cannot take the whole sweep down.
-func (r *Runner) execute(fn func(context.Context) (Metrics, error)) (m Metrics, err error) {
+func (r *Runner) execute(run *config.Config, w workload.Workload) (m Metrics, err error) {
 	ctx := r.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -285,7 +284,7 @@ func (r *Runner) execute(fn func(context.Context) (Metrics, error)) (m Metrics, 
 			err = fmt.Errorf("run panicked: %v\n%s", p, debug.Stack())
 		}
 	}()
-	return fn(ctx)
+	return r.cell(ctx, run, w)
 }
 
 // progressf writes one serialized line to the progress writer.
@@ -298,46 +297,50 @@ func (r *Runner) progressf(format string, args ...any) {
 	r.progressMu.Unlock()
 }
 
-// ledgered wraps a run function with the result ledger: a run whose
-// content address is already recorded is recalled without simulating
-// (the cross-process analogue of the in-process single-flight memo),
-// and a fresh run is recorded after it completes. Recall round-trips
-// Metrics exactly, so a warm sweep is numerically identical to a cold
-// one. Ledger write failures are reported but never fail the run —
-// losing a cache entry is recoverable, losing a finished simulation is
-// not. Harness-recorded manifests carry zero engine-efficiency stats
-// (the run functions do not expose their System); cmd/stacksim records
-// the real counters on its single-run path.
-func (r *Runner) ledgered(run *config.Config, workload []string, fn func(context.Context) (Metrics, error)) func(context.Context) (Metrics, error) {
-	if r.Ledger == nil {
-		return fn
+// cell is the run path of one (config, workload) cell: recall it from
+// the ledger, else simulate it — on the Farm backend when one is
+// attached, in-process otherwise — and record the result.
+//
+// A run whose content address is already recorded is recalled without
+// simulating (the cross-process analogue of the in-process
+// single-flight memo), so a warm local ledger short-circuits the farm
+// round trip too. Recall round-trips Metrics exactly, so a warm sweep
+// is numerically identical to a cold one. Ledger write failures are
+// reported but never fail the run — losing a cache entry is
+// recoverable, losing a finished simulation is not. Harness-recorded
+// manifests carry zero engine-efficiency stats (the cell does not keep
+// its System); cmd/stacksim records the real counters on its single-run
+// path.
+func (r *Runner) cell(ctx context.Context, run *config.Config, w workload.Workload) (Metrics, error) {
+	labels := w.Labels()
+	simulate := func() (Metrics, error) {
+		if r.Farm != nil {
+			return r.Farm.Run(ctx, run, labels)
+		}
+		return RunWorkload(ctx, run, w)
 	}
-	return func(ctx context.Context) (Metrics, error) {
-		id, _, idErr := RunIdentity(run, workload)
-		if idErr == nil && r.Ledger.Has(id) {
-			if rec, err := r.Ledger.Get(id); err == nil {
-				if m, err := RecallMetrics(rec); err == nil {
-					r.ledgerHits.Add(1)
-					r.progressf("hit %-28s %-4s (ledger %s)\n", run.Name, strings.Join(workload, ","), id)
-					return m, nil
-				}
-			}
-		}
-		started := time.Now()
-		m, err := fn(ctx)
-		if err != nil {
-			return m, err
-		}
-		rec, recErr := NewRunRecord(run, workload, &m, EngineReport{}, nil,
-			r.Experiment, r.GitRevision, started, time.Since(started).Seconds())
-		if recErr == nil {
-			recErr = r.putWithRetry(ctx, rec)
-		}
-		if recErr != nil {
-			r.progressf("ledger write failed for %s %s: %v\n", run.Name, strings.Join(workload, ","), recErr)
-		}
+	if r.Ledger == nil {
+		return simulate()
+	}
+	if m, rec, err := Recall(r.Ledger, run, labels); err == nil && rec != nil {
+		r.ledgerHits.Add(1)
+		r.progressf("hit %-28s %-4s (ledger %s)\n", run.Name, strings.Join(labels, ","), rec.Manifest.ID)
 		return m, nil
 	}
+	started := time.Now()
+	m, err := simulate()
+	if err != nil {
+		return m, err
+	}
+	rec, err := NewRunRecord(run, labels, &m, EngineReport{}, nil,
+		r.Experiment, r.GitRevision, started, time.Since(started).Seconds())
+	if err == nil {
+		err = r.putWithRetry(ctx, rec)
+	}
+	if err != nil {
+		r.progressf("ledger write failed for %s %s: %v\n", run.Name, strings.Join(labels, ","), err)
+	}
+	return m, nil
 }
 
 // ledgerPutAttempts bounds putWithRetry: one initial write plus up to
@@ -368,85 +371,34 @@ func (r *Runner) putWithRetry(ctx context.Context, rec *ledger.Record) error {
 	return err
 }
 
-// startMix enqueues (cfg, mix) without waiting. The config is cloned
-// before returning, so callers may mutate cfg afterwards.
-func (r *Runner) startMix(cfg *config.Config, mix string) *inflight {
-	run := r.apply(cfg)
-	fn := func(ctx context.Context) (Metrics, error) {
-		return RunMixContext(ctx, run, mix)
-	}
-	return r.start(cfg.Name+"\x00"+mix, cfg.Name, mix, r.ledgered(run, []string{"mix:" + mix}, r.farmed(run, []string{"mix:" + mix}, fn)))
-}
-
-// startSingle enqueues a stand-alone single-core benchmark run.
-func (r *Runner) startSingle(cfg *config.Config, benchmark string) *inflight {
-	run := r.apply(cfg)
-	fn := func(ctx context.Context) (Metrics, error) {
-		return RunSingleContext(ctx, run, benchmark)
-	}
-	return r.start(cfg.Name+"\x00single\x00"+benchmark, cfg.Name, benchmark, r.ledgered(run, []string{"single:" + benchmark}, r.farmed(run, []string{"single:" + benchmark}, fn)))
-}
-
-// startUniform enqueues a run with benchmark on every core (the
-// many-core methodology). The workload key is the uniform "bench:<b>"
-// list, which the farm backend expands back to cfg.Cores copies.
-func (r *Runner) startUniform(cfg *config.Config, benchmark string) *inflight {
-	run := r.apply(cfg)
-	fn := func(ctx context.Context) (Metrics, error) {
-		return RunUniformContext(ctx, run, benchmark)
-	}
-	labels := make([]string, run.Cores)
-	for i := range labels {
-		labels[i] = "bench:" + benchmark
-	}
-	return r.start(cfg.Name+"\x00uniform\x00"+benchmark, cfg.Name, benchmark,
-		r.ledgered(run, labels, r.farmed(run, labels, fn)))
-}
-
-// UniformMetrics runs (or recalls) benchmark on every core under cfg,
-// through the same memo, ledger and worker pool as MixMetrics.
-func (r *Runner) UniformMetrics(cfg *config.Config, benchmark string) (Metrics, error) {
-	in := r.startUniform(cfg, benchmark)
+// Metrics runs (or recalls) w under cfg: every request for the same
+// (config name, workload) shares one simulation through the memo, the
+// ledger and the worker pool.
+func (r *Runner) Metrics(cfg *config.Config, w workload.Workload) (Metrics, error) {
+	in := r.start(cfg, w)
 	<-in.done
 	return in.m, in.err
-}
-
-// farmed routes the run to the Farm backend when one is attached; the
-// local fallback fn is used otherwise. Farm dispatch sits inside the
-// ledgered wrapper, so a warm local ledger short-circuits the network
-// round trip entirely and farm results are recorded locally too.
-func (r *Runner) farmed(run *config.Config, workload []string, fn func(context.Context) (Metrics, error)) func(context.Context) (Metrics, error) {
-	if r.Farm == nil {
-		return fn
-	}
-	return func(ctx context.Context) (Metrics, error) {
-		return r.Farm.Run(ctx, run, workload)
-	}
 }
 
 // Prefetch enqueues each (cfg, mix) run without waiting for results, so
 // a subsequent in-order collection loop finds the pool already
-// saturated. Duplicate keys (already running or memoized) are free.
+// saturated. Duplicate keys (already running or memoized) are free; an
+// unknown mix is left for MixMetrics to report.
 func (r *Runner) Prefetch(cfg *config.Config, mixes ...string) {
 	for _, mix := range mixes {
-		r.startMix(cfg, mix)
+		if w, err := workload.OfMix(mix); err == nil {
+			r.start(cfg, w)
+		}
 	}
 }
 
-// MixMetrics runs (or recalls) the given mix under cfg.
+// MixMetrics runs (or recalls) the given Table 2b mix under cfg.
 func (r *Runner) MixMetrics(cfg *config.Config, mix string) (Metrics, error) {
-	in := r.startMix(cfg, mix)
-	<-in.done
-	return in.m, in.err
-}
-
-// SingleMetrics runs (or recalls) benchmark alone on core 0 under cfg
-// (Table 2a methodology), through the same memo and worker pool as
-// MixMetrics.
-func (r *Runner) SingleMetrics(cfg *config.Config, benchmark string) (Metrics, error) {
-	in := r.startSingle(cfg, benchmark)
-	<-in.done
-	return in.m, in.err
+	w, err := workload.OfMix(mix)
+	if err != nil {
+		return Metrics{}, fmt.Errorf("core: %w", err)
+	}
+	return r.Metrics(cfg, w)
 }
 
 // Speedup reports cfg's HMIPC on mix relative to base's.
@@ -721,10 +673,10 @@ func (r *Runner) Table2a() (*Figure, error) {
 	cfg.L2SizeKB = 6 * 1024
 	cfg.Name = "2D-1core-6MB"
 	for _, spec := range workload.Specs {
-		r.startSingle(cfg, spec.Name)
+		r.start(cfg, workload.Single(spec.Name))
 	}
 	for _, spec := range workload.Specs {
-		m, err := r.SingleMetrics(cfg, spec.Name)
+		m, err := r.Metrics(cfg, workload.Single(spec.Name))
 		if err != nil {
 			return nil, err
 		}
@@ -865,7 +817,7 @@ func (r *Runner) ManycoreFigure() (*Figure, error) {
 		for _, v := range variants {
 			cfg := v.cfg(n)
 			for _, b := range ManycoreBenches {
-				r.startUniform(cfg, b)
+				r.start(cfg, workload.Uniform(b, n))
 			}
 		}
 	}
@@ -873,7 +825,7 @@ func (r *Runner) ManycoreFigure() (*Figure, error) {
 		for _, b := range ManycoreBenches {
 			row := FigureRow{Label: fmt.Sprintf("%s@%dc", b, n)}
 			for _, v := range variants {
-				m, err := r.UniformMetrics(v.cfg(n), b)
+				m, err := r.Metrics(v.cfg(n), workload.Uniform(b, n))
 				if err != nil {
 					return nil, err
 				}

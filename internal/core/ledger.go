@@ -132,3 +132,19 @@ func RecallMetrics(rec *ledger.Record) (Metrics, error) {
 	}
 	return m, nil
 }
+
+// Recall looks a run up in led by its content address and decodes the
+// recorded metrics — numerically identical to re-simulating. A run the
+// ledger does not hold returns a nil record and no error.
+func Recall(led *ledger.Ledger, cfg *config.Config, workload []string) (Metrics, *ledger.Record, error) {
+	id, _, err := RunIdentity(cfg, workload)
+	if err != nil || !led.Has(id) {
+		return Metrics{}, nil, err
+	}
+	rec, err := led.Get(id)
+	if err != nil {
+		return Metrics{}, nil, err
+	}
+	m, err := RecallMetrics(rec)
+	return m, rec, err
+}

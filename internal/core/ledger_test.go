@@ -9,6 +9,7 @@ import (
 
 	"stackedsim/internal/config"
 	"stackedsim/internal/ledger"
+	"stackedsim/internal/workload"
 )
 
 // TestLedgerParity pins the acceptance bit: a runner with a ledger
@@ -197,5 +198,39 @@ func TestFlattenScalars(t *testing.T) {
 	}
 	if _, ok := flat["config"]; ok {
 		t.Fatal("string fields must not appear in the scalar map")
+	}
+}
+
+// TestRunIDGoldens pins the content address of one run per workload
+// role, captured before the Workload type owned the label spellings
+// (window 50k+150k, seed 1, stackedsim-v8). A drift here orphans every
+// recorded run and every farm job key; bump SimVersion and re-capture
+// only when results really stopped being comparable.
+func TestRunIDGoldens(t *testing.T) {
+	table2a := config.Baseline2D()
+	table2a.Cores = 1
+	table2a.L2SizeKB = 6 * 1024
+	table2a.Name = "2D-1core-6MB"
+	vh1, err := workload.OfMix("VH1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(50_000, 150_000)
+	for _, c := range []struct {
+		cfg  *config.Config
+		w    workload.Workload
+		want string
+	}{
+		{config.QuadMC(), vh1, "f5c6a041d1fd9e2e"},
+		{table2a, workload.Single("mcf"), "72bc1d84c1b3b098"},
+		{config.ManyCore(16, 4), workload.Uniform("producer-consumer", 16), "827d71d5ac2ab377"},
+	} {
+		id, _, err := RunIdentity(r.apply(c.cfg), c.w.Labels())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != c.want {
+			t.Errorf("%s %s: RunID %s, want %s", c.cfg.Name, c.w, id, c.want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stackedsim/internal/config"
+	"stackedsim/internal/workload"
 )
 
 // TestParallelSequentialParity pins the tentpole determinism guarantee:
@@ -64,7 +65,7 @@ func TestParallelFigureByteParity(t *testing.T) {
 
 // TestRunnerConcurrentCallers hammers one Runner from many goroutines
 // over overlapping keys; run under -race (scripts/verify.sh does) this
-// enforces that MixMetrics/SingleMetrics/Speedup/GMSpeedup are safe to
+// enforces that MixMetrics/Metrics/Speedup/GMSpeedup are safe to
 // call concurrently, and the result comparison enforces single-flight
 // consistency.
 func TestRunnerConcurrentCallers(t *testing.T) {
@@ -101,7 +102,7 @@ func TestRunnerConcurrentCallers(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			if res.sgl, err = r.SingleMetrics(base, "mcf"); err != nil {
+			if res.sgl, err = r.Metrics(base, workload.Single("mcf")); err != nil {
 				errs[i] = err
 				return
 			}

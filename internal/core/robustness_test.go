@@ -13,6 +13,8 @@ import (
 
 	"stackedsim/internal/config"
 	"stackedsim/internal/fault"
+	"stackedsim/internal/power"
+	"stackedsim/internal/workload"
 )
 
 // faultyConfig is a small machine with an always-on mixed fault
@@ -156,6 +158,45 @@ func TestCheckpointResumeParity(t *testing.T) {
 	}
 	if d := resumed.Digest(); d != wantDigest {
 		t.Fatalf("resumed digest %#x, uninterrupted %#x", d, wantDigest)
+	}
+}
+
+// TestCancelledRunMetricsCoverElapsedWindow pins the "partial, still
+// well-formed" promise of a cut-off run: its Cycles, bus-utilization
+// denominator and static-energy window are the cycles actually measured,
+// not the configured window the run never finished. A completed run
+// measures exactly MeasureCycles, so its metrics are unaffected.
+func TestCancelledRunMetricsCoverElapsedWindow(t *testing.T) {
+	cfg := config.Simple3D()
+	cfg.WarmupCycles = 10_000
+	cfg.MeasureCycles = 2_000_000
+	sys, err := NewSystem(cfg, []string{"S.all", "libquantum", "wupwise", "mcf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	sys.Engine.Schedule(40_001, cancel)
+	m, err := sys.RunContext(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want Canceled", err)
+	}
+	elapsed := uint64(sys.Engine.Now()) - uint64(cfg.WarmupCycles)
+	if elapsed == 0 || elapsed >= uint64(cfg.MeasureCycles) {
+		t.Fatalf("run measured %d of %d cycles; it was not cut off mid-window", elapsed, cfg.MeasureCycles)
+	}
+	if m.Cycles != elapsed {
+		t.Errorf("Cycles = %d, want the %d cycles actually measured", m.Cycles, elapsed)
+	}
+	var busy uint64
+	for _, b := range sys.Buses {
+		busy += b.Stats().BusyCycles
+	}
+	if want := float64(busy) / float64(elapsed*uint64(len(sys.Buses))); m.BusUtilization != want || want > 1 || want < 0.1 {
+		t.Errorf("BusUtilization = %v, want %v (busy cycles over the elapsed window, a saturated bus)", m.BusUtilization, want)
+	}
+	full := power.Account(sys.dramParams(), sys.dramActivity(), cfg.MeasureCycles, cfg.CPUMHz)
+	if m.Energy.StaticUJ <= 0 || m.Energy.StaticUJ >= full.StaticUJ/10 {
+		t.Errorf("static energy %v uJ covers more than the elapsed window (full window: %v uJ)", m.Energy.StaticUJ, full.StaticUJ)
 	}
 }
 
@@ -316,9 +357,12 @@ func TestRunnerCancellation(t *testing.T) {
 func TestRunnerPanicIsolation(t *testing.T) {
 	r := NewRunner(1_000, 2_000)
 	r.Workers = 2
-	boom := r.start("boom", "cfg", "boom", func(context.Context) (Metrics, error) {
-		panic("injected test panic")
-	})
+	r.Farm = panicOnH2{}
+	h2, err := workload.OfMix("H2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := r.start(config.Baseline2D(), h2)
 	<-boom.done
 	if boom.err == nil || !strings.Contains(boom.err.Error(), "injected test panic") {
 		t.Fatalf("panic not converted to error: %v", boom.err)
@@ -334,6 +378,21 @@ func TestRunnerPanicIsolation(t *testing.T) {
 	if st.Failed != 1 || st.Completed != 1 {
 		t.Fatalf("status = %+v, want 1 failed / 1 completed", st)
 	}
+}
+
+// panicOnH2 is a farm backend that panics on mix H2 and simulates every
+// other cell in-process.
+type panicOnH2 struct{}
+
+func (panicOnH2) Run(ctx context.Context, cfg *config.Config, labels []string) (Metrics, error) {
+	if labels[0] == "mix:H2" {
+		panic("injected test panic")
+	}
+	w, err := workload.ParseLabels(labels)
+	if err != nil {
+		return Metrics{}, err
+	}
+	return RunWorkload(ctx, cfg, w)
 }
 
 // TestRunnerRunTimeout pins the per-run deadline: a run that cannot

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"stackedsim/internal/config"
+	"stackedsim/internal/workload"
 )
 
 // stackCapSweepMB is the working-set sweep of the stack capacity
@@ -54,14 +55,14 @@ func (r *Runner) StackCapacityFigure() (*Figure, error) {
 	for _, sz := range stackCapSweepMB {
 		bench := fmt.Sprintf("cap%dm", sz)
 		for _, c := range configs {
-			r.startSingle(c, bench)
+			r.start(c, workload.Single(bench))
 		}
 	}
 	for _, sz := range stackCapSweepMB {
 		bench := fmt.Sprintf("cap%dm", sz)
 		row := FigureRow{Label: bench}
 		for _, c := range configs {
-			m, err := r.SingleMetrics(c, bench)
+			m, err := r.Metrics(c, workload.Single(bench))
 			if err != nil {
 				return nil, err
 			}

@@ -561,8 +561,7 @@ func (s *System) dramParams() power.Params {
 // energy, matching Metrics.Energy.
 func (s *System) instrumentEnergy(reg *telemetry.Registry) {
 	energy := func() power.Breakdown {
-		elapsed := int64(s.Engine.Now() - s.statsSince)
-		return power.Account(s.dramParams(), s.dramActivity(), elapsed, s.Cfg.CPUMHz)
+		return power.Account(s.dramParams(), s.dramActivity(), s.measured(), s.Cfg.CPUMHz)
 	}
 	reg.GaugeFunc("power.energy.activate_uj", func() float64 { return energy().ActivateUJ })
 	reg.GaugeFunc("power.energy.read_uj", func() float64 { return energy().ReadUJ })
@@ -573,11 +572,16 @@ func (s *System) instrumentEnergy(reg *telemetry.Registry) {
 	reg.GaugeFunc("power.energy.total_uj", func() float64 { return energy().TotalUJ() })
 	if s.Stack != nil {
 		reg.GaugeFunc("power.energy.backing_uj", func() float64 {
-			elapsed := int64(s.Engine.Now() - s.statsSince)
-			return power.Account(power.DDR2(), s.backingActivity(), elapsed, s.Cfg.CPUMHz).TotalUJ()
+			return power.Account(power.DDR2(), s.backingActivity(), s.measured(), s.Cfg.CPUMHz).TotalUJ()
 		})
 	}
 }
+
+// measured is the window the statistics cover: the cycles simulated
+// since the last ResetStats. It equals MeasureCycles for a completed
+// run and is shorter for one cut off mid-window, which keeps a partial
+// run's rates (bus utilization, static energy) within their bounds.
+func (s *System) measured() int64 { return int64(s.Engine.Now() - s.statsSince) }
 
 // ResetStats zeroes every component's statistics (end of warmup).
 func (s *System) ResetStats() {
@@ -685,21 +689,15 @@ func (s *System) Run() Metrics {
 // metrics collected so far (partial, still well-formed) along with
 // ctx's error, so sweeps can export what completed.
 func (s *System) RunContext(ctx context.Context) (Metrics, error) {
-	if _, err := s.Engine.RunCtx(ctx, sim.Cycle(s.Cfg.WarmupCycles)); err != nil {
-		return s.Collect(), err
-	}
-	s.ResetStats()
-	if _, err := s.Engine.RunCtx(ctx, sim.Cycle(s.Cfg.MeasureCycles)); err != nil {
-		return s.Collect(), err
-	}
-	return s.Collect(), nil
+	return s.RunCheckpointed(ctx, CheckpointPlan{})
 }
 
 // Collect gathers metrics for the elapsed measured window.
 func (s *System) Collect() Metrics {
+	elapsed := s.measured()
 	m := Metrics{
 		Config: s.Cfg.Name,
-		Cycles: uint64(s.Cfg.MeasureCycles),
+		Cycles: uint64(elapsed),
 	}
 	missesBy := s.demandMissesByCore()
 	for i, c := range s.Cores {
@@ -739,12 +737,12 @@ func (s *System) Collect() Metrics {
 	if dramAcc > 0 {
 		m.RowHitRate = float64(rowHits) / float64(dramAcc)
 	}
-	if s.Cfg.MeasureCycles > 0 {
-		m.BusUtilization = float64(busBusy) / float64(uint64(s.Cfg.MeasureCycles)*uint64(len(s.Buses)))
+	if elapsed > 0 {
+		m.BusUtilization = float64(busBusy) / float64(uint64(elapsed)*uint64(len(s.Buses)))
 	}
-	m.Energy = power.Account(s.dramParams(), s.dramActivity(), s.Cfg.MeasureCycles, s.Cfg.CPUMHz)
+	m.Energy = power.Account(s.dramParams(), s.dramActivity(), elapsed, s.Cfg.CPUMHz)
 	if s.Stack != nil {
-		m.EnergyBacking = power.Account(power.DDR2(), s.backingActivity(), s.Cfg.MeasureCycles, s.Cfg.CPUMHz)
+		m.EnergyBacking = power.Account(power.DDR2(), s.backingActivity(), elapsed, s.Cfg.CPUMHz)
 	}
 	var skipped, issued uint64
 	for _, mc := range s.MCs {
@@ -858,56 +856,26 @@ func (s *System) Digest() uint64 {
 	return h.Sum64()
 }
 
-// RunMix builds and runs the named Table 2b mix under cfg.
-func RunMix(cfg *config.Config, mixName string) (Metrics, error) {
-	return RunMixContext(context.Background(), cfg, mixName)
-}
-
-// RunMixContext is RunMix under a cancellation context.
-func RunMixContext(ctx context.Context, cfg *config.Config, mixName string) (Metrics, error) {
-	mix, ok := workload.MixByName(mixName)
-	if !ok {
-		return Metrics{}, fmt.Errorf("core: unknown mix %q", mixName)
-	}
-	sys, err := NewSystem(cfg, mix.Benchmarks[:])
+// RunWorkload builds cfg's machine for w and runs it under ctx: the one
+// build-and-run step behind the Runner, RunMix and RunSingle.
+func RunWorkload(ctx context.Context, cfg *config.Config, w workload.Workload) (Metrics, error) {
+	sys, err := NewSystem(cfg, w.Benchmarks())
 	if err != nil {
 		return Metrics{}, err
 	}
-	m, err := sys.RunContext(ctx)
-	m.Config = cfg.Name
-	return m, err
+	return sys.RunContext(ctx)
+}
+
+// RunMix builds and runs the named Table 2b mix under cfg.
+func RunMix(cfg *config.Config, mixName string) (Metrics, error) {
+	w, err := workload.OfMix(mixName)
+	if err != nil {
+		return Metrics{}, fmt.Errorf("core: %w", err)
+	}
+	return RunWorkload(context.Background(), cfg, w)
 }
 
 // RunSingle runs one benchmark alone on core 0 (Table 2a methodology).
 func RunSingle(cfg *config.Config, benchmark string) (Metrics, error) {
-	return RunSingleContext(context.Background(), cfg, benchmark)
-}
-
-// RunSingleContext is RunSingle under a cancellation context.
-func RunSingleContext(ctx context.Context, cfg *config.Config, benchmark string) (Metrics, error) {
-	sys, err := NewSystem(cfg, []string{benchmark})
-	if err != nil {
-		return Metrics{}, err
-	}
-	return sys.RunContext(ctx)
-}
-
-// RunUniform runs one benchmark on every core — the many-core scaling
-// methodology, where the Table 2b mixes (sized for 4 cores) do not
-// stretch to 16–256 cores.
-func RunUniform(cfg *config.Config, benchmark string) (Metrics, error) {
-	return RunUniformContext(context.Background(), cfg, benchmark)
-}
-
-// RunUniformContext is RunUniform under a cancellation context.
-func RunUniformContext(ctx context.Context, cfg *config.Config, benchmark string) (Metrics, error) {
-	benches := make([]string, cfg.Cores)
-	for i := range benches {
-		benches[i] = benchmark
-	}
-	sys, err := NewSystem(cfg, benches)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return sys.RunContext(ctx)
+	return RunWorkload(context.Background(), cfg, workload.Single(benchmark))
 }

@@ -12,6 +12,7 @@ import (
 
 	"stackedsim/internal/config"
 	"stackedsim/internal/ledger"
+	"stackedsim/internal/workload"
 )
 
 // Params configures a Coordinator. Zero values pick the defaults noted
@@ -261,7 +262,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "cell config does not decode: %v", err)
 		return
 	}
-	if _, err := Benchmarks(cell.Workload); err != nil {
+	if _, err := workload.ParseLabels(cell.Workload); err != nil {
 		writeError(w, http.StatusBadRequest, "cell workload is invalid: %v", err)
 		return
 	}

@@ -25,11 +25,8 @@ package farm
 
 import (
 	"encoding/json"
-	"fmt"
-	"strings"
 
 	"stackedsim/internal/ledger"
-	"stackedsim/internal/workload"
 )
 
 // Job states, as reported by /farm/status.
@@ -41,8 +38,10 @@ const (
 )
 
 // Cell is one unit of submitted work: a fully applied config (window,
-// seed, organization) plus the canonical workload labels ("mix:VH1",
-// "single:mcf"). The coordinator decodes Config and recomputes the
+// seed, organization) plus the canonical workload labels
+// (workload.Workload.Labels). The coordinator decodes Config, parses the
+// labels — an unresolvable workload is a 400 at submit instead of a
+// poison job that burns its whole retry budget — and recomputes the
 // ledger RunID server-side, so the job key cannot be spoofed by a
 // client sending a mismatched ID.
 type Cell struct {
@@ -127,8 +126,7 @@ type WorkerStatus struct {
 	Live       bool   `json:"live"`
 }
 
-// Status is the /farm/status summary. The flat *_total keys are stable:
-// scripts/bench.sh greps them.
+// Status is the /farm/status summary.
 type Status struct {
 	JobsQueued      int            `json:"jobs_queued"`
 	JobsRunning     int            `json:"jobs_running"`
@@ -147,36 +145,4 @@ type Status struct {
 // errorResponse is the JSON body of every non-2xx farm response.
 type errorResponse struct {
 	Error string `json:"error"`
-}
-
-// Benchmarks resolves canonical workload labels to the benchmark list a
-// System is built from: a single "mix:<Name>" or "single:<bench>", or a
-// uniform list of "bench:<b>" labels. The coordinator validates labels
-// at submit time so an unresolvable workload is rejected with 400
-// instead of burning a job's whole retry budget as a poison job.
-func Benchmarks(labels []string) ([]string, error) {
-	if len(labels) == 0 {
-		return nil, fmt.Errorf("farm: empty workload")
-	}
-	if len(labels) == 1 {
-		if name, ok := strings.CutPrefix(labels[0], "mix:"); ok {
-			mix, found := workload.MixByName(name)
-			if !found {
-				return nil, fmt.Errorf("farm: unknown mix %q", name)
-			}
-			return mix.Benchmarks[:], nil
-		}
-		if bench, ok := strings.CutPrefix(labels[0], "single:"); ok {
-			return []string{bench}, nil
-		}
-	}
-	benches := make([]string, len(labels))
-	for i, l := range labels {
-		b, ok := strings.CutPrefix(l, "bench:")
-		if !ok {
-			return nil, fmt.Errorf("farm: workload label %q is not mix:/single:/bench:", l)
-		}
-		benches[i] = b
-	}
-	return benches, nil
 }

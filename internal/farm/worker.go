@@ -14,6 +14,7 @@ import (
 	"stackedsim/internal/config"
 	"stackedsim/internal/core"
 	"stackedsim/internal/ledger"
+	"stackedsim/internal/workload"
 )
 
 // Worker claims jobs from a coordinator one at a time, simulating each
@@ -223,9 +224,9 @@ func RunJob(ctx context.Context, job *LeasedJob, every int64, sink func(*core.Ch
 	if err := json.Unmarshal(job.Config, &cfg); err != nil {
 		return core.Metrics{}, nil, fmt.Errorf("farm: job %s config does not decode: %w", job.ID, err)
 	}
-	benches, err := Benchmarks(job.Workload)
+	w, err := workload.ParseLabels(job.Workload)
 	if err != nil {
-		return core.Metrics{}, nil, err
+		return core.Metrics{}, nil, fmt.Errorf("farm: job %s: %w", job.ID, err)
 	}
 	var from *core.Checkpoint
 	if len(job.Checkpoint) > 0 {
@@ -234,7 +235,7 @@ func RunJob(ctx context.Context, job *LeasedJob, every int64, sink func(*core.Ch
 			return core.Metrics{}, nil, fmt.Errorf("farm: job %s checkpoint does not decode: %w", job.ID, err)
 		}
 	}
-	sys, err := core.NewSystem(&cfg, benches)
+	sys, err := core.NewSystem(&cfg, w.Benchmarks())
 	if err != nil {
 		return core.Metrics{}, nil, err
 	}

@@ -36,11 +36,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 )
+
+// GitDescribe best-effort identifies the source tree for run manifests
+// (Manifest.GitRevision, the telemetry manifest's git_describe); empty
+// when git is unavailable. The tree cannot change under a running
+// process, so git is forked once.
+var GitDescribe = sync.OnceValue(func() string {
+	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
+	if err != nil {
+		return ""
+	}
+	return strings.TrimSpace(string(out))
+})
 
 // EngineStats carries the engine-efficiency counters into the manifest,
 // so a ledger browser can tell an idle-heavy run from a saturated one

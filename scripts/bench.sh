@@ -1,671 +1,9 @@
 #!/usr/bin/env sh
-# Performance harness for stackedsim.
-#
-# Three measurements:
-#   1. The root micro/figure benchmarks (single-run hot-loop speed) —
-#      compare ns/op against a previous run to catch single-run
-#      regressions (the PR gate is within +/-2%).
-#   2. A reduced-window experiment sweep, sequential (-j 1) vs
-#      parallel (-j 4, GOMAXPROCS unpinned to the CPU count), emitting
-#      BENCH_sweep.json with wall seconds, runs/sec and the measured
-#      speedup. The >=3x speedup gate applies on >=4-core hosts and is
-#      skipped (with an annotation, never faked) on smaller ones.
-#   2b. The engine benchmarks (idle-heavy cycles/s, saturated
-#      throughput, request-path allocations), emitting
-#      BENCH_engine.json gated against seed-commit baselines: >=5x
-#      idle-heavy cycles/s and >=10x request-path allocs/op reduction.
-#   3. The same instrumented run with attribution on vs off (best wall
-#      of three each), emitting BENCH_attrib.json with both walls, the
-#      cost of enabling attribution, and the disabled path's slowdown
-#      (the PR gate: a disabled run is <=2% slower — in practice it is
-#      faster), plus a statsdiff of the two exports' shared metrics as
-#      a non-fatal sanity report (identical simulations must agree on
-#      every non-attrib metric).
-#   4. The same run with fault injection on (a light always-on bit-error
-#      scenario) vs off, emitting BENCH_fault.json with both walls and
-#      the enabled overhead. A fault-free run never constructs the
-#      injector — every component holds a nil view — so the off wall
-#      doubles as the baseline; only the enabled cost is measured.
-#   5. The same run in each stack mode, emitting BENCH_stackcache.json.
-#      Memory mode never constructs the stackcache layer (pinned
-#      bit-identical to the seed by TestStackMemoryParity), so its wall
-#      vs the plain run is the PR gate (~0, <=2%); the cache/memcache
-#      walls price the extra machinery (tag probes, backing channel).
-#   6. The same run with power/thermal tracking on vs off (best wall of
-#      three each), emitting BENCH_thermal.json. A -power=false run
-#      never attaches the tracker, so the PR gate is a <=2% disabled
-#      slowdown (in practice ~0); the enabled wall prices the per-window
-#      accounting and transient thermal integration. A statsdiff with
-#      -ignore of power.*/thermal.*/engine.* checks tracking perturbed
-#      nothing (engine.* tick-delivery gauges legitimately differ: the
-#      tracker is an extra registered component).
-#   7. The same run with -ledger-dir on vs off (best wall of three,
-#      fresh store each iteration so every run pays the record write),
-#      emitting BENCH_ledger.json. The PR gate is a <=2% write
-#      overhead. The section then proves the dedupe path (a warm
-#      re-run of a recorded run prints a cache hit and skips the
-#      simulation), pins the recorded run as the "blessed" baseline
-#      with statsdiff -pin, and gates latest-vs-blessed through
-#      statsdiff -ledger-dir (exit 0 required).
-#   8. The sim-farm sweep (cmd/simfarm coordinator + 2 workers): the
-#      full fig4 sweep through `experiments -farm` three ways —
-#      uninterrupted, warm (re-submitted cells must dispatch 0 new
-#      jobs: the dedupe gate), and with one worker kill -9'd mid-sweep
-#      (the sweep must still complete every cell, none lost or
-#      duplicated, with the recovery wall <=1.5x uninterrupted: the
-#      recovery gate). All farm stdout must be byte-identical to a
-#      local run's — determinism survives distribution and failover.
-#      Emits BENCH_farm.json. Correctness failures (lost cells, dedupe
-#      re-dispatch, stdout divergence) are fatal; the recovery-wall
-#      gate warns, like the other timing gates on small hosts.
-#   9. The many-core subsystem's two promises, emitting
-#      BENCH_manycore.json: (a) seed-mode runs are untouched — an
-#      explicit `-coherence shared` run must collapse onto the plain
-#      run's ledger RunID (cache hit: the flag path built a
-#      bit-identical config) and statsdiff latest-vs-blessed must pass
-#      at a 0.01% threshold; (b) a 64-core MESI/mesh run finishes
-#      under a wall budget with the idle-skip engine still finding
-#      skippable cycles (skipped > 0).
-#
-# Measurements 3-7 pass -power=false on their baselines so each one
-# isolates its own subsystem's cost.
-#
-# Usage: scripts/bench.sh [outdir]   (default outdir: results)
-#
-# On a single-core machine the parallel sweep degenerates to the
-# sequential one, so the reported speedup is ~1.0; the >=3x gate
-# only applies on >=4-core machines and is skipped elsewhere.
+# Runs the repository's benchmark: the command BENCHMARK.json declares,
+# from the harness in bench/ (its own module). Arguments pass through,
+# e.g. scripts/bench.sh -seed 1 -out new.json, or
+# scripts/bench.sh -compare old.json new.json. See bench/README.md for
+# the workloads, the metrics and their noise bounds.
 set -eu
 cd "$(dirname "$0")/.."
-
-outdir=${1:-results}
-mkdir -p "$outdir"
-
-# The parallel sweep is only a real measurement when the Go runtime is
-# allowed to use every core: a pinned GOMAXPROCS=1 (the seed's mistake)
-# silently degrades -j N to time-sliced sequential execution. Unpin it
-# to the machine's CPU count unless the caller set something larger.
-ncpu=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
-if [ -z "${GOMAXPROCS:-}" ] || [ "${GOMAXPROCS}" -lt "$ncpu" ]; then
-    GOMAXPROCS=$ncpu
-fi
-export GOMAXPROCS
-echo "== num_cpu=$ncpu GOMAXPROCS=$GOMAXPROCS"
-
-echo "== root benchmarks (go test -bench . -benchtime 1x)"
-go test -run '^$' -bench . -benchtime 1x . | tee "$outdir/BENCH_root.txt"
-
-echo "== building cmd/experiments"
-bin=$(mktemp -d)/experiments
-go build -o "$bin" ./cmd/experiments
-
-sweep="-exp fig4,fig6b,table2b -warmup 20000 -measure 60000"
-jpar=4
-echo "== sequential sweep (-j 1): $sweep"
-# shellcheck disable=SC2086 # $sweep is a word list by design
-"$bin" $sweep -j 1 -perf-json "$outdir/perf_seq.json" > /dev/null
-echo "== parallel sweep (-j $jpar): $sweep"
-# shellcheck disable=SC2086
-"$bin" $sweep -j "$jpar" -perf-json "$outdir/perf_par.json" > /dev/null
-
-# Merge the two perf reports into BENCH_sweep.json. awk keeps the
-# script dependency-free (jq may be absent on minimal builders).
-json_field() {
-    awk -F'[:,]' -v key="\"$2\"" '$1 ~ key { gsub(/[ \t]/, "", $2); print $2 }' "$1"
-}
-seq_wall=$(json_field "$outdir/perf_seq.json" wall_seconds)
-par_wall=$(json_field "$outdir/perf_par.json" wall_seconds)
-runs=$(json_field "$outdir/perf_par.json" runs)
-gomaxprocs=$(json_field "$outdir/perf_par.json" gomaxprocs)
-workers=$(json_field "$outdir/perf_par.json" workers)
-speedup=$(awk -v s="$seq_wall" -v p="$par_wall" 'BEGIN { printf "%.3f", (p > 0) ? s / p : 0 }')
-seq_rps=$(awk -v r="$runs" -v w="$seq_wall" 'BEGIN { printf "%.3f", (w > 0) ? r / w : 0 }')
-par_rps=$(awk -v r="$runs" -v w="$par_wall" 'BEGIN { printf "%.3f", (w > 0) ? r / w : 0 }')
-
-# The >=3x speedup gate only means anything with >=4 real cores: on a
-# smaller host the workers time-slice the same CPUs and the honest
-# speedup is ~1x, so the gate is skipped (never faked) and annotated.
-if [ "$ncpu" -ge 4 ]; then
-    gate_status=$(awk -v s="$speedup" 'BEGIN { print (s >= 3.0) ? "pass" : "fail" }')
-else
-    gate_status="skipped: num_cpu=$ncpu < 4, parallel sweep degenerates to time-sliced sequential"
-fi
-
-cat > "$outdir/BENCH_sweep.json" <<EOF
-{
-  "sweep": "fig4,fig6b,table2b @ warmup=20000 measure=60000",
-  "runs": $runs,
-  "num_cpu": $ncpu,
-  "gomaxprocs": $gomaxprocs,
-  "workers_parallel": $workers,
-  "sequential_wall_seconds": $seq_wall,
-  "parallel_wall_seconds": $par_wall,
-  "sequential_runs_per_sec": $seq_rps,
-  "parallel_runs_per_sec": $par_rps,
-  "parallel_speedup": $speedup,
-  "speedup_gate": 3.0,
-  "speedup_gate_status": "$gate_status"
-}
-EOF
-echo "== $outdir/BENCH_sweep.json"
-cat "$outdir/BENCH_sweep.json"
-case $gate_status in
-fail) echo "bench: WARNING: parallel sweep speedup $speedup below 3.0x gate" ;;
-esac
-
-# Engine benchmarks: single-run simulation speed and request-path
-# allocations, gated against baselines measured at the seed commit
-# (d65ff91, pre event-driven engine) with the same benchmark bodies.
-# allocs/op is deterministic and machine-independent, so its gate is
-# exact everywhere; ns/op baselines were taken on the machine named
-# below and the cycles/s gate is only meaningful on comparable hosts.
-seed_commit="d65ff91"
-seed_host="Intel Xeon @ 2.10GHz, 1 core"
-seed_idle_ns=112110829   # BenchmarkSimulatorIdleHeavy, best of 3
-seed_idle_allocs=171256
-seed_tput_ns=130376639   # BenchmarkSimulatorThroughput, best of 3
-seed_tput_allocs=632805
-seed_req_allocs=6582     # BenchmarkRequestPath allocs per 1000 cycles
-
-echo "== engine benchmarks (go test -bench -benchmem, best of 3)"
-engine_raw="$outdir/BENCH_engine.txt"
-go test -run '^$' -bench 'SimulatorIdleHeavy$|SimulatorThroughput$|RequestPath$' \
-    -benchtime 3x -benchmem -count=3 . | tee "$engine_raw"
-
-best_ns() {
-    awk -v name="$1" '$1 ~ name"\\t|"name"-|"name"$" && $4 == "ns/op" \
-        { if (best == "" || $3 + 0 < best + 0) best = $3 } END { print best }' "$engine_raw"
-}
-bench_allocs() {
-    awk -v name="$1" '$1 ~ name"\\t|"name"-|"name"$" && /allocs\/op/ \
-        { print $(NF-1); exit }' "$engine_raw"
-}
-idle_ns=$(best_ns BenchmarkSimulatorIdleHeavy)
-idle_allocs=$(bench_allocs BenchmarkSimulatorIdleHeavy)
-tput_ns=$(best_ns BenchmarkSimulatorThroughput)
-tput_allocs=$(bench_allocs BenchmarkSimulatorThroughput)
-req_allocs=$(bench_allocs BenchmarkRequestPath)
-
-# cycles/s = benchmark cycles per op / (ns per op / 1e9).
-idle_cps=$(awk -v ns="$idle_ns" 'BEGIN { printf "%.0f", 1000000 / (ns / 1e9) }')
-seed_idle_cps=$(awk -v ns="$seed_idle_ns" 'BEGIN { printf "%.0f", 1000000 / (ns / 1e9) }')
-idle_speedup=$(awk -v n="$idle_ns" -v s="$seed_idle_ns" 'BEGIN { printf "%.2f", (n > 0) ? s / n : 0 }')
-tput_speedup=$(awk -v n="$tput_ns" -v s="$seed_tput_ns" 'BEGIN { printf "%.2f", (n > 0) ? s / n : 0 }')
-req_alloc_reduction=$(awk -v n="$req_allocs" -v s="$seed_req_allocs" 'BEGIN { printf "%.1f", (n > 0) ? s / n : 0 }')
-tput_alloc_reduction=$(awk -v n="$tput_allocs" -v s="$seed_tput_allocs" 'BEGIN { printf "%.1f", (n > 0) ? s / n : 0 }')
-
-idle_gate=$(awk -v s="$idle_speedup" 'BEGIN { print (s >= 5.0) ? "pass" : "fail" }')
-alloc_gate=$(awk -v r="$req_alloc_reduction" 'BEGIN { print (r >= 10.0) ? "pass" : "fail" }')
-
-cat > "$outdir/BENCH_engine.json" <<EOF
-{
-  "seed_baseline": {
-    "commit": "$seed_commit",
-    "host": "$seed_host",
-    "idle_heavy_ns_per_1M_cycles": $seed_idle_ns,
-    "idle_heavy_cycles_per_sec": $seed_idle_cps,
-    "idle_heavy_allocs_per_op": $seed_idle_allocs,
-    "throughput_ns_per_100k_cycles": $seed_tput_ns,
-    "throughput_allocs_per_op": $seed_tput_allocs,
-    "request_path_allocs_per_1k_cycles": $seed_req_allocs
-  },
-  "current": {
-    "idle_heavy_ns_per_1M_cycles": $idle_ns,
-    "idle_heavy_cycles_per_sec": $idle_cps,
-    "idle_heavy_allocs_per_op": $idle_allocs,
-    "throughput_ns_per_100k_cycles": $tput_ns,
-    "throughput_allocs_per_op": $tput_allocs,
-    "request_path_allocs_per_1k_cycles": $req_allocs
-  },
-  "idle_heavy_cycles_per_sec_speedup": $idle_speedup,
-  "idle_heavy_speedup_gate": 5.0,
-  "idle_heavy_gate_status": "$idle_gate",
-  "idle_heavy_gate_note": "ns/op baselines are host-dependent; measured on the seed host above",
-  "throughput_speedup": $tput_speedup,
-  "request_path_alloc_reduction": $req_alloc_reduction,
-  "throughput_alloc_reduction": $tput_alloc_reduction,
-  "alloc_reduction_gate": 10.0,
-  "alloc_gate_status": "$alloc_gate",
-  "alloc_gate_note": "allocs/op is deterministic and machine-independent"
-}
-EOF
-echo "== $outdir/BENCH_engine.json"
-cat "$outdir/BENCH_engine.json"
-if [ "$idle_gate" = fail ]; then
-    echo "bench: WARNING: idle-heavy cycles/s speedup $idle_speedup below 5x gate"
-fi
-if [ "$alloc_gate" = fail ]; then
-    echo "bench: WARNING: request-path alloc reduction $req_alloc_reduction below 10x gate"
-fi
-
-echo "== building cmd/stacksim + cmd/statsdiff"
-sbin=$(mktemp -d)/stacksim
-go build -o "$sbin" ./cmd/stacksim
-dbin=$(mktemp -d)/statsdiff
-go build -o "$dbin" ./cmd/statsdiff
-
-attrib_args="-config quadMC -mix VH1 -warmup 50000 -measure 600000"
-attrib_tmp=$(mktemp -d)
-attrib_on="$attrib_tmp/attrib_on"
-attrib_off="$attrib_tmp/attrib_off"
-
-# Best wall of three runs each: single-run walls are ~a second, so the
-# minimum is the least-noisy estimate of the hot-loop cost.
-best_wall() {
-    dir=$1; shift
-    best=""
-    for _ in 1 2 3; do
-        rm -rf "$dir"
-        # shellcheck disable=SC2086 # $attrib_args is a word list by design
-        "$sbin" $attrib_args -telemetry-dir "$dir" "$@" > /dev/null
-        w=$(json_field "$dir/manifest.json" wall_seconds)
-        best=$(awk -v a="${best:-$w}" -v b="$w" 'BEGIN { print (b < a) ? b : a }')
-    done
-    printf '%s' "$best"
-}
-echo "== attribution on (best of 3):  $attrib_args -power=false"
-on_wall=$(best_wall "$attrib_on" -power=false)
-echo "== attribution off (best of 3): $attrib_args -attrib=false -power=false"
-off_wall=$(best_wall "$attrib_off" -attrib=false -power=false)
-
-# enabled_overhead: what turning attribution ON costs (informational).
-# disabled_slowdown: what a run with attribution OFF pays relative to
-# the instrumented one — the nil-check path; the PR gate is <=2%
-# (negative means the disabled run is faster, as expected).
-enabled_overhead=$(awk -v on="$on_wall" -v off="$off_wall" \
-    'BEGIN { printf "%.4f", (off > 0) ? (on - off) / off : 0 }')
-disabled_slowdown=$(awk -v on="$on_wall" -v off="$off_wall" \
-    'BEGIN { printf "%.4f", (on > 0) ? (off - on) / on : 0 }')
-
-cat > "$outdir/BENCH_attrib.json" <<EOF
-{
-  "run": "quadMC VH1 @ warmup=50000 measure=600000, best wall of 3",
-  "attrib_on_wall_seconds": $on_wall,
-  "attrib_off_wall_seconds": $off_wall,
-  "attrib_enabled_overhead": $enabled_overhead,
-  "attrib_disabled_slowdown": $disabled_slowdown,
-  "disabled_budget": 0.02
-}
-EOF
-echo "== $outdir/BENCH_attrib.json"
-cat "$outdir/BENCH_attrib.json"
-
-# Sanity: the two runs are the same simulation, so every metric they
-# share must be identical (attribution only adds attrib.* columns).
-# Non-fatal: a diff here is a parity bug to investigate, not a reason
-# to lose the benchmark numbers above.
-echo "== statsdiff attrib-on vs attrib-off (shared metrics must be unchanged)"
-"$dbin" -threshold 0.0001 \
-    "$attrib_off/timeseries.csv" "$attrib_on/timeseries.csv" \
-    || echo "bench: WARNING: attribution changed shared metrics (parity bug)"
-
-# Fault-injection overhead: the same run with a light always-on
-# bit-error scenario vs plain. The off run IS the attrib-off run above
-# (identical flags), so only the faulted wall is new work.
-fault_tmp=$(mktemp -d)
-cat > "$fault_tmp/scenario.json" <<'EOF'
-{
-  "name": "bench",
-  "faults": [
-    {"kind": "bit-error", "mc": -1, "prob": 0.01, "uncorrectable_pct": 0.05},
-    {"kind": "mshr-parity", "prob": 0.005}
-  ]
-}
-EOF
-echo "== fault injection on (best of 3): $attrib_args -fault-scenario bench"
-fault_wall=$(best_wall "$fault_tmp/fault_on" -attrib=false -power=false -fault-scenario "$fault_tmp/scenario.json")
-
-fault_overhead=$(awk -v on="$fault_wall" -v off="$off_wall" \
-    'BEGIN { printf "%.4f", (off > 0) ? (on - off) / off : 0 }')
-
-cat > "$outdir/BENCH_fault.json" <<EOF
-{
-  "run": "quadMC VH1 @ warmup=50000 measure=600000, best wall of 3",
-  "scenario": "bit-error prob=0.01 uncorrectable_pct=0.05 + mshr-parity prob=0.005",
-  "fault_on_wall_seconds": $fault_wall,
-  "fault_off_wall_seconds": $off_wall,
-  "fault_enabled_overhead": $fault_overhead
-}
-EOF
-echo "== $outdir/BENCH_fault.json"
-cat "$outdir/BENCH_fault.json"
-
-# Stack-mode walls: the off run above IS the implicit memory-mode run,
-# but the explicit -stack-mode memory spelling is re-measured so the
-# gate covers the flag path too.
-stack_tmp=$(mktemp -d)
-echo "== stack memory mode (best of 3): $attrib_args -stack-mode memory"
-memory_wall=$(best_wall "$stack_tmp/memory" -attrib=false -power=false -stack-mode memory)
-echo "== stack cache mode (best of 3): $attrib_args -stack-mode cache -stack-cap-mb 64"
-cache_wall=$(best_wall "$stack_tmp/cache" -attrib=false -power=false -stack-mode cache -stack-cap-mb 64)
-echo "== stack memcache mode (best of 3): $attrib_args -stack-mode memcache -stack-cap-mb 64"
-memcache_wall=$(best_wall "$stack_tmp/memcache" -attrib=false -power=false -stack-mode memcache -stack-cap-mb 64)
-
-memory_overhead=$(awk -v on="$memory_wall" -v off="$off_wall" \
-    'BEGIN { printf "%.4f", (off > 0) ? (on - off) / off : 0 }')
-
-cat > "$outdir/BENCH_stackcache.json" <<EOF
-{
-  "run": "quadMC VH1 @ warmup=50000 measure=600000, best wall of 3",
-  "baseline_wall_seconds": $off_wall,
-  "memory_wall_seconds": $memory_wall,
-  "memory_mode_overhead": $memory_overhead,
-  "memory_budget": 0.02,
-  "cache_wall_seconds": $cache_wall,
-  "memcache_wall_seconds": $memcache_wall
-}
-EOF
-echo "== $outdir/BENCH_stackcache.json"
-cat "$outdir/BENCH_stackcache.json"
-
-# Power/thermal tracking cost: the tracker converts per-bank counters
-# into per-layer power each window and steps the transient RC model.
-# The off run IS the attrib-off/power-off run above, so only the
-# tracked wall is new work. The PR gate is the disabled slowdown: a
-# -power=false run never attaches the tracker, so it must stay within
-# 2% of that shared baseline (it is the same code path).
-pt_tmp=$(mktemp -d)
-echo "== power/thermal tracking on (best of 3): $attrib_args -attrib=false"
-power_on_wall=$(best_wall "$pt_tmp/power_on" -attrib=false)
-
-power_overhead=$(awk -v on="$power_on_wall" -v off="$off_wall" \
-    'BEGIN { printf "%.4f", (off > 0) ? (on - off) / off : 0 }')
-power_disabled_slowdown=$(awk -v on="$power_on_wall" -v off="$off_wall" \
-    'BEGIN { printf "%.4f", (on > 0) ? (off - on) / on : 0 }')
-
-cat > "$outdir/BENCH_thermal.json" <<EOF
-{
-  "run": "quadMC VH1 @ warmup=50000 measure=600000, best wall of 3",
-  "power_on_wall_seconds": $power_on_wall,
-  "power_off_wall_seconds": $off_wall,
-  "power_enabled_overhead": $power_overhead,
-  "power_disabled_slowdown": $power_disabled_slowdown,
-  "disabled_budget": 0.02
-}
-EOF
-echo "== $outdir/BENCH_thermal.json"
-cat "$outdir/BENCH_thermal.json"
-
-# Zero-perturb sanity: with the tracker's own power.*/thermal.* columns
-# ignored, the tracked and untracked runs must agree on every metric
-# (TestPowerThermalParity pins the digest; this checks the exports).
-echo "== statsdiff power-on vs power-off (-ignore 'power.*,thermal.*,engine.*')"
-"$dbin" -threshold 0.0001 -ignore 'power.*,thermal.*,engine.*' \
-    "$attrib_off/timeseries.csv" "$pt_tmp/power_on/timeseries.csv" \
-    || echo "bench: WARNING: power/thermal tracking changed shared metrics (parity bug)"
-
-# Run-ledger cost and dedupe. The write overhead is measured against
-# the shared attrib-off baseline with a fresh store per iteration
-# (best_wall's rm -rf clears the store nested under the telemetry dir),
-# so every iteration pays the full record write; the manifest wall
-# includes it because stacksim records before the telemetry export.
-ledger_tmp=$(mktemp -d)
-echo "== ledger on (best of 3): $attrib_args -ledger-dir <fresh store>"
-ledger_on_wall=$(best_wall "$ledger_tmp/on" -attrib=false -power=false -ledger-dir "$ledger_tmp/on/store")
-
-ledger_overhead=$(awk -v on="$ledger_on_wall" -v off="$off_wall" \
-    'BEGIN { printf "%.4f", (off > 0) ? (on - off) / off : 0 }')
-ledger_gate=$(awk -v o="$ledger_overhead" 'BEGIN { print (o <= 0.02) ? "pass" : "fail" }')
-
-# Dedupe proof: record once into a persistent store (no telemetry, so
-# the warm re-run is eligible for the cache), then re-run the identical
-# (config, mix, seed) and require the served-from-ledger line.
-store="$ledger_tmp/store"
-echo "== ledger dedupe: cold run then warm re-run of the same (config, mix, seed)"
-# shellcheck disable=SC2086
-"$sbin" $attrib_args -ledger-dir "$store" > "$ledger_tmp/cold.txt"
-# shellcheck disable=SC2086
-"$sbin" $attrib_args -ledger-dir "$store" > "$ledger_tmp/warm.txt"
-if grep -q "ledger: cache hit" "$ledger_tmp/warm.txt"; then
-    dedupe_status=pass
-    grep "ledger: cache hit" "$ledger_tmp/warm.txt"
-else
-    dedupe_status=fail
-fi
-
-# Baseline-tag workflow: bless the recorded run, then gate latest
-# against the blessed tag — the cross-run regression gate bench.sh
-# itself now depends on.
-echo "== statsdiff: pin blessed baseline, then gate latest vs blessed"
-if "$dbin" -ledger-dir "$store" -a latest -b latest -threshold 0.05 -pin blessed > /dev/null &&
-    "$dbin" -ledger-dir "$store" -a latest -b blessed -threshold 0.05; then
-    tag_gate=pass
-else
-    tag_gate=fail
-fi
-
-cat > "$outdir/BENCH_ledger.json" <<EOF
-{
-  "run": "quadMC VH1 @ warmup=50000 measure=600000, best wall of 3",
-  "ledger_on_wall_seconds": $ledger_on_wall,
-  "ledger_off_wall_seconds": $off_wall,
-  "ledger_write_overhead": $ledger_overhead,
-  "overhead_budget": 0.02,
-  "overhead_gate_status": "$ledger_gate",
-  "dedupe_cache_hit": "$dedupe_status",
-  "baseline_tag_gate": "$tag_gate"
-}
-EOF
-echo "== $outdir/BENCH_ledger.json"
-cat "$outdir/BENCH_ledger.json"
-if [ "$ledger_gate" = fail ]; then
-    echo "bench: WARNING: ledger write overhead $ledger_overhead above 2% budget"
-fi
-if [ "$dedupe_status" = fail ] || [ "$tag_gate" = fail ]; then
-    echo "bench: ERROR: ledger dedupe=$dedupe_status baseline_tag_gate=$tag_gate"
-    exit 1
-fi
-
-# Sim-farm recovery and dedupe. Short leases and a tight checkpoint
-# interval shrink the failover window to something a bench run can
-# afford; production defaults are far larger. Every spawned process is
-# killed by its own PID — never by name — so a concurrent bench or an
-# operator's real farm is untouched.
-echo "== building cmd/simfarm"
-fbin=$(mktemp -d)/simfarm
-go build -o "$fbin" ./cmd/simfarm
-
-farm_tmp=$(mktemp -d)
-farm_sweep="-exp fig4 -warmup 20000 -measure 60000 -j 8"
-farm_pids=""
-farm_cleanup() {
-    for pid in $farm_pids; do
-        kill "$pid" 2>/dev/null || true
-    done
-}
-trap farm_cleanup EXIT
-
-# start_farm <dir> starts a coordinator (fresh store under <dir>) and
-# two workers, exporting farm_addr and per-process PIDs.
-start_farm() {
-    dir=$1
-    "$fbin" coordinator -addr 127.0.0.1:0 -ledger-dir "$dir/store" \
-        -lease 2s -backoff-base 100ms -backoff-max 2s > "$dir/coord.log" 2>&1 &
-    coord_pid=$!
-    farm_pids="$farm_pids $coord_pid"
-    farm_addr=""
-    for _ in $(seq 1 50); do
-        farm_addr=$(awk '/serving on/ { print $NF }' "$dir/coord.log" 2>/dev/null || true)
-        [ -n "$farm_addr" ] && break
-        sleep 0.1
-    done
-    if [ -z "$farm_addr" ]; then
-        echo "bench: ERROR: coordinator did not come up"
-        cat "$dir/coord.log"
-        exit 1
-    fi
-    "$fbin" worker -coordinator "$farm_addr" -name w1 -poll 50ms \
-        -checkpoint-every 20000 > "$dir/w1.log" 2>&1 &
-    w1_pid=$!
-    "$fbin" worker -coordinator "$farm_addr" -name w2 -poll 50ms \
-        -checkpoint-every 20000 > "$dir/w2.log" 2>&1 &
-    w2_pid=$!
-    farm_pids="$farm_pids $w1_pid $w2_pid"
-    sleep 0.5
-}
-
-# Local reference: same sweep, no farm — the stdout parity baseline.
-echo "== farm reference (local): $farm_sweep"
-# shellcheck disable=SC2086 # $farm_sweep is a word list by design
-"$bin" $farm_sweep -perf-json "$farm_tmp/perf_local.json" > "$farm_tmp/local.txt" 2> /dev/null
-
-echo "== farm uninterrupted + warm: $farm_sweep -farm <coordinator>"
-mkdir -p "$farm_tmp/a"
-start_farm "$farm_tmp/a"
-# shellcheck disable=SC2086
-"$bin" $farm_sweep -farm "$farm_addr" -perf-json "$farm_tmp/perf_farm.json" > "$farm_tmp/farm.txt" 2> /dev/null
-farm_wall=$(json_field "$farm_tmp/perf_farm.json" wall_seconds)
-cells=$(json_field "$farm_tmp/perf_farm.json" runs)
-"$fbin" status -coordinator "$farm_addr" > "$farm_tmp/status_cold.json"
-cold_dispatched=$(json_field "$farm_tmp/status_cold.json" dispatched_total)
-# Warm re-run of the identical cells: every submit must collapse onto
-# a done job — zero new dispatches.
-# shellcheck disable=SC2086
-"$bin" $farm_sweep -farm "$farm_addr" -perf-json "$farm_tmp/perf_warm.json" > "$farm_tmp/warm.txt" 2> /dev/null
-"$fbin" status -coordinator "$farm_addr" > "$farm_tmp/status_warm.json"
-warm_dispatched=$(json_field "$farm_tmp/status_warm.json" dispatched_total)
-warm_delta=$((warm_dispatched - cold_dispatched))
-warm_gate=$([ "$warm_delta" -eq 0 ] && echo pass || echo fail)
-for pid in $farm_pids; do kill "$pid" 2>/dev/null || true; done
-farm_pids=""
-
-echo "== farm recovery: $farm_sweep -farm <coordinator>, one worker kill -9'd mid-sweep"
-mkdir -p "$farm_tmp/b"
-start_farm "$farm_tmp/b"
-kill_delay=$(awk -v w="$farm_wall" 'BEGIN { printf "%.1f", (w > 1) ? w / 2 : 0.5 }')
-# shellcheck disable=SC2086
-"$bin" $farm_sweep -farm "$farm_addr" -perf-json "$farm_tmp/perf_kill.json" > "$farm_tmp/kill.txt" 2> /dev/null &
-run_pid=$!
-sleep "$kill_delay"
-kill -9 "$w1_pid" 2>/dev/null || true
-if wait "$run_pid"; then kill_rc=0; else kill_rc=$?; fi
-kill_wall=$(json_field "$farm_tmp/perf_kill.json" wall_seconds)
-"$fbin" status -coordinator "$farm_addr" > "$farm_tmp/status_kill.json"
-kill_done=$(json_field "$farm_tmp/status_kill.json" jobs_done)
-kill_quarantined=$(json_field "$farm_tmp/status_kill.json" jobs_quarantined)
-kill_expirations=$(json_field "$farm_tmp/status_kill.json" expirations_total)
-kill_completed=$(json_field "$farm_tmp/status_kill.json" completed_total)
-for pid in $farm_pids; do kill "$pid" 2>/dev/null || true; done
-farm_pids=""
-trap - EXIT
-
-# Correctness: the killed-worker sweep completed every cell exactly
-# once, and all three farm runs' stdout matches the local run's.
-cells_gate=pass
-if [ "$kill_rc" -ne 0 ] || [ "$kill_done" -ne "$cells" ] ||
-    [ "$kill_quarantined" -ne 0 ] || [ "$kill_completed" -ne "$cells" ]; then
-    cells_gate=fail
-fi
-parity_gate=pass
-for f in farm warm kill; do
-    if ! cmp -s "$farm_tmp/local.txt" "$farm_tmp/$f.txt"; then
-        parity_gate=fail
-        echo "bench: farm $f stdout diverges from local:"
-        diff "$farm_tmp/local.txt" "$farm_tmp/$f.txt" | head -20 || true
-    fi
-done
-recovery_ratio=$(awk -v k="$kill_wall" -v u="$farm_wall" \
-    'BEGIN { printf "%.3f", (u > 0) ? k / u : 0 }')
-recovery_gate=$(awk -v r="$recovery_ratio" 'BEGIN { print (r <= 1.5) ? "pass" : "fail" }')
-
-cat > "$outdir/BENCH_farm.json" <<EOF
-{
-  "sweep": "fig4 @ warmup=20000 measure=60000, coordinator + 2 workers (lease 2s, checkpoint-every 20000)",
-  "cells": $cells,
-  "uninterrupted_wall_seconds": $farm_wall,
-  "kill_one_worker_wall_seconds": $kill_wall,
-  "recovery_overhead_ratio": $recovery_ratio,
-  "recovery_gate": 1.5,
-  "recovery_gate_status": "$recovery_gate",
-  "kill_run_expirations": $kill_expirations,
-  "kill_run_jobs_done": $kill_done,
-  "kill_run_quarantined": $kill_quarantined,
-  "cells_exactly_once": "$cells_gate",
-  "warm_dispatched_delta": $warm_delta,
-  "warm_dedupe_gate_status": "$warm_gate",
-  "stdout_parity": "$parity_gate"
-}
-EOF
-echo "== $outdir/BENCH_farm.json"
-cat "$outdir/BENCH_farm.json"
-if [ "$recovery_gate" = fail ]; then
-    echo "bench: WARNING: kill-one-worker wall ${kill_wall}s exceeds 1.5x uninterrupted ${farm_wall}s"
-fi
-if [ "$cells_gate" = fail ] || [ "$warm_gate" = fail ] || [ "$parity_gate" = fail ]; then
-    echo "bench: ERROR: farm cells_exactly_once=$cells_gate warm_dedupe=$warm_gate stdout_parity=$parity_gate"
-    exit 1
-fi
-
-# Many-core subsystem: seed-mode identity and 64-core wall budget.
-#
-# Seed-mode identity: the coherence/NoC machinery must be invisible
-# until asked for. A run with an explicit `-coherence shared` goes
-# through the new flag-application path but must produce the exact
-# config the plain spelling does — proven end to end by the ledger:
-# the warm run's RunID (a content address over config + workload)
-# collapses onto the cold run's record and is served as a cache hit.
-# statsdiff then gates latest-vs-blessed at a 0.01% threshold.
-mc_tmp=$(mktemp -d)
-mc_store="$mc_tmp/store"
-mc_args="-config quadMC -mix VH1 -warmup 20000 -measure 60000"
-echo "== manycore seed-identity: plain run, then -coherence shared re-run"
-# shellcheck disable=SC2086 # $mc_args is a word list by design
-"$sbin" $mc_args -ledger-dir "$mc_store" > "$mc_tmp/cold.txt"
-# shellcheck disable=SC2086
-"$sbin" $mc_args -coherence shared -ledger-dir "$mc_store" > "$mc_tmp/warm.txt"
-if grep -q "ledger: cache hit" "$mc_tmp/warm.txt"; then
-    seed_flag_gate=pass
-    grep "ledger: cache hit" "$mc_tmp/warm.txt"
-else
-    seed_flag_gate=fail
-fi
-if "$dbin" -ledger-dir "$mc_store" -a latest -b latest -threshold 0.0001 -pin mc-blessed > /dev/null &&
-    "$dbin" -ledger-dir "$mc_store" -a latest -b mc-blessed -threshold 0.0001; then
-    seed_stats_gate=pass
-else
-    seed_stats_gate=fail
-fi
-
-# 64-core MESI/mesh run under a wall budget. The budget is deliberately
-# generous (the measured wall is ~1s on a 2GHz core): it catches a
-# complexity blow-up — a protocol livelock, a mesh routing loop, an
-# O(cores^2) tick — not machine-to-machine noise. The idle-skip engine
-# must still find skippable cycles: at 64 cores fully-idle cycles are
-# rare but a zero means the sleep/wake discipline regressed to
-# tick-everything.
-mc64_budget=120
-mc64_args="-config quadMC -coherence mesi -cores 64 -bench read-mostly-shared -warmup 20000 -measure 60000"
-echo "== manycore 64-core run: $mc64_args"
-# shellcheck disable=SC2086
-"$sbin" $mc64_args -telemetry-dir "$mc_tmp/tel64" > "$mc_tmp/mc64.txt"
-mc64_wall=$(json_field "$mc_tmp/tel64/manifest.json" wall_seconds)
-mc64_skipped=$(awk '/^engine:/ { for (i = 1; i <= NF; i++) if ($(i+1) == "cycles" && $(i+2) == "skipped") print $i }' "$mc_tmp/mc64.txt")
-mc64_hmipc=$(awk '/^HMIPC:/ { print $2 }' "$mc_tmp/mc64.txt")
-mc64_wall_gate=$(awk -v w="$mc64_wall" -v b="$mc64_budget" 'BEGIN { print (w > 0 && w <= b) ? "pass" : "fail" }')
-mc64_skip_gate=$([ "${mc64_skipped:-0}" -gt 0 ] && echo pass || echo fail)
-
-cat > "$outdir/BENCH_manycore.json" <<EOF
-{
-  "seed_identity_run": "quadMC VH1 @ warmup=20000 measure=60000",
-  "seed_flag_ledger_cache_hit": "$seed_flag_gate",
-  "seed_statsdiff_gate_status": "$seed_stats_gate",
-  "seed_statsdiff_threshold": 0.0001,
-  "manycore_run": "quadMC -coherence mesi -cores 64 read-mostly-shared @ warmup=20000 measure=60000",
-  "manycore_wall_seconds": $mc64_wall,
-  "manycore_wall_budget_seconds": $mc64_budget,
-  "manycore_wall_gate_status": "$mc64_wall_gate",
-  "manycore_hmipc": $mc64_hmipc,
-  "manycore_cycles_skipped": ${mc64_skipped:-0},
-  "manycore_skip_gate_status": "$mc64_skip_gate"
-}
-EOF
-echo "== $outdir/BENCH_manycore.json"
-cat "$outdir/BENCH_manycore.json"
-if [ "$seed_flag_gate" = fail ] || [ "$seed_stats_gate" = fail ]; then
-    echo "bench: ERROR: seed-mode identity broken: ledger_cache_hit=$seed_flag_gate statsdiff=$seed_stats_gate"
-    exit 1
-fi
-if [ "$mc64_wall_gate" = fail ] || [ "$mc64_skip_gate" = fail ]; then
-    echo "bench: ERROR: 64-core run wall=${mc64_wall}s (budget ${mc64_budget}s) skipped=$mc64_skipped"
-    exit 1
-fi
+exec go run -C bench stackedsim/bench "$@"
