@@ -49,9 +49,6 @@ func New(widthBytes, divider int, ddr bool) *Bus {
 	return &Bus{widthBytes: widthBytes, div: sim.Cycle(divider), ddr: ddr}
 }
 
-// WidthBytes reports the data width.
-func (b *Bus) WidthBytes() int { return b.widthBytes }
-
 // Stats returns the counters.
 func (b *Bus) Stats() *Stats { return &b.stats }
 
@@ -139,15 +136,6 @@ func (b *Bus) Instrument(reg *telemetry.Registry, name string) {
 	reg.GaugeFunc(name+".wait_cycles", func() float64 { return float64(b.stats.WaitCycles) })
 	reg.GaugeFunc(name+".bytes", func() float64 { return float64(b.stats.Bytes) })
 }
-
-// NextFree reports the earliest cycle a new transfer could start.
-func (b *Bus) NextFree() sim.Cycle { return b.nextFree }
-
-// Idle reports whether the bus has no reservation extending past cycle
-// now. The bus is a passive reservation timeline — it is never ticked —
-// so this is the only state a clock-domain scheduler needs when deciding
-// whether its channel is quiescent.
-func (b *Bus) Idle(now sim.Cycle) bool { return b.nextFree <= now }
 
 // Utilization reports BusyCycles over the given elapsed cycles.
 func (b *Bus) Utilization(elapsed sim.Cycle) float64 {

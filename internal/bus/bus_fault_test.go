@@ -9,7 +9,7 @@ import (
 
 func busView(t *testing.T, specs ...fault.Spec) (*fault.Injector, *fault.MCView) {
 	t.Helper()
-	in, err := fault.NewInjector(&fault.Scenario{Faults: specs}, 1, 1, 1)
+	in, err := fault.NewInjector(&fault.Scenario{Faults: specs}, 1, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 
 	"stackedsim/internal/attrib"
@@ -190,13 +191,14 @@ func NewL2(p L2Params) *L2 {
 	return l
 }
 
-// SetHandle arms the idle fast-path: after each Tick the L2 sleeps
-// until its earliest pending event or queued request could act, staying
-// awake whenever any per-cycle retry loop (set-aside misses, deferred
-// MC submissions) has work.
-func (l *L2) SetHandle(h *sim.TickHandle) {
-	l.handle = h
-	h.SleepUntil(sim.FarFuture)
+// Register adds the L2 to the engine's tick order and arms the idle
+// fast-path: after each Tick the L2 sleeps until its earliest pending
+// event or queued request could act, staying awake whenever any
+// per-cycle retry loop (set-aside misses, deferred MC submissions) has
+// work.
+func (l *L2) Register(e *sim.Engine) {
+	l.handle = e.RegisterEvery(1, 0, l)
+	l.handle.SleepUntil(sim.FarFuture)
 }
 
 // MSHRBanks exposes the MSHR files (for the dynamic resizer and stats).
@@ -253,6 +255,56 @@ func (l *L2) Stats() *L2Stats { return &l.stats }
 
 // DemandMissesByCore reports per-core L2 demand misses (for MPKI).
 func (l *L2) DemandMissesByCore() []uint64 { return l.missesBy }
+
+// DigestWords folds the L2's architectural counters into a run digest
+// via emit, in a fixed order: the cache's own, then each MSHR bank's.
+func (l *L2) DigestWords(emit func(...uint64)) {
+	emit(l.stats.Accesses, l.stats.Hits, l.stats.MSHRStalls)
+	for _, f := range l.mshrBanks {
+		st := f.Stats()
+		emit(st.Accesses, st.Probes)
+	}
+}
+
+// InFlight counts the requests the L2 still holds: queued at a bank,
+// set aside on a full MSHR bank, allocated in one, waiting as a
+// writeback for a full MRQ, or scheduled to complete or issue later.
+// Zero exactly when the L2 has drained.
+func (l *L2) InFlight() int {
+	n := l.events.Len()
+	for _, b := range l.banks {
+		n += b.inq.Len()
+	}
+	for m, f := range l.mshrBanks {
+		n += f.Len() + len(l.mshrWait[m])
+	}
+	for _, q := range l.wbQ {
+		n += len(q)
+	}
+	return n
+}
+
+// CheckDrained reports what a quiesced L2 must not show: requests that
+// never drained once the cores stopped issuing, or counters that do
+// not balance.
+func (l *L2) CheckDrained() error {
+	var errs []error
+	if n := l.InFlight(); n != 0 {
+		errs = append(errs, fmt.Errorf("L2 holds %d requests after quiesce", n))
+	}
+	for i, f := range l.mshrBanks {
+		// Entries allocated during warmup may release after the stats
+		// reset, so releases can exceed allocs; fewer releases than
+		// allocs after quiesce means entries were lost.
+		if st := f.Stats(); st.Releases < st.Allocs {
+			errs = append(errs, fmt.Errorf("mshr bank %d: %d allocs but only %d releases", i, st.Allocs, st.Releases))
+		}
+	}
+	if l.stats.Hits > l.stats.Accesses {
+		errs = append(errs, fmt.Errorf("L2: hits %d exceed accesses %d", l.stats.Hits, l.stats.Accesses))
+	}
+	return errors.Join(errs...)
+}
 
 // bankFor routes a line to an L2 bank: line interleaving in the
 // traditional organization, page interleaving in the aligned Figure 5
@@ -724,18 +776,4 @@ func (l *L2) ResetStats() {
 	for _, f := range l.mshrBanks {
 		f.ResetStats()
 	}
-}
-
-// Debug summarizes live bank state for diagnostics.
-func (l *L2) Debug() string {
-	s := ""
-	for i, b := range l.banks {
-		if b.inq.Len() > 0 {
-			s += fmt.Sprintf("[bank%d inq=%d busy=%d] ", i, b.inq.Len(), b.busy)
-		}
-	}
-	for m, f := range l.mshrBanks {
-		s += fmt.Sprintf("{mshr%d len=%d busy=%d unissued=%d wbq=%d wait=%d} ", m, f.Len(), l.mshrBusy[m], len(l.unissued[m]), len(l.wbQ[m]), len(l.mshrWait[m]))
-	}
-	return s
 }

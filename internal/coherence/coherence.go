@@ -29,6 +29,7 @@
 package coherence
 
 import (
+	"errors"
 	"fmt"
 
 	"stackedsim/internal/attrib"
@@ -171,16 +172,6 @@ func New(p Params) *Fabric {
 	return f
 }
 
-// Ports returns the per-core submission ports (the private L2s) the
-// L1s stack on top of.
-func (f *Fabric) Ports() []cache.Port {
-	ports := make([]cache.Port, len(f.l2s))
-	for i, l := range f.l2s {
-		ports[i] = l
-	}
-	return ports
-}
-
 // L2 returns core c's private L2.
 func (f *Fabric) L2(c int) *PrivateL2 { return f.l2s[c] }
 
@@ -216,6 +207,54 @@ func (f *Fabric) DeferredRequests() int {
 		}
 	}
 	return n
+}
+
+// InFlight counts the misses, writebacks, messages and scheduled
+// lookups the private L2s, the directory banks and the mesh still hold.
+// Zero exactly when nothing in the fabric can move any more; a request
+// parked behind a directory line is not counted — it cannot move by
+// itself, and CheckDrained reports it.
+func (f *Fabric) InFlight() int {
+	n := f.mesh.InFlight()
+	for _, l := range f.l2s {
+		n += len(l.misses) + len(l.wb) + l.inbox.Len() + len(l.out) + l.events.Len()
+	}
+	for _, d := range f.dirs {
+		n += d.inbox.Len() + len(d.out) + len(d.outq) + d.events.Len()
+	}
+	return n
+}
+
+// CheckDrained reports what a quiesced fabric must not show: private L2
+// miss tables and writeback buffers that never drained, messages stuck
+// in the mesh, a request still parked behind a directory line (the
+// liveness clause), or counters that do not balance.
+func (f *Fabric) CheckDrained() error {
+	var errs []error
+	for c, l := range f.l2s {
+		if n := len(l.misses); n != 0 {
+			errs = append(errs, fmt.Errorf("private L2 %d holds %d outstanding misses after quiesce", c, n))
+		}
+		if n := len(l.wb); n != 0 {
+			errs = append(errs, fmt.Errorf("private L2 %d holds %d unacknowledged writebacks after quiesce", c, n))
+		}
+	}
+	if n := f.mesh.InFlight(); n != 0 {
+		errs = append(errs, fmt.Errorf("mesh holds %d packets after quiesce", n))
+	}
+	if n := f.DeferredRequests(); n != 0 {
+		errs = append(errs, fmt.Errorf("directory holds %d deferred requests after quiesce", n))
+	}
+	if cs := f.Stats(); cs.Hits > cs.Accesses {
+		errs = append(errs, fmt.Errorf("coherence: hits %d exceed accesses %d", cs.Hits, cs.Accesses))
+	}
+	// Packets injected during warmup may be delivered after the reset;
+	// fewer deliveries than injections after quiesce means packets
+	// vanished.
+	if ms := f.mesh.Stats(); ms.Delivered < ms.Injected {
+		errs = append(errs, fmt.Errorf("mesh: %d packets injected but only %d delivered", ms.Injected, ms.Delivered))
+	}
+	return errors.Join(errs...)
 }
 
 // AttachAttrib enables cycle accounting on every demand miss flowing
@@ -370,8 +409,10 @@ func (f *Fabric) DigestWords(emit func(...uint64)) {
 	f.mesh.DigestWords(emit)
 }
 
-// Instrument registers the "coherence.*" and "noc.*" gauges.
-func (f *Fabric) Instrument(reg *telemetry.Registry) {
+// Instrument registers the "coherence.*" and "noc.*" gauges. The
+// fabric emits no trace events; the tracer parameter is what lets it
+// stand wherever the shared L2 does.
+func (f *Fabric) Instrument(reg *telemetry.Registry, _ *telemetry.Tracer) {
 	if reg == nil {
 		return
 	}

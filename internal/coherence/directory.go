@@ -153,9 +153,6 @@ func newDirectory(f *Fabric, id, node int, mc cache.Port) *Directory {
 // Stats returns the counters.
 func (d *Directory) Stats() *DirStats { return &d.stats }
 
-// Node reports the mesh node this bank lives at.
-func (d *Directory) Node() int { return d.node }
-
 func (d *Directory) setHandle(h *sim.TickHandle) {
 	d.handle = h
 	h.SleepUntil(sim.FarFuture)

@@ -1,0 +1,70 @@
+package core
+
+import (
+	"testing"
+
+	"stackedsim/internal/config"
+	"stackedsim/internal/fault"
+	"stackedsim/internal/workload"
+)
+
+// TestDigestGoldens pins one machine of every shape the composition
+// layer can build — single and banked channels, VBF MSHRs under the
+// dynamic resizer, both stack modes, a faulted backing channel and the
+// coherent many-core fabric — to the digest it had before System
+// started walking its parts through the channel view and the
+// second-level seam. Digest word order is the walk order, so a part
+// visited out of turn (or twice, or not at all) moves a value here.
+func TestDigestGoldens(t *testing.T) {
+	mix := func(name string) []string {
+		m, ok := workload.MixByName(name)
+		if !ok {
+			t.Fatalf("mix %s missing", name)
+		}
+		return m.Benchmarks[:]
+	}
+	sharers := make([]string, 16)
+	for i := range sharers {
+		sharers[i] = "producer-consumer"
+	}
+	faulted := config.Fast3D().WithStackCache(config.StackCache, 64)
+	faulted.Name += "+g"
+	faulted.Faults = &fault.Scenario{
+		Name: "g",
+		Faults: []fault.Spec{
+			{Kind: fault.KindBitError, MC: -1, Prob: 0.01, UncorrectablePct: 0.2},
+			// View 1 is the backing channel: Fast3D has one stacked MC.
+			{Kind: fault.KindTSVDegraded, MC: 1, From: 60_000, Until: 120_000},
+			{Kind: fault.KindMSHRParity, Prob: 0.01},
+		},
+	}
+	for _, g := range []struct {
+		cfg     *config.Config
+		benches []string
+		digest  uint64
+		faults  uint64
+	}{
+		{config.Baseline2D(), mix("VH1"), 0x5a2ea57e26925c3e, 0},
+		{config.QuadMC(), mix("VH1"), 0x78a73a9f3ab59498, 0},
+		{config.DualMC().WithMSHR(8, config.MSHRVBF, true), mix("H1"), 0xa75d28e9a47b6670, 0},
+		{config.Fast3D().WithStackCache(config.StackCache, 64), mix("VH1"), 0x4490a933e86cb418, 0},
+		{config.Fast3D().WithStackCache(config.StackMemCache, 64), mix("VH1"), 0xb23e37ea24c2151c, 0},
+		{faulted, mix("VH1"), 0x248fdeed27064a5a, 2226},
+		{config.ManyCore(16, 4), sharers, 0x377dbc1d72e7f3b5, 0},
+	} {
+		cfg := short(g.cfg)
+		t.Run(cfg.Name, func(t *testing.T) {
+			sys, err := NewSystem(cfg, g.benches)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := sys.Run()
+			if d := sys.Digest(); d != g.digest {
+				t.Errorf("digest %016x, golden %016x", d, g.digest)
+			}
+			if n := m.Faults.Total(); n != g.faults {
+				t.Errorf("%d faults injected, golden %d", n, g.faults)
+			}
+		})
+	}
+}

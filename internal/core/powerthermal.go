@@ -38,12 +38,6 @@ type rankWindow struct {
 	act, ref, rd, wr uint64
 }
 
-// backWindow is a snapshot of the backing channel's counters.
-type backWindow struct {
-	rankWindow
-	bytes uint64
-}
-
 // TrajectoryPoint is one kept sample of the per-layer temperatures.
 type TrajectoryPoint struct {
 	Cycle int64     `json:"cycle"`
@@ -95,7 +89,6 @@ type PowerThermal struct {
 	tr    *thermal.Transient
 
 	dramP      power.Params
-	backP      power.Params
 	cpuP       power.CPUParams
 	accel      float64
 	mhz        float64
@@ -104,9 +97,8 @@ type PowerThermal struct {
 	hasOffchip bool // any off-chip DRAM (2D organization or backing channel)
 
 	last      sim.Cycle
-	prevRank  []rankWindow
-	prevBack  backWindow
-	prevBytes uint64
+	prevRank  []rankWindow // per rank, channel by channel
+	prevBytes []uint64     // per channel bus
 	prevUops  uint64
 	layerUJ   []float64 // scratch: this window's energy per stack layer
 
@@ -164,20 +156,24 @@ func (s *System) AttachPowerThermal(reg *telemetry.Registry, every int64) *Power
 	}
 	place := placementFor(s.Cfg)
 	st := thermal.NewStack(place.DRAMLayers, place.Logic)
+	ranks := 0
+	for _, ch := range s.channels {
+		ranks += len(ch.mc.Ranks())
+	}
 	p := &PowerThermal{
 		sys:        s,
 		place:      place,
 		stack:      st,
 		tr:         thermal.NewTransient(st),
 		dramP:      s.dramParams(),
-		backP:      power.DDR2(),
 		cpuP:       power.DefaultCPU(),
 		accel:      DefaultThermalAccel,
 		mhz:        s.Cfg.CPUMHz,
 		every:      every,
 		dramBase:   1,
 		hasOffchip: !place.Stacked() || s.Stack != nil,
-		prevRank:   make([]rankWindow, s.Cfg.RanksTotal),
+		prevRank:   make([]rankWindow, ranks),
+		prevBytes:  make([]uint64, len(s.channels)),
 		layerUJ:    make([]float64, len(st.Layers)),
 		peakC:      make([]float64, len(st.Layers)),
 		overCycles: make([]int64, len(st.Layers)),
@@ -227,6 +223,19 @@ func (w rankWindow) sub(prev rankWindow) rankWindow {
 	}
 }
 
+// activity is the window as the energy model's input: ranks of them
+// moving bytes over their channel.
+func (w rankWindow) activity(ranks int, bytes uint64) power.Activity {
+	return power.Activity{
+		Activates:    w.act,
+		ColumnReads:  w.rd,
+		ColumnWrites: w.wr,
+		Refreshes:    w.ref,
+		BytesMoved:   bytes,
+		Ranks:        ranks,
+	}
+}
+
 func countRank(r *dram.Rank) rankWindow {
 	var w rankWindow
 	for _, b := range r.Banks {
@@ -249,43 +258,47 @@ func (p *PowerThermal) Tick(now sim.Cycle) {
 	p.last = now
 	seconds := float64(window) / (p.mhz * 1e6)
 
-	for i := range p.layerUJ {
-		p.layerUJ[i] = 0
-	}
+	clear(p.layerUJ)
 	offUJ := 0.0
 
-	// Stacked-channel ranks -> their placed layer (or off-chip in 2D).
+	// Counter deltas rank by rank, channel by channel. A stacked rank's
+	// energy lands on its placed layer (or off-chip in 2D); the backing
+	// channel's ranks are summed here and accounted once, below.
 	idx := 0
-	for _, mc := range p.sys.MCs {
-		for _, rank := range mc.Ranks() {
+	var bytes, backBytes uint64
+	var back rankWindow
+	for c, ch := range p.sys.channels {
+		backing := ch.mc == p.sys.Backing
+		for _, rank := range ch.mc.Ranks() {
 			cur := countRank(rank)
 			d := cur.sub(p.prevRank[idx])
 			p.prevRank[idx] = cur
-			b := power.Account(p.dramP, power.Activity{
-				Activates:    d.act,
-				ColumnReads:  d.rd,
-				ColumnWrites: d.wr,
-				Refreshes:    d.ref,
-				Ranks:        1,
-			}, window, p.mhz)
+			idx++
+			if backing {
+				back = rankWindow{back.act + d.act, back.ref + d.ref, back.rd + d.rd, back.wr + d.wr}
+				continue
+			}
+			b := power.Account(p.dramP, d.activity(1, 0), window, p.mhz)
 			if p.place.Stacked() {
-				p.layerUJ[p.dramBase+p.place.LayerOfRank(idx)] += b.TotalUJ()
+				p.layerUJ[p.dramBase+p.place.LayerOfRank(idx-1)] += b.TotalUJ()
 			} else {
 				offUJ += b.TotalUJ()
 			}
-			idx++
+		}
+		cur := ch.mc.Bus().Stats().Bytes
+		d := ctrDelta(cur, p.prevBytes[c])
+		p.prevBytes[c] = cur
+		if backing {
+			backBytes = d
+		} else {
+			bytes += d
 		}
 	}
 
 	// Channel IO energy: dissipated in the TSV drivers on the logic die
 	// (spread across the DRAM dies when the peripheral logic lives on
 	// them), or in the off-chip pins for the 2D organization.
-	var bytes uint64
-	for _, b := range p.sys.Buses {
-		bytes += b.Stats().Bytes
-	}
-	busUJ := float64(ctrDelta(bytes, p.prevBytes)) * p.dramP.BusPJPerByte * 1e-6
-	p.prevBytes = bytes
+	busUJ := float64(bytes) * p.dramP.BusPJPerByte * 1e-6
 	switch {
 	case !p.place.Stacked():
 		offUJ += busUJ
@@ -300,26 +313,7 @@ func (p *PowerThermal) Tick(now sim.Cycle) {
 
 	// Backing channel: commodity DIMMs off-chip.
 	if p.sys.Stack != nil {
-		var cur backWindow
-		for _, rank := range p.sys.Backing.Ranks() {
-			w := countRank(rank)
-			cur.act += w.act
-			cur.ref += w.ref
-			cur.rd += w.rd
-			cur.wr += w.wr
-		}
-		cur.bytes = p.sys.BackingBus.Stats().Bytes
-		d := cur.rankWindow.sub(p.prevBack.rankWindow)
-		db := ctrDelta(cur.bytes, p.prevBack.bytes)
-		p.prevBack = cur
-		b := power.Account(p.backP, power.Activity{
-			Activates:    d.act,
-			ColumnReads:  d.rd,
-			ColumnWrites: d.wr,
-			Refreshes:    d.ref,
-			BytesMoved:   db,
-			Ranks:        p.sys.Cfg.BackingRanks,
-		}, window, p.mhz)
+		b := power.Account(power.DDR2(), back.activity(p.sys.Cfg.BackingRanks, backBytes), window, p.mhz)
 		offUJ += b.TotalUJ()
 	}
 
@@ -433,11 +427,8 @@ func (p *PowerThermal) resetStats() {
 	// The component counters were just zeroed; restart the deltas.
 	// Committed() is monotonic and survives the reset, so prevUops keeps
 	// its value.
-	for i := range p.prevRank {
-		p.prevRank[i] = rankWindow{}
-	}
-	p.prevBack = backWindow{}
-	p.prevBytes = 0
+	clear(p.prevRank)
+	clear(p.prevBytes)
 	p.windows = 0
 	for i := range p.peakC {
 		p.peakC[i] = p.tr.TempC(i)
@@ -517,14 +508,9 @@ func (p *PowerThermal) bankHeatmap() string {
 		}
 		rows = append(rows, rw)
 	}
-	for i, mc := range p.sys.MCs {
-		for r, rank := range mc.Ranks() {
-			add(fmt.Sprintf("mc%d.rank%d", i, r), rank)
-		}
-	}
-	if p.sys.Stack != nil {
-		for r, rank := range p.sys.Backing.Ranks() {
-			add(fmt.Sprintf("backing.rank%d", r), rank)
+	for _, ch := range p.sys.channels {
+		for r, rank := range ch.mc.Ranks() {
+			add(fmt.Sprintf("%s.rank%d", ch.dram, r), rank)
 		}
 	}
 	var sb strings.Builder

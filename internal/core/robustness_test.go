@@ -188,10 +188,10 @@ func TestCancelledRunMetricsCoverElapsedWindow(t *testing.T) {
 		t.Errorf("Cycles = %d, want the %d cycles actually measured", m.Cycles, elapsed)
 	}
 	var busy uint64
-	for _, b := range sys.Buses {
-		busy += b.Stats().BusyCycles
+	for _, mc := range sys.MCs {
+		busy += mc.Bus().Stats().BusyCycles
 	}
-	if want := float64(busy) / float64(elapsed*uint64(len(sys.Buses))); m.BusUtilization != want || want > 1 || want < 0.1 {
+	if want := float64(busy) / float64(elapsed*uint64(len(sys.MCs))); m.BusUtilization != want || want > 1 || want < 0.1 {
 		t.Errorf("BusUtilization = %v, want %v (busy cycles over the elapsed window, a saturated bus)", m.BusUtilization, want)
 	}
 	full := power.Account(sys.dramParams(), sys.dramActivity(), cfg.MeasureCycles, cfg.CPUMHz)

@@ -40,7 +40,7 @@ func TestStackMemoryParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Stack != nil || sys.Backing != nil || sys.BackingBus != nil {
+	if sys.Stack != nil || sys.Backing != nil {
 		t.Fatal("memory mode constructed stack-cache components")
 	}
 	got := sys.Run()

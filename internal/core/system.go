@@ -43,24 +43,29 @@ type System struct {
 	// mode it is nil and Coh — private per-core L2s under directory
 	// MESI, connected by a mesh NoC — takes its place. Exactly one of
 	// the two is non-nil; seed mode never constructs the fabric, so
-	// seed runs stay bit-identical.
-	L2    *cache.L2
-	Coh   *coherence.Fabric
+	// seed runs stay bit-identical. second is whichever of the two the
+	// machine has, for everything that need not know which.
+	L2     *cache.L2
+	Coh    *coherence.Fabric
+	second secondLevel
+	// MCs are the stacked memory channels: each controller owns its
+	// data bus and ranks (Bus, Ranks).
 	MCs   []*memctrl.Controller
-	Buses []*bus.Bus
 	Pages *mem.PageTable
 	TLBs  []*tlb.TLB
 	ITLBs []*tlb.TLB
 	AMap  mem.AddrMap
 
 	// Stack is the die-stacked cache/memcache layer interposed between
-	// the L2 and the stacked controllers, with its off-chip backing
-	// channel (Backing + BackingBus). All three are nil in
-	// StackMemory mode — disabled means absent, keeping that mode
-	// bit-identical to the seed simulator.
-	Stack      *stackcache.Layer
-	Backing    *memctrl.Controller
-	BackingBus *bus.Bus
+	// the L2 and the stacked controllers, and Backing the off-chip
+	// channel behind it. Both are nil in StackMemory mode — disabled
+	// means absent, keeping that mode bit-identical to the seed
+	// simulator.
+	Stack   *stackcache.Layer
+	Backing *memctrl.Controller
+	// channels is every memory channel in walk order: MCs, then
+	// Backing when there is one.
+	channels []channel
 
 	Resizer *mshr.Resizer
 	// pt is the power/thermal tracker (nil unless AttachPowerThermal was
@@ -80,6 +85,35 @@ type System struct {
 
 	// ids is the shared request ID source and object pool.
 	ids *mem.IDSource
+}
+
+// secondLevel is what System asks of the second-level organization
+// without knowing which one it is: the shared banked L2 (*cache.L2) or
+// the private L2s under a directory and mesh (*coherence.Fabric).
+// Construction, the per-core L1 wiring and Collect's
+// organization-specific fields are the only places that tell them
+// apart.
+type secondLevel interface {
+	Register(e *sim.Engine)
+	Instrument(reg *telemetry.Registry, tr *telemetry.Tracer)
+	AttachAttrib(col *attrib.Collector)
+	ResetStats()
+	DemandMissesByCore() []uint64
+	DigestWords(emit func(...uint64))
+	// InFlight is zero exactly when the level holds no traffic;
+	// CheckDrained says what a quiesced level still holds or lost.
+	InFlight() int
+	CheckDrained() error
+}
+
+// channel is one memory channel as the walkers see it: a controller —
+// which owns its data bus and ranks — under the names its bus and DRAM
+// go by in metrics and reports ("bus0"/"mc0" on the stack, "bus.backing"/
+// "backing" behind it). Named field, not embedded: the view must not grow
+// the controller's method set (and unused Tick/Submit wrappers with it).
+type channel struct {
+	mc        *memctrl.Controller
+	bus, dram string
 }
 
 // NewSystem builds a machine running the named benchmarks, one per core.
@@ -136,15 +170,17 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 	// never heard of the fault package (TestDisabledInjectorParity).
 	stacked := cfg.StackMode != config.StackMemory
 	if cfg.Faults.Active() {
-		var inj *fault.Injector
-		var err error
-		if stacked {
-			// One extra view (index cfg.MCs) for the off-chip backing
-			// controller, sized to its own rank count.
-			inj, err = fault.NewInjectorWithBacking(cfg.Faults, cfg.Seed, cfg.MCs, cfg.RanksPerMC(), cfg.BackingRanks)
-		} else {
-			inj, err = fault.NewInjector(cfg.Faults, cfg.Seed, cfg.MCs, cfg.RanksPerMC())
+		// One view per channel, bounded by its own rank count; the
+		// off-chip backing channel's (index cfg.MCs) follows the stacked
+		// ones.
+		ranks := make([]int, cfg.MCs, cfg.MCs+1)
+		for i := range ranks {
+			ranks[i] = cfg.RanksPerMC()
 		}
+		if stacked {
+			ranks = append(ranks, cfg.BackingRanks)
+		}
+		inj, err := fault.NewInjector(cfg.Faults, cfg.Seed, ranks)
 		if err != nil {
 			return nil, err
 		}
@@ -170,31 +206,17 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 				ranks[r].EnableSmartRefresh(rowsPerBank)
 			}
 		}
-		// The same per-controller fault view is shared by the bus, the
-		// banks and the scheduler so they agree on what is broken when.
-		view := s.Faults.MC(m)
-		b := bus.New(cfg.BusBytes, cfg.BusDivider, cfg.BusDDR)
-		b.SetFaults(view)
-		for _, rank := range ranks {
-			for _, bank := range rank.Banks {
-				bank.SetFaults(view)
-			}
-		}
-		s.Buses = append(s.Buses, b)
-		s.MCs = append(s.MCs, memctrl.New(memctrl.Params{
+		s.MCs = append(s.MCs, s.newChannel(fmt.Sprintf("bus%d", m), fmt.Sprintf("mc%d", m), memctrl.Params{
 			ID:                m,
 			AMap:              s.AMap,
 			Ranks:             ranks,
 			QueueCap:          cfg.MRQPerMC(),
-			DataBus:           b,
+			DataBus:           bus.New(cfg.BusBytes, cfg.BusDivider, cfg.BusDDR),
 			Divider:           sim.NewDivider(cfg.BusDivider),
-			FRFCFS:            cfg.SchedFRFCFS,
 			LineBytes:         cfg.LineBytes,
 			CriticalWordFirst: cfg.CriticalWordFirst,
-			WordBytes:         8,
 			Respond:           respond,
 		}))
-		s.MCs[m].SetFaults(view)
 	}
 
 	// Shared L2 + MHA. In cache/memcache modes the stack-cache layer
@@ -209,18 +231,12 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 	}
 	if stacked {
 		btiming := dram.TimingInCycles(cfg.BackingTiming, cfg.CPUMHz)
-		bview := s.Faults.MC(cfg.MCs)
 		branks := make([]*dram.Rank, cfg.BackingRanks)
 		for r := range branks {
 			// Commodity off-chip DIMMs: single row buffer per bank,
 			// 64 ms refresh, no smart-refresh.
 			branks[r] = dram.NewRank(btiming, cfg.BanksPerRank, 1, 64, cfg.CPUMHz)
-			for _, bank := range branks[r].Banks {
-				bank.SetFaults(bview)
-			}
 		}
-		s.BackingBus = bus.New(cfg.BackingBusBytes, cfg.BackingBusDivider, cfg.BackingBusDDR)
-		s.BackingBus.SetFaults(bview)
 		// The backing channel transfers whole blocks at the fill
 		// granularity, so its address map's "line" is the stack block.
 		bamap := mem.AddrMap{
@@ -233,19 +249,16 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 		if err := bamap.Validate(); err != nil {
 			return nil, fmt.Errorf("core: backing channel address map: %w", err)
 		}
-		s.Backing = memctrl.New(memctrl.Params{
+		s.Backing = s.newChannel("bus.backing", "backing", memctrl.Params{
 			ID:        cfg.MCs,
 			AMap:      bamap,
 			Ranks:     branks,
 			QueueCap:  cfg.BackingMRQ,
-			DataBus:   s.BackingBus,
+			DataBus:   bus.New(cfg.BackingBusBytes, cfg.BackingBusDivider, cfg.BackingBusDDR),
 			Divider:   sim.NewDivider(cfg.BackingBusDivider),
-			FRFCFS:    cfg.SchedFRFCFS,
 			LineBytes: cfg.StackFillBytes,
-			WordBytes: 8,
 			Respond:   func(r *mem.Request, now sim.Cycle) { s.Stack.RespondBacking(r, now) },
 		})
-		s.Backing.SetFaults(bview)
 		// The memcache hot region holds the first-touched pages: the
 		// frames the allocator handed out while the region still had
 		// room, modelling OS placement of hot pages in stacked memory.
@@ -274,8 +287,10 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 		// connects them. Validation already pinned this mode to plain
 		// stacked memory with no faults and static MSHRs.
 		s.Coh = coherence.New(coherence.Params{Cfg: cfg, AMap: s.AMap, MCs: ports, IDs: ids})
+		s.second = s.Coh
 	} else {
 		s.L2 = cache.NewL2(cache.L2Params{Cfg: cfg, AMap: s.AMap, MCs: ports, IDs: ids})
+		s.second = s.L2
 		for _, f := range s.L2.MSHRBanks() {
 			f.SetFaults(s.Faults.MSHR())
 		}
@@ -284,41 +299,33 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 	// Cores with private L1s and their μop sources.
 	s.Sources = sources
 	s.Labels = append([]string(nil), labels...)
-	for c := 0; c < len(sources); c++ {
-		var below cache.Port = s.L2
-		var storeHint func(mem.Addr, sim.Cycle)
-		if s.Coh != nil {
-			pl2 := s.Coh.L2(c)
-			below = pl2
-			storeHint = pl2.StoreHint
-		}
-		l1 := cache.NewL1(cache.L1Params{
+	newL1 := func(kind string, c int, below cache.Port, storeHint func(mem.Addr, sim.Cycle)) *cache.L1 {
+		return cache.NewL1(cache.L1Params{
 			Core:      c,
-			Array:     cache.NewArrayBySize(fmt.Sprintf("dl1.%d", c), cfg.L1SizeKB*1024, cfg.L1Ways, cfg.LineBytes),
+			Array:     cache.NewArrayBySize(fmt.Sprintf("%s.%d", kind, c), cfg.L1SizeKB*1024, cfg.L1Ways, cfg.LineBytes),
 			Latency:   sim.Cycle(cfg.L1Latency),
 			LineBytes: cfg.LineBytes,
 			MSHRs:     cfg.L1MSHRs,
 			Below:     below,
 			IDs:       ids,
-			Prefetch:  cfg.L1Prefetch,
+			Prefetch:  cfg.L1Prefetch, // Table 1: next-line, on the IL1 too
 			StoreHint: storeHint,
 		})
-		s.L1s = append(s.L1s, l1)
-		il1 := cache.NewL1(cache.L1Params{
-			Core:      c,
-			Array:     cache.NewArrayBySize(fmt.Sprintf("il1.%d", c), cfg.L1SizeKB*1024, cfg.L1Ways, cfg.LineBytes),
-			Latency:   sim.Cycle(cfg.L1Latency),
-			LineBytes: cfg.LineBytes,
-			MSHRs:     cfg.L1MSHRs,
-			Below:     below,
-			IDs:       ids,
-			Prefetch:  cfg.L1Prefetch, // Table 1: next-line on the IL1
-		})
-		s.IL1s = append(s.IL1s, il1)
+	}
+	for c := 0; c < len(sources); c++ {
+		var l1, il1 *cache.L1
 		if s.Coh != nil {
-			// The private L2 invalidates its L1s on remote writes.
-			s.Coh.L2(c).SetL1s(l1, il1)
+			// The private L2 chases write permission for stores that
+			// complete inside the DL1, and invalidates its L1s on
+			// remote writes.
+			pl2 := s.Coh.L2(c)
+			l1, il1 = newL1("dl1", c, pl2, pl2.StoreHint), newL1("il1", c, pl2, nil)
+			pl2.SetL1s(l1, il1)
+		} else {
+			l1, il1 = newL1("dl1", c, s.L2, nil), newL1("il1", c, s.L2, nil)
 		}
+		s.L1s = append(s.L1s, l1)
+		s.IL1s = append(s.IL1s, il1)
 		dt := tlb.New(64, 4)
 		s.TLBs = append(s.TLBs, dt)
 		it := tlb.New(32, 4)
@@ -363,24 +370,38 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 	for _, il1 := range s.IL1s {
 		il1.SetHandle(s.Engine.RegisterEvery(1, 0, il1))
 	}
-	if s.Coh != nil {
-		s.Coh.Register(s.Engine)
-	} else {
-		s.L2.SetHandle(s.Engine.RegisterEvery(1, 0, s.L2))
-	}
+	s.second.Register(s.Engine)
 	if s.Stack != nil {
 		s.Stack.SetHandle(s.Engine.RegisterEvery(1, 0, s.Stack))
 	}
-	for _, mc := range s.MCs {
-		mc.Attach(s.Engine)
-	}
-	if s.Backing != nil {
-		s.Backing.Attach(s.Engine)
+	for _, ch := range s.channels {
+		ch.mc.Attach(s.Engine)
 	}
 	if s.Resizer != nil {
 		s.Resizer.SetHandle(s.Engine.RegisterEvery(1, 0, s.Resizer))
 	}
 	return s, nil
+}
+
+// newChannel builds one memory channel — a controller over its data bus
+// and ranks — and enters it in the channel view under the names its bus
+// and DRAM go by. The stacked channels and the off-chip backing channel
+// differ only in the parameters they pass.
+func (s *System) newChannel(busName, dramName string, p memctrl.Params) *memctrl.Controller {
+	// The same per-controller fault view is shared by the bus, the
+	// banks and the scheduler so they agree on what is broken when.
+	view := s.Faults.MC(p.ID)
+	p.DataBus.SetFaults(view)
+	for _, rank := range p.Ranks {
+		for _, bank := range rank.Banks {
+			bank.SetFaults(view)
+		}
+	}
+	p.FRFCFS, p.WordBytes = s.Cfg.SchedFRFCFS, 8
+	mc := memctrl.New(p)
+	mc.SetFaults(view)
+	s.channels = append(s.channels, channel{mc, busName, dramName})
+	return mc
 }
 
 // EngineReport summarizes the event-driven core's work avoidance and
@@ -429,29 +450,27 @@ func (s *System) AttachTelemetry(tel *telemetry.Telemetry) {
 	for _, c := range s.Cores {
 		c.Instrument(reg)
 	}
-	if s.Coh != nil {
-		s.Coh.Instrument(reg)
-	} else {
-		s.L2.Instrument(reg, tr)
-	}
-	for _, mc := range s.MCs {
-		mc.Instrument(reg, tr)
-	}
-	for i, b := range s.Buses {
-		b.Instrument(reg, fmt.Sprintf("bus%d", i))
-	}
-	for i, mc := range s.MCs {
-		for r, rank := range mc.Ranks() {
-			rank.Instrument(reg, fmt.Sprintf("dram.mc%d.rank%d", i, r))
+	s.second.Instrument(reg, tr)
+	// Registration order is CSV column order: a group of channels lists
+	// its controllers, then its buses, then its ranks; the stack layer
+	// sits between the stacked channels and the backing one.
+	instrument := func(chs []channel) {
+		for _, ch := range chs {
+			ch.mc.Instrument(reg, tr)
+		}
+		for _, ch := range chs {
+			ch.mc.Bus().Instrument(reg, ch.bus)
+		}
+		for _, ch := range chs {
+			for r, rank := range ch.mc.Ranks() {
+				rank.Instrument(reg, fmt.Sprintf("dram.%s.rank%d", ch.dram, r))
+			}
 		}
 	}
+	instrument(s.channels[:len(s.MCs)])
 	if s.Stack != nil {
 		s.Stack.Instrument(reg)
-		s.Backing.Instrument(reg, tr)
-		s.BackingBus.Instrument(reg, "bus.backing")
-		for r, rank := range s.Backing.Ranks() {
-			rank.Instrument(reg, fmt.Sprintf("dram.backing.rank%d", r))
-		}
+		instrument(s.channels[len(s.MCs):])
 	}
 	s.Faults.Instrument(reg)
 	s.instrumentEnergy(reg)
@@ -474,13 +493,7 @@ func (s *System) AttachTelemetry(tel *telemetry.Telemetry) {
 // miss. The collector is purely observational — tags are stamped with
 // cycles the simulation computes anyway — so an attributed run is
 // bit-identical to an unattributed one. A nil collector is a no-op.
-func (s *System) AttachAttrib(col *attrib.Collector) {
-	if s.Coh != nil {
-		s.Coh.AttachAttrib(col)
-		return
-	}
-	s.L2.AttachAttrib(col)
-}
+func (s *System) AttachAttrib(col *attrib.Collector) { s.second.AttachAttrib(col) }
 
 // NewAttribCollector registers an attribution collector shaped for this
 // system's machine (cores, MCs, ranks) in reg. Nil registry → nil
@@ -502,16 +515,16 @@ func (s *System) instrumentEngine(reg *telemetry.Registry) {
 	reg.GaugeFunc("engine.pool_puts", func() float64 { return float64(s.EngineReport().PoolPuts) })
 }
 
-// dramActivity sums the stacked-channel DRAM counters accumulated since
+// activity sums the DRAM counters the given channels accumulated since
 // the last ResetStats into a power.Activity.
-func (s *System) dramActivity() power.Activity {
+func activity(mcs ...*memctrl.Controller) power.Activity {
 	var act power.Activity
-	act.Ranks = s.Cfg.RanksTotal
-	for i, mc := range s.MCs {
+	for _, mc := range mcs {
 		st := mc.Stats()
 		act.ColumnReads += st.Reads
 		act.ColumnWrites += st.Writes
-		act.BytesMoved += s.Buses[i].Stats().Bytes
+		act.BytesMoved += mc.Bus().Stats().Bytes
+		act.Ranks += len(mc.Ranks())
 		for _, rank := range mc.Ranks() {
 			for _, bank := range rank.Banks {
 				bs := bank.Stats()
@@ -523,27 +536,10 @@ func (s *System) dramActivity() power.Activity {
 	return act
 }
 
-// backingActivity sums the off-chip backing-channel counters (zero
-// Activity in StackMemory mode, where the channel is absent).
-func (s *System) backingActivity() power.Activity {
-	var act power.Activity
-	if s.Stack == nil {
-		return act
-	}
-	act.Ranks = s.Cfg.BackingRanks
-	st := s.Backing.Stats()
-	act.ColumnReads = st.Reads
-	act.ColumnWrites = st.Writes
-	act.BytesMoved = s.BackingBus.Stats().Bytes
-	for _, rank := range s.Backing.Ranks() {
-		for _, bank := range rank.Banks {
-			bs := bank.Stats()
-			act.Activates += bs.Activates
-			act.Refreshes += bs.Refreshes
-		}
-	}
-	return act
-}
+// dramActivity is the stacked channels' activity; the backing
+// channel's, accounted with off-chip DDR2 energies, is
+// activity(s.Backing).
+func (s *System) dramActivity() power.Activity { return activity(s.MCs...) }
 
 // dramParams picks the energy parameters of the stacked channel: TSV IO
 // for on-stack DRAM, off-chip DDR2 IO for the 2D organization.
@@ -572,7 +568,7 @@ func (s *System) instrumentEnergy(reg *telemetry.Registry) {
 	reg.GaugeFunc("power.energy.total_uj", func() float64 { return energy().TotalUJ() })
 	if s.Stack != nil {
 		reg.GaugeFunc("power.energy.backing_uj", func() float64 {
-			return power.Account(power.DDR2(), s.backingActivity(), s.measured(), s.Cfg.CPUMHz).TotalUJ()
+			return power.Account(power.DDR2(), activity(s.Backing), s.measured(), s.Cfg.CPUMHz).TotalUJ()
 		})
 	}
 }
@@ -597,31 +593,18 @@ func (s *System) ResetStats() {
 		s.TLBs[i].ResetStats()
 		s.ITLBs[i].ResetStats()
 	}
-	if s.Coh != nil {
-		s.Coh.ResetStats()
-	} else {
-		s.L2.ResetStats()
-	}
-	for _, mc := range s.MCs {
-		mc.ResetStats()
-		for _, rank := range mc.Ranks() {
-			for _, bank := range rank.Banks {
-				bank.ResetStats()
-			}
-		}
-	}
-	for _, b := range s.Buses {
-		b.ResetStats()
-	}
+	s.second.ResetStats()
 	if s.Stack != nil {
 		s.Stack.ResetStats()
-		s.Backing.ResetStats()
-		for _, rank := range s.Backing.Ranks() {
+	}
+	for _, ch := range s.channels {
+		ch.mc.ResetStats()
+		ch.mc.Bus().ResetStats()
+		for _, rank := range ch.mc.Ranks() {
 			for _, bank := range rank.Banks {
 				bank.ResetStats()
 			}
 		}
-		s.BackingBus.ResetStats()
 	}
 }
 
@@ -699,7 +682,7 @@ func (s *System) Collect() Metrics {
 		Config: s.Cfg.Name,
 		Cycles: uint64(elapsed),
 	}
-	missesBy := s.demandMissesByCore()
+	missesBy := s.second.DemandMissesByCore()
 	for i, c := range s.Cores {
 		c.FlushIdle(s.Engine.Now()) // make sleep-skipped cycles visible
 		st := c.Stats()
@@ -724,38 +707,6 @@ func (s *System) Collect() Metrics {
 			m.L2MissRate = float64(l2.Accesses-l2.Hits) / float64(l2.Accesses)
 		}
 		m.MSHRFullStalls = l2.MSHRStalls
-	}
-	var rowHits, dramAcc, busBusy uint64
-	for i, mc := range s.MCs {
-		st := mc.Stats()
-		rowHits += st.RowHits
-		dramAcc += st.Reads + st.Writes
-		m.DRAMReads += st.Reads
-		m.DRAMWrites += st.Writes
-		busBusy += s.Buses[i].Stats().BusyCycles
-	}
-	if dramAcc > 0 {
-		m.RowHitRate = float64(rowHits) / float64(dramAcc)
-	}
-	if elapsed > 0 {
-		m.BusUtilization = float64(busBusy) / float64(uint64(elapsed)*uint64(len(s.Buses)))
-	}
-	m.Energy = power.Account(s.dramParams(), s.dramActivity(), elapsed, s.Cfg.CPUMHz)
-	if s.Stack != nil {
-		m.EnergyBacking = power.Account(power.DDR2(), s.backingActivity(), elapsed, s.Cfg.CPUMHz)
-	}
-	var skipped, issued uint64
-	for _, mc := range s.MCs {
-		for _, rank := range mc.Ranks() {
-			skipped += rank.Skipped
-			issued += rank.Issued
-		}
-	}
-	if skipped+issued > 0 {
-		m.RefreshSkipRate = float64(skipped) / float64(skipped+issued)
-	}
-
-	if s.L2 != nil {
 		var probes, accesses uint64
 		for _, f := range s.L2.MSHRBanks() {
 			probes += f.Stats().Probes
@@ -764,9 +715,34 @@ func (s *System) Collect() Metrics {
 		if accesses > 0 {
 			m.ProbesPerAccess = float64(probes) / float64(accesses)
 		}
+		m.PrefetchL2 = s.L2.PrefetchStats()
+	}
+	var rowHits, dramAcc, busBusy, skipped, issued uint64
+	for _, mc := range s.MCs {
+		st := mc.Stats()
+		rowHits += st.RowHits
+		dramAcc += st.Reads + st.Writes
+		m.DRAMReads += st.Reads
+		m.DRAMWrites += st.Writes
+		busBusy += mc.Bus().Stats().BusyCycles
+		for _, rank := range mc.Ranks() {
+			skipped += rank.Skipped
+			issued += rank.Issued
+		}
+	}
+	if dramAcc > 0 {
+		m.RowHitRate = float64(rowHits) / float64(dramAcc)
+	}
+	if elapsed > 0 {
+		m.BusUtilization = float64(busBusy) / float64(uint64(elapsed)*uint64(len(s.MCs)))
+	}
+	m.Energy = power.Account(s.dramParams(), s.dramActivity(), elapsed, s.Cfg.CPUMHz)
+	if skipped+issued > 0 {
+		m.RefreshSkipRate = float64(skipped) / float64(skipped+issued)
 	}
 	m.Faults = s.Faults.Stats()
 	if s.Stack != nil {
+		m.EnergyBacking = power.Account(power.DDR2(), activity(s.Backing), elapsed, s.Cfg.CPUMHz)
 		m.Stack = *s.Stack.Stats()
 		m.StackHitRate = m.Stack.HitRate()
 		bst := s.Backing.Stats()
@@ -777,19 +753,7 @@ func (s *System) Collect() Metrics {
 		m.PrefetchL1.Add(s.L1s[i].PrefetchStats())
 		m.PrefetchL1.Add(s.IL1s[i].PrefetchStats())
 	}
-	if s.L2 != nil {
-		m.PrefetchL2 = s.L2.PrefetchStats()
-	}
 	return m
-}
-
-// demandMissesByCore reads the per-core demand-miss counters from
-// whichever second-level organization the machine has.
-func (s *System) demandMissesByCore() []uint64 {
-	if s.Coh != nil {
-		return s.Coh.DemandMissesByCore()
-	}
-	return s.L2.DemandMissesByCore()
 }
 
 // Digest folds the architectural state visible through statistics —
@@ -812,20 +776,11 @@ func (s *System) Digest() uint64 {
 	for _, c := range s.Cores {
 		word(c.Committed())
 	}
-	if s.Coh != nil {
-		s.Coh.DigestWords(word)
-	} else {
-		l2 := s.L2.Stats()
-		word(l2.Accesses, l2.Hits, l2.MSHRStalls)
-		for _, f := range s.L2.MSHRBanks() {
-			st := f.Stats()
-			word(st.Accesses, st.Probes)
-		}
-	}
-	for i, mc := range s.MCs {
+	s.second.DigestWords(word)
+	channelWords := func(mc *memctrl.Controller) {
 		st := mc.Stats()
 		word(st.Reads, st.Writes, st.RowHits)
-		bst := s.Buses[i].Stats()
+		bst := mc.Bus().Stats()
 		word(bst.Bytes, bst.BusyCycles)
 		for _, rank := range mc.Ranks() {
 			for _, bank := range rank.Banks {
@@ -834,20 +789,14 @@ func (s *System) Digest() uint64 {
 			}
 		}
 	}
+	for _, mc := range s.MCs {
+		channelWords(mc)
+	}
 	if s.Stack != nil {
-		st := s.Stack.Stats()
-		word(st.Probes, st.Hits, st.Misses, st.MissMerges, st.DirectReads, st.DirectWrites,
-			st.Fills, st.WritebacksIn, st.WritebacksOut, st.BackingReads, st.BackingWrites)
-		bst := s.Backing.Stats()
-		word(bst.Reads, bst.Writes, bst.RowHits)
-		bbst := s.BackingBus.Stats()
-		word(bbst.Bytes, bbst.BusyCycles)
-		for _, rank := range s.Backing.Ranks() {
-			for _, bank := range rank.Banks {
-				bs := bank.Stats()
-				word(bs.Accesses, bs.Activates, bs.Refreshes)
-			}
-		}
+		// The layer's words sit where it does: after the stacked
+		// channels it fronts, before the backing channel behind it.
+		s.Stack.DigestWords(word)
+		channelWords(s.Backing)
 	}
 	fs := s.Faults.Stats()
 	word(fs.BitErrorsCorrected, fs.BitErrorsUncorrectable, fs.ECCRetryCycles,

@@ -385,6 +385,11 @@ func TestInvariantsAfterQuiesce(t *testing.T) {
 		{config.Baseline2D(), []string{"S.all", "mcf", "qsort", "gzip"}},
 		{config.QuadMC(), []string{"S.all", "mcf", "qsort", "gzip"}},
 		{config.ManyCore(16, 4), sharers},
+		// A stack fill or a forwarded writeback holds no L2 MSHR entry:
+		// only the channel's own in-flight count and the layer's pending
+		// fetches keep the drain honest below the L2.
+		{config.Fast3D().WithStackCache(config.StackCache, 2), []string{"S.all", "mcf", "qsort", "gzip"}},
+		{config.Fast3D().WithStackCache(config.StackMemCache, 2), []string{"S.all", "mcf", "qsort", "gzip"}},
 	} {
 		cfg := short(tc.cfg)
 		sys, err := NewSystem(cfg, tc.benches)

@@ -226,12 +226,6 @@ func (c *Core) SetHandle(h *sim.TickHandle) {
 // Stats returns the counters.
 func (c *Core) Stats() *Stats { return &c.stats }
 
-// ROBOccupancy reports live ROB entries (telemetry gauge).
-func (c *Core) ROBOccupancy() int { return c.occupancy }
-
-// MemQueueDepth reports unissued memory μops (telemetry gauge).
-func (c *Core) MemQueueDepth() int { return len(c.memQ) }
-
 // Instrument registers this core's telemetry under "core<id>.*":
 // instantaneous ROB and memory-queue occupancy, L1 outstanding misses,
 // and cumulative committed μops. Pure reads — the core's behaviour is

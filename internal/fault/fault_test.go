@@ -64,11 +64,42 @@ func TestParseAndValidate(t *testing.T) {
 }
 
 func TestInjectorShapeValidation(t *testing.T) {
-	if _, err := NewInjector(&Scenario{Faults: []Spec{{Kind: KindMCStall, MC: 2}}}, 1, 2, 4); err == nil {
+	if _, err := NewInjector(&Scenario{Faults: []Spec{{Kind: KindMCStall, MC: 2}}}, 1, []int{4, 4}); err == nil {
 		t.Fatal("mc out of range must fail")
 	}
-	if _, err := NewInjector(&Scenario{Faults: []Spec{{Kind: KindRankStuck, MC: 0, Rank: 4}}}, 1, 2, 4); err == nil {
+	if _, err := NewInjector(&Scenario{Faults: []Spec{{Kind: KindRankStuck, MC: 0, Rank: 4}}}, 1, []int{4, 4}); err == nil {
 		t.Fatal("rank out of range must fail")
+	}
+}
+
+// TestBackingViewHasItsOwnRankBound covers the stack-cache shape: the
+// off-chip backing channel is listed after the stacked ones with fewer
+// ranks, and each view is bounded by its own count.
+func TestBackingViewHasItsOwnRankBound(t *testing.T) {
+	shape := []int{8, 4} // one stacked channel, then the backing one
+	stuck := func(mc, rank int) *Scenario {
+		return &Scenario{Faults: []Spec{{Kind: KindRankStuck, MC: mc, Rank: rank}}}
+	}
+	if _, err := NewInjector(stuck(1, 4), 1, shape); err == nil {
+		t.Fatal("rank 4 of the 4-rank backing channel must fail")
+	}
+	if _, err := NewInjector(stuck(2, 0), 1, shape); err == nil {
+		t.Fatal("a view past the backing channel must fail")
+	}
+	in, err := NewInjector(stuck(1, 3), 1, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !in.MC(1).RankBlocked(0, 3) || in.MC(0).RankBlocked(0, 3) {
+		t.Fatal("a fault on the backing view must hit it and only it")
+	}
+	// A broadcast fault fits the widest channel and skips narrower ones.
+	in, err = NewInjector(stuck(-1, 6), 1, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !in.MC(0).RankBlocked(0, 6) || in.MC(1).RankBlocked(0, 6) {
+		t.Fatal("broadcast rank 6 must arm the 8-rank channel and skip the 4-rank one")
 	}
 }
 
@@ -111,7 +142,7 @@ func TestWindowsAndFlap(t *testing.T) {
 		{Kind: KindMCStall, MC: 0, From: 100, Until: 200},
 		{Kind: KindMCFlap, MC: 1, From: 1000, Period: 100, Duty: 0.25},
 	}}
-	in, err := NewInjector(s, 1, 2, 2)
+	in, err := NewInjector(s, 1, []int{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +176,7 @@ func TestRankStuckAndDeadFailover(t *testing.T) {
 		{Kind: KindRankDead, MC: 0, Rank: 2, From: 0, Failover: true},
 		{Kind: KindRankDead, MC: 0, Rank: 3, From: 0},
 	}}
-	in, err := NewInjector(s, 1, 1, 4)
+	in, err := NewInjector(s, 1, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +219,7 @@ func TestLinkFaults(t *testing.T) {
 		{Kind: KindTSVDead, MC: 0, From: 300, Until: 350},
 		{Kind: KindTSVDead, MC: 0, From: 350, Until: 380}, // abuts the first
 	}}
-	in, err := NewInjector(s, 1, 1, 1)
+	in, err := NewInjector(s, 1, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +252,7 @@ func TestReadPenaltyDeterministicAcrossInjectors(t *testing.T) {
 		s := &Scenario{Seed: 42, Faults: []Spec{
 			{Kind: KindBitError, MC: -1, Prob: 0.3, UncorrectablePct: 0.5},
 		}}
-		in, err := NewInjector(s, 999, 1, 1)
+		in, err := NewInjector(s, 999, []int{1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,8 +294,8 @@ func TestSeedSelection(t *testing.T) {
 	// Scenario seed 0 defers to the run seed (mixed); explicit scenario
 	// seeds override it.
 	spec := []Spec{{Kind: KindBitError, Prob: 0.5}}
-	runSeeded, _ := NewInjector(&Scenario{Faults: spec}, 1, 1, 1)
-	runSeeded2, _ := NewInjector(&Scenario{Faults: spec}, 2, 1, 1)
+	runSeeded, _ := NewInjector(&Scenario{Faults: spec}, 1, []int{1})
+	runSeeded2, _ := NewInjector(&Scenario{Faults: spec}, 2, []int{1})
 	same := 0
 	for i := 0; i < 100; i++ {
 		if runSeeded.MC(0).ReadPenalty(0, 12) == runSeeded2.MC(0).ReadPenalty(0, 12) {
@@ -278,7 +309,7 @@ func TestSeedSelection(t *testing.T) {
 
 func TestMSHRParityUsesClock(t *testing.T) {
 	s := &Scenario{Faults: []Spec{{Kind: KindMSHRParity, From: 100, Until: 200, Prob: 1}}}
-	in, err := NewInjector(s, 1, 1, 1)
+	in, err := NewInjector(s, 1, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +334,7 @@ func TestMSHRParityUsesClock(t *testing.T) {
 }
 
 func TestInstrumentRegistersFaultMetrics(t *testing.T) {
-	in, err := NewInjector(&Scenario{Faults: []Spec{{Kind: KindMCStall, From: 0}}}, 1, 1, 1)
+	in, err := NewInjector(&Scenario{Faults: []Spec{{Kind: KindMCStall, From: 0}}}, 1, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}

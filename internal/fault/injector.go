@@ -64,34 +64,15 @@ type Injector struct {
 // which are seeded from the same run seed (splitmix64's increment).
 const seedMix = int64(-0x61c8864680b583eb) // 0x9e3779b97f4a7c15 as int64
 
-// NewInjector compiles scenario for a machine with mcs controllers of
-// ranksPerMC ranks each, validating per-machine bounds. A nil or
-// fault-free scenario still yields a working (but inert) injector;
-// callers that want full disablement pass no scenario and keep a nil
-// *Injector instead.
-func NewInjector(scenario *Scenario, runSeed int64, mcs, ranksPerMC int) (*Injector, error) {
-	ranks := make([]int, mcs)
-	for i := range ranks {
-		ranks[i] = ranksPerMC
-	}
-	return newInjector(scenario, runSeed, ranks)
-}
-
-// NewInjectorWithBacking is NewInjector for a machine whose mcs stacked
-// controllers are backed by one off-chip controller (view index mcs)
-// with backingRanks ranks, so scenarios can also target the backing
-// channel of a stack-cache configuration.
-func NewInjectorWithBacking(scenario *Scenario, runSeed int64, mcs, ranksPerMC, backingRanks int) (*Injector, error) {
-	ranks := make([]int, mcs, mcs+1)
-	for i := range ranks {
-		ranks[i] = ranksPerMC
-	}
-	return newInjector(scenario, runSeed, append(ranks, backingRanks))
-}
-
-// newInjector compiles scenario for a machine with one controller per
-// entry of ranksByMC (each entry that controller's rank count).
-func newInjector(scenario *Scenario, runSeed int64, ranksByMC []int) (*Injector, error) {
+// NewInjector compiles scenario for a machine with one channel per
+// entry of ranksByMC — each entry that channel's rank count, view m
+// serving channel m — validating per-machine bounds. A stack-cache
+// machine lists its off-chip backing channel after the stacked ones, so
+// scenarios can target it with its own rank bound. A nil or fault-free
+// scenario still yields a working (but inert) injector; callers that
+// want full disablement pass no scenario and keep a nil *Injector
+// instead.
+func NewInjector(scenario *Scenario, runSeed int64, ranksByMC []int) (*Injector, error) {
 	if err := scenario.Validate(); err != nil {
 		return nil, err
 	}

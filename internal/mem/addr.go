@@ -59,9 +59,6 @@ func (m AddrMap) Validate() error {
 	return nil
 }
 
-// TotalRanks reports the rank count across all controllers.
-func (m AddrMap) TotalRanks() int { return m.MCs * m.RanksPerMC }
-
 // Line returns the line-aligned address containing a.
 func (m AddrMap) Line(a Addr) Addr { return a &^ Addr(m.LineBytes-1) }
 

@@ -10,6 +10,7 @@
 package memctrl
 
 import (
+	"errors"
 	"fmt"
 
 	"stackedsim/internal/bus"
@@ -136,6 +137,11 @@ func (c *Controller) ID() int { return c.p.ID }
 // the power model reads bank counters through it).
 func (c *Controller) Ranks() []*dram.Rank { return c.p.Ranks }
 
+// Bus exposes the channel's data bus: a controller, its bus and its
+// ranks are one memory channel, and whoever walks channels reaches all
+// three through the controller.
+func (c *Controller) Bus() *bus.Bus { return c.p.DataBus }
+
 // Stats returns the counters.
 func (c *Controller) Stats() *Stats { return &c.stats }
 
@@ -146,6 +152,31 @@ func (c *Controller) SetFaults(v *fault.MCView) { c.flt = v }
 
 // QueueLen reports the current MRQ occupancy.
 func (c *Controller) QueueLen() int { return c.queue.Len() }
+
+// InFlight counts the requests the controller still owns: those queued
+// in the MRQ plus the scheduled accesses whose burst has not ended —
+// they wait in the done queue until the response callback fires, so an
+// empty MRQ alone does not mean an idle channel.
+func (c *Controller) InFlight() int { return c.queue.Len() + c.done.Len() }
+
+// CheckDrained reports what a quiesced channel must not show: requests
+// still held, or counters that do not balance.
+func (c *Controller) CheckDrained() error {
+	var errs []error
+	st, id := &c.stats, c.p.ID
+	// Warmup stragglers can complete after the reset (completed >
+	// scheduled); completions falling short means requests vanished.
+	if st.Completed < st.Reads+st.Writes {
+		errs = append(errs, fmt.Errorf("mc%d: %d scheduled but only %d completed", id, st.Reads+st.Writes, st.Completed))
+	}
+	if n := c.InFlight(); n != 0 {
+		errs = append(errs, fmt.Errorf("mc%d: holds %d requests after quiesce (%d stuck in the MRQ)", id, n, c.queue.Len()))
+	}
+	if st.RowHits > st.Reads+st.Writes {
+		errs = append(errs, fmt.Errorf("mc%d: more row hits (%d) than accesses (%d)", id, st.RowHits, st.Reads+st.Writes))
+	}
+	return errors.Join(errs...)
+}
 
 // Instrument registers the controller's metrics under "mc<id>.*" and
 // attaches the tracer: MRQ depth as a live gauge, cumulative

@@ -14,7 +14,7 @@ import (
 // the given scenario compiled for its shape.
 func faultSetup(t *testing.T, nRanks int, respond func(*mem.Request, sim.Cycle), specs ...fault.Spec) (*Controller, *fault.Injector) {
 	t.Helper()
-	in, err := fault.NewInjector(&fault.Scenario{Faults: specs}, 1, 1, nRanks)
+	in, err := fault.NewInjector(&fault.Scenario{Faults: specs}, 1, []int{nRanks})
 	if err != nil {
 		t.Fatal(err)
 	}

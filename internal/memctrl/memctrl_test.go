@@ -57,6 +57,33 @@ func TestSingleReadCompletes(t *testing.T) {
 	}
 }
 
+// TestInFlightCoversScheduledAccesses pins what "drained" means for a
+// channel: a scheduled access has left the MRQ but stays in flight —
+// and fails CheckDrained — until its response callback has fired.
+func TestInFlightCoversScheduledAccesses(t *testing.T) {
+	responded := false
+	c, _ := testSetup(t, true, func(*mem.Request, sim.Cycle) { responded = true })
+	if c.InFlight() != 0 || c.CheckDrained() != nil {
+		t.Fatalf("idle controller: InFlight %d, CheckDrained %v", c.InFlight(), c.CheckDrained())
+	}
+	c.Submit(req(1, 0x1000, mem.Read), 0)
+	if c.InFlight() != 1 {
+		t.Fatalf("InFlight = %d with one queued request, want 1", c.InFlight())
+	}
+	c.Tick(1) // scheduled: out of the MRQ, burst ends at cycle 29
+	for now := sim.Cycle(2); now < 29; now++ {
+		c.Tick(now)
+		if c.QueueLen() != 0 || c.InFlight() != 1 || c.CheckDrained() == nil || responded {
+			t.Fatalf("cycle %d: MRQ %d, InFlight %d, CheckDrained %v, responded %v; want a scheduled access in flight",
+				now, c.QueueLen(), c.InFlight(), c.CheckDrained(), responded)
+		}
+	}
+	c.Tick(29)
+	if !responded || c.InFlight() != 0 || c.CheckDrained() != nil {
+		t.Fatalf("after the response: responded %v, InFlight %d, CheckDrained %v", responded, c.InFlight(), c.CheckDrained())
+	}
+}
+
 func TestMRQCapacityRejects(t *testing.T) {
 	c, _ := testSetup(t, true, nil)
 	for i := 0; i < 8; i++ {

@@ -10,7 +10,7 @@ import (
 func TestProbeParityCostsOneReProbe(t *testing.T) {
 	in, err := fault.NewInjector(&fault.Scenario{Faults: []fault.Spec{
 		{Kind: fault.KindMSHRParity, Prob: 1},
-	}}, 1, 1, 1)
+	}}, 1, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}

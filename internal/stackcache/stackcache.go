@@ -496,6 +496,35 @@ func (l *Layer) ResetStats() {
 	l.tags.ResetStats()
 }
 
+// DigestWords folds the layer's counters into a run digest via emit,
+// in a fixed order.
+func (l *Layer) DigestWords(emit func(...uint64)) {
+	st := &l.stats
+	emit(st.Probes, st.Hits, st.Misses, st.MissMerges, st.DirectReads, st.DirectWrites,
+		st.Fills, st.WritebacksIn, st.WritebacksOut, st.BackingReads, st.BackingWrites)
+}
+
+// InFlight counts the work the layer still holds: block fetches in
+// flight, traffic waiting for a full MRQ, and tag decisions not yet
+// due. A fill or a forwarded writeback holds no L2 MSHR entry, so
+// nothing above the layer vouches for it. Zero exactly when the layer
+// has drained.
+func (l *Layer) InFlight() int {
+	n := len(l.pending) + len(l.backQ) + l.events.Len()
+	for _, q := range l.stackQ {
+		n += len(q)
+	}
+	return n
+}
+
+// CheckDrained reports a quiesced layer that still holds work.
+func (l *Layer) CheckDrained() error {
+	if n := l.InFlight(); n != 0 {
+		return fmt.Errorf("stack layer holds %d requests after quiesce: %s", n, l.Debug())
+	}
+	return nil
+}
+
 // Debug summarizes live layer state for diagnostics.
 func (l *Layer) Debug() string {
 	s := fmt.Sprintf("stackcache{mode=%s pending=%d backQ=%d", l.mode, len(l.pending), len(l.backQ))

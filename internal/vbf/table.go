@@ -139,12 +139,6 @@ func (t *Table) Free(slot int) {
 	t.live--
 }
 
-// Key reports the key stored in slot (only meaningful while occupied).
-func (t *Table) Key(slot int) uint64 { return t.keys[slot] }
-
-// Occupied reports whether slot holds a live entry.
-func (t *Table) Occupied(slot int) bool { return t.occupied[slot] }
-
 // Reset empties the table without changing the limit.
 func (t *Table) Reset() {
 	t.m.Reset()
