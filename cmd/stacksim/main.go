@@ -60,6 +60,7 @@ import (
 	"stackedsim/internal/fault"
 	"stackedsim/internal/ledger"
 	"stackedsim/internal/monitor"
+	"stackedsim/internal/sim"
 	"stackedsim/internal/telemetry"
 	"stackedsim/internal/trace"
 	"stackedsim/internal/workload"
@@ -424,7 +425,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if collectEvery < 1 {
 			collectEvery = 1000
 		}
-		sys.Engine.RegisterEvery(collectEvery, 0, mon)
+		sys.Engine.RegisterEvery(collectEvery, 0, sim.TickFunc(func(now sim.Cycle) {
+			// The snapshot carries the MSHR probe distributions, which a
+			// sleeping L2 counts lazily.
+			sys.FlushIdle()
+			mon.Collect(now)
+		}))
 	}
 
 	// One run loop for every single run: a plain run is a checkpointed

@@ -207,6 +207,11 @@ func (l *L1) Latency() sim.Cycle { return l.latency }
 // OutstandingMisses reports live MSHR entries.
 func (l *L1) OutstandingMisses() int { return len(l.misses) }
 
+// InFlight counts what the controller still holds: live MSHR entries
+// and requests the level below rejected — among them victim writebacks,
+// which hold no entry. Zero exactly when the L1 has drained.
+func (l *L1) InFlight() int { return len(l.misses) + len(l.retry) }
+
 func (l *L1) line(a mem.Addr) mem.Addr { return a &^ mem.Addr(l.lineBytes-1) }
 
 // Access performs a load or store at cycle now. On Hit the caller should

@@ -33,6 +33,16 @@ type unissuedEntry struct {
 	e       *mshr.Entry
 }
 
+// mshrWaiters is one MSHR bank's set-aside misses, oldest first. Every
+// L2 tick polls the head; a head the full bank turned away gets the same
+// answer at the same cost until a fill or a raised limit changes the
+// bank, so the polls of cycles the L2 sleeps through are not made but
+// counted (settle), from what the last real poll cost.
+type mshrWaiters struct {
+	q      sim.Queue[*mem.Request]
+	probes int // entry probes the bank's lookup of the head took
+}
+
 // l2bank is one bank of the shared cache: its own array slice and a
 // bounded input queue, accepting one request per cycle.
 type l2bank struct {
@@ -71,11 +81,11 @@ type L2 struct {
 
 	mcs      []Port
 	unissued [][]unissuedEntry // per MC: allocated but not yet in the MRQ
-	wbQ      [][]*mem.Request
+	wbQ      []sim.Queue[*mem.Request]
 	// mshrWait holds misses that found their MSHR bank full. They are
 	// set aside (the bank pipeline keeps flowing — a full MSHR must not
 	// head-of-line-block unrelated hits) and retried as entries free up.
-	mshrWait [][]*mem.Request
+	mshrWait []mshrWaiters
 
 	ids      *mem.IDSource
 	stride   *prefetch.Stride
@@ -106,8 +116,12 @@ type L2 struct {
 	attrib *attrib.Collector
 
 	// handle, when set, lets the L2 sleep until its next self-scheduled
-	// event or queued work; Submit and queueWriteback wake it.
-	handle *sim.TickHandle
+	// event or queued work; Submit, queueWriteback, a fill into a bank
+	// with set-aside misses and a raised MSHR limit wake it. lastTick is
+	// the last cycle whose polls of the set-aside heads are counted, made
+	// (Tick) or settled (FlushIdle).
+	handle   *sim.TickHandle
+	lastTick sim.Cycle
 
 	// Prebuilt callbacks so the hot path schedules events and issues
 	// reads without allocating closures: completeReq finishes a request
@@ -151,7 +165,7 @@ func NewL2(p L2Params) *L2 {
 		mshrLat:      sim.Cycle(cfg.MSHRBankLat),
 		missesBy:     make([]uint64, cfg.Cores),
 		unissued:     make([][]unissuedEntry, cfg.MCs),
-		wbQ:          make([][]*mem.Request, cfg.MCs),
+		wbQ:          make([]sim.Queue[*mem.Request], cfg.MCs),
 		crossPenalty: 0,
 	}
 	if !cfg.L2PageInterleave && cfg.MCs > 1 {
@@ -176,7 +190,7 @@ func NewL2(p L2Params) *L2 {
 		l.mshrBanks = append(l.mshrBanks, mshr.New(cfg.L2MSHRKind, perMSHRBank))
 	}
 	l.mshrBusy = make([]sim.Cycle, mshrBanks)
-	l.mshrWait = make([][]*mem.Request, mshrBanks)
+	l.mshrWait = make([]mshrWaiters, mshrBanks)
 	if cfg.L2Prefetch {
 		l.stride = prefetch.NewStride(256)
 	}
@@ -193,12 +207,15 @@ func NewL2(p L2Params) *L2 {
 
 // Register adds the L2 to the engine's tick order and arms the idle
 // fast-path: after each Tick the L2 sleeps until its earliest pending
-// event or queued request could act, staying awake whenever any
-// per-cycle retry loop (set-aside misses, deferred MC submissions) has
-// work.
+// event or queued request could act, staying awake while deferred MC
+// submissions retry every cycle. Set-aside misses do not keep it awake:
+// whatever can change what a full MSHR bank tells them wakes it.
 func (l *L2) Register(e *sim.Engine) {
 	l.handle = e.RegisterEvery(1, 0, l)
 	l.handle.SleepUntil(sim.FarFuture)
+	for _, f := range l.mshrBanks {
+		f.WakeOnGrow(l.handle)
+	}
 }
 
 // MSHRBanks exposes the MSHR files (for the dynamic resizer and stats).
@@ -216,8 +233,8 @@ func (l *L2) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	reg.GaugeFunc("l2.mshr.stalls", func() float64 { return float64(l.stats.MSHRStalls) })
 	reg.GaugeFunc("l2.mshr.waiters", func() float64 {
 		n := 0
-		for _, q := range l.mshrWait {
-			n += len(q)
+		for m := range l.mshrWait {
+			n += l.mshrWait[m].q.Len()
 		}
 		return float64(n)
 	})
@@ -253,6 +270,15 @@ func (l *L2) AttachAttrib(col *attrib.Collector) { l.attrib = col }
 // Stats returns the counters.
 func (l *L2) Stats() *L2Stats { return &l.stats }
 
+// ArrayStats returns each bank array's counters, in bank order.
+func (l *L2) ArrayStats() []*ArrayStats {
+	out := make([]*ArrayStats, len(l.banks))
+	for i, b := range l.banks {
+		out[i] = b.arr.Stats()
+	}
+	return out
+}
+
 // DemandMissesByCore reports per-core L2 demand misses (for MPKI).
 func (l *L2) DemandMissesByCore() []uint64 { return l.missesBy }
 
@@ -276,10 +302,10 @@ func (l *L2) InFlight() int {
 		n += b.inq.Len()
 	}
 	for m, f := range l.mshrBanks {
-		n += f.Len() + len(l.mshrWait[m])
+		n += f.Len() + l.mshrWait[m].q.Len()
 	}
-	for _, q := range l.wbQ {
-		n += len(q)
+	for m := range l.wbQ {
+		n += l.wbQ[m].Len()
 	}
 	return n
 }
@@ -366,8 +392,13 @@ func (l *L2) Submit(r *mem.Request, now sim.Cycle) bool {
 
 // Tick processes one cycle: due events (hit completions, fills), then
 // set-aside misses waiting on MSHR space, then one request per free
-// bank, then MC submission retries.
+// bank, then MC submission retries. The cycles slept through since the
+// last tick are settled first.
 func (l *L2) Tick(now sim.Cycle) {
+	if l.handle != nil {
+		l.settle(now - l.lastTick - 1)
+		l.lastTick = now
+	}
 	l.now = now
 	l.events.FireDue(now)
 	l.drainMSHRWaiters(now)
@@ -378,24 +409,71 @@ func (l *L2) Tick(now sim.Cycle) {
 	l.sched(now)
 }
 
-// sched chooses how long the L2 can sleep after ticking at now. Any
-// per-cycle retry loop with work pins it awake: set-aside misses
-// re-probe the array every cycle (a deliberate LRU side effect), and
-// deferred MC submissions retry — and count rejects — every cycle.
-// Otherwise the next work is the earliest pending event or the
-// earliest cycle a non-empty bank queue can be served.
+// FlushIdle settles the set-aside polls of a sleeping L2 up to and
+// including cycle now, exactly as if it had ticked on every cycle.
+// Anything that reads or resets the L2's stats, its bank arrays' or its
+// MSHR banks' mid-run (warmup boundary, collection, digest, drain) must
+// flush first, and from after the L2's slot in cycle now: between engine
+// steps, or from a component registered later. A nil L2 is a no-op.
+func (l *L2) FlushIdle(now sim.Cycle) {
+	if l == nil || l.handle == nil || now <= l.lastTick {
+		return
+	}
+	l.settle(now - l.lastTick)
+	l.lastTick = now
+}
+
+// settle counts the polls of the k cycles after lastTick, which the L2
+// slept through: each would have looked the head of every wait queue up
+// in its bank array (a miss) and in its full MSHR bank (a miss costing
+// what the last real poll cost — the table cannot change while the bank
+// is full), after waiting for the MSHR bank's port. Nothing that decides
+// any of this moves while the L2 sleeps: lines enter the array and
+// entries leave the MSHR only in handleFill, the limit rises only in
+// SetLimit, both wake it, and mshrBusy moves only in its own ticks.
+func (l *L2) settle(k sim.Cycle) {
+	if k <= 0 {
+		return
+	}
+	for m := range l.mshrWait {
+		w := &l.mshrWait[m]
+		r, ok := w.q.Peek()
+		if !ok {
+			continue
+		}
+		l.banks[l.bankFor(r.Line)].arr.stats.Lookups += uint64(k)
+		l.mshrBanks[m].Relookup(w.probes, uint64(k))
+		// The poll at cycle c waits mshrBusy − (c + latency + crossPenalty)
+		// cycles for the port when that is positive: a series falling by
+		// one per cycle from its value on the first skipped cycle.
+		if first := l.mshrBusy[m] - (l.lastTick + 1 + l.latency + l.crossPenalty); first > 0 {
+			n := min(first, k)
+			l.stats.ProbeStalls += uint64(n*first - n*(n-1)/2)
+		}
+	}
+}
+
+// sched chooses how long the L2 can sleep after ticking at now. Deferred
+// MC submissions pin it awake: they retry — and count rejects — every
+// cycle. A set-aside head a full bank turned away does not: handleFill
+// and a raised limit, the only things that can change the answer, wake
+// the L2, and settle counts the polls in between. The exception is a
+// bank whose lookups draw from the fault injector's shared random
+// stream, where every poll is an event of its own. Otherwise the next
+// work is the earliest pending event or the earliest cycle a non-empty
+// bank queue can be served.
 func (l *L2) sched(now sim.Cycle) {
 	if l.handle == nil {
 		return
 	}
 	for m := range l.mshrWait {
-		if len(l.mshrWait[m]) > 0 {
+		if !l.mshrWait[m].q.Empty() && l.mshrBanks[m].DrawsFaults() {
 			l.handle.SleepUntil(now + 1)
 			return
 		}
 	}
 	for m := range l.mcs {
-		if len(l.unissued[m]) > 0 || len(l.wbQ[m]) > 0 {
+		if len(l.unissued[m]) > 0 || l.wbQ[m].Len() > 0 {
 			l.handle.SleepUntil(now + 1)
 			return
 		}
@@ -424,9 +502,8 @@ func (l *L2) sched(now sim.Cycle) {
 // request in the meantime, in which case it completes as a hit.
 func (l *L2) drainMSHRWaiters(now sim.Cycle) {
 	for m := range l.mshrWait {
-		q := l.mshrWait[m]
-		for len(q) > 0 {
-			r := q[0]
+		w := &l.mshrWait[m]
+		for r, ok := w.q.Peek(); ok; r, ok = w.q.Peek() {
 			if l.banks[l.bankFor(r.Line)].arr.Lookup(l.toLocal(r.Line)) {
 				l.stats.Hits++
 				l.notePrefetchUse(r.Line)
@@ -438,15 +515,12 @@ func (l *L2) drainMSHRWaiters(now sim.Cycle) {
 				l.attrib.Finish(r.Attrib, done)
 				r.Attrib = nil
 				l.events.AtCall(done, l.completeReq, r)
-				q = q[1:]
-				continue
-			}
-			if !l.missPath(r, now) {
+			} else if probes, fit := l.missPath(r, now); !fit {
+				w.probes = probes
 				break // still full; preserve order
 			}
-			q = q[1:]
+			w.q.Pop()
 		}
-		l.mshrWait[m] = q
 	}
 }
 
@@ -496,13 +570,16 @@ func (l *L2) tickBank(b *l2bank, now sim.Cycle) {
 		if r.Attrib == nil && r.Kind.IsDemand() && r.Core >= 0 {
 			r.Attrib = l.attrib.NewTag(now, r.Core)
 		}
-		if !l.missPath(r, now) {
+		if probes, ok := l.missPath(r, now); !ok {
 			// MSHR full: set the miss aside so the bank keeps
 			// serving unrelated requests (the capacity pressure the
 			// Section 5 experiments measure).
 			l.stats.MSHRStalls++
-			m := l.mshrFor(r.Line)
-			l.mshrWait[m] = append(l.mshrWait[m], r)
+			w := &l.mshrWait[l.mshrFor(r.Line)]
+			if w.q.Empty() {
+				w.probes = probes // r is the head, and this was its poll
+			}
+			w.q.Push(r)
 		}
 		b.inq.Pop()
 		b.busy = now + 1
@@ -511,8 +588,9 @@ func (l *L2) tickBank(b *l2bank, now sim.Cycle) {
 }
 
 // missPath runs the MSHR lookup/merge/allocate sequence for r. It
-// reports false when the request cannot make progress (MSHR full).
-func (l *L2) missPath(r *mem.Request, now sim.Cycle) bool {
+// reports false when the request cannot make progress (MSHR full), and
+// the entry probes the lookup took either way.
+func (l *L2) missPath(r *mem.Request, now sim.Cycle) (probes int, ok bool) {
 	m := l.mshrFor(r.Line)
 	f := l.mshrBanks[m]
 	// The probe occupies the MSHR bank; model its serialization.
@@ -530,7 +608,7 @@ func (l *L2) missPath(r *mem.Request, now sim.Cycle) bool {
 			l.trace.Instant(l.coreTracks[r.Core], "mshr.merge", now,
 				fmt.Sprintf(`{"req":%d,"line":"%#x"}`, r.ID, uint64(r.Line)))
 		}
-		return true
+		return probes, true
 	}
 	if f.Full() {
 		if r.Kind == mem.Prefetch && r.Core >= 0 {
@@ -540,15 +618,14 @@ func (l *L2) missPath(r *mem.Request, now sim.Cycle) bool {
 			l.mshrBusy[m] = start + busyFor
 			r.Dropped = true
 			r.Complete(now)
-			return true
+			return probes, true
 		}
 		// Demand misses wait for an entry. (L2-internal prefetches
 		// never enter this path — trainPrefetch checks capacity.)
-		return false
+		return probes, false
 	}
-	entry, ok := f.Allocate(r.Line, r)
-	if !ok {
-		return false
+	if entry, ok = f.Allocate(r.Line, r); !ok {
+		return probes, false
 	}
 	l.mshrBusy[m] = start + busyFor + l.mshrLat // allocation write
 	r.Attrib.Alloc(l.mshrBusy[m])
@@ -567,7 +644,7 @@ func (l *L2) missPath(r *mem.Request, now sim.Cycle) bool {
 	}
 	// Issue toward the MC once the MSHR access completes.
 	l.events.AtCall(l.mshrBusy[m], l.issueEntry, entry)
-	return true
+	return probes, true
 }
 
 // issue sends the entry's memory read to its controller, deferring on a
@@ -608,11 +685,10 @@ func (l *L2) issue(mshrIdx int, e *mshr.Entry) {
 func (l *L2) retryMCs(now sim.Cycle) {
 	for m := range l.mcs {
 		// Writebacks first: they hold no MSHR and starve nothing above.
-		wq := l.wbQ[m]
-		for len(wq) > 0 && l.mcs[m].Submit(wq[0], now) {
-			wq = wq[1:]
+		wq := &l.wbQ[m]
+		for wb, ok := wq.Peek(); ok && l.mcs[m].Submit(wb, now); wb, ok = wq.Peek() {
+			wq.Pop()
 		}
-		l.wbQ[m] = wq
 		uq := l.unissued[m]
 		kept := uq[:0]
 		for i, u := range uq {
@@ -683,11 +759,19 @@ func (l *L2) handleFill(mshrIdx int, e *mshr.Entry, read *mem.Request, at sim.Cy
 			l.attrib.FinishMerged(w.Attrib, at)
 		}
 		if w.Core < 0 && w.Kind == mem.Prefetch {
-			continue // L2-originated prefetch: the fill was the point
+			// L2-originated prefetch: the fill was the point, and nobody
+			// above waits for the request trainPrefetch built.
+			l.ids.Recycle(w)
+			continue
 		}
 		w.Complete(at) // wakes the L1 fill handler (or the L1 prefetch)
 	}
 	l.mshrBanks[mshrIdx].Release(e)
+	if !l.mshrWait[mshrIdx].q.Empty() {
+		// The bank's set-aside head now finds its line resident or an
+		// entry free: poll it on the next cycle the L2's slot comes up.
+		l.handle.Wake()
+	}
 }
 
 // notePrefetchUse marks a demand touch on a line: if an L2 prefetch
@@ -715,7 +799,7 @@ func (l *L2) PrefetchStats() prefetch.Stats {
 func (l *L2) queueWriteback(wb *mem.Request, at sim.Cycle) {
 	m := l.mcFor(wb.Line)
 	if !l.mcs[m].Submit(wb, at) {
-		l.wbQ[m] = append(l.wbQ[m], wb)
+		l.wbQ[m].Push(wb)
 		l.handle.Wake()
 	}
 }
@@ -753,6 +837,7 @@ func (l *L2) trainPrefetch(now sim.Cycle, r *mem.Request) {
 	pf.Born = now
 	entry, ok2 := f.Allocate(line, pf)
 	if !ok2 {
+		l.ids.Recycle(pf)
 		return
 	}
 	l.events.AtCall(now+l.mshrLat, l.issueEntry, entry)

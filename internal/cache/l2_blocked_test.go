@@ -1,0 +1,288 @@
+package cache
+
+import (
+	"reflect"
+	"testing"
+
+	"stackedsim/internal/config"
+	"stackedsim/internal/mem"
+	"stackedsim/internal/mshr"
+	"stackedsim/internal/sim"
+	"stackedsim/internal/stats"
+)
+
+// The scripts below drive an L2 whose single MSHR bank holds one entry,
+// under an engine, against a memory that fills exactly when told. They
+// run once with SetFullTick(true) — the L2 polls its set-aside head on
+// every cycle — and once scheduled — it sleeps on the blocked head and
+// settles the polls it skipped — and require the same counters, the
+// same completion and re-issue cycles, and the values worked out by
+// hand in the comments.
+//
+// Geometry: one array bank, one MC, a two-slot linear-probe MSHR bank
+// limited to one entry, so a lookup that misses always costs 2 probes;
+// L2 latency 9, MSHR probe latency 5, so an allocation at cycle c holds
+// the bank's port until c + 9 + 2*5 + 5 and issues its read then.
+
+const (
+	lineA = mem.Addr(0x1000)
+	lineB = mem.Addr(0x2000)
+	lineC = mem.Addr(0x3000)
+	lineP = mem.Addr(0x4000)
+)
+
+// scriptedMem is the memory below the L2: it accepts every request,
+// records when each line's read arrived, and completes a line's read on
+// the cycle fillAt names.
+type scriptedMem struct {
+	fillAt   map[mem.Addr]sim.Cycle
+	submitAt map[mem.Addr]sim.Cycle
+	pending  []*mem.Request
+}
+
+func (m *scriptedMem) Submit(r *mem.Request, now sim.Cycle) bool {
+	m.submitAt[r.Line] = now
+	m.pending = append(m.pending, r)
+	return true
+}
+
+func (m *scriptedMem) Tick(now sim.Cycle) {
+	for i, r := range m.pending {
+		if m.fillAt[r.Line] == now {
+			m.pending = append(m.pending[:i], m.pending[i+1:]...)
+			r.Complete(now)
+			return
+		}
+	}
+}
+
+type blockedRig struct {
+	eng     *sim.Engine
+	l2      *L2
+	mem     *scriptedMem
+	l2Index int // the L2's position in the engine's tick order
+	doneAt  map[uint64]sim.Cycle
+	nextID  uint64
+}
+
+// newBlockedRig builds the machine. memFirst registers the memory before
+// the L2, so a fill at cycle c reaches the L2's own slot in cycle c;
+// otherwise it lands after that slot, as fills from the controllers do.
+func newBlockedRig(fullTick, memFirst bool, fillAt map[mem.Addr]sim.Cycle) *blockedRig {
+	cfg := config.QuadMC()
+	cfg.MCs = 1
+	cfg.L2Banks = 1
+	cfg.L2SizeKB = 1024
+	cfg.L2Prefetch = false
+	cfg.L2MSHRs, cfg.L2MSHRMult = 2, 1
+	cfg.L2MSHRKind = config.MSHRLinearProbe
+	cfg.MSHRBankLat = 5
+	amap := mem.AddrMap{
+		LineBytes: cfg.LineBytes, PageBytes: cfg.PageBytes,
+		MCs: 1, RanksPerMC: cfg.RanksTotal, Banks: cfg.BanksPerRank,
+	}
+	rg := &blockedRig{
+		eng:    sim.NewEngine(),
+		mem:    &scriptedMem{fillAt: fillAt, submitAt: map[mem.Addr]sim.Cycle{}},
+		doneAt: map[uint64]sim.Cycle{},
+	}
+	rg.eng.SetFullTick(fullTick)
+	rg.l2 = NewL2(L2Params{Cfg: cfg, AMap: amap, MCs: []Port{rg.mem}, IDs: &mem.IDSource{}})
+	rg.l2.MSHRBanks()[0].SetLimit(1)
+	if memFirst {
+		rg.eng.Register(rg.mem)
+		rg.l2Index = 1
+	}
+	rg.l2.Register(rg.eng)
+	if !memFirst {
+		rg.eng.Register(rg.mem)
+	}
+	return rg
+}
+
+// submit hands the L2 a request for line from core 0 and returns its ID.
+func (rg *blockedRig) submit(t *testing.T, kind mem.Kind, line mem.Addr) uint64 {
+	t.Helper()
+	rg.nextID++
+	r := &mem.Request{ID: rg.nextID, Kind: kind, Addr: line, Line: line, Core: 0, Born: rg.eng.Now()}
+	r.OnDone = func(r *mem.Request, now sim.Cycle) { rg.doneAt[r.ID] = now }
+	if !rg.l2.Submit(r, rg.eng.Now()) {
+		t.Fatalf("L2 rejected request %d", r.ID)
+	}
+	return r.ID
+}
+
+func (rg *blockedRig) runTo(c sim.Cycle) { rg.eng.Run(c - rg.eng.Now()) }
+
+// blockedCounters is everything the polls of a set-aside head count.
+type blockedCounters struct {
+	L2    L2Stats
+	Array ArrayStats
+	MSHR  mshr.Stats
+}
+
+// counters flushes, as every reader of a sleeping L2's counters must,
+// and snapshots them (the histogram by value: ResetStats replaces it).
+func (rg *blockedRig) counters() blockedCounters {
+	rg.l2.FlushIdle(rg.eng.Now())
+	c := blockedCounters{*rg.l2.Stats(), *rg.l2.ArrayStats()[0], *rg.l2.MSHRBanks()[0].Stats()}
+	h := *c.MSHR.ProbeCounts
+	c.MSHR.ProbeCounts = &h
+	return c
+}
+
+func (rg *blockedRig) l2Ticks() uint64 { return rg.eng.TicksByComponent()[rg.l2Index] }
+
+// blockedResult is what a script leaves behind, compared between the
+// full-tick and the scheduled engine.
+type blockedResult struct {
+	Warm, Measured blockedCounters
+	DoneAt         map[uint64]sim.Cycle
+	SubmitAt       map[mem.Addr]sim.Cycle
+}
+
+// probeHistogram is the MSHR bank's probe histogram after n lookups of 2
+// probes each (three buckets: capacity + 1).
+func probeHistogram(n uint64) *stats.Histogram {
+	h := stats.NewHistogram(3)
+	h.AddN(2, n)
+	return h
+}
+
+// TestBlockedHeadWaitsForFill: A takes the one entry at cycle 1; B, C and
+// a second request for B's line are set aside at cycles 2, 3 and 4. The
+// statistics are reset after cycle 7, in the middle of the first span; an
+// L1 prefetch arrives at cycle 31 and is dropped on the full bank, which
+// moves the port's busy time under the waiting head. A fills at 60, so B
+// takes the entry and C becomes the blocked head; B fills at 120, so C
+// takes it and B's second request, resident by then, completes as a hit.
+func TestBlockedHeadWaitsForFill(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		memFirst bool
+		// B and C are re-polled the cycle after A's and B's fill, or on
+		// the very cycle when the memory ticks before the L2.
+		pollB, pollC sim.Cycle
+		accesses     uint64
+	}{
+		// Lookups after the reset: B's polls on cycles 8..61, the prefetch
+		// at 31, C's polls on 61..121.
+		{"fill after the L2's slot", false, 61, 121, 54 + 1 + 61},
+		// B's polls on 8..60, the prefetch, C's on 60..120.
+		{"fill before the L2's slot", true, 60, 120, 53 + 1 + 61},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var b, c, b2, p uint64
+			run := func(fullTick bool) (blockedResult, uint64) {
+				rg := newBlockedRig(fullTick, tc.memFirst,
+					map[mem.Addr]sim.Cycle{lineA: 60, lineB: 120, lineC: 180})
+				rg.submit(t, mem.Read, lineA)
+				b = rg.submit(t, mem.Read, lineB)
+				c = rg.submit(t, mem.Read, lineC)
+				b2 = rg.submit(t, mem.Read, lineB)
+				rg.runTo(7)
+				var res blockedResult
+				res.Warm = rg.counters()
+				rg.l2.ResetStats()
+				rg.runTo(30)
+				// An L1 prefetch cannot itself be set aside: a full bank
+				// drops it on the spot. What it does to a waiting head is
+				// move mshrBusy, from inside a real tick.
+				p = rg.submit(t, mem.Prefetch, lineP)
+				rg.runTo(200)
+				res.Measured = rg.counters()
+				res.DoneAt, res.SubmitAt = rg.doneAt, rg.mem.submitAt
+				if n := rg.l2.InFlight(); n != 0 {
+					t.Errorf("fullTick=%t: L2 still holds %d requests at cycle 200", fullTick, n)
+				}
+				return res, rg.l2Ticks()
+			}
+			full, fullTicks := run(true)
+			fast, fastTicks := run(false)
+			if !reflect.DeepEqual(full, fast) {
+				t.Errorf("settled polls differ from polled ones:\nfull-tick: %+v\nscheduled: %+v", full, fast)
+			}
+			if fullTicks != 200 || fastTicks > 12 {
+				t.Errorf("L2 ticked %d times under full-tick (want 200) and %d scheduled (want <= 12: it must sleep on a blocked head)", fullTicks, fastTicks)
+			}
+
+			for mode, res := range map[string]blockedResult{"full-tick": full, "scheduled": fast} {
+				// Warmup: A's lookup, then B, C and B's second request at
+				// the bank (cycles 2-4) and B's polls on cycles 3..7: nine
+				// lookups in both structures. The port is busy until 25 and
+				// a lookup at cycle c could start at c+9: B waits 14 at
+				// cycle 2, B and C 13 each at 3, B and the second request
+				// 12 each at 4, then B 11, 10 and 9.
+				want := blockedCounters{
+					L2:    L2Stats{Accesses: 4, DemandMisses: 1, MSHRStalls: 3, ProbeStalls: 14 + 2*13 + 2*12 + 11 + 10 + 9},
+					Array: ArrayStats{Lookups: 9},
+					MSHR:  mshr.Stats{Accesses: 9, Allocs: 1, Probes: 18, ProbeCounts: probeHistogram(9)},
+				}
+				if !reflect.DeepEqual(res.Warm, want) {
+					t.Errorf("%s warmup counters:\n got %+v\nwant %+v", mode, res.Warm, want)
+				}
+				// Measured: the series runs out (8+7+...+1 on cycles 8..15);
+				// the dropped prefetch holds the port until 31+9+10, so B
+				// waits 9+8+...+1 on cycles 32..40; B's allocation holds it
+				// until pollB+9+15, so C waits 15+14+...+1 from that poll on.
+				want = blockedCounters{
+					L2:    L2Stats{Accesses: 1, Hits: 1, DemandMisses: 2, ProbeStalls: 36 + 45 + 120},
+					Array: ArrayStats{Lookups: tc.accesses + 1, Hits: 1, Fills: 3}, // + the hit, which never reaches the MSHR
+					MSHR: mshr.Stats{Accesses: tc.accesses, Allocs: 2, Releases: 3, Probes: 2 * tc.accesses,
+						ProbeCounts: probeHistogram(tc.accesses)},
+				}
+				if !reflect.DeepEqual(res.Measured, want) {
+					t.Errorf("%s measured counters:\n got %+v (probes %+v)\nwant %+v (probes %+v)", mode,
+						res.Measured, *res.Measured.MSHR.ProbeCounts, want, *want.MSHR.ProbeCounts)
+				}
+				// A read leaves for memory when its allocation releases the
+				// port: 9 + 2*5 + 5 cycles after the poll that allocated.
+				if got, want := res.SubmitAt[lineB], tc.pollB+24; got != want {
+					t.Errorf("%s: B re-issued at cycle %d, want %d", mode, got, want)
+				}
+				if got, want := res.SubmitAt[lineC], tc.pollC+24; got != want {
+					t.Errorf("%s: C re-issued at cycle %d, want %d", mode, got, want)
+				}
+				wantDone := map[uint64]sim.Cycle{1: 60, b: 120, c: 180, b2: tc.pollC + 9, p: 31}
+				if !reflect.DeepEqual(res.DoneAt, wantDone) {
+					t.Errorf("%s: completions %v, want %v", mode, res.DoneAt, wantDone)
+				}
+			}
+		})
+	}
+}
+
+// TestBlockedHeadWaitsForLimit: with A holding the one entry and B set
+// aside, the limit rises to 2 after cycle 40 — the other event that can
+// change what the bank tells B. B must be polled on cycle 41.
+func TestBlockedHeadWaitsForLimit(t *testing.T) {
+	run := func(fullTick bool) (blockedResult, uint64) {
+		rg := newBlockedRig(fullTick, false, map[mem.Addr]sim.Cycle{lineA: 100, lineB: 110})
+		rg.submit(t, mem.Read, lineA)
+		rg.submit(t, mem.Read, lineB)
+		rg.runTo(40)
+		rg.l2.MSHRBanks()[0].SetLimit(2)
+		rg.runTo(150)
+		res := blockedResult{Measured: rg.counters(), DoneAt: rg.doneAt, SubmitAt: rg.mem.submitAt}
+		return res, rg.l2Ticks()
+	}
+	full, _ := run(true)
+	fast, fastTicks := run(false)
+	if !reflect.DeepEqual(full, fast) {
+		t.Errorf("settled polls differ from polled ones:\nfull-tick: %+v\nscheduled: %+v", full, fast)
+	}
+	if fastTicks > 6 {
+		t.Errorf("scheduled L2 ticked %d times, want <= 6: it must sleep on a blocked head", fastTicks)
+	}
+	// A's lookup, B's at the bank, B's polls on cycles 3..41.
+	if st := fast.Measured.MSHR; st.Accesses != 41 || st.Probes != 82 || st.Allocs != 2 {
+		t.Errorf("MSHR bank counted %d lookups, %d probes, %d allocations; want 41, 82, 2", st.Accesses, st.Probes, st.Allocs)
+	}
+	// B waits 14 cycles for the port at cycle 2 and one fewer each cycle.
+	if got := fast.Measured.L2.ProbeStalls; got != 14*15/2 {
+		t.Errorf("ProbeStalls = %d, want %d", got, 14*15/2)
+	}
+	if got := fast.SubmitAt[lineB]; got != 41+24 {
+		t.Errorf("B re-issued at cycle %d, want %d", got, 41+24)
+	}
+}

@@ -14,11 +14,11 @@ import (
 func (s *System) CheckInvariants() error {
 	var errs []error
 	for i := range s.L1s {
-		if n := s.L1s[i].OutstandingMisses(); n != 0 {
-			errs = append(errs, fmt.Errorf("L1 %d holds %d outstanding misses after quiesce", i, n))
+		if n := s.L1s[i].InFlight(); n != 0 {
+			errs = append(errs, fmt.Errorf("L1 %d holds %d misses and rejected requests after quiesce", i, n))
 		}
-		if n := s.IL1s[i].OutstandingMisses(); n != 0 {
-			errs = append(errs, fmt.Errorf("IL1 %d holds %d outstanding misses after quiesce", i, n))
+		if n := s.IL1s[i].InFlight(); n != 0 {
+			errs = append(errs, fmt.Errorf("IL1 %d holds %d misses and rejected requests after quiesce", i, n))
 		}
 	}
 	errs = append(errs, s.second.CheckDrained())
@@ -37,7 +37,7 @@ func (s *System) CheckInvariants() error {
 func (s *System) inFlight() int {
 	n := s.second.InFlight()
 	for i := range s.L1s {
-		n += s.L1s[i].OutstandingMisses() + s.IL1s[i].OutstandingMisses()
+		n += s.L1s[i].InFlight() + s.IL1s[i].InFlight()
 	}
 	if s.Stack != nil {
 		n += s.Stack.InFlight()
@@ -53,8 +53,8 @@ func (s *System) inFlight() int {
 // whether the system quiesced (after which CheckInvariants is
 // meaningful).
 func (s *System) DrainQuiesce(maxCycles int64) bool {
+	s.FlushIdle()
 	for _, c := range s.Cores {
-		c.FlushIdle(s.Engine.Now())
 		c.Halt()
 	}
 	for i := int64(0); i < maxCycles && s.inFlight() != 0; i++ {

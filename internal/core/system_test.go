@@ -5,8 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"stackedsim/internal/cache"
 	"stackedsim/internal/config"
 	"stackedsim/internal/cpu"
+	"stackedsim/internal/mem"
+	"stackedsim/internal/sim"
 	"stackedsim/internal/trace"
 	"stackedsim/internal/workload"
 )
@@ -418,6 +421,98 @@ func TestInvariantsWithVBFAndDynamic(t *testing.T) {
 	}
 	if err := sys.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// wbOnlyL2 is a second level that answers an L1's reads on the spot and
+// passes its writebacks to the real shared L2.
+type wbOnlyL2 struct{ l2 *cache.L2 }
+
+func (p wbOnlyL2) Submit(r *mem.Request, now sim.Cycle) bool {
+	if r.Kind == mem.Writeback {
+		return p.l2.Submit(r, now)
+	}
+	r.Complete(now)
+	return true
+}
+
+// TestQuiesceSeesL1RetryQueue parks a victim writeback behind a full L2
+// bank queue: it sits in the L1's retry queue holding no miss entry, the
+// only trace of dirty data still above the L2. The machine must not count
+// as drained until it is delivered.
+func TestQuiesceSeesL1RetryQueue(t *testing.T) {
+	sys, err := NewSystem(short(config.QuadMC()), []string{"mcf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A one-line DL1 that is never ticked, so what it parks stays parked.
+	l1 := cache.NewL1(cache.L1Params{
+		Array: cache.NewArray("dl1.test", 1, 1, sys.Cfg.LineBytes), Latency: 1,
+		LineBytes: sys.Cfg.LineBytes, MSHRs: 1, Below: wbOnlyL2{sys.L2}, IDs: sys.ids,
+	})
+	sys.L1s[0] = l1
+	// Fill the L2 bank queue the victim's page maps to.
+	const victim, other = mem.Addr(0), mem.Addr(1 << 20)
+	for i := 1; ; i++ {
+		r := sys.ids.NewRequest()
+		r.Kind, r.Line, r.Core = mem.Read, victim+mem.Addr(i*sys.Cfg.LineBytes), 0
+		r.Addr = r.Line
+		if !sys.L2.Submit(r, 0) {
+			sys.ids.Recycle(r)
+			break
+		}
+	}
+	// Dirty the victim, then displace it.
+	noop := func(sim.Cycle) {}
+	l1.Access(0, 0, victim, true, noop)
+	l1.Access(0, 0, other, false, noop)
+	if l1.OutstandingMisses() != 0 || l1.InFlight() != 1 {
+		t.Fatalf("L1 holds %d misses and %d requests in all, want 0 and 1 (the parked writeback)",
+			l1.OutstandingMisses(), l1.InFlight())
+	}
+
+	if sys.DrainQuiesce(50_000) {
+		t.Fatal("machine reported drained with a writeback parked in an L1 retry queue")
+	}
+	if n := sys.inFlight(); n != 1 {
+		t.Fatalf("inFlight() = %d once everything below the L1 drained, want 1", n)
+	}
+	if err := sys.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants passed with a writeback parked in an L1 retry queue")
+	}
+	l1.Tick(sys.Engine.Now()) // the retry: the bank queue has room now
+	if l1.InFlight() != 0 || sys.inFlight() == 0 {
+		t.Fatalf("after the retry the L1 holds %d, the machine %d; want 0 and the delivered writeback", l1.InFlight(), sys.inFlight())
+	}
+	if !sys.DrainQuiesce(50_000) {
+		t.Fatal("machine did not quiesce after the writeback was delivered")
+	}
+	if err := sys.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRequestPoolBalances: every pooled request handed out is back in
+// the pool once the machine has drained — L2-originated prefetches, which
+// nobody above completes, included.
+func TestRequestPoolBalances(t *testing.T) {
+	cfg := config.QuadMC()
+	cfg.WarmupCycles, cfg.MeasureCycles = 50_000, 250_000
+	vh1, _ := workload.MixByName("VH1")
+	sys, err := NewSystem(cfg, vh1.Benchmarks[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	if !sys.DrainQuiesce(2_000_000) {
+		t.Fatal("system did not quiesce")
+	}
+	rep := sys.EngineReport()
+	if sys.L2.Stats().Prefetches == 0 {
+		t.Fatal("no L2 prefetch was issued; the test exercises nothing")
+	}
+	if rep.PoolPuts != rep.PoolGets {
+		t.Fatalf("request pool: %d handed out, %d returned", rep.PoolGets, rep.PoolPuts)
 	}
 }
 

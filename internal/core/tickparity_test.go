@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -10,6 +11,8 @@ import (
 	"stackedsim/internal/cache"
 	"stackedsim/internal/config"
 	"stackedsim/internal/cpu"
+	"stackedsim/internal/fault"
+	"stackedsim/internal/mshr"
 	"stackedsim/internal/tlb"
 	"stackedsim/internal/workload"
 )
@@ -17,7 +20,9 @@ import (
 // TestTickSchedulingParity pins the second tentpole guarantee: the
 // divider-aware / idle-skip tick scheduling is an optimization only.
 // Running the same system with SetFullTick(true) — the seed engine's
-// tick-everything behavior — must produce bit-identical Metrics.
+// tick-everything behavior — must produce bit-identical Metrics, and
+// bit-identical counters in everything a sleeping component settles in
+// closed form instead of counting (coreSide, l2Side).
 //
 // Baseline2D stresses the divider-4 FSB domain, QuadMC the multi-MC
 // wake logic, the SmartRefresh variant the refresh wake source, Fast3D
@@ -25,28 +30,42 @@ import (
 // stacked-layer sleep discipline (SRAM tag events, miss forwarding,
 // and the off-chip backing channel in both cache and memcache modes),
 // and the 16-core MESI config the coherence fabric's sleep/wake
-// discipline (private-L2 inboxes, directory banks, mesh routers).
+// discipline (private-L2 inboxes, directory banks, mesh routers). The
+// VH1 runs keep the L2's MSHR banks full, so its set-aside misses wait
+// asleep for a fill: as is, under the dynamic resizer (the limit rises
+// while heads wait), and with probe-parity faults (each lookup draws
+// from the injector's random stream, so that L2 must not sleep on them
+// at all).
 func TestTickSchedulingParity(t *testing.T) {
 	smart := config.QuadMC()
 	smart.SmartRefresh = true
 	smart.Name = "3D-4mc-16rank-4rb-smartref"
-	configs := []*config.Config{
-		config.Baseline2D(),
-		config.QuadMC(),
-		smart,
-		config.Fast3D(),
-		config.Fast3D().WithStackCache(config.StackCache, 64),
-		config.Fast3D().WithStackCache(config.StackMemCache, 64),
-		config.ManyCore(16, 4),
-	}
-	for _, cfg := range configs {
+	dyn := config.DualMC().WithMSHR(8, config.MSHRVBF, true)
+	dyn.DynSampleCycles, dyn.DynEpochCycles = 1_500, 4_000
+	parity := config.QuadMC()
+	parity.Name += "+mshr-parity"
+	parity.Faults = &fault.Scenario{Name: "mshr-parity", Faults: []fault.Spec{
+		{Kind: fault.KindMSHRParity, Prob: 0.02},
+	}}
+	for _, tc := range []struct {
+		cfg *config.Config
+		mix string
+	}{
+		{config.Baseline2D(), "H1"},
+		{config.QuadMC(), "H1"},
+		{smart, "H1"},
+		{config.Fast3D(), "H1"},
+		{config.Fast3D().WithStackCache(config.StackCache, 64), "H1"},
+		{config.Fast3D().WithStackCache(config.StackMemCache, 64), "H1"},
+		{config.ManyCore(16, 4), ""},
+		{config.QuadMC(), "VH1"},
+		{dyn, "VH1"},
+		{parity, "VH1"},
+	} {
+		cfg := tc.cfg
 		cfg.WarmupCycles = 5_000
 		cfg.MeasureCycles = 20_000
-		mix, ok := workload.MixByName("H1")
-		if !ok {
-			t.Fatal("mix H1 missing")
-		}
-		benches := mix.Benchmarks[:]
+		var benches []string
 		if cfg.Coherent() {
 			// Every core hammers the same shared ring: maximal protocol
 			// traffic (upgrades, invalidations, forwards, races) for
@@ -55,27 +74,40 @@ func TestTickSchedulingParity(t *testing.T) {
 			for i := range benches {
 				benches[i] = "producer-consumer"
 			}
+		} else {
+			mix, ok := workload.MixByName(tc.mix)
+			if !ok {
+				t.Fatalf("mix %s missing", tc.mix)
+			}
+			benches = mix.Benchmarks[:]
 		}
-		run := func(fullTick bool) (Metrics, uint64, []coreSide) {
+		name := cfg.Name + "/" + tc.mix
+		run := func(fullTick bool) (Metrics, uint64, []coreSide, l2Side) {
 			sys, err := NewSystem(cfg, benches)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sys.Engine.SetFullTick(fullTick)
 			m := sys.Run()
-			return m, sys.Digest(), coreSides(sys)
+			if sys.Resizer != nil && sys.Resizer.Switches == 0 {
+				t.Fatalf("%s: the resizer never finished a training round; the limit did not move", name)
+			}
+			return m, sys.Digest(), coreSides(sys), l2Sides(sys)
 		}
-		full, fullDigest, fullSides := run(true)
-		fast, fastDigest, fastSides := run(false)
+		full, fullDigest, fullSides, fullL2 := run(true)
+		fast, fastDigest, fastSides, fastL2 := run(false)
 		if !reflect.DeepEqual(full, fast) || fullDigest != fastDigest {
 			t.Errorf("%s: idle-skip scheduling changed results:\nfull-tick: %016x %+v\nscheduled: %016x %+v",
-				cfg.Name, fullDigest, full, fastDigest, fast)
+				name, fullDigest, full, fastDigest, fast)
 		}
 		for i := range fullSides {
 			if !reflect.DeepEqual(fullSides[i], fastSides[i]) {
 				t.Errorf("%s core %d: lazily settled counters differ:\nfull-tick: %+v\nscheduled: %+v",
-					cfg.Name, i, fullSides[i], fastSides[i])
+					name, i, fullSides[i], fastSides[i])
 			}
+		}
+		if !reflect.DeepEqual(fullL2, fastL2) {
+			t.Errorf("%s L2: lazily settled counters differ:\nfull-tick: %s\nscheduled: %s", name, fullL2, fastL2)
 		}
 	}
 }
@@ -98,6 +130,44 @@ func coreSides(s *System) []coreSide {
 	for i, c := range s.Cores {
 		out[i] = coreSide{*c.Stats(), *s.L1s[i].Stats(), *s.L1s[i].ArrayStats(),
 			*s.TLBs[i].Stats(), s.TLBs[i].ReplacementOrder()}
+	}
+	return out
+}
+
+// l2Side is everything the shared L2 counts: its own statistics, every
+// bank array's and every MSHR bank's, probe histogram included — what a
+// sleeping L2 settles for the polls of its set-aside misses. Zero in
+// coherent mode, which has no shared L2.
+type l2Side struct {
+	L2     cache.L2Stats
+	Arrays []cache.ArrayStats
+	MSHRs  []mshr.Stats // ProbeCounts is compared through the pointer
+}
+
+// String spells the histograms out (%+v would print their addresses).
+func (s l2Side) String() string {
+	out := fmt.Sprintf("%+v arrays %+v", s.L2, s.Arrays)
+	for _, st := range s.MSHRs {
+		h := *st.ProbeCounts
+		st.ProbeCounts = nil
+		out += fmt.Sprintf(" mshr %+v probes %+v", st, h)
+	}
+	return out
+}
+
+// l2Sides snapshots the shared L2's side state; like coreSides, call it
+// after Run or Collect.
+func l2Sides(s *System) l2Side {
+	var out l2Side
+	if s.L2 == nil {
+		return out
+	}
+	out.L2 = *s.L2.Stats()
+	for _, st := range s.L2.ArrayStats() {
+		out.Arrays = append(out.Arrays, *st)
+	}
+	for _, f := range s.L2.MSHRBanks() {
+		out.MSHRs = append(out.MSHRs, *f.Stats())
 	}
 	return out
 }
@@ -158,10 +228,12 @@ func TestCheckpointAcrossSkippedRegion(t *testing.T) {
 }
 
 // TestSaturatedCoresDoNotPoll is the efficiency floor under the
-// wake-on-free rule: with every core stalled on full MSHRs most of the
-// time, the engine must deliver few ticks per cycle. Polling cores
-// alone cost 4 ticks/cycle on the 4-core machine (5.2 in all) and 64
-// (66.7 in all) on the 64-core one.
+// wake-on-free rules: with every core stalled on full MSHRs most of the
+// time, and the shared L2's set-aside misses waiting on full MSHR banks,
+// the engine must deliver few ticks per cycle. Polling cores alone cost
+// 4 ticks/cycle on the 4-core machine (5.2 in all) and 64 (66.7 in all)
+// on the 64-core one; a polling L2 one more, on every cycle, on the
+// 4-core machine (1.62 in all).
 func TestSaturatedCoresDoNotPoll(t *testing.T) {
 	vh1, _ := workload.MixByName("VH1")
 	sharers := make([]string, 64)
@@ -173,7 +245,7 @@ func TestSaturatedCoresDoNotPoll(t *testing.T) {
 		benches []string
 		floor   float64
 	}{
-		{config.QuadMC(), vh1.Benchmarks[:], 2.5},
+		{config.QuadMC(), vh1.Benchmarks[:], 1.3},
 		{config.ManyCore(64, 4), sharers, 10},
 	} {
 		tc.cfg.WarmupCycles = 5_000
@@ -183,10 +255,19 @@ func TestSaturatedCoresDoNotPoll(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.Run()
-		perCycle := float64(sys.Engine.TicksDelivered()) / float64(sys.Engine.Now())
+		cycles := float64(sys.Engine.Now())
+		perCycle := float64(sys.Engine.TicksDelivered()) / cycles
 		t.Logf("%s: %.2f ticks/cycle", tc.cfg.Name, perCycle)
 		if perCycle >= tc.floor {
-			t.Errorf("%s: %.2f ticks/cycle, want < %v: stalled cores are being ticked", tc.cfg.Name, perCycle, tc.floor)
+			t.Errorf("%s: %.2f ticks/cycle, want < %v: stalled components are being ticked", tc.cfg.Name, perCycle, tc.floor)
+		}
+		if sys.L2 != nil {
+			// The shared L2 registers after the cores, DL1s and IL1s.
+			l2 := float64(sys.Engine.TicksByComponent()[3*len(sys.Cores)]) / cycles
+			t.Logf("%s: L2 %.2f ticks/cycle", tc.cfg.Name, l2)
+			if l2 >= 0.5 {
+				t.Errorf("%s: the L2 ticks on %.2f of all cycles, want < 0.5: it is polling full MSHR banks", tc.cfg.Name, l2)
+			}
 		}
 	}
 }

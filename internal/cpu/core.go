@@ -115,7 +115,7 @@ type Core struct {
 	lastMemIdx int // ROB index of most recent dispatched memory μop
 	seq        uint64
 
-	memQ []int // ROB indices of unissued memory μops, oldest first
+	memQ sim.Queue[int] // ROB indices of unissued memory μops, oldest first
 
 	fetchStallUntil sim.Cycle
 	stats           Stats
@@ -233,7 +233,7 @@ func (c *Core) Stats() *Stats { return &c.stats }
 func (c *Core) Instrument(reg *telemetry.Registry) {
 	name := fmt.Sprintf("core%d", c.id)
 	reg.GaugeFunc(name+".rob.occupancy", func() float64 { return float64(c.occupancy) })
-	reg.GaugeFunc(name+".memq.depth", func() float64 { return float64(len(c.memQ)) })
+	reg.GaugeFunc(name+".memq.depth", func() float64 { return float64(c.memQ.Len()) })
 	reg.GaugeFunc(name+".l1.outstanding", func() float64 { return float64(c.l1.OutstandingMisses()) })
 	reg.GaugeFunc(name+".committed", func() float64 { return float64(c.committedTotal) })
 }
@@ -290,7 +290,7 @@ func (c *Core) applyIdle(cycles sim.Cycle) {
 		return
 	}
 	if c.l1Blocked {
-		op := &c.rob[c.memQ[0]].op
+		op := &c.rob[c.memQ.At(0)].op
 		c.dt.Rehit(c.vpage(c.vaddr(op)), uint64(cycles))
 		c.l1.SettleBlocked(op.Store, uint64(cycles))
 	}
@@ -357,8 +357,8 @@ func (c *Core) sched(now sim.Cycle) {
 		// which wakes the core.
 	}
 
-	if len(c.memQ) > 0 {
-		e := &c.rob[c.memQ[0]]
+	if !c.memQ.Empty() {
+		e := &c.rob[c.memQ.At(0)]
 		switch {
 		case e.op.DependsOnPrev && e.prevMem >= 0 &&
 			c.rob[e.prevMem].seq == e.prevSeq && !c.peekDone(e.prevMem, now):
@@ -453,8 +453,8 @@ func (c *Core) entryDone(i int, now sim.Cycle) bool {
 func (c *Core) issueMem(now sim.Cycle) {
 	c.l1Blocked = false
 	loads, stores := c.cfg.LoadPorts, c.cfg.StorePorts
-	for len(c.memQ) > 0 && (loads > 0 || stores > 0) {
-		idx := c.memQ[0]
+	for !c.memQ.Empty() && (loads > 0 || stores > 0) {
+		idx := c.memQ.At(0)
 		e := &c.rob[idx]
 		if e.op.DependsOnPrev && e.prevMem >= 0 &&
 			c.rob[e.prevMem].seq == e.prevSeq && // producer still in the ROB
@@ -474,7 +474,7 @@ func (c *Core) issueMem(now sim.Cycle) {
 		if !c.tryIssue(idx, now) {
 			return // TLB walk started, or L1 blocked (MSHRs full)
 		}
-		c.memQ = c.memQ[1:]
+		c.memQ.Pop()
 		if e.op.Store {
 			stores--
 		} else {
@@ -630,7 +630,7 @@ func (c *Core) dispatch(now sim.Cycle) {
 		c.rob[idx] = robEntry{op: op, prevMem: c.lastMemIdx, prevSeq: prevSeq, seq: c.seq}
 		if op.Mem {
 			c.rob[idx].state = stWaiting
-			c.memQ = append(c.memQ, idx)
+			c.memQ.Push(idx)
 			c.lastMemIdx = idx
 		} else {
 			c.rob[idx].timed = true
@@ -644,5 +644,5 @@ func (c *Core) dispatch(now sim.Cycle) {
 
 // String describes the core for debugging.
 func (c *Core) String() string {
-	return fmt.Sprintf("core%d rob=%d/%d memQ=%d", c.id, c.occupancy, len(c.rob), len(c.memQ))
+	return fmt.Sprintf("core%d rob=%d/%d memQ=%d", c.id, c.occupancy, len(c.rob), c.memQ.Len())
 }

@@ -483,11 +483,16 @@ type MSHRView struct {
 	specs []probSpec
 }
 
+// Draws reports whether ProbeParity can consume the injector's random
+// stream: the scenario has a probe-parity fault (in or out of its
+// window). A nil view never draws.
+func (v *MSHRView) Draws() bool { return v != nil && len(v.specs) > 0 }
+
 // ProbeParity draws whether this MSHR lookup suffers a probe parity
 // error (costing the caller one re-probe). The current cycle comes
 // from the injector's wired clock, since Lookup carries no timestamp.
 func (v *MSHRView) ProbeParity() bool {
-	if v == nil || len(v.specs) == 0 {
+	if !v.Draws() {
 		return false
 	}
 	now := v.in.now()

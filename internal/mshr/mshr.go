@@ -17,6 +17,7 @@ import (
 	"stackedsim/internal/config"
 	"stackedsim/internal/fault"
 	"stackedsim/internal/mem"
+	"stackedsim/internal/sim"
 	"stackedsim/internal/stats"
 	"stackedsim/internal/telemetry"
 	"stackedsim/internal/vbf"
@@ -85,6 +86,10 @@ type File struct {
 	// fails). Nil = fault-free.
 	flt *fault.MSHRView
 
+	// owner, when set, is woken when the active limit rises: like a
+	// released entry, room a full bank did not have before.
+	owner *sim.TickHandle
+
 	// freeEntries recycles released entries so steady-state miss
 	// traffic allocates no Entry objects (and reuses each entry's
 	// Waiters backing array). Single simulation goroutine; no lock.
@@ -114,7 +119,18 @@ func (f *File) Cap() int { return f.table.Cap() }
 func (f *File) Limit() int { return f.table.Limit() }
 
 // SetLimit adjusts the active capacity (dynamic tuning).
-func (f *File) SetLimit(n int) { f.table.SetLimit(n) }
+func (f *File) SetLimit(n int) {
+	was := f.table.Limit()
+	f.table.SetLimit(n)
+	if f.table.Limit() > was {
+		f.owner.Wake()
+	}
+}
+
+// WakeOnGrow names the component to wake when the active limit rises,
+// so whoever a full bank turned away need not poll it every cycle. (An
+// entry is released only by that component's own fill handling.)
+func (f *File) WakeOnGrow(owner *sim.TickHandle) { f.owner = owner }
 
 // Len reports live entries.
 func (f *File) Len() int { return f.table.Len() }
@@ -128,6 +144,13 @@ func (f *File) Stats() *Stats { return &f.stats }
 // SetFaults points the bank at the fault injector's MSHR view. A nil
 // view (the default) is fault-free.
 func (f *File) SetFaults(v *fault.MSHRView) { f.flt = v }
+
+// DrawsFaults reports whether a lookup can draw from the fault
+// injector's random stream. Such lookups are events of their own — a
+// repeat is not known to cost what the last one did, and skipping one
+// shifts the stream under every other fault site — so they can be
+// neither skipped nor counted by Relookup.
+func (f *File) DrawsFaults() bool { return f.flt.Draws() }
 
 // key converts a line address to the table key. Low bits below the line
 // offset are already stripped by the caller; dividing by the line size
@@ -163,6 +186,15 @@ func (f *File) Lookup(line mem.Addr) (e *Entry, probes int, found bool) {
 	}
 	f.stats.Hits++
 	return f.entries[slot], probes, true
+}
+
+// Relookup counts n repeats of a lookup that missed in probes entry
+// probes, exactly as n Lookup calls on the unchanged table would.
+func (f *File) Relookup(probes int, n uint64) {
+	f.stats.Accesses += n
+	f.stats.Probes += uint64(probes) * n
+	f.stats.ProbeCounts.AddN(probes, n)
+	f.probeDist.ObserveN(probes, n)
 }
 
 // Allocate creates an entry for line with r as the primary miss. The

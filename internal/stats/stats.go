@@ -100,17 +100,20 @@ func NewHistogram(n int) *Histogram {
 }
 
 // Add records one observation of v (negative values clamp to 0).
-func (h *Histogram) Add(v int) {
+func (h *Histogram) Add(v int) { h.AddN(v, 1) }
+
+// AddN records n observations of v.
+func (h *Histogram) AddN(v int, n uint64) {
 	if v < 0 {
 		v = 0
 	}
 	if v < len(h.buckets) {
-		h.buckets[v]++
+		h.buckets[v] += n
 	} else {
-		h.overflow++
+		h.overflow += n
 	}
-	h.count++
-	h.sum += uint64(v)
+	h.count += n
+	h.sum += uint64(v) * n
 }
 
 // Count reports the number of observations.

@@ -100,11 +100,14 @@ type Distribution struct {
 }
 
 // Observe records one observation (clamped at 0).
-func (d *Distribution) Observe(v int) {
+func (d *Distribution) Observe(v int) { d.ObserveN(v, 1) }
+
+// ObserveN records n observations of v.
+func (d *Distribution) ObserveN(v int, n uint64) {
 	if d == nil {
 		return
 	}
-	d.h.Add(v)
+	d.h.AddN(v, n)
 }
 
 // Histogram exposes the underlying histogram (nil on a nil receiver).

@@ -34,5 +34,8 @@ go vet -C bench ./...
 go test -C bench ./...
 
 echo "verify: OK"
-# Reported, never gated on: the size simplicity PRs quote.
+# Reported, never gated on: where the benchmark's core probe was linked
+# (decides whether corrected rates compare with the parent's), and the
+# size simplicity PRs quote.
+scripts/probe-align.sh
 echo "verify: $(find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | tr -d ' ') non-test Go lines under cmd/ internal/"
