@@ -217,10 +217,10 @@ func (f *Fabric) DeferredRequests() int {
 func (f *Fabric) InFlight() int {
 	n := f.mesh.InFlight()
 	for _, l := range f.l2s {
-		n += len(l.misses) + len(l.wb) + l.inbox.Len() + len(l.out) + l.events.Len()
+		n += len(l.misses) + len(l.wb) + l.inbox.Len() + l.out.Len() + l.events.Len()
 	}
 	for _, d := range f.dirs {
-		n += d.inbox.Len() + len(d.out) + len(d.outq) + d.events.Len()
+		n += d.inbox.Len() + d.out.Len() + d.outq.Len() + d.events.Len()
 	}
 	return n
 }
@@ -241,6 +241,9 @@ func (f *Fabric) CheckDrained() error {
 	}
 	if n := f.mesh.InFlight(); n != 0 {
 		errs = append(errs, fmt.Errorf("mesh holds %d packets after quiesce", n))
+	}
+	if n := f.mesh.OccupiedRouters(); n != 0 {
+		errs = append(errs, fmt.Errorf("mesh marks %d routers as holding messages after quiesce", n))
 	}
 	if n := f.DeferredRequests(); n != 0 {
 		errs = append(errs, fmt.Errorf("directory holds %d deferred requests after quiesce", n))

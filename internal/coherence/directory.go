@@ -88,6 +88,9 @@ func (e *dirEntry) clearSharers() {
 	}
 }
 
+// dirSlab is how many directory entries one slab allocation holds.
+const dirSlab = 256
+
 // DirStats counts directory-bank events.
 type DirStats struct {
 	GetS      uint64
@@ -122,12 +125,17 @@ type Directory struct {
 	lines map[mem.Addr]*dirEntry
 
 	inbox  *sim.Queue[*message]
-	out    []outMsg       // mesh-rejected responses, retried in order
-	outq   []*mem.Request // MC-rejected memory requests, retried in order
+	out    sim.Queue[outMsg]       // mesh-rejected responses, retried in order
+	outq   sim.Queue[*mem.Request] // MC-rejected memory requests, retried in order
 	events sim.EventQueue
 	handle *sim.TickHandle
 
 	freeEntry []*dirEntry
+	// Fresh entries and their sharer words are carved from slabs: a
+	// bank tracks tens of thousands of lines, and one allocation per
+	// dirSlab of them replaces two per line.
+	slab      []dirEntry
+	slabWords []uint64
 
 	processCB func(arg any, at sim.Cycle)
 	onMemRead func(r *mem.Request, now sim.Cycle)
@@ -181,7 +189,16 @@ func (d *Directory) newEntry() *dirEntry {
 		e.deferred = e.deferred[:0]
 		return e
 	}
-	return &dirEntry{owner: -1, sharers: make([]uint64, (d.f.cfg.Cores+63)/64)}
+	words := (d.f.cfg.Cores + 63) / 64
+	if len(d.slab) == 0 {
+		d.slab = make([]dirEntry, dirSlab)
+		d.slabWords = make([]uint64, dirSlab*words)
+	}
+	e := &d.slab[0]
+	e.owner = -1
+	e.sharers = d.slabWords[:words:words]
+	d.slab, d.slabWords = d.slab[1:], d.slabWords[words:]
+	return e
 }
 
 func (d *Directory) releaseEntry(e *dirEntry) { d.freeEntry = append(d.freeEntry, e) }
@@ -211,37 +228,26 @@ func (d *Directory) recv(m *message, now sim.Cycle) {
 
 // Tick pops at most one inbox message (the bank's serialization point)
 // into the pipelined lookup, fires due lookups, and retries rejected
-// injections and memory submissions.
+// injections and memory submissions: each queue offers its head until
+// one is refused — order is kept, so nothing behind a refused head
+// could go, and a link-bound bank's queue runs tens deep.
 func (d *Directory) Tick(now sim.Cycle) {
 	d.events.FireDue(now)
 	if m, ok := d.inbox.Pop(); ok {
 		d.events.AtCall(now+d.lat, d.processCB, m)
 	}
-	if len(d.out) > 0 {
-		kept := d.out[:0]
-		for i, o := range d.out {
-			if len(kept) > 0 || !d.f.send(d.node, o.dst, o.m, now) {
-				kept = append(kept, d.out[i])
-				continue
-			}
-			d.stamp(o.m, now)
-		}
-		d.out = kept
+	for o, ok := d.out.Peek(); ok && d.f.send(d.node, o.dst, o.m, now); o, ok = d.out.Peek() {
+		d.out.Pop()
+		d.stamp(o.m, now)
 	}
-	if len(d.outq) > 0 {
-		kept := d.outq[:0]
-		for i, r := range d.outq {
-			if len(kept) > 0 || !d.mc.Submit(r, now) {
-				kept = append(kept, d.outq[i])
-			}
-		}
-		d.outq = kept
+	for r, ok := d.outq.Peek(); ok && d.mc.Submit(r, now); r, ok = d.outq.Peek() {
+		d.outq.Pop()
 	}
 	d.sched(now)
 }
 
 func (d *Directory) sched(now sim.Cycle) {
-	if d.inbox.Len() > 0 || len(d.out) > 0 || len(d.outq) > 0 {
+	if d.inbox.Len() > 0 || d.out.Len() > 0 || d.outq.Len() > 0 {
 		d.handle.SleepUntil(now + 1)
 		return
 	}
@@ -254,11 +260,11 @@ func (d *Directory) sched(now sim.Cycle) {
 
 // inject sends a message, queueing for in-order retry on backpressure.
 func (d *Directory) inject(m *message, dst int, now sim.Cycle) {
-	if len(d.out) == 0 && d.f.send(d.node, dst, m, now) {
+	if d.out.Empty() && d.f.send(d.node, dst, m, now) {
 		d.stamp(m, now)
 		return
 	}
-	d.out = append(d.out, outMsg{m: m, dst: dst})
+	d.out.Push(outMsg{m: m, dst: dst})
 	d.handle.Wake()
 }
 
@@ -285,7 +291,7 @@ func (d *Directory) memRead(m *message, now sim.Cycle) {
 	r.Attrib = m.tag
 	r.OnDone = d.onMemRead
 	if !d.mc.Submit(r, now) {
-		d.outq = append(d.outq, r)
+		d.outq.Push(r)
 		d.handle.Wake()
 	}
 }
@@ -301,7 +307,7 @@ func (d *Directory) memWrite(line mem.Addr, now sim.Cycle) {
 	r.Core = -1
 	r.Born = now
 	if !d.mc.Submit(r, now) {
-		d.outq = append(d.outq, r)
+		d.outq.Push(r)
 		d.handle.Wake()
 	}
 }

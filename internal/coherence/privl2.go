@@ -93,7 +93,7 @@ type PrivateL2 struct {
 	wb     map[mem.Addr]*wbEntry
 
 	inbox  *sim.Queue[*message]
-	out    []outMsg
+	out    sim.Queue[outMsg]
 	events sim.EventQueue
 	handle *sim.TickHandle
 
@@ -351,11 +351,11 @@ func (p *PrivateL2) sendPutM(line mem.Addr, dirty bool, now sim.Cycle) {
 // the injection port is out of credits. Request tags are stamped at the
 // moment the message actually enters the network.
 func (p *PrivateL2) inject(msg *message, dst int, now sim.Cycle) {
-	if len(p.out) == 0 && p.f.send(p.id, dst, msg, now) {
+	if p.out.Empty() && p.f.send(p.id, dst, msg, now) {
 		p.stamp(msg, now)
 		return
 	}
-	p.out = append(p.out, outMsg{m: msg, dst: dst})
+	p.out.Push(outMsg{m: msg, dst: dst})
 	p.handle.Wake()
 }
 
@@ -377,7 +377,7 @@ func (p *PrivateL2) recv(m *message, now sim.Cycle) {
 }
 
 // Tick drains the inbox, fires due hit completions, and retries
-// rejected injections.
+// rejected injections, head first until one is refused.
 func (p *PrivateL2) Tick(now sim.Cycle) {
 	p.events.FireDue(now)
 	for {
@@ -387,22 +387,15 @@ func (p *PrivateL2) Tick(now sim.Cycle) {
 		}
 		p.process(m, now)
 	}
-	if len(p.out) > 0 {
-		kept := p.out[:0]
-		for i, o := range p.out {
-			if len(kept) > 0 || !p.f.send(p.id, o.dst, o.m, now) {
-				kept = append(kept, p.out[i])
-				continue
-			}
-			p.stamp(o.m, now)
-		}
-		p.out = kept
+	for o, ok := p.out.Peek(); ok && p.f.send(p.id, o.dst, o.m, now); o, ok = p.out.Peek() {
+		p.out.Pop()
+		p.stamp(o.m, now)
 	}
 	p.sched(now)
 }
 
 func (p *PrivateL2) sched(now sim.Cycle) {
-	if len(p.out) > 0 || p.inbox.Len() > 0 {
+	if p.out.Len() > 0 || p.inbox.Len() > 0 {
 		p.handle.SleepUntil(now + 1)
 		return
 	}

@@ -381,6 +381,16 @@ func TestInvariantsAfterQuiesce(t *testing.T) {
 	for i := range sharers {
 		sharers[i] = "producer-consumer"
 	}
+	// The 64-core readers are the one machine that enters the drain
+	// with its directory banks' retry queues tens deep and its mesh
+	// short of credits (TestDigestGoldens checks that this window gets
+	// there). DrainQuiesce succeeding says the fabric's InFlight is 0;
+	// the fabric's CheckDrained adds that the mesh holds no packet and
+	// marks no router occupied.
+	readers := make([]string, 64)
+	for i := range readers {
+		readers[i] = "read-mostly-shared"
+	}
 	for _, tc := range []struct {
 		cfg     *config.Config
 		benches []string
@@ -388,6 +398,7 @@ func TestInvariantsAfterQuiesce(t *testing.T) {
 		{config.Baseline2D(), []string{"S.all", "mcf", "qsort", "gzip"}},
 		{config.QuadMC(), []string{"S.all", "mcf", "qsort", "gzip"}},
 		{config.ManyCore(16, 4), sharers},
+		{config.ManyCore(64, 4), readers},
 		// A stack fill or a forwarded writeback holds no L2 MSHR entry:
 		// only the channel's own in-flight count and the layer's pending
 		// fetches keep the drain honest below the L2.
@@ -395,6 +406,9 @@ func TestInvariantsAfterQuiesce(t *testing.T) {
 		{config.Fast3D().WithStackCache(config.StackMemCache, 2), []string{"S.all", "mcf", "qsort", "gzip"}},
 	} {
 		cfg := short(tc.cfg)
+		if cfg.Cores == 64 {
+			cfg.WarmupCycles, cfg.MeasureCycles = 10_000, 30_000
+		}
 		sys, err := NewSystem(cfg, tc.benches)
 		if err != nil {
 			t.Fatal(err)

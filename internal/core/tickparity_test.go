@@ -30,7 +30,9 @@ import (
 // stacked-layer sleep discipline (SRAM tag events, miss forwarding,
 // and the off-chip backing channel in both cache and memcache modes),
 // and the 16-core MESI config the coherence fabric's sleep/wake
-// discipline (private-L2 inboxes, directory banks, mesh routers). The
+// discipline (private-L2 inboxes, directory banks, mesh routers); the
+// 64-core read-mostly one keeps the directory banks' retry queues deep
+// and the mesh short of credits, which no smaller machine does. The
 // VH1 runs keep the L2's MSHR banks full, so its set-aside misses wait
 // asleep for a fill: as is, under the dynamic resizer (the limit rises
 // while heads wait), and with probe-parity faults (each lookup draws
@@ -57,7 +59,8 @@ func TestTickSchedulingParity(t *testing.T) {
 		{config.Fast3D(), "H1"},
 		{config.Fast3D().WithStackCache(config.StackCache, 64), "H1"},
 		{config.Fast3D().WithStackCache(config.StackMemCache, 64), "H1"},
-		{config.ManyCore(16, 4), ""},
+		{config.ManyCore(16, 4), "producer-consumer"},
+		{config.ManyCore(64, 4), "read-mostly-shared"},
 		{config.QuadMC(), "VH1"},
 		{dyn, "VH1"},
 		{parity, "VH1"},
@@ -67,12 +70,13 @@ func TestTickSchedulingParity(t *testing.T) {
 		cfg.MeasureCycles = 20_000
 		var benches []string
 		if cfg.Coherent() {
-			// Every core hammers the same shared ring: maximal protocol
-			// traffic (upgrades, invalidations, forwards, races) for
-			// the scheduling-parity check.
+			// Every core runs the same shared-data benchmark: the
+			// writers give maximal protocol traffic (upgrades,
+			// invalidations, forwards, races), the readers a saturated
+			// mesh.
 			benches = make([]string, cfg.Cores)
 			for i := range benches {
-				benches[i] = "producer-consumer"
+				benches[i] = tc.mix
 			}
 		} else {
 			mix, ok := workload.MixByName(tc.mix)

@@ -7,15 +7,16 @@
 // downstream input buffer has a free slot reserved for it, so a full
 // buffer stalls the upstream head in place instead of dropping.
 //
-// The whole mesh is one sim.Ticker: all routers advance in a fixed
-// deterministic order inside Tick, link traversals are event-scheduled,
-// and the mesh sleeps whenever no message is queued or in flight. The
-// payload is opaque — the coherence layer (or any other client) owns
-// the message semantics; the mesh only moves bytes.
+// The whole mesh is one sim.Ticker: the routers that hold a message
+// advance in a fixed deterministic order inside Tick, link traversals
+// ride a timing wheel, and the mesh sleeps whenever no message is queued
+// or in flight. The payload is opaque — the coherence layer (or any
+// other client) owns the message semantics; the mesh only moves bytes.
 package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"stackedsim/internal/sim"
 )
@@ -31,6 +32,13 @@ type Msg struct {
 	born sim.Cycle
 	at   int // current router while traversing
 	port int // input port the message occupies at .at
+	// out is the output port the message leaves .at through, routed once
+	// when it enters the input port. A message on the wheel with a
+	// compass out is on that link (out is re-routed when it lands); one
+	// with portLocal is in its destination's ejection stage.
+	out  int
+	ser  sim.Cycle // link occupancy: ceil(Bytes/LinkBytes)
+	next *Msg      // the message behind this one in its wheel slot
 }
 
 // Router ports, in the fixed arbitration order used by Tick. Local
@@ -101,7 +109,7 @@ func (s *Stats) AvgHops() float64 {
 }
 
 type inPort struct {
-	q *sim.Queue[*Msg]
+	q sim.Queue[*Msg]
 	// reserved counts credits consumed against this buffer: messages
 	// queued plus messages in flight on the incoming link. The queue
 	// itself is unbounded; reserved enforces the BufPkts bound.
@@ -111,25 +119,47 @@ type inPort struct {
 type router struct {
 	in      [numPorts]inPort
 	outBusy [numPorts]sim.Cycle // link busy (serializing) until this cycle
+	ports   uint8               // bit pt is set while in[pt] holds a message
 }
+
+type xy struct{ x, y int }
+
+// wheelSlot is the FIFO of messages whose link traversal or ejection
+// completes on one cycle, chained through Msg.next.
+type wheelSlot struct{ head, tail *Msg }
 
 // Mesh is a W x H grid of routers. Node i sits at (i%W, i/W).
 type Mesh struct {
 	p       Params
 	routers []router
-	events  sim.EventQueue
+	coord   []xy // node i's place in the grid
 	handle  *sim.TickHandle
 	stats   Stats
 	queued  int // messages resident in some input queue
+	// occupied has bit r set exactly while router r holds a queued
+	// message; Tick walks it instead of the routers.
+	occupied []uint64
+
+	// The wheel schedules link arrivals and ejections. Every delay is a
+	// small constant (router latency, plus serialization and the wire),
+	// so slot c&(len-1) can only ever hold the events of one cycle c:
+	// its length is a power of two above the longest delay scheduled so
+	// far. A slot's FIFO order is schedule order, and slots fire in
+	// cycle order — the order a (cycle, sequence) heap pops in.
+	wheel []wheelSlot
+	// wheelAt is the cycle of the last tick: slots for earlier cycles
+	// are empty, and everything pending lies within a wheel's length of
+	// it. Its own slot can hold events again — a zero-delay one is
+	// scheduled after the slot fired, and fires first on the next tick.
+	wheelAt sim.Cycle
+	pending int // events on the wheel
 
 	// Deliver receives every message that reaches its destination's
 	// local port. Must be set before traffic flows. The *Msg (and its
 	// Payload) is only valid for the duration of the call.
 	Deliver func(dst int, m *Msg, now sim.Cycle)
 
-	free   []*Msg
-	arrive func(arg any, at sim.Cycle)
-	eject  func(arg any, at sim.Cycle)
+	free []*Msg
 }
 
 // New builds an idle mesh.
@@ -140,24 +170,17 @@ func New(p Params) *Mesh {
 	if p.LinkBytes < 1 || p.BufPkts < 1 {
 		panic("noc: LinkBytes and BufPkts must be positive")
 	}
-	m := &Mesh{p: p, routers: make([]router, p.W*p.H)}
-	for i := range m.routers {
-		for pt := 0; pt < numPorts; pt++ {
-			m.routers[i].in[pt].q = sim.NewQueue[*Msg](0)
-		}
+	if p.LinkLatency < 0 || p.RouterLatency < 0 {
+		// An event in the past has no slot. Zero is a zero-stage router
+		// or wire: its events fire on the next tick.
+		panic(fmt.Sprintf("noc: negative latency (link %d, router %d)", p.LinkLatency, p.RouterLatency))
 	}
-	m.arrive = func(arg any, at sim.Cycle) {
-		msg := arg.(*Msg)
-		m.routers[msg.at].in[msg.port].q.Push(msg)
-		m.queued++
+	m := &Mesh{p: p, routers: make([]router, p.W*p.H), occupied: make([]uint64, (p.W*p.H+63)/64)}
+	m.coord = make([]xy, len(m.routers))
+	for i := range m.coord {
+		m.coord[i] = xy{i % p.W, i / p.W}
 	}
-	m.eject = func(arg any, at sim.Cycle) {
-		msg := arg.(*Msg)
-		m.stats.Delivered++
-		m.stats.LatencySum += uint64(at - msg.born)
-		m.Deliver(msg.Dst, msg, at)
-		m.release(msg)
-	}
+	m.growWheel(p.RouterLatency + p.LinkLatency + 1) // a one-flit hop
 	return m
 }
 
@@ -179,7 +202,17 @@ func (m *Mesh) ResetStats() { m.stats = Stats{} }
 
 // InFlight reports messages currently queued or traversing links —
 // zero means the mesh is drained.
-func (m *Mesh) InFlight() int { return m.queued + m.events.Len() }
+func (m *Mesh) InFlight() int { return m.queued + m.pending }
+
+// OccupiedRouters reports how many routers the mesh believes hold a
+// queued message — zero on a drained mesh.
+func (m *Mesh) OccupiedRouters() int {
+	n := 0
+	for _, w := range m.occupied {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 func (m *Mesh) release(msg *Msg) {
 	msg.Payload = nil
@@ -203,10 +236,10 @@ func (m *Mesh) Send(src, dst, bytes int, payload any, now sim.Cycle) bool {
 	} else {
 		msg = &Msg{}
 	}
-	*msg = Msg{Src: src, Dst: dst, Bytes: bytes, Payload: payload, born: now, at: src, port: portLocal}
+	*msg = Msg{Src: src, Dst: dst, Bytes: bytes, Payload: payload, born: now, at: src, port: portLocal,
+		ser: m.serCycles(bytes)}
 	lp.reserved++
-	lp.q.Push(msg)
-	m.queued++
+	m.enqueue(msg)
 	m.stats.Injected++
 	if m.handle != nil {
 		m.handle.Wake()
@@ -214,19 +247,47 @@ func (m *Mesh) Send(src, dst, bytes int, payload any, now sim.Cycle) bool {
 	return true
 }
 
+// enqueue lands a message in the input port it was bound for, routing it
+// there and then: a head that stalls for many cycles is not re-routed
+// on each of them.
+func (m *Mesh) enqueue(msg *Msg) {
+	rt := &m.routers[msg.at]
+	msg.out = m.route(msg.at, msg.Dst)
+	rt.in[msg.port].q.Push(msg)
+	if rt.ports == 0 {
+		m.occupied[msg.at/64] |= 1 << (msg.at % 64)
+	}
+	rt.ports |= 1 << msg.port
+	m.queued++
+}
+
+// dequeue pops the head of input port pt of router r, returning the
+// credit it held.
+func (m *Mesh) dequeue(r, pt int) {
+	rt := &m.routers[r]
+	ip := &rt.in[pt]
+	ip.q.Pop()
+	ip.reserved--
+	m.queued--
+	if ip.q.Empty() {
+		if rt.ports &^= 1 << pt; rt.ports == 0 {
+			m.occupied[r/64] &^= 1 << (r % 64)
+		}
+	}
+}
+
 // route returns the output port a message at node cur takes toward dst:
 // X-dimension first, then Y, then local ejection.
 func (m *Mesh) route(cur, dst int) int {
-	cx, cy := cur%m.p.W, cur/m.p.W
-	dx, dy := dst%m.p.W, dst/m.p.W
+	c, d := m.coord[cur], m.coord[dst]
 	switch {
-	case cx < dx:
+	case c.x < d.x:
 		return portEast
-	case cx > dx:
+	case c.x > d.x:
 		return portWest
-	case cy < dy:
+	case c.y < d.y:
 		return portSouth
-	case cy > dy:
+	case c.y > d.y:
 		return portNorth
 	default:
 		return portLocal
@@ -256,51 +317,116 @@ func (m *Mesh) serCycles(bytes int) sim.Cycle {
 	return sim.Cycle((bytes + m.p.LinkBytes - 1) / m.p.LinkBytes)
 }
 
-// Tick advances every router one cycle: link arrivals land first, then
-// each router considers the head of each input port (fixed order) and
-// forwards or ejects at most one message per port.
+// schedule puts msg on the wheel for cycle at (never before the current
+// tick's cycle: latencies are not negative).
+func (m *Mesh) schedule(msg *Msg, at sim.Cycle) {
+	if at-m.wheelAt >= sim.Cycle(len(m.wheel)) {
+		m.growWheel(at - m.wheelAt)
+	}
+	s := &m.wheel[int(at)&(len(m.wheel)-1)]
+	if s.tail == nil {
+		s.head = msg
+	} else {
+		s.tail.next = msg
+	}
+	s.tail = msg
+	m.pending++
+}
+
+// growWheel resizes the wheel to hold a delay of span cycles, moving
+// each pending cycle's FIFO to its new slot.
+func (m *Mesh) growWheel(span sim.Cycle) {
+	old := m.wheel
+	m.wheel = make([]wheelSlot, 1<<bits.Len64(uint64(span)))
+	for i := range old {
+		c := int(m.wheelAt) + i
+		m.wheel[c&(len(m.wheel)-1)] = old[c&(len(old)-1)]
+	}
+}
+
+// nextEvent reports the earliest cycle with an event on the wheel.
+func (m *Mesh) nextEvent() (sim.Cycle, bool) {
+	if m.pending == 0 {
+		return 0, false
+	}
+	c := m.wheelAt
+	for m.wheel[int(c)&(len(m.wheel)-1)].head == nil {
+		c++
+	}
+	return c, true
+}
+
+// fireDue lands every link traversal and ejection due at or before now,
+// in cycle order and, within a cycle, in the order they were scheduled.
+func (m *Mesh) fireDue(now sim.Cycle) {
+	for c := m.wheelAt; c <= now && m.pending > 0; c++ {
+		s := &m.wheel[int(c)&(len(m.wheel)-1)]
+		for msg := s.head; msg != nil; msg = s.head {
+			s.head, msg.next = msg.next, nil
+			m.pending--
+			if msg.out != portLocal {
+				m.enqueue(msg)
+				continue
+			}
+			m.stats.Delivered++
+			m.stats.LatencySum += uint64(c - msg.born)
+			m.Deliver(msg.Dst, msg, c)
+			m.release(msg)
+		}
+		s.tail = nil
+	}
+	m.wheelAt = now
+}
+
+// Tick advances the mesh one cycle: link arrivals land first, then each
+// router holding a message (ascending order) considers the head of each
+// occupied input port (fixed order) and forwards or ejects at most one
+// message per port. Nothing enters a queue during the walk, so the
+// routers and ports it passes over are exactly those with no head to
+// consider.
 func (m *Mesh) Tick(now sim.Cycle) {
-	m.events.FireDue(now)
-	for r := range m.routers {
-		rt := &m.routers[r]
-		for pt := 0; pt < numPorts; pt++ {
-			ip := &rt.in[pt]
-			msg, ok := ip.q.Peek()
-			if !ok {
-				continue
-			}
-			out := m.route(r, msg.Dst)
-			if out == portLocal {
-				ip.q.Pop()
-				ip.reserved--
-				m.queued--
-				m.events.AtCall(now+m.p.RouterLatency, m.eject, msg)
-				continue
-			}
-			if rt.outBusy[out] > now {
-				m.stats.LinkStalls++
-				continue
-			}
-			next := m.neighbor(r, out)
-			np := &m.routers[next].in[opposite[out]]
-			if np.reserved >= m.p.BufPkts {
-				m.stats.CreditStalls++
-				continue
-			}
-			ip.q.Pop()
-			ip.reserved--
-			m.queued--
-			np.reserved++
-			ser := m.serCycles(msg.Bytes)
-			rt.outBusy[out] = now + ser
-			msg.at = next
-			msg.port = opposite[out]
-			m.stats.Hops++
-			m.stats.Flits += uint64(ser)
-			m.events.AtCall(now+m.p.RouterLatency+ser+m.p.LinkLatency, m.arrive, msg)
+	m.fireDue(now)
+	for w, word := range m.occupied {
+		for ; word != 0; word &= word - 1 {
+			m.tickRouter(w*64+bits.TrailingZeros64(word), now)
 		}
 	}
 	m.sched(now)
+}
+
+// tickRouter offers the head of each occupied input port of router r its
+// output: the ejection stage, or the link if it is free and the buffer
+// beyond it has a credit.
+func (m *Mesh) tickRouter(r int, now sim.Cycle) {
+	rt := &m.routers[r]
+	for ports := rt.ports; ports != 0; ports &= ports - 1 {
+		pt := bits.TrailingZeros8(ports)
+		msg, _ := rt.in[pt].q.Peek()
+		out := msg.out
+		if out == portLocal {
+			m.dequeue(r, pt)
+			m.schedule(msg, now+m.p.RouterLatency)
+			continue
+		}
+		if rt.outBusy[out] > now {
+			m.stats.LinkStalls++
+			continue
+		}
+		next := m.neighbor(r, out)
+		np := &m.routers[next].in[opposite[out]]
+		if np.reserved >= m.p.BufPkts {
+			m.stats.CreditStalls++
+			continue
+		}
+		m.dequeue(r, pt)
+		np.reserved++
+		rt.outBusy[out] = now + msg.ser
+		msg.at = next
+		msg.port = opposite[out]
+		m.stats.Hops++
+		m.stats.Flits += uint64(msg.ser)
+		m.schedule(msg, now+m.p.RouterLatency+msg.ser+m.p.LinkLatency)
+	}
 }
 
 // sched picks the sleep target after a tick: the next event if the
@@ -314,7 +440,7 @@ func (m *Mesh) sched(now sim.Cycle) {
 		return
 	}
 	wake := sim.FarFuture
-	if c, ok := m.events.NextAt(); ok {
+	if c, ok := m.nextEvent(); ok {
 		wake = c
 	}
 	m.handle.SleepUntil(wake)

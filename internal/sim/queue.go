@@ -1,10 +1,21 @@
 package sim
 
 // Queue is a bounded FIFO used for request queues throughout the memory
-// hierarchy. A capacity of 0 means unbounded.
+// hierarchy. A capacity of 0 means unbounded. The zero value is an
+// empty unbounded queue.
+//
+// Items live in a circular buffer whose length is a power of two, so
+// Push, Pop, Peek and At are O(1) and a queue in steady state never
+// allocates: the buffer doubles only when a push finds it full, and so
+// stays below twice the deepest the queue has been. Every slot an item
+// leaves is zeroed — a queue of pointers does not pin what it has
+// handed back (pooled requests and messages are recycled by their
+// owners the moment they are popped).
 type Queue[T any] struct {
-	items []T
-	cap   int
+	buf  []T // len is zero or a power of two
+	head int // index of the oldest item
+	n    int // items queued
+	cap  int
 }
 
 // NewQueue returns a FIFO bounded to capacity items (0 = unbounded).
@@ -13,70 +24,104 @@ func NewQueue[T any](capacity int) *Queue[T] {
 }
 
 // Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.n }
 
 // Cap reports the capacity (0 = unbounded).
 func (q *Queue[T]) Cap() int { return q.cap }
 
 // Full reports whether the queue cannot accept another item.
-func (q *Queue[T]) Full() bool { return q.cap > 0 && len(q.items) >= q.cap }
+func (q *Queue[T]) Full() bool { return q.cap > 0 && q.n >= q.cap }
 
 // Empty reports whether the queue has no items.
-func (q *Queue[T]) Empty() bool { return len(q.items) == 0 }
+func (q *Queue[T]) Empty() bool { return q.n == 0 }
+
+// slot maps the i-th oldest position to its index in buf.
+func (q *Queue[T]) slot(i int) int { return (q.head + i) & (len(q.buf) - 1) }
 
 // Push appends item and reports whether it was accepted.
 func (q *Queue[T]) Push(item T) bool {
 	if q.Full() {
 		return false
 	}
-	q.items = append(q.items, item)
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[q.slot(q.n)] = item
+	q.n++
 	return true
 }
 
-// Pop removes and returns the oldest item; ok is false if empty.
+// grow doubles the buffer, unwrapping the items to its front.
+func (q *Queue[T]) grow() {
+	buf := make([]T, max(1, 2*len(q.buf)))
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
+}
+
+// Pop removes and returns the oldest item; ok is false if empty. It is
+// RemoveAt(0) spelled out: the hot path of every FIFO in the machine.
 func (q *Queue[T]) Pop() (item T, ok bool) {
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
+	if q.n == 0 {
+		return item, false
 	}
-	item = q.items[0]
-	// Shift rather than re-slice so the backing array does not grow
-	// without bound under steady-state traffic.
-	copy(q.items, q.items[1:])
-	q.items = q.items[:len(q.items)-1]
+	var zero T
+	item, q.buf[q.head] = q.buf[q.head], zero
+	q.head = q.slot(1)
+	q.n--
 	return item, true
 }
 
 // Peek returns the oldest item without removing it; ok is false if empty.
 func (q *Queue[T]) Peek() (item T, ok bool) {
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
+	if q.n == 0 {
+		return item, false
 	}
-	return q.items[0], true
+	return q.buf[q.head], true
 }
 
 // At returns the i-th oldest item (0 = front). It panics if out of range.
-func (q *Queue[T]) At(i int) T { return q.items[i] }
+func (q *Queue[T]) At(i int) T {
+	if uint(i) >= uint(q.n) {
+		panic("sim: Queue index out of range")
+	}
+	return q.buf[q.slot(i)]
+}
 
 // RemoveAt removes and returns the i-th oldest item. It panics if out of
-// range. Used by out-of-order schedulers (e.g. FR-FCFS).
+// range. Used by out-of-order schedulers (e.g. FR-FCFS). The gap closes
+// from whichever end is nearer, so removing the front is a Pop.
 func (q *Queue[T]) RemoveAt(i int) T {
-	item := q.items[i]
-	copy(q.items[i:], q.items[i+1:])
-	q.items = q.items[:len(q.items)-1]
+	item := q.At(i)
+	var zero T
+	if i < q.n-1-i {
+		for ; i > 0; i-- {
+			q.buf[q.slot(i)] = q.buf[q.slot(i-1)]
+		}
+		q.buf[q.head] = zero
+		q.head = q.slot(1)
+	} else {
+		for ; i < q.n-1; i++ {
+			q.buf[q.slot(i)] = q.buf[q.slot(i+1)]
+		}
+		q.buf[q.slot(i)] = zero
+	}
+	q.n--
 	return item
 }
 
 // Clear discards all items.
-func (q *Queue[T]) Clear() { q.items = q.items[:0] }
+func (q *Queue[T]) Clear() {
+	clear(q.buf)
+	q.head, q.n = 0, 0
+}
 
 // Delay models a fixed-latency pipe: items pushed at cycle t become
 // visible to Pop at cycle t+latency. It is used for wire/pipeline delays
 // such as the L2 access latency and the vertical TSV bus hop.
 type Delay[T any] struct {
 	latency Cycle
-	items   []delayed[T]
+	items   Queue[delayed[T]]
 }
 
 type delayed[T any] struct {
@@ -96,26 +141,22 @@ func NewDelay[T any](latency Cycle) *Delay[T] {
 func (d *Delay[T]) Latency() Cycle { return d.latency }
 
 // Len reports the number of in-flight items.
-func (d *Delay[T]) Len() int { return len(d.items) }
+func (d *Delay[T]) Len() int { return d.items.Len() }
 
 // Push inserts item at cycle now; it becomes visible at now+latency.
-func (d *Delay[T]) Push(now Cycle, item T) {
-	d.items = append(d.items, delayed[T]{ready: now + d.latency, item: item})
-}
+func (d *Delay[T]) Push(now Cycle, item T) { d.PushAt(now+d.latency, item) }
 
 // PushAt inserts item to become visible at the explicit cycle ready.
 func (d *Delay[T]) PushAt(ready Cycle, item T) {
-	d.items = append(d.items, delayed[T]{ready: ready, item: item})
+	d.items.Push(delayed[T]{ready: ready, item: item})
 }
 
 // Pop removes and returns the oldest item that is ready at cycle now.
 func (d *Delay[T]) Pop(now Cycle) (item T, ok bool) {
-	if len(d.items) == 0 || d.items[0].ready > now {
-		var zero T
-		return zero, false
+	head, ok := d.items.Peek()
+	if !ok || head.ready > now {
+		return item, false
 	}
-	item = d.items[0].item
-	copy(d.items, d.items[1:])
-	d.items = d.items[:len(d.items)-1]
-	return item, true
+	d.items.Pop()
+	return head.item, true
 }

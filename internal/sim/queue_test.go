@@ -1,0 +1,185 @@
+package sim
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// TestQueueAgainstSliceModel drives a Queue and a plain slice with the
+// same random operations — weighted so the depth drifts up and down and
+// the ring wraps its buffer many times — and requires them to agree on
+// every answer, bounded and unbounded. The buffer must stay below twice
+// the deepest the queue has been.
+func TestQueueAgainstSliceModel(t *testing.T) {
+	for _, capacity := range []int{0, 1, 5, 16} {
+		rng := rand.New(rand.NewSource(int64(41 + capacity)))
+		q := NewQueue[int](capacity)
+		var model []int
+		next, peak, pops := 0, 0, 0
+		for step := 0; step < 200_000; step++ {
+			// Long phases that favour pushes, then pops.
+			pushBias := 6
+			if (step/300)%2 == 1 {
+				pushBias = 3
+			}
+			switch op := rng.Intn(10); {
+			case op < pushBias:
+				full := capacity > 0 && len(model) >= capacity
+				if q.Full() != full {
+					t.Fatalf("cap %d step %d: Full() = %v with %d queued", capacity, step, q.Full(), len(model))
+				}
+				if ok := q.Push(next); ok == full {
+					t.Fatalf("cap %d step %d: Push accepted = %v with %d queued", capacity, step, ok, len(model))
+				}
+				if !full {
+					model = append(model, next)
+				}
+				next++
+			case op < 8:
+				got, ok := q.Pop()
+				if ok != (len(model) > 0) || (ok && got != model[0]) {
+					t.Fatalf("cap %d step %d: Pop = %d,%v, model %v", capacity, step, got, ok, model)
+				}
+				if ok {
+					model = model[1:]
+					pops++
+				}
+			case op == 8 && len(model) > 0:
+				i := rng.Intn(len(model))
+				if got := q.RemoveAt(i); got != model[i] {
+					t.Fatalf("cap %d step %d: RemoveAt(%d) = %d, want %d", capacity, step, i, got, model[i])
+				}
+				model = append(model[:i:i], model[i+1:]...)
+			case op == 9 && rng.Intn(400) == 0:
+				q.Clear()
+				model = nil
+			}
+			peak = max(peak, len(model))
+			if q.Len() != len(model) || q.Empty() != (len(model) == 0) {
+				t.Fatalf("cap %d step %d: Len %d Empty %v, model holds %d", capacity, step, q.Len(), q.Empty(), len(model))
+			}
+			head, ok := q.Peek()
+			if ok != (len(model) > 0) || (ok && head != model[0]) {
+				t.Fatalf("cap %d step %d: Peek = %d,%v, model %v", capacity, step, head, ok, model)
+			}
+			if len(model) > 0 {
+				if i := rng.Intn(len(model)); q.At(i) != model[i] {
+					t.Fatalf("cap %d step %d: At(%d) = %d, want %d", capacity, step, i, q.At(i), model[i])
+				}
+			}
+			if len(q.buf) > 2*peak {
+				t.Fatalf("cap %d step %d: buffer of %d for a peak depth of %d", capacity, step, len(q.buf), peak)
+			}
+		}
+		if wraps := pops / max(1, len(q.buf)); wraps < 100 {
+			t.Errorf("cap %d: the ring wrapped only %d times", capacity, wraps)
+		}
+	}
+}
+
+// TestQueueOutOfRangePanics: the ring must refuse an index past the
+// queued items even when the slot behind it exists.
+func TestQueueOutOfRangePanics(t *testing.T) {
+	q := NewQueue[int](0)
+	for i := 0; i < 3; i++ {
+		q.Push(i)
+	}
+	for _, f := range []func(){
+		func() { q.At(3) },
+		func() { q.At(-1) },
+		func() { q.RemoveAt(3) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("out-of-range index did not panic")
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestQueueDropsVacatedReferences looks inside the buffer: whatever way
+// an item leaves, no slot outside the queued span may still hold it —
+// the owners of pooled requests and messages recycle them on pop, and a
+// stale pointer in the ring would pin (or alias) a recycled object.
+func TestQueueDropsVacatedReferences(t *testing.T) {
+	live := func(q *Queue[*int]) int {
+		n := 0
+		for _, p := range q.buf {
+			if p != nil {
+				n++
+			}
+		}
+		return n
+	}
+	q := NewQueue[*int](0)
+	check := func(what string) {
+		t.Helper()
+		if live(q) != q.Len() {
+			t.Fatalf("after %s: %d pointers in the buffer, %d items queued", what, live(q), q.Len())
+		}
+	}
+	for i := 0; i < 11; i++ {
+		q.Push(new(int))
+	}
+	q.Pop()
+	check("Pop")
+	q.RemoveAt(1) // nearer the front
+	check("RemoveAt near the front")
+	q.RemoveAt(q.Len() - 2) // nearer the back
+	check("RemoveAt near the back")
+	q.RemoveAt(0)
+	check("RemoveAt(0)")
+	for i := 0; i < 9; i++ { // wrap, then grow while wrapped
+		q.Push(new(int))
+		q.Pop()
+		q.Push(new(int))
+		check("a wrapping Push/Pop")
+	}
+	q.Clear()
+	check("Clear")
+
+	d := NewDelay[*int](2)
+	d.Push(0, new(int))
+	d.Push(0, new(int))
+	d.Pop(2)
+	if d.items.buf[0].item != nil || d.items.buf[1].item == nil {
+		t.Fatal("Delay.Pop left the popped pointer in its buffer (or dropped the queued one)")
+	}
+}
+
+// TestQueueSteadyStateDoesNotAllocate: once the ring has reached its
+// working depth, pushes and pops — wrapping or not — allocate nothing.
+func TestQueueSteadyStateDoesNotAllocate(t *testing.T) {
+	q := NewQueue[int](0)
+	for i := 0; i < 100; i++ {
+		q.Push(i)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 300; i++ {
+			q.Pop()
+			q.Push(i)
+		}
+		q.RemoveAt(40)
+		q.Push(0)
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per run in steady state", allocs)
+	}
+}
+
+// BenchmarkQueueDeepPop pops and refills the head of a queue that stays
+// 256 deep — the depth a link-bound directory bank's retry queue and a
+// full MRQ run at, and the case a shift-on-pop queue pays O(depth) for.
+func BenchmarkQueueDeepPop(b *testing.B) {
+	q := NewQueue[*int](0)
+	for i := 0; i < 256; i++ {
+		q.Push(new(int))
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		p, _ := q.Pop()
+		q.Push(p)
+	}
+}
