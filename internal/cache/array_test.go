@@ -15,9 +15,6 @@ func TestArrayGeometry(t *testing.T) {
 	if a.SizeBytes() != 12*1024*1024 {
 		t.Fatalf("SizeBytes = %d", a.SizeBytes())
 	}
-	if a.Name() != "L2" {
-		t.Fatalf("Name = %q", a.Name())
-	}
 }
 
 func TestArrayMissThenHit(t *testing.T) {

@@ -34,13 +34,24 @@ type unissuedEntry struct {
 }
 
 // mshrWaiters is one MSHR bank's set-aside misses, oldest first. Every
-// L2 tick polls the head; a head the full bank turned away gets the same
-// answer at the same cost until a fill or a raised limit changes the
-// bank, so the polls of cycles the L2 sleeps through are not made but
-// counted (settle), from what the last real poll cost.
+// cycle polls the head; a head the full bank turned away gets the same
+// answer at the same cost until the bank changes, so it is polled for
+// real once per change and every other poll — of a cycle the L2 slept
+// through or of one it ticked on — is not made but counted (settle), from
+// what the last real poll cost.
 type mshrWaiters struct {
-	q      sim.Queue[*mem.Request]
-	probes int // entry probes the bank's lookup of the head took
+	q sim.Queue[*mem.Request]
+	// What the head's last real poll found: the bank array its line is
+	// absent from, the entry probes the MSHR bank's lookup took, and that
+	// bank's change count.
+	arr    *Array
+	probes int
+	seen   uint64
+}
+
+// turnedAway records the poll in which the full bank f refused the head.
+func (w *mshrWaiters) turnedAway(arr *Array, f *mshr.File, probes int) {
+	w.arr, w.probes, w.seen = arr, probes, f.Changes()
 }
 
 // l2bank is one bank of the shared cache: its own array slice and a
@@ -119,9 +130,10 @@ type L2 struct {
 	// event or queued work; Submit, queueWriteback, a fill into a bank
 	// with set-aside misses and a raised MSHR limit wake it. lastTick is
 	// the last cycle whose polls of the set-aside heads are counted, made
-	// (Tick) or settled (FlushIdle).
-	handle   *sim.TickHandle
-	lastTick sim.Cycle
+	// or settled (Tick, FlushIdle); headPolls counts the ones made.
+	handle    *sim.TickHandle
+	lastTick  sim.Cycle
+	headPolls uint64
 
 	// Prebuilt callbacks so the hot path schedules events and issues
 	// reads without allocating closures: completeReq finishes a request
@@ -391,14 +403,10 @@ func (l *L2) Submit(r *mem.Request, now sim.Cycle) bool {
 }
 
 // Tick processes one cycle: due events (hit completions, fills), then
-// set-aside misses waiting on MSHR space, then one request per free
-// bank, then MC submission retries. The cycles slept through since the
-// last tick are settled first.
+// set-aside misses waiting on MSHR space — with the polls of the cycles
+// slept through since the last tick — then one request per free bank,
+// then MC submission retries.
 func (l *L2) Tick(now sim.Cycle) {
-	if l.handle != nil {
-		l.settle(now - l.lastTick - 1)
-		l.lastTick = now
-	}
 	l.now = now
 	l.events.FireDue(now)
 	l.drainMSHRWaiters(now)
@@ -419,37 +427,39 @@ func (l *L2) FlushIdle(now sim.Cycle) {
 	if l == nil || l.handle == nil || now <= l.lastTick {
 		return
 	}
-	l.settle(now - l.lastTick)
+	for m := range l.mshrWait {
+		l.settle(m, now)
+	}
 	l.lastTick = now
 }
 
-// settle counts the polls of the k cycles after lastTick, which the L2
-// slept through: each would have looked the head of every wait queue up
-// in its bank array (a miss) and in its full MSHR bank (a miss costing
-// what the last real poll cost — the table cannot change while the bank
-// is full), after waiting for the MSHR bank's port. Nothing that decides
-// any of this moves while the L2 sleeps: lines enter the array and
-// entries leave the MSHR only in handleFill, the limit rises only in
-// SetLimit, both wake it, and mshrBusy moves only in its own ticks.
-func (l *L2) settle(k sim.Cycle) {
-	if k <= 0 {
+// settle counts, without making them, the polls of MSHR bank m's set-aside
+// head on the cycles after lastTick up to and including through. Each
+// would have looked the head up in its bank array (a miss) and in its full
+// MSHR bank (a miss costing what the last real poll cost), after waiting
+// for the MSHR bank's port. That holds for every cycle on which the bank
+// is as the head's last real poll left it: the head's line can enter the
+// array only in handleFill of its own MSHR entry, which would first have
+// to be allocated, and is released, in this bank; the lookup's cost and
+// the bank's being full change only with an allocation, a release or a
+// new limit; and mshrBusy moves only in the L2's own ticks, after the
+// polls. A release or a raised limit also wakes the L2, so the cycles it
+// sleeps through always qualify; the cycle it wakes on qualifies if the
+// bank's change count stands (drainMSHRWaiters).
+func (l *L2) settle(m int, through sim.Cycle) {
+	w := &l.mshrWait[m]
+	k := through - l.lastTick
+	if w.q.Empty() || k <= 0 {
 		return
 	}
-	for m := range l.mshrWait {
-		w := &l.mshrWait[m]
-		r, ok := w.q.Peek()
-		if !ok {
-			continue
-		}
-		l.banks[l.bankFor(r.Line)].arr.stats.Lookups += uint64(k)
-		l.mshrBanks[m].Relookup(w.probes, uint64(k))
-		// The poll at cycle c waits mshrBusy − (c + latency + crossPenalty)
-		// cycles for the port when that is positive: a series falling by
-		// one per cycle from its value on the first skipped cycle.
-		if first := l.mshrBusy[m] - (l.lastTick + 1 + l.latency + l.crossPenalty); first > 0 {
-			n := min(first, k)
-			l.stats.ProbeStalls += uint64(n*first - n*(n-1)/2)
-		}
+	w.arr.stats.Lookups += uint64(k)
+	l.mshrBanks[m].Relookup(w.probes, uint64(k))
+	// The poll at cycle c waits mshrBusy − (c + latency + crossPenalty)
+	// cycles for the port when that is positive: a series falling by
+	// one per cycle from its value on the first counted cycle.
+	if first := l.mshrBusy[m] - (l.lastTick + 1 + l.latency + l.crossPenalty); first > 0 {
+		n := min(first, k)
+		l.stats.ProbeStalls += uint64(n*first - n*(n-1)/2)
 	}
 }
 
@@ -459,7 +469,7 @@ func (l *L2) settle(k sim.Cycle) {
 // and a raised limit, the only things that can change the answer, wake
 // the L2, and settle counts the polls in between. The exception is a
 // bank whose lookups draw from the fault injector's shared random
-// stream, where every poll is an event of its own. Otherwise the next
+// stream, where every poll is made, on its own cycle. Otherwise the next
 // work is the earliest pending event or the earliest cycle a non-empty
 // bank queue can be served.
 func (l *L2) sched(now sim.Cycle) {
@@ -500,11 +510,32 @@ func (l *L2) sched(now sim.Cycle) {
 // drainMSHRWaiters retries set-aside misses in arrival order as MSHR
 // entries free up. A waiting line may have been filled by another
 // request in the meantime, in which case it completes as a hit.
+//
+// A head whose bank has not changed since it was last turned away is not
+// asked again: this cycle's poll is settled with those of the cycles slept
+// through. Three kinds of poll are always made. A bank that draws faults
+// spends the injector's random stream on each. Under a full-tick engine —
+// the oracle the closed form is checked against — and in an L2 ticked by
+// hand, nothing is settled at all.
 func (l *L2) drainMSHRWaiters(now sim.Cycle) {
+	settles := l.handle != nil && !l.handle.FullTick()
 	for m := range l.mshrWait {
 		w := &l.mshrWait[m]
+		if w.q.Empty() {
+			continue
+		}
+		f := l.mshrBanks[m]
+		if settles && w.seen == f.Changes() && !f.DrawsFaults() {
+			l.settle(m, now)
+			continue
+		}
+		if l.handle != nil {
+			l.settle(m, now-1)
+		}
 		for r, ok := w.q.Peek(); ok; r, ok = w.q.Peek() {
-			if l.banks[l.bankFor(r.Line)].arr.Lookup(l.toLocal(r.Line)) {
+			l.headPolls++
+			arr := l.banks[l.bankFor(r.Line)].arr
+			if arr.Lookup(l.toLocal(r.Line)) {
 				l.stats.Hits++
 				l.notePrefetchUse(r.Line)
 				done := now + l.latency
@@ -516,12 +547,13 @@ func (l *L2) drainMSHRWaiters(now sim.Cycle) {
 				r.Attrib = nil
 				l.events.AtCall(done, l.completeReq, r)
 			} else if probes, fit := l.missPath(r, now); !fit {
-				w.probes = probes
+				w.turnedAway(arr, f, probes)
 				break // still full; preserve order
 			}
 			w.q.Pop()
 		}
 	}
+	l.lastTick = now
 }
 
 func (l *L2) tickBank(b *l2bank, now sim.Cycle) {
@@ -575,9 +607,11 @@ func (l *L2) tickBank(b *l2bank, now sim.Cycle) {
 			// serving unrelated requests (the capacity pressure the
 			// Section 5 experiments measure).
 			l.stats.MSHRStalls++
-			w := &l.mshrWait[l.mshrFor(r.Line)]
+			m := l.mshrFor(r.Line)
+			w := &l.mshrWait[m]
 			if w.q.Empty() {
-				w.probes = probes // r is the head, and this was its poll
+				// r is the head, and this was its poll.
+				w.turnedAway(b.arr, l.mshrBanks[m], probes)
 			}
 			w.q.Push(r)
 		}

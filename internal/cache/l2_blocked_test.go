@@ -68,7 +68,8 @@ type blockedRig struct {
 // newBlockedRig builds the machine. memFirst registers the memory before
 // the L2, so a fill at cycle c reaches the L2's own slot in cycle c;
 // otherwise it lands after that slot, as fills from the controllers do.
-func newBlockedRig(fullTick, memFirst bool, fillAt map[mem.Addr]sim.Cycle) *blockedRig {
+// A script that needs another geometry adjusts the configuration.
+func newBlockedRig(fullTick, memFirst bool, fillAt map[mem.Addr]sim.Cycle, adjust ...func(*config.Config)) *blockedRig {
 	cfg := config.QuadMC()
 	cfg.MCs = 1
 	cfg.L2Banks = 1
@@ -77,6 +78,9 @@ func newBlockedRig(fullTick, memFirst bool, fillAt map[mem.Addr]sim.Cycle) *bloc
 	cfg.L2MSHRs, cfg.L2MSHRMult = 2, 1
 	cfg.L2MSHRKind = config.MSHRLinearProbe
 	cfg.MSHRBankLat = 5
+	for _, f := range adjust {
+		f(cfg)
+	}
 	amap := mem.AddrMap{
 		LineBytes: cfg.LineBytes, PageBytes: cfg.PageBytes,
 		MCs: 1, RanksPerMC: cfg.RanksTotal, Banks: cfg.BanksPerRank,
@@ -116,16 +120,19 @@ func (rg *blockedRig) runTo(c sim.Cycle) { rg.eng.Run(c - rg.eng.Now()) }
 
 // blockedCounters is everything the polls of a set-aside head count.
 type blockedCounters struct {
-	L2    L2Stats
-	Array ArrayStats
-	MSHR  mshr.Stats
+	L2     L2Stats
+	Arrays []ArrayStats // one per array bank
+	MSHR   mshr.Stats
 }
 
 // counters flushes, as every reader of a sleeping L2's counters must,
 // and snapshots them (the histogram by value: ResetStats replaces it).
 func (rg *blockedRig) counters() blockedCounters {
 	rg.l2.FlushIdle(rg.eng.Now())
-	c := blockedCounters{*rg.l2.Stats(), *rg.l2.ArrayStats()[0], *rg.l2.MSHRBanks()[0].Stats()}
+	c := blockedCounters{L2: *rg.l2.Stats(), MSHR: *rg.l2.MSHRBanks()[0].Stats()}
+	for _, a := range rg.l2.ArrayStats() {
+		c.Arrays = append(c.Arrays, *a)
+	}
 	h := *c.MSHR.ProbeCounts
 	c.MSHR.ProbeCounts = &h
 	return c
@@ -214,9 +221,9 @@ func TestBlockedHeadWaitsForFill(t *testing.T) {
 				// cycle 2, B and C 13 each at 3, B and the second request
 				// 12 each at 4, then B 11, 10 and 9.
 				want := blockedCounters{
-					L2:    L2Stats{Accesses: 4, DemandMisses: 1, MSHRStalls: 3, ProbeStalls: 14 + 2*13 + 2*12 + 11 + 10 + 9},
-					Array: ArrayStats{Lookups: 9},
-					MSHR:  mshr.Stats{Accesses: 9, Allocs: 1, Probes: 18, ProbeCounts: probeHistogram(9)},
+					L2:     L2Stats{Accesses: 4, DemandMisses: 1, MSHRStalls: 3, ProbeStalls: 14 + 2*13 + 2*12 + 11 + 10 + 9},
+					Arrays: []ArrayStats{{Lookups: 9}},
+					MSHR:   mshr.Stats{Accesses: 9, Allocs: 1, Probes: 18, ProbeCounts: probeHistogram(9)},
 				}
 				if !reflect.DeepEqual(res.Warm, want) {
 					t.Errorf("%s warmup counters:\n got %+v\nwant %+v", mode, res.Warm, want)
@@ -226,8 +233,8 @@ func TestBlockedHeadWaitsForFill(t *testing.T) {
 				// waits 9+8+...+1 on cycles 32..40; B's allocation holds it
 				// until pollB+9+15, so C waits 15+14+...+1 from that poll on.
 				want = blockedCounters{
-					L2:    L2Stats{Accesses: 1, Hits: 1, DemandMisses: 2, ProbeStalls: 36 + 45 + 120},
-					Array: ArrayStats{Lookups: tc.accesses + 1, Hits: 1, Fills: 3}, // + the hit, which never reaches the MSHR
+					L2:     L2Stats{Accesses: 1, Hits: 1, DemandMisses: 2, ProbeStalls: 36 + 45 + 120},
+					Arrays: []ArrayStats{{Lookups: tc.accesses + 1, Hits: 1, Fills: 3}}, // + the hit, which never reaches the MSHR
 					MSHR: mshr.Stats{Accesses: tc.accesses, Allocs: 2, Releases: 3, Probes: 2 * tc.accesses,
 						ProbeCounts: probeHistogram(tc.accesses)},
 				}
@@ -284,5 +291,239 @@ func TestBlockedHeadWaitsForLimit(t *testing.T) {
 	}
 	if got := fast.SubmitAt[lineB]; got != 41+24 {
 		t.Errorf("B re-issued at cycle %d, want %d", got, 41+24)
+	}
+}
+
+// The scripts of TestBlockedHeadPolledOncePerChange keep the L2 ticking
+// for real while a head stays blocked, which a fill-to-fill sleep never
+// does. Two array banks, pages alternating between them: lineA and lineC
+// live in bank 1, lineB, lineP and lineQ in bank 0.
+const lineQ = mem.Addr(0x6000)
+
+func twoArrayBanks(c *config.Config) { c.L2Banks = 2 }
+
+// vbfBank gives the MSHR bank the Vector Bloom Filter, under which what a
+// lookup that misses costs depends on what the bank holds: one probe of
+// the home slot, plus one for every other entry that hashed there. All
+// the lines here hash to the same one.
+func vbfBank(c *config.Config) { c.L2MSHRKind = config.MSHRVBF }
+
+// checkCounters compares what a script left behind with what was worked
+// out by hand.
+func checkCounters(t *testing.T, what string, got, want blockedCounters) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s:\n got %+v (probes %+v)\nwant %+v (probes %+v)",
+			what, got, *got.MSHR.ProbeCounts, want, *want.MSHR.ProbeCounts)
+	}
+}
+
+// blockLineP is how the two-bank scripts open: lineA is made resident
+// (miss at cycle 1, fill at 40), lineB takes the one entry at cycle 41 and
+// holds the port until 41+9+10+5 = 65, and lineP is set aside at 42.
+func blockLineP(t *testing.T, rg *blockedRig) {
+	rg.submit(t, mem.Read, lineA)
+	rg.runTo(40)
+	rg.submit(t, mem.Read, lineB)
+	rg.submit(t, mem.Read, lineP)
+}
+
+// TestBlockedHeadPolledOncePerChange pins the contract drainMSHRWaiters
+// keeps with a blocked head: asked for real once each time its MSHR bank
+// changes, and otherwise counted — on the cycles the L2 ticks as on those
+// it sleeps through. Each script runs under the full-tick engine, where
+// every poll is made, and scheduled, and must leave the same counters and
+// cycles behind, the hand-derived ones included; the number of polls made
+// is the one thing that differs, and is worked out for both.
+func TestBlockedHeadPolledOncePerChange(t *testing.T) {
+	for _, sc := range []struct {
+		name   string
+		adjust func(*config.Config)
+		fillAt map[mem.Addr]sim.Cycle
+		// drive runs the script to its end; a script that resets the
+		// statistics on the way returns what they read before.
+		drive func(t *testing.T, rg *blockedRig) (warm blockedCounters)
+		// Polls made of a set-aside head under each engine, and the least
+		// number of ticks the scheduled L2 must have spent on other work.
+		fullPolls, schedPolls, schedTicks uint64
+		check                             func(t *testing.T, res blockedResult)
+	}{
+		{
+			// With lineP waiting (blockLineP), twenty hits on lineA, in the
+			// other array bank, are served on cycles 71..90 and complete on
+			// 80..99: the L2 ticks on every one of those cycles and the
+			// bank lineP waits on does not change. lineB fills at 150,
+			// lineP is polled at 151 and takes the entry.
+			name:   "hits stream into another bank",
+			adjust: twoArrayBanks,
+			fillAt: map[mem.Addr]sim.Cycle{lineA: 40, lineB: 150, lineP: 220},
+			drive: func(t *testing.T, rg *blockedRig) (warm blockedCounters) {
+				blockLineP(t, rg)
+				for c := sim.Cycle(70); c < 90; c++ {
+					rg.runTo(c)
+					rg.submit(t, mem.Read, lineA)
+				}
+				rg.runTo(260)
+				return warm
+			},
+			// Full tick polls lineP on cycles 43..151; scheduled, only on
+			// 151, and the L2 also ticked on 71..99.
+			fullPolls: 109, schedPolls: 1, schedTicks: 29,
+			check: func(t *testing.T, res blockedResult) {
+				// The MSHR bank sees the three misses and lineP's polls;
+				// lineP waits 14 cycles for the port at 42, then 13..1.
+				want := blockedCounters{
+					L2: L2Stats{Accesses: 23, Hits: 20, DemandMisses: 3, MSHRStalls: 1, ProbeStalls: 14 * 15 / 2},
+					Arrays: []ArrayStats{
+						{Lookups: 2 + 109, Fills: 2},
+						{Lookups: 21, Hits: 20, Fills: 1},
+					},
+					MSHR: mshr.Stats{Accesses: 3 + 109, Allocs: 3, Releases: 3, Probes: 2 * (3 + 109),
+						ProbeCounts: probeHistogram(3 + 109)},
+				}
+				checkCounters(t, "counters", res.Measured, want)
+				if got := res.SubmitAt[lineP]; got != 151+24 {
+					t.Errorf("lineP re-issued at cycle %d, want %d", got, 151+24)
+				}
+			},
+		},
+		{
+			// With both entries usable, lineA and lineC take them at cycles
+			// 1 and 2 and lineB is set aside at 3, its lookup costing two
+			// probes (the home slot and lineC's). The limit drops to 1
+			// after cycle 10: the bank has changed, so the next tick the
+			// L2 makes for other reasons — issuing lineA's read at 20 —
+			// polls, and learns nothing. lineC fills at 60: a poll at 61
+			// finds the bank still full (one entry, limit 1) and the lookup
+			// down to one probe. The limit returns to 2 after cycle 90 and
+			// the poll at 91 allocates.
+			name:   "another line fills under a lowered limit, then the limit rises",
+			adjust: vbfBank,
+			fillAt: map[mem.Addr]sim.Cycle{lineA: 130, lineC: 60, lineB: 180},
+			drive: func(t *testing.T, rg *blockedRig) (warm blockedCounters) {
+				bank := rg.l2.MSHRBanks()[0]
+				bank.SetLimit(2)
+				rg.submit(t, mem.Read, lineA)
+				rg.submit(t, mem.Read, lineC)
+				rg.submit(t, mem.Read, lineB)
+				rg.runTo(10)
+				bank.SetLimit(1)
+				rg.runTo(90)
+				bank.SetLimit(2)
+				rg.runTo(220)
+				return warm
+			},
+			// Full tick polls lineB on cycles 4..91; scheduled on 20, 61
+			// and 91, and the L2 also ticked at 30 to issue lineC's read.
+			fullPolls: 88, schedPolls: 3, schedTicks: 1,
+			check: func(t *testing.T, res blockedResult) {
+				// Lookups: the three at the bank (1, 1 and 2 probes), then
+				// lineB's polls, 2 probes each on cycles 4..60 and 1 each on
+				// 61..91.
+				h := stats.NewHistogram(3)
+				h.AddN(1, 2+31)
+				h.AddN(2, 1+57)
+				// The port: lineA holds it until 1+9+5+5 = 20; lineC waits 9
+				// for it and holds it until 30; lineB waits 18 at cycle 3,
+				// then 17..1 on cycles 4..20.
+				want := blockedCounters{
+					L2:     L2Stats{Accesses: 3, DemandMisses: 3, MSHRStalls: 1, ProbeStalls: 9 + 18*19/2},
+					Arrays: []ArrayStats{{Lookups: 3 + 88, Fills: 3}},
+					MSHR: mshr.Stats{Accesses: 3 + 88, Allocs: 3, Releases: 3, Probes: 33 + 2*58,
+						ProbeCounts: h},
+				}
+				checkCounters(t, "counters", res.Measured, want)
+				// One probe at cycle 91: the port is held for 9 + 5 + 5.
+				if got := res.SubmitAt[lineB]; got != 91+19 {
+					t.Errorf("lineB re-issued at cycle %d, want %d", got, 91+19)
+				}
+			},
+		},
+		{
+			// With lineP waiting (blockLineP), an L1 prefetch of lineQ is
+			// dropped on the full bank at cycle 60 and holds the port until
+			// 60+9+10 = 79, so lineP's polls wait for it again: 9 cycles at
+			// 61 down to 1 at 69. Hits on lineA are served on cycles 62, 64
+			// and 66, so that series is settled piecewise, on real ticks;
+			// and the statistics are reset after cycle 63, between two of
+			// them.
+			name:   "a dropped prefetch and a statistics reset between real ticks",
+			adjust: twoArrayBanks,
+			fillAt: map[mem.Addr]sim.Cycle{lineA: 40, lineB: 150, lineP: 220},
+			drive: func(t *testing.T, rg *blockedRig) (warm blockedCounters) {
+				blockLineP(t, rg)
+				rg.runTo(59)
+				rg.submit(t, mem.Prefetch, lineQ)
+				rg.runTo(61)
+				rg.submit(t, mem.Read, lineA)
+				rg.runTo(63)
+				rg.submit(t, mem.Read, lineA)
+				warm = rg.counters()
+				rg.l2.ResetStats()
+				rg.runTo(65)
+				rg.submit(t, mem.Read, lineA)
+				rg.runTo(260)
+				return warm
+			},
+			// Scheduled ticks without a poll: 60 (the prefetch), 62, 64, 66
+			// (hits), 65 (lineB's read issues), 71, 73, 75 (completions).
+			fullPolls: 109, schedPolls: 1, schedTicks: 8,
+			check: func(t *testing.T, res blockedResult) {
+				// Before the reset: the misses of lineA, lineB and lineP,
+				// the prefetch, and lineP's polls on 43..63, which wait
+				// 13..1 cycles (43..55) and 9, 8, 7 (61..63).
+				want := blockedCounters{
+					L2: L2Stats{Accesses: 5, Hits: 1, DemandMisses: 2, MSHRStalls: 1, ProbeStalls: 14*15/2 + 9 + 8 + 7},
+					Arrays: []ArrayStats{
+						{Lookups: 3 + 21},
+						{Lookups: 2, Hits: 1, Fills: 1},
+					},
+					MSHR: mshr.Stats{Accesses: 4 + 21, Allocs: 2, Releases: 1, Probes: 2 * (4 + 21),
+						ProbeCounts: probeHistogram(4 + 21)},
+				}
+				checkCounters(t, "counters before the reset", res.Warm, want)
+				// After it: two hits, and lineP's polls on 64..151, of which
+				// 64..69 wait 6..1 cycles.
+				want = blockedCounters{
+					L2: L2Stats{Accesses: 2, Hits: 2, DemandMisses: 1, ProbeStalls: 6 * 7 / 2},
+					Arrays: []ArrayStats{
+						{Lookups: 88, Fills: 2},
+						{Lookups: 2, Hits: 2},
+					},
+					MSHR: mshr.Stats{Accesses: 88, Allocs: 1, Releases: 2, Probes: 2 * 88,
+						ProbeCounts: probeHistogram(88)},
+				}
+				checkCounters(t, "counters after the reset", res.Measured, want)
+			},
+		},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			run := func(fullTick bool) (res blockedResult, polls, ticks uint64) {
+				rg := newBlockedRig(fullTick, false, sc.fillAt, sc.adjust)
+				res.Warm = sc.drive(t, rg)
+				res.Measured = rg.counters()
+				res.DoneAt, res.SubmitAt = rg.doneAt, rg.mem.submitAt
+				if n := rg.l2.InFlight(); n != 0 {
+					t.Errorf("fullTick=%t: L2 still holds %d requests at the end", fullTick, n)
+				}
+				return res, rg.l2.headPolls, rg.l2Ticks()
+			}
+			full, fullPolls, _ := run(true)
+			fast, fastPolls, fastTicks := run(false)
+			if !reflect.DeepEqual(full, fast) {
+				t.Errorf("settled polls differ from polled ones:\nfull-tick: %+v\nscheduled: %+v", full, fast)
+			}
+			if fullPolls != sc.fullPolls {
+				t.Errorf("full-tick engine polled a blocked head %d times, want %d: it must make every poll", fullPolls, sc.fullPolls)
+			}
+			if fastPolls != sc.schedPolls {
+				t.Errorf("scheduled engine polled a blocked head %d times, want %d: once per change of its bank", fastPolls, sc.schedPolls)
+			}
+			if fastTicks < sc.schedPolls+sc.schedTicks {
+				t.Errorf("scheduled L2 ticked %d times, want at least %d: the script must keep it ticking past a blocked head",
+					fastTicks, sc.schedPolls+sc.schedTicks)
+			}
+			sc.check(t, fast)
+		})
 	}
 }

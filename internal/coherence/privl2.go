@@ -9,8 +9,9 @@ import (
 	"stackedsim/internal/sim"
 )
 
-// pstate is a line's stable MESI state in a private L2. Absence from
-// the state map is I.
+// pstate is a line's stable MESI state in a private L2, kept in the
+// state byte of the line's way in the array. A line the array does not
+// hold is I.
 type pstate uint8
 
 const (
@@ -88,7 +89,6 @@ type PrivateL2 struct {
 	lat sim.Cycle
 	cap int // miss table bound
 
-	states map[mem.Addr]pstate
 	misses map[mem.Addr]*pl2Miss
 	wb     map[mem.Addr]*wbEntry
 
@@ -117,7 +117,6 @@ func newPrivateL2(f *Fabric, id int) *PrivateL2 {
 		arr:    cache.NewArrayBySize(fmt.Sprintf("pl2.%d", id), cfg.PrivL2KB*1024, cfg.PrivL2Ways, cfg.LineBytes),
 		lat:    sim.Cycle(cfg.PrivL2Latency),
 		cap:    cfg.PrivL2MSHRs,
-		states: make(map[mem.Addr]pstate),
 		misses: make(map[mem.Addr]*pl2Miss),
 		wb:     make(map[mem.Addr]*wbEntry),
 		inbox:  sim.NewQueue[*message](0),
@@ -138,8 +137,11 @@ func (p *PrivateL2) setHandle(h *sim.TickHandle) {
 	h.SleepUntil(sim.FarFuture)
 }
 
-// State reports a line's stable state (0 = Invalid) — test hook.
-func (p *PrivateL2) State(line mem.Addr) pstate { return p.states[line] }
+// State reports a line's stable state (0 = Invalid).
+func (p *PrivateL2) State(line mem.Addr) pstate { return pstate(p.arr.State(line)) }
+
+// setState moves a resident line to another stable state.
+func (p *PrivateL2) setState(line mem.Addr, st pstate) { p.arr.SetState(line, uint8(st)) }
 
 // OutstandingMisses reports live miss-table entries — test hook.
 func (p *PrivateL2) OutstandingMisses() int { return len(p.misses) }
@@ -183,12 +185,12 @@ func (p *PrivateL2) Submit(r *mem.Request, now sim.Cycle) bool {
 	}
 	p.stats.Accesses++
 	line := r.Line
-	st := p.states[line]
+	st := p.State(line)
 	if st != 0 && !(r.Excl && st == psShared) {
 		// Hit with sufficient permission. An exclusive copy a store
 		// touches becomes modified now; the write is coming.
-		if r.Excl {
-			p.states[line] = psModified
+		if r.Excl && st != psModified {
+			p.setState(line, psModified)
 		}
 		p.arr.Lookup(line) // LRU touch
 		p.stats.Hits++
@@ -266,11 +268,11 @@ func (p *PrivateL2) submitWB(r *mem.Request, now sim.Cycle) bool {
 		r.Complete(now)
 		return true
 	}
-	switch p.states[line] {
+	switch p.State(line) {
 	case psModified:
 		// Already dirty here; the L1 copy folds in.
 	case psExcl:
-		p.states[line] = psModified
+		p.setState(line, psModified)
 	case psShared:
 		// Shared with dirty data above: chase ownership, holding the
 		// write in the miss entry. A full miss table pushes back — the
@@ -307,9 +309,9 @@ func (p *PrivateL2) submitWB(r *mem.Request, now sim.Cycle) bool {
 // copies chase ownership in the background, best-effort — the
 // writeback path is the safety net if no miss slot is free.
 func (p *PrivateL2) StoreHint(line mem.Addr, now sim.Cycle) {
-	switch p.states[line] {
+	switch p.State(line) {
 	case psExcl:
-		p.states[line] = psModified
+		p.setState(line, psModified)
 	case psShared:
 		if m, ok := p.misses[line]; ok {
 			m.wantExcl = true
@@ -423,7 +425,7 @@ func (p *PrivateL2) process(m *message, now sim.Cycle) {
 		// fill rides a different source node and the mesh only orders
 		// per source-destination pair). Hold it on the miss until the
 		// fill lands.
-		if st := p.states[m.line]; st != psExcl && st != psModified {
+		if st := p.State(m.line); st != psExcl && st != psModified {
 			if _, wbOK := p.wb[m.line]; !wbOK {
 				if ms, msOK := p.misses[m.line]; msOK {
 					p.stats.FwdDeferred++
@@ -529,25 +531,24 @@ func (p *PrivateL2) ackM(m *message, now sim.Cycle) {
 	p.releaseMiss(miss)
 }
 
-// install places a line in the array (if capacity evicted it since the
-// request left, it is simply re-installed) and records its state.
+// install places a line in the array in state st (if capacity evicted it
+// since the request left, it is simply re-installed).
 func (p *PrivateL2) install(line mem.Addr, st pstate, now sim.Cycle) {
-	p.states[line] = st
 	if p.arr.Lookup(line) {
+		p.setState(line, st)
 		return
 	}
-	victim, _, evicted := p.arr.Fill(line, st == psModified)
+	victim, vst, evicted := p.arr.FillState(line, st == psModified, uint8(st))
 	if evicted {
-		p.evict(victim, now)
+		p.evict(victim, pstate(vst), now)
 	}
 }
 
-// evict handles a capacity victim: silent for shared lines, PutE/PutM
-// through the writeback buffer for owned ones. The L1 copies go too —
-// a dirty L1 copy folds its data into the departing writeback.
-func (p *PrivateL2) evict(victim mem.Addr, now sim.Cycle) {
-	vst := p.states[victim]
-	delete(p.states, victim)
+// evict handles a capacity victim the array gave up in state vst: silent
+// for shared lines, PutE/PutM through the writeback buffer for owned ones.
+// The L1 copies go too — a dirty L1 copy folds its data into the departing
+// writeback.
+func (p *PrivateL2) evict(victim mem.Addr, vst pstate, now sim.Cycle) {
 	_, l1Dirty := p.dl1.InvalidateLine(victim)
 	p.il1.InvalidateLine(victim)
 	dirty := vst == psModified || l1Dirty
@@ -608,9 +609,7 @@ func (p *PrivateL2) wbAck(m *message, now sim.Cycle) {
 // the next coherence epoch.
 func (p *PrivateL2) invalidate(m *message, now sim.Cycle) {
 	p.stats.InvRecv++
-	if p.states[m.line] != 0 {
-		delete(p.states, m.line)
-		p.arr.Invalidate(m.line)
+	if present, _ := p.arr.Invalidate(m.line); present {
 		if _, dirty := p.dl1.InvalidateLine(m.line); dirty {
 			p.stats.InvL1Dirty++
 		}
@@ -633,10 +632,10 @@ func (p *PrivateL2) invalidate(m *message, now sim.Cycle) {
 // its in-flight PutM doubles as the demotion data at the directory.
 func (p *PrivateL2) fwdGetS(m *message, now sim.Cycle) {
 	line := m.line
-	st := p.states[line]
+	st := p.State(line)
 	if st == psExcl || st == psModified {
 		p.stats.FwdServed++
-		p.states[line] = psShared
+		p.setState(line, psShared)
 		data := p.f.newMsg(mDataOwner, line, p.id)
 		data.tag = m.tag
 		p.inject(data, m.requester, now)
@@ -660,10 +659,9 @@ func (p *PrivateL2) fwdGetS(m *message, now sim.Cycle) {
 // cache-to-cache and invalidate every local copy.
 func (p *PrivateL2) fwdGetM(m *message, now sim.Cycle) {
 	line := m.line
-	st := p.states[line]
+	st := p.State(line)
 	if st == psExcl || st == psModified {
 		p.stats.FwdServed++
-		delete(p.states, line)
 		p.arr.Invalidate(line)
 		p.dl1.InvalidateLine(line)
 		p.il1.InvalidateLine(line)

@@ -354,8 +354,9 @@ func TestDeferredRequestReplaysAgainstInvalidLine(t *testing.T) {
 // forceEvict pushes an owned line out of a private L2 through the real
 // eviction path, as a capacity victim would be.
 func forceEvict(l2 *PrivateL2, ln mem.Addr, now sim.Cycle) {
+	st := l2.State(ln)
 	l2.arr.Invalidate(ln)
-	l2.evict(ln, now)
+	l2.evict(ln, st, now)
 }
 
 func TestWritebackRaceServedFromBuffer(t *testing.T) {

@@ -347,6 +347,13 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: MemoryGB = %d", c.MemoryGB)
 	case c.L2Banks%c.MCs != 0:
 		return fmt.Errorf("config: L2Banks %d must be a multiple of MCs %d", c.L2Banks, c.MCs)
+	case c.L1SizeKB*1024%(c.L1Ways*c.LineBytes) != 0:
+		return fmt.Errorf("config: L1 of %d KB does not divide into sets of %d ways x %d bytes", c.L1SizeKB, c.L1Ways, c.LineBytes)
+	case !c.Coherent() && (c.L2SizeKB+c.L2ExtraKB)*1024/c.L2Banks < c.L2Ways*c.LineBytes:
+		// A bank may end in a partial set (Figure 6a's 533-set banks
+		// drop the remainder), but it must hold one.
+		return fmt.Errorf("config: L2 of %d KB in %d banks leaves a bank no set of %d ways x %d bytes",
+			c.L2SizeKB+c.L2ExtraKB, c.L2Banks, c.L2Ways, c.LineBytes)
 	}
 	if err := c.validateStack(); err != nil {
 		return err
@@ -396,6 +403,8 @@ func (c *Config) validateManycore() error {
 		return fmt.Errorf("config: MeshBufPkts = %d", c.MeshBufPkts)
 	case c.PrivL2KB <= 0 || c.PrivL2Ways <= 0 || c.PrivL2MSHRs <= 0:
 		return fmt.Errorf("config: bad private L2 geometry %d KB / %d ways / %d mshrs", c.PrivL2KB, c.PrivL2Ways, c.PrivL2MSHRs)
+	case c.PrivL2KB*1024%(c.PrivL2Ways*c.LineBytes) != 0:
+		return fmt.Errorf("config: private L2 of %d KB does not divide into sets of %d ways x %d bytes", c.PrivL2KB, c.PrivL2Ways, c.LineBytes)
 	case c.PrivL2Latency <= 0:
 		return fmt.Errorf("config: PrivL2Latency = %d", c.PrivL2Latency)
 	case c.DirLatency <= 0:

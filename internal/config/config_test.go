@@ -226,3 +226,38 @@ func TestValidateCatchesBadStackConfigs(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateCatchesBadCacheGeometry: a cache whose size does not divide
+// into sets panics the array constructor, and configs arrive from
+// outside (a farm job's JSON), so Validate must turn each away first.
+func TestValidateCatchesBadCacheGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		base *Config
+		mut  func(*Config)
+		want string // "" = must validate
+	}{
+		{"L1 ways not dividing", QuadMC(), func(c *Config) { c.L1Ways = 5 }, "L1 of"},
+		{"L1 ways not dividing, many-core", ManyCore(16, 4), func(c *Config) { c.L1Ways = 5 }, "L1 of"},
+		{"L2 bank without a set", QuadMC(), func(c *Config) { c.L2SizeKB, c.L2Ways = 1, 7 }, "L2 of"},
+		{"L2 bank smaller than a set", QuadMC(), func(c *Config) { c.L2SizeKB = 16 }, "L2 of"},
+		{"private L2 ways not dividing", ManyCore(16, 4), func(c *Config) { c.PrivL2Ways = 3 }, "private L2 of"},
+		// Figure 6a's widened L2 leaves each bank a partial set, which
+		// the bank drops: 533 sets, not an error.
+		{"L2 bank with a remainder", QuadMC(), func(c *Config) { c.L2ExtraKB = 512 }, ""},
+		// The many-core machine builds no shared L2 and ignores its size.
+		{"shared L2 unused", ManyCore(16, 4), func(c *Config) { c.L2SizeKB, c.L2Ways = 1, 7 }, ""},
+	} {
+		c := tc.base
+		tc.mut(c)
+		err := c.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: validated", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -19,6 +19,10 @@ import (
 // machine here) is the only one whose directory banks are link-bound at
 // their injection port, so their retry queues run tens deep and the
 // mesh stalls on credits throughout.
+//
+// Each machine is then drained, and must come to rest whole: nothing in
+// flight, every part's drained-state check clean, and every pooled
+// request handed out back in the pool.
 func TestDigestGoldens(t *testing.T) {
 	mix := func(name string) []string {
 		m, ok := workload.MixByName(name)
@@ -79,6 +83,15 @@ func TestDigestGoldens(t *testing.T) {
 			if cfg.Cores == 64 && (m.NoC.Rejected < 10_000 || m.NoC.CreditStalls < 100_000) {
 				t.Errorf("mesh refused %d sends and stalled %d times on credits: the saturated regime was not reached",
 					m.NoC.Rejected, m.NoC.CreditStalls)
+			}
+			if !sys.DrainQuiesce(2_000_000) {
+				t.Fatalf("did not quiesce: %d requests still in flight", sys.inFlight())
+			}
+			if err := sys.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+			if rep := sys.EngineReport(); rep.PoolPuts != rep.PoolGets || rep.PoolGets == 0 {
+				t.Errorf("request pool: %d handed out, %d returned", rep.PoolGets, rep.PoolPuts)
 			}
 		})
 	}

@@ -160,22 +160,7 @@ func TestWorkerFailoverEndToEnd(t *testing.T) {
 		close(done)
 	}()
 
-	deadline := time.After(60 * time.Second)
-	var js *JobStatus
-	for {
-		js, err = client.Job(ctx, sub.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if js.State == StateDone || js.State == StateQuarantined {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("job stuck in state %s", js.State)
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
+	js := awaitOutcome(t, client, sub.ID)
 	wcancel()
 	<-done
 
@@ -202,6 +187,26 @@ func TestWorkerFailoverEndToEnd(t *testing.T) {
 	}
 	if len(ms) != 1 {
 		t.Fatalf("ledger holds %d records, want 1", len(ms))
+	}
+}
+
+// awaitOutcome polls a job until it is done or quarantined.
+func awaitOutcome(t *testing.T, client *Client, id string) *JobStatus {
+	t.Helper()
+	deadline := time.After(60 * time.Second)
+	for {
+		js, err := client.Job(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if js.State == StateQuarantined || js.State == StateDone {
+			return js
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("job stuck in state %s", js.State)
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }
 
@@ -249,22 +254,7 @@ func TestPoisonJobQuarantine(t *testing.T) {
 		close(done)
 	}()
 
-	deadline := time.After(30 * time.Second)
-	var js *JobStatus
-	for {
-		js, err = client.Job(ctx, sub.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if js.State == StateQuarantined || js.State == StateDone {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("job stuck in state %s", js.State)
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
+	js := awaitOutcome(t, client, sub.ID)
 	wcancel()
 	<-done
 
@@ -285,5 +275,81 @@ func TestPoisonJobQuarantine(t *testing.T) {
 	}
 	if s.JobsQuarantined != 1 || s.Failures != 2 || s.Completed != 0 {
 		t.Fatalf("status = %+v", s)
+	}
+}
+
+// TestBadGeometryJobFailsWorkerSurvives: a config arrives as JSON off the
+// wire, and one whose caches do not divide into sets used to reach a
+// panic in the array constructor. It must fail as an error — RunJob
+// returns it, the coordinator quarantines the job with the cause — and
+// the worker that drew it must go on to run the next job.
+func TestBadGeometryJobFailsWorkerSurvives(t *testing.T) {
+	cellOf := func(cfg *config.Config) Cell {
+		cfg.WarmupCycles, cfg.MeasureCycles = 1_000, 1_000
+		raw, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Cell{Config: raw, Workload: []string{"mix:H1"}}
+	}
+	l1 := config.QuadMC()
+	l1.L1Ways = 5
+	l2 := config.QuadMC()
+	l2.L2SizeKB, l2.L2Ways = 1, 7
+	for _, bad := range []*config.Config{l1, l2} {
+		cell := cellOf(bad)
+		job := &LeasedJob{ID: "bad", Config: cell.Config, Workload: cell.Workload, Attempt: 1}
+		if _, _, err := RunJob(context.Background(), job, 1_000, nil); err == nil {
+			t.Fatalf("RunJob built a machine from L1Ways=%d L2SizeKB=%d L2Ways=%d", bad.L1Ways, bad.L2SizeKB, bad.L2Ways)
+		}
+	}
+
+	coord, err := NewCoordinator(Params{
+		SimVersion:  core.SimVersion,
+		Lease:       5 * time.Second,
+		BackoffBase: 5 * time.Millisecond,
+		BackoffMax:  10 * time.Millisecond,
+		MaxAttempts: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(ts.Close)
+	client := NewClient(ts.URL)
+	ctx := context.Background()
+
+	wctx, wcancel := context.WithCancel(ctx)
+	w := &Worker{Client: client, Name: "w1", Poll: 10 * time.Millisecond, CheckpointEvery: 1_000}
+	done := make(chan struct{})
+	go func() {
+		w.Run(wctx)
+		close(done)
+	}()
+	defer func() {
+		wcancel()
+		<-done
+	}()
+
+	// The bad job first, then a good one: the same worker draws both.
+	for _, step := range []struct {
+		cell  Cell
+		state string
+	}{
+		{cellOf(l1), StateQuarantined},
+		{cellOf(config.Baseline2D()), StateDone},
+	} {
+		sub, err := client.Submit(ctx, step.cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js := awaitOutcome(t, client, sub.ID)
+		if js.State != step.state {
+			t.Fatalf("job ended %s (%v), want %s", js.State, js.Errors, step.state)
+		}
+		if step.state == StateQuarantined &&
+			(len(js.Errors) != 1 || !strings.Contains(js.Errors[0], "L1 of") || strings.Contains(js.Errors[0], "panic")) {
+			t.Fatalf("the job failed with %q, want the config error and no panic", js.Errors)
+		}
 	}
 }

@@ -76,6 +76,7 @@ type File struct {
 	entries []*Entry // indexed by table slot
 	byLine  int      // live count (mirrors table)
 	stats   Stats
+	changes uint64 // entries allocated and released, limits set
 
 	// probeDist, when instrumented, mirrors per-lookup probe counts
 	// into the telemetry registry (nil = disabled, no-op).
@@ -122,6 +123,7 @@ func (f *File) Limit() int { return f.table.Limit() }
 func (f *File) SetLimit(n int) {
 	was := f.table.Limit()
 	f.table.SetLimit(n)
+	f.changes++
 	if f.table.Limit() > was {
 		f.owner.Wake()
 	}
@@ -131,6 +133,13 @@ func (f *File) SetLimit(n int) {
 // so whoever a full bank turned away need not poll it every cycle. (An
 // entry is released only by that component's own fill handling.)
 func (f *File) WakeOnGrow(owner *sim.TickHandle) { f.owner = owner }
+
+// Changes reports how many times the bank has changed: while the count
+// stands, a repeated lookup finds what the last one found, in as many
+// probes, and Full answers as it did. Whoever a full bank turned away can
+// tell from it that asking again is pointless — and count the repeat with
+// Relookup instead.
+func (f *File) Changes() uint64 { return f.changes }
 
 // Len reports live entries.
 func (f *File) Len() int { return f.table.Len() }
@@ -206,6 +215,7 @@ func (f *File) Allocate(line mem.Addr, r *mem.Request) (*Entry, bool) {
 		return nil, false
 	}
 	f.stats.Allocs++
+	f.changes++
 	var e *Entry
 	if n := len(f.freeEntries); n > 0 {
 		e = f.freeEntries[n-1]
@@ -235,6 +245,7 @@ func (f *File) Release(e *Entry) {
 	f.table.Free(e.slot)
 	f.entries[e.slot] = nil
 	f.stats.Releases++
+	f.changes++
 	f.freeEntries = append(f.freeEntries, e)
 }
 

@@ -123,6 +123,37 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestChangesCountsWhatCanChangeAnAnswer: the count moves with every
+// allocation, release and limit — whatever can change what a lookup finds,
+// what it costs or whether the bank is full — and with nothing else, so a
+// caller the full bank turned away can tell when asking again is pointless.
+func TestChangesCountsWhatCanChangeAnAnswer(t *testing.T) {
+	f := New(config.MSHRVBF, 2)
+	step := func(what string, moves bool, do func()) {
+		t.Helper()
+		before := f.Changes()
+		do()
+		if moved := f.Changes() != before; moved != moves {
+			t.Fatalf("%s: change count moved = %t, want %t", what, moved, moves)
+		}
+	}
+	var a *Entry
+	step("Allocate", true, func() { a, _ = f.Allocate(0x40, nil) })
+	step("Lookup hit", false, func() { f.Lookup(0x40) })
+	step("Lookup miss", false, func() { f.Lookup(0x80) })
+	step("Relookup", false, func() { f.Relookup(1, 10) })
+	step("Merge", false, func() { a.Merge(&mem.Request{}) })
+	step("SetLimit down", true, func() { f.SetLimit(1) })
+	step("Allocate refused", false, func() {
+		if _, ok := f.Allocate(0x80, nil); ok {
+			t.Fatal("allocation past the limit succeeded")
+		}
+	})
+	step("ResetStats", false, f.ResetStats)
+	step("SetLimit up", true, func() { f.SetLimit(2) })
+	step("Release", true, func() { f.Release(a) })
+}
+
 func TestReleaseStalePanics(t *testing.T) {
 	f := New(config.MSHRVBF, 4)
 	e, _ := f.Allocate(0x40, nil)

@@ -152,6 +152,13 @@ func (h *TickHandle) Wake() {
 	h.e.entries[h.idx].sleep = 0
 }
 
+// FullTick reports whether the engine is in full-tick mode, ticking the
+// component on every cycle whatever it sleeps through. A component that
+// counts in closed form what it would have done on skipped cycles reads
+// this to do everything for real instead, so that full tick stays an
+// oracle independent of the closed forms it checks. False for a nil handle.
+func (h *TickHandle) FullTick() bool { return h != nil && h.e.fullTick }
+
 // Now reports the current cycle. During a Tick callback this is the cycle
 // being simulated.
 func (e *Engine) Now() Cycle { return e.now }

@@ -184,6 +184,16 @@ func TestSetFullTickOverridesScheduling(t *testing.T) {
 	if divided != 8 || slept != 8 {
 		t.Fatalf("full-tick ran %d/%d ticks, want 8/8", divided, slept)
 	}
+	// A component can see which engine drives it; a nil handle, which
+	// belongs to none, reads false.
+	if !h.FullTick() {
+		t.Fatal("handle of a full-tick engine reports scheduled ticking")
+	}
+	e.SetFullTick(false)
+	var nh *TickHandle
+	if h.FullTick() || nh.FullTick() {
+		t.Fatal("handle of a scheduled engine, or a nil one, reports full tick")
+	}
 }
 
 // TestIdleSkipCycleParity drives the same toy pipeline twice — once with

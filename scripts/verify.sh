@@ -2,10 +2,10 @@
 # Tier-1 verification for stackedsim: the baseline
 # `go build ./... && go test ./...` gate plus formatting, vet, the whole
 # tree under the race detector (-short skips only the real-window
-# stability sweep, which the plain pass covers), and the benchmark
-# harness's own smoke test — bench/ is a separate module the root
-# commands do not descend into, so a root-module change could otherwise
-# break it unnoticed.
+# stability sweep, which the plain pass covers), one iteration of every
+# micro-benchmark under internal/, and the benchmark harness's own smoke
+# test — bench/ is a separate module the root commands do not descend
+# into, so a root-module change could otherwise break it unnoticed.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -28,6 +28,12 @@ go test ./...
 
 echo "== go test -race -short ./..."
 go test -race -short ./...
+
+# Every micro-benchmark under internal/ once: they measure single layers
+# (the mesh, the queue, the cache array) and nothing else runs them, so
+# this is what keeps them compiling and their own checks passing.
+echo "== go test -run '^\$' -bench . -benchtime 1x ./internal/..."
+go test -run '^$' -bench . -benchtime 1x ./internal/...
 
 echo "== go vet -C bench ./... && go test -C bench ./..."
 go vet -C bench ./...
