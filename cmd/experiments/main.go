@@ -27,12 +27,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -45,52 +48,95 @@ import (
 	"stackedsim/internal/monitor"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main's body behind an exit code, so the deferred cleanups
-// (profile flush, graceful monitor shutdown) run even on failure.
-func run() int {
+// run is main's body behind an exit code with injectable streams: 0 on
+// success, 1 when an experiment failed or the sweep was interrupted, 2
+// on a usage error. Nothing below main calls os.Exit, so the deferred
+// cleanups (profile flush, graceful monitor shutdown) run on every path
+// and the command is testable in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	// core.Figures is the only list of figures; table1 and tsv print
+	// static tables around them.
+	names := []string{"all", "table1"}
+	for _, f := range core.Figures {
+		names = append(names, f.Name)
+	}
+	names = append(names, "tsv")
+
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		expFlag = flag.String("exp", "all", "comma-separated experiments: table1,table2a,table2b,fig4,fig6a,fig6b,fig7a,fig7b,fig9a,fig9b,vbfprobes,energy,banking,stability,stackcap,tsv,thermal,ablations,manycore")
-		warmup  = flag.Int64("warmup", 200_000, "warmup cycles per run")
-		measure = flag.Int64("measure", 600_000, "measured cycles per run")
-		verbose = flag.Bool("v", false, "print per-run progress")
-		csvOut  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jobs    = flag.Int("j", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		monAddr = flag.String("monitor-addr", "", "serve live runner progress (/metrics, /snapshot, /healthz, pprof) on this address")
-		ledDir  = flag.String("ledger-dir", "", "content-addressed run ledger: record completed runs here and serve known runs from it without re-simulating")
-		runTmo  = flag.Duration("run-timeout", 0, "per-simulation wall-time limit (0 = none); an over-budget run fails alone")
-		farmFlg = flag.String("farm", "", "dispatch simulations to the sim-farm coordinator at this address (host:port) instead of simulating in-process")
+		expFlag = fs.String("exp", "all", "comma-separated experiments: "+strings.Join(names, ",")+" (all leaves out manycore)")
+		warmup  = fs.Int64("warmup", 200_000, "warmup cycles per run")
+		measure = fs.Int64("measure", 600_000, "measured cycles per run")
+		verbose = fs.Bool("v", false, "print per-run progress")
+		csvOut  = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		jobs    = fs.Int("j", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		monAddr = fs.String("monitor-addr", "", "serve live runner progress (/metrics, /snapshot, /healthz, pprof) on this address")
+		ledDir  = fs.String("ledger-dir", "", "content-addressed run ledger: record completed runs here and serve known runs from it without re-simulating")
+		runTmo  = fs.Duration("run-timeout", 0, "per-simulation wall-time limit (0 = none); an over-budget run fails alone")
+		farmFlg = fs.String("farm", "", "dispatch simulations to the sim-farm coordinator at this address (host:port) instead of simulating in-process")
 
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file")
+		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write a pprof heap profile to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "experiments: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 1
+	}
 
 	// Reject flag misuse that would otherwise be a silent no-op or
 	// nonsense, before any work starts (exit 2, like cmd/stacksim).
 	if *jobs < 0 {
-		fmt.Fprintln(os.Stderr, "experiments: -j must be >= 0 (0 = GOMAXPROCS)")
-		return 2
+		return usage("-j must be >= 0 (0 = GOMAXPROCS)")
 	}
 	if *runTmo < 0 {
-		fmt.Fprintln(os.Stderr, "experiments: -run-timeout must be >= 0 (0 = no limit)")
-		return 2
+		return usage("-run-timeout must be >= 0 (0 = no limit)")
 	}
 	if *farmFlg != "" && (*cpuProfile != "" || *memProfile != "") {
-		fmt.Fprintln(os.Stderr, "experiments: -cpuprofile/-memprofile profile the local process, but -farm runs the simulations remotely; profile the workers instead")
-		return 2
+		return usage("-cpuprofile/-memprofile profile the local process, but -farm runs the simulations remotely; profile the workers instead")
+	}
+	wanted := map[string]bool{}
+	for _, e := range strings.Split(*expFlag, ",") {
+		e = strings.TrimSpace(strings.ToLower(e))
+		if e == "" {
+			continue
+		}
+		if !slices.Contains(names, e) {
+			return usage("unknown experiment %q (valid: %s)", e, strings.Join(names, ","))
+		}
+		wanted[e] = true
+	}
+	if len(wanted) == 0 {
+		return usage("-exp selects no experiment (valid: %s)", strings.Join(names, ","))
+	}
+	want := func(name string) bool {
+		if name == "manycore" {
+			// Opt-in only: the 256-core runs dwarf the paper's 4-core
+			// sweeps and would dominate every -exp all invocation.
+			return wanted[name]
+		}
+		return wanted["all"] || wanted[name]
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
+			return fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
+			return fail(err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -102,12 +148,12 @@ func run() int {
 		defer func() {
 			f, err := os.Create(path)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+				fmt.Fprintf(stderr, "experiments: %v\n", err)
 				return
 			}
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+				fmt.Fprintf(stderr, "experiments: %v\n", err)
 			}
 			f.Close()
 		}()
@@ -134,14 +180,13 @@ func run() int {
 		r.Farm = farm.NewClient(*farmFlg)
 	}
 	if *verbose {
-		r.Progress = os.Stderr
+		r.Progress = stderr
 	}
 	var led *ledger.Ledger
 	if *ledDir != "" {
 		var err error
 		if led, err = ledger.Open(*ledDir); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
+			return fail(err)
 		}
 		r.Ledger = led
 		r.Experiment = *expFlag
@@ -167,8 +212,7 @@ func run() int {
 			return p
 		}}
 		if err := mon.Start(*monAddr); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
+			return fail(err)
 		}
 		defer func() {
 			// Graceful: let an in-flight scrape of the final state finish.
@@ -176,123 +220,77 @@ func run() int {
 			defer cancel()
 			mon.Shutdown(sctx) //nolint:errcheck // best-effort on exit
 		}()
-		fmt.Fprintf(os.Stderr, "monitor: serving runner progress on %s\n", mon.Addr())
-	}
-
-	wanted := map[string]bool{}
-	for _, e := range strings.Split(*expFlag, ",") {
-		wanted[strings.TrimSpace(strings.ToLower(e))] = true
-	}
-	all := wanted["all"]
-	want := func(name string) bool {
-		if name == "manycore" {
-			// Opt-in only: the 256-core runs dwarf the paper's 4-core
-			// sweeps and would dominate every -exp all invocation.
-			return wanted[name]
-		}
-		return all || wanted[name]
-	}
-
-	type figFn func() (*core.Figure, error)
-	figures := []struct {
-		name   string
-		format string
-		fn     figFn
-	}{
-		{"table2a", "%.1f", r.Table2a},
-		{"table2b", "%.3f", r.Table2b},
-		{"fig4", "%.2f", r.Figure4},
-		{"fig6a", "%.3f", r.Figure6a},
-		{"fig6b", "%.3f", r.Figure6b},
-		{"fig7a", "%.1f", func() (*core.Figure, error) { return r.Figure7(false) }},
-		{"fig7b", "%.1f", func() (*core.Figure, error) { return r.Figure7(true) }},
-		{"fig9a", "%.1f", func() (*core.Figure, error) { return r.Figure9(false) }},
-		{"fig9b", "%.1f", func() (*core.Figure, error) { return r.Figure9(true) }},
-		{"vbfprobes", "%.2f", r.VBFProbes},
-		{"energy", "%.2f", r.EnergyFigure},
-		{"banking", "%.3f", r.MSHRBankingFigure},
-		{"stability", "%.4f", r.StabilityFigure},
-		{"stackcap", "%.3f", r.StackCapacityFigure},
-		{"thermal", "%.2f", r.ThermalFigure},
-		{"ablations", "%.3f", r.Ablations},
-		{"manycore", "%.4f", r.ManycoreFigure},
+		fmt.Fprintf(stderr, "monitor: serving runner progress on %s\n", mon.Addr())
 	}
 
 	// Every wanted figure is generated concurrently — each generator
-	// pre-enqueues its runs on the shared worker pool, so the pool stays
-	// saturated across figures — but results print in declaration order,
-	// keeping the output byte-identical to a sequential run.
+	// enqueues its whole run set on the shared worker pool before its
+	// first wait, so the pool stays saturated across figures — but
+	// results print in registry order, keeping the output byte-identical
+	// to a sequential run.
 	type figResult struct {
 		fig *core.Figure
 		err error
 	}
-	pending := make([]chan figResult, len(figures))
-	for i, f := range figures {
-		if !want(f.name) {
+	pending := make([]chan figResult, len(core.Figures))
+	for i, f := range core.Figures {
+		if !want(f.Name) {
 			continue
 		}
 		ch := make(chan figResult, 1)
 		pending[i] = ch
-		go func(fn figFn) {
-			fig, err := fn()
+		go func() {
+			fig, err := f.Generate(r)
 			ch <- figResult{fig, err}
-		}(f.fn)
+		}()
 	}
 
 	ran, failed := 0, 0
 	if want("table1") {
-		fmt.Println("Table 1: baseline quad-core processor parameters")
-		fmt.Println(config.Table1())
+		fmt.Fprintln(stdout, "Table 1: baseline quad-core processor parameters")
+		fmt.Fprintln(stdout, config.Table1())
 		ran++
 	}
-	for i, f := range figures {
+	for i, f := range core.Figures {
 		if pending[i] == nil {
 			continue
 		}
+		ran++
 		res := <-pending[i]
 		if res.err != nil {
 			// One broken experiment (or a cancelled sweep) must not eat
 			// the figures whose runs completed: report, keep printing,
 			// fail the exit code at the end.
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", f.name, res.err)
+			fmt.Fprintf(stderr, "experiments: %s: %v\n", f.Name, res.err)
 			failed++
-			ran++
-			continue
-		}
-		if *csvOut {
-			fmt.Print(res.fig.CSV())
-			fmt.Println()
+		} else if *csvOut {
+			fmt.Fprintln(stdout, res.fig.CSV())
 		} else {
-			fmt.Println(res.fig.Render(f.format))
+			fmt.Fprintln(stdout, res.fig.Render(f.Format))
 		}
-		ran++
 	}
 	if want("tsv") {
-		fmt.Println(floorplan.Report())
+		fmt.Fprintln(stdout, floorplan.Report())
 		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: no experiment matched %q\n", *expFlag)
-		return 2
 	}
 
 	if led != nil {
-		fmt.Fprintf(os.Stderr, "ledger: %d of %d runs served from %s\n",
+		fmt.Fprintf(stderr, "ledger: %d of %d runs served from %s\n",
 			r.Status().LedgerHits, r.Runs(), led.Dir())
 	}
 	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "experiments: interrupted; completed figures were flushed")
+		fmt.Fprintln(stderr, "experiments: interrupted; completed figures were flushed")
 	}
 	if failed > 0 {
 		// Surface which runs went wrong (the first error per run), then
 		// fail the invocation.
 		for _, rep := range r.Status().Reports {
 			if rep.Err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: failed run %s/%s after %.2fs: %v\n",
+				fmt.Fprintf(stderr, "experiments: failed run %s/%s after %.2fs: %v\n",
 					rep.Config, rep.Label, rep.WallSeconds, rep.Err)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "experiments: %d of %d experiments failed\n", failed, ran)
+		fmt.Fprintf(stderr, "experiments: %d of %d experiments failed\n", failed, ran)
 		return 1
 	}
 	return 0

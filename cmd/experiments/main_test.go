@@ -1,0 +1,83 @@
+package main
+
+import (
+	"bytes"
+	"crypto/md5"
+	"fmt"
+	"strings"
+	"testing"
+
+	"stackedsim/internal/core"
+)
+
+// experiments runs the command in-process and returns its exit code and
+// streams.
+func experiments(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// TestUsageErrors pins the usage leg of the exit taxonomy: each
+// rejected command line exits 2 with its one-line message on stderr and
+// nothing on stdout, before any simulation starts. A misspelt
+// experiment used to drop out of the sweep silently (exit 0).
+func TestUsageErrors(t *testing.T) {
+	names := "all,table1"
+	for _, f := range core.Figures {
+		names += "," + f.Name
+	}
+	names += ",tsv"
+	valid := " (valid: " + names + ")"
+	for _, c := range []struct{ args, want string }{
+		{"-j -1", "-j must be >= 0 (0 = GOMAXPROCS)"},
+		{"-run-timeout -1s", "-run-timeout must be >= 0 (0 = no limit)"},
+		{"-farm x -cpuprofile f", "-cpuprofile/-memprofile profile the local process, but -farm runs the simulations remotely; profile the workers instead"},
+		{"-exp fig4,bogus", `unknown experiment "bogus"` + valid},
+		{"-exp ,", "-exp selects no experiment" + valid},
+	} {
+		code, out, errs := experiments(strings.Fields(c.args)...)
+		if code != 2 || errs != "experiments: "+c.want+"\n" || out != "" {
+			t.Errorf("experiments %s:\n exit %d stderr %q stdout %q\n want exit 2 stderr %q", c.args, code, errs, out, "experiments: "+c.want+"\n")
+		}
+	}
+	if code, _, errs := experiments("-no-such-flag"); code != 2 || !strings.Contains(errs, "flag provided but not defined") {
+		t.Errorf("unknown flag: exit %d stderr %q", code, errs)
+	}
+	// The help text names every experiment the registry holds.
+	code, _, errs := experiments("-h")
+	if code != 0 || !strings.Contains(errs, names) {
+		t.Errorf("-h: exit %d, help text does not list the registry:\n%s", code, errs)
+	}
+}
+
+// TestManycoreIsOptIn checks -exp all leaves the 256-core sweep out and
+// naming it brings it in. A 1 ns run timeout fails every run before it
+// simulates, so each selected figure reports one error line.
+func TestManycoreIsOptIn(t *testing.T) {
+	for _, c := range []struct {
+		exp      string
+		manycore bool
+	}{{"all", false}, {"all,manycore", true}, {"manycore", true}} {
+		code, _, errs := experiments("-exp", c.exp, "-run-timeout", "1ns")
+		if code != 1 {
+			t.Errorf("-exp %s: exit %d, want 1", c.exp, code)
+		}
+		if got := strings.Contains(errs, "experiments: manycore: "); got != c.manycore {
+			t.Errorf("-exp %s: manycore generated = %v, want %v", c.exp, got, c.manycore)
+		}
+	}
+}
+
+// TestFigure4CSV pins the command's output end to end against the md5
+// captured from the binary as it stood before figures were declared as
+// cells.
+func TestFigure4CSV(t *testing.T) {
+	code, out, errs := experiments("-exp", "fig4", "-csv", "-warmup", "5000", "-measure", "15000")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errs)
+	}
+	if got := fmt.Sprintf("%x", md5.Sum([]byte(out))); got != "d17f340bade016a1d090062072134234" {
+		t.Errorf("fig4 CSV md5 %s:\n%s", got, out)
+	}
+}

@@ -10,35 +10,13 @@ import (
 // design decision and reports the GM(H,VH) speedup against that
 // decision's natural reference point.
 func (r *Runner) Ablations() (*Figure, error) {
-	f := &Figure{
+	t := &table{Figure: Figure{
 		ID:      "Ablate",
 		Title:   "Ablations: each design choice vs its reference (GM over H,VH mixes)",
 		Columns: []string{"GM(H,VH)"},
-	}
-	// Rows are declared first and collected second, so the full run set
-	// is in the worker pool before the first (in-order) result is awaited.
-	type ablation struct {
-		label     string
-		base, cfg *config.Config
-	}
-	var rows []ablation
-	add := func(label string, base, cfg *config.Config) error {
-		rows = append(rows, ablation{label, base, cfg})
-		return nil
-	}
-	collect := func() error {
-		for _, a := range rows {
-			r.Prefetch(a.base, HighMixes()...)
-			r.Prefetch(a.cfg, HighMixes()...)
-		}
-		for _, a := range rows {
-			s, err := r.GMSpeedup(a.base, a.cfg, HighMixes())
-			if err != nil {
-				return err
-			}
-			f.Rows = append(f.Rows, FigureRow{Label: a.label, Values: []float64{s}})
-		}
-		return nil
+	}}
+	ablate := func(label string, base, cfg *config.Config) {
+		t.row(label, r.gmCell(base, cfg, HighMixes()))
 	}
 
 	// 1. L2 bank interleaving: the Figure 5 page-aligned floorplan vs
@@ -48,31 +26,21 @@ func (r *Runner) Ablations() (*Figure, error) {
 	crossed := config.QuadMC()
 	crossed.L2PageInterleave = false
 	crossed.Name = "3D-4mc-16rank-4rb-crossbar"
-	if err := add("interleave: 4KB page-aligned (Fig5)", fast, aligned); err != nil {
-		return nil, err
-	}
-	if err := add("interleave: 64B line + crossbar", fast, crossed); err != nil {
-		return nil, err
-	}
+	ablate("interleave: 4KB page-aligned (Fig5)", fast, aligned)
+	ablate("interleave: 64B line + crossbar", fast, crossed)
 
 	// 2. Memory scheduling: FR-FCFS open-page vs strict FIFO.
 	fifo := config.QuadMC()
 	fifo.SchedFRFCFS = false
 	fifo.Name = "3D-4mc-16rank-4rb-fifo"
-	if err := add("scheduler: FR-FCFS", fast, aligned); err != nil {
-		return nil, err
-	}
-	if err := add("scheduler: FIFO", fast, fifo); err != nil {
-		return nil, err
-	}
+	ablate("scheduler: FR-FCFS", fast, aligned)
+	ablate("scheduler: FIFO", fast, fifo)
 
 	// 3. MSHR implementation at 8x capacity: ideal CAM vs VBF vs plain
 	// linear probing, against the baseline-size MSHR.
 	dual := config.DualMC()
 	for _, kind := range []config.MSHRKind{config.MSHRIdealCAM, config.MSHRVBF, config.MSHRLinearProbe} {
-		if err := add(fmt.Sprintf("mshr 8x: %s", kind), dual, dual.WithMSHR(8, kind, false)); err != nil {
-			return nil, err
-		}
+		ablate(fmt.Sprintf("mshr 8x: %s", kind), dual, dual.WithMSHR(8, kind, false))
 	}
 
 	// 4. Dynamic-resizer epoch length, against the static 8x MSHR.
@@ -81,9 +49,7 @@ func (r *Runner) Ablations() (*Figure, error) {
 		dyn := config.QuadMC().WithMSHR(8, config.MSHRIdealCAM, true)
 		dyn.DynEpochCycles = epoch
 		dyn.Name = fmt.Sprintf("%s-epoch%dk", dyn.Name, epoch/1000)
-		if err := add(fmt.Sprintf("dynamic epoch %dk", epoch/1000), static, dyn); err != nil {
-			return nil, err
-		}
+		ablate(fmt.Sprintf("dynamic epoch %dk", epoch/1000), static, dyn)
 	}
 
 	// 5. Critical-word-first on the narrow stacked bus, vs widening the
@@ -93,33 +59,22 @@ func (r *Runner) Ablations() (*Figure, error) {
 	cwf := config.Simple3D()
 	cwf.CriticalWordFirst = true
 	cwf.Name = "3D-cwf"
-	if err := add("narrow bus + CWF (vs 3D)", narrow, cwf); err != nil {
-		return nil, err
-	}
-	if err := add("full-line bus (vs 3D)", narrow, config.Wide3D()); err != nil {
-		return nil, err
-	}
+	ablate("narrow bus + CWF (vs 3D)", narrow, cwf)
+	ablate("full-line bus (vs 3D)", narrow, config.Wide3D())
 
 	// 6. The paper's closing §5 observation: the scalable MHA is
 	// uniquely required by 3D-stacked memory — on a conventional 2D
 	// system other bottlenecks dominate and larger MSHRs buy nothing.
 	d2 := config.Baseline2D()
-	if err := add("2D + 8x V+D MSHR (vs 2D)", d2, d2.WithMSHR(8, config.MSHRVBF, true)); err != nil {
-		return nil, err
-	}
+	ablate("2D + 8x V+D MSHR (vs 2D)", d2, d2.WithMSHR(8, config.MSHRVBF, true))
 
 	// 7. Smart refresh (citation [11]) on the aggressive organization,
 	// where the 32ms on-stack retention doubles refresh overhead.
 	smart := config.QuadMC()
 	smart.SmartRefresh = true
 	smart.Name = "3D-4mc-16rank-4rb-smartref"
-	if err := add("smart refresh (vs quad-MC)", config.QuadMC(), smart); err != nil {
-		return nil, err
-	}
-	if err := collect(); err != nil {
-		return nil, err
-	}
-	return f, nil
+	ablate("smart refresh (vs quad-MC)", config.QuadMC(), smart)
+	return t.collect()
 }
 
 // MSHRBankingFigure isolates DESIGN.md deviation 2: how the MC-count
@@ -127,33 +82,19 @@ func (r *Runner) Ablations() (*Figure, error) {
 // controller (the Figure 5 floorplan) versus kept unified. Values are
 // GM(H,VH) speedups over 3D-fast at single-entry row buffers.
 func (r *Runner) MSHRBankingFigure() (*Figure, error) {
-	f := &Figure{
+	t := &table{Figure: Figure{
 		ID:      "Banking",
 		Title:   "MSHR banking vs MC count (1RB, constant 8-entry aggregate); speedup over 3D-fast",
 		Columns: []string{"banked (Fig5)", "unified"},
-	}
+		Notes:   "(the unified variant needs cross-slice routing the Fig5 floorplan avoids)",
+	}}
 	base := config.Fast3D()
-	r.Prefetch(base, HighMixes()...)
 	for _, mcs := range []int{1, 2, 4} {
 		banked := config.Aggressive(mcs, 16, 1)
 		unified := config.Aggressive(mcs, 16, 1)
 		unified.MSHRUnified = true
 		unified.Name = banked.Name + "-unified"
-		r.Prefetch(banked, HighMixes()...)
-		r.Prefetch(unified, HighMixes()...)
-		sB, err := r.GMSpeedup(base, banked, HighMixes())
-		if err != nil {
-			return nil, err
-		}
-		sU, err := r.GMSpeedup(base, unified, HighMixes())
-		if err != nil {
-			return nil, err
-		}
-		f.Rows = append(f.Rows, FigureRow{
-			Label:  fmt.Sprintf("%d MC / 16 ranks", mcs),
-			Values: []float64{sB, sU},
-		})
+		r.gmRow(t, fmt.Sprintf("%d MC / 16 ranks", mcs), base, []*config.Config{banked, unified}, HighMixes())
 	}
-	f.Notes = "(the unified variant needs cross-slice routing the Fig5 floorplan avoids)"
-	return f, nil
+	return t.collect()
 }

@@ -22,7 +22,7 @@ import (
 // compared within one harness invocation must carry distinct names
 // (the config constructors guarantee this).
 //
-// The Runner is safe for concurrent use: MixMetrics, SingleMetrics,
+// The Runner is safe for concurrent use: Metrics, MixMetrics,
 // Speedup and GMSpeedup may be called from any number of goroutines.
 // Each simulation is an isolated System (its own engine, RNGs and
 // stats), runs execute on a bounded worker pool of Workers goroutines,
@@ -32,9 +32,8 @@ import (
 // results — a -j 1 sweep and a fully parallel one produce byte-identical
 // figures, which TestParallelSequentialParity pins.
 //
-// Figure generators pre-enqueue their full run set via Prefetch before
-// collecting results in submission order, so the pool stays saturated
-// while output order stays deterministic.
+// Figure generators declare their tables as cells (figures.go), which
+// puts a figure's whole run set in the pool before its first wait.
 type Runner struct {
 	// Warmup/Measure override the config's window when positive.
 	Warmup  int64
@@ -477,40 +476,38 @@ func (f *Figure) Render(format string) string {
 func (r *Runner) Figure4() (*Figure, error) {
 	base := config.Baseline2D()
 	configs := []*config.Config{base, config.Simple3D(), config.Wide3D(), config.Fast3D()}
-	f := &Figure{
+	t := &table{Figure: Figure{
 		ID:    "Fig4",
 		Title: "Figure 4: speedup of simple 3D-stacked memories over off-chip 2D",
-	}
+	}}
 	for _, c := range configs {
-		f.Columns = append(f.Columns, c.Name)
-		r.Prefetch(c, AllMixes()...)
+		t.Columns = append(t.Columns, c.Name)
 	}
+	r.speedupRows(t, base, configs)
+	return t.collect()
+}
+
+// speedupRows declares the rows Figures 4, 7 and 9 share: each
+// variant's speedup over base per mix, then over GM(H,VH) and GM(all).
+func (r *Runner) speedupRows(t *table, base *config.Config, variants []*config.Config) {
 	for _, mix := range AllMixes() {
-		row := FigureRow{Label: mix}
-		for _, c := range configs {
-			s, err := r.Speedup(base, c, mix)
-			if err != nil {
-				return nil, err
-			}
-			row.Values = append(row.Values, s)
+		var cells []cell
+		for _, c := range variants {
+			cells = append(cells, r.speedupCell(base, c, mix))
 		}
-		f.Rows = append(f.Rows, row)
+		t.row(mix, cells...)
 	}
-	for _, gm := range []struct {
-		label string
-		mixes []string
-	}{{"GM(H,VH)", HighMixes()}, {"GM(all)", AllMixes()}} {
-		row := FigureRow{Label: gm.label}
-		for _, c := range configs {
-			s, err := r.GMSpeedup(base, c, gm.mixes)
-			if err != nil {
-				return nil, err
-			}
-			row.Values = append(row.Values, s)
-		}
-		f.Rows = append(f.Rows, row)
+	r.gmRow(t, "GM(H,VH)", base, variants, HighMixes())
+	r.gmRow(t, "GM(all)", base, variants, AllMixes())
+}
+
+// gmRow declares each variant's GM speedup over base across mixes.
+func (r *Runner) gmRow(t *table, label string, base *config.Config, variants []*config.Config, mixes []string) {
+	var cells []cell
+	for _, c := range variants {
+		cells = append(cells, r.gmCell(base, c, mixes))
 	}
-	return f, nil
+	t.row(label, cells...)
 }
 
 // Figure6a reproduces the rank/memory-controller sweep: speedup over
@@ -518,11 +515,11 @@ func (r *Runner) Figure4() (*Figure, error) {
 // plus spending the same transistor budget on +512KB / +1MB of L2.
 func (r *Runner) Figure6a() (*Figure, error) {
 	base := config.Fast3D()
-	f := &Figure{
+	t := &table{Figure: Figure{
 		ID:      "Fig6a",
 		Title:   "Figure 6a: speedup over 3D-fast; rows = organization, cols = GM groups",
 		Columns: []string{"GM(H,VH)", "GM(all)"},
-	}
+	}}
 	var variants []*config.Config
 	for _, ranks := range []int{8, 16} {
 		for _, mcs := range []int{1, 2, 4} {
@@ -535,211 +532,134 @@ func (r *Runner) Figure6a() (*Figure, error) {
 		c.Name = fmt.Sprintf("3D-fast+%dKB-L2", extraKB)
 		variants = append(variants, c)
 	}
-	r.Prefetch(base, AllMixes()...)
 	for _, c := range variants {
-		r.Prefetch(c, AllMixes()...)
+		t.row(c.Name, r.gmCell(base, c, HighMixes()), r.gmCell(base, c, AllMixes()))
 	}
-	for _, c := range variants {
-		row := FigureRow{Label: c.Name}
-		for _, mixes := range [][]string{HighMixes(), AllMixes()} {
-			s, err := r.GMSpeedup(base, c, mixes)
-			if err != nil {
-				return nil, err
-			}
-			row.Values = append(row.Values, s)
-		}
-		f.Rows = append(f.Rows, row)
-	}
-	return f, nil
+	return t.collect()
 }
 
 // Figure6b reproduces the row-buffer-cache sweep: 1-4 entries per bank
 // on the 2MC/8-rank and 4MC/16-rank organizations, speedup over 3D-fast.
 func (r *Runner) Figure6b() (*Figure, error) {
 	base := config.Fast3D()
-	f := &Figure{
+	t := &table{Figure: Figure{
 		ID:      "Fig6b",
 		Title:   "Figure 6b: row-buffer cache entries; speedup over 3D-fast",
 		Columns: []string{"1RB", "2RBs", "3RBs", "4RBs"},
-	}
-	r.Prefetch(base, AllMixes()...)
+	}}
 	for _, org := range []struct{ mcs, ranks int }{{2, 8}, {4, 16}} {
+		var variants []*config.Config
 		for rb := 1; rb <= 4; rb++ {
-			r.Prefetch(config.Aggressive(org.mcs, org.ranks, rb), AllMixes()...)
+			variants = append(variants, config.Aggressive(org.mcs, org.ranks, rb))
 		}
+		r.gmRow(t, fmt.Sprintf("%dMC/%dR GM(H,VH)", org.mcs, org.ranks), base, variants, HighMixes())
+		r.gmRow(t, fmt.Sprintf("%dMC/%dR GM(all)", org.mcs, org.ranks), base, variants, AllMixes())
 	}
-	for _, org := range []struct{ mcs, ranks int }{{2, 8}, {4, 16}} {
-		rowH := FigureRow{Label: fmt.Sprintf("%dMC/%dR GM(H,VH)", org.mcs, org.ranks)}
-		rowA := FigureRow{Label: fmt.Sprintf("%dMC/%dR GM(all)", org.mcs, org.ranks)}
-		for rb := 1; rb <= 4; rb++ {
-			c := config.Aggressive(org.mcs, org.ranks, rb)
-			sH, err := r.GMSpeedup(base, c, HighMixes())
-			if err != nil {
-				return nil, err
-			}
-			sA, err := r.GMSpeedup(base, c, AllMixes())
-			if err != nil {
-				return nil, err
-			}
-			rowH.Values = append(rowH.Values, sH)
-			rowA.Values = append(rowA.Values, sA)
-		}
-		f.Rows = append(f.Rows, rowH, rowA)
-	}
-	return f, nil
+	return t.collect()
 }
 
-// mshrFigure runs an MSHR-variant comparison against base (percentage
-// improvement per mix plus GM rows).
-func (r *Runner) mshrFigure(id, title string, base *config.Config, variants []*config.Config) (*Figure, error) {
-	f := &Figure{ID: id, Title: title}
-	r.Prefetch(base, AllMixes()...)
-	for _, c := range variants {
-		f.Columns = append(f.Columns, c.Name[len(base.Name)+1:])
-		r.Prefetch(c, AllMixes()...)
-	}
-	for _, mix := range append(AllMixes(), "GM(H,VH)", "GM(all)") {
-		row := FigureRow{Label: mix}
-		for _, c := range variants {
-			var s float64
-			var err error
-			switch mix {
-			case "GM(H,VH)":
-				s, err = r.GMSpeedup(base, c, HighMixes())
-			case "GM(all)":
-				s, err = r.GMSpeedup(base, c, AllMixes())
-			default:
-				s, err = r.Speedup(base, c, mix)
-			}
-			if err != nil {
-				return nil, err
-			}
-			row.Values = append(row.Values, (s-1)*100)
-		}
-		f.Rows = append(f.Rows, row)
-	}
-	f.Notes = "(values are % performance improvement over the baseline MSHR size)"
-	return f, nil
-}
-
-// Figure7 reproduces the MSHR capacity sweep (2x/4x/8x/dynamic) for the
-// dual-MC (a) and quad-MC (b) organizations with 4-entry row buffers.
-func (r *Runner) Figure7(quad bool) (*Figure, error) {
-	base := config.DualMC()
-	id, name := "Fig7a", "dual-MC/8-rank"
+// mshrFigure runs an MSHR-variant comparison (percentage improvement
+// per mix plus GM rows) against the dual-MC (a) or quad-MC (b)
+// organization with 4-entry row buffers.
+func (r *Runner) mshrFigure(num int, what string, quad bool, columns func(base *config.Config) []*config.Config) (*Figure, error) {
+	base, ab, name := config.DualMC(), "a", "dual-MC/8-rank"
 	if quad {
-		base = config.QuadMC()
-		id, name = "Fig7b", "quad-MC/16-rank"
+		base, ab, name = config.QuadMC(), "b", "quad-MC/16-rank"
 	}
-	variants := []*config.Config{
-		base.WithMSHR(2, config.MSHRIdealCAM, false),
-		base.WithMSHR(4, config.MSHRIdealCAM, false),
-		base.WithMSHR(8, config.MSHRIdealCAM, false),
-		base.WithMSHR(8, config.MSHRIdealCAM, true),
+	t := &table{Figure: Figure{
+		ID:    fmt.Sprintf("Fig%d%s", num, ab),
+		Title: fmt.Sprintf("Figure %d%s: %s on %s", num, ab, what, name),
+		Notes: "(values are % performance improvement over the baseline MSHR size)",
+	}}
+	variants := columns(base)
+	for _, c := range variants {
+		t.Columns = append(t.Columns, c.Name[len(base.Name)+1:])
 	}
-	return r.mshrFigure(id, fmt.Sprintf("Figure 7%s: L2 MSHR capacity scaling on %s",
-		map[bool]string{false: "a", true: "b"}[quad], name), base, variants)
+	r.speedupRows(t, base, variants)
+	f, err := t.collect()
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range f.Rows {
+		for i, speedup := range row.Values {
+			row.Values[i] = (speedup - 1) * 100
+		}
+	}
+	return f, nil
+}
+
+// Figure7 reproduces the MSHR capacity sweep (2x/4x/8x/dynamic).
+func (r *Runner) Figure7(quad bool) (*Figure, error) {
+	return r.mshrFigure(7, "L2 MSHR capacity scaling", quad, func(base *config.Config) []*config.Config {
+		return []*config.Config{
+			base.WithMSHR(2, config.MSHRIdealCAM, false),
+			base.WithMSHR(4, config.MSHRIdealCAM, false),
+			base.WithMSHR(8, config.MSHRIdealCAM, false),
+			base.WithMSHR(8, config.MSHRIdealCAM, true),
+		}
+	})
 }
 
 // Figure9 reproduces the scalable-MHA comparison: ideal 8x CAM vs the
 // VBF-based direct-mapped MSHR vs dynamic resizing vs both (V+D).
 func (r *Runner) Figure9(quad bool) (*Figure, error) {
-	base := config.DualMC()
-	id, name := "Fig9a", "dual-MC/8-rank"
-	if quad {
-		base = config.QuadMC()
-		id, name = "Fig9b", "quad-MC/16-rank"
-	}
-	variants := []*config.Config{
-		base.WithMSHR(8, config.MSHRIdealCAM, false), // ideal 8xMSHR
-		base.WithMSHR(8, config.MSHRVBF, false),      // VBF
-		base.WithMSHR(8, config.MSHRIdealCAM, true),  // Dynamic
-		base.WithMSHR(8, config.MSHRVBF, true),       // V+D
-	}
-	return r.mshrFigure(id, fmt.Sprintf("Figure 9%s: scalable L2 MHA on %s",
-		map[bool]string{false: "a", true: "b"}[quad], name), base, variants)
+	return r.mshrFigure(9, "scalable L2 MHA", quad, func(base *config.Config) []*config.Config {
+		return []*config.Config{
+			base.WithMSHR(8, config.MSHRIdealCAM, false), // ideal 8xMSHR
+			base.WithMSHR(8, config.MSHRVBF, false),      // VBF
+			base.WithMSHR(8, config.MSHRIdealCAM, true),  // Dynamic
+			base.WithMSHR(8, config.MSHRVBF, true),       // V+D
+		}
+	})
 }
 
 // Table2a reproduces the per-benchmark MPKI column: each benchmark runs
 // alone on a single core with a 6MB L2 (the paper's selection setup).
 func (r *Runner) Table2a() (*Figure, error) {
-	f := &Figure{
+	t := &table{Figure: Figure{
 		ID:      "Table2a",
 		Title:   "Table 2a: stand-alone L2 MPKI (6MB L2, single core)",
 		Columns: []string{"paper MPKI", "measured MPKI"},
-	}
+		Notes:   "(measured values are per kilo-muop over the scaled-down window)",
+	}}
 	cfg := config.Baseline2D()
 	cfg.Cores = 1
 	cfg.L2SizeKB = 6 * 1024
 	cfg.Name = "2D-1core-6MB"
+	mpki := func(m Metrics) float64 { return m.MPKI[0] }
 	for _, spec := range workload.Specs {
-		r.start(cfg, workload.Single(spec.Name))
+		t.row(spec.Name, constant(spec.PaperMPKI), r.runCell(cfg, workload.Single(spec.Name), mpki))
 	}
-	for _, spec := range workload.Specs {
-		m, err := r.Metrics(cfg, workload.Single(spec.Name))
-		if err != nil {
-			return nil, err
-		}
-		f.Rows = append(f.Rows, FigureRow{
-			Label:  spec.Name,
-			Values: []float64{spec.PaperMPKI, m.MPKI[0]},
-		})
-	}
-	f.Notes = "(measured values are per kilo-muop over the scaled-down window)"
-	return f, nil
+	return t.collect()
 }
 
 // Table2b reproduces the per-mix baseline HMIPC column on the 2D system.
 func (r *Runner) Table2b() (*Figure, error) {
-	f := &Figure{
+	t := &table{Figure: Figure{
 		ID:      "Table2b",
 		Title:   "Table 2b: baseline (2D) harmonic-mean IPC per mix",
 		Columns: []string{"paper HMIPC", "measured HMIPC"},
-	}
+	}}
 	base := config.Baseline2D()
-	r.Prefetch(base, AllMixes()...)
 	for _, mix := range workload.Mixes {
-		m, err := r.MixMetrics(base, mix.Name)
-		if err != nil {
-			return nil, err
-		}
-		f.Rows = append(f.Rows, FigureRow{
-			Label:  mix.Name,
-			Values: []float64{mix.PaperHMIPC, m.HMIPC},
-		})
+		t.row(mix.Name, constant(mix.PaperHMIPC), r.mixCell(base, mix.Name, hmipc))
 	}
-	return f, nil
+	return t.collect()
 }
 
 // VBFProbes reproduces the Section 5.2 probe statistics: average MSHR
 // probes per access (including the mandatory first access) on the H/VH
 // mixes with the largest (8x) VBF MSHR.
 func (r *Runner) VBFProbes() (*Figure, error) {
-	f := &Figure{
+	t := &table{Figure: Figure{
 		ID:      "VBF",
 		Title:   "Section 5.2: VBF probes per MSHR access (paper: 2.31 dual-MC, 2.21 quad-MC)",
 		Columns: []string{"probes/access"},
-	}
-	for _, quad := range []bool{false, true} {
-		base := config.DualMC()
-		label := "dual-MC"
-		if quad {
-			base = config.QuadMC()
-			label = "quad-MC"
-		}
-		cfg := base.WithMSHR(8, config.MSHRVBF, false)
-		r.Prefetch(cfg, HighMixes()...)
-		var probes []float64
-		for _, mix := range HighMixes() {
-			m, err := r.MixMetrics(cfg, mix)
-			if err != nil {
-				return nil, err
-			}
-			probes = append(probes, m.ProbesPerAccess)
-		}
-		f.Rows = append(f.Rows, FigureRow{Label: label, Values: []float64{stats.Mean(probes)}})
-	}
-	return f, nil
+	}}
+	probes := func(m Metrics) float64 { return m.ProbesPerAccess }
+	t.row("dual-MC", r.meanCell(config.DualMC().WithMSHR(8, config.MSHRVBF, false), HighMixes(), probes))
+	t.row("quad-MC", r.meanCell(config.QuadMC().WithMSHR(8, config.MSHRVBF, false), HighMixes(), probes))
+	return t.collect()
 }
 
 // EnergyFigure quantifies the Section 4.2 power argument: dynamic DRAM
@@ -747,32 +667,19 @@ func (r *Runner) VBFProbes() (*Figure, error) {
 // per bank (each hit avoids a full array activation), on the quad-MC
 // organization over the H/VH mixes.
 func (r *Runner) EnergyFigure() (*Figure, error) {
-	f := &Figure{
+	t := &table{Figure: Figure{
 		ID:      "Energy",
 		Title:   "Section 4.2: dynamic DRAM energy per access vs row-buffer entries (quad-MC)",
 		Columns: []string{"nJ/access", "row-hit rate"},
-	}
-	for rb := 1; rb <= 4; rb++ {
-		r.Prefetch(config.Aggressive(4, 16, rb), HighMixes()...)
-	}
+		Notes:   "(every row-buffer-cache hit avoids a full array activate+precharge)",
+	}}
 	for rb := 1; rb <= 4; rb++ {
 		cfg := config.Aggressive(4, 16, rb)
-		var nj, hit []float64
-		for _, mix := range HighMixes() {
-			m, err := r.MixMetrics(cfg, mix)
-			if err != nil {
-				return nil, err
-			}
-			nj = append(nj, m.Energy.PerAccessNJ())
-			hit = append(hit, m.RowHitRate)
-		}
-		f.Rows = append(f.Rows, FigureRow{
-			Label:  fmt.Sprintf("%d row buffer(s)", rb),
-			Values: []float64{stats.Mean(nj), stats.Mean(hit)},
-		})
+		t.row(fmt.Sprintf("%d row buffer(s)", rb),
+			r.meanCell(cfg, HighMixes(), func(m Metrics) float64 { return m.Energy.PerAccessNJ() }),
+			r.meanCell(cfg, HighMixes(), func(m Metrics) float64 { return m.RowHitRate }))
 	}
-	f.Notes = "(every row-buffer-cache hit avoids a full array activate+precharge)"
-	return f, nil
+	return t.collect()
 }
 
 // ManycoreCoreCounts are the core counts the manycore experiment
@@ -792,50 +699,25 @@ var ManycoreBenches = []string{"read-mostly-shared", "producer-consumer", "mcf"}
 // their MSHR budget. Every core runs the same benchmark (HMIPC is
 // reported) — the Table 2b mixes are 4-core artifacts.
 func (r *Runner) ManycoreFigure() (*Figure, error) {
-	type variant struct {
-		name string
-		cfg  func(cores int) *config.Config
-	}
-	variants := []variant{
-		{"4mc/16rank", func(n int) *config.Config { return config.ManyCore(n, 4) }},
-		{"16mc/64rank", func(n int) *config.Config { return config.ManyCore(n, 16) }},
-		{"4mc/mshr-half", func(n int) *config.Config {
-			c := config.ManyCore(n, 4)
-			c.PrivL2MSHRs /= 2
-			c.Name += "-mshr" + fmt.Sprint(c.PrivL2MSHRs)
-			return c
-		}},
-	}
-	f := &Figure{
-		ID:    "Manycore",
-		Title: "Many-core scaling: HMIPC at 16/64/256 cores (private L2s, directory MESI, mesh NoC)",
-	}
-	for _, v := range variants {
-		f.Columns = append(f.Columns, v.name)
-	}
+	t := &table{Figure: Figure{
+		ID:      "Manycore",
+		Title:   "Many-core scaling: HMIPC at 16/64/256 cores (private L2s, directory MESI, mesh NoC)",
+		Columns: []string{"4mc/16rank", "16mc/64rank", "4mc/mshr-half"},
+		Notes:   "(HMIPC; every core runs the row's benchmark — compare columns within a row, rows within a benchmark)",
+	}}
 	for _, n := range ManycoreCoreCounts {
-		for _, v := range variants {
-			cfg := v.cfg(n)
-			for _, b := range ManycoreBenches {
-				r.start(cfg, workload.Uniform(b, n))
-			}
-		}
-	}
-	for _, n := range ManycoreCoreCounts {
+		half := config.ManyCore(n, 4)
+		half.PrivL2MSHRs /= 2
+		half.Name += "-mshr" + fmt.Sprint(half.PrivL2MSHRs)
 		for _, b := range ManycoreBenches {
-			row := FigureRow{Label: fmt.Sprintf("%s@%dc", b, n)}
-			for _, v := range variants {
-				m, err := r.Metrics(v.cfg(n), workload.Uniform(b, n))
-				if err != nil {
-					return nil, err
-				}
-				row.Values = append(row.Values, m.HMIPC)
+			var cells []cell
+			for _, c := range []*config.Config{config.ManyCore(n, 4), config.ManyCore(n, 16), half} {
+				cells = append(cells, r.runCell(c, workload.Uniform(b, n), hmipc))
 			}
-			f.Rows = append(f.Rows, row)
+			t.row(fmt.Sprintf("%s@%dc", b, n), cells...)
 		}
 	}
-	f.Notes = "(HMIPC; every core runs the row's benchmark — compare columns within a row, rows within a benchmark)"
-	return f, nil
+	return t.collect()
 }
 
 // CSV renders the figure as comma-separated values for spreadsheet

@@ -2,11 +2,18 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"stackedsim/internal/config"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // tinyRunner exercises the figure generators end to end with windows too
 // small for meaningful numbers but large enough for every code path.
@@ -14,155 +21,72 @@ func tinyRunner() *Runner {
 	return NewRunner(5_000, 15_000)
 }
 
-func TestFigure4Generates(t *testing.T) {
-	f, err := tinyRunner().Figure4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Columns) != 4 || len(f.Rows) != 14 {
-		t.Fatalf("fig4 shape %dx%d", len(f.Columns), len(f.Rows))
-	}
-	// The 2D column is the baseline: all ones.
-	for _, row := range f.Rows {
-		if row.Values[0] != 1 {
-			t.Fatalf("row %s baseline = %v", row.Label, row.Values[0])
+// figureChecks are the per-figure properties a golden file does not
+// state: it pins what the values are, not which of them must agree.
+var figureChecks = map[string]func(*testing.T, *Figure){
+	"fig4": func(t *testing.T, f *Figure) {
+		// The 2D column is the baseline: all ones.
+		for _, row := range f.Rows {
+			if row.Values[0] != 1 {
+				t.Errorf("row %s baseline = %v", row.Label, row.Values[0])
+			}
 		}
-	}
-	if !strings.Contains(f.Render("%.2f"), "GM(H,VH)") {
-		t.Fatal("render missing GM row")
-	}
-}
-
-func TestFigure6aGenerates(t *testing.T) {
-	f, err := tinyRunner().Figure6a()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Rows) != 8 {
-		t.Fatalf("fig6a rows = %d", len(f.Rows))
-	}
-	labels := map[string]bool{}
-	for _, r := range f.Rows {
-		labels[r.Label] = true
-	}
-	for _, want := range []string{"3D-4mc-16rank-1rb", "3D-fast+512KB-L2"} {
-		if !labels[want] {
-			t.Fatalf("missing row %q", want)
+	},
+	"fig9a": func(t *testing.T, f *Figure) {
+		// Column labels are config names with the base prefix stripped.
+		if f.Columns[1] != "8xMSHR-vbf" {
+			t.Errorf("fig9 column = %q", f.Columns[1])
 		}
-	}
+	},
+	"banking": func(t *testing.T, f *Figure) {
+		// 1 MC: banked and unified are the same machine.
+		if v := f.Rows[0].Values; v[0] != v[1] {
+			t.Errorf("1MC banked (%v) != unified (%v)", v[0], v[1])
+		}
+	},
 }
 
-func TestFigure6bGenerates(t *testing.T) {
-	f, err := tinyRunner().Figure6b()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Rows) != 4 || len(f.Columns) != 4 {
-		t.Fatalf("fig6b shape %dx%d", len(f.Columns), len(f.Rows))
-	}
-}
-
-func TestFigure7And9Generate(t *testing.T) {
+// TestFiguresGolden generates every registered figure at a reduced
+// window and compares its rendered table and CSV, byte for byte, with
+// testdata/<name>.golden (rewrite with -update, only for a model change
+// that moves figures on purpose): the files are what "figure output
+// unchanged" means to a refactor of the generators or the run path.
+func TestFiguresGolden(t *testing.T) {
 	r := tinyRunner()
-	for _, quad := range []bool{false, true} {
-		f7, err := r.Figure7(quad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(f7.Rows) != 14 || len(f7.Columns) != 4 {
-			t.Fatalf("fig7 shape %dx%d", len(f7.Columns), len(f7.Rows))
-		}
-		f9, err := r.Figure9(quad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(f9.Rows) != 14 || len(f9.Columns) != 4 {
-			t.Fatalf("fig9 shape %dx%d", len(f9.Columns), len(f9.Rows))
-		}
-		// Column labels come from config names with the base prefix
-		// stripped.
-		if f9.Columns[1] != "8xMSHR-vbf" {
-			t.Fatalf("fig9 column = %q", f9.Columns[1])
-		}
-	}
-}
-
-func TestTable2aGenerates(t *testing.T) {
-	f, err := tinyRunner().Table2a()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Rows) != 28 {
-		t.Fatalf("table2a rows = %d", len(f.Rows))
-	}
-	for _, row := range f.Rows {
-		if row.Values[0] <= 0 {
-			t.Fatalf("%s: paper MPKI column empty", row.Label)
-		}
-	}
-}
-
-func TestTable2bGenerates(t *testing.T) {
-	f, err := tinyRunner().Table2b()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Rows) != 12 {
-		t.Fatalf("table2b rows = %d", len(f.Rows))
-	}
-}
-
-func TestVBFProbesGenerates(t *testing.T) {
-	f, err := tinyRunner().VBFProbes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Rows) != 2 {
-		t.Fatalf("probes rows = %d", len(f.Rows))
-	}
-	for _, row := range f.Rows {
-		if row.Values[0] < 1 {
-			t.Fatalf("%s probes/access = %v", row.Label, row.Values[0])
-		}
-	}
-}
-
-func TestEnergyFigureGenerates(t *testing.T) {
-	f, err := tinyRunner().EnergyFigure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Rows) != 4 || len(f.Columns) != 2 {
-		t.Fatalf("energy shape %dx%d", len(f.Columns), len(f.Rows))
-	}
-	for _, row := range f.Rows {
-		if row.Values[0] <= 0 {
-			t.Fatalf("%s energy = %v", row.Label, row.Values[0])
-		}
-	}
-}
-
-func TestAblationsGenerate(t *testing.T) {
-	f, err := tinyRunner().Ablations()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Rows) < 13 {
-		t.Fatalf("ablations rows = %d", len(f.Rows))
-	}
-}
-
-func TestMSHRBankingFigureGenerates(t *testing.T) {
-	f, err := tinyRunner().MSHRBankingFigure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Rows) != 3 || len(f.Columns) != 2 {
-		t.Fatalf("banking shape %dx%d", len(f.Columns), len(f.Rows))
-	}
-	// 1 MC: banked and unified are the same machine.
-	if f.Rows[0].Values[0] != f.Rows[0].Values[1] {
-		t.Fatalf("1MC banked (%v) != unified (%v)", f.Rows[0].Values[0], f.Rows[0].Values[1])
+	for _, fig := range Figures {
+		t.Run(fig.Name, func(t *testing.T) {
+			runner := r
+			switch fig.Name {
+			case "manycore":
+				// 256-core machines: a shorter window keeps this in seconds.
+				runner = NewRunner(2_000, 6_000)
+			case "stability":
+				if testing.Short() {
+					t.Skip("stability figure sweeps real windows")
+				}
+			}
+			f, err := fig.Generate(runner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := f.Render(fig.Format) + f.CSV()
+			path := filepath.Join("testdata", fig.Name+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("%s differs from %s:\n%s\nwant:\n%s", fig.Name, path, got, want)
+			}
+			if check := figureChecks[fig.Name]; check != nil {
+				check(t, f)
+			}
+		})
 	}
 }
 
@@ -187,27 +111,6 @@ func TestRunnerProgressWriter(t *testing.T) {
 	}
 }
 
-func TestStabilityFigureGenerates(t *testing.T) {
-	// The window sweep uses its built-in lengths (up to 800k cycles),
-	// so this test takes a few seconds; skip it in -short runs.
-	if testing.Short() {
-		t.Skip("stability figure sweeps real windows")
-	}
-	f, err := NewRunner(10_000, 50_000).StabilityFigure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Rows) != 4 {
-		t.Fatalf("stability rows = %d", len(f.Rows))
-	}
-	cv := f.Rows[3]
-	for i, v := range cv.Values {
-		if v < 0 || v > 50 {
-			t.Fatalf("CV[%d] = %v%%, implausible", i, v)
-		}
-	}
-}
-
 func TestCoefficientOfVariation(t *testing.T) {
 	if got := coefficientOfVariation([]float64{2, 2, 2}); got != 0 {
 		t.Fatalf("CV of constants = %v", got)
@@ -219,5 +122,37 @@ func TestCoefficientOfVariation(t *testing.T) {
 	// mean 2, var ((1)^2+(1)^2)/1 = 2, sd = 1.414..., cv = 0.707...
 	if got < 0.70 || got > 0.71 {
 		t.Fatalf("CV = %v, want ~0.707", got)
+	}
+}
+
+// TestFigureEnqueuesBeforeCollecting pins the cell contract: by a
+// figure's first wait its whole run set is in the pool. On a cancelled
+// context every run fails at once, so the generator returns from that
+// first wait, and the memo then holds every key the figure named (the
+// stability figure's window sweep is keyed in its child runners; the
+// parent holds the seed sweep). Collecting an organization before
+// enqueueing the next one — as the banking and vbfprobes figures did —
+// leaves the count short: banking had 18 of its 42 keys.
+func TestFigureEnqueuesBeforeCollecting(t *testing.T) {
+	keys := map[string]int{
+		"table2a": 28, "table2b": 12, "fig4": 48, "fig6a": 108, "fig6b": 108,
+		"fig7a": 60, "fig7b": 60, "fig9a": 60, "fig9b": 60, "vbfprobes": 12,
+		"energy": 24, "banking": 42, "stability": 9, "stackcap": 24,
+		"thermal": 6, "ablations": 108, "manycore": 27,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, fig := range Figures {
+		r := tinyRunner()
+		r.Ctx = ctx
+		if _, err := fig.Generate(r); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s on a cancelled runner: %v", fig.Name, err)
+		}
+		r.mu.Lock()
+		got := len(r.memo)
+		r.mu.Unlock()
+		if got != keys[fig.Name] {
+			t.Errorf("%s: %d runs enqueued at its first wait, want its whole run set of %d", fig.Name, got, keys[fig.Name])
+		}
 	}
 }

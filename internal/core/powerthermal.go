@@ -597,56 +597,55 @@ func thermalSteadyState(cfg *config.Config, m Metrics) (*thermal.Stack, float64)
 // within the 85C rating.
 func (r *Runner) ThermalFigure() (*Figure, error) {
 	mix := "VH1"
-	cfgs := []*config.Config{
+	t := &table{Figure: Figure{
+		ID:      "Thermal",
+		Title:   "Section 2.4: stack temperature from measured energy (mix " + mix + ")",
+		Columns: []string{"dies", "cpu W", "stack-dram W", "offchip W", "cpu C", "worst DRAM C", "ok<=85C"},
+		Notes: "(per-layer power from the measured DRAM energy breakdown on each config's floorplan;\n" +
+			" worst DRAM C covers stacked dies and off-chip DIMMs; paper claim: <=85C)",
+	}}
+	for _, cfg := range []*config.Config{
 		config.Baseline2D(),
 		config.Simple3D(),
 		config.Fast3D(),
 		config.QuadMC(),
 		config.Fast3D().WithStackCache(config.StackCache, 64),
 		config.Fast3D().WithStackCache(config.StackMemCache, 64),
-	}
-	for _, cfg := range cfgs {
-		r.Prefetch(cfg, mix)
-	}
-	f := &Figure{
-		ID:      "Thermal",
-		Title:   "Section 2.4: stack temperature from measured energy (mix " + mix + ")",
-		Columns: []string{"dies", "cpu W", "stack-dram W", "offchip W", "cpu C", "worst DRAM C", "ok<=85C"},
-	}
-	for _, cfg := range cfgs {
-		m, err := r.MixMetrics(cfg, mix)
-		if err != nil {
-			return nil, err
+	} {
+		// One run, one cell per column of its thermal row.
+		cells := make([]cell, len(t.Columns))
+		for i := range cells {
+			cells[i] = r.mixCell(cfg, mix, func(m Metrics) float64 { return thermalRow(cfg, m)[i] })
 		}
-		st, offW := thermalSteadyState(cfg, m)
-		temps := st.Temperatures()
-		dramC := st.MaxDRAMTempC()
-		place := placementFor(cfg)
-		if !place.Stacked() || cfg.StackMode != config.StackMemory {
-			if offC := thermal.OffChipDRAMTempC(offW); offC > dramC {
-				dramC = offC
-			}
-		}
-		ok := 0.0
-		if dramC <= thermal.DRAMThermalLimitC {
-			ok = 1
-		}
-		f.Rows = append(f.Rows, FigureRow{
-			Label: cfg.Name,
-			Values: []float64{
-				float64(place.Dies()),
-				st.Layers[0].PowerW,
-				st.TotalPowerW() - st.Layers[0].PowerW,
-				offW,
-				temps[0],
-				dramC,
-				ok,
-			},
-		})
+		t.row(cfg.Name, cells...)
 	}
-	f.Notes = "(per-layer power from the measured DRAM energy breakdown on each config's floorplan;\n" +
-		" worst DRAM C covers stacked dies and off-chip DIMMs; paper claim: <=85C)"
-	return f, nil
+	return t.collect()
+}
+
+// thermalRow is ThermalFigure's row for cfg's measured run m, in column
+// order.
+func thermalRow(cfg *config.Config, m Metrics) [7]float64 {
+	st, offW := thermalSteadyState(cfg, m)
+	dramC := st.MaxDRAMTempC()
+	place := placementFor(cfg)
+	if !place.Stacked() || cfg.StackMode != config.StackMemory {
+		if offC := thermal.OffChipDRAMTempC(offW); offC > dramC {
+			dramC = offC
+		}
+	}
+	ok := 0.0
+	if dramC <= thermal.DRAMThermalLimitC {
+		ok = 1
+	}
+	return [7]float64{
+		float64(place.Dies()),
+		st.Layers[0].PowerW,
+		st.TotalPowerW() - st.Layers[0].PowerW,
+		offW,
+		st.Temperatures()[0],
+		dramC,
+		ok,
+	}
 }
 
 // Report renders the run-end power/thermal block: per-layer table,

@@ -14,63 +14,41 @@ import (
 // would be worthless; this figure quantifies both sensitivities so
 // EXPERIMENTS.md can bound them.
 func (r *Runner) StabilityFigure() (*Figure, error) {
-	f := &Figure{
+	mixes := []string{"VH1", "H1", "M1"}
+	t := &table{Figure: Figure{
 		ID:      "Stability",
 		Title:   "Methodology check: HMIPC vs window length and seed (3D-fast)",
-		Columns: []string{"VH1", "H1", "M1"},
-	}
-	mixes := []string{"VH1", "H1", "M1"}
+		Columns: mixes,
+		Notes:   "(CV = stddev/mean over seeds 1-3; windows use the default seed)",
+	}}
 
 	// Window sweep at the default seed. Fresh sub-runners are keyed by
 	// window so the memo cannot mix lengths; they share the parent's
 	// worker pool so the sweep cannot oversubscribe the machine.
-	wins := []int64{200_000, 400_000, 800_000}
-	subs := make([]*Runner, len(wins))
-	for i, win := range wins {
-		subs[i] = r.child(win/4, win)
-		subs[i].Prefetch(config.Fast3D(), mixes...)
-	}
-	for _, seed := range []int64{1, 2, 3} {
-		cfg := config.Fast3D()
-		cfg.Seed = seed
-		cfg.Name = fmt.Sprintf("%s-seed%d", cfg.Name, seed)
-		r.Prefetch(cfg, mixes...)
-	}
-	for i, win := range wins {
-		sub := subs[i]
-		row := FigureRow{Label: fmt.Sprintf("window %dk cycles", win/1000)}
+	for _, win := range []int64{200_000, 400_000, 800_000} {
+		sub := r.child(win/4, win)
+		var cells []cell
 		for _, mix := range mixes {
-			m, err := sub.MixMetrics(config.Fast3D(), mix)
-			if err != nil {
-				return nil, err
-			}
-			row.Values = append(row.Values, m.HMIPC)
+			cells = append(cells, sub.mixCell(config.Fast3D(), mix, hmipc))
 		}
-		f.Rows = append(f.Rows, row)
+		t.row(fmt.Sprintf("window %dk cycles", win/1000), cells...)
 	}
 
 	// Seed sweep at the runner's window: report the coefficient of
 	// variation across three seeds.
-	perMix := make(map[string][]float64)
-	for _, seed := range []int64{1, 2, 3} {
-		cfg := config.Fast3D()
-		cfg.Seed = seed
-		cfg.Name = fmt.Sprintf("%s-seed%d", cfg.Name, seed)
-		for _, mix := range mixes {
-			m, err := r.MixMetrics(cfg, mix)
-			if err != nil {
-				return nil, err
-			}
-			perMix[mix] = append(perMix[mix], m.HMIPC)
-		}
-	}
-	row := FigureRow{Label: "seed CV (%)"}
+	var cvs []cell
 	for _, mix := range mixes {
-		row.Values = append(row.Values, 100*coefficientOfVariation(perMix[mix]))
+		var perSeed []cell
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg := config.Fast3D()
+			cfg.Seed = seed
+			cfg.Name = fmt.Sprintf("%s-seed%d", cfg.Name, seed)
+			perSeed = append(perSeed, r.mixCell(cfg, mix, hmipc))
+		}
+		cvs = append(cvs, fold(func(xs []float64) float64 { return 100 * coefficientOfVariation(xs) }, perSeed))
 	}
-	f.Rows = append(f.Rows, row)
-	f.Notes = "(CV = stddev/mean over seeds 1-3; windows use the default seed)"
-	return f, nil
+	t.row("seed CV (%)", cvs...)
+	return t.collect()
 }
 
 // coefficientOfVariation returns stddev/mean (0 for degenerate input).

@@ -43,36 +43,23 @@ func (r *Runner) StackCapacityFigure() (*Figure, error) {
 	cacheCfg.StackFillBytes = 256
 	memcCfg.StackFillBytes = 256
 
-	f := &Figure{
+	t := &table{Figure: Figure{
 		ID:    "StackCap",
 		Title: fmt.Sprintf("Stack capacity sweep: %dMB stack as memory/cache/memcache, 256KB L2", stackCapStackMB),
 		Columns: []string{
 			"2D IPC", "3D-mem IPC",
 			"cache IPC", "cache hit", "memcache IPC", "memcache hit",
 		},
-	}
-	configs := []*config.Config{offchip, stackmem, cacheCfg, memcCfg}
+		Notes: "(hit = stack tag hit rate; memcache hot-region hits bypass the tags and are not probes)",
+	}}
+	hit := func(m Metrics) float64 { return m.StackHitRate }
 	for _, sz := range stackCapSweepMB {
 		bench := fmt.Sprintf("cap%dm", sz)
-		for _, c := range configs {
-			r.start(c, workload.Single(bench))
-		}
+		w := workload.Single(bench)
+		t.row(bench,
+			r.runCell(offchip, w, ipc0), r.runCell(stackmem, w, ipc0),
+			r.runCell(cacheCfg, w, ipc0), r.runCell(cacheCfg, w, hit),
+			r.runCell(memcCfg, w, ipc0), r.runCell(memcCfg, w, hit))
 	}
-	for _, sz := range stackCapSweepMB {
-		bench := fmt.Sprintf("cap%dm", sz)
-		row := FigureRow{Label: bench}
-		for _, c := range configs {
-			m, err := r.Metrics(c, workload.Single(bench))
-			if err != nil {
-				return nil, err
-			}
-			row.Values = append(row.Values, m.IPC[0])
-			if c == cacheCfg || c == memcCfg {
-				row.Values = append(row.Values, m.StackHitRate)
-			}
-		}
-		f.Rows = append(f.Rows, row)
-	}
-	f.Notes = "(hit = stack tag hit rate; memcache hot-region hits bypass the tags and are not probes)"
-	return f, nil
+	return t.collect()
 }

@@ -165,10 +165,6 @@ func TestBlockedCoreSleepsAndSettlesExactly(t *testing.T) {
 			script: []step{{at: 100, after: true, do: resetStats},
 				{at: 200, after: true, do: fill}, {at: 390, after: true, do: fill}},
 			reissue: "201 read 0x100", blocked: 200 - 100},
-		{name: "frozen core", ops: storeThenLoad,
-			script: []step{{at: 20, after: true, do: func(r *rig, now sim.Cycle) { r.core.FlushIdle(now); r.core.Freeze() }},
-				{at: 200, after: true, do: fill}, {at: 390, after: true, do: fill}},
-			reissue: "201 read 0x100", blocked: 201 - 32},
 		{name: "halt while blocked", ops: storeThenLoad,
 			script: []step{{at: 100, after: true, do: func(r *rig, _ sim.Cycle) { r.core.Halt() }},
 				{at: 200, after: true, do: fill}, {at: 390, after: true, do: fill}},

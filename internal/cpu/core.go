@@ -119,7 +119,6 @@ type Core struct {
 
 	fetchStallUntil sim.Cycle
 	stats           Stats
-	frozen          bool
 	halted          bool
 	committedTotal  uint64
 
@@ -238,21 +237,11 @@ func (c *Core) Instrument(reg *telemetry.Registry) {
 	reg.GaugeFunc(name+".committed", func() float64 { return float64(c.committedTotal) })
 }
 
-// Freeze stops statistics collection while execution continues — the
-// paper's methodology for multi-programmed runs where one program
-// finishes its sample early. Like any change to how stats are counted,
-// it follows a FlushIdle so a sleep span in flight is settled under the
-// old rule.
-func (c *Core) Freeze() { c.frozen = true }
-
-// Frozen reports whether stats are frozen.
-func (c *Core) Frozen() bool { return c.frozen }
-
 // ResetStats zeroes the counters (end of warmup).
 func (c *Core) ResetStats() { c.stats = Stats{} }
 
-// Committed reports lifetime committed μops regardless of freezing; the
-// dynamic MSHR tuner samples this.
+// Committed reports lifetime committed μops (ResetStats does not zero
+// it); the dynamic MSHR tuner samples this.
 func (c *Core) Committed() uint64 { return c.committedTotal }
 
 // Halt stops the front end: no new μops dispatch, but queued work keeps
@@ -283,8 +272,7 @@ func (c *Core) FlushIdle(now sim.Cycle) {
 // DTLB and the L1 for the head of memQ if the L1 had turned it away —
 // all fixed across the span because nothing that decides them can
 // change while the core sleeps. The re-probe leaves no trace in this
-// core's own stats (Loads++ then Loads--), and what it leaves in the
-// DTLB and DL1 is not gated on frozen.
+// core's own stats (Loads++ then Loads--).
 func (c *Core) applyIdle(cycles sim.Cycle) {
 	if cycles <= 0 {
 		return
@@ -293,9 +281,6 @@ func (c *Core) applyIdle(cycles sim.Cycle) {
 		op := &c.rob[c.memQ.At(0)].op
 		c.dt.Rehit(c.vpage(c.vaddr(op)), uint64(cycles))
 		c.l1.SettleBlocked(op.Store, uint64(cycles))
-	}
-	if c.frozen {
-		return
 	}
 	c.stats.Cycles += uint64(cycles)
 	switch c.idleReason {
@@ -315,9 +300,7 @@ func (c *Core) Tick(now sim.Cycle) {
 		}
 		c.lastTick = now
 	}
-	if !c.frozen {
-		c.stats.Cycles++
-	}
+	c.stats.Cycles++
 	c.commit(now)
 	c.issueMem(now)
 	if !c.halted {
@@ -417,18 +400,14 @@ func (c *Core) commit(now sim.Cycle) {
 			}
 		}
 		if e.op.Mispredict {
-			if !c.frozen {
-				c.stats.Mispredict++
-			}
+			c.stats.Mispredict++
 			stall := now + sim.Cycle(c.cfg.MispredictPenalty)
 			if stall > c.fetchStallUntil {
 				c.fetchStallUntil = stall
 			}
 		}
 		c.committedTotal++
-		if !c.frozen {
-			c.stats.Committed++
-		}
+		c.stats.Committed++
 		if c.lastMemIdx == c.head {
 			c.lastMemIdx = -1
 		}
@@ -503,33 +482,25 @@ func (c *Core) tryIssue(idx int, now sim.Cycle) bool {
 	if e.readyAt <= now && !c.dt.Access(c.vpage(vaddr)) {
 		// TLB miss: pay the walk; the μop stays queued and retries
 		// when the walk completes.
-		if !c.frozen {
-			c.stats.TLBWalks++
-		}
+		c.stats.TLBWalks++
 		e.readyAt = now + tlbWalkCycles
 		return false
 	}
 	paddr := c.pt.Translate(vaddr)
 	if e.op.Store {
-		if !c.frozen {
-			c.stats.Stores++
-		}
+		c.stats.Stores++
 		// Stores retire through the store buffer: the μop completes at
 		// issue; the cache access proceeds in the background.
 		switch c.l1.Access(now, e.op.PC, paddr, true, nil) {
 		case cache.Blocked:
-			if !c.frozen {
-				c.stats.Stores--
-			}
+			c.stats.Stores--
 			c.l1Blocked = true
 			return false
 		}
 		e.state = stDone
 		return true
 	}
-	if !c.frozen {
-		c.stats.Loads++
-	}
+	c.stats.Loads++
 	c.fillSeq[idx] = e.seq
 	switch c.l1.Access(now, e.op.PC, paddr, false, c.fillFns[idx]) {
 	case cache.Hit:
@@ -539,9 +510,7 @@ func (c *Core) tryIssue(idx int, now sim.Cycle) bool {
 	case cache.Miss:
 		e.state = stInFlight
 	case cache.Blocked:
-		if !c.frozen {
-			c.stats.Loads--
-		}
+		c.stats.Loads--
 		c.l1Blocked = true
 		return false
 	}
@@ -559,9 +528,7 @@ func (c *Core) fetched(op *UOp, now sim.Cycle) bool {
 		return true
 	}
 	if c.fetchWait {
-		if !c.frozen {
-			c.stats.FetchStall++
-		}
+		c.stats.FetchStall++
 		return false // fill outstanding
 	}
 	vaddr := mem.CoreSpace(c.id, 1<<44|op.PC*instrBytes)
@@ -572,10 +539,8 @@ func (c *Core) fetched(op *UOp, now sim.Cycle) bool {
 	if c.it != nil && !c.it.Access(uint64(vaddr)/uint64(c.cfg.PageBytes)) {
 		// ITLB walk: charge it as front-end stall time.
 		c.fetchStallUntil = now + tlbWalkCycles
-		if !c.frozen {
-			c.stats.TLBWalks++
-			c.stats.FetchStall++
-		}
+		c.stats.TLBWalks++
+		c.stats.FetchStall++
 		return false
 	}
 	paddr := c.pt.Translate(vaddr)
@@ -584,19 +549,15 @@ func (c *Core) fetched(op *UOp, now sim.Cycle) bool {
 		c.lastFetchLine = line
 		return true
 	case cache.Miss:
-		if !c.frozen {
-			c.stats.FetchMisses++
-			c.stats.FetchStall++
-		}
+		c.stats.FetchMisses++
+		c.stats.FetchStall++
 		c.fetchWait = true
 		// The fill callback records the line as resident.
 		ln := line
 		c.pendingFetchLine = ln
 		return false
 	default: // Blocked: retry next cycle
-		if !c.frozen {
-			c.stats.FetchStall++
-		}
+		c.stats.FetchStall++
 		return false
 	}
 }
@@ -607,9 +568,7 @@ func (c *Core) dispatch(now sim.Cycle) {
 	}
 	for n := 0; n < c.cfg.DispatchWidth; n++ {
 		if c.occupancy >= len(c.rob) {
-			if !c.frozen {
-				c.stats.ROBStall++
-			}
+			c.stats.ROBStall++
 			return
 		}
 		if !c.hasPending {

@@ -203,28 +203,6 @@ func TestTLBWalkDelaysLoad(t *testing.T) {
 	}
 }
 
-func TestFreezeStopsStatsNotExecution(t *testing.T) {
-	c := testCore(t, &scriptSource{}, &instantPort{})
-	for now := sim.Cycle(1); now <= 100; now++ {
-		c.Tick(now)
-	}
-	committed := c.Stats().Committed
-	total := c.Committed()
-	c.Freeze()
-	for now := sim.Cycle(101); now <= 200; now++ {
-		c.Tick(now)
-	}
-	if c.Stats().Committed != committed {
-		t.Fatal("frozen stats advanced")
-	}
-	if c.Committed() <= total {
-		t.Fatal("execution stopped while frozen")
-	}
-	if !c.Frozen() {
-		t.Fatal("Frozen() = false")
-	}
-}
-
 func TestResetStats(t *testing.T) {
 	c := testCore(t, &scriptSource{}, &instantPort{})
 	for now := sim.Cycle(1); now <= 100; now++ {

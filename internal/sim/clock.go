@@ -37,15 +37,6 @@ func (d Divider) NextEdge(now Cycle) Cycle {
 	return now
 }
 
-// PicosPerCycle converts a clock frequency in MHz to a picosecond period,
-// rounded to the nearest picosecond. Useful for reporting.
-func PicosPerCycle(mhz float64) int64 {
-	if mhz <= 0 {
-		return 0
-	}
-	return int64(1e6/mhz + 0.5)
-}
-
 // CyclesForNanos converts a duration in nanoseconds to CPU cycles at the
 // given CPU frequency in MHz, rounding up so that timing constraints are
 // never optimistically shortened. This matches the paper's note that all

@@ -347,15 +347,6 @@ func TestCyclesForNanosRoundsUp(t *testing.T) {
 	}
 }
 
-func TestPicosPerCycle(t *testing.T) {
-	if got := PicosPerCycle(1000); got != 1000 {
-		t.Fatalf("PicosPerCycle(1000MHz) = %d, want 1000", got)
-	}
-	if got := PicosPerCycle(0); got != 0 {
-		t.Fatalf("PicosPerCycle(0) = %d, want 0", got)
-	}
-}
-
 func TestQueueFIFO(t *testing.T) {
 	q := NewQueue[int](3)
 	for i := 1; i <= 3; i++ {

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -70,15 +69,6 @@ func Ratio(num, den uint64) float64 {
 		return 0
 	}
 	return float64(num) / float64(den)
-}
-
-// PerKilo returns events per thousand units (e.g. misses per kilo
-// instruction, MPKI).
-func PerKilo(events, units uint64) float64 {
-	if units == 0 {
-		return 0
-	}
-	return 1000 * float64(events) / float64(units)
 }
 
 // Histogram is a fixed-bucket histogram over small non-negative integers
@@ -239,15 +229,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortedKeys returns the keys of m in sorted order; a helper for
-// deterministic report output.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

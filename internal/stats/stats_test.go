@@ -65,12 +65,6 @@ func TestSpeedupAndRatios(t *testing.T) {
 	if Ratio(1, 0) != 0 {
 		t.Fatal("Ratio zero denominator")
 	}
-	if !approx(PerKilo(5, 1000), 5) {
-		t.Fatal("PerKilo wrong")
-	}
-	if PerKilo(5, 0) != 0 {
-		t.Fatal("PerKilo zero units")
-	}
 }
 
 func TestHistogramBasics(t *testing.T) {
@@ -138,17 +132,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedKeys = %v", got)
-		}
-	}
-}
-
 func TestPercentileEdgeCases(t *testing.T) {
 	empty := NewHistogram(8)
 	for _, p := range []float64{0, 0.5, 1, -3, 7, math.NaN()} {
@@ -180,9 +163,6 @@ func TestRatioAndMeanNeverNaN(t *testing.T) {
 	}
 	if got := Ratio(5, 0); got != 0 {
 		t.Fatalf("Ratio(5,0) = %v, want 0", got)
-	}
-	if got := PerKilo(5, 0); got != 0 {
-		t.Fatalf("PerKilo(5,0) = %v, want 0", got)
 	}
 	empty := NewHistogram(4)
 	if got := empty.MeanValue(); got != 0 || math.IsNaN(got) {

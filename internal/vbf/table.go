@@ -8,21 +8,28 @@ import "fmt"
 // MSHR stores line addresses).
 //
 // Slots are found with the hash key % N. On a collision the next free
-// slot of the probe sequence is used — linear by default, quadratic via
-// NewTableProbing (footnote 2) — and the home row's bit for the probe
-// index is set in the filter.
+// slot of the linear probe sequence (home, home+1, ...) is used, and the
+// home row's bit for the probe index is set in the filter.
 type Table struct {
 	m        *Matrix
 	keys     []uint64
 	occupied []bool
-	probeIdx []int // probe-sequence index each slot was allocated at
 	live     int
 	limit    int // active capacity (<= len(keys)); dynamic resizing hook
-	probing  Probing
 }
 
-// NewTable returns an empty table with n slots and linear probing.
-func NewTable(n int) *Table { return NewTableProbing(n, LinearProbing) }
+// NewTable returns an empty table with n slots.
+func NewTable(n int) *Table {
+	if n < 1 {
+		panic(fmt.Sprintf("vbf: table size %d must be >= 1", n))
+	}
+	return &Table{
+		m:        NewMatrix(n),
+		keys:     make([]uint64, n),
+		occupied: make([]bool, n),
+		limit:    n,
+	}
+}
 
 // Cap reports the total slot count.
 func (t *Table) Cap() int { return len(t.keys) }
@@ -67,11 +74,10 @@ func (t *Table) Allocate(key uint64) (slot int, ok bool) {
 	n := len(t.keys)
 	h := t.home(key)
 	for d := 0; d < n; d++ {
-		s := t.probing.slotAt(h, d, n)
+		s := (h + d) % n
 		if !t.occupied[s] {
 			t.occupied[s] = true
 			t.keys[s] = key
-			t.probeIdx[s] = d
 			t.m.Set(h, d)
 			t.live++
 			return s, true
@@ -101,7 +107,7 @@ func (t *Table) Search(key uint64) (slot, probes int, found bool) {
 	// Index 0 (the home slot) was already covered by the mandatory
 	// probe.
 	for d, ok := t.m.NextSet(h, 1); ok; d, ok = t.m.NextSet(h, d+1) {
-		s := t.probing.slotAt(h, d, n)
+		s := (h + d) % n
 		probes++
 		if t.occupied[s] && t.keys[s] == key {
 			return s, probes, true
@@ -132,8 +138,10 @@ func (t *Table) Free(slot int) {
 	if slot < 0 || slot >= len(t.keys) || !t.occupied[slot] {
 		panic(fmt.Sprintf("vbf: Free of empty or invalid slot %d", slot))
 	}
+	// The probe index a slot was allocated at is its distance from home.
+	n := len(t.keys)
 	h := t.home(t.keys[slot])
-	t.m.Clear(h, t.probeIdx[slot])
+	t.m.Clear(h, (slot-h+n)%n)
 	t.occupied[slot] = false
 	t.keys[slot] = 0
 	t.live--

@@ -277,6 +277,30 @@ func TestTableWrapAroundAllocation(t *testing.T) {
 	}
 }
 
+// TestLinearAcceptsAnySize fills a table whose size is not a power of
+// two with keys that all home to slot 0, then frees them out of order:
+// every free must clear the bit its allocation set (the probe index is
+// the slot's distance from home), leaving row 0 empty.
+func TestLinearAcceptsAnySize(t *testing.T) {
+	tb := NewTable(12)
+	slots := make([]int, 12)
+	for i := range slots {
+		var ok bool
+		if slots[i], ok = tb.Allocate(uint64(i * 12)); !ok {
+			t.Fatalf("Allocate %d failed", i)
+		}
+	}
+	if !tb.Full() {
+		t.Fatal("table not full after n allocations")
+	}
+	for _, i := range []int{7, 0, 11, 3, 5, 1, 9, 2, 10, 4, 8, 6} {
+		tb.Free(slots[i])
+	}
+	if tb.Len() != 0 || !tb.Matrix().RowEmpty(0) {
+		t.Fatalf("after freeing everything: %d live, row 0 empty = %v", tb.Len(), tb.Matrix().RowEmpty(0))
+	}
+}
+
 func TestTableReset(t *testing.T) {
 	tb := NewTable(8)
 	tb.Allocate(13)

@@ -315,11 +315,3 @@ func MixNames() []string {
 	}
 	return names
 }
-
-// GroupOf reports the group (H/VH/HM/M) of a mix name, or "".
-func GroupOf(name string) string {
-	if m, ok := MixByName(name); ok {
-		return m.Group
-	}
-	return ""
-}

@@ -78,9 +78,6 @@ func TestByNameAndMixByName(t *testing.T) {
 	if m, ok := MixByName("VH2"); !ok || m.Benchmarks[0] != "S.copy" {
 		t.Fatalf("MixByName(VH2) = %+v, %v", m, ok)
 	}
-	if GroupOf("H1") != "H" || GroupOf("zzz") != "" {
-		t.Fatal("GroupOf wrong")
-	}
 	if len(MixNames()) != 12 {
 		t.Fatal("MixNames wrong length")
 	}

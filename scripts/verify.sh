@@ -41,7 +41,11 @@ go test -C bench ./...
 
 echo "verify: OK"
 # Reported, never gated on: where the benchmark's core probe was linked
-# (decides whether corrected rates compare with the parent's), and the
-# size simplicity PRs quote.
+# (decides whether corrected rates compare with the parent's), the
+# exported names nothing outside tests calls (where the deletion audit
+# looks next), and the sizes simplicity PRs quote — the total, and the
+# internal/core + cmd/stacksim sum the ROADMAP's <= 3,000 target reads.
 scripts/probe-align.sh
-echo "verify: $(find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | tr -d ' ') non-test Go lines under cmd/ internal/"
+scripts/uncalled.sh
+lines() { find "$@" -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | tr -d ' '; }
+echo "verify: $(lines cmd internal) non-test Go lines under cmd/ internal/ ($(lines internal/core cmd/stacksim) in internal/core + cmd/stacksim)"
