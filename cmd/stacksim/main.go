@@ -179,18 +179,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
 	cfg, ok := preset(*cfgName)
 	if !ok {
 		return usage(fmt.Errorf("unknown config %q", *cfgName))
@@ -247,6 +235,46 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// The workload is the last thing that can be a usage error, and
+	// nothing up to here has written a file. The canonical mix label keys
+	// the ledger the same way the sweep and the experiment harness do, so
+	// all three dedupe against each other; w stays the zero Workload for
+	// resumed and trace-driven runs, which the ledger never addresses.
+	var w workload.Workload
+	mixes := strings.Split(*mixName, ",")
+	switch {
+	case *resume != "" || *traces != "":
+	case *mixName != "":
+		for i := range mixes {
+			var err error
+			if w, err = workload.OfMix(strings.TrimSpace(mixes[i])); err != nil {
+				return usage(err)
+			}
+			mixes[i] = w.String()
+		}
+	case *benches == "":
+		return usage(errors.New("need -mix or -bench (see -list)"))
+	case cfg.Coherent() && cfg.Cores > 1 && !strings.Contains(*benches, ","):
+		// A coherent many-core run with a single benchmark means
+		// "run it on every core" (the -exp manycore convention);
+		// seed-mode runs keep the one-core-per-entry behavior.
+		w = workload.Uniform(*benches, cfg.Cores)
+	default:
+		w = workload.List(strings.Split(*benches, ",")...)
+	}
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return fatal(err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fatal(err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+
 	// SIGINT/SIGTERM (and -deadline) cancel the simulation between cycle
 	// chunks; an interrupted run still reports its partial metrics,
 	// flushes telemetry, and shuts the monitor down cleanly.
@@ -267,13 +295,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if sweep {
-		if *telemetryDir != "" || *traces != "" {
-			return usage(errors.New("-telemetry-dir and -traces describe a single run; use one -mix"))
-		}
-		return runSweep(ctx, stdout, stderr, cfg, strings.Split(*mixName, ","), *jobs, led)
-	}
-	if *jobs > 1 {
-		return usage(errors.New("-j only applies to a multi-mix sweep (comma-separated -mix)"))
+		return runSweep(ctx, stdout, stderr, cfg, mixes, *jobs, led)
 	}
 
 	var tel *telemetry.Telemetry
@@ -286,11 +308,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 	}
 
-	// w stays the zero Workload for resumed and trace-driven runs, which
-	// the ledger never addresses; labels name the cores in the manifest.
+	// labels name the cores in the manifest.
 	var sys *core.System
 	var err error
-	var w workload.Workload
 	var labels []string
 	switch {
 	case *resume != "":
@@ -318,24 +338,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		sys, err = core.NewSystemFromSources(cfg, sources, labels)
 	default:
-		switch {
-		case *mixName != "":
-			// The canonical mix label keys the ledger the same way the
-			// sweep and the experiment harness do, so all three dedupe
-			// against each other.
-			if w, err = workload.OfMix(*mixName); err != nil {
-				return usage(err)
-			}
-		case *benches == "":
-			return usage(errors.New("need -mix or -bench (see -list)"))
-		case cfg.Coherent() && cfg.Cores > 1 && !strings.Contains(*benches, ","):
-			// A coherent many-core run with a single benchmark means
-			// "run it on every core" (the -exp manycore convention);
-			// seed-mode runs keep the one-core-per-entry behavior.
-			w = workload.Uniform(*benches, cfg.Cores)
-		default:
-			w = workload.List(strings.Split(*benches, ",")...)
-		}
 		labels = w.Benchmarks()
 		// A recorded run is served from the ledger instead of simulated
 		// — but only when no telemetry was asked for: the time-series and
@@ -428,7 +430,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sys.Engine.RegisterEvery(collectEvery, 0, sim.TickFunc(func(now sim.Cycle) {
 			// The snapshot carries the MSHR probe distributions, which a
 			// sleeping L2 counts lazily.
-			sys.FlushIdle()
+			sys.Engine.Settle()
 			mon.Collect(now)
 		}))
 	}
@@ -674,6 +676,12 @@ func validateFlags(explicit map[string]string, telemetryDir string, sampleEvery 
 	if jobs < 0 {
 		return errors.New("-j must be >= 0 (0 = GOMAXPROCS)")
 	}
+	if sweep && (telemetryDir != "" || traces != "") {
+		return errors.New("-telemetry-dir and -traces describe a single run; use one -mix")
+	}
+	if !sweep && jobs > 1 {
+		return errors.New("-j only applies to a multi-mix sweep (comma-separated -mix)")
+	}
 	return nil
 }
 
@@ -710,20 +718,12 @@ func powerThermalWire(s core.PowerThermalSummary) *monitor.PowerThermal {
 	return out
 }
 
-// runSweep fans a comma-separated mix list over the Runner's worker
+// runSweep fans a list of canonical mix labels over the Runner's worker
 // pool and reports one summary line per mix, in the order given. The
 // report is independent of -j: runs are deterministic in isolation and
 // collection follows submission order. A cancelled or failed run marks
 // its own line and the exit code; completed siblings still print.
 func runSweep(ctx context.Context, stdout, stderr io.Writer, cfg *config.Config, mixes []string, jobs int, led *ledger.Ledger) int {
-	for i := range mixes {
-		w, err := workload.OfMix(strings.TrimSpace(mixes[i]))
-		if err != nil {
-			fmt.Fprintf(stderr, "stacksim: %v\n", err)
-			return 2
-		}
-		mixes[i] = w.String()
-	}
 	r := core.NewRunner(cfg.WarmupCycles, cfg.MeasureCycles)
 	r.Workers = jobs
 	r.Ctx = ctx

@@ -30,9 +30,13 @@ func mustRun(t *testing.T, args ...string) string {
 
 // TestUsageErrors pins the exit taxonomy's usage leg: every rejected
 // flag combination exits 2 with its one-line message on stderr and
-// nothing on stdout, before any simulation starts.
+// nothing on stdout, before any simulation starts and before anything is
+// written: each row also asks for a CPU profile in an empty directory
+// ($T, where the last rows put a ledger and telemetry too), and the
+// directory must still be empty afterwards.
 func TestUsageErrors(t *testing.T) {
 	const run = "-mix H1" // a valid workload, so only the flag under test is wrong
+	tmp := t.TempDir()
 	for _, c := range []struct{ args, want string }{
 		{run + " -topology mesh", "-topology does nothing without -coherence mesi (the shared L2 has no modeled interconnect)"},
 		{run + " -cores 8", "-cores 8 needs the directory/mesh hierarchy; add -coherence mesi"},
@@ -85,10 +89,21 @@ func TestUsageErrors(t *testing.T) {
 		{"-config 3D", "need -mix or -bench (see -list)"},
 		{"-mix h1", `unknown mix "h1"`},
 		{"-mix h1,VH1", `unknown mix "h1"`},
+
+		{"-mix H1,H2 -telemetry-dir $T/t -ledger-dir $T/newdir", "-telemetry-dir and -traces describe a single run; use one -mix"},
+		{run + " -j 3 -ledger-dir $T/newdir", "-j only applies to a multi-mix sweep (comma-separated -mix)"},
+		{run + " -config nope -ledger-dir $T/newdir", `unknown config "nope"`},
+		{"-mix h1 -ledger-dir $T/newdir", `unknown mix "h1"`},
+		{"-mix H1,h2 -ledger-dir $T/newdir", `unknown mix "h2"`},
+		{"-config 3D -ledger-dir $T/newdir", "need -mix or -bench (see -list)"},
 	} {
-		code, out, errs := stacksim(t, strings.Fields(c.args)...)
+		args := append(strings.Fields(strings.ReplaceAll(c.args, "$T", tmp)), "-cpuprofile", filepath.Join(tmp, "p"))
+		code, out, errs := stacksim(t, args...)
 		if code != 2 || errs != "stacksim: "+c.want+"\n" || out != "" {
 			t.Errorf("stacksim %s:\n exit %d stderr %q stdout %q\n want exit 2 stderr %q", c.args, code, errs, out, "stacksim: "+c.want+"\n")
+		}
+		if left, _ := os.ReadDir(tmp); len(left) != 0 {
+			t.Fatalf("stacksim %s: a usage error, yet it left %v behind", c.args, left)
 		}
 	}
 	if code, _, errs := stacksim(t, "-no-such-flag"); code != 2 || !strings.Contains(errs, "flag provided but not defined") {

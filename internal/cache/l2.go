@@ -128,11 +128,9 @@ type L2 struct {
 
 	// handle, when set, lets the L2 sleep until its next self-scheduled
 	// event or queued work; Submit, queueWriteback, a fill into a bank
-	// with set-aside misses and a raised MSHR limit wake it. lastTick is
-	// the last cycle whose polls of the set-aside heads are counted, made
-	// or settled (Tick, FlushIdle); headPolls counts the ones made.
+	// with set-aside misses and a raised MSHR limit wake it. headPolls
+	// counts the polls of the set-aside heads that were made, not settled.
 	handle    *sim.TickHandle
-	lastTick  sim.Cycle
 	headPolls uint64
 
 	// Prebuilt callbacks so the hot path schedules events and issues
@@ -403,9 +401,9 @@ func (l *L2) Submit(r *mem.Request, now sim.Cycle) bool {
 }
 
 // Tick processes one cycle: due events (hit completions, fills), then
-// set-aside misses waiting on MSHR space — with the polls of the cycles
-// slept through since the last tick — then one request per free bank,
-// then MC submission retries.
+// set-aside misses waiting on MSHR space — the polls of the cycles slept
+// through since the last tick were settled just before — then one request
+// per free bank, then MC submission retries.
 func (l *L2) Tick(now sim.Cycle) {
 	l.now = now
 	l.events.FireDue(now)
@@ -417,39 +415,31 @@ func (l *L2) Tick(now sim.Cycle) {
 	l.sched(now)
 }
 
-// FlushIdle settles the set-aside polls of a sleeping L2 up to and
-// including cycle now, exactly as if it had ticked on every cycle.
-// Anything that reads or resets the L2's stats, its bank arrays' or its
-// MSHR banks' mid-run (warmup boundary, collection, digest, drain) must
-// flush first, and from after the L2's slot in cycle now: between engine
-// steps, or from a component registered later. A nil L2 is a no-op.
-func (l *L2) FlushIdle(now sim.Cycle) {
-	if l == nil || l.handle == nil || now <= l.lastTick {
-		return
-	}
+// Settle implements sim.Settler: the set-aside polls of the k cycles
+// after last, which the L2 slept through, leave their counts in the L2's
+// stats, its bank arrays' and its MSHR banks'.
+func (l *L2) Settle(last, k sim.Cycle) {
 	for m := range l.mshrWait {
-		l.settle(m, now)
+		l.settle(m, last, k)
 	}
-	l.lastTick = now
 }
 
 // settle counts, without making them, the polls of MSHR bank m's set-aside
-// head on the cycles after lastTick up to and including through. Each
-// would have looked the head up in its bank array (a miss) and in its full
-// MSHR bank (a miss costing what the last real poll cost), after waiting
-// for the MSHR bank's port. That holds for every cycle on which the bank
-// is as the head's last real poll left it: the head's line can enter the
-// array only in handleFill of its own MSHR entry, which would first have
-// to be allocated, and is released, in this bank; the lookup's cost and
-// the bank's being full change only with an allocation, a release or a
-// new limit; and mshrBusy moves only in the L2's own ticks, after the
-// polls. A release or a raised limit also wakes the L2, so the cycles it
-// sleeps through always qualify; the cycle it wakes on qualifies if the
-// bank's change count stands (drainMSHRWaiters).
-func (l *L2) settle(m int, through sim.Cycle) {
+// head on the k cycles after last. Each would have looked the head up in
+// its bank array (a miss) and in its full MSHR bank (a miss costing what
+// the last real poll cost), after waiting for the MSHR bank's port. That
+// holds for every cycle on which the bank is as the head's last real poll
+// left it: the head's line can enter the array only in handleFill of its
+// own MSHR entry, which would first have to be allocated, and is released,
+// in this bank; the lookup's cost and the bank's being full change only
+// with an allocation, a release or a new limit; and mshrBusy moves only in
+// the L2's own ticks, after the polls. A release or a raised limit also
+// wakes the L2, so the cycles it sleeps through always qualify; the cycle
+// it wakes on qualifies if the bank's change count stands
+// (drainMSHRWaiters).
+func (l *L2) settle(m int, last, k sim.Cycle) {
 	w := &l.mshrWait[m]
-	k := through - l.lastTick
-	if w.q.Empty() || k <= 0 {
+	if w.q.Empty() {
 		return
 	}
 	w.arr.stats.Lookups += uint64(k)
@@ -457,7 +447,7 @@ func (l *L2) settle(m int, through sim.Cycle) {
 	// The poll at cycle c waits mshrBusy − (c + latency + crossPenalty)
 	// cycles for the port when that is positive: a series falling by
 	// one per cycle from its value on the first counted cycle.
-	if first := l.mshrBusy[m] - (l.lastTick + 1 + l.latency + l.crossPenalty); first > 0 {
+	if first := l.mshrBusy[m] - (last + 1 + l.latency + l.crossPenalty); first > 0 {
 		n := min(first, k)
 		l.stats.ProbeStalls += uint64(n*first - n*(n-1)/2)
 	}
@@ -473,9 +463,6 @@ func (l *L2) settle(m int, through sim.Cycle) {
 // work is the earliest pending event or the earliest cycle a non-empty
 // bank queue can be served.
 func (l *L2) sched(now sim.Cycle) {
-	if l.handle == nil {
-		return
-	}
 	for m := range l.mshrWait {
 		if !l.mshrWait[m].q.Empty() && l.mshrBanks[m].DrawsFaults() {
 			l.handle.SleepUntil(now + 1)
@@ -512,13 +499,13 @@ func (l *L2) sched(now sim.Cycle) {
 // request in the meantime, in which case it completes as a hit.
 //
 // A head whose bank has not changed since it was last turned away is not
-// asked again: this cycle's poll is settled with those of the cycles slept
-// through. Three kinds of poll are always made. A bank that draws faults
+// asked again: this cycle's poll is settled like those of the cycles slept
+// through. Two kinds of poll are always made. A bank that draws faults
 // spends the injector's random stream on each. Under a full-tick engine —
-// the oracle the closed form is checked against — and in an L2 ticked by
-// hand, nothing is settled at all.
+// the oracle the closed form is checked against — nothing is settled at
+// all.
 func (l *L2) drainMSHRWaiters(now sim.Cycle) {
-	settles := l.handle != nil && !l.handle.FullTick()
+	settles := !l.handle.FullTick()
 	for m := range l.mshrWait {
 		w := &l.mshrWait[m]
 		if w.q.Empty() {
@@ -526,11 +513,8 @@ func (l *L2) drainMSHRWaiters(now sim.Cycle) {
 		}
 		f := l.mshrBanks[m]
 		if settles && w.seen == f.Changes() && !f.DrawsFaults() {
-			l.settle(m, now)
+			l.settle(m, now-1, 1)
 			continue
-		}
-		if l.handle != nil {
-			l.settle(m, now-1)
 		}
 		for r, ok := w.q.Peek(); ok; r, ok = w.q.Peek() {
 			l.headPolls++
@@ -553,7 +537,6 @@ func (l *L2) drainMSHRWaiters(now sim.Cycle) {
 			w.q.Pop()
 		}
 	}
-	l.lastTick = now
 }
 
 func (l *L2) tickBank(b *l2bank, now sim.Cycle) {

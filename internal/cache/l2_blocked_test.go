@@ -125,10 +125,10 @@ type blockedCounters struct {
 	MSHR   mshr.Stats
 }
 
-// counters flushes, as every reader of a sleeping L2's counters must,
+// counters settles, as every reader of a sleeping L2's counters must,
 // and snapshots them (the histogram by value: ResetStats replaces it).
 func (rg *blockedRig) counters() blockedCounters {
-	rg.l2.FlushIdle(rg.eng.Now())
+	rg.eng.Settle()
 	c := blockedCounters{L2: *rg.l2.Stats(), MSHR: *rg.l2.MSHRBanks()[0].Stats()}
 	for _, a := range rg.l2.ArrayStats() {
 		c.Arrays = append(c.Arrays, *a)

@@ -187,10 +187,10 @@ func (f *Fabric) Mesh() *noc.Mesh { return f.mesh }
 // convention the rest of the machine uses.
 func (f *Fabric) Register(e *sim.Engine) {
 	for _, l := range f.l2s {
-		l.setHandle(e.RegisterEvery(1, 0, l))
+		l.register(e, l)
 	}
 	for _, d := range f.dirs {
-		d.setHandle(e.RegisterEvery(1, 0, d))
+		d.register(e, d)
 	}
 	f.mesh.SetHandle(e.RegisterEvery(1, 0, sim.TickFunc(f.mesh.Tick)))
 }

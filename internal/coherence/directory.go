@@ -116,19 +116,14 @@ type DirStats struct {
 // owns, one message per cycle with a pipelined lookup latency, and
 // issues the memory reads and writes the protocol needs.
 type Directory struct {
-	f    *Fabric
-	id   int // MC / bank index
-	node int // mesh node
-	mc   cache.Port
-	lat  sim.Cycle
+	endpoint
+	id  int // MC / bank index
+	mc  cache.Port
+	lat sim.Cycle
 
 	lines map[mem.Addr]*dirEntry
 
-	inbox  *sim.Queue[*message]
-	out    sim.Queue[outMsg]       // mesh-rejected responses, retried in order
-	outq   sim.Queue[*mem.Request] // MC-rejected memory requests, retried in order
-	events sim.EventQueue
-	handle *sim.TickHandle
+	outq sim.Queue[*mem.Request] // MC-rejected memory requests, retried in order
 
 	freeEntry []*dirEntry
 	// Fresh entries and their sharer words are carved from slabs: a
@@ -145,13 +140,11 @@ type Directory struct {
 
 func newDirectory(f *Fabric, id, node int, mc cache.Port) *Directory {
 	d := &Directory{
-		f:     f,
-		id:    id,
-		node:  node,
-		mc:    mc,
-		lat:   sim.Cycle(f.cfg.DirLatency),
-		lines: make(map[mem.Addr]*dirEntry),
-		inbox: sim.NewQueue[*message](0),
+		endpoint: endpoint{f: f, node: node},
+		id:       id,
+		mc:       mc,
+		lat:      sim.Cycle(f.cfg.DirLatency),
+		lines:    make(map[mem.Addr]*dirEntry),
 	}
 	d.processCB = func(arg any, at sim.Cycle) { d.process(arg.(*message), at) }
 	d.onMemRead = d.memReadDone
@@ -160,11 +153,6 @@ func newDirectory(f *Fabric, id, node int, mc cache.Port) *Directory {
 
 // Stats returns the counters.
 func (d *Directory) Stats() *DirStats { return &d.stats }
-
-func (d *Directory) setHandle(h *sim.TickHandle) {
-	d.handle = h
-	h.SleepUntil(sim.FarFuture)
-}
 
 // EntryState reports a line's directory state ("I" when absent) — test
 // hook for the protocol suite.
@@ -222,59 +210,23 @@ func (d *Directory) recv(m *message, now sim.Cycle) {
 			d.stats.PutM++
 		}
 	}
-	d.inbox.Push(m)
-	d.handle.Wake()
+	d.endpoint.recv(m, now)
 }
 
 // Tick pops at most one inbox message (the bank's serialization point)
 // into the pipelined lookup, fires due lookups, and retries rejected
-// injections and memory submissions: each queue offers its head until
-// one is refused — order is kept, so nothing behind a refused head
-// could go, and a link-bound bank's queue runs tens deep.
+// injections and memory submissions, each queue head first until one is
+// refused.
 func (d *Directory) Tick(now sim.Cycle) {
 	d.events.FireDue(now)
 	if m, ok := d.inbox.Pop(); ok {
 		d.events.AtCall(now+d.lat, d.processCB, m)
 	}
-	for o, ok := d.out.Peek(); ok && d.f.send(d.node, o.dst, o.m, now); o, ok = d.out.Peek() {
-		d.out.Pop()
-		d.stamp(o.m, now)
-	}
+	d.retry(now)
 	for r, ok := d.outq.Peek(); ok && d.mc.Submit(r, now); r, ok = d.outq.Peek() {
 		d.outq.Pop()
 	}
-	d.sched(now)
-}
-
-func (d *Directory) sched(now sim.Cycle) {
-	if d.inbox.Len() > 0 || d.out.Len() > 0 || d.outq.Len() > 0 {
-		d.handle.SleepUntil(now + 1)
-		return
-	}
-	wake := sim.FarFuture
-	if c, ok := d.events.NextAt(); ok {
-		wake = c
-	}
-	d.handle.SleepUntil(wake)
-}
-
-// inject sends a message, queueing for in-order retry on backpressure.
-func (d *Directory) inject(m *message, dst int, now sim.Cycle) {
-	if d.out.Empty() && d.f.send(d.node, dst, m, now) {
-		d.stamp(m, now)
-		return
-	}
-	d.out.Push(outMsg{m: m, dst: dst})
-	d.handle.Wake()
-}
-
-// stamp records the injection of a data/grant response on the
-// requester's lifecycle.
-func (d *Directory) stamp(m *message, now sim.Cycle) {
-	switch m.kind {
-	case mData, mDataE, mAckM:
-		m.tag.RespInject(now)
-	}
+	d.sleep(now, !d.outq.Empty())
 }
 
 // memRead issues the protocol's memory read for a busy entry. The

@@ -1,0 +1,83 @@
+package coherence
+
+import "stackedsim/internal/sim"
+
+// outMsg is an injection the mesh rejected, queued for retry.
+type outMsg struct {
+	m   *message
+	dst int
+}
+
+// endpoint is a controller's place on the mesh, the part a directory
+// bank and a private L2 share: delivered messages wait in inbox for the
+// owner's Tick (mesh ejection and protocol work stay in separate engine
+// phases), injections the mesh refused wait in out and are retried in
+// order, events holds the owner's fixed-latency work, and handle lets it
+// sleep whenever all three are empty.
+type endpoint struct {
+	f      *Fabric
+	node   int
+	inbox  sim.Queue[*message]
+	out    sim.Queue[outMsg]
+	events sim.EventQueue
+	handle *sim.TickHandle
+}
+
+// register enters the owner in the tick order, asleep until a message or
+// a request arrives.
+func (ep *endpoint) register(e *sim.Engine, owner sim.Ticker) {
+	ep.handle = e.RegisterEvery(1, 0, owner)
+	ep.handle.SleepUntil(sim.FarFuture)
+}
+
+// recv queues a delivered message for the owner's next Tick.
+func (ep *endpoint) recv(m *message, now sim.Cycle) {
+	ep.inbox.Push(m)
+	ep.handle.Wake()
+}
+
+// inject sends m into the mesh, queueing it for retry (in order) when the
+// injection port is out of credits.
+func (ep *endpoint) inject(m *message, dst int, now sim.Cycle) {
+	if ep.out.Empty() && ep.f.send(ep.node, dst, m, now) {
+		ep.stamp(m, now)
+		return
+	}
+	ep.out.Push(outMsg{m: m, dst: dst})
+	ep.handle.Wake()
+}
+
+// retry offers the head of the refused injections until one is refused
+// again: order is kept, so nothing behind a refused head could go, and a
+// link-bound bank's queue runs tens deep.
+func (ep *endpoint) retry(now sim.Cycle) {
+	for o, ok := ep.out.Peek(); ok && ep.f.send(ep.node, o.dst, o.m, now); o, ok = ep.out.Peek() {
+		ep.out.Pop()
+		ep.stamp(o.m, now)
+	}
+}
+
+// stamp records on the requester's lifecycle the moment a request, or a
+// data/grant response, actually enters the network.
+func (ep *endpoint) stamp(m *message, now sim.Cycle) {
+	switch m.kind {
+	case mGetS, mGetM:
+		m.tag.Inject(now)
+	case mData, mDataE, mAckM, mDataOwner:
+		m.tag.RespInject(now)
+	}
+}
+
+// sleep chooses how long the owner can sleep after ticking at now: until
+// its earliest event, or not at all while a message waits, an injection
+// retries or retries of the owner's own pin it awake.
+func (ep *endpoint) sleep(now sim.Cycle, pinned bool) {
+	wake := now + 1
+	if !pinned && ep.inbox.Empty() && ep.out.Empty() {
+		wake = sim.FarFuture
+		if c, ok := ep.events.NextAt(); ok {
+			wake = c
+		}
+	}
+	ep.handle.SleepUntil(wake)
+}

@@ -71,19 +71,13 @@ type PL2Stats struct {
 	EvictOwned    uint64 // E/M evictions (PutE/PutM)
 }
 
-// outMsg is an injection the mesh rejected, queued for retry.
-type outMsg struct {
-	m   *message
-	dst int
-}
-
 // PrivateL2 is one core's private second-level cache: a MESI cache
 // controller implementing cache.Port toward the core's L1s and speaking
 // the directory protocol over the mesh. Hits complete after the
 // configured latency; misses allocate a bounded miss table entry and
 // send GetS/GetM to the line's home directory.
 type PrivateL2 struct {
-	f   *Fabric
+	endpoint
 	id  int // core == mesh node
 	arr *cache.Array
 	lat sim.Cycle
@@ -91,11 +85,6 @@ type PrivateL2 struct {
 
 	misses map[mem.Addr]*pl2Miss
 	wb     map[mem.Addr]*wbEntry
-
-	inbox  *sim.Queue[*message]
-	out    sim.Queue[outMsg]
-	events sim.EventQueue
-	handle *sim.TickHandle
 
 	// dl1/il1 are the L1s stacked above, invalidated alongside this
 	// cache on protocol actions. Set via SetL1s after construction.
@@ -112,14 +101,13 @@ type PrivateL2 struct {
 func newPrivateL2(f *Fabric, id int) *PrivateL2 {
 	cfg := f.cfg
 	p := &PrivateL2{
-		f:      f,
-		id:     id,
-		arr:    cache.NewArrayBySize(fmt.Sprintf("pl2.%d", id), cfg.PrivL2KB*1024, cfg.PrivL2Ways, cfg.LineBytes),
-		lat:    sim.Cycle(cfg.PrivL2Latency),
-		cap:    cfg.PrivL2MSHRs,
-		misses: make(map[mem.Addr]*pl2Miss),
-		wb:     make(map[mem.Addr]*wbEntry),
-		inbox:  sim.NewQueue[*message](0),
+		endpoint: endpoint{f: f, node: id},
+		id:       id,
+		arr:      cache.NewArrayBySize(fmt.Sprintf("pl2.%d", id), cfg.PrivL2KB*1024, cfg.PrivL2Ways, cfg.LineBytes),
+		lat:      sim.Cycle(cfg.PrivL2Latency),
+		cap:      cfg.PrivL2MSHRs,
+		misses:   make(map[mem.Addr]*pl2Miss),
+		wb:       make(map[mem.Addr]*wbEntry),
 	}
 	p.completeReq = func(arg any, at sim.Cycle) { arg.(*mem.Request).Complete(at) }
 	return p
@@ -131,11 +119,6 @@ func (p *PrivateL2) SetL1s(dl1, il1 *cache.L1) { p.dl1, p.il1 = dl1, il1 }
 
 // Stats returns the counters.
 func (p *PrivateL2) Stats() *PL2Stats { return &p.stats }
-
-func (p *PrivateL2) setHandle(h *sim.TickHandle) {
-	p.handle = h
-	h.SleepUntil(sim.FarFuture)
-}
 
 // State reports a line's stable state (0 = Invalid).
 func (p *PrivateL2) State(line mem.Addr) pstate { return pstate(p.arr.State(line)) }
@@ -349,35 +332,6 @@ func (p *PrivateL2) sendPutM(line mem.Addr, dirty bool, now sim.Cycle) {
 	p.inject(msg, p.f.homeDir(line).node, now)
 }
 
-// inject sends msg into the mesh, queueing it for retry (in order) when
-// the injection port is out of credits. Request tags are stamped at the
-// moment the message actually enters the network.
-func (p *PrivateL2) inject(msg *message, dst int, now sim.Cycle) {
-	if p.out.Empty() && p.f.send(p.id, dst, msg, now) {
-		p.stamp(msg, now)
-		return
-	}
-	p.out.Push(outMsg{m: msg, dst: dst})
-	p.handle.Wake()
-}
-
-// stamp records the network entry of a message on its attrib tag.
-func (p *PrivateL2) stamp(msg *message, now sim.Cycle) {
-	switch msg.kind {
-	case mGetS, mGetM:
-		msg.tag.Inject(now)
-	case mDataOwner:
-		msg.tag.RespInject(now)
-	}
-}
-
-// recv queues a delivered message; processing happens in Tick, keeping
-// mesh ejection and protocol work in separate engine phases.
-func (p *PrivateL2) recv(m *message, now sim.Cycle) {
-	p.inbox.Push(m)
-	p.handle.Wake()
-}
-
 // Tick drains the inbox, fires due hit completions, and retries
 // rejected injections, head first until one is refused.
 func (p *PrivateL2) Tick(now sim.Cycle) {
@@ -389,23 +343,8 @@ func (p *PrivateL2) Tick(now sim.Cycle) {
 		}
 		p.process(m, now)
 	}
-	for o, ok := p.out.Peek(); ok && p.f.send(p.id, o.dst, o.m, now); o, ok = p.out.Peek() {
-		p.out.Pop()
-		p.stamp(o.m, now)
-	}
-	p.sched(now)
-}
-
-func (p *PrivateL2) sched(now sim.Cycle) {
-	if p.out.Len() > 0 || p.inbox.Len() > 0 {
-		p.handle.SleepUntil(now + 1)
-		return
-	}
-	wake := sim.FarFuture
-	if c, ok := p.events.NextAt(); ok {
-		wake = c
-	}
-	p.handle.SleepUntil(wake)
+	p.retry(now)
+	p.sleep(now, false)
 }
 
 // process handles one protocol message addressed to this cache.

@@ -53,7 +53,7 @@ func (s *System) inFlight() int {
 // whether the system quiesced (after which CheckInvariants is
 // meaningful).
 func (s *System) DrainQuiesce(maxCycles int64) bool {
-	s.FlushIdle()
+	s.Engine.Settle()
 	for _, c := range s.Cores {
 		c.Halt()
 	}

@@ -579,26 +579,11 @@ func (s *System) instrumentEnergy(reg *telemetry.Registry) {
 // run's rates (bus utilization, static energy) within their bounds.
 func (s *System) measured() int64 { return int64(s.Engine.Now() - s.statsSince) }
 
-// FlushIdle settles what sleeping components count lazily — a core's
-// stall cycles and re-probes of a full L1 MSHR file, the shared L2's
-// polls of its set-aside misses — up to and including the current
-// cycle. Everything that reads, resets or digests statistics mid-run
-// calls it first (ResetStats, Collect, Digest and DrainQuiesce do);
-// call it between engine steps or from a component registered after the
-// machine's.
-func (s *System) FlushIdle() {
-	now := s.Engine.Now()
-	for _, c := range s.Cores {
-		c.FlushIdle(now)
-	}
-	s.L2.FlushIdle(now)
-}
-
 // ResetStats zeroes every component's statistics (end of warmup).
 func (s *System) ResetStats() {
 	// Close any idle span in flight so the skipped cycles land in the
 	// warmup counters about to be zeroed, not the measurement.
-	s.FlushIdle()
+	s.Engine.Settle()
 	s.statsSince = s.Engine.Now()
 	s.pt.resetStats()
 	for i := range s.Cores {
@@ -692,7 +677,7 @@ func (s *System) RunContext(ctx context.Context) (Metrics, error) {
 
 // Collect gathers metrics for the elapsed measured window.
 func (s *System) Collect() Metrics {
-	s.FlushIdle() // make sleep-skipped cycles visible
+	s.Engine.Settle() // make sleep-skipped cycles visible
 	elapsed := s.measured()
 	m := Metrics{
 		Config: s.Cfg.Name,
@@ -777,7 +762,7 @@ func (s *System) Collect() Metrics {
 // same cycles from the same inputs have equal digests; checkpoint
 // resume uses this to verify replay put the machine back exactly.
 func (s *System) Digest() uint64 {
-	s.FlushIdle()
+	s.Engine.Settle()
 	h := fnv.New64a()
 	word := func(vs ...uint64) {
 		var buf [8]byte

@@ -101,14 +101,14 @@ type outcome struct {
 
 func (r *rig) run(cycles sim.Cycle) outcome {
 	r.eng.Run(cycles)
-	r.core.FlushIdle(r.eng.Now())
+	r.eng.Settle()
 	return outcome{*r.core.Stats(), *r.l1.Stats(), *r.l1.ArrayStats(), *r.dt.Stats(),
 		r.dt.ReplacementOrder(), r.core.Committed(), r.port.submits}
 }
 
-// resetStats is System.ResetStats for the rig: flush, then zero.
+// resetStats is System.ResetStats for the rig: settle, then zero.
 func resetStats(r *rig, now sim.Cycle) {
-	r.core.FlushIdle(now)
+	r.eng.Settle()
 	r.core.ResetStats()
 	r.l1.ResetStats()
 	r.dt.ResetStats()

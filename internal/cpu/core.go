@@ -128,10 +128,9 @@ type Core struct {
 	// re-probe the L1 if the head of memQ was turned away, all fixed
 	// across the span by construction) is caught up lazily: idleReason
 	// is snapshotted when the sleep is chosen, l1Blocked holds the last
-	// tick's outcome, and the skipped cycles are settled on the next
-	// Tick or by FlushIdle.
+	// tick's outcome, and the engine has the skipped cycles settled
+	// (Settle) before the next Tick or a reading of the statistics.
 	handle     *sim.TickHandle
-	lastTick   sim.Cycle
 	idleReason idleReason
 	l1Blocked  bool // this tick, the L1 answered the head of memQ Blocked
 
@@ -247,36 +246,21 @@ func (c *Core) Committed() uint64 { return c.committedTotal }
 // Halt stops the front end: no new μops dispatch, but queued work keeps
 // issuing and retiring so in-flight memory traffic drains (used by
 // System.DrainQuiesce and the invariant checker). Callers reading
-// statistics around a halt should FlushIdle first; Halt wakes the core
-// so any sleep chosen under pre-halt dispatch rules is recomputed.
+// statistics around a halt should Engine.Settle first; Halt wakes the
+// core so any sleep chosen under pre-halt dispatch rules is recomputed.
 func (c *Core) Halt() {
 	c.halted = true
 	c.handle.Wake()
 }
 
-// FlushIdle settles the lazily-counted statistics of a sleeping core up
-// to and including cycle now, exactly as if it had ticked on every
-// skipped cycle. Anything that reads or resets this core's stats, or
-// its DL1's or DTLB's, mid-run (warmup boundary, collection, drain)
-// must flush first.
-func (c *Core) FlushIdle(now sim.Cycle) {
-	if c.handle == nil || now <= c.lastTick {
-		return
-	}
-	c.applyIdle(now - c.lastTick)
-	c.lastTick = now
-}
-
-// applyIdle counts cycles of a skipped idle span: each would have
-// incremented Cycles plus at most one stall counter, and re-probed the
-// DTLB and the L1 for the head of memQ if the L1 had turned it away —
-// all fixed across the span because nothing that decides them can
-// change while the core sleeps. The re-probe leaves no trace in this
-// core's own stats (Loads++ then Loads--).
-func (c *Core) applyIdle(cycles sim.Cycle) {
-	if cycles <= 0 {
-		return
-	}
+// Settle implements sim.Settler. It counts a skipped idle span of
+// cycles: each would have incremented Cycles plus at most one stall
+// counter, and re-probed the DTLB and the L1 for the head of memQ if
+// the L1 had turned it away — all fixed across the span because nothing
+// that decides them can change while the core sleeps. The re-probe
+// leaves no trace in this core's own stats (Loads++ then Loads--), but
+// it does in the DL1's and the DTLB's.
+func (c *Core) Settle(_, cycles sim.Cycle) {
 	if c.l1Blocked {
 		op := &c.rob[c.memQ.At(0)].op
 		c.dt.Rehit(c.vpage(c.vaddr(op)), uint64(cycles))
@@ -294,21 +278,13 @@ func (c *Core) applyIdle(cycles sim.Cycle) {
 // Tick advances the core one cycle: retire, issue memory operations,
 // then dispatch new μops.
 func (c *Core) Tick(now sim.Cycle) {
-	if c.handle != nil {
-		if skipped := now - c.lastTick - 1; skipped > 0 {
-			c.applyIdle(skipped)
-		}
-		c.lastTick = now
-	}
 	c.stats.Cycles++
 	c.commit(now)
 	c.issueMem(now)
 	if !c.halted {
 		c.dispatch(now)
 	}
-	if c.handle != nil {
-		c.sched(now)
-	}
+	c.sched(now)
 }
 
 // peekDone is entryDone without the state write: sched must not mutate
@@ -323,7 +299,7 @@ func (c *Core) peekDone(i int, now sim.Cycle) bool {
 // core stays awake (sleep target now+1) whenever any pipeline stage
 // could make progress on the next cycle. A head of memQ the L1 answered
 // Blocked is not progress: the L1 wakes the core when an MSHR frees,
-// and applyIdle settles the re-probes the sleep skipped.
+// and Settle counts the re-probes the sleep skipped.
 func (c *Core) sched(now sim.Cycle) {
 	wake := sim.FarFuture
 

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
 
 // TestSkipCounters pins the engine-efficiency accounting: with every
 // component asleep the run loop jumps the idle span in one hop, and the
@@ -155,5 +159,119 @@ func TestDividerSleepRoundsToEdge(t *testing.T) {
 		if ticks[i] != want[i] {
 			t.Fatalf("ticked %v, want %v", ticks, want)
 		}
+	}
+}
+
+// napper is a recording Settler: after every tick it sleeps through the
+// next nap cycles, and it writes down each Tick and each Settle it is
+// handed. With a nil log it only counts, for the allocation check.
+type napper struct {
+	h    *TickHandle
+	nap  Cycle
+	log  *[]string
+	seen int
+}
+
+func (n *napper) Tick(now Cycle) {
+	n.seen++
+	if n.log != nil {
+		*n.log = append(*n.log, fmt.Sprintf("tick %d", now))
+	}
+	n.h.SleepUntil(now + n.nap + 1)
+}
+
+func (n *napper) Settle(last, k Cycle) {
+	n.seen += int(k)
+	if n.log != nil {
+		*n.log = append(*n.log, fmt.Sprintf("settle %d+%d", last, k))
+	}
+}
+
+// TestSettlerContract pins what the engine promises a Settler: the k
+// cycles a sleep skipped arrive as one Settle(last, k) just before the
+// Tick that ends it; Engine.Settle counts up to and including the
+// current cycle, from between two steps or from a ticker behind the
+// settler's slot, and asks nothing twice; a settler's time starts on the
+// cycle it registers; a full-tick engine, which skips nothing, settles
+// nothing; and a ticker without the method is not in the books at all.
+func TestSettlerContract(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		fullTick bool
+		drive    func(e *Engine, n *napper)
+		want     []string
+	}{
+		{
+			name: "one Settle before the tick that ends a sleep, and Settle between steps",
+			drive: func(e *Engine, n *napper) {
+				n.h = e.RegisterEvery(1, 0, n)
+				e.Run(7) // ticks on 1 and 6; cycles 2..5 slept through
+				e.Settle()
+				e.Settle() // cycle 7 is counted once
+				e.Run(4)   // ticks on 11; 8..10 are left to settle
+			},
+			want: []string{"tick 1", "settle 1+4", "tick 6", "settle 6+1", "settle 7+3", "tick 11"},
+		},
+		{
+			name: "Settle from a ticker behind the settler's slot counts the current cycle",
+			drive: func(e *Engine, n *napper) {
+				n.h = e.RegisterEvery(1, 0, n)
+				e.Register(TickFunc(func(now Cycle) {
+					if now == 3 || now == 6 {
+						e.Settle()
+						e.Settle()
+					}
+				}))
+				e.Run(6) // on 6 the settler has ticked: nothing is left to count
+			},
+			want: []string{"tick 1", "settle 1+2", "settle 3+2", "tick 6"},
+		},
+		{
+			name: "a settler registered mid-run starts from that cycle",
+			drive: func(e *Engine, n *napper) {
+				e.Run(10)
+				n.h = e.RegisterEvery(1, 0, n)
+				n.h.SleepUntil(13)
+				e.Run(3)
+			},
+			want: []string{"settle 10+2", "tick 13"},
+		},
+		{
+			name:     "a full-tick engine never settles",
+			fullTick: true,
+			drive: func(e *Engine, n *napper) {
+				n.h = e.RegisterEvery(1, 0, n)
+				e.Run(3)
+				e.Settle()
+			},
+			want: []string{"tick 1", "tick 2", "tick 3"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var log []string
+			e := NewEngine()
+			e.SetFullTick(tc.fullTick)
+			tc.drive(e, &napper{nap: 4, log: &log})
+			if !reflect.DeepEqual(log, tc.want) {
+				t.Errorf("settler saw %q, want %q", log, tc.want)
+			}
+		})
+	}
+
+	// The contract is found once, at registration, and costs a ticker
+	// that does not implement it nothing: its entry holds no Settler.
+	// Keeping the time allocates nothing for one that does.
+	e := NewEngine()
+	e.Register(TickFunc(func(Cycle) {}))
+	n := &napper{nap: 2}
+	n.h = e.RegisterEvery(1, 0, n)
+	if e.entries[0].s != nil || e.entries[1].s != n {
+		t.Fatalf("entries hold settlers %v and %v, want none and the napper", e.entries[0].s, e.entries[1].s)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.Step(); e.Settle() }); allocs != 0 {
+		t.Errorf("Step + Settle allocate %.1f times a cycle, want 0", allocs)
+	}
+	if n.seen != int(e.Now()) {
+		t.Errorf("ticks and settled cycles add up to %d of %d cycles", n.seen, e.Now())
 	}
 }

@@ -57,15 +57,28 @@ type TickFunc func(now Cycle)
 // Tick calls f(now).
 func (f TickFunc) Tick(now Cycle) { f(now) }
 
+// Settler is implemented by a Ticker that sleeps through cycles on which
+// its Tick would only have counted, and counts them in closed form
+// instead: Settle(last, k) says that the k cycles after last passed
+// without a tick, and must leave every statistic as k ticks there would
+// have. The engine keeps the time: it settles a gap just before the Tick
+// that ends it, and Engine.Settle closes the open ones before statistics
+// are read.
+type Settler interface {
+	Settle(last, k Cycle)
+}
+
 // tickEntry is one registered component plus its scheduling state: the
 // clock-domain period/phase it ticks on and the cycle (exclusive) it is
 // sleeping until, when its component has reported quiescence.
 type tickEntry struct {
 	t     Ticker
-	every Cycle  // tick period in CPU cycles (>= 1)
-	phase Cycle  // tick when now%every == phase
-	sleep Cycle  // skip while now < sleep (0 = armed)
-	ticks uint64 // Tick calls delivered to this component
+	every Cycle   // tick period in CPU cycles (>= 1)
+	phase Cycle   // tick when now%every == phase
+	sleep Cycle   // skip while now < sleep (0 = armed)
+	ticks uint64  // Tick calls delivered to this component
+	s     Settler // t, when it settles: nil otherwise
+	last  Cycle   // the last cycle s ticked on or was settled through
 }
 
 // Engine drives registered tickers, one call per component per cycle.
@@ -114,8 +127,24 @@ func (e *Engine) RegisterEvery(every, phase int, t Ticker) *TickHandle {
 	if phase < 0 || phase >= every {
 		panic(fmt.Sprintf("sim: RegisterEvery phase %d outside [0,%d)", phase, every))
 	}
-	e.entries = append(e.entries, tickEntry{t: t, every: Cycle(every), phase: Cycle(phase)})
+	en := tickEntry{t: t, every: Cycle(every), phase: Cycle(phase), last: e.now}
+	en.s, _ = t.(Settler)
+	e.entries = append(e.entries, en)
 	return &TickHandle{e: e, idx: len(e.entries) - 1}
+}
+
+// Settle brings every Settler up to and including Now(). Whatever reads
+// or resets statistics mid-run calls it first, from between two steps or
+// from a component registered after every Settler: one settled through
+// this cycle ahead of its own slot in it would count the cycle twice.
+// Under SetFullTick(true) nothing sleeps, so there is never a gap.
+func (e *Engine) Settle() {
+	for i := range e.entries {
+		if en := &e.entries[i]; en.s != nil && e.now > en.last {
+			en.s.Settle(en.last, e.now-en.last)
+			en.last = e.now
+		}
+	}
 }
 
 // SetFullTick toggles the compatibility mode in which every registered
@@ -185,6 +214,12 @@ func (e *Engine) Step() {
 			if en.every > 1 && e.now%en.every != en.phase {
 				continue
 			}
+		}
+		if en.s != nil {
+			if k := e.now - en.last - 1; k > 0 {
+				en.s.Settle(en.last, k)
+			}
+			en.last = e.now
 		}
 		en.t.Tick(e.now)
 		en.ticks++
