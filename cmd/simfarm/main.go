@@ -124,7 +124,7 @@ func runWorker(args []string) int {
 	coordinator := fs.String("coordinator", "", "coordinator address (host:port), required")
 	name := fs.String("name", "", "worker name, unique within the pool (default host-pid)")
 	poll := fs.Duration("poll", 250*time.Millisecond, "idle wait between lease attempts")
-	checkpointEvery := fs.Int64("checkpoint-every", 1_000_000, "cycles between checkpoint uploads (smaller = tighter failover window)")
+	checkpointEvery := fs.Int64("checkpoint-every", 1_000_000, "cycles between checkpoint uploads (each refreshes the digest a successor's replay from cycle zero is checked against; none saves work)")
 	fs.Parse(args)
 
 	if *coordinator == "" {

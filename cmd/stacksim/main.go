@@ -17,8 +17,8 @@
 // which describe a single run.
 //
 // With -telemetry-dir the run writes manifest.json, timeseries.csv,
-// timeseries.jsonl, distributions.json, attrib.json, powerthermal.json
-// and (with -trace-events) trace.json into the directory, and prints
+// distributions.json, attrib.json, powerthermal.json and (with
+// -trace-events) trace.json into the directory, and prints
 // the memory-latency attribution table (disable with -attrib=false)
 // plus the power/thermal report with the per-bank activity heatmap and
 // per-layer temperature trajectory (disable with -power=false).
@@ -60,7 +60,7 @@ import (
 	"stackedsim/internal/fault"
 	"stackedsim/internal/ledger"
 	"stackedsim/internal/monitor"
-	"stackedsim/internal/sim"
+	"stackedsim/internal/powerthermal"
 	"stackedsim/internal/telemetry"
 	"stackedsim/internal/trace"
 	"stackedsim/internal/workload"
@@ -91,7 +91,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // below main calls os.Exit, so the deferred cleanups (profile flush,
 // graceful monitor shutdown) run on every path and the command is
 // testable in-process.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("stacksim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -263,6 +263,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		w = workload.List(strings.Split(*benches, ",")...)
 	}
 
+	if *memProfile != "" {
+		// Deferred ahead of the CPU profile, so it runs after that one has
+		// stopped, and on every exit from here on: a sweep, a ledger cache
+		// hit and an interrupted run leave their heap profile too.
+		defer func() {
+			if err := writeHeapProfile(*memProfile); err != nil {
+				code = max(code, fatal(err))
+			}
+		}()
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -362,7 +372,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Power/thermal tracking rides the telemetry registry. Attached
 	// before the sampler so each closed window's power.*/thermal.*
 	// gauges are already published when the time-series samples them.
-	var pt *core.PowerThermal
+	var pt *powerthermal.Tracker
 	if tel != nil && *powerOn {
 		pt = sys.AttachPowerThermal(tel.Reg(), *sampleEvery)
 	}
@@ -407,9 +417,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if pt != nil {
 			// Collect runs on the simulation goroutine, so reading the
 			// tracker here is race-free.
-			mon.PowerThermalFn = func() *monitor.PowerThermal {
-				return powerThermalWire(pt.Summary())
-			}
+			mon.PowerThermalFn = pt.State
 		}
 		if err := mon.Start(*monitorAddr); err != nil {
 			return fatal(err)
@@ -427,12 +435,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if collectEvery < 1 {
 			collectEvery = 1000
 		}
-		sys.Engine.RegisterEvery(collectEvery, 0, sim.TickFunc(func(now sim.Cycle) {
-			// The snapshot carries the MSHR probe distributions, which a
-			// sleeping L2 counts lazily.
-			sys.Engine.Settle()
-			mon.Collect(now)
-		}))
+		sys.Observe(collectEvery, mon)
 	}
 
 	// One run loop for every single run: a plain run is a checkpointed
@@ -506,18 +509,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		fmt.Fprintf(stdout, "telemetry: exports written to %s\n", *telemetryDir)
-	}
-
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			return fatal(err)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return fatal(err)
-		}
 	}
 
 	if runErr != nil {
@@ -694,28 +685,19 @@ func writeJSON(path string, v any) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// powerThermalWire adapts the tracker summary into monitor's wire
-// shape (monitor stays free of the machine's packages).
-func powerThermalWire(s core.PowerThermalSummary) *monitor.PowerThermal {
-	out := &monitor.PowerThermal{
-		CPUPowerW:        s.CPUPowerW,
-		DRAMPowerW:       s.DRAMPowerW,
-		OffChipPowerW:    s.OffChipPowerW,
-		TotalPowerW:      s.TotalPowerW,
-		MaxDRAMTempC:     s.MaxDRAMTempC,
-		LimitC:           s.LimitC,
-		WithinLimit:      s.WithinLimit,
-		LimitExceedances: s.LimitExceedances,
-		OverLimitCycles:  s.OverLimitCycles,
-		OffChipTempC:     s.OffChipTempC,
+// writeHeapProfile writes the -memprofile file: the live heap after a
+// collection.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	for _, l := range s.Layers {
-		out.Layers = append(out.Layers, monitor.PowerThermalLayer{
-			Name: l.Name, PowerW: l.PowerW, TempC: l.TempC,
-			PeakC: l.PeakC, OverLimitCycles: l.OverLimitCycles,
-		})
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
 	}
-	return out
+	return f.Close()
 }
 
 // runSweep fans a list of canonical mix labels over the Runner's worker
@@ -767,7 +749,7 @@ func runSweep(ctx context.Context, stdout, stderr io.Writer, cfg *config.Config,
 // metric map (when telemetry ran; otherwise the flattened Metrics), and
 // the attribution / power-thermal payloads when those trackers ran.
 func recordRun(stdout io.Writer, led *ledger.Ledger, cfg *config.Config, labels []string, m *core.Metrics,
-	sys *core.System, tel *telemetry.Telemetry, col *attrib.Collector, pt *core.PowerThermal, started time.Time,
+	sys *core.System, tel *telemetry.Telemetry, col *attrib.Collector, pt *powerthermal.Tracker, started time.Time,
 ) error {
 	var final map[string]float64
 	if tel != nil {

@@ -218,6 +218,24 @@ func TestInterruptedRunStillFlushes(t *testing.T) {
 	}
 }
 
+// TestMemProfileOnEveryExit pins that -memprofile is written wherever
+// run returns from: a sweep and a single run served from the ledger both
+// return before the end of run, where the profile used to be written.
+func TestMemProfileOnEveryExit(t *testing.T) {
+	store := t.TempDir()
+	for _, mix := range []string{"H1,H2", "H1"} {
+		prof := filepath.Join(t.TempDir(), "mem.prof")
+		out := mustRun(t, "-config", "3D", "-warmup", "1000", "-measure", "4000", "-ledger-dir", store,
+			"-mix", mix, "-memprofile", prof)
+		if mix == "H1" && !cacheHitID.MatchString(out) {
+			t.Fatalf("single run after the sweep was not a cache hit:\n%s", out)
+		}
+		if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
+			t.Errorf("-mix %s: heap profile: %v, %v; want a non-empty file", mix, st, err)
+		}
+	}
+}
+
 // TestListAndHelp covers the two invocations that do no run.
 func TestListAndHelp(t *testing.T) {
 	if out := mustRun(t, "-list"); !strings.Contains(out, "benchmarks (Table 2a):") || !strings.Contains(out, "  VH1  (VH): [") {

@@ -5,9 +5,8 @@
 // Two sources:
 //
 //   - File mode (two positional arguments): compares the final samples
-//     of two telemetry time-series exports (the timeseries.csv or
-//     timeseries.jsonl a -telemetry-dir run writes) — the run-end
-//     cumulative totals.
+//     of two telemetry time-series exports (the timeseries.csv a
+//     -telemetry-dir run writes) — the run-end cumulative totals.
 //   - Ledger mode (-ledger-dir): compares two recorded runs straight
 //     from the content-addressed run ledger that stacksim/experiments
 //     -ledger-dir populates. -a and -b accept a run ID, a tag name, or
@@ -17,7 +16,7 @@
 // Usage:
 //
 //	statsdiff old/timeseries.csv new/timeseries.csv
-//	statsdiff -threshold 0.05 -match 'mc0.' old.jsonl new.jsonl
+//	statsdiff -threshold 0.05 -match 'mc0.' old.csv new.csv
 //	statsdiff -threshold 0.02 -only 'power.energy.*' old.csv new.csv
 //	statsdiff -ignore 'power.*,thermal.*' old.csv new.csv
 //	statsdiff -all old.csv new.csv
@@ -43,7 +42,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -77,7 +75,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: statsdiff [flags] <old export> <new export>\n")
 		fmt.Fprintf(stderr, "   or: statsdiff -ledger-dir <dir> -a <ref> -b <ref> [flags]\n")
-		fmt.Fprintf(stderr, "exports are timeseries.csv/.jsonl files; ledger refs are run IDs, tags, or \"latest\"\n")
+		fmt.Fprintf(stderr, "exports are timeseries.csv files; ledger refs are run IDs, tags, or \"latest\"\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -313,22 +311,17 @@ func signedRel(ov, nv float64) float64 {
 	return (nv - ov) / ov
 }
 
-// loadExport reads a telemetry export and returns the final sample's
-// metric values. The format is chosen by suffix: .jsonl parses one
-// JSON object per line, anything else parses the sampler's CSV.
+// loadExport reads a telemetry export — the sampler's CSV — and returns
+// the final sample's metric values.
 func loadExport(path string) (map[string]float64, error) {
+	if strings.HasSuffix(path, ".jsonl") {
+		return nil, fmt.Errorf("%s: the .jsonl time-series export is gone; pass the timeseries.csv written beside it (the same series)", path)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".jsonl") {
-		return loadJSONL(f, path)
-	}
-	return loadCSV(f, path)
-}
-
-func loadCSV(f *os.File, path string) (map[string]float64, error) {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	if !sc.Scan() {
@@ -363,32 +356,4 @@ func loadCSV(f *os.File, path string) (map[string]float64, error) {
 		vals[header[i]] = v
 	}
 	return vals, nil
-}
-
-func loadJSONL(f *os.File, path string) (map[string]float64, error) {
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var last string
-	for sc.Scan() {
-		if t := strings.TrimSpace(sc.Text()); t != "" {
-			last = t
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if last == "" {
-		return nil, fmt.Errorf("%s: empty export", path)
-	}
-	var row struct {
-		Cycle   int64              `json:"cycle"`
-		Metrics map[string]float64 `json:"metrics"`
-	}
-	if err := json.Unmarshal([]byte(last), &row); err != nil {
-		return nil, fmt.Errorf("%s: final line is not valid JSON (truncated write?): %w", path, err)
-	}
-	if row.Metrics == nil {
-		return nil, fmt.Errorf("%s: final line has no metrics object", path)
-	}
-	return row.Metrics, nil
 }

@@ -13,6 +13,7 @@ import (
 
 	"stackedsim/internal/config"
 	"stackedsim/internal/ledger"
+	"stackedsim/internal/powerthermal"
 	"stackedsim/internal/stats"
 	"stackedsim/internal/workload"
 )
@@ -678,6 +679,41 @@ func (r *Runner) EnergyFigure() (*Figure, error) {
 		t.row(fmt.Sprintf("%d row buffer(s)", rb),
 			r.meanCell(cfg, HighMixes(), func(m Metrics) float64 { return m.Energy.PerAccessNJ() }),
 			r.meanCell(cfg, HighMixes(), func(m Metrics) float64 { return m.RowHitRate }))
+	}
+	return t.collect()
+}
+
+// ThermalFigure reproduces the Section 2.4 viability argument from
+// measured energy instead of assumed layer powers: for each memory
+// organization, the measured DRAM energy breakdown and committed work
+// become per-layer powers on that organization's actual floorplan, and
+// the steady-state model reports whether the hottest DRAM die stays
+// within the 85C rating.
+func (r *Runner) ThermalFigure() (*Figure, error) {
+	mix := "VH1"
+	t := &table{Figure: Figure{
+		ID:      "Thermal",
+		Title:   "Section 2.4: stack temperature from measured energy (mix " + mix + ")",
+		Columns: powerthermal.SteadyColumns,
+		Notes: "(per-layer power from the measured DRAM energy breakdown on each config's floorplan;\n" +
+			" worst DRAM C covers stacked dies and off-chip DIMMs; paper claim: <=85C)",
+	}}
+	for _, cfg := range []*config.Config{
+		config.Baseline2D(),
+		config.Simple3D(),
+		config.Fast3D(),
+		config.QuadMC(),
+		config.Fast3D().WithStackCache(config.StackCache, 64),
+		config.Fast3D().WithStackCache(config.StackMemCache, 64),
+	} {
+		// One run, one cell per column of its thermal row.
+		cells := make([]cell, len(t.Columns))
+		for i := range cells {
+			cells[i] = r.mixCell(cfg, mix, func(m Metrics) float64 {
+				return powerthermal.SteadyRow(cfg, m.Cycles, m.IPC, m.Energy, m.EnergyBacking)[i]
+			})
+		}
+		t.row(cfg.Name, cells...)
 	}
 	return t.collect()
 }

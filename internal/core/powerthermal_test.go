@@ -6,11 +6,11 @@ import (
 	"testing"
 
 	"stackedsim/internal/config"
+	"stackedsim/internal/powerthermal"
 	"stackedsim/internal/telemetry"
-	"stackedsim/internal/thermal"
 )
 
-func ptRun(t *testing.T, cfg *config.Config, track bool) (Metrics, uint64, *PowerThermal) {
+func ptRun(t *testing.T, cfg *config.Config, track bool) (Metrics, uint64, *powerthermal.Tracker) {
 	t.Helper()
 	cfg.WarmupCycles = 5_000
 	cfg.MeasureCycles = 20_000
@@ -18,7 +18,7 @@ func ptRun(t *testing.T, cfg *config.Config, track bool) (Metrics, uint64, *Powe
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pt *PowerThermal
+	var pt *powerthermal.Tracker
 	if track {
 		pt = sys.AttachPowerThermal(telemetry.NewRegistry(), 500)
 		if pt == nil {
@@ -62,53 +62,6 @@ func TestPowerThermalParity(t *testing.T) {
 	}
 }
 
-// TestPowerThermalHeatsAndStaysPhysical checks the tracked quantities:
-// the dies warm above ambient under load, every temperature stays
-// finite and ordered sanely, and the per-layer power totals match the
-// gauge totals.
-func TestPowerThermalTracking(t *testing.T) {
-	_, _, pt := ptRun(t, config.QuadMC(), true)
-	s := pt.Summary()
-	if s.Windows == 0 || len(s.Layers) == 0 {
-		t.Fatalf("empty summary: %+v", s)
-	}
-	// quadMC is a true-3D 8GB stack: cpu + logic + 8 DRAM dies.
-	if len(s.Layers) != 10 {
-		t.Fatalf("%d layers, want 10", len(s.Layers))
-	}
-	if s.Layers[0].Name != "cpu" || s.Layers[1].Name != "dram-logic" {
-		t.Fatalf("unexpected layer order: %s, %s", s.Layers[0].Name, s.Layers[1].Name)
-	}
-	if s.CPUPowerW < 25 {
-		t.Fatalf("CPU power %.1fW below the idle floor", s.CPUPowerW)
-	}
-	if s.Layers[0].TempC <= thermal.DefaultAmbientC {
-		t.Fatalf("CPU die at %.1fC did not warm above ambient", s.Layers[0].TempC)
-	}
-	for _, l := range s.Layers {
-		if l.PeakC < l.TempC-1e-9 {
-			t.Fatalf("layer %s peak %.2fC below current %.2fC", l.Name, l.PeakC, l.TempC)
-		}
-	}
-	if s.MaxDRAMTempC <= 0 || s.MaxDRAMTempC > 200 {
-		t.Fatalf("implausible worst-case DRAM temperature %.1fC", s.MaxDRAMTempC)
-	}
-	// The Section 2.4 claim at this window's load.
-	if !s.WithinLimit || s.LimitExceedances != 0 {
-		t.Fatalf("short quadMC run tripped the thermal limit: %+v", s)
-	}
-	if len(s.Trajectory) == 0 {
-		t.Fatal("no trajectory samples kept")
-	}
-	if got := len(s.Trajectory[0].TempC); got != len(s.Layers) {
-		t.Fatalf("trajectory samples carry %d temps for %d layers", got, len(s.Layers))
-	}
-	// The summary must serialize (it becomes powerthermal.json).
-	if _, err := json.Marshal(s); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPowerThermalDeterministic pins that two identical tracked runs
 // agree bit-for-bit on the tracker state (no wall-clock leakage).
 func TestPowerThermalDeterministic(t *testing.T) {
@@ -141,7 +94,7 @@ func TestPowerThermalMetricsRegistered(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	sys.AttachPowerThermal(reg, 0) // 0 -> DefaultPowerWindow
+	sys.AttachPowerThermal(reg, 0) // 0 -> powerthermal.DefaultWindow
 	sys.Run()
 	names := strings.Join(reg.Names(), "\n")
 	for _, want := range []string{
@@ -156,43 +109,6 @@ func TestPowerThermalMetricsRegistered(t *testing.T) {
 	}
 	if sys.AttachPowerThermal(nil, 500) != nil {
 		t.Fatal("nil registry did not disable tracking")
-	}
-}
-
-// TestPowerThermal2DOffChip checks the 2D organization: a CPU-only
-// stack whose DRAM heat shows up off-chip.
-func TestPowerThermal2DOffChip(t *testing.T) {
-	_, _, pt := ptRun(t, config.Baseline2D(), true)
-	s := pt.Summary()
-	if len(s.Layers) != 1 || s.Layers[0].Name != "cpu" {
-		t.Fatalf("2D stack layers: %+v", s.Layers)
-	}
-	if s.OffChipPowerW <= 0 {
-		t.Fatal("2D run dissipated no off-chip DRAM power")
-	}
-	if s.DRAMPowerW != 0 {
-		t.Fatalf("2D run reports %.2fW on-stack DRAM power", s.DRAMPowerW)
-	}
-	if s.OffChipTempC <= thermal.DefaultAmbientC {
-		t.Fatalf("off-chip DRAM at %.1fC under load", s.OffChipTempC)
-	}
-	if s.MaxDRAMTempC != s.OffChipTempC {
-		t.Fatalf("2D worst-case DRAM %.2fC != off-chip %.2fC", s.MaxDRAMTempC, s.OffChipTempC)
-	}
-}
-
-// TestPowerThermalReport checks the run-end report carries the
-// per-layer table, the bank heatmap, and the trajectory sparklines.
-func TestPowerThermalReport(t *testing.T) {
-	_, _, pt := ptRun(t, config.Fast3D().WithStackCache(config.StackMemCache, 64), true)
-	out := pt.Report()
-	for _, want := range []string{
-		"power/thermal", "cpu", "worst-case DRAM", "per-bank accesses",
-		"mc0.rank0", "backing.rank0", "offchip", "temperature trajectory",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"stackedsim/internal/mshr"
 	"stackedsim/internal/noc"
 	"stackedsim/internal/power"
+	"stackedsim/internal/powerthermal"
 	"stackedsim/internal/prefetch"
 	"stackedsim/internal/sim"
 	"stackedsim/internal/stackcache"
@@ -68,9 +69,9 @@ type System struct {
 	channels []channel
 
 	Resizer *mshr.Resizer
-	// pt is the power/thermal tracker (nil unless AttachPowerThermal was
-	// called — disabled means absent, like Faults and Stack).
-	pt *PowerThermal
+	// resetters are the observers (see Observe) that restart their own
+	// accounting when ResetStats zeroes the machine's.
+	resetters []interface{ ResetStats() }
 	// statsSince is the cycle of the last ResetStats, so poll-driven
 	// energy gauges can convert counter state into wall time.
 	statsSince sim.Cycle
@@ -344,14 +345,7 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 
 	// Dynamic MSHR capacity tuning (Section 5.1).
 	if cfg.DynamicMSHR {
-		progress := func() uint64 {
-			var n uint64
-			for _, c := range s.Cores {
-				n += c.Committed()
-			}
-			return n
-		}
-		s.Resizer = mshr.NewResizer(s.L2.MSHRBanks(), progress,
+		s.Resizer = mshr.NewResizer(s.L2.MSHRBanks(), s.committed,
 			sim.Cycle(cfg.DynSampleCycles), sim.Cycle(cfg.DynEpochCycles))
 	}
 
@@ -404,6 +398,36 @@ func (s *System) newChannel(busName, dramName string, p memctrl.Params) *memctrl
 	return mc
 }
 
+// committed is the μops every core has committed since cycle zero
+// (monotonic across ResetStats).
+func (s *System) committed() uint64 {
+	var n uint64
+	for _, c := range s.Cores {
+		n += c.Committed()
+	}
+	return n
+}
+
+// Observe registers t, something that watches the machine, to tick
+// every `every` cycles behind all of its components — in call order
+// behind earlier observers, so one that publishes (the power/thermal
+// tracker) is attached before one that samples what it published. The
+// engine's sleepers are settled before each of t's ticks, so an observer
+// cannot read a counter a sleeping component has yet to count; and when
+// t has a ResetStats method, ResetStats calls it at the warmup boundary.
+func (s *System) Observe(every int, t sim.Ticker) {
+	s.Engine.RegisterEvery(every, 0, sim.TickFunc(func(now sim.Cycle) {
+		if now%sim.Cycle(every) != 0 {
+			return // SetFullTick(true) ticks everything on every cycle
+		}
+		s.Engine.Settle()
+		t.Tick(now)
+	}))
+	if r, ok := t.(interface{ ResetStats() }); ok {
+		s.resetters = append(s.resetters, r)
+	}
+}
+
 // EngineReport summarizes the event-driven core's work avoidance and
 // the request pool's effectiveness over the simulation so far.
 type EngineReport struct {
@@ -437,8 +461,8 @@ func (s *System) EngineReport() EngineReport {
 }
 
 // AttachTelemetry wires tel through every component and registers the
-// interval sampler as the engine's last ticker, so each sample reflects
-// the end of its cycle. Call it after construction and before Run. All
+// interval sampler as an observer, so each sample reflects the end of
+// its cycle. Call it after construction and before Run. All
 // instrumentation is read-only (gauges poll live state, trace events
 // annotate sampled requests), so an instrumented run produces exactly
 // the simulation results of an uninstrumented one. A nil tel is a no-op.
@@ -484,8 +508,28 @@ func (s *System) AttachTelemetry(tel *telemetry.Telemetry) {
 		// and on the sampler's own interval so non-boundary cycles skip
 		// it entirely. The sampler is per-engine state: concurrent
 		// systems each carry their own.
-		s.Engine.RegisterEvery(int(tel.Sampler.Every()), 0, tel.Sampler)
+		s.Observe(int(tel.Sampler.Every()), tel.Sampler)
 	}
+}
+
+// AttachPowerThermal enables power/thermal tracking with the given
+// sampling window in cycles (<=0 picks powerthermal.DefaultWindow),
+// registering its metrics in reg. Call after construction and before
+// AttachTelemetry, so each closed window is visible to the sampler's
+// time-series. A nil registry is a no-op (tracking stays absent).
+func (s *System) AttachPowerThermal(reg *telemetry.Registry, every int64) *powerthermal.Tracker {
+	if reg == nil {
+		return nil
+	}
+	m := powerthermal.Machine{Cfg: s.Cfg, Committed: s.committed}
+	for _, ch := range s.channels {
+		m.Channels = append(m.Channels, powerthermal.Channel{
+			Name: ch.dram, Ranks: ch.mc.Ranks(), Bus: ch.mc.Bus(), OffChip: ch.mc == s.Backing,
+		})
+	}
+	t := powerthermal.New(m, reg, every)
+	s.Observe(int(t.Every()), t)
+	return t
 }
 
 // AttachAttrib enables memory-latency attribution: col's "attrib.*"
@@ -585,7 +629,9 @@ func (s *System) ResetStats() {
 	// warmup counters about to be zeroed, not the measurement.
 	s.Engine.Settle()
 	s.statsSince = s.Engine.Now()
-	s.pt.resetStats()
+	for _, r := range s.resetters {
+		r.ResetStats()
+	}
 	for i := range s.Cores {
 		s.Cores[i].ResetStats()
 		s.L1s[i].ResetStats()

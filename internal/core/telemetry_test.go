@@ -71,7 +71,7 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 }
 
 // TestTelemetryDeterministicExports runs the same configuration twice
-// and requires byte-identical CSV, JSONL, and trace exports — no
+// and requires byte-identical CSV and trace exports — no
 // wall-clock time may leak into sampled data.
 func TestTelemetryDeterministicExports(t *testing.T) {
 	_, telA := telemetryRun(t, 1_000)
@@ -158,7 +158,7 @@ func TestTelemetryExportWritesArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"manifest.json", "timeseries.csv", "timeseries.jsonl", "trace.json", "distributions.json"} {
+	for _, f := range []string{"manifest.json", "timeseries.csv", "trace.json", "distributions.json"} {
 		if _, err := readFile(t, dir, f); err != nil {
 			t.Fatalf("missing export %s: %v", f, err)
 		}

@@ -46,6 +46,10 @@ import (
 // nothing (the first is three cycles past the warmup reset). A sleeper
 // that registers with the engine but forgets to settle shows here, where
 // no tick of its own comes to catch it up before the counters are read.
+// They also carry an observer: a ticker attached with Observe on a period
+// that divides nothing, which reads the side state on each of its ticks
+// and never settles anything itself. That is the seam's promise — whoever
+// watches through Observe reads settled counters.
 func TestTickSchedulingParity(t *testing.T) {
 	smart := config.QuadMC()
 	smart.SmartRefresh = true
@@ -109,6 +113,9 @@ func TestTickSchedulingParity(t *testing.T) {
 							now, sys.Collect(), sys.Digest(), coreSides(sys), l2Sides(sys)))
 					}
 				}))
+				sys.Observe(1_117, sim.TickFunc(func(now sim.Cycle) {
+					mid = append(mid, fmt.Sprintf("observed at %d: cores %+v L2 %s", now, coreSides(sys), l2Sides(sys)))
+				}))
 			}
 			m := sys.Run()
 			if sys.Resizer != nil && sys.Resizer.Switches == 0 {
@@ -118,8 +125,8 @@ func TestTickSchedulingParity(t *testing.T) {
 		}
 		full, fullDigest, fullSides, fullL2, fullMid := run(true)
 		fast, fastDigest, fastSides, fastL2, fastMid := run(false)
-		if tc.midRun && len(fullMid) != 3 {
-			t.Fatalf("%s: read %d times mid-run, want 3", name, len(fullMid))
+		if want := 3 + 25_000/1_117; tc.midRun && len(fullMid) != want {
+			t.Fatalf("%s: read %d times mid-run, want %d", name, len(fullMid), want)
 		}
 		for i := range fullMid {
 			if fullMid[i] != fastMid[i] {
@@ -154,7 +161,7 @@ type coreSide struct {
 }
 
 // coreSides snapshots every core's side state; call it after Run or
-// Collect, which settle the lazily counted spans.
+// Collect, which settle the lazily counted spans, or from an observer.
 func coreSides(s *System) []coreSide {
 	out := make([]coreSide, len(s.Cores))
 	for i, c := range s.Cores {

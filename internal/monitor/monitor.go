@@ -33,6 +33,7 @@ import (
 
 	"stackedsim/internal/attrib"
 	"stackedsim/internal/ledger"
+	"stackedsim/internal/powerthermal"
 	"stackedsim/internal/sim"
 	"stackedsim/internal/telemetry"
 )
@@ -73,33 +74,6 @@ type RunReport struct {
 	Err         string  `json:"error,omitempty"`
 }
 
-// PowerThermalLayer is one die of the PowerThermal block.
-type PowerThermalLayer struct {
-	Name            string  `json:"name"`
-	PowerW          float64 `json:"power_w"`
-	TempC           float64 `json:"temp_c"`
-	PeakC           float64 `json:"peak_c"`
-	OverLimitCycles int64   `json:"over_limit_cycles"`
-}
-
-// PowerThermal mirrors the power/thermal tracker's summary on the wire:
-// last-window powers, current and peak per-layer temperatures, and the
-// thermal-limit accounting (cmd/stacksim adapts core's tracker into
-// this shape, keeping monitor free of the machine's packages).
-type PowerThermal struct {
-	CPUPowerW        float64             `json:"cpu_power_w"`
-	DRAMPowerW       float64             `json:"dram_power_w"`
-	OffChipPowerW    float64             `json:"offchip_power_w"`
-	TotalPowerW      float64             `json:"total_power_w"`
-	MaxDRAMTempC     float64             `json:"max_dram_temp_c"`
-	LimitC           float64             `json:"limit_c"`
-	WithinLimit      bool                `json:"within_limit"`
-	LimitExceedances uint64              `json:"limit_exceedances"`
-	OverLimitCycles  uint64              `json:"over_limit_cycles"`
-	OffChipTempC     float64             `json:"offchip_dram_temp_c"`
-	Layers           []PowerThermalLayer `json:"layers,omitempty"`
-}
-
 // scalar is one counter/gauge value frozen at snapshot time.
 type scalar struct {
 	name string
@@ -125,7 +99,7 @@ type snapshot struct {
 	scalars []scalar
 	dists   []distribution
 	attrib  *attrib.Breakdown
-	pt      *PowerThermal
+	pt      *powerthermal.State
 }
 
 // Server is the HTTP observability plane for one process. Configure
@@ -138,8 +112,9 @@ type Server struct {
 	// snapshot. Called from the Collect goroutine only.
 	AttribFn func() *attrib.Breakdown
 	// PowerThermalFn, when set, supplies the power/thermal block for
-	// each snapshot. Called from the Collect goroutine only.
-	PowerThermalFn func() *PowerThermal
+	// each snapshot (the tracker's State: no trajectory). Called from the
+	// Collect goroutine only.
+	PowerThermalFn func() *powerthermal.State
 	// ProgressFn, when set, supplies live runner progress. Unlike the
 	// registry it is polled from handler goroutines, so it must be
 	// safe for concurrent use (core.Runner's Status is atomics-backed).
@@ -156,7 +131,7 @@ type Server struct {
 	// FarmHandler, when set, is mounted under /farm/ — the sim-farm
 	// coordinator's job API rides on the same mux and lifecycle as the
 	// observability plane. The handler is generic so monitor stays free
-	// of the farm (and machine) packages.
+	// of the farm package (and core with it).
 	FarmHandler http.Handler
 
 	mu   sync.Mutex
@@ -363,12 +338,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // jsonSnapshot is the /snapshot wire format.
 type jsonSnapshot struct {
-	Cycle         int64              `json:"cycle"`
-	Metrics       map[string]float64 `json:"metrics"`
-	Distributions []jsonDist         `json:"distributions,omitempty"`
-	Attribution   *attrib.Breakdown  `json:"attribution,omitempty"`
-	PowerThermal  *PowerThermal      `json:"power_thermal,omitempty"`
-	Progress      *Progress          `json:"progress,omitempty"`
+	Cycle         int64               `json:"cycle"`
+	Metrics       map[string]float64  `json:"metrics"`
+	Distributions []jsonDist          `json:"distributions,omitempty"`
+	Attribution   *attrib.Breakdown   `json:"attribution,omitempty"`
+	PowerThermal  *powerthermal.State `json:"power_thermal,omitempty"`
+	Progress      *Progress           `json:"progress,omitempty"`
 }
 
 type jsonDist struct {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"stackedsim/internal/attrib"
+	"stackedsim/internal/powerthermal"
 	"stackedsim/internal/telemetry"
 )
 
@@ -32,15 +33,15 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 	s := &Server{
 		Registry: reg,
 		AttribFn: col.Breakdown,
-		PowerThermalFn: func() *PowerThermal {
-			return &PowerThermal{
+		PowerThermalFn: func() *powerthermal.State {
+			return &powerthermal.State{
 				CPUPowerW:    79.5,
 				DRAMPowerW:   11.5,
 				TotalPowerW:  91,
 				MaxDRAMTempC: 70.25,
 				LimitC:       85,
 				WithinLimit:  true,
-				Layers: []PowerThermalLayer{
+				Layers: []powerthermal.Layer{
 					{Name: "cpu", PowerW: 79.5, TempC: 68.5, PeakC: 68.5},
 					{Name: "dram0", PowerW: 11.5, TempC: 70.25, PeakC: 70.25},
 				},
@@ -141,7 +142,7 @@ func TestSnapshotPowerThermal(t *testing.T) {
 	_, ts := testServer(t)
 	body, _ := get(t, ts.URL+"/snapshot")
 	var snap struct {
-		PowerThermal *PowerThermal `json:"power_thermal"`
+		PowerThermal *powerthermal.State `json:"power_thermal"`
 	}
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatal(err)

@@ -90,7 +90,7 @@ type distSummary struct {
 }
 
 // Export writes every artifact of the run into opts.Dir: manifest.json,
-// timeseries.csv, timeseries.jsonl, distributions.json, and trace.json
+// timeseries.csv, distributions.json, and trace.json
 // (only the files whose producer was enabled). The manifest's trace and
 // sample counts are filled in here.
 func (t *Telemetry) Export(man Manifest) error {
@@ -120,9 +120,6 @@ func (t *Telemetry) Export(man Manifest) error {
 
 	if t.Sampler != nil {
 		if err := writeTo(filepath.Join(t.opts.Dir, "timeseries.csv"), t.Sampler.WriteCSV); err != nil {
-			return err
-		}
-		if err := writeTo(filepath.Join(t.opts.Dir, "timeseries.jsonl"), t.Sampler.WriteJSONL); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -206,43 +205,6 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 			}
 		}
 		b.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WriteJSONL writes one JSON object per sample:
-// {"cycle":N,"metrics":{"name":value,...}} in column order.
-func (s *Sampler) WriteJSONL(w io.Writer) error {
-	if s == nil {
-		return nil
-	}
-	names := s.scalarNames()
-	winNames := s.windowNames()
-	var b strings.Builder
-	for _, row := range s.rows {
-		fmt.Fprintf(&b, `{"cycle":%d,"metrics":{`, int64(row.Cycle))
-		for i, n := range names {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			v := 0.0
-			if i < len(row.Values) {
-				v = row.Values[i]
-			}
-			fmt.Fprintf(&b, "%q:%s", n, formatValue(v))
-		}
-		for i, n := range winNames {
-			if len(names) > 0 || i > 0 {
-				b.WriteByte(',')
-			}
-			v := 0.0
-			if i < len(row.Window) {
-				v = row.Window[i]
-			}
-			fmt.Fprintf(&b, "%q:%s", n, formatValue(v))
-		}
-		b.WriteString("}}\n")
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -1,7 +1,7 @@
 // Package telemetry provides run-time observability for the simulator:
 // a metrics registry of named counters, gauges and distributions, an
 // interval sampler that snapshots every metric into a cycle-stamped
-// time-series (exported as CSV/JSONL), and a structured event tracer
+// time-series (exported as CSV), and a structured event tracer
 // emitting Chrome trace_event JSON for sampled request lifecycles.
 //
 // The subsystem is designed around two invariants:

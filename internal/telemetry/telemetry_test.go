@@ -128,20 +128,12 @@ func TestSamplerSnapshotsAndCSV(t *testing.T) {
 	if lines[1] != "10,10,2" || lines[3] != "30,30,2" {
 		t.Fatalf("rows = %q / %q", lines[1], lines[3])
 	}
-
-	var j strings.Builder
-	if err := s.WriteJSONL(&j); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(j.String(), `{"cycle":20,"metrics":{"evts":20,"q.depth":0}}`) {
-		t.Fatalf("jsonl missing cycle-20 row: %s", j.String())
-	}
 }
 
 // TestSamplerTrackWindow pins the derived per-window column contract:
 // a cumulative counter tracked with TrackWindow gains a "<name>.window"
 // column holding each interval's delta, appended after the registry
-// columns in both CSV and JSONL.
+// columns.
 func TestSamplerTrackWindow(t *testing.T) {
 	reg := NewRegistry()
 	skipped := 0.0
@@ -176,13 +168,6 @@ func TestSamplerTrackWindow(t *testing.T) {
 	}
 	if lines[2] != "20,10,5" {
 		t.Fatalf("row = %q, want cumulative 10 and window 5", lines[2])
-	}
-	var j strings.Builder
-	if err := s.WriteJSONL(&j); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(j.String(), `"engine.cycles_skipped":10,"engine.cycles_skipped.window":5`) {
-		t.Fatalf("jsonl missing window column: %s", j.String())
 	}
 }
 

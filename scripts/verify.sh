@@ -23,6 +23,15 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# internal/core composes the machine; what watches it lives beside it
+# (internal/powerthermal) and reaches it through System.Observe. A model
+# package imported here again means an observer has moved back in.
+echo "== internal/core imports neither internal/thermal nor internal/floorplan"
+if go list -f '{{join .Imports "\n"}}' ./internal/core | grep -E 'internal/(thermal|floorplan)$'; then
+	echo "verify: internal/core imports the packages above" >&2
+	exit 1
+fi
+
 echo "== go test ./..."
 go test ./...
 
@@ -43,9 +52,11 @@ echo "verify: OK"
 # Reported, never gated on: where the benchmark's core probe was linked
 # (decides whether corrected rates compare with the parent's), the
 # exported names nothing outside tests calls (where the deletion audit
-# looks next), and the sizes simplicity PRs quote — the total, and the
-# internal/core + cmd/stacksim sum the ROADMAP's <= 3,000 target reads.
+# looks next), and the sizes simplicity PRs quote — the total, the
+# internal/core + cmd/stacksim sum the ROADMAP's <= 3,000 target reads,
+# and internal/powerthermal, which left internal/core in PR 22: lines that
+# move between the last two are relocated, not removed.
 scripts/probe-align.sh
 scripts/uncalled.sh
 lines() { find "$@" -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | tr -d ' '; }
-echo "verify: $(lines cmd internal) non-test Go lines under cmd/ internal/ ($(lines internal/core cmd/stacksim) in internal/core + cmd/stacksim)"
+echo "verify: $(lines cmd internal) non-test Go lines under cmd/ internal/ ($(lines internal/core cmd/stacksim) in internal/core + cmd/stacksim, $(lines internal/powerthermal) in internal/powerthermal)"
