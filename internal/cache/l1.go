@@ -8,14 +8,6 @@ import (
 	"stackedsim/internal/sim"
 )
 
-// Port accepts memory requests from the level above. Submit reports
-// whether the request was accepted; a false return means "retry later"
-// (queue full), providing the back-pressure path from DRAM all the way up
-// to the cores.
-type Port interface {
-	Submit(r *mem.Request, now sim.Cycle) bool
-}
-
 // AccessOutcome is the immediate result of an L1 access.
 type AccessOutcome int
 
@@ -61,11 +53,10 @@ type L1 struct {
 	lineBytes int
 	mshrCap   int
 	misses    map[mem.Addr]*l1Miss
-	below     Port
+	out       Outbox // toward the level below
 	ids       *mem.IDSource
 	stride    *prefetch.Stride
 	nextline  bool
-	retry     []*mem.Request // rejected by the level below
 	stats     L1Stats
 
 	// Prefetch effectiveness (observation only): lines a prefetch
@@ -73,8 +64,8 @@ type L1 struct {
 	pfPending map[mem.Addr]struct{}
 	pfStats   prefetch.Stats
 
-	// handle, when set, lets the controller sleep whenever the retry
-	// queue is empty — Tick's only job is retrying rejected requests.
+	// handle, when set, lets the controller sleep whenever the outbox
+	// is empty — Tick's only job is retrying rejected requests.
 	handle *sim.TickHandle
 
 	// owner is the tick handle of the core above, woken when an MSHR
@@ -86,9 +77,9 @@ type L1 struct {
 
 	// onDone is the prebuilt completion callback shared by every
 	// request this controller issues (no per-miss closure), and
-	// freeMiss recycles l1Miss nodes (reusing their waiter slices).
+	// missPool recycles l1Miss nodes (reusing their waiter slices).
 	onDone   func(*mem.Request, sim.Cycle)
-	freeMiss []*l1Miss
+	missPool sim.Pool[l1Miss]
 
 	// storeHint, when set, is notified of stores that complete inside
 	// the L1 (hits and merges into in-flight misses) so a coherent
@@ -128,7 +119,7 @@ func NewL1(p L1Params) *L1 {
 		lineBytes: p.LineBytes,
 		mshrCap:   p.MSHRs,
 		misses:    make(map[mem.Addr]*l1Miss),
-		below:     p.Below,
+		out:       NewOutbox(p.Below),
 		ids:       p.IDs,
 		nextline:  p.Prefetch,
 		pfPending: make(map[mem.Addr]struct{}),
@@ -142,10 +133,11 @@ func NewL1(p L1Params) *L1 {
 }
 
 // SetHandle arms the idle fast-path: the controller sleeps while its
-// retry queue is empty (the only per-cycle work it has) and wakes when
-// the level below rejects a request.
+// outbox is empty (the only per-cycle work it has) and wakes when the
+// level below rejects a request.
 func (l *L1) SetHandle(h *sim.TickHandle) {
 	l.handle = h
+	l.out.SetOwner(h)
 	h.SleepUntil(sim.FarFuture)
 }
 
@@ -178,22 +170,11 @@ func (l *L1) freeMSHR(ln mem.Addr) {
 
 // newMiss returns a recycled (or fresh) miss node.
 func (l *L1) newMiss(ln mem.Addr, prefetch, dirty bool) *l1Miss {
-	if n := len(l.freeMiss); n > 0 {
-		m := l.freeMiss[n-1]
-		l.freeMiss[n-1] = nil
-		l.freeMiss = l.freeMiss[:n-1]
-		waiters := m.waiters[:0]
-		for i := range m.waiters {
-			m.waiters[i] = nil
-		}
-		*m = l1Miss{line: ln, waiters: waiters, prefetch: prefetch, dirty: dirty}
-		return m
-	}
-	return &l1Miss{line: ln, prefetch: prefetch, dirty: dirty}
+	m := l.missPool.Get()
+	clear(m.waiters)
+	*m = l1Miss{line: ln, waiters: m.waiters[:0], prefetch: prefetch, dirty: dirty}
+	return m
 }
-
-// releaseMiss recycles a miss node the controller no longer references.
-func (l *L1) releaseMiss(m *l1Miss) { l.freeMiss = append(l.freeMiss, m) }
 
 // Stats returns the counters.
 func (l *L1) Stats() *L1Stats { return &l.stats }
@@ -210,7 +191,7 @@ func (l *L1) OutstandingMisses() int { return len(l.misses) }
 // InFlight counts what the controller still holds: live MSHR entries
 // and requests the level below rejected — among them victim writebacks,
 // which hold no entry. Zero exactly when the L1 has drained.
-func (l *L1) InFlight() int { return len(l.misses) + len(l.retry) }
+func (l *L1) InFlight() int { return len(l.misses) + l.out.Len() }
 
 func (l *L1) line(a mem.Addr) mem.Addr { return a &^ mem.Addr(l.lineBytes-1) }
 
@@ -269,7 +250,7 @@ func (l *L1) Access(now sim.Cycle, pc uint64, addr mem.Addr, store bool, done fu
 	r.PC = pc
 	r.Born = now
 	r.OnDone = l.onDone
-	l.send(r, now)
+	l.out.Send(r, now)
 	l.train(now, pc, addr)
 	return Miss
 }
@@ -310,7 +291,7 @@ func (l *L1) maybePrefetch(now sim.Cycle, pc uint64, addr mem.Addr) {
 	r.PC = pc
 	r.Born = now
 	r.OnDone = l.onDone
-	l.send(r, now)
+	l.out.Send(r, now)
 }
 
 // handleDone dispatches a completed request: dropped prefetches unwind,
@@ -335,7 +316,7 @@ func (l *L1) drop(r *mem.Request, now sim.Cycle) {
 		l.stats.PrefetchDrops++
 		l.pfStats.Drops++
 		l.freeMSHR(r.Line)
-		l.releaseMiss(m)
+		l.missPool.Put(m)
 		return
 	}
 	// A demand access merged in: the data is needed after all.
@@ -348,7 +329,7 @@ func (l *L1) drop(r *mem.Request, now sim.Cycle) {
 	demand.PC = r.PC
 	demand.Born = now
 	demand.OnDone = l.onDone
-	l.send(demand, now)
+	l.out.Send(demand, now)
 }
 
 // fill handles a returning line: install it, write back any dirty victim,
@@ -380,37 +361,20 @@ func (l *L1) fill(ln mem.Addr, now sim.Cycle) {
 		wb.Line = victim
 		wb.Core = l.core
 		wb.Born = now
-		l.send(wb, now)
+		l.out.Send(wb, now)
 	}
 	for _, w := range m.waiters {
 		if w != nil {
 			w(now)
 		}
 	}
-	l.releaseMiss(m)
-}
-
-func (l *L1) send(r *mem.Request, now sim.Cycle) {
-	if !l.below.Submit(r, now) {
-		l.retry = append(l.retry, r)
-		l.handle.Wake()
-	}
+	l.missPool.Put(m)
 }
 
 // Tick retries requests the level below rejected.
 func (l *L1) Tick(now sim.Cycle) {
-	if len(l.retry) == 0 {
-		l.handle.SleepUntil(sim.FarFuture)
-		return
-	}
-	kept := l.retry[:0]
-	for i, r := range l.retry {
-		if len(kept) > 0 || !l.below.Submit(r, now) {
-			kept = append(kept, l.retry[i])
-		}
-	}
-	l.retry = kept
-	if len(l.retry) == 0 {
+	l.out.Retry(now)
+	if l.out.Len() == 0 {
 		l.handle.SleepUntil(sim.FarFuture)
 	}
 }

@@ -92,7 +92,7 @@ type L2 struct {
 
 	mcs      []Port
 	unissued [][]unissuedEntry // per MC: allocated but not yet in the MRQ
-	wbQ      []sim.Queue[*mem.Request]
+	wb       []Outbox          // per MC: writebacks toward it
 	// mshrWait holds misses that found their MSHR bank full. They are
 	// set aside (the bank pipeline keeps flowing — a full MSHR must not
 	// head-of-line-block unrelated hits) and retried as entries free up.
@@ -127,7 +127,7 @@ type L2 struct {
 	attrib *attrib.Collector
 
 	// handle, when set, lets the L2 sleep until its next self-scheduled
-	// event or queued work; Submit, queueWriteback, a fill into a bank
+	// event or queued work; Submit, a refused writeback, a fill into a bank
 	// with set-aside misses and a raised MSHR limit wake it. headPolls
 	// counts the polls of the set-aside heads that were made, not settled.
 	handle    *sim.TickHandle
@@ -175,11 +175,14 @@ func NewL2(p L2Params) *L2 {
 		mshrLat:      sim.Cycle(cfg.MSHRBankLat),
 		missesBy:     make([]uint64, cfg.Cores),
 		unissued:     make([][]unissuedEntry, cfg.MCs),
-		wbQ:          make([]sim.Queue[*mem.Request], cfg.MCs),
+		wb:           make([]Outbox, cfg.MCs),
 		crossPenalty: 0,
 	}
 	if !cfg.L2PageInterleave && cfg.MCs > 1 {
 		l.crossPenalty = 4
+	}
+	for m, mc := range p.MCs {
+		l.wb[m] = NewOutbox(mc)
 	}
 	l.pfPending = make(map[mem.Addr]struct{})
 	for b := 0; b < cfg.L2Banks; b++ {
@@ -225,6 +228,9 @@ func (l *L2) Register(e *sim.Engine) {
 	l.handle.SleepUntil(sim.FarFuture)
 	for _, f := range l.mshrBanks {
 		f.WakeOnGrow(l.handle)
+	}
+	for m := range l.wb {
+		l.wb[m].SetOwner(l.handle)
 	}
 }
 
@@ -314,8 +320,8 @@ func (l *L2) InFlight() int {
 	for m, f := range l.mshrBanks {
 		n += f.Len() + l.mshrWait[m].q.Len()
 	}
-	for m := range l.wbQ {
-		n += l.wbQ[m].Len()
+	for m := range l.wb {
+		n += l.wb[m].Len()
 	}
 	return n
 }
@@ -470,7 +476,7 @@ func (l *L2) sched(now sim.Cycle) {
 		}
 	}
 	for m := range l.mcs {
-		if len(l.unissued[m]) > 0 || l.wbQ[m].Len() > 0 {
+		if len(l.unissued[m]) > 0 || l.wb[m].Len() > 0 {
 			l.handle.SleepUntil(now + 1)
 			return
 		}
@@ -565,7 +571,7 @@ func (l *L2) tickBank(b *l2bank, now sim.Cycle) {
 		down.Line = r.Line
 		down.Core = -1
 		down.Born = now
-		l.queueWriteback(down, now)
+		l.wb[l.mcFor(down.Line)].Send(down, now)
 		r.Complete(now)
 		return
 	default:
@@ -702,10 +708,7 @@ func (l *L2) issue(mshrIdx int, e *mshr.Entry) {
 func (l *L2) retryMCs(now sim.Cycle) {
 	for m := range l.mcs {
 		// Writebacks first: they hold no MSHR and starve nothing above.
-		wq := &l.wbQ[m]
-		for wb, ok := wq.Peek(); ok && l.mcs[m].Submit(wb, now); wb, ok = wq.Peek() {
-			wq.Pop()
-		}
+		l.wb[m].Retry(now)
 		uq := l.unissued[m]
 		kept := uq[:0]
 		for i, u := range uq {
@@ -742,7 +745,9 @@ func (l *L2) handleFill(mshrIdx int, e *mshr.Entry, read *mem.Request, at sim.Cy
 		wb.Line = victimLine
 		wb.Core = -1
 		wb.Born = at
-		l.queueWriteback(wb, at)
+		// at, not l.now: a fill runs from a controller's tick, when l.now
+		// is stale from the L2's last one.
+		l.wb[l.mcFor(victimLine)].Send(wb, at)
 	}
 	// Prefetch accounting: a prefetch-initiated fill that a demand miss
 	// merged into was useful immediately; otherwise remember the line
@@ -807,18 +812,6 @@ func (l *L2) PrefetchStats() prefetch.Stats {
 		s.StrideTrained = l.stride.Trained
 	}
 	return s
-}
-
-// queueWriteback routes a writeback to its MC, queueing on a full MRQ.
-// at is the current cycle: callers may run from another component's
-// tick (a fill during an MC's tick) while l.now is stale from the L2's
-// last tick.
-func (l *L2) queueWriteback(wb *mem.Request, at sim.Cycle) {
-	m := l.mcFor(wb.Line)
-	if !l.mcs[m].Submit(wb, at) {
-		l.wbQ[m].Push(wb)
-		l.handle.Wake()
-	}
 }
 
 // trainPrefetch drives the L2 next-line/stride prefetchers with demand

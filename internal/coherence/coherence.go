@@ -125,7 +125,7 @@ type Fabric struct {
 
 	ctrlBytes, dataBytes int
 
-	free []*message
+	msgs sim.Pool[message]
 }
 
 // New builds the fabric. The config must have passed Validate with
@@ -191,6 +191,7 @@ func (f *Fabric) Register(e *sim.Engine) {
 	}
 	for _, d := range f.dirs {
 		d.register(e, d)
+		d.toMC.SetOwner(d.handle) // what a refused memory request wakes
 	}
 	f.mesh.SetHandle(e.RegisterEvery(1, 0, sim.TickFunc(f.mesh.Tick)))
 }
@@ -217,10 +218,10 @@ func (f *Fabric) DeferredRequests() int {
 func (f *Fabric) InFlight() int {
 	n := f.mesh.InFlight()
 	for _, l := range f.l2s {
-		n += len(l.misses) + len(l.wb) + l.inbox.Len() + l.out.Len() + l.events.Len()
+		n += len(l.misses) + len(l.wb) + l.inbox.Len() + l.out.Len() + l.hits.Len()
 	}
 	for _, d := range f.dirs {
-		n += d.inbox.Len() + d.out.Len() + d.outq.Len() + d.events.Len()
+		n += d.inbox.Len() + d.out.Len() + d.toMC.Len() + d.lookups.Len()
 	}
 	return n
 }
@@ -308,14 +309,7 @@ func (f *Fabric) homeDir(line mem.Addr) *Directory {
 
 // newMsg returns a pooled, zeroed message.
 func (f *Fabric) newMsg(kind msgKind, line mem.Addr, from int) *message {
-	var m *message
-	if n := len(f.free); n > 0 {
-		m = f.free[n-1]
-		f.free[n-1] = nil
-		f.free = f.free[:n-1]
-	} else {
-		m = &message{}
-	}
+	m := f.msgs.Get()
 	*m = message{kind: kind, line: line, from: from}
 	return m
 }
@@ -323,7 +317,7 @@ func (f *Fabric) newMsg(kind msgKind, line mem.Addr, from int) *message {
 // putMsg returns a fully processed message to the pool.
 func (f *Fabric) putMsg(m *message) {
 	m.tag = nil
-	f.free = append(f.free, m)
+	f.msgs.Put(m)
 }
 
 // Stats aggregates the fabric-wide counters for metrics collection.

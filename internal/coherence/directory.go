@@ -117,13 +117,12 @@ type DirStats struct {
 // issues the memory reads and writes the protocol needs.
 type Directory struct {
 	endpoint
-	id  int // MC / bank index
-	mc  cache.Port
-	lat sim.Cycle
+	id int // MC / bank index
 
 	lines map[mem.Addr]*dirEntry
 
-	outq sim.Queue[*mem.Request] // MC-rejected memory requests, retried in order
+	lookups *sim.Delay[*message] // popped from the inbox, in the pipelined lookup
+	toMC    cache.Outbox         // the protocol's memory reads and writes
 
 	freeEntry []*dirEntry
 	// Fresh entries and their sharer words are carved from slabs: a
@@ -132,7 +131,6 @@ type Directory struct {
 	slab      []dirEntry
 	slabWords []uint64
 
-	processCB func(arg any, at sim.Cycle)
 	onMemRead func(r *mem.Request, now sim.Cycle)
 
 	stats DirStats
@@ -142,11 +140,10 @@ func newDirectory(f *Fabric, id, node int, mc cache.Port) *Directory {
 	d := &Directory{
 		endpoint: endpoint{f: f, node: node},
 		id:       id,
-		mc:       mc,
-		lat:      sim.Cycle(f.cfg.DirLatency),
 		lines:    make(map[mem.Addr]*dirEntry),
+		lookups:  sim.NewDelay[*message](sim.Cycle(f.cfg.DirLatency)),
+		toMC:     cache.NewOutbox(mc),
 	}
-	d.processCB = func(arg any, at sim.Cycle) { d.process(arg.(*message), at) }
 	d.onMemRead = d.memReadDone
 	return d
 }
@@ -213,20 +210,20 @@ func (d *Directory) recv(m *message, now sim.Cycle) {
 	d.endpoint.recv(m, now)
 }
 
-// Tick pops at most one inbox message (the bank's serialization point)
-// into the pipelined lookup, fires due lookups, and retries rejected
-// injections and memory submissions, each queue head first until one is
-// refused.
+// Tick processes the lookups that fall due, pops at most one inbox
+// message (the bank's serialization point) into the pipelined lookup, and
+// retries rejected injections and memory submissions, each queue head
+// first until one is refused.
 func (d *Directory) Tick(now sim.Cycle) {
-	d.events.FireDue(now)
+	for m, at, ok := d.lookups.Pop(now); ok; m, at, ok = d.lookups.Pop(now) {
+		d.process(m, at)
+	}
 	if m, ok := d.inbox.Pop(); ok {
-		d.events.AtCall(now+d.lat, d.processCB, m)
+		d.lookups.Push(now, m)
 	}
 	d.retry(now)
-	for r, ok := d.outq.Peek(); ok && d.mc.Submit(r, now); r, ok = d.outq.Peek() {
-		d.outq.Pop()
-	}
-	d.sleep(now, !d.outq.Empty())
+	d.toMC.Retry(now)
+	d.sleep(now, d.toMC.Len() > 0, d.lookups.NextAt())
 }
 
 // memRead issues the protocol's memory read for a busy entry. The
@@ -242,10 +239,7 @@ func (d *Directory) memRead(m *message, now sim.Cycle) {
 	r.Born = now
 	r.Attrib = m.tag
 	r.OnDone = d.onMemRead
-	if !d.mc.Submit(r, now) {
-		d.outq.Push(r)
-		d.handle.Wake()
-	}
+	d.toMC.Send(r, now)
 }
 
 // memWrite issues a protocol writeback (PutM data, FwdGetS demotion
@@ -258,10 +252,7 @@ func (d *Directory) memWrite(line mem.Addr, now sim.Cycle) {
 	r.Line = line
 	r.Core = -1
 	r.Born = now
-	if !d.mc.Submit(r, now) {
-		d.outq.Push(r)
-		d.handle.Wake()
-	}
+	d.toMC.Send(r, now)
 }
 
 // memReadDone completes a trBusyMem* entry: grant the data and settle.

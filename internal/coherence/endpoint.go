@@ -12,14 +12,13 @@ type outMsg struct {
 // bank and a private L2 share: delivered messages wait in inbox for the
 // owner's Tick (mesh ejection and protocol work stay in separate engine
 // phases), injections the mesh refused wait in out and are retried in
-// order, events holds the owner's fixed-latency work, and handle lets it
-// sleep whenever all three are empty.
+// order, and handle lets it sleep whenever both are empty and the owner's
+// own fixed-latency pipe has nothing due.
 type endpoint struct {
 	f      *Fabric
 	node   int
 	inbox  sim.Queue[*message]
 	out    sim.Queue[outMsg]
-	events sim.EventQueue
 	handle *sim.TickHandle
 }
 
@@ -37,7 +36,9 @@ func (ep *endpoint) recv(m *message, now sim.Cycle) {
 }
 
 // inject sends m into the mesh, queueing it for retry (in order) when the
-// injection port is out of credits.
+// injection port is out of credits. Unlike a cache.Outbox it never lets a
+// fresh message overtake a queued one: the mesh orders messages per
+// source-destination pair and the protocol relies on it.
 func (ep *endpoint) inject(m *message, dst int, now sim.Cycle) {
 	if ep.out.Empty() && ep.f.send(ep.node, dst, m, now) {
 		ep.stamp(m, now)
@@ -69,15 +70,12 @@ func (ep *endpoint) stamp(m *message, now sim.Cycle) {
 }
 
 // sleep chooses how long the owner can sleep after ticking at now: until
-// its earliest event, or not at all while a message waits, an injection
-// retries or retries of the owner's own pin it awake.
-func (ep *endpoint) sleep(now sim.Cycle, pinned bool) {
-	wake := now + 1
-	if !pinned && ep.inbox.Empty() && ep.out.Empty() {
-		wake = sim.FarFuture
-		if c, ok := ep.events.NextAt(); ok {
-			wake = c
-		}
+// next, the cycle its fixed-latency pipe has something ready, or not at
+// all while a message waits, an injection retries or retries of the
+// owner's own pin it awake.
+func (ep *endpoint) sleep(now sim.Cycle, pinned bool, next sim.Cycle) {
+	if pinned || !ep.inbox.Empty() || !ep.out.Empty() {
+		next = now + 1
 	}
-	ep.handle.SleepUntil(wake)
+	ep.handle.SleepUntil(next)
 }

@@ -80,8 +80,9 @@ type PrivateL2 struct {
 	endpoint
 	id  int // core == mesh node
 	arr *cache.Array
-	lat sim.Cycle
 	cap int // miss table bound
+
+	hits *sim.Delay[*mem.Request] // hits on their way back to the L1
 
 	misses map[mem.Addr]*pl2Miss
 	wb     map[mem.Addr]*wbEntry
@@ -90,10 +91,8 @@ type PrivateL2 struct {
 	// cache on protocol actions. Set via SetL1s after construction.
 	dl1, il1 *cache.L1
 
-	freeMiss []*pl2Miss
-	freeWB   []*wbEntry
-
-	completeReq func(arg any, at sim.Cycle)
+	missPool sim.Pool[pl2Miss]
+	wbPool   sim.Pool[wbEntry]
 
 	stats PL2Stats
 }
@@ -104,12 +103,11 @@ func newPrivateL2(f *Fabric, id int) *PrivateL2 {
 		endpoint: endpoint{f: f, node: id},
 		id:       id,
 		arr:      cache.NewArrayBySize(fmt.Sprintf("pl2.%d", id), cfg.PrivL2KB*1024, cfg.PrivL2Ways, cfg.LineBytes),
-		lat:      sim.Cycle(cfg.PrivL2Latency),
 		cap:      cfg.PrivL2MSHRs,
+		hits:     sim.NewDelay[*mem.Request](sim.Cycle(cfg.PrivL2Latency)),
 		misses:   make(map[mem.Addr]*pl2Miss),
 		wb:       make(map[mem.Addr]*wbEntry),
 	}
-	p.completeReq = func(arg any, at sim.Cycle) { arg.(*mem.Request).Complete(at) }
 	return p
 }
 
@@ -133,31 +131,10 @@ func (p *PrivateL2) OutstandingMisses() int { return len(p.misses) }
 func (p *PrivateL2) WritebacksInFlight() int { return len(p.wb) }
 
 func (p *PrivateL2) newMiss(line mem.Addr, excl bool) *pl2Miss {
-	if n := len(p.freeMiss); n > 0 {
-		m := p.freeMiss[n-1]
-		p.freeMiss[n-1] = nil
-		p.freeMiss = p.freeMiss[:n-1]
-		waiters := m.waiters[:0]
-		for i := range m.waiters {
-			m.waiters[i] = nil
-		}
-		*m = pl2Miss{line: line, excl: excl, waiters: waiters}
-		return m
-	}
-	return &pl2Miss{line: line, excl: excl}
-}
-
-func (p *PrivateL2) releaseMiss(m *pl2Miss) { p.freeMiss = append(p.freeMiss, m) }
-
-func (p *PrivateL2) newWB(dirty bool) *wbEntry {
-	if n := len(p.freeWB); n > 0 {
-		w := p.freeWB[n-1]
-		p.freeWB[n-1] = nil
-		p.freeWB = p.freeWB[:n-1]
-		*w = wbEntry{dirty: dirty}
-		return w
-	}
-	return &wbEntry{dirty: dirty}
+	m := p.missPool.Get()
+	clear(m.waiters)
+	*m = pl2Miss{line: line, excl: excl, waiters: m.waiters[:0]}
+	return m
 }
 
 // Submit accepts a request from an L1 (cache.Port). False means the
@@ -177,7 +154,7 @@ func (p *PrivateL2) Submit(r *mem.Request, now sim.Cycle) bool {
 		}
 		p.arr.Lookup(line) // LRU touch
 		p.stats.Hits++
-		p.events.AtCall(now+p.lat, p.completeReq, r)
+		p.hits.Push(now, r)
 		p.handle.Wake()
 		return true
 	}
@@ -326,16 +303,20 @@ func (p *PrivateL2) sendRequest(m *pl2Miss, tag *attrib.Tag, now sim.Cycle) {
 // sendPutM evicts an owned (or orphaned) line: PutM with data when
 // dirty, PutE otherwise, held in the writeback buffer until WBAck.
 func (p *PrivateL2) sendPutM(line mem.Addr, dirty bool, now sim.Cycle) {
-	p.wb[line] = p.newWB(dirty)
+	w := p.wbPool.Get()
+	*w = wbEntry{dirty: dirty}
+	p.wb[line] = w
 	msg := p.f.newMsg(mPutM, line, p.id)
 	msg.clean = !dirty
 	p.inject(msg, p.f.homeDir(line).node, now)
 }
 
-// Tick drains the inbox, fires due hit completions, and retries
+// Tick completes the hits that fall due, drains the inbox, and retries
 // rejected injections, head first until one is refused.
 func (p *PrivateL2) Tick(now sim.Cycle) {
-	p.events.FireDue(now)
+	for r, at, ok := p.hits.Pop(now); ok; r, at, ok = p.hits.Pop(now) {
+		r.Complete(at)
+	}
 	for {
 		m, ok := p.inbox.Pop()
 		if !ok {
@@ -344,7 +325,7 @@ func (p *PrivateL2) Tick(now sim.Cycle) {
 		p.process(m, now)
 	}
 	p.retry(now)
-	p.sleep(now, false)
+	p.sleep(now, false, p.hits.NextAt())
 }
 
 // process handles one protocol message addressed to this cache.
@@ -431,7 +412,7 @@ func (p *PrivateL2) fill(m *message, now sim.Cycle) {
 		}
 		p.il1.InvalidateLine(line)
 		p.drainFwds(miss, now)
-		p.releaseMiss(miss)
+		p.missPool.Put(miss)
 		return
 	}
 	p.install(line, st, now)
@@ -443,7 +424,7 @@ func (p *PrivateL2) fill(m *message, now sim.Cycle) {
 		p.StoreHint(line, now)
 	}
 	p.drainFwds(miss, now)
-	p.releaseMiss(miss)
+	p.missPool.Put(miss)
 }
 
 // drainFwds replays forwards that arrived before the fill they depend
@@ -467,7 +448,7 @@ func (p *PrivateL2) ackM(m *message, now sim.Cycle) {
 	p.install(m.line, psModified, now)
 	p.finishWaiters(m.tag, miss, now)
 	p.drainFwds(miss, now)
-	p.releaseMiss(miss)
+	p.missPool.Put(miss)
 }
 
 // install places a line in the array in state st (if capacity evicted it
@@ -537,7 +518,7 @@ func (p *PrivateL2) wbAck(m *message, now sim.Cycle) {
 	}
 	delete(p.wb, m.line)
 	redirty := w.redirty
-	p.freeWB = append(p.freeWB, w)
+	p.wbPool.Put(w)
 	if redirty {
 		p.sendPutM(m.line, true, now)
 	}

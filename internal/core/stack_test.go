@@ -174,3 +174,33 @@ func TestStackTrafficSanity(t *testing.T) {
 		})
 	}
 }
+
+// TestStackCacheBackingRefusals pins the stack layer's refusal-and-retry
+// path on a live machine: 3D-fast with a 1 MB stack cache filled a line
+// at a time, 64 L2 MSHRs and a small L2 above it and a 4-entry MRQ on
+// the off-chip channel below, so block fetches, dirty victims and
+// forwarded writebacks all find that MRQ full and wait in the layer's
+// outboxes. Refusal count and digest are the parent's — recorded when
+// those queues were slices drained with q = q[1:] — so the same
+// submissions still land on the same cycles.
+func TestStackCacheBackingRefusals(t *testing.T) {
+	cfg := config.Fast3D().WithMSHR(8, config.MSHRVBF, false).WithStackCache(config.StackCache, 1)
+	cfg.StackFillBytes = 64
+	cfg.L2SizeKB = 384
+	cfg.BackingMRQ = 4
+	cfg.WarmupCycles, cfg.MeasureCycles = 20_000, 100_000
+	sys, err := NewSystem(cfg, []string{"mcf", "milc", "lbm", "libquantum"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sys.Run()
+	if m.Stack.BackingWrites == 0 {
+		t.Error("no writeback went off chip: only the fetch path was exercised")
+	}
+	if n := sys.Backing.Stats().Rejected; n != 54120 {
+		t.Errorf("the backing MRQ refused %d submissions, the parent's run 54120", n)
+	}
+	if d := sys.Digest(); d != 0x8270da7e7834df43 {
+		t.Errorf("digest %#016x, the parent's %#016x", d, uint64(0x8270da7e7834df43))
+	}
+}

@@ -91,10 +91,10 @@ type File struct {
 	// released entry, room a full bank did not have before.
 	owner *sim.TickHandle
 
-	// freeEntries recycles released entries so steady-state miss
-	// traffic allocates no Entry objects (and reuses each entry's
-	// Waiters backing array). Single simulation goroutine; no lock.
-	freeEntries []*Entry
+	// pool recycles released entries so steady-state miss traffic
+	// allocates no Entry objects (and reuses each entry's Waiters
+	// backing array).
+	pool sim.Pool[Entry]
 }
 
 // New returns an empty MSHR bank of the given kind and capacity.
@@ -216,19 +216,9 @@ func (f *File) Allocate(line mem.Addr, r *mem.Request) (*Entry, bool) {
 	}
 	f.stats.Allocs++
 	f.changes++
-	var e *Entry
-	if n := len(f.freeEntries); n > 0 {
-		e = f.freeEntries[n-1]
-		f.freeEntries[n-1] = nil
-		f.freeEntries = f.freeEntries[:n-1]
-		waiters := e.Waiters[:0]
-		for i := range e.Waiters {
-			e.Waiters[i] = nil // drop stale request references
-		}
-		*e = Entry{Line: line, slot: slot, Waiters: waiters}
-	} else {
-		e = &Entry{Line: line, slot: slot}
-	}
+	e := f.pool.Get()
+	clear(e.Waiters) // drop stale request references
+	*e = Entry{Line: line, slot: slot, Waiters: e.Waiters[:0]}
 	if r != nil {
 		e.Merge(r)
 	}
@@ -246,7 +236,7 @@ func (f *File) Release(e *Entry) {
 	f.entries[e.slot] = nil
 	f.stats.Releases++
 	f.changes++
-	f.freeEntries = append(f.freeEntries, e)
+	f.pool.Put(e)
 }
 
 // Instrument registers this bank's metrics under the given name prefix

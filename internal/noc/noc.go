@@ -159,7 +159,7 @@ type Mesh struct {
 	// Payload) is only valid for the duration of the call.
 	Deliver func(dst int, m *Msg, now sim.Cycle)
 
-	free []*Msg
+	pool sim.Pool[Msg]
 }
 
 // New builds an idle mesh.
@@ -216,7 +216,7 @@ func (m *Mesh) OccupiedRouters() int {
 
 func (m *Mesh) release(msg *Msg) {
 	msg.Payload = nil
-	m.free = append(m.free, msg)
+	m.pool.Put(msg)
 }
 
 // Send injects a message at node src toward node dst. It returns false
@@ -229,13 +229,7 @@ func (m *Mesh) Send(src, dst, bytes int, payload any, now sim.Cycle) bool {
 		m.stats.Rejected++
 		return false
 	}
-	var msg *Msg
-	if n := len(m.free); n > 0 {
-		msg = m.free[n-1]
-		m.free = m.free[:n-1]
-	} else {
-		msg = &Msg{}
-	}
+	msg := m.pool.Get()
 	*msg = Msg{Src: src, Dst: dst, Bytes: bytes, Payload: payload, born: now, at: src, port: portLocal,
 		ser: m.serCycles(bytes)}
 	lp.reserved++

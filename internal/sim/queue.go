@@ -116,12 +116,18 @@ func (q *Queue[T]) Clear() {
 	q.head, q.n = 0, 0
 }
 
-// Delay models a fixed-latency pipe: items pushed at cycle t become
-// visible to Pop at cycle t+latency. It is used for wire/pipeline delays
-// such as the L2 access latency and the vertical TSV bus hop.
+// Delay is a fixed-latency pipe: an item pushed at cycle t is ready at
+// t+latency, and items leave in the order they entered. It is what a
+// component uses for work that is always the same distance away — a
+// cache's hit latency, a directory's lookup, a tag probe — and fires
+// exactly as an EventQueue given the same pushes would: by ready cycle,
+// then by push order. That holds because pushes arrive in cycle order,
+// which Push checks; work whose delay varies, or that must interleave
+// with other kinds of event in one same-cycle order, needs the heap.
 type Delay[T any] struct {
 	latency Cycle
 	items   Queue[delayed[T]]
+	last    Cycle // ready cycle of the newest item
 }
 
 type delayed[T any] struct {
@@ -129,34 +135,67 @@ type delayed[T any] struct {
 	item  T
 }
 
-// NewDelay returns a pipe with the given latency in cycles.
+// NewDelay returns a pipe with the given latency in cycles (negative
+// counts as zero).
 func NewDelay[T any](latency Cycle) *Delay[T] {
-	if latency < 0 {
-		latency = 0
-	}
-	return &Delay[T]{latency: latency}
+	return &Delay[T]{latency: max(latency, 0)}
 }
-
-// Latency reports the pipe latency.
-func (d *Delay[T]) Latency() Cycle { return d.latency }
 
 // Len reports the number of in-flight items.
 func (d *Delay[T]) Len() int { return d.items.Len() }
 
-// Push inserts item at cycle now; it becomes visible at now+latency.
-func (d *Delay[T]) Push(now Cycle, item T) { d.PushAt(now+d.latency, item) }
-
-// PushAt inserts item to become visible at the explicit cycle ready.
-func (d *Delay[T]) PushAt(ready Cycle, item T) {
+// Push inserts item at cycle now; it becomes ready at now+latency.
+func (d *Delay[T]) Push(now Cycle, item T) {
+	ready := now + d.latency
+	if ready < d.last {
+		panic("sim: Delay.Push at a cycle before the previous push")
+	}
+	d.last = ready
 	d.items.Push(delayed[T]{ready: ready, item: item})
 }
 
-// Pop removes and returns the oldest item that is ready at cycle now.
-func (d *Delay[T]) Pop(now Cycle) (item T, ok bool) {
+// Pop removes and returns the oldest item if it is ready at cycle now,
+// with the cycle it became ready — the cycle its owner acts at, which
+// is not now when the owner ticks late.
+func (d *Delay[T]) Pop(now Cycle) (item T, at Cycle, ok bool) {
 	head, ok := d.items.Peek()
 	if !ok || head.ready > now {
-		return item, false
+		return item, 0, false
 	}
 	d.items.Pop()
-	return head.item, true
+	return head.item, head.ready, true
 }
+
+// NextAt reports the cycle the oldest item becomes ready — what its
+// owner sleeps until — or FarFuture when the pipe is empty.
+func (d *Delay[T]) NextAt() Cycle {
+	if head, ok := d.items.Peek(); ok {
+		return head.ready
+	}
+	return FarFuture
+}
+
+// Pool recycles nodes of one type so a steady state allocates none. Get
+// returns a node exactly as Put left it, or a zero one when none is
+// free: the caller resets what it reuses, and so keeps what is worth
+// keeping (a waiter slice's backing array). A pool guards nothing — a
+// node Put twice is handed out twice — so types whose double release
+// must panic keep a list of their own.
+type Pool[T any] struct {
+	free []*T
+}
+
+// Get returns a recycled node, or a new zero one.
+func (p *Pool[T]) Get() *T {
+	n := len(p.free)
+	if n == 0 {
+		return new(T)
+	}
+	x := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return x
+}
+
+// Put hands x back for a later Get. The caller no longer refers to it.
+func (p *Pool[T]) Put(x *T) { p.free = append(p.free, x) }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -181,5 +182,84 @@ func BenchmarkQueueDeepPop(b *testing.B) {
 	for b.Loop() {
 		p, _ := q.Pop()
 		q.Push(p)
+	}
+}
+
+// TestDelayMatchesEventQueue: a Delay fires what an EventQueue given the
+// same constant-latency pushes fires — the same items in the same order,
+// each handed the cycle it became ready — several to a cycle, across
+// idle gaps, drained late, and at zero latency.
+func TestDelayMatchesEventQueue(t *testing.T) {
+	type fired struct {
+		id int
+		at Cycle
+	}
+	for _, lat := range []Cycle{0, 1, 7} {
+		rng := rand.New(rand.NewSource(int64(lat) + 1))
+		d := NewDelay[*int](lat)
+		var q EventQueue
+		var fromDelay, fromQueue []fired
+		record := func(arg any, at Cycle) { fromQueue = append(fromQueue, fired{*arg.(*int), at}) }
+		next := 0
+		for now := Cycle(1); now < 4000; now++ {
+			if rng.Intn(4) == 0 {
+				now += Cycle(rng.Intn(20)) // an idle gap: the owner slept
+			}
+			if rng.Intn(3) == 0 { // the owner ticks; otherwise it is late
+				q.FireDue(now)
+				for id, at, ok := d.Pop(now); ok; id, at, ok = d.Pop(now) {
+					fromDelay = append(fromDelay, fired{*id, at})
+				}
+				if at, ok := q.NextAt(); (ok && d.NextAt() != at) || (!ok && d.NextAt() != FarFuture) {
+					t.Fatalf("latency %d, cycle %d: Delay.NextAt %d, EventQueue.NextAt %d,%v", lat, now, d.NextAt(), at, ok)
+				}
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				id := new(int)
+				*id = next
+				next++
+				d.Push(now, id)
+				q.AtCall(now+lat, record, id)
+			}
+			if d.Len() != q.Len() {
+				t.Fatalf("latency %d, cycle %d: %d in the pipe, %d in the queue", lat, now, d.Len(), q.Len())
+			}
+		}
+		if len(fromDelay) < 1000 || !slices.Equal(fromDelay, fromQueue) {
+			t.Fatalf("latency %d: the pipe fired %d items, the queue %d, and they differ", lat, len(fromDelay), len(fromQueue))
+		}
+	}
+}
+
+// TestPool pins the free list's whole contract.
+func TestPool(t *testing.T) {
+	type node struct{ v, w int }
+	var p Pool[node]
+	a, b := p.Get(), p.Get()
+	if a == b {
+		t.Fatal("two Gets returned one object")
+	}
+	a.v, a.w = 7, 8
+	p.Put(a)
+	if got := p.Get(); got != a || got.v != 7 || got.w != 8 {
+		t.Fatalf("Get after Put returned %p %+v, want %p as Put left it", got, *got, a)
+	}
+	if c := p.Get(); c == a || c == b || *c != (node{}) {
+		t.Fatalf("an empty pool handed out %p %+v, want a new zero node", c, *c)
+	}
+	p.Put(a)
+	p.Put(b)
+	if x, y := p.Get(), p.Get(); x == y {
+		t.Fatal("two Gets returned one object after two Puts")
+	}
+	var fresh Pool[node]
+	var sink *node // keeps the new node on the heap
+	if allocs := testing.AllocsPerRun(100, func() { sink = fresh.Get() }); allocs != 1 || sink == nil {
+		t.Fatalf("a never-Put pool made %v allocations per Get, want 1", allocs)
+	}
+	var warm Pool[node]
+	warm.Put(new(node))
+	if allocs := testing.AllocsPerRun(100, func() { warm.Put(warm.Get()) }); allocs != 0 {
+		t.Fatalf("a Get/Put pair made %v allocations in steady state", allocs)
 	}
 }

@@ -418,34 +418,47 @@ func TestQueueClear(t *testing.T) {
 func TestDelayPipe(t *testing.T) {
 	d := NewDelay[int](3)
 	d.Push(10, 42)
-	if _, ok := d.Pop(12); ok {
+	if _, _, ok := d.Pop(12); ok {
 		t.Fatal("item visible before latency elapsed")
 	}
-	v, ok := d.Pop(13)
-	if !ok || v != 42 {
-		t.Fatalf("Pop(13) = %d,%v want 42,true", v, ok)
+	if at := d.NextAt(); at != 13 {
+		t.Fatalf("NextAt() = %d, want 13", at)
+	}
+	v, at, ok := d.Pop(15)
+	if !ok || v != 42 || at != 13 {
+		t.Fatalf("Pop(15) = %d,%d,%v want 42,13,true", v, at, ok)
+	}
+	if at := d.NextAt(); at != FarFuture {
+		t.Fatalf("NextAt() of an empty pipe = %d, want FarFuture", at)
 	}
 }
 
 func TestDelayOrdering(t *testing.T) {
 	d := NewDelay[int](0)
-	d.PushAt(5, 1)
-	d.PushAt(5, 2)
-	if v, _ := d.Pop(5); v != 1 {
+	d.Push(5, 1)
+	d.Push(5, 2)
+	if v, _, _ := d.Pop(5); v != 1 {
 		t.Fatalf("first Pop = %d, want 1", v)
 	}
-	if v, _ := d.Pop(5); v != 2 {
+	if v, _, _ := d.Pop(5); v != 2 {
 		t.Fatalf("second Pop = %d, want 2", v)
 	}
 	if d.Len() != 0 {
 		t.Fatalf("Len() = %d, want 0", d.Len())
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a push at an earlier cycle than the last did not panic")
+		}
+	}()
+	d.Push(4, 3)
 }
 
 func TestDelayNegativeLatencyClamped(t *testing.T) {
 	d := NewDelay[int](-5)
-	if d.Latency() != 0 {
-		t.Fatalf("Latency() = %d, want 0", d.Latency())
+	d.Push(10, 1)
+	if _, at, ok := d.Pop(10); !ok || at != 10 {
+		t.Fatalf("Pop(10) = _,%d,%v: a negative latency is not zero", at, ok)
 	}
 }
 

@@ -106,7 +106,6 @@ type Params struct {
 type Layer struct {
 	mode       config.StackMode
 	tagsInSRAM bool
-	tagLat     sim.Cycle
 	fillBytes  int
 	hot        func(mem.Addr) bool // memcache: resident in the hot region
 
@@ -118,28 +117,25 @@ type Layer struct {
 
 	pending map[mem.Addr]*missEntry // in-flight block fetches by block addr
 
-	// Retry queues for full MRQs, drained every cycle in Tick.
-	backQ  []*mem.Request   // reads + writebacks awaiting the backing MRQ
-	stackQ [][]*mem.Request // per stacked MC: resolved traffic awaiting its MRQ
+	// Outboxes toward full MRQs, retried every cycle in Tick.
+	back  cache.Outbox   // reads + writebacks toward the backing MC
+	stack []cache.Outbox // per stacked MC: resolved traffic toward it
 
-	events sim.EventQueue // delayed SRAM tag decisions
+	probes *sim.Delay[*mem.Request] // SRAM tag probes awaiting their decision
 	now    sim.Cycle
 	stats  Stats
 
-	// handle, when set, lets the layer sleep while its retry queues are
+	// handle, when set, lets the layer sleep while its outboxes are
 	// empty until its next delayed tag decision; completion callbacks
 	// that queue retry work from another component's tick wake it.
 	handle *sim.TickHandle
 
-	// Prebuilt callbacks so the miss path schedules and completes
-	// without per-request closures: resolveFn applies a delayed SRAM tag
-	// decision (the request rides in the event arg) and fetchDone
-	// finishes a block fetch (the block address rides in Request.Line).
-	resolveFn func(arg any, at sim.Cycle)
+	// fetchDone is the prebuilt completion of every block fetch (the
+	// block address rides in Request.Line): no per-request closure.
 	fetchDone func(r *mem.Request, now sim.Cycle)
 
-	// freeMiss recycles miss-merge nodes (reusing waiter slices).
-	freeMiss []*missEntry
+	// missPool recycles miss-merge nodes (reusing waiter slices).
+	missPool sim.Pool[missEntry]
 }
 
 // New builds the layer for a cache or memcache configuration.
@@ -164,7 +160,6 @@ func New(p Params) *Layer {
 	l := &Layer{
 		mode:       cfg.StackMode,
 		tagsInSRAM: cfg.StackTagsInSRAM,
-		tagLat:     sim.Cycle(cfg.StackTagLatency),
 		fillBytes:  cfg.StackFillBytes,
 		hot:        p.Hot,
 		tags:       cache.NewArray("stacktags", sets, cfg.StackWays, cfg.StackFillBytes),
@@ -173,58 +168,55 @@ func New(p Params) *Layer {
 		backing:    p.Backing,
 		ids:        p.IDs,
 		pending:    make(map[mem.Addr]*missEntry),
-		stackQ:     make([][]*mem.Request, len(p.Stacked)),
+		back:       cache.NewOutbox(p.Backing),
+		stack:      make([]cache.Outbox, len(p.Stacked)),
+		probes:     sim.NewDelay[*mem.Request](sim.Cycle(cfg.StackTagLatency)),
 	}
-	l.resolveFn = func(arg any, at sim.Cycle) { l.resolveSRAM(arg.(*mem.Request), at) }
+	for mc, c := range p.Stacked {
+		l.stack[mc] = cache.NewOutbox(c)
+	}
 	l.fetchDone = func(r *mem.Request, at sim.Cycle) { l.finishMiss(r.Line, at) }
 	return l
 }
 
-// SetHandle arms the idle fast-path: the layer sleeps while its retry
-// queues are empty until its next delayed tag decision.
+// SetHandle arms the idle fast-path: the layer sleeps while its
+// outboxes are empty until its next delayed tag decision.
 func (l *Layer) SetHandle(h *sim.TickHandle) {
 	l.handle = h
+	l.back.SetOwner(h)
+	for mc := range l.stack {
+		l.stack[mc].SetOwner(h)
+	}
 	l.sched(l.now)
 }
 
-// sched recomputes the wake cycle from the layer's full live state:
-// awake next cycle while any retry queue holds work (each is drained
-// once per cycle), else asleep until the next delayed tag decision,
-// else unboundedly.
-func (l *Layer) sched(now sim.Cycle) {
-	if l.handle == nil {
-		return
+// queued counts the traffic waiting in the outboxes for a full MRQ.
+func (l *Layer) queued() int {
+	n := l.back.Len()
+	for mc := range l.stack {
+		n += l.stack[mc].Len()
 	}
-	if len(l.backQ) > 0 {
+	return n
+}
+
+// sched recomputes the wake cycle from the layer's full live state:
+// awake next cycle while any outbox holds work (each is retried once
+// per cycle), else asleep until the next delayed tag decision, else
+// unboundedly.
+func (l *Layer) sched(now sim.Cycle) {
+	if l.queued() > 0 {
 		l.handle.SleepUntil(now + 1)
 		return
 	}
-	for _, q := range l.stackQ {
-		if len(q) > 0 {
-			l.handle.SleepUntil(now + 1)
-			return
-		}
-	}
-	if c, ok := l.events.NextAt(); ok {
-		l.handle.SleepUntil(c)
-		return
-	}
-	l.handle.SleepUntil(sim.FarFuture)
+	l.handle.SleepUntil(l.probes.NextAt())
 }
 
 // newMiss returns a recycled (or fresh) miss node seeded with r.
 func (l *Layer) newMiss(r *mem.Request) *missEntry {
-	if n := len(l.freeMiss); n > 0 {
-		e := l.freeMiss[n-1]
-		l.freeMiss[n-1] = nil
-		l.freeMiss = l.freeMiss[:n-1]
-		for i := range e.waiters {
-			e.waiters[i] = nil // drop stale request references
-		}
-		e.waiters = append(e.waiters[:0], r)
-		return e
-	}
-	return &missEntry{waiters: []*mem.Request{r}}
+	e := l.missPool.Get()
+	clear(e.waiters) // drop stale request references
+	e.waiters = append(e.waiters[:0], r)
+	return e
 }
 
 // front adapts one stacked MC's share of the address space to the
@@ -280,10 +272,10 @@ func (l *Layer) submit(mc int, r *mem.Request, now sim.Cycle) bool {
 			// stacked channel; the decision falls at delivery.
 			return l.stacked[mc].Submit(r, now)
 		}
-		// Tags-in-SRAM: the probe takes tagLat cycles, then the hit
-		// proceeds on the stack or the miss goes off chip. The request
-		// is accepted here; the layer owns it until resolution.
-		l.events.AtCall(now+l.tagLat, l.resolveFn, r)
+		// Tags-in-SRAM: the probe takes StackTagLatency cycles, then the
+		// hit proceeds on the stack or the miss goes off chip. The
+		// request is accepted here; the layer owns it until resolution.
+		l.probes.Push(now, r)
 		l.sched(now)
 		return true
 	case mem.Writeback:
@@ -329,7 +321,8 @@ func (l *Layer) submitWriteback(mc int, r *mem.Request, now sim.Cycle) bool {
 	return false
 }
 
-// resolveSRAM applies the tag decision tagLat cycles after the probe.
+// resolveSRAM applies the tag decision StackTagLatency cycles after the
+// probe.
 func (l *Layer) resolveSRAM(r *mem.Request, now sim.Cycle) {
 	l.stats.Probes++
 	blk := l.block(r.Line)
@@ -389,10 +382,7 @@ func (l *Layer) forwardMiss(r *mem.Request, now sim.Cycle) {
 	// and the backing MC must not overwrite the stacked checkpoints.
 	fetch.OnDone = l.fetchDone
 	l.stats.BackingReads++
-	if !l.backing.Submit(fetch, now) {
-		l.backQ = append(l.backQ, fetch)
-		l.handle.Wake()
-	}
+	l.back.Send(fetch, now)
 }
 
 // finishMiss installs a fetched block and completes every waiter.
@@ -414,10 +404,7 @@ func (l *Layer) finishMiss(blk mem.Addr, at sim.Cycle) {
 			wb.Line = victim
 			wb.Core = -1
 			wb.Born = at
-			if !l.backing.Submit(wb, at) {
-				l.backQ = append(l.backQ, wb)
-				l.handle.Wake()
-			}
+			l.back.Send(wb, at)
 		}
 		// Model the fill's occupancy on the stacked channel with a
 		// fire-and-forget write.
@@ -433,17 +420,12 @@ func (l *Layer) finishMiss(blk mem.Addr, at sim.Cycle) {
 	for _, w := range e.waiters {
 		w.Complete(at)
 	}
-	l.freeMiss = append(l.freeMiss, e)
+	l.missPool.Put(e)
 }
 
-// toStacked submits resolved traffic to the owning stacked MC,
-// deferring to the per-MC retry queue on a full MRQ.
+// toStacked sends resolved traffic to the owning stacked MC.
 func (l *Layer) toStacked(r *mem.Request, now sim.Cycle) {
-	mc := l.amap.MCOf(r.Line)
-	if !l.stacked[mc].Submit(r, now) {
-		l.stackQ[mc] = append(l.stackQ[mc], r)
-		l.handle.Wake()
-	}
+	l.stack[l.amap.MCOf(r.Line)].Send(r, now)
 }
 
 // RespondBacking is the backing MC's completion callback: block
@@ -454,19 +436,15 @@ func (l *Layer) RespondBacking(r *mem.Request, now sim.Cycle) {
 	r.Complete(now)
 }
 
-// Tick fires due tag decisions and drains the retry queues.
+// Tick applies the tag decisions that fall due and retries the outboxes.
 func (l *Layer) Tick(now sim.Cycle) {
 	l.now = now
-	l.events.FireDue(now)
-	for len(l.backQ) > 0 && l.backing.Submit(l.backQ[0], now) {
-		l.backQ = l.backQ[1:]
+	for r, at, ok := l.probes.Pop(now); ok; r, at, ok = l.probes.Pop(now) {
+		l.resolveSRAM(r, at)
 	}
-	for mc := range l.stackQ {
-		q := l.stackQ[mc]
-		for len(q) > 0 && l.stacked[mc].Submit(q[0], now) {
-			q = q[1:]
-		}
-		l.stackQ[mc] = q
+	l.back.Retry(now)
+	for mc := range l.stack {
+		l.stack[mc].Retry(now)
 	}
 	l.sched(now)
 }
@@ -509,13 +487,7 @@ func (l *Layer) DigestWords(emit func(...uint64)) {
 // due. A fill or a forwarded writeback holds no L2 MSHR entry, so
 // nothing above the layer vouches for it. Zero exactly when the layer
 // has drained.
-func (l *Layer) InFlight() int {
-	n := len(l.pending) + len(l.backQ) + l.events.Len()
-	for _, q := range l.stackQ {
-		n += len(q)
-	}
-	return n
-}
+func (l *Layer) InFlight() int { return len(l.pending) + l.queued() + l.probes.Len() }
 
 // CheckDrained reports a quiesced layer that still holds work.
 func (l *Layer) CheckDrained() error {
@@ -527,10 +499,10 @@ func (l *Layer) CheckDrained() error {
 
 // Debug summarizes live layer state for diagnostics.
 func (l *Layer) Debug() string {
-	s := fmt.Sprintf("stackcache{mode=%s pending=%d backQ=%d", l.mode, len(l.pending), len(l.backQ))
-	for mc, q := range l.stackQ {
-		if len(q) > 0 {
-			s += fmt.Sprintf(" stackQ%d=%d", mc, len(q))
+	s := fmt.Sprintf("stackcache{mode=%s pending=%d backQ=%d", l.mode, len(l.pending), l.back.Len())
+	for mc := range l.stack {
+		if n := l.stack[mc].Len(); n > 0 {
+			s += fmt.Sprintf(" stackQ%d=%d", mc, n)
 		}
 	}
 	return s + "}"

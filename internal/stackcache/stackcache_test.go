@@ -116,7 +116,7 @@ func (rg *rig) settle(t *testing.T, budget sim.Cycle) {
 	t.Helper()
 	for i := sim.Cycle(0); i < budget; i += 100 {
 		rg.run(100)
-		if len(rg.l.pending) == 0 && len(rg.l.backQ) == 0 {
+		if len(rg.l.pending) == 0 && rg.l.back.Len() == 0 {
 			return
 		}
 	}

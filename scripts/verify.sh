@@ -32,6 +32,25 @@ if go list -f '{{join .Imports "\n"}}' ./internal/core | grep -E 'internal/(ther
 	exit 1
 fi
 
+# The hierarchy's recurring shapes have one implementation each:
+# cache.Outbox (refusal-and-retry toward a Port), sim.Delay (a
+# fixed-latency pipe) and sim.Pool (a free list). Three pools stay
+# hand-written because they guard a double release or carve slabs
+# (attrib.Tag, mem.Request, the directory's entries), and two components
+# keep the heap because their delays vary and their event kinds share one
+# same-cycle order (cache.L2, memctrl.Controller).
+echo "== no free list outside sim.Pool, no sim.EventQueue outside cache/l2.go and memctrl"
+src() { grep -rnE "$1" --include='*.go' internal | grep -v '_test\.go:' | grep -vE "^internal/($2)" || true; }
+moved=$(
+	src '^[[:space:]]*free[A-Za-z_]*[[:space:]]+\[\]\*' 'sim/|attrib/attrib\.go:[0-9]+:.*\*Tag$|mem/request\.go:[0-9]+:.*\*Request$|coherence/directory\.go:[0-9]+:.*\*dirEntry$'
+	src 'sim\.EventQueue' 'sim/|cache/l2\.go:|memctrl/'
+)
+if [ -n "$moved" ]; then
+	echo "$moved" >&2
+	echo "verify: a hand-rolled pool or heap has moved back in" >&2
+	exit 1
+fi
+
 echo "== go test ./..."
 go test ./...
 
