@@ -54,8 +54,9 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // success, 1 when an experiment failed or the sweep was interrupted, 2
 // on a usage error. Nothing below main calls os.Exit, so the deferred
 // cleanups (profile flush, graceful monitor shutdown) run on every path
-// and the command is testable in-process.
-func run(args []string, stdout, stderr io.Writer) int {
+// and the command is testable in-process; the result is named so that
+// the deferred heap-profile write can fail the invocation.
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	// core.Figures is the only list of figures; table1 and tsv print
 	// static tables around them.
 	names := []string{"all", "table1"}
@@ -144,18 +145,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 	if *memProfile != "" {
-		path := *memProfile
 		defer func() {
-			f, err := os.Create(path)
+			f, err := os.Create(*memProfile)
+			if err == nil {
+				runtime.GC()
+				err = pprof.WriteHeapProfile(f)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+			}
 			if err != nil {
-				fmt.Fprintf(stderr, "experiments: %v\n", err)
-				return
+				code = max(code, fail(err))
 			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "experiments: %v\n", err)
-			}
-			f.Close()
 		}()
 	}
 

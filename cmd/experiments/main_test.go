@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/md5"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -48,6 +49,15 @@ func TestUsageErrors(t *testing.T) {
 	code, _, errs := experiments("-h")
 	if code != 0 || !strings.Contains(errs, names) {
 		t.Errorf("-h: exit %d, help text does not list the registry:\n%s", code, errs)
+	}
+}
+
+// TestFailedHeapProfileFailsTheRun: the heap profile is written by a
+// deferred call, which used to print its open error and leave exit 0.
+func TestFailedHeapProfileFailsTheRun(t *testing.T) {
+	code, out, errs := experiments("-exp", "table1", "-memprofile", filepath.Join(t.TempDir(), "no-such-dir", "mem.prof"))
+	if code != 1 || !strings.Contains(errs, "no-such-dir") || !strings.Contains(out, "Table 1:") {
+		t.Errorf("exit %d stderr %q, want the table, the open error and exit 1", code, errs)
 	}
 }
 

@@ -17,8 +17,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -30,37 +32,58 @@ import (
 	"stackedsim/internal/monitor"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:]))
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+const usageText = `usage: simfarm <coordinator|worker|status> [flags]
+  simfarm coordinator -addr :9090 -ledger-dir DIR   serve the job API
+  simfarm worker -coordinator HOST:PORT             simulate leased jobs
+  simfarm status -coordinator HOST:PORT             print pool status JSON
+`
+
+// run is main's body behind an exit code with injectable streams, like
+// the other four commands: 0 on success (a coordinator or worker that
+// drained on SIGINT/SIGTERM included), 1 on a runtime failure, 2 on a
+// usage error, which also prints the usage text.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		return usage(stderr, "")
+	}
+	fs := flag.NewFlagSet("simfarm "+args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	switch args[0] {
+	case "coordinator":
+		return runCoordinator(fs, args[1:], stdout, stderr)
+	case "worker":
+		return runWorker(fs, args[1:], stdout, stderr)
+	case "status":
+		return runStatus(fs, args[1:], stdout, stderr)
+	}
+	return usage(stderr, fmt.Sprintf("unknown subcommand %q", args[0]))
 }
 
-func usage() int {
-	fmt.Fprintln(os.Stderr, "usage: simfarm <coordinator|worker|status> [flags]")
-	fmt.Fprintln(os.Stderr, "  simfarm coordinator -addr :9090 -ledger-dir DIR   serve the job API")
-	fmt.Fprintln(os.Stderr, "  simfarm worker -coordinator HOST:PORT             simulate leased jobs")
-	fmt.Fprintln(os.Stderr, "  simfarm status -coordinator HOST:PORT             print pool status JSON")
+func usage(stderr io.Writer, why string) int {
+	if why != "" {
+		fmt.Fprintf(stderr, "simfarm: %s\n", why)
+	}
+	fmt.Fprint(stderr, usageText)
 	return 2
 }
 
-func run(args []string) int {
-	if len(args) == 0 {
-		return usage()
-	}
-	switch args[0] {
-	case "coordinator":
-		return runCoordinator(args[1:])
-	case "worker":
-		return runWorker(args[1:])
-	case "status":
-		return runStatus(args[1:])
-	default:
-		fmt.Fprintf(os.Stderr, "simfarm: unknown subcommand %q\n", args[0])
-		return usage()
-	}
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintf(stderr, "simfarm: %v\n", err)
+	return 1
 }
 
-func runCoordinator(args []string) int {
-	fs := flag.NewFlagSet("simfarm coordinator", flag.ExitOnError)
+// parseExit is the exit code of a command line fs.Parse turned away: it has
+// printed why (or, for -h, the flag list).
+func parseExit(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
+}
+
+func runCoordinator(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:9090", "listen address (use :0 for a free port)")
 	ledgerDir := fs.String("ledger-dir", "", "run-ledger store backing the job table (optional but strongly recommended: it makes results durable and repeat submissions free)")
 	lease := fs.Duration("lease", 15*time.Second, "worker heartbeat deadline; a silent worker loses its job after this")
@@ -68,16 +91,16 @@ func runCoordinator(args []string) int {
 	maxAttempts := fs.Int("max-attempts", 3, "failure budget per job before quarantine")
 	backoffBase := fs.Duration("backoff-base", 250*time.Millisecond, "re-dispatch backoff after the first failure (doubles per failure)")
 	backoffMax := fs.Duration("backoff-max", 30*time.Second, "re-dispatch backoff cap")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
+	}
 
 	var led *ledger.Ledger
 	if *ledgerDir != "" {
-		l, err := ledger.Open(*ledgerDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simfarm: open ledger: %v\n", err)
-			return 1
+		var err error
+		if led, err = ledger.Open(*ledgerDir); err != nil {
+			return fail(stderr, fmt.Errorf("open ledger: %w", err))
 		}
-		led = l
 	}
 	coord, err := farm.NewCoordinator(farm.Params{
 		Ledger:      led,
@@ -89,8 +112,7 @@ func runCoordinator(args []string) int {
 		BackoffMax:  *backoffMax,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simfarm: %v\n", err)
-		return 1
+		return fail(stderr, err)
 	}
 	mon := &monitor.Server{
 		Ledger:      led,
@@ -100,36 +122,35 @@ func runCoordinator(args []string) int {
 			return []monitor.HealthCheck{{Name: "workers", Status: status, Detail: detail}}
 		},
 	}
-	if err := mon.Start(*addr); err != nil {
-		fmt.Fprintf(os.Stderr, "simfarm: %v\n", err)
-		return 1
-	}
-	fmt.Printf("simfarm coordinator: serving on %s\n", mon.Addr())
-
+	// Listen for the signal before announcing the address: whoever reads
+	// the line may send it at once.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	if err := mon.Start(*addr); err != nil {
+		return fail(stderr, err)
+	}
+	fmt.Fprintf(stdout, "simfarm coordinator: serving on %s\n", mon.Addr())
+
 	<-ctx.Done()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := mon.Shutdown(shutCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "simfarm: shutdown: %v\n", err)
-		return 1
+		return fail(stderr, fmt.Errorf("shutdown: %w", err))
 	}
-	fmt.Println("simfarm coordinator: drained")
+	fmt.Fprintln(stdout, "simfarm coordinator: drained")
 	return 0
 }
 
-func runWorker(args []string) int {
-	fs := flag.NewFlagSet("simfarm worker", flag.ExitOnError)
+func runWorker(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 	coordinator := fs.String("coordinator", "", "coordinator address (host:port), required")
 	name := fs.String("name", "", "worker name, unique within the pool (default host-pid)")
 	poll := fs.Duration("poll", 250*time.Millisecond, "idle wait between lease attempts")
 	checkpointEvery := fs.Int64("checkpoint-every", 1_000_000, "cycles between checkpoint uploads (each refreshes the digest a successor's replay from cycle zero is checked against; none saves work)")
-	fs.Parse(args)
-
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
+	}
 	if *coordinator == "" {
-		fmt.Fprintln(os.Stderr, "simfarm: worker needs -coordinator HOST:PORT")
-		return 2
+		return usage(stderr, "worker needs -coordinator HOST:PORT")
 	}
 	if *name == "" {
 		host, err := os.Hostname()
@@ -143,24 +164,23 @@ func runWorker(args []string) int {
 		Name:            *name,
 		Poll:            *poll,
 		CheckpointEvery: *checkpointEvery,
-		Log:             os.Stdout,
+		Log:             stdout,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("simfarm worker %s: polling %s\n", *name, *coordinator)
-	w.Run(ctx)
+	fmt.Fprintf(stdout, "simfarm worker %s: polling %s\n", *name, *coordinator)
+	w.Run(ctx) //nolint:errcheck // the context's error: the drain that was asked for
 	return 0
 }
 
-func runStatus(args []string) int {
-	fs := flag.NewFlagSet("simfarm status", flag.ExitOnError)
+func runStatus(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 	coordinator := fs.String("coordinator", "", "coordinator address (host:port), required")
 	id := fs.String("id", "", "print one job's detail instead of the pool summary")
-	fs.Parse(args)
-
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
+	}
 	if *coordinator == "" {
-		fmt.Fprintln(os.Stderr, "simfarm: status needs -coordinator HOST:PORT")
-		return 2
+		return usage(stderr, "status needs -coordinator HOST:PORT")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -173,14 +193,12 @@ func runStatus(args []string) int {
 		out, err = c.Status(ctx)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simfarm: %v\n", err)
-		return 1
+		return fail(stderr, err)
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simfarm: %v\n", err)
-		return 1
+		return fail(stderr, err)
 	}
-	fmt.Println(string(data))
+	fmt.Fprintln(stdout, string(data))
 	return 0
 }

@@ -37,6 +37,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -115,9 +116,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		stackTagLat = fs.Int("stack-tag-lat", 2, "SRAM tag-probe latency in CPU cycles")
 		stackFill   = fs.Int("stack-fill-bytes", 0, "fill/allocation granularity in bytes (0 = one page)")
 		stackHot    = fs.Float64("stack-hot-frac", 0.5, "memcache: fraction of the stack that is direct-addressed hot memory")
-		cohMode     = fs.String("coherence", "", "coherence mode: shared (seed default) or mesi (private per-core L2s under a directory protocol)")
-		topology    = fs.String("topology", "", "interconnect: bus (seed default) or mesh (2D mesh NoC; required by -coherence mesi)")
-		cores       = fs.Int("cores", 0, "override the core count (0 = preset; counts > 4 need -coherence mesi)")
+		cohMode     = fs.String("coherence", "", "coherence mode: shared (seed default) or mesi (private per-core L2s under a directory protocol, on a 2D mesh)")
+		cores       = fs.Int("cores", 0, "override the preset's core count (counts > 4 need -coherence mesi)")
 
 		traces = fs.String("traces", "", "comma-separated trace files (from tracegen), one per core")
 		list   = fs.Bool("list", false, "list benchmarks and mixes, then exit")
@@ -162,8 +162,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = f.Value.String() })
 	sweep := strings.Contains(*mixName, ",")
 	if err := validateFlags(explicit, *telemetryDir, *sampleEvery, *monitorAddr, sweep,
-		*checkpoint, *resume, *traces, *ckptEvery, *stackMode, *ledgerDir,
-		*cohMode, *cores, *faultScenario, *dynamic, *jobs); err != nil {
+		*checkpoint, *resume, *traces, *ckptEvery, *stackMode, *ledgerDir, *jobs); err != nil {
 		return usage(err)
 	}
 
@@ -206,9 +205,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			cfg.StackHotFrac = *stackHot
 		}
 	}
-	if *cohMode != "" || *topology != "" || *cores > 0 {
-		if err := applyManycore(cfg, *cohMode, *topology, *cores); err != nil {
+	if _, set := explicit["cores"]; set {
+		cfg.Cores = *cores
+	}
+	if *cohMode != "" {
+		mode, err := config.ParseCoherenceMode(*cohMode)
+		if err != nil {
 			return usage(err)
+		}
+		if mode == config.CoherencePrivate {
+			cfg = cfg.WithMESI(cfg.Cores)
 		}
 	}
 	cfg.WarmupCycles = *warmup
@@ -235,11 +241,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 
-	// The workload is the last thing that can be a usage error, and
-	// nothing up to here has written a file. The canonical mix label keys
-	// the ledger the same way the sweep and the experiment harness do, so
-	// all three dedupe against each other; w stays the zero Workload for
-	// resumed and trace-driven runs, which the ledger never addresses.
+	// The machine is assembled and nothing has written a file: what
+	// config.Validate rejects is a usage error here, not a failed run later.
+	if err := cfg.Validate(); err != nil {
+		return usage(err)
+	}
+
+	// The workload is the last thing that can be a usage error. The
+	// canonical mix label keys the ledger the same way the sweep and the
+	// experiment harness do, so all three dedupe against each other; w
+	// stays the zero Workload for resumed and trace-driven runs, which the
+	// ledger never addresses. labels name the cores in the manifest.
 	var w workload.Workload
 	mixes := strings.Split(*mixName, ",")
 	switch {
@@ -261,6 +273,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		w = workload.Uniform(*benches, cfg.Cores)
 	default:
 		w = workload.List(strings.Split(*benches, ",")...)
+	}
+	labels := w.Benchmarks() // every mix of a sweep has as many
+	if *traces != "" {
+		labels = strings.Split(*traces, ",")
+	}
+	if len(labels) > cfg.Cores {
+		return usage(fmt.Errorf("the workload has %d programs, the machine %d cores (see -cores)", len(labels), cfg.Cores))
 	}
 
 	if *memProfile != "" {
@@ -318,21 +337,18 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		})
 	}
 
-	// labels name the cores in the manifest.
 	var sys *core.System
+	var from *core.Checkpoint
 	var err error
-	var labels []string
 	switch {
 	case *resume != "":
-		cp, lerr := core.LoadCheckpoint(*resume)
-		if lerr != nil {
-			return fatal(lerr)
+		if from, err = core.LoadCheckpoint(*resume); err != nil {
+			return fatal(err)
 		}
-		cfg, labels = cp.Config, cp.Benchmarks
-		sys, err = core.NewSystemFromCheckpoint(cp)
-		fmt.Fprintf(stdout, "resume: %s at cycle %d (%s)\n", *resume, cp.Cycle, cfg.Name)
+		cfg, labels = from.Config, from.Benchmarks
+		sys, err = core.NewSystemFromCheckpoint(from)
+		fmt.Fprintf(stdout, "resume: %s at cycle %d (%s)\n", *resume, from.Cycle, cfg.Name)
 	case *traces != "":
-		labels = strings.Split(*traces, ",")
 		sources := make([]cpu.UOpSource, len(labels))
 		for i, path := range labels {
 			f, err := os.Open(path)
@@ -348,7 +364,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		sys, err = core.NewSystemFromSources(cfg, sources, labels)
 	default:
-		labels = w.Benchmarks()
 		// A recorded run is served from the ledger instead of simulated
 		// — but only when no telemetry was asked for: the time-series and
 		// trace artifacts exist only for a live run.
@@ -439,13 +454,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	// One run loop for every single run: a plain run is a checkpointed
-	// run with an empty plan.
-	var plan core.CheckpointPlan
-	if *checkpoint != "" || *resume != "" {
-		plan = core.CheckpointPlan{Every: *ckptEvery, Path: *checkpoint, Resume: *resume != ""}
-		if plan.Path == "" {
-			plan.Path = *resume
-		}
+	// run with an empty plan. -resume keeps its file current, -checkpoint
+	// writes the one it names.
+	ckptPath := cmp.Or(*checkpoint, *resume)
+	plan := core.CheckpointPlan{From: from}
+	if ckptPath != "" {
+		plan.Every = *ckptEvery
+		plan.Sink = func(cp *core.Checkpoint) error { return cp.Write(ckptPath) }
 	}
 	started := time.Now()
 	m, runErr := sys.RunCheckpointed(ctx, plan)
@@ -454,8 +469,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	case ctx.Err() == nil:
 		// Not a cancellation: a bad checkpoint or a failed write.
 		return fatal(runErr)
-	case plan.Path != "":
-		fmt.Fprintf(stderr, "stacksim: interrupted at cycle %d; checkpoint saved to %s\n", sys.Engine.Now(), plan.Path)
+	case ckptPath != "":
+		fmt.Fprintf(stderr, "stacksim: interrupted at cycle %d; checkpoint saved to %s\n", sys.Engine.Now(), ckptPath)
 	default:
 		fmt.Fprintf(stderr, "stacksim: interrupted at cycle %d; metrics below are partial\n", sys.Engine.Now())
 	}
@@ -518,82 +533,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	return 0
 }
 
-// applyManycore applies the coherent-mode flags on top of the chosen
-// preset: parse the mode/topology spellings, override the core count,
-// fill the mesh and private-L2 knobs from the ManyCore preset, and
-// validate here so a bad combination (non-square mesh, MCs not
-// dividing the cores) is a usage error carrying the config error
-// instead of surfacing later as a run failure.
-func applyManycore(cfg *config.Config, coherence, topology string, cores int) error {
-	if coherence != "" {
-		m, err := config.ParseCoherenceMode(coherence)
-		if err != nil {
-			return err
-		}
-		cfg.Coherence = m
-	}
-	if topology != "" {
-		tp, err := config.ParseTopology(topology)
-		if err != nil {
-			return err
-		}
-		cfg.Topology = tp
-	} else if cfg.Coherent() {
-		cfg.Topology = config.TopoMesh // mesi implies the mesh
-	}
-	if cores > 0 {
-		cfg.Cores = cores
-	}
-	if cfg.Coherent() {
-		donor := config.ManyCore(16, 4)
-		cfg.MeshLinkBytes = donor.MeshLinkBytes
-		cfg.MeshLinkLatency = donor.MeshLinkLatency
-		cfg.MeshRouterLatency = donor.MeshRouterLatency
-		cfg.MeshBufPkts = donor.MeshBufPkts
-		cfg.PrivL2KB = donor.PrivL2KB
-		cfg.PrivL2Ways = donor.PrivL2Ways
-		cfg.PrivL2Latency = donor.PrivL2Latency
-		cfg.PrivL2MSHRs = donor.PrivL2MSHRs
-		cfg.DirLatency = donor.DirLatency
-		cfg.Name = fmt.Sprintf("%s-%dc-mesh", cfg.Name, cfg.Cores)
-	}
-	return cfg.Validate()
-}
-
 // validateFlags rejects flag combinations that would otherwise be
 // silent no-ops: the telemetry sub-flags do nothing without
 // -telemetry-dir, the monitor serves a single run's registry, so it
 // conflicts with sweep mode, and checkpoint/resume describe one
-// generator-driven run. explicit holds the flags set on the command
-// line; the returned error is the usage message, without the "stacksim: "
-// prefix.
+// generator-driven run. Which machines are legal is not its business:
+// run asks config.Validate about the assembled config. explicit holds the
+// flags set on the command line; the returned error is the usage message,
+// without the "stacksim: " prefix.
 func validateFlags(explicit map[string]string, telemetryDir string, sampleEvery int64, monitorAddr string, sweep bool,
-	checkpoint, resume, traces string, ckptEvery int64, stackMode, ledgerDir string,
-	coherence string, cores int, faultScenario string, dynamic bool, jobs int) error {
+	checkpoint, resume, traces string, ckptEvery int64, stackMode, ledgerDir string, jobs int) error {
 	set := func(name string) bool { _, ok := explicit[name]; return ok }
-	if set("topology") && coherence != "mesi" {
-		return errors.New("-topology does nothing without -coherence mesi (the shared L2 has no modeled interconnect)")
-	}
-	if cores > 4 && coherence != "mesi" {
-		return fmt.Errorf("-cores %d needs the directory/mesh hierarchy; add -coherence mesi", cores)
-	}
-	if set("cores") && cores <= 0 {
-		return errors.New("-cores must be a positive core count")
-	}
-	if coherence == "mesi" {
-		if stackMode != "memory" {
-			return errors.New("-coherence mesi requires -stack-mode memory (directory banks ride the stacked controllers)")
-		}
-		if faultScenario != "" {
-			return errors.New("-coherence mesi does not support -fault-scenario")
-		}
-		if dynamic {
-			return errors.New("-dynamic resizes the shared L2's MSHR banks; it does nothing under -coherence mesi")
-		}
-		if resume != "" || checkpoint != "" {
-			return errors.New("-checkpoint/-resume do not support -coherence mesi runs yet")
-		}
-	}
 	if stackMode == "memory" {
 		for _, name := range []string{"stack-cap-mb", "stack-ways", "stack-tags-sram",
 			"stack-tag-lat", "stack-fill-bytes", "stack-hot-frac"} {

@@ -32,19 +32,27 @@ func mustRun(t *testing.T, args ...string) string {
 // flag combination exits 2 with its one-line message on stderr and
 // nothing on stdout, before any simulation starts and before anything is
 // written: each row also asks for a CPU profile in an empty directory
-// ($T, where the last rows put a ledger and telemetry too), and the
-// directory must still be empty afterwards.
+// ($T, where some rows put a ledger and telemetry too), and the
+// directory must still be empty afterwards. The "config:" rows are
+// config.Validate's own words about the assembled machine — stacksim
+// restates none of its rules — and $S/sc.json is a fault scenario that
+// loads.
 func TestUsageErrors(t *testing.T) {
 	const run = "-mix H1" // a valid workload, so only the flag under test is wrong
-	tmp := t.TempDir()
+	tmp, scen := t.TempDir(), t.TempDir()
+	if err := os.WriteFile(filepath.Join(scen, "sc.json"), []byte(`{"name":"s","faults":[{"kind":"bit-error","mc":-1,"prob":0.05}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct{ args, want string }{
-		{run + " -topology mesh", "-topology does nothing without -coherence mesi (the shared L2 has no modeled interconnect)"},
-		{run + " -cores 8", "-cores 8 needs the directory/mesh hierarchy; add -coherence mesi"},
-		{run + " -cores 0", "-cores must be a positive core count"},
-		{run + " -coherence mesi -stack-mode cache", "-coherence mesi requires -stack-mode memory (directory banks ride the stacked controllers)"},
-		{run + " -coherence mesi -fault-scenario sc.json", "-coherence mesi does not support -fault-scenario"},
-		{run + " -coherence mesi -dynamic", "-dynamic resizes the shared L2's MSHR banks; it does nothing under -coherence mesi"},
-		{run + " -coherence mesi -checkpoint x.ckpt", "-checkpoint/-resume do not support -coherence mesi runs yet"},
+		{run + " -cores 8", "config: 8 cores need the directory/mesh hierarchy (Coherence=mesi); the shared L2 tops out at 4"},
+		{run + " -cores 0", "config: Cores = 0"},
+		{run + " -coherence mesi -stack-mode cache", "config: coherence mode supports StackMode=memory only, have cache"},
+		{run + " -coherence mesi -fault-scenario $S/sc.json", "config: fault injection is not supported under directory coherence"},
+		{run + " -coherence mesi -dynamic", "config: DynamicMSHR resizes the shared L2's MSHRs; not applicable to private L2s"},
+		{run + " -stack-mode cache -stack-fill-bytes 100 -ledger-dir $T/led", "config: StackFillBytes = 100, need a power of two in [LineBytes=64, PageBytes=4096]"},
+		{run + " -mshr 0", "config: L2MSHRMult = 0"},
+		{run + " -cores 3", "the workload has 4 programs, the machine 3 cores (see -cores)"},
+		{"-cores 2 -traces a.trc,b.trc,c.trc", "the workload has 3 programs, the machine 2 cores (see -cores)"},
 		{run + " -stack-cap-mb 8", "-stack-cap-mb does nothing in memory mode; add -stack-mode cache or memcache"},
 		{run + " -stack-ways 4", "-stack-ways does nothing in memory mode; add -stack-mode cache or memcache"},
 		{run + " -stack-tags-sram=false", "-stack-tags-sram does nothing in memory mode; add -stack-mode cache or memcache"},
@@ -82,8 +90,7 @@ func TestUsageErrors(t *testing.T) {
 		{run + " -config nope", `unknown config "nope"`},
 		{run + " -stack-mode bogus", `config: unknown stack mode "bogus" (want memory, cache or memcache)`},
 		{run + " -coherence bogus", `config: unknown coherence mode "bogus" (want shared or mesi)`},
-		{run + " -coherence mesi -topology bogus", `config: unknown topology "bogus" (want bus or mesh)`},
-		{run + " -coherence mesi -cores 7", "config: mesh topology needs a square core count, have 7 (not a perfect square)"},
+		{run + " -coherence mesi -cores 7", "config: the mesh needs a square core count, have 7 (not a perfect square)"},
 		{"-mix H1,H2 -telemetry-dir d", "-telemetry-dir and -traces describe a single run; use one -mix"},
 		{run + " -j 2", "-j only applies to a multi-mix sweep (comma-separated -mix)"},
 		{"-config 3D", "need -mix or -bench (see -list)"},
@@ -97,7 +104,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-mix H1,h2 -ledger-dir $T/newdir", `unknown mix "h2"`},
 		{"-config 3D -ledger-dir $T/newdir", "need -mix or -bench (see -list)"},
 	} {
-		args := append(strings.Fields(strings.ReplaceAll(c.args, "$T", tmp)), "-cpuprofile", filepath.Join(tmp, "p"))
+		args := append(strings.Fields(strings.NewReplacer("$T", tmp, "$S", scen).Replace(c.args)), "-cpuprofile", filepath.Join(tmp, "p"))
 		code, out, errs := stacksim(t, args...)
 		if code != 2 || errs != "stacksim: "+c.want+"\n" || out != "" {
 			t.Errorf("stacksim %s:\n exit %d stderr %q stdout %q\n want exit 2 stderr %q", c.args, code, errs, out, "stacksim: "+c.want+"\n")
@@ -215,6 +222,26 @@ func TestInterruptedRunStillFlushes(t *testing.T) {
 	}
 	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
 		t.Errorf("CPU profile after an interrupted run: %v, %v; want a non-empty file", st, err)
+	}
+}
+
+// TestCheckpointResumeMESI drives the round trip docs/ROBUSTNESS.md
+// describes on the directory/mesh machine, which -checkpoint used to
+// refuse: a run cut off by -deadline saves its checkpoint and exits 1,
+// and -resume replays to it, passes the digest check and prints the
+// uninterrupted run's report after its one "resume:" line.
+func TestCheckpointResumeMESI(t *testing.T) {
+	machine := []string{"-coherence", "mesi", "-cores", "16", "-bench", "producer-consumer", "-warmup", "1000", "-measure", "600000"}
+	want := mustRun(t, machine...)
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	code, _, errs := stacksim(t, append(machine, "-checkpoint", ckpt, "-checkpoint-every", "20000", "-deadline", "25ms")...)
+	if code != 1 || !strings.Contains(errs, "checkpoint saved to "+ckpt) {
+		t.Fatalf("interrupted run: exit %d stderr %q, want exit 1 and a saved checkpoint", code, errs)
+	}
+	resumed := mustRun(t, "-resume", ckpt)
+	first, rest, _ := strings.Cut(resumed, "\n")
+	if !strings.HasPrefix(first, "resume: "+ckpt+" at cycle ") || rest != want {
+		t.Errorf("resumed run:\n%s\nwant the uninterrupted run's report after a resume: line:\n%s", resumed, want)
 	}
 }
 

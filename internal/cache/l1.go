@@ -355,13 +355,7 @@ func (l *L1) fill(ln mem.Addr, now sim.Cycle) {
 	}
 	if evicted && victimDirty {
 		l.stats.Writebacks++
-		wb := l.ids.NewRequest()
-		wb.Kind = mem.Writeback
-		wb.Addr = victim
-		wb.Line = victim
-		wb.Core = l.core
-		wb.Born = now
-		l.out.Send(wb, now)
+		l.out.Send(l.ids.Writeback(victim, l.core, now), now)
 	}
 	for _, w := range m.waiters {
 		if w != nil {

@@ -565,13 +565,7 @@ func (l *L2) tickBank(b *l2bank, now sim.Cycle) {
 		}
 		// Not present: forward a fresh writeback toward memory
 		// (non-inclusive victim) and finish the original.
-		down := l.ids.NewRequest()
-		down.Kind = mem.Writeback
-		down.Addr = r.Addr
-		down.Line = r.Line
-		down.Core = -1
-		down.Born = now
-		l.wb[l.mcFor(down.Line)].Send(down, now)
+		l.wb[l.mcFor(r.Line)].Send(l.ids.Writeback(r.Line, -1, now), now)
 		r.Complete(now)
 		return
 	default:
@@ -739,15 +733,9 @@ func (l *L2) handleFill(mshrIdx int, e *mshr.Entry, read *mem.Request, at sim.Cy
 	if evicted && victimDirty {
 		l.stats.WritebacksOut++
 		victimLine := l.toGlobal(victim, bankIdx)
-		wb := l.ids.NewRequest()
-		wb.Kind = mem.Writeback
-		wb.Addr = victimLine
-		wb.Line = victimLine
-		wb.Core = -1
-		wb.Born = at
 		// at, not l.now: a fill runs from a controller's tick, when l.now
 		// is stale from the L2's last one.
-		l.wb[l.mcFor(victimLine)].Send(wb, at)
+		l.wb[l.mcFor(victimLine)].Send(l.ids.Writeback(victimLine, -1, at), at)
 	}
 	// Prefetch accounting: a prefetch-initiated fill that a demand miss
 	// merged into was useful immediately; otherwise remember the line

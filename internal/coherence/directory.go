@@ -246,13 +246,7 @@ func (d *Directory) memRead(m *message, now sim.Cycle) {
 // data, or an orphan write) to memory.
 func (d *Directory) memWrite(line mem.Addr, now sim.Cycle) {
 	d.stats.MemWrites++
-	r := d.f.ids.NewRequest()
-	r.Kind = mem.Writeback
-	r.Addr = line
-	r.Line = line
-	r.Core = -1
-	r.Born = now
-	d.toMC.Send(r, now)
+	d.toMC.Send(d.f.ids.Writeback(line, -1, now), now)
 }
 
 // memReadDone completes a trBusyMem* entry: grant the data and settle.

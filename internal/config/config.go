@@ -137,17 +137,6 @@ func (t Topology) String() string {
 	return fmt.Sprintf("topology(%d)", int(t))
 }
 
-// ParseTopology maps the -topology flag spelling to a topology.
-func ParseTopology(s string) (Topology, error) {
-	switch s {
-	case "bus":
-		return TopoBus, nil
-	case "mesh":
-		return TopoMesh, nil
-	}
-	return 0, fmt.Errorf("config: unknown topology %q (want bus or mesh)", s)
-}
-
 // DRAMTiming carries the array timing parameters in nanoseconds. The
 // consuming DRAM model rounds them up to CPU cycles.
 type DRAMTiming struct {
@@ -375,7 +364,7 @@ func (c *Config) Validate() error {
 func (c *Config) validateManycore() error {
 	if c.Coherence == CoherenceShared && c.Topology == TopoBus {
 		if c.Cores > 4 {
-			return fmt.Errorf("config: %d cores need the directory/mesh hierarchy (Coherence=mesi, Topology=mesh); the shared L2 tops out at 4", c.Cores)
+			return fmt.Errorf("config: %d cores need the directory/mesh hierarchy (Coherence=mesi); the shared L2 tops out at 4", c.Cores)
 		}
 		return nil
 	}
@@ -386,7 +375,7 @@ func (c *Config) validateManycore() error {
 	case c.Topology != TopoMesh:
 		return fmt.Errorf("config: Coherence=mesi requires Topology=mesh, have %s", c.Topology)
 	case dim*dim != c.Cores:
-		return fmt.Errorf("config: mesh topology needs a square core count, have %d (not a perfect square)", c.Cores)
+		return fmt.Errorf("config: the mesh needs a square core count, have %d (not a perfect square)", c.Cores)
 	case c.Cores%c.MCs != 0:
 		return fmt.Errorf("config: MCs %d must divide Cores %d (one directory bank per vertical slice)", c.MCs, c.Cores)
 	case c.StackMode != StackMemory:
@@ -615,28 +604,36 @@ func QuadMC() *Config { return Aggressive(4, 16, 4) }
 // per bank), and the MRQ/MSHR aggregates scale with the core count so
 // per-slice resources match the 4-core QuadMC slice.
 func ManyCore(cores, mcs int) *Config {
-	c := Aggressive(mcs, 4*mcs, 4)
+	c := Aggressive(mcs, 4*mcs, 4).WithMESI(cores)
 	c.Name = fmt.Sprintf("3D-%dc-%dmc-mesh", cores, mcs)
-	c.Cores = cores
-	c.Coherence = CoherencePrivate
-	c.Topology = TopoMesh
 	// Keep the seed's per-slice provisioning: 8 MRQ entries and 4 L2
 	// banks per controller, as in QuadMC.
 	c.MRQTotal = 8 * mcs
 	c.L2Banks = mcs * 4
-	c.L2PageInterleave = true
-
-	c.MeshLinkBytes = 16
-	c.MeshLinkLatency = 1
-	c.MeshRouterLatency = 2
-	c.MeshBufPkts = 8
-
-	c.PrivL2KB = 512
-	c.PrivL2Ways = 8
-	c.PrivL2Latency = 9
-	c.PrivL2MSHRs = 16
-	c.DirLatency = 4
 	return c
+}
+
+// WithMESI derives a copy with the given number of cores, each behind a
+// private L2 kept coherent by a MESI directory over a 2D mesh: the
+// -coherence mesi organization on top of any preset, and ManyCore's.
+func (c *Config) WithMESI(cores int) *Config {
+	d := c.Clone()
+	d.Cores = cores
+	d.Coherence = CoherencePrivate
+	d.Topology = TopoMesh
+
+	d.MeshLinkBytes = 16
+	d.MeshLinkLatency = 1
+	d.MeshRouterLatency = 2
+	d.MeshBufPkts = 8
+
+	d.PrivL2KB = 512
+	d.PrivL2Ways = 8
+	d.PrivL2Latency = 9
+	d.PrivL2MSHRs = 16
+	d.DirLatency = 4
+	d.Name = fmt.Sprintf("%s-%dc-mesh", c.Name, cores)
+	return d
 }
 
 // WithStackCache derives a copy operating the stacked DRAM in the

@@ -1,7 +1,9 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -78,5 +80,28 @@ func TestSeedConfigJSONHasNoManycoreKeys(t *testing.T) {
 				t.Errorf("%s: seed config JSON leaks %q (breaks ledger RunIDs)", c.Name, key)
 			}
 		}
+	}
+}
+
+// A many-core config's JSON is its ledger RunID and the bench's mesi64
+// machines: testdata/manycore.golden holds the bytes ManyCore produced
+// before it shared WithMESI with stacksim's -coherence mesi, one line per
+// row below.
+func TestManyCoreJSONGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/manycore.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, tc := range []struct{ cores, mcs int }{{16, 4}, {64, 4}, {64, 16}, {256, 4}} {
+		raw, err := json.Marshal(ManyCore(tc.cores, tc.mcs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Write(raw)
+		got.WriteByte('\n')
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("ManyCore JSON moved (so did every many-core RunID):\n%s\nwant\n%s", got.Bytes(), want)
 	}
 }

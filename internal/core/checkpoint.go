@@ -89,7 +89,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // NewSystemFromCheckpoint rebuilds the checkpointed machine at cycle
-// zero; RunCheckpointed with Resume then fast-forwards it.
+// zero; RunCheckpointed with From then fast-forwards it.
 func NewSystemFromCheckpoint(c *Checkpoint) (*System, error) {
 	return NewSystem(c.Config, c.Benchmarks)
 }
@@ -105,24 +105,19 @@ func (s *System) Checkpoint() *Checkpoint {
 	}
 }
 
-// CheckpointPlan configures RunCheckpointed: write a checkpoint to
-// Path every Every cycles (0 = only on cancellation), and, with
-// Resume, fast-forward to the checkpoint at Path before continuing.
+// CheckpointPlan configures RunCheckpointed: hand Sink a checkpoint
+// every Every cycles (0 = only on cancellation), and, with From,
+// fast-forward to that checkpoint before continuing.
 //
-// From resumes from an in-memory checkpoint instead of loading Path —
-// the sim-farm path, where a re-dispatched job carries the dead
-// worker's last uploaded checkpoint in its lease rather than a file.
-// Sink, when non-nil, receives every checkpoint the run emits (the
-// periodic ones and the final one on cancellation) in addition to any
-// Path write; farm workers upload these with their lease heartbeats.
-// Sink is called on the simulating goroutine with a freshly built
-// Checkpoint the callee may retain.
+// Where a checkpoint comes from and goes to is the caller's: stacksim
+// loads From with LoadCheckpoint and its Sink is Checkpoint.Write; a farm
+// worker gets From in its lease and its Sink keeps the latest for the
+// next heartbeat. Sink is called on the simulating goroutine with a
+// freshly built Checkpoint the callee may retain; its error ends the run.
 type CheckpointPlan struct {
-	Every  int64
-	Path   string
-	Resume bool
-	From   *Checkpoint
-	Sink   func(*Checkpoint)
+	Every int64
+	From  *Checkpoint
+	Sink  func(*Checkpoint) error
 }
 
 // advance steps the simulation to absolute cycle target under ctx,
@@ -152,9 +147,9 @@ func (s *System) advance(ctx context.Context, target sim.Cycle) error {
 }
 
 // RunCheckpointed is the one run loop: it executes the run (warmup +
-// measured window) writing periodic checkpoints, optionally resuming
+// measured window) emitting periodic checkpoints, optionally resuming
 // from one first; with an empty plan it is RunContext. On
-// cancellation it writes a final checkpoint at the interrupted cycle —
+// cancellation it emits a final checkpoint at the interrupted cycle —
 // so the run can be picked up where it stopped — and returns the
 // partial metrics with ctx's error. Resume verifies the replayed state
 // against the checkpoint's digest and refuses to continue from a
@@ -166,15 +161,7 @@ func (s *System) RunCheckpointed(ctx context.Context, plan CheckpointPlan) (Metr
 		// end of a warmup it ran, and Run has always reset here.
 		s.ResetStats()
 	}
-	cp := plan.From
-	if cp == nil && plan.Resume {
-		loaded, err := LoadCheckpoint(plan.Path)
-		if err != nil {
-			return Metrics{}, err
-		}
-		cp = loaded
-	}
-	if cp != nil {
+	if cp := plan.From; cp != nil {
 		if err := cp.Validate(); err != nil {
 			return Metrics{}, fmt.Errorf("checkpoint %v", err)
 		}
@@ -188,17 +175,6 @@ func (s *System) RunCheckpointed(ctx context.Context, plan CheckpointPlan) (Metr
 			return Metrics{}, fmt.Errorf("checkpoint digest mismatch: replayed %#x, recorded %#x (different binary, config or seed?)", d, cp.Digest)
 		}
 	}
-	emit := func() error {
-		c := s.Checkpoint()
-		if plan.Sink != nil {
-			plan.Sink(c)
-		}
-		if plan.Path != "" {
-			return c.Write(plan.Path)
-		}
-		return nil
-	}
-	emitting := plan.Path != "" || plan.Sink != nil
 	for s.Engine.Now() < total {
 		next := total
 		if plan.Every > 0 {
@@ -207,15 +183,15 @@ func (s *System) RunCheckpointed(ctx context.Context, plan CheckpointPlan) (Metr
 			}
 		}
 		if err := s.advance(ctx, next); err != nil {
-			if emitting {
-				if werr := emit(); werr != nil {
+			if plan.Sink != nil {
+				if werr := plan.Sink(s.Checkpoint()); werr != nil {
 					return s.Collect(), fmt.Errorf("%w (and checkpoint write failed: %v)", err, werr)
 				}
 			}
 			return s.Collect(), err
 		}
-		if emitting && plan.Every > 0 && s.Engine.Now() < total {
-			if err := emit(); err != nil {
+		if plan.Sink != nil && plan.Every > 0 && s.Engine.Now() < total {
+			if err := plan.Sink(s.Checkpoint()); err != nil {
 				return s.Collect(), err
 			}
 		}

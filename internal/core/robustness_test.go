@@ -14,6 +14,7 @@ import (
 	"stackedsim/internal/config"
 	"stackedsim/internal/fault"
 	"stackedsim/internal/power"
+	"stackedsim/internal/sim"
 	"stackedsim/internal/workload"
 )
 
@@ -127,10 +128,12 @@ func TestCheckpointResumeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cancel from inside the simulation partway through the measured
-	// window; the cancelled RunCheckpointed writes a final checkpoint.
+	// window; the cancelled RunCheckpointed emits a final checkpoint, and
+	// the sink writes each one over the last, as stacksim -checkpoint does.
+	toFile := func(c *Checkpoint) error { return c.Write(path) }
 	ctx, cancel := context.WithCancel(context.Background())
 	interrupted.Engine.Schedule(27_001, cancel)
-	if _, err := interrupted.RunCheckpointed(ctx, CheckpointPlan{Every: 7_000, Path: path}); !errors.Is(err, context.Canceled) {
+	if _, err := interrupted.RunCheckpointed(ctx, CheckpointPlan{Every: 7_000, Sink: toFile}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run returned %v, want Canceled", err)
 	}
 	stopped := int64(interrupted.Engine.Now())
@@ -149,7 +152,7 @@ func TestCheckpointResumeParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := resumed.RunCheckpointed(context.Background(), CheckpointPlan{Every: 7_000, Path: path, Resume: true})
+	got, err := resumed.RunCheckpointed(context.Background(), CheckpointPlan{Every: 7_000, From: cp, Sink: toFile})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,60 +206,74 @@ func TestCancelledRunMetricsCoverElapsedWindow(t *testing.T) {
 // TestCheckpointSinkFromParity pins the fileless wire path a sim farm
 // uses: checkpoints delivered through Sink, serialized, and resumed
 // through From must reproduce an uninterrupted run bit-for-bit — no
-// file ever touches disk.
+// file ever touches disk. The 16-core row is the directory/mesh machine:
+// its private L2s, directory banks and mesh replay to the same digest.
 func TestCheckpointSinkFromParity(t *testing.T) {
-	benchmarks := []string{"mcf", "libquantum"}
-	cfg := faultyConfig() // faults on: the injected stream must survive too
+	mesi := config.ManyCore(16, 4)
+	mesi.WarmupCycles = 2_000
+	mesi.MeasureCycles = 10_000
+	for _, tc := range []struct {
+		name       string
+		cfg        *config.Config
+		benchmarks []string
+		cut, every int64
+	}{
+		// faults on: the injected stream must survive too
+		{"2D+faults", faultyConfig(), []string{"mcf", "libquantum"}, 27_001, 7_000},
+		{"mesi16", mesi, workload.Uniform("producer-consumer", 16).Benchmarks(), 6_501, 2_500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			uninterrupted, err := NewSystem(tc.cfg, tc.benchmarks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := uninterrupted.Run()
+			wantDigest := uninterrupted.Digest()
 
-	uninterrupted, err := NewSystem(cfg, benchmarks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := uninterrupted.Run()
-	wantDigest := uninterrupted.Digest()
+			interrupted, err := NewSystem(tc.cfg, tc.benchmarks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			interrupted.Engine.Schedule(sim.Cycle(tc.cut), cancel)
+			var last *Checkpoint
+			_, runErr := interrupted.RunCheckpointed(ctx, CheckpointPlan{Every: tc.every, Sink: func(c *Checkpoint) error { last = c; return nil }})
+			if !errors.Is(runErr, context.Canceled) {
+				t.Fatalf("interrupted run returned %v, want Canceled", runErr)
+			}
+			if last == nil {
+				t.Fatal("sink received no checkpoint")
+			}
+			if stopped := int64(interrupted.Engine.Now()); last.Cycle != stopped || stopped >= tc.cfg.WarmupCycles+tc.cfg.MeasureCycles {
+				t.Fatalf("final sink checkpoint at cycle %d, run stopped at %d of %d", last.Cycle, stopped, tc.cfg.WarmupCycles+tc.cfg.MeasureCycles)
+			}
 
-	interrupted, err := NewSystem(cfg, benchmarks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	interrupted.Engine.Schedule(27_001, cancel)
-	var last *Checkpoint
-	_, runErr := interrupted.RunCheckpointed(ctx, CheckpointPlan{Every: 7_000, Sink: func(c *Checkpoint) { last = c }})
-	if !errors.Is(runErr, context.Canceled) {
-		t.Fatalf("interrupted run returned %v, want Canceled", runErr)
-	}
-	if last == nil {
-		t.Fatal("sink received no checkpoint")
-	}
-	if last.Cycle != int64(interrupted.Engine.Now()) {
-		t.Fatalf("final sink checkpoint at cycle %d, run stopped at %d", last.Cycle, interrupted.Engine.Now())
-	}
-
-	// Round-trip through JSON: the form a coordinator stores and a
-	// successor worker receives in its lease.
-	raw, err := json.Marshal(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var from Checkpoint
-	if err := json.Unmarshal(raw, &from); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := NewSystemFromCheckpoint(&from)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := resumed.RunCheckpointed(context.Background(), CheckpointPlan{Every: 7_000, From: &from})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("From-resumed run diverged from uninterrupted:\n%+v\nvs\n%+v", got, want)
-	}
-	if d := resumed.Digest(); d != wantDigest {
-		t.Fatalf("From-resumed digest %#x, uninterrupted %#x", d, wantDigest)
+			// Round-trip through JSON: the form a coordinator stores and a
+			// successor worker receives in its lease.
+			raw, err := json.Marshal(last)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var from Checkpoint
+			if err := json.Unmarshal(raw, &from); err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := NewSystemFromCheckpoint(&from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := resumed.RunCheckpointed(context.Background(), CheckpointPlan{Every: tc.every, From: &from})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("From-resumed run diverged from uninterrupted:\n%+v\nvs\n%+v", got, want)
+			}
+			if d := resumed.Digest(); d != wantDigest {
+				t.Fatalf("From-resumed digest %#x, uninterrupted %#x", d, wantDigest)
+			}
+		})
 	}
 }
 
@@ -273,15 +290,11 @@ func TestCheckpointDigestMismatch(t *testing.T) {
 	sys.Engine.Run(12_000)
 	cp := sys.Checkpoint()
 	cp.Digest ^= 1 // corrupt
-	path := filepath.Join(t.TempDir(), "bad.ckpt")
-	if err := cp.Write(path); err != nil {
-		t.Fatal(err)
-	}
 	fresh, err := NewSystemFromCheckpoint(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = fresh.RunCheckpointed(context.Background(), CheckpointPlan{Path: path, Resume: true})
+	_, err = fresh.RunCheckpointed(context.Background(), CheckpointPlan{From: cp})
 	if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("resume with corrupt digest returned %v, want digest mismatch", err)
 	}

@@ -240,7 +240,8 @@ func TestCheckpointAcrossSkippedRegion(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	interrupted.Engine.Schedule(17_501, cancel)
-	if _, err := interrupted.RunCheckpointed(ctx, CheckpointPlan{Every: 1_000, Path: path}); !errors.Is(err, context.Canceled) {
+	toFile := func(c *Checkpoint) error { return c.Write(path) }
+	if _, err := interrupted.RunCheckpointed(ctx, CheckpointPlan{Every: 1_000, Sink: toFile}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run returned %v, want Canceled", err)
 	}
 
@@ -252,7 +253,7 @@ func TestCheckpointAcrossSkippedRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := resumed.RunCheckpointed(context.Background(), CheckpointPlan{Every: 1_000, Path: path, Resume: true})
+	got, err := resumed.RunCheckpointed(context.Background(), CheckpointPlan{Every: 1_000, From: cp, Sink: toFile})
 	if err != nil {
 		t.Fatal(err)
 	}

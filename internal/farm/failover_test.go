@@ -49,7 +49,7 @@ func TestShardFailoverParity(t *testing.T) {
 	defer cancel()
 	var uploaded json.RawMessage
 	jobA := &LeasedJob{ID: "a", Config: cell.Config, Workload: cell.Workload, Attempt: 1}
-	_, _, errA := RunJob(ctx, jobA, every, func(cp *core.Checkpoint) {
+	_, _, errA := RunJob(ctx, jobA, every, func(cp *core.Checkpoint) error {
 		if uploaded == nil {
 			raw, merr := json.Marshal(cp)
 			if merr != nil {
@@ -58,6 +58,7 @@ func TestShardFailoverParity(t *testing.T) {
 			uploaded = raw
 			cancel()
 		}
+		return nil
 	})
 	if errA == nil {
 		t.Fatal("interrupted run reported no error")
@@ -132,7 +133,7 @@ func TestWorkerFailoverEndToEnd(t *testing.T) {
 	actx, acancel := context.WithCancel(ctx)
 	defer acancel()
 	var uploaded json.RawMessage
-	_, _, errA := RunJob(actx, jobA, every, func(cp *core.Checkpoint) {
+	_, _, errA := RunJob(actx, jobA, every, func(cp *core.Checkpoint) error {
 		if uploaded == nil {
 			raw, merr := json.Marshal(cp)
 			if merr != nil {
@@ -141,6 +142,7 @@ func TestWorkerFailoverEndToEnd(t *testing.T) {
 			uploaded = raw
 			acancel()
 		}
+		return nil
 	})
 	if errA == nil || uploaded == nil {
 		t.Fatalf("worker A did not die mid-run (err=%v)", errA)

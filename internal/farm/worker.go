@@ -111,10 +111,11 @@ func (w *Worker) process(ctx context.Context, job *LeasedJob) {
 
 	var mu sync.Mutex
 	var latest *core.Checkpoint
-	sink := func(cp *core.Checkpoint) {
+	sink := func(cp *core.Checkpoint) error {
 		mu.Lock()
 		latest = cp
 		mu.Unlock()
+		return nil
 	}
 	latestJSON := func() json.RawMessage {
 		mu.Lock()
@@ -219,7 +220,7 @@ func (w *Worker) complete(job *LeasedJob, rec *ledger.Record, digest uint64, err
 // with periodic checkpoints delivered to sink. Exposed so tests (and
 // any embedder) can run the exact worker execution path without a
 // coordinator; the returned System provides Digest and EngineReport.
-func RunJob(ctx context.Context, job *LeasedJob, every int64, sink func(*core.Checkpoint)) (core.Metrics, *core.System, error) {
+func RunJob(ctx context.Context, job *LeasedJob, every int64, sink func(*core.Checkpoint) error) (core.Metrics, *core.System, error) {
 	var cfg config.Config
 	if err := json.Unmarshal(job.Config, &cfg); err != nil {
 		return core.Metrics{}, nil, fmt.Errorf("farm: job %s config does not decode: %w", job.ID, err)

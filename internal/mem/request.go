@@ -166,6 +166,18 @@ func (s *IDSource) NewRequest() *Request {
 	return &Request{ID: s.Next(), src: s}
 }
 
+// Writeback returns a request that writes line back to the level below,
+// on behalf of core (-1 below the L1s), born now.
+func (s *IDSource) Writeback(line Addr, core int, now sim.Cycle) *Request {
+	r := s.NewRequest()
+	r.Kind = Writeback
+	r.Addr = line
+	r.Line = line
+	r.Core = core
+	r.Born = now
+	return r
+}
+
 // release returns a completed request to the free list. Releasing the
 // same request twice panics: it would hand two future misses the same
 // object and corrupt the simulation silently.

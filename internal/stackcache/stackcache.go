@@ -398,13 +398,7 @@ func (l *Layer) finishMiss(blk mem.Addr, at sim.Cycle) {
 		if evicted && victimDirty {
 			l.stats.WritebacksOut++
 			l.stats.BackingWrites++
-			wb := l.ids.NewRequest()
-			wb.Kind = mem.Writeback
-			wb.Addr = victim
-			wb.Line = victim
-			wb.Core = -1
-			wb.Born = at
-			l.back.Send(wb, at)
+			l.back.Send(l.ids.Writeback(victim, -1, at), at)
 		}
 		// Model the fill's occupancy on the stacked channel with a
 		// fire-and-forget write.
