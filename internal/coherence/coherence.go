@@ -228,8 +228,9 @@ func (f *Fabric) InFlight() int {
 
 // CheckDrained reports what a quiesced fabric must not show: private L2
 // miss tables and writeback buffers that never drained, messages stuck
-// in the mesh, a request still parked behind a directory line (the
-// liveness clause), or counters that do not balance.
+// in the mesh or credits it never returned, a request still parked
+// behind a directory line (the liveness clause), or counters that do
+// not balance.
 func (f *Fabric) CheckDrained() error {
 	var errs []error
 	for c, l := range f.l2s {
@@ -245,6 +246,9 @@ func (f *Fabric) CheckDrained() error {
 	}
 	if n := f.mesh.OccupiedRouters(); n != 0 {
 		errs = append(errs, fmt.Errorf("mesh marks %d routers as holding messages after quiesce", n))
+	}
+	if n := f.mesh.CreditsOutstanding(); n != 0 {
+		errs = append(errs, fmt.Errorf("mesh links miss %d credits after quiesce", n))
 	}
 	if n := f.DeferredRequests(); n != 0 {
 		errs = append(errs, fmt.Errorf("directory holds %d deferred requests after quiesce", n))

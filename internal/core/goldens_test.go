@@ -15,10 +15,11 @@ import (
 // started walking its parts through the channel view and the
 // second-level seam. Digest word order is the walk order, so a part
 // visited out of turn (or twice, or not at all) moves a value here.
-// The 64-core read-mostly row (a shorter window: it is the slowest
-// machine here) is the only one whose directory banks are link-bound at
-// their injection port, so their retry queues run tens deep and the
-// mesh stalls on credits throughout.
+// The 64-core rows (a shorter window: they are the slowest machines
+// here) are the benchmark's two: the read-mostly one is the only machine
+// whose directory banks are link-bound at their injection port, so their
+// retry queues run tens deep and the mesh stalls on credits throughout;
+// the producer-consumer one drives write sharing over the same mesh.
 //
 // Each machine is then drained, and must come to rest whole: nothing in
 // flight, every part's drained-state check clean, and every pooled
@@ -63,6 +64,7 @@ func TestDigestGoldens(t *testing.T) {
 		{faulted, mix("VH1"), 0x248fdeed27064a5a, 2226},
 		{config.ManyCore(16, 4), uniform(16, "producer-consumer"), 0x377dbc1d72e7f3b5, 0},
 		{config.ManyCore(64, 4), uniform(64, "read-mostly-shared"), 0x3b191bbd3d8e8b71, 0},
+		{config.ManyCore(64, 4), uniform(64, "producer-consumer"), 0x0450c452ae8aa0ca, 0},
 	} {
 		cfg := short(g.cfg)
 		if cfg.Cores == 64 {
@@ -80,7 +82,7 @@ func TestDigestGoldens(t *testing.T) {
 			if n := m.Faults.Total(); n != g.faults {
 				t.Errorf("%d faults injected, golden %d", n, g.faults)
 			}
-			if cfg.Cores == 64 && (m.NoC.Rejected < 10_000 || m.NoC.CreditStalls < 100_000) {
+			if g.benches[0] == "read-mostly-shared" && (m.NoC.Rejected < 10_000 || m.NoC.CreditStalls < 100_000) {
 				t.Errorf("mesh refused %d sends and stalled %d times on credits: the saturated regime was not reached",
 					m.NoC.Rejected, m.NoC.CreditStalls)
 			}

@@ -33,7 +33,9 @@ import (
 // and the 16-core MESI config the coherence fabric's sleep/wake
 // discipline (private-L2 inboxes, directory banks, mesh routers); the
 // 64-core read-mostly one keeps the directory banks' retry queues deep
-// and the mesh short of credits, which no smaller machine does. The
+// and the mesh short of credits, which no smaller machine does, and the
+// 64-core producer-consumer one is the benchmark's write-sharing machine,
+// where most of 265 entries sleep until woken at any moment. The
 // VH1 runs keep the L2's MSHR banks full, so its set-aside misses wait
 // asleep for a fill: as is, under the dynamic resizer (the limit rises
 // while heads wait), and with probe-parity faults (each lookup draws
@@ -74,6 +76,7 @@ func TestTickSchedulingParity(t *testing.T) {
 		{config.Fast3D().WithStackCache(config.StackMemCache, 64), "H1", false},
 		{config.ManyCore(16, 4), "producer-consumer", true},
 		{config.ManyCore(64, 4), "read-mostly-shared", false},
+		{config.ManyCore(64, 4), "producer-consumer", true},
 		{config.QuadMC(), "VH1", true},
 		{dyn, "VH1", true},
 		{parity, "VH1", false},

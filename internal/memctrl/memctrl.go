@@ -63,10 +63,17 @@ type Params struct {
 	Respond func(r *mem.Request, now sim.Cycle)
 }
 
+// queued is one MRQ entry: a request and its DRAM location, decoded
+// once when the request is admitted.
+type queued struct {
+	r   *mem.Request
+	loc mem.Loc
+}
+
 // Controller is one memory channel's controller.
 type Controller struct {
 	p     Params
-	queue *sim.Queue[*mem.Request]
+	queue *sim.Queue[queued]
 	done  sim.EventQueue
 	stats Stats
 
@@ -110,7 +117,7 @@ func New(p Params) *Controller {
 	if p.LineBytes < 1 {
 		panic("memctrl: LineBytes must be >= 1")
 	}
-	c := &Controller{p: p, queue: sim.NewQueue[*mem.Request](p.QueueCap)}
+	c := &Controller{p: p, queue: sim.NewQueue[queued](p.QueueCap)}
 	c.respondFn = func(arg any, at sim.Cycle) {
 		c.stats.Completed++
 		if c.p.Respond != nil {
@@ -215,10 +222,11 @@ func (c *Controller) Submit(r *mem.Request, now sim.Cycle) bool {
 			return false
 		}
 	}
-	if !c.queue.Push(r) {
+	if c.queue.Full() {
 		c.stats.Rejected++
 		return false
 	}
+	c.queue.Push(queued{r, c.p.AMap.Decode(r.Line)})
 	r.Issued = now
 	r.Attrib.EnterQueue(now, c.p.ID)
 	c.stats.Submitted++
@@ -246,8 +254,7 @@ func (c *Controller) pick(now sim.Cycle) int {
 		return -1
 	}
 	if !c.p.FRFCFS {
-		r := c.queue.At(0)
-		loc, _ := c.loc(r, now)
+		loc, _ := c.loc(c.queue.At(0).loc, now)
 		if c.flt.RankBlocked(now, loc.Rank) {
 			return -1
 		}
@@ -258,8 +265,8 @@ func (c *Controller) pick(now sim.Cycle) int {
 	}
 	read, rowHitWrite, write := -1, -1, -1
 	for i := 0; i < c.queue.Len(); i++ {
-		r := c.queue.At(i)
-		loc, _ := c.loc(r, now)
+		q := c.queue.At(i)
+		loc, _ := c.loc(q.loc, now)
 		if c.flt.RankBlocked(now, loc.Rank) {
 			continue
 		}
@@ -267,7 +274,7 @@ func (c *Controller) pick(now sim.Cycle) int {
 		if !bk.Ready(now) {
 			continue
 		}
-		isWrite := r.Kind == mem.Write || r.Kind == mem.Writeback
+		isWrite := q.r.Kind == mem.Write || q.r.Kind == mem.Writeback
 		hit := bk.HasRow(loc.Row)
 		switch {
 		case !isWrite && hit:
@@ -299,12 +306,13 @@ func (c *Controller) bank(loc mem.Loc) *dram.Bank {
 	return c.p.Ranks[loc.Rank].Banks[loc.Bank]
 }
 
-// loc decodes a request's DRAM location, remapping requests for a
-// dead rank to its failover target when the scenario allows it. The
-// remap must be recomputed at schedule time (not cached at submit) so
-// the whole scheduling pass sees one consistent fault state per edge.
-func (c *Controller) loc(r *mem.Request, now sim.Cycle) (mem.Loc, bool) {
-	loc := c.p.AMap.Decode(r.Line)
+// loc returns a queued request's DRAM location (decoded once, at
+// Submit), remapped to its rank's failover target when the rank is dead
+// and the scenario allows it. Only the remap must never be cached: it is
+// recomputed at schedule time, so a request queued before its rank died
+// still fails over, and the whole scheduling pass sees one consistent
+// fault state per edge.
+func (c *Controller) loc(loc mem.Loc, now sim.Cycle) (mem.Loc, bool) {
 	if tgt, ok := c.flt.FailoverTarget(now, loc.Rank); ok {
 		loc.Rank = tgt
 		return loc, true
@@ -339,10 +347,11 @@ func (c *Controller) tick(now sim.Cycle) {
 	if i < 0 {
 		return
 	}
-	r := c.queue.RemoveAt(i)
+	q := c.queue.RemoveAt(i)
+	r := q.r
 	c.stats.QueueCycles += uint64(now - r.Issued)
 	c.queueDelay.Observe(int(now - r.Issued))
-	loc, remapped := c.loc(r, now)
+	loc, remapped := c.loc(q.loc, now)
 	if remapped {
 		c.flt.NoteRemap()
 	}
@@ -416,12 +425,10 @@ func (c *Controller) nextSchedulable(now sim.Cycle) sim.Cycle {
 	ready := farFuture
 	if !c.p.FRFCFS {
 		// FCFS: only the head of the queue may issue.
-		loc := c.p.AMap.Decode(c.queue.At(0).Line)
-		ready = c.bank(loc).BusyUntil()
+		ready = c.bank(c.queue.At(0).loc).BusyUntil()
 	} else {
 		for i := 0; i < c.queue.Len(); i++ {
-			loc := c.p.AMap.Decode(c.queue.At(i).Line)
-			if bu := c.bank(loc).BusyUntil(); bu < ready {
+			if bu := c.bank(c.queue.At(i).loc).BusyUntil(); bu < ready {
 				ready = bu
 				if ready <= now+1 {
 					break

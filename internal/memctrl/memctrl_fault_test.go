@@ -115,6 +115,56 @@ func TestDeadRankFailsOverToHealthyRank(t *testing.T) {
 	}
 }
 
+// TestQueuedRequestFailsOverWhenItsRankDies queues a request while its
+// rank is healthy, keeps it waiting behind a busy bank until the rank
+// dies with failover, and requires it to land on the failover rank: the
+// MRQ may keep a request's decoded location, never its remap.
+func TestQueuedRequestFailsOverWhenItsRankDies(t *testing.T) {
+	const dies = 10
+	done := 0
+	c, in := faultSetup(t, 2, func(*mem.Request, sim.Cycle) { done++ },
+		fault.Spec{Kind: fault.KindRankDead, MC: 0, Rank: 0, From: dies, Failover: true})
+	// Two lines in one bank of rank 0, on different rows: the second
+	// waits while the first holds the bank.
+	var lines []mem.Addr
+	first := c.p.AMap.Decode(0)
+	for l := mem.Addr(0); len(lines) < 2 && l < 1<<24; l += 64 {
+		if loc := c.p.AMap.Decode(l); loc.Rank == 0 && loc.Bank == first.Bank && (len(lines) == 0 || loc.Row != first.Row) {
+			lines = append(lines, l)
+		}
+	}
+	if first.Rank != 0 || len(lines) != 2 {
+		t.Fatalf("found lines %v in rank 0 bank %d, want two rows", lines, first.Bank)
+	}
+	for i, l := range lines {
+		if !c.Submit(req(uint64(i+1), l, mem.Read), 0) {
+			t.Fatal("Submit failed")
+		}
+	}
+	for now := sim.Cycle(1); now <= 300 && done < 2; now++ {
+		c.Tick(now)
+		if now == dies-1 && c.QueueLen() != 1 {
+			t.Fatalf("%d requests queued the cycle before the rank dies, want the second one waiting", c.QueueLen())
+		}
+	}
+	if done != 2 {
+		t.Fatalf("%d of 2 requests completed", done)
+	}
+	if st := in.Stats(); st.RankRemaps != 1 {
+		t.Fatalf("remaps = %d, want 1 (the request queued before the rank died)", st.RankRemaps)
+	}
+	var r0, r1 uint64
+	for _, b := range c.p.Ranks[0].Banks {
+		r0 += b.Stats().Accesses
+	}
+	for _, b := range c.p.Ranks[1].Banks {
+		r1 += b.Stats().Accesses
+	}
+	if r0 != 1 || r1 != 1 {
+		t.Fatalf("rank accesses = %d/%d, want 1/1 (the waiting request remapped)", r0, r1)
+	}
+}
+
 func TestDeadRankWithoutFailoverWaitsForRecovery(t *testing.T) {
 	var doneAt sim.Cycle
 	c, _ := faultSetup(t, 1, func(_ *mem.Request, now sim.Cycle) { doneAt = now },

@@ -153,9 +153,9 @@ func TestMeshDeliveryTraceGolden(t *testing.T) {
 					}
 				}
 				s := m.Stats()
-				if m.InFlight() != 0 || m.OccupiedRouters() != 0 || s.Injected != s.Delivered || s.Injected != gen.seq {
-					t.Errorf("not drained: %d in flight, %d routers occupied, %d offered, %d injected, %d delivered",
-						m.InFlight(), m.OccupiedRouters(), gen.seq, s.Injected, s.Delivered)
+				if m.InFlight() != 0 || m.OccupiedRouters() != 0 || m.CreditsOutstanding() != 0 || s.Injected != s.Delivered || s.Injected != gen.seq {
+					t.Errorf("not drained: %d in flight, %d routers occupied, %d credits outstanding, %d offered, %d injected, %d delivered",
+						m.InFlight(), m.OccupiedRouters(), m.CreditsOutstanding(), gen.seq, s.Injected, s.Delivered)
 				}
 				gen.fold(s.Injected, s.Rejected, s.Delivered, s.Hops, s.Flits, s.CreditStalls, s.LinkStalls, s.LatencySum)
 				if gen.hash != g.hash || s.Delivered != g.delivered {

@@ -3,9 +3,9 @@
 // four compass neighbours); messages are routed dimension-ordered
 // (X first, then Y), serialized over links of configurable width and
 // latency, and buffered in bounded per-port input queues with
-// credit-based backpressure: a router only forwards a message when the
-// downstream input buffer has a free slot reserved for it, so a full
-// buffer stalls the upstream head in place instead of dropping.
+// credit-based backpressure: a router only forwards a message when it
+// holds a credit for the downstream input buffer — a free slot there —
+// so a full buffer stalls the upstream head in place instead of dropping.
 //
 // The whole mesh is one sim.Ticker: the routers that hold a message
 // advance in a fixed deterministic order inside Tick, link traversals
@@ -110,16 +110,24 @@ func (s *Stats) AvgHops() float64 {
 
 type inPort struct {
 	q sim.Queue[*Msg]
-	// reserved counts credits consumed against this buffer: messages
-	// queued plus messages in flight on the incoming link. The queue
-	// itself is unbounded; reserved enforces the BufPkts bound.
+	// reserved counts the local injection port's messages, which Send
+	// bounds by BufPkts. A compass port's bound is its upstream router's
+	// credits; the queue itself is unbounded.
 	reserved int
 }
 
+// router is one node's state. Whether the head of an occupied input
+// port moves is decided from it alone: headOut names the head's output,
+// outBusy the link's serialization, credits the room beyond it.
 type router struct {
 	in      [numPorts]inPort
 	outBusy [numPorts]sim.Cycle // link busy (serializing) until this cycle
-	ports   uint8               // bit pt is set while in[pt] holds a message
+	// credits[out] counts the free slots in the input buffer beyond the
+	// compass output out: taken when a message leaves through it,
+	// returned when the neighbour dequeues one from that buffer.
+	credits [numPorts]int
+	headOut [numPorts]uint8 // out of in[pt]'s head, while in[pt] is occupied
+	ports   uint8           // bit pt is set while in[pt] holds a message
 }
 
 type xy struct{ x, y int }
@@ -179,6 +187,9 @@ func New(p Params) *Mesh {
 	m.coord = make([]xy, len(m.routers))
 	for i := range m.coord {
 		m.coord[i] = xy{i % p.W, i / p.W}
+		for out := portWest; out < numPorts; out++ {
+			m.routers[i].credits[out] = p.BufPkts
+		}
 	}
 	m.growWheel(p.RouterLatency + p.LinkLatency + 1) // a one-flit hop
 	return m
@@ -210,6 +221,19 @@ func (m *Mesh) OccupiedRouters() int {
 	n := 0
 	for _, w := range m.occupied {
 		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// CreditsOutstanding reports how many credits the routers' compass
+// outputs are missing — slots taken downstream and not yet returned:
+// zero on a drained mesh.
+func (m *Mesh) CreditsOutstanding() int {
+	n := 0
+	for i := range m.routers {
+		for out := portWest; out < numPorts; out++ {
+			n += m.p.BufPkts - m.routers[i].credits[out]
+		}
 	}
 	return n
 }
@@ -247,7 +271,11 @@ func (m *Mesh) Send(src, dst, bytes int, payload any, now sim.Cycle) bool {
 func (m *Mesh) enqueue(msg *Msg) {
 	rt := &m.routers[msg.at]
 	msg.out = m.route(msg.at, msg.Dst)
-	rt.in[msg.port].q.Push(msg)
+	ip := &rt.in[msg.port]
+	if ip.q.Empty() {
+		rt.headOut[msg.port] = uint8(msg.out)
+	}
+	ip.q.Push(msg)
 	if rt.ports == 0 {
 		m.occupied[msg.at/64] |= 1 << (msg.at % 64)
 	}
@@ -255,19 +283,25 @@ func (m *Mesh) enqueue(msg *Msg) {
 	m.queued++
 }
 
-// dequeue pops the head of input port pt of router r, returning the
-// credit it held.
-func (m *Mesh) dequeue(r, pt int) {
+// dequeue pops and returns the head of input port pt of router r,
+// returning the credit it held: to Send's bound on the local port, to
+// the upstream router on a compass port.
+func (m *Mesh) dequeue(r, pt int) *Msg {
 	rt := &m.routers[r]
 	ip := &rt.in[pt]
-	ip.q.Pop()
-	ip.reserved--
-	m.queued--
-	if ip.q.Empty() {
-		if rt.ports &^= 1 << pt; rt.ports == 0 {
-			m.occupied[r/64] &^= 1 << (r % 64)
-		}
+	msg, _ := ip.q.Pop()
+	if pt == portLocal {
+		ip.reserved--
+	} else {
+		m.routers[m.neighbor(r, pt)].credits[opposite[pt]]++
 	}
+	m.queued--
+	if next, ok := ip.q.Peek(); ok {
+		rt.headOut[pt] = uint8(next.out)
+	} else if rt.ports &^= 1 << pt; rt.ports == 0 {
+		m.occupied[r/64] &^= 1 << (r % 64)
+	}
+	return msg
 }
 
 // route returns the output port a message at node cur takes toward dst:
@@ -288,7 +322,8 @@ func (m *Mesh) route(cur, dst int) int {
 	}
 }
 
-// neighbor returns the node reached by leaving cur through out.
+// neighbor returns the node reached by leaving cur through out — and
+// the one a message arriving on input port out came from.
 func (m *Mesh) neighbor(cur, out int) int {
 	switch out {
 	case portEast:
@@ -389,33 +424,30 @@ func (m *Mesh) Tick(now sim.Cycle) {
 }
 
 // tickRouter offers the head of each occupied input port of router r its
-// output: the ejection stage, or the link if it is free and the buffer
-// beyond it has a credit.
+// output: the ejection stage, or the link if it is free and the router
+// holds a credit for the buffer beyond it. A head that cannot move is
+// decided from the router alone; only one that moves is loaded.
 func (m *Mesh) tickRouter(r int, now sim.Cycle) {
 	rt := &m.routers[r]
 	for ports := rt.ports; ports != 0; ports &= ports - 1 {
 		pt := bits.TrailingZeros8(ports)
-		msg, _ := rt.in[pt].q.Peek()
-		out := msg.out
+		out := int(rt.headOut[pt])
 		if out == portLocal {
-			m.dequeue(r, pt)
-			m.schedule(msg, now+m.p.RouterLatency)
+			m.schedule(m.dequeue(r, pt), now+m.p.RouterLatency)
 			continue
 		}
 		if rt.outBusy[out] > now {
 			m.stats.LinkStalls++
 			continue
 		}
-		next := m.neighbor(r, out)
-		np := &m.routers[next].in[opposite[out]]
-		if np.reserved >= m.p.BufPkts {
+		if rt.credits[out] == 0 {
 			m.stats.CreditStalls++
 			continue
 		}
-		m.dequeue(r, pt)
-		np.reserved++
+		msg := m.dequeue(r, pt)
+		rt.credits[out]--
 		rt.outBusy[out] = now + msg.ser
-		msg.at = next
+		msg.at = m.neighbor(r, out)
 		msg.port = opposite[out]
 		m.stats.Hops++
 		m.stats.Flits += uint64(msg.ser)
