@@ -26,7 +26,6 @@ import (
 	"syscall"
 	"time"
 
-	"stackedsim/internal/core"
 	"stackedsim/internal/farm"
 	"stackedsim/internal/ledger"
 	"stackedsim/internal/monitor"
@@ -102,18 +101,14 @@ func runCoordinator(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) i
 			return fail(stderr, fmt.Errorf("open ledger: %w", err))
 		}
 	}
-	coord, err := farm.NewCoordinator(farm.Params{
+	coord := farm.NewCoordinator(farm.Params{
 		Ledger:      led,
-		SimVersion:  core.SimVersion,
 		Lease:       *lease,
 		MaxQueue:    *maxQueue,
 		MaxAttempts: *maxAttempts,
 		BackoffBase: *backoffBase,
 		BackoffMax:  *backoffMax,
 	})
-	if err != nil {
-		return fail(stderr, err)
-	}
 	mon := &monitor.Server{
 		Ledger:      led,
 		FarmHandler: coord.Handler(),

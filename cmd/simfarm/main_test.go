@@ -11,7 +11,6 @@ import (
 	"syscall"
 	"testing"
 
-	"stackedsim/internal/core"
 	"stackedsim/internal/farm"
 )
 
@@ -52,10 +51,7 @@ func TestUsageErrors(t *testing.T) {
 // httptest: the pool summary arrives as indented JSON on stdout, and a
 // job the coordinator does not know is a runtime failure (exit 1).
 func TestStatusPrintsThePool(t *testing.T) {
-	coord, err := farm.NewCoordinator(farm.Params{SimVersion: core.SimVersion})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := farm.NewCoordinator(farm.Params{})
 	srv := httptest.NewServer(coord.Handler())
 	code, out, errs := simfarm("status", "-coordinator", srv.URL)
 	var st farm.Status

@@ -44,7 +44,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -492,7 +491,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// finished runs are recorded: a partial result must never be served
 	// as the real answer later.
 	if led != nil && runErr == nil && len(w.Labels()) > 0 {
-		if err := recordRun(stdout, led, cfg, w.Labels(), &m, sys, tel, col, pt, started); err != nil {
+		if err := recordRun(stdout, led, cfg, w.Labels(), &m, col, pt, started); err != nil {
 			return fatal(err)
 		}
 	}
@@ -694,26 +693,13 @@ func runSweep(ctx context.Context, stdout, stderr io.Writer, cfg *config.Config,
 	return 0
 }
 
-// recordRun appends the completed run to the ledger: manifest with the
-// real engine-efficiency counters, the registry's final scalars as the
-// metric map (when telemetry ran; otherwise the flattened Metrics), and
-// the attribution / power-thermal payloads when those trackers ran.
+// recordRun appends the completed run to the ledger — the same record a
+// sweep writes for it — plus the attribution / power-thermal payloads
+// when those trackers ran.
 func recordRun(stdout io.Writer, led *ledger.Ledger, cfg *config.Config, labels []string, m *core.Metrics,
-	sys *core.System, tel *telemetry.Telemetry, col *attrib.Collector, pt *powerthermal.Tracker, started time.Time,
+	col *attrib.Collector, pt *powerthermal.Tracker, started time.Time,
 ) error {
-	var final map[string]float64
-	if tel != nil {
-		final = make(map[string]float64)
-		tel.Reg().Scalars(func(name string, _ telemetry.MetricKind, v float64) {
-			// JSON cannot carry NaN/Inf; dropping a poisoned gauge beats
-			// losing the record (the gate still sees it in the exports).
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				final[name] = v
-			}
-		})
-	}
-	rec, err := core.NewRunRecord(cfg, labels, m, sys.EngineReport(), final,
-		"", ledger.GitDescribe(), started, time.Since(started).Seconds())
+	rec, err := core.NewRunRecord(cfg, labels, m, "", ledger.GitDescribe(), started, time.Since(started).Seconds())
 	if err != nil {
 		return err
 	}

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"stackedsim/internal/ledger"
 )
 
 // stacksim runs the command in-process and returns its exit code and
@@ -203,6 +206,55 @@ func TestSweepAndSingleRunShareLedgerKeys(t *testing.T) {
 	}
 	if again := mustRun(t, with("-mix", "M1,H1,VH1")...); !strings.Contains(again, "ledger: 3 of 3 runs served from "+store) {
 		t.Errorf("warm sweep re-simulated:\n%s", again)
+	}
+}
+
+// TestLedgerRecordIsOneShape pins that a recorded run does not depend on
+// the path that recorded it: a run with telemetry attached, a plain run
+// and a sweep each record VH1 under one ID with byte-identical summaries,
+// so every ledger reader derives the same metric names and values from
+// all three.
+func TestLedgerRecordIsOneShape(t *testing.T) {
+	window := []string{"-config", "3D", "-warmup", "2000", "-measure", "10000"}
+	var recs []*ledger.Record
+	for _, extra := range [][]string{
+		{"-mix", "VH1", "-telemetry-dir", t.TempDir()},
+		{"-mix", "VH1"},
+		{"-mix", "H1,VH1"},
+	} {
+		store := t.TempDir()
+		mustRun(t, append(append([]string{"-ledger-dir", store}, window...), extra...)...)
+		l, err := ledger.Open(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := l.Manifests()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			if reflect.DeepEqual(m.Workload, []string{"mix:VH1"}) {
+				rec, err := l.Get(m.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs = append(recs, rec)
+			}
+		}
+	}
+	if len(recs) != 3 {
+		t.Fatalf("found %d VH1 records in three stores, want 3", len(recs))
+	}
+	want := recs[1]
+	if _, ok := want.Metrics()["hmipc"]; !ok {
+		t.Fatalf("derived metrics lack hmipc: %v", want.Metrics())
+	}
+	for i, rec := range recs {
+		if rec.Manifest.ID != want.Manifest.ID || string(rec.Summary) != string(want.Summary) ||
+			!reflect.DeepEqual(rec.Metrics(), want.Metrics()) {
+			t.Errorf("record %d (%s) differs from the plain run's (%s):\n%s\nvs\n%s",
+				i, rec.Manifest.ID, want.Manifest.ID, rec.Summary, want.Summary)
+		}
 	}
 }
 

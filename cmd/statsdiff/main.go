@@ -115,7 +115,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return fatal(err)
 		}
 		aID = recA.Manifest.ID
-		newVals, oldVals = recA.Metrics, recB.Metrics
+		newVals, oldVals = recA.Metrics(), recB.Metrics()
 		fmt.Fprintf(stdout, "statsdiff: a=%s (%s %s) vs baseline b=%s (%s %s)\n",
 			*aRef, recA.Manifest.ID, recA.Manifest.Config, *bRef, recB.Manifest.ID, recB.Manifest.Config)
 	} else {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -193,7 +194,7 @@ func ledgerFixture(t *testing.T) string {
 		rec := &ledger.Record{
 			Manifest: ledger.Manifest{ID: id, ConfigDigest: digest, Config: "quadMC",
 				Workload: []string{"mix:VH1"}, Seed: seed, SimVersion: "test-v1"},
-			Metrics: map[string]float64{"ipc.hm": hmipc, "power.total.w": 91.5},
+			Summary: []byte(fmt.Sprintf(`{"HMIPC":%g,"Energy":{"ReadUJ":91.5}}`, hmipc)),
 		}
 		if _, err := l.Put(rec); err != nil {
 			t.Fatal(err)
@@ -219,7 +220,7 @@ func TestLedgerMode(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("regressed candidate exit %d, want 1\n%s", code, out)
 	}
-	if !strings.Contains(out, "ipc.hm") || !strings.Contains(out, "1 breaches") {
+	if !strings.Contains(out, "hmipc") || !strings.Contains(out, "1 breaches") {
 		t.Fatalf("breach report missing:\n%s", out)
 	}
 
@@ -259,10 +260,10 @@ func TestLedgerMode(t *testing.T) {
 		}
 	}
 
-	// Glob filters apply to ledger metrics too: with ipc.* ignored the
+	// Glob filters apply to ledger metrics too: with hmipc ignored the
 	// compare is clean.
 	code, out = run(t, "-ledger-dir", dir, "-a", "latest", "-b", "blessed",
-		"-threshold", "0.05", "-ignore", "ipc.*")
+		"-threshold", "0.05", "-ignore", "hm*")
 	if code != 0 {
 		t.Fatalf("-ignore in ledger mode: exit %d\n%s", code, out)
 	}

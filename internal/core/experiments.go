@@ -307,10 +307,7 @@ func (r *Runner) progressf(format string, args ...any) {
 // round trip too. Recall round-trips Metrics exactly, so a warm sweep
 // is numerically identical to a cold one. Ledger write failures are
 // reported but never fail the run — losing a cache entry is
-// recoverable, losing a finished simulation is not. Harness-recorded
-// manifests carry zero engine-efficiency stats (the cell does not keep
-// its System); cmd/stacksim records the real counters on its single-run
-// path.
+// recoverable, losing a finished simulation is not.
 func (r *Runner) cell(ctx context.Context, run *config.Config, w workload.Workload) (Metrics, error) {
 	labels := w.Labels()
 	simulate := func() (Metrics, error) {
@@ -332,8 +329,8 @@ func (r *Runner) cell(ctx context.Context, run *config.Config, w workload.Worklo
 	if err != nil {
 		return m, err
 	}
-	rec, err := NewRunRecord(run, labels, &m, EngineReport{}, nil,
-		r.Experiment, r.GitRevision, started, time.Since(started).Seconds())
+	rec, err := NewRunRecord(run, labels, &m, r.Experiment, r.GitRevision,
+		started, time.Since(started).Seconds())
 	if err == nil {
 		err = r.putWithRetry(ctx, rec)
 	}

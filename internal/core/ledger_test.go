@@ -185,22 +185,6 @@ func TestRunIdentitySeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestFlattenScalars pins the metric flattening used for harness-run
-// metrics.json files.
-func TestFlattenScalars(t *testing.T) {
-	m := Metrics{Config: "x", HMIPC: 1.5, IPC: []float64{1, 2}, Cycles: 10}
-	flat, err := FlattenScalars(&m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat["hmipc"] != 1.5 || flat["ipc.0"] != 1 || flat["ipc.1"] != 2 || flat["cycles"] != 10 {
-		t.Fatalf("flatten: %v", flat)
-	}
-	if _, ok := flat["config"]; ok {
-		t.Fatal("string fields must not appear in the scalar map")
-	}
-}
-
 // TestRunIDGoldens pins the content address of one run per workload
 // role, captured before the Workload type owned the label spellings
 // (window 50k+150k, seed 1, stackedsim-v8). A drift here orphans every

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"stackedsim/internal/config"
+	"stackedsim/internal/core"
 	"stackedsim/internal/ledger"
 	"stackedsim/internal/workload"
 )
@@ -24,10 +25,6 @@ type Params struct {
 	// finished. The farm's whole idempotence story rides on this being
 	// the same content-addressed store the rest of the tooling uses.
 	Ledger *ledger.Ledger
-	// SimVersion feeds the server-side RunID computation; it must match
-	// the workers' core.SimVersion or every completion would be
-	// recorded under a different address than it was dispatched.
-	SimVersion string
 	// Lease is the heartbeat deadline (default 15s). A worker that goes
 	// this long without a heartbeat loses the job.
 	Lease time.Duration
@@ -92,12 +89,8 @@ type Coordinator struct {
 	shed        int64
 }
 
-// NewCoordinator validates p, fills defaults and returns an empty
-// coordinator.
-func NewCoordinator(p Params) (*Coordinator, error) {
-	if p.SimVersion == "" {
-		return nil, fmt.Errorf("farm: Params.SimVersion is required")
-	}
+// NewCoordinator fills p's defaults and returns an empty coordinator.
+func NewCoordinator(p Params) *Coordinator {
 	if p.Lease <= 0 {
 		p.Lease = 15 * time.Second
 	}
@@ -124,7 +117,7 @@ func NewCoordinator(p Params) (*Coordinator, error) {
 		jobs:    make(map[string]*job),
 		workers: make(map[string]*workerInfo),
 		rng:     rand.New(rand.NewSource(p.Seed)),
-	}, nil
+	}
 }
 
 // Handler returns the /farm/ mux. Routes are absolute, so the handler
@@ -249,9 +242,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// handleSubmit registers one cell. The job ID is recomputed from the
-// decoded config server-side, so it always matches what a worker (and
-// the local ledger) would compute for the same cell.
+// handleSubmit registers one cell. The job ID is the cell's run identity
+// under this binary's simulator version, recomputed from the decoded
+// config server-side, so it is what the local ledger would compute for
+// the same cell; handleComplete holds every worker's record to it.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var cell Cell
 	if !decodeBody(w, r, &cell) {
@@ -266,7 +260,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "cell workload is invalid: %v", err)
 		return
 	}
-	id, _, err := ledger.RunID(&cfg, cell.Workload, c.p.SimVersion)
+	id, _, err := core.RunIdentity(&cfg, cell.Workload)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "cell is not addressable: %v", err)
 		return
@@ -283,7 +277,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if c.p.Ledger != nil && c.p.Ledger.Has(id) {
-		if rec, err := c.p.Ledger.Get(id); err == nil && len(rec.Summary) > 0 {
+		if rec, err := c.p.Ledger.Get(id); err == nil {
 			c.ledgerHits++
 			j := &job{id: id, cell: cell, state: StateDone, summary: rec.Summary}
 			c.jobs[id] = j
@@ -454,6 +448,19 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Record == nil || len(req.Record.Summary) == 0 {
 		writeError(w, http.StatusBadRequest, "completion for %q has neither record nor error", req.ID)
+		return
+	}
+	if got := req.Record.Manifest.ID; got != j.id {
+		// The worker addressed its result differently: it runs another
+		// simulator version, so its numbers do not answer this cell.
+		// Charged like an error completion, so a pool of such workers
+		// quarantines the job instead of cycling it forever.
+		reason := fmt.Sprintf("worker %q attempt %d: record addressed %s, not %s (another simulator version)",
+			req.Worker, j.attempts, got, j.id)
+		if j.state == StateRunning && j.worker == req.Worker {
+			c.failLocked(j, now, reason)
+		}
+		writeError(w, http.StatusConflict, "%s", reason)
 		return
 	}
 	j.state = StateDone

@@ -64,14 +64,8 @@ type coordHarness struct {
 func newHarness(t *testing.T, p Params) *coordHarness {
 	t.Helper()
 	clock := newFakeClock()
-	if p.SimVersion == "" {
-		p.SimVersion = core.SimVersion
-	}
 	p.Clock = clock.Now
-	c, err := NewCoordinator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewCoordinator(p)
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
 	return &coordHarness{c: c, clock: clock, ts: ts}
@@ -155,8 +149,7 @@ func completionFor(t *testing.T, cell Cell, digest uint64) *ledger.Record {
 		t.Fatal(err)
 	}
 	m := core.Metrics{Config: cfg.Name, Benchmarks: []string{"x"}, Cycles: 5000}
-	rec, err := core.NewRunRecord(&cfg, cell.Workload, &m, core.EngineReport{}, nil,
-		"test", "", time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC), 0.1)
+	rec, err := core.NewRunRecord(&cfg, cell.Workload, &m, "test", "", time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC), 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +354,7 @@ func TestRetryBudgetQuarantine(t *testing.T) {
 // TestBackoffBounds pins the backoff shape: base·2^(n-1) capped at
 // max, jitter within +50%.
 func TestBackoffBounds(t *testing.T) {
-	c, err := NewCoordinator(Params{SimVersion: "test", BackoffBase: 100 * time.Millisecond, BackoffMax: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewCoordinator(Params{BackoffBase: 100 * time.Millisecond, BackoffMax: time.Second})
 	for n := 1; n <= 6; n++ {
 		want := 100 * time.Millisecond << (n - 1)
 		if want > time.Second {
@@ -452,6 +442,44 @@ func TestCompleteFirstWins(t *testing.T) {
 		t.Fatalf("duplicate completion = %+v", second)
 	}
 	if s := h.status(t); s.Completed != 1 || s.JobsDone != 1 {
+		t.Fatalf("status = %+v", s)
+	}
+}
+
+// TestCompleteUnderAnotherAddressIsRefused: a worker built from another
+// simulator version addresses its record under another run ID. The
+// coordinator holds the record to the job's own address, so the foreign
+// record never reaches the ledger, the attempt is charged as a failure,
+// and the error chain says why.
+func TestCompleteUnderAnotherAddressIsRefused(t *testing.T) {
+	led, err := ledger.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t, Params{Ledger: led, MaxAttempts: 1})
+	cell := testCell(t, 1)
+	h.submit(t, cell)
+	job, _ := h.lease(t, "w1")
+
+	rec := completionFor(t, cell, 7)
+	var cfg config.Config
+	if err := json.Unmarshal(cell.Config, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Manifest.ID, _, err = ledger.RunID(&cfg, cell.Workload, "another-version"); err != nil {
+		t.Fatal(err)
+	}
+	if code := h.post(t, "/farm/complete", CompleteRequest{Worker: "w1", ID: job.ID, Digest: 7, Record: rec}, nil); code != http.StatusConflict {
+		t.Fatalf("foreign-address completion = %d, want 409", code)
+	}
+	if led.Has(rec.Manifest.ID) || led.Has(job.ID) {
+		t.Fatal("a refused completion reached the ledger")
+	}
+	res := h.submit(t, cell)
+	if res.State != StateQuarantined || len(res.Errors) != 1 || !strings.Contains(res.Errors[0], "another simulator version") {
+		t.Fatalf("job after a foreign completion = %+v", res)
+	}
+	if s := h.status(t); s.Failures != 1 || s.Completed != 0 {
 		t.Fatalf("status = %+v", s)
 	}
 }

@@ -103,17 +103,13 @@ func TestWorkerFailoverEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Real clock: the lease must expire while the test waits it out.
-	coord, err := NewCoordinator(Params{
+	coord := NewCoordinator(Params{
 		Ledger:      led,
-		SimVersion:  core.SimVersion,
 		Lease:       300 * time.Millisecond,
 		BackoffBase: 10 * time.Millisecond,
 		BackoffMax:  50 * time.Millisecond,
 		MaxAttempts: 5,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(coord.Handler())
 	t.Cleanup(ts.Close)
 	client := NewClient(ts.URL)
@@ -227,16 +223,12 @@ func TestPoisonJobQuarantine(t *testing.T) {
 	}
 	cell := Cell{Config: raw, Workload: []string{"mix:H1"}}
 
-	coord, err := NewCoordinator(Params{
-		SimVersion:  core.SimVersion,
+	coord := NewCoordinator(Params{
 		Lease:       5 * time.Second,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  10 * time.Millisecond,
 		MaxAttempts: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(coord.Handler())
 	t.Cleanup(ts.Close)
 	client := NewClient(ts.URL)
@@ -306,16 +298,12 @@ func TestBadGeometryJobFailsWorkerSurvives(t *testing.T) {
 		}
 	}
 
-	coord, err := NewCoordinator(Params{
-		SimVersion:  core.SimVersion,
+	coord := NewCoordinator(Params{
 		Lease:       5 * time.Second,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  10 * time.Millisecond,
 		MaxAttempts: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(coord.Handler())
 	t.Cleanup(ts.Close)
 	client := NewClient(ts.URL)

@@ -175,8 +175,7 @@ func (w *Worker) process(ctx context.Context, job *LeasedJob) {
 
 	switch {
 	case runErr == nil:
-		rec, err := core.NewRunRecord(sys.Cfg, job.Workload, &m, sys.EngineReport(), nil,
-			"farm", "", started, time.Since(started).Seconds())
+		rec, err := core.NewRunRecord(sys.Cfg, job.Workload, &m, "farm", "", started, time.Since(started).Seconds())
 		if err != nil {
 			w.complete(job, nil, 0, fmt.Sprintf("record assembly failed: %v", err))
 			return
@@ -219,7 +218,7 @@ func (w *Worker) complete(job *LeasedJob, rec *ledger.Record, digest uint64, err
 // the system, optionally resume from the lease's checkpoint, and run
 // with periodic checkpoints delivered to sink. Exposed so tests (and
 // any embedder) can run the exact worker execution path without a
-// coordinator; the returned System provides Digest and EngineReport.
+// coordinator; the returned System provides the Digest.
 func RunJob(ctx context.Context, job *LeasedJob, every int64, sink func(*core.Checkpoint) error) (core.Metrics, *core.System, error) {
 	var cfg config.Config
 	if err := json.Unmarshal(job.Config, &cfg); err != nil {

@@ -11,23 +11,31 @@
 // re-recording a known run is a no-op, and a harness that checks the
 // ledger before simulating turns the duplicate into a cache hit.
 //
+// A record has one shape whoever wrote it: its manifest and its result
+// (the summary). The metrics every comparison reads are derived from the
+// summary (Record.Metrics), so two runs of one simulator always speak
+// the same metric names, whatever was attached to the run that recorded
+// them.
+//
 // On-disk layout (everything human-readable JSON):
 //
 //	<dir>/index.jsonl        append-only: one manifest per line, in Put order
 //	<dir>/runs/<id>/manifest.json
-//	<dir>/runs/<id>/metrics.json       run-end metric name -> value map
-//	<dir>/runs/<id>/summary.json       harness result payload (core.Metrics)
+//	<dir>/runs/<id>/summary.json       the run's result (core.Metrics)
 //	<dir>/runs/<id>/attrib.json        optional attribution breakdown
 //	<dir>/runs/<id>/powerthermal.json  optional power/thermal summary
 //	<dir>/tags/<name>        pinned run ID ("blessed baseline" workflow)
+//
+// A store written before the metrics were derived also holds a
+// metrics.json per run and an "engine" block per manifest; both are
+// ignored on read.
 //
 // Run directories are written to a temporary name and renamed into
 // place, so a crash mid-write never leaves a half-recorded run that a
 // later Open would serve. The index is append-only by construction;
 // nothing in this package ever rewrites or deletes a recorded run.
-// Records are deterministic: the metric map marshals with sorted keys
-// and Go's float formatting round-trips exactly, so recording the same
-// run twice produces byte-identical manifest and metrics files.
+// Records are deterministic: Go's float formatting round-trips exactly,
+// so recording the same run twice produces byte-identical files.
 package ledger
 
 import (
@@ -55,50 +63,87 @@ var GitDescribe = sync.OnceValue(func() string {
 	return strings.TrimSpace(string(out))
 })
 
-// EngineStats carries the engine-efficiency counters into the manifest,
-// so a ledger browser can tell an idle-heavy run from a saturated one
-// without opening its metrics.
-type EngineStats struct {
-	TicksDelivered uint64  `json:"ticks_delivered"`
-	CyclesSkipped  uint64  `json:"cycles_skipped"`
-	TicksPerCycle  float64 `json:"ticks_per_cycle"`
-	SkipRatio      float64 `json:"skip_ratio"`
-	PoolHitRate    float64 `json:"pool_hit_rate"`
-}
-
 // Manifest is one recorded run's provenance: everything needed to
 // recognize, reproduce, or compare it. ID and ConfigDigest are derived
 // (see RunID); the rest is recorded verbatim by the harness.
 type Manifest struct {
-	ID           string      `json:"id"`
-	ConfigDigest string      `json:"config_digest"`
-	Config       string      `json:"config"`
-	Workload     []string    `json:"workload,omitempty"`
-	Seed         int64       `json:"seed"`
-	Experiment   string      `json:"experiment,omitempty"`
-	SimVersion   string      `json:"sim_version"`
-	GitRevision  string      `json:"git_revision,omitempty"`
-	StartedAt    string      `json:"started_at,omitempty"` // RFC3339
-	WallSeconds  float64     `json:"wall_seconds,omitempty"`
-	Cycles       int64       `json:"cycles"`
-	Engine       EngineStats `json:"engine"`
+	ID           string   `json:"id"`
+	ConfigDigest string   `json:"config_digest"`
+	Config       string   `json:"config"`
+	Workload     []string `json:"workload,omitempty"`
+	Seed         int64    `json:"seed"`
+	Experiment   string   `json:"experiment,omitempty"`
+	SimVersion   string   `json:"sim_version"`
+	GitRevision  string   `json:"git_revision,omitempty"`
+	StartedAt    string   `json:"started_at,omitempty"` // RFC3339
+	WallSeconds  float64  `json:"wall_seconds,omitempty"`
+	Cycles       int64    `json:"cycles"`
 }
 
-// Record is one run's full ledger entry: the manifest plus the run-end
-// telemetry export and the optional harness payloads.
+// Record is one run's full ledger entry: the manifest, the run's result
+// and the optional per-subsystem payloads.
 type Record struct {
 	Manifest Manifest
-	// Metrics is the run-end metric name -> value map (the final
-	// time-series sample of a telemetry run, or the flattened harness
-	// metrics when no registry was attached).
-	Metrics map[string]float64
-	// Summary is the harness's own result payload (core.Metrics as
-	// JSON), recalled verbatim on a cache hit so the harness can report
-	// a remembered run exactly as it reported the original.
+	// Summary is the run's result (core.Metrics as JSON), recalled
+	// verbatim on a cache hit so the harness can report a remembered run
+	// exactly as it reported the original. Every record has one; its
+	// numbers are the record's Metrics.
 	Summary json.RawMessage
 	// Attrib and PowerThermal are optional per-subsystem exports.
 	Attrib       json.RawMessage
 	PowerThermal json.RawMessage
+}
+
+// Metrics is the record's metric name -> value map, derived from the
+// summary: object keys and array indices become lower-case dotted
+// segments ("hmipc", "ipc.0", "noc.delivered"), numbers are kept as
+// they are, booleans become 0 or 1, and strings are dropped. A metric
+// name therefore means the same thing in every record.
+func (r *Record) Metrics() map[string]float64 {
+	tree, err := decodeSummary(r.Manifest.ID, r.Summary)
+	if err != nil {
+		return nil // Put and Get refuse a summary that does not decode
+	}
+	out := make(map[string]float64)
+	flatten(out, "", tree)
+	return out
+}
+
+func flatten(out map[string]float64, prefix string, v any) {
+	switch t := v.(type) {
+	case float64:
+		out[prefix] = t
+	case bool:
+		out[prefix] = 0
+		if t {
+			out[prefix] = 1
+		}
+	case map[string]any:
+		for k, sub := range t {
+			key := strings.ToLower(k)
+			if prefix != "" {
+				key = prefix + "." + key
+			}
+			flatten(out, key, sub)
+		}
+	case []any:
+		for i, sub := range t {
+			flatten(out, fmt.Sprintf("%s.%d", prefix, i), sub)
+		}
+	}
+}
+
+// decodeSummary is the one rule a record must meet: a summary its
+// metrics can be derived from.
+func decodeSummary(id string, summary json.RawMessage) (any, error) {
+	if len(summary) == 0 {
+		return nil, fmt.Errorf("ledger: run %s has no summary", id)
+	}
+	var tree any
+	if err := json.Unmarshal(summary, &tree); err != nil {
+		return nil, fmt.Errorf("ledger: run %s summary does not decode: %w", id, err)
+	}
+	return tree, nil
 }
 
 // RunID derives the content address of a run: the hex SHA-256 of the
@@ -182,13 +227,6 @@ func marshalRecord(rec *Record) (map[string][]byte, error) {
 		return nil, err
 	}
 	files["manifest.json"] = append(man, '\n')
-	// Maps marshal with sorted keys, so the metrics file is
-	// byte-deterministic for a deterministic run.
-	met, err := json.MarshalIndent(rec.Metrics, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	files["metrics.json"] = append(met, '\n')
 	for name, raw := range map[string]json.RawMessage{
 		"summary.json":      rec.Summary,
 		"attrib.json":       rec.Attrib,
@@ -213,6 +251,9 @@ func marshalRecord(rec *Record) (map[string][]byte, error) {
 func (l *Ledger) Put(rec *Record) (added bool, err error) {
 	if rec.Manifest.ID == "" || !validRef(rec.Manifest.ID) {
 		return false, fmt.Errorf("ledger: record has invalid ID %q", rec.Manifest.ID)
+	}
+	if _, err := decodeSummary(rec.Manifest.ID, rec.Summary); err != nil {
+		return false, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -359,13 +400,6 @@ func (l *Ledger) Get(ref string) (*Record, error) {
 	if err := json.Unmarshal(man, &rec.Manifest); err != nil {
 		return nil, fmt.Errorf("ledger: run %s manifest is corrupt: %w", id, err)
 	}
-	met, err := os.ReadFile(filepath.Join(dir, "metrics.json"))
-	if err != nil {
-		return nil, fmt.Errorf("ledger: %w", err)
-	}
-	if err := json.Unmarshal(met, &rec.Metrics); err != nil {
-		return nil, fmt.Errorf("ledger: run %s metrics are corrupt: %w", id, err)
-	}
 	for name, dst := range map[string]*json.RawMessage{
 		"summary.json":      &rec.Summary,
 		"attrib.json":       &rec.Attrib,
@@ -374,6 +408,9 @@ func (l *Ledger) Get(ref string) (*Record, error) {
 		if data, err := os.ReadFile(filepath.Join(dir, name)); err == nil {
 			*dst = data
 		}
+	}
+	if _, err := decodeSummary(id, rec.Summary); err != nil {
+		return nil, err
 	}
 	return &rec, nil
 }

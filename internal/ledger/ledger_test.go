@@ -34,17 +34,8 @@ func testRecord(name string, seed int64) *Record {
 			StartedAt:    "2026-08-08T00:00:00Z",
 			WallSeconds:  1.5,
 			Cycles:       600000,
-			Engine: EngineStats{
-				TicksDelivered: 100, CyclesSkipped: 50,
-				TicksPerCycle: 2.5, SkipRatio: 0.083, PoolHitRate: 0.9,
-			},
 		},
-		Metrics: map[string]float64{
-			"ipc.hm":            1.2345678901234567,
-			"power.total.w":     42.5,
-			"engine.skip_ratio": 0.083,
-		},
-		Summary: []byte(`{"HMIPC":1.2345678901234567}`),
+		Summary: []byte(`{"HMIPC":1.2345678901234567,"IPC":[1.5,0.25],"Energy":{"ReadUJ":42.5}}`),
 	}
 }
 
@@ -102,10 +93,8 @@ func TestPutGetRoundTripByteIdentical(t *testing.T) {
 	if !reflect.DeepEqual(got.Manifest, rec.Manifest) {
 		t.Fatalf("manifest mismatch:\n got %+v\nwant %+v", got.Manifest, rec.Manifest)
 	}
-	for k, v := range rec.Metrics {
-		if got.Metrics[k] != v {
-			t.Errorf("metric %s: got %v want %v (must round-trip exactly)", k, got.Metrics[k], v)
-		}
+	if want := map[string]float64{"hmipc": 1.2345678901234567, "ipc.0": 1.5, "ipc.1": 0.25, "energy.readuj": 42.5}; !reflect.DeepEqual(got.Metrics(), want) {
+		t.Fatalf("metrics = %v, want %v (must round-trip exactly)", got.Metrics(), want)
 	}
 	// Re-marshalling the read-back record must reproduce the on-disk
 	// bytes exactly — the determinism contract.
@@ -128,6 +117,81 @@ func TestPutGetRoundTripByteIdentical(t *testing.T) {
 		if string(again[name]) != string(want[name]) {
 			t.Errorf("%s not byte-identical after reopen", name)
 		}
+	}
+}
+
+// TestMetricsDerivedFromSummary pins the one metric namespace: struct
+// fields and map keys become lower-case dotted segments, array elements
+// numeric ones, booleans 0/1, and strings are not metrics.
+func TestMetricsDerivedFromSummary(t *testing.T) {
+	rec := Record{Summary: []byte(`{"Config":"x","HMIPC":1.5,"IPC":[1,2],"Cycles":10,` +
+		`"NoC":{"Delivered":7,"PerLink":{"N0":3}},"Clean":true,"Dirty":false}`)}
+	want := map[string]float64{"hmipc": 1.5, "ipc.0": 1, "ipc.1": 2, "cycles": 10,
+		"noc.delivered": 7, "noc.perlink.n0": 3, "clean": 1, "dirty": 0}
+	if got := rec.Metrics(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("metrics = %v, want %v", got, want)
+	}
+}
+
+// TestPutRefusesRecordWithoutSummary: a record's metrics are derived
+// from its summary, so a record without a decodable one is not stored.
+func TestPutRefusesRecordWithoutSummary(t *testing.T) {
+	l, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, summary := range []string{"", `{"HMIPC":`, `{"HMIPC":1e400}`} {
+		rec := testRecord("quadMC", 1)
+		rec.Summary = []byte(summary)
+		if _, err := l.Put(rec); err == nil {
+			t.Errorf("Put with summary %q succeeded", summary)
+		}
+	}
+	if ms, _ := l.Manifests(); len(ms) != 0 {
+		t.Fatalf("refused records reached the index: %+v", ms)
+	}
+}
+
+// TestReadsStoreWithRecordedMetrics: a store written when each run kept
+// its own metrics.json (in whatever namespace the recording tool used)
+// and an engine block in its manifest still reads, and its metrics come
+// from the summary like every other record's.
+func TestReadsStoreWithRecordedMetrics(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "0123456789abcdef"
+	manifest := `{"id":"` + id + `","config_digest":"` + id + `00","config":"quadMC","seed":1,` +
+		`"sim_version":"stackedsim-v8","cycles":600000,` +
+		`"engine":{"ticks_delivered":100,"cycles_skipped":50,"ticks_per_cycle":2.5,"skip_ratio":0.083,"pool_hit_rate":0.9}}`
+	run := filepath.Join(dir, "runs", id)
+	if err := os.MkdirAll(run, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string]string{
+		"manifest.json": manifest,
+		"metrics.json":  `{"cpu.hmipc":0.5,"engine.skip_ratio":0.083}`,
+		"summary.json":  `{"HMIPC":0.5,"Cycles":600000}`,
+	} {
+		if err := os.WriteFile(filepath.Join(run, name), []byte(data+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "index.jsonl"), []byte(manifest+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ms, err := l.Manifests()
+	if err != nil || len(ms) != 1 || ms[0].ID != id || ms[0].Cycles != 600000 {
+		t.Fatalf("Manifests = %+v, %v", ms, err)
+	}
+	rec, err := l.Get("latest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]float64{"hmipc": 0.5, "cycles": 600000}; !reflect.DeepEqual(rec.Metrics(), want) {
+		t.Fatalf("metrics = %v, want %v (metrics.json must be ignored)", rec.Metrics(), want)
 	}
 }
 

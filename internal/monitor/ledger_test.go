@@ -3,6 +3,7 @@ package monitor
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,7 +20,8 @@ import (
 // ledgerFixture builds a deterministic two-run store: a baseline and a
 // candidate with one regressed metric, with the baseline pinned under
 // the "blessed" tag. Record contents are fixed so the endpoint goldens
-// are stable.
+// are stable; the metrics the endpoints serve are derived from each
+// record's summary.
 func ledgerFixture(t *testing.T) (*ledger.Ledger, string, string) {
 	t.Helper()
 	l, err := ledger.Open(t.TempDir())
@@ -41,15 +43,8 @@ func ledgerFixture(t *testing.T) (*ledger.Ledger, string, string) {
 				Workload: []string{"mix:VH1"}, Seed: seed, Experiment: "golden",
 				SimVersion: "golden-v1", StartedAt: "2026-08-08T00:00:00Z",
 				WallSeconds: 2.5, Cycles: 600000,
-				Engine: ledger.EngineStats{TicksDelivered: 1200, CyclesSkipped: 300,
-					TicksPerCycle: 2, SkipRatio: 0.5, PoolHitRate: 0.9},
 			},
-			Metrics: map[string]float64{
-				"ipc.hm":        hmipc,
-				"power.total.w": 91.5,
-				"mpki.0":        5.25,
-			},
-			Summary: []byte(`{"HMIPC":` + "1.25" + `}`),
+			Summary: []byte(fmt.Sprintf(`{"Config":%q,"HMIPC":%g,"MPKI":[5.25],"Energy":{"ReadUJ":91.5}}`, name, hmipc)),
 		}
 		if _, err := l.Put(rec); err != nil {
 			t.Fatal(err)
@@ -165,11 +160,11 @@ func TestCompareEndpointGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Breaches != 1 {
-		t.Fatalf("breaches = %d, want 1 (ipc.hm regressed 12%%)", out.Breaches)
+		t.Fatalf("breaches = %d, want 1 (hmipc regressed 12%%)", out.Breaches)
 	}
 	for _, d := range out.Deltas {
-		if d.Name == "ipc.hm" && d.Kind != "breach" {
-			t.Fatalf("ipc.hm kind = %s, want breach", d.Kind)
+		if d.Name == "hmipc" && d.Kind != "breach" {
+			t.Fatalf("hmipc kind = %s, want breach", d.Kind)
 		}
 	}
 }
@@ -183,7 +178,7 @@ func TestCompareHTMLHighlights(t *testing.T) {
 	if !strings.Contains(body, `class="breach"`) {
 		t.Fatalf("breach row not highlighted:\n%s", body)
 	}
-	if !strings.Contains(body, "ipc.hm") {
+	if !strings.Contains(body, "hmipc") {
 		t.Fatal("metric names missing from HTML table")
 	}
 }

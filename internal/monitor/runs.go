@@ -20,15 +20,6 @@ func jsonNum(v float64) any {
 	return v
 }
 
-// sanitizeMetrics copies a metric map with JSON-safe values.
-func sanitizeMetrics(m map[string]float64) map[string]any {
-	out := make(map[string]any, len(m))
-	for k, v := range m {
-		out[k] = jsonNum(v)
-	}
-	return out
-}
-
 func (s *Server) ledgerOr404(w http.ResponseWriter) *ledger.Ledger {
 	if s.Ledger == nil {
 		http.Error(w, "no run ledger attached (start with -ledger-dir)", http.StatusNotFound)
@@ -68,8 +59,8 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	}{Runs: runs, Tags: tags})
 }
 
-// handleRun serves one run's full record. The path ref may be a run ID,
-// a tag name, or "latest".
+// handleRun serves one run's full record with the metrics derived from
+// its summary. The path ref may be a run ID, a tag name, or "latest".
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	l := s.ledgerOr404(w)
 	if l == nil {
@@ -84,14 +75,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(struct { //nolint:errcheck // best-effort over HTTP
-		Manifest     ledger.Manifest `json:"manifest"`
-		Metrics      map[string]any  `json:"metrics"`
-		Summary      json.RawMessage `json:"summary,omitempty"`
-		Attribution  json.RawMessage `json:"attribution,omitempty"`
-		PowerThermal json.RawMessage `json:"power_thermal,omitempty"`
+		Manifest     ledger.Manifest    `json:"manifest"`
+		Metrics      map[string]float64 `json:"metrics"`
+		Summary      json.RawMessage    `json:"summary,omitempty"`
+		Attribution  json.RawMessage    `json:"attribution,omitempty"`
+		PowerThermal json.RawMessage    `json:"power_thermal,omitempty"`
 	}{
 		Manifest:     rec.Manifest,
-		Metrics:      sanitizeMetrics(rec.Metrics),
+		Metrics:      rec.Metrics(),
 		Summary:      rec.Summary,
 		Attribution:  rec.Attrib,
 		PowerThermal: rec.PowerThermal,
@@ -149,7 +140,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	deltas, breaches := ledger.Compare(recA.Metrics, recB.Metrics, threshold)
+	deltas, breaches := ledger.Compare(recA.Metrics(), recB.Metrics(), threshold)
 	if q.Get("format") == "html" {
 		s.renderCompareHTML(w, aRef, bRef, recA.Manifest.ID, recB.Manifest.ID, threshold, deltas, breaches)
 		return
