@@ -56,8 +56,9 @@ func TestTelemetrySmokeParity(t *testing.T) {
 }
 
 // BenchmarkTelemetryOverhead measures the cost of a fully instrumented
-// run (sampler + tracer) against BenchmarkSimulatorThroughput's plain
-// configuration; compare ns/op between the two to bound the overhead.
+// run (sampler + attribution + the trace drawn from it) against
+// BenchmarkSimulatorThroughput's plain configuration; compare ns/op
+// between the two to bound the overhead.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	cfg := config.QuadMC()
 	cfg.WarmupCycles = 0
@@ -68,9 +69,11 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sys.AttachTelemetry(telemetry.New(telemetry.Options{
+		tel := telemetry.New(telemetry.Options{
 			Dir: b.TempDir(), SampleEvery: 1_000, TraceEvents: true, TraceSample: 64,
-		}))
+		})
+		sys.AttachTelemetry(tel)
+		sys.AttachAttrib(sys.NewAttribCollector(tel.Reg()))
 		sys.Run()
 	}
 	b.ReportMetric(float64(100_000), "cycles/op")

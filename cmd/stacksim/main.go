@@ -18,7 +18,8 @@
 //
 // With -telemetry-dir the run writes manifest.json, timeseries.csv,
 // distributions.json, attrib.json, powerthermal.json and (with
-// -trace-events) trace.json into the directory, and prints
+// -trace-events, which draws the trace from the attribution tags and so
+// needs -attrib) trace.json into the directory, and prints
 // the memory-latency attribution table (disable with -attrib=false)
 // plus the power/thermal report with the per-bank activity heatmap and
 // per-layer temperature trajectory (disable with -power=false).
@@ -131,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 		telemetryDir = fs.String("telemetry-dir", "", "directory for telemetry exports (enables telemetry)")
 		sampleEvery  = fs.Int64("sample-every", 1000, "time-series sample interval in cycles")
-		traceEvents  = fs.Bool("trace-events", false, "emit Chrome trace_event JSON for sampled request lifecycles")
+		traceEvents  = fs.Bool("trace-events", false, "emit Chrome trace_event JSON for sampled demand-miss lifecycles, drawn from the attribution tags (needs -attrib)")
 		traceSample  = fs.Int("trace-sample", 64, "trace 1 in N demand-miss lifecycles")
 		attribOn     = fs.Bool("attrib", true, "memory-latency attribution (cycle accounting) when telemetry is enabled")
 		powerOn      = fs.Bool("power", true, "power/thermal tracking (per-layer power, transient temperatures) when telemetry is enabled")
@@ -560,6 +561,9 @@ func validateFlags(explicit map[string]string, telemetryDir string, sampleEvery 
 				return fmt.Errorf("-%s does nothing without -telemetry-dir; add -telemetry-dir <dir>", name)
 			}
 		}
+	}
+	if explicit["trace-events"] == "true" && explicit["attrib"] == "false" {
+		return errors.New("-trace-events draws the trace from the attribution tags; it conflicts with -attrib=false")
 	}
 	if checkpoint != "" || resume != "" {
 		if sweep {

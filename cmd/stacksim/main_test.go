@@ -68,6 +68,7 @@ func TestUsageErrors(t *testing.T) {
 		{run + " -trace-sample 8", "-trace-sample does nothing without -telemetry-dir; add -telemetry-dir <dir>"},
 		{run + " -attrib=false", "-attrib does nothing without -telemetry-dir; add -telemetry-dir <dir>"},
 		{run + " -power=false", "-power does nothing without -telemetry-dir; add -telemetry-dir <dir>"},
+		{run + " -telemetry-dir $T/tel -trace-events -attrib=false", "-trace-events draws the trace from the attribution tags; it conflicts with -attrib=false"},
 		{"-mix H1,H2 -checkpoint x.ckpt", "-checkpoint/-resume describe a single run; they conflict with a multi-mix sweep"},
 		{run + " -checkpoint x.ckpt -traces a.trc", "-checkpoint/-resume rebuild the workload from benchmark generators; they conflict with -traces"},
 		{"-resume x.ckpt -config 3D", "-config conflicts with -resume (the checkpoint carries the run's config)"},

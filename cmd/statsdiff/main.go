@@ -16,7 +16,7 @@
 // Usage:
 //
 //	statsdiff old/timeseries.csv new/timeseries.csv
-//	statsdiff -threshold 0.05 -match 'mc0.' old.csv new.csv
+//	statsdiff -threshold 0.05 -only '*mc0.*' old.csv new.csv
 //	statsdiff -threshold 0.02 -only 'power.energy.*' old.csv new.csv
 //	statsdiff -ignore 'power.*,thermal.*' old.csv new.csv
 //	statsdiff -all old.csv new.csv
@@ -26,7 +26,7 @@
 // -only and -ignore take comma-separated path.Match globs over metric
 // names ('power.*' matches the whole power family — * spans dots, only
 // '/' stops it). -only keeps matching metrics, then -ignore drops
-// matching ones; both compose with -match and apply in either mode.
+// matching ones; both apply in either mode.
 //
 // Metrics present in only one run are reported (as added/removed) but
 // never count as breaches: growing the instrumentation must not fail
@@ -63,7 +63,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		threshold = fs.Float64("threshold", 0, "relative change that counts as a breach (0 = report only, never fail)")
-		match     = fs.String("match", "", "only compare metrics whose name contains this substring")
 		only      = fs.String("only", "", "comma-separated globs; only compare metrics matching one of them")
 		ignore    = fs.String("ignore", "", "comma-separated globs; drop metrics matching one of them")
 		all       = fs.Bool("all", false, "also print unchanged metrics")
@@ -141,7 +140,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	oldVals = filterVals(oldVals, keep)
 	newVals = filterVals(newVals, keep)
 
-	rows, breaches := diff(oldVals, newVals, *threshold, *match)
+	rows, breaches := diff(oldVals, newVals, *threshold)
 	for _, r := range rows {
 		if !*all && r.kind == diffSame {
 			continue
@@ -258,12 +257,7 @@ func changed(rows []diffRow) int {
 // only NaNs remain breaches. NaN always breaches: NaN means the export
 // (or the metric's computation) is broken, and NaN's non-ordering would
 // otherwise let it sail through every comparison.
-func diff(oldVals, newVals map[string]float64, threshold float64, match string) (rows []diffRow, breaches int) {
-	if match != "" {
-		contains := func(n string) bool { return strings.Contains(n, match) }
-		oldVals = filterVals(oldVals, contains)
-		newVals = filterVals(newVals, contains)
-	}
+func diff(oldVals, newVals map[string]float64, threshold float64) (rows []diffRow, breaches int) {
 	deltas, breaches := ledger.Compare(newVals, oldVals, threshold)
 	for _, d := range deltas {
 		nv, ov := d.A, d.B

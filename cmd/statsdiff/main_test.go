@@ -65,7 +65,7 @@ func TestLoadErrorsAreClear(t *testing.T) {
 func TestDiffThresholdGate(t *testing.T) {
 	oldVals := map[string]float64{"a": 100, "b": 100, "c": 100, "gone": 1}
 	newVals := map[string]float64{"a": 100, "b": 103, "c": 120, "fresh": 1}
-	rows, breaches := diff(oldVals, newVals, 0.05, "")
+	rows, breaches := diff(oldVals, newVals, 0.05)
 	if breaches != 1 {
 		t.Fatalf("breaches = %d, want 1 (only c moved >5%%)", breaches)
 	}
@@ -286,7 +286,7 @@ func TestDiffNaNAlwaysBreaches(t *testing.T) {
 		{"NaN in report-only mode", 5, nan, 0, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			rows, breaches := diff(map[string]float64{"m": c.ov}, map[string]float64{"m": c.nv}, c.thresh, "")
+			rows, breaches := diff(map[string]float64{"m": c.ov}, map[string]float64{"m": c.nv}, c.thresh)
 			if breaches != c.breaches {
 				t.Fatalf("breaches = %d, want %d", breaches, c.breaches)
 			}
@@ -297,7 +297,7 @@ func TestDiffNaNAlwaysBreaches(t *testing.T) {
 	}
 	// Metrics present on only one side stay non-breaching even as NaN:
 	// added/removed instrumentation never fails the gate.
-	if _, breaches := diff(map[string]float64{}, map[string]float64{"m": math.NaN()}, 0.05, ""); breaches != 0 {
+	if _, breaches := diff(map[string]float64{}, map[string]float64{"m": math.NaN()}, 0.05); breaches != 0 {
 		t.Fatalf("one-sided NaN breached (%d), want added metrics exempt", breaches)
 	}
 }

@@ -14,6 +14,10 @@
 // makes a reported speedup decomposable — "quad-MC shortened the queue
 // stage, not the array stage" is a statement about these sums.
 //
+// The same tags are the Chrome trace's only source: a collector given a
+// tracer (Collector.Trace) samples tags as it opens them and draws each
+// sampled one, when it finishes, from the same timestamp chain.
+//
 // Like internal/telemetry, the subsystem is nil-safe end to end: a nil
 // *Collector hands out nil *Tags, and every stamp on a nil tag is a
 // no-op, so instrumented components pay one nil check when attribution
@@ -107,6 +111,10 @@ type Tag struct {
 	// stages overlap the primary's, so only its end-to-end latency is
 	// recorded (into attrib.merged.latency).
 	Merged bool
+	// TraceID is nonzero on a tag the collector sampled for the Chrome
+	// trace: the tag's place in creation order, counted from 1, which
+	// every event drawn from it carries as its "miss" argument.
+	TraceID uint64
 
 	MissAt      sim.Cycle // L2 detected the demand miss
 	AllocAt     sim.Cycle // MSHR entry allocation completed
@@ -257,7 +265,16 @@ func (t *Tag) DRAMPhases(writeRec, precharge, activate, cas sim.Cycle) {
 // Total reports the end-to-end miss latency.
 func (t *Tag) Total() sim.Cycle { return t.DoneAt - t.MissAt }
 
-// Stages decomposes the lifetime into the nine consecutive intervals.
+// segStage names the stage each segment of a tag's boundary chain
+// counts toward, in time order: segments 0–8 are stages 0–8, and the
+// noc stage, the one non-contiguous stage, comes back as segment 9 — it
+// holds the request's outbound flight (inject→arrive) and the
+// response's return flight (resp→done).
+var segStage = [...]Stage{StageMSHR, StageNoc, StageCoherence, StageStackHit,
+	StageQueue, StageDRAM, StageRetry, StageBus, StageOffchip, StageNoc}
+
+// bounds is the lifetime's boundary chain, MissAt through DoneAt: segment
+// i runs from bounds[i] to bounds[i+1] and counts toward segStage[i].
 // Unreached checkpoints collapse right-to-left to the next stamped one
 // (e.g. a miss whose line was filled by another request while it waited
 // for MSHR space never visited the MC; a stack-cache miss under
@@ -266,58 +283,27 @@ func (t *Tag) Total() sim.Cycle { return t.DoneAt - t.MissAt }
 // coherence the NoC timestamps are never stamped, so noc and coherence
 // are exactly zero and the remaining seven stages keep their
 // shared-L2 values), attributing the whole wait to the stage the
-// request was actually stuck in. The noc stage is the one non-contiguous
-// interval: it sums the request's outbound flight (inject→arrive) and
-// the response's return flight (resp→done). The stage sum still
+// request was actually stuck in. Stages and the trace both read it, so
+// the trace's spans tile a miss exactly as the stage sums conserve it.
+func (t *Tag) bounds() [len(segStage) + 1]sim.Cycle {
+	b := [...]sim.Cycle{t.MissAt, t.InjectAt, t.NocAt, t.ProbeAt, t.QueueAt, t.SchedAt,
+		t.FirstDataAt, t.DataAt, t.StackAt, t.RespAt, t.DoneAt}
+	for i := len(b) - 2; i > 0; i-- {
+		if b[i] == 0 {
+			b[i] = b[i+1]
+		}
+	}
+	return b
+}
+
+// Stages decomposes the lifetime into the nine stages; the sum
 // telescopes to exactly Total() for every finished tag.
-func (t *Tag) Stages() [NumStages]sim.Cycle {
-	resp := t.RespAt
-	if resp == 0 {
-		resp = t.DoneAt
+func (t *Tag) Stages() (st [NumStages]sim.Cycle) {
+	b := t.bounds()
+	for i, s := range segStage {
+		st[s] += b[i+1] - b[i]
 	}
-	stack := t.StackAt
-	if stack == 0 {
-		stack = resp
-	}
-	d := t.DataAt
-	if d == 0 {
-		d = stack
-	}
-	fd := t.FirstDataAt
-	if fd == 0 {
-		fd = d
-	}
-	s := t.SchedAt
-	if s == 0 {
-		s = fd
-	}
-	q := t.QueueAt
-	if q == 0 {
-		q = s
-	}
-	p := t.ProbeAt
-	if p == 0 {
-		p = q
-	}
-	noc1 := t.NocAt
-	if noc1 == 0 {
-		noc1 = p
-	}
-	inj := t.InjectAt
-	if inj == 0 {
-		inj = noc1
-	}
-	return [NumStages]sim.Cycle{
-		inj - t.MissAt,
-		(noc1 - inj) + (t.DoneAt - resp),
-		p - noc1,
-		q - p,
-		s - q,
-		fd - s,
-		d - fd,
-		stack - d,
-		resp - stack,
-	}
+	return st
 }
 
 // latencyBuckets sizes the end-to-end and per-stage histograms: miss
@@ -355,6 +341,11 @@ type Collector struct {
 	// accumulated; the conservation tests use it to assert the stage
 	// sum equals the end-to-end latency on live traffic.
 	Check func(t *Tag)
+
+	// trace receives the sampled tags (Trace); created counts the tags
+	// NewTag opened, the order the trace samples them in.
+	trace   *telemetry.Tracer
+	created uint64
 
 	// free recycles finished tags: a tag's lifecycle ends inside
 	// Finish/FinishMerged (callers drop their reference immediately
@@ -408,6 +399,15 @@ func NewCollector(reg *telemetry.Registry, cores, mcs, ranksPerMC int) *Collecto
 	return c
 }
 
+// Trace has the collector sample the tags it opens for tr — one in
+// every tr-sampled, in creation order — and draw each sampled tag into
+// tr when it finishes. A nil tr, the default, traces nothing.
+func (c *Collector) Trace(tr *telemetry.Tracer) {
+	if c != nil {
+		c.trace = tr
+	}
+}
+
 // NewTag opens a lifecycle for a demand miss first seen by the L2 at
 // cycle now. A nil collector returns a nil tag, whose every stamp is a
 // no-op — disabled attribution costs callers one nil check.
@@ -415,14 +415,20 @@ func (c *Collector) NewTag(now sim.Cycle, core int) *Tag {
 	if c == nil {
 		return nil
 	}
+	var t *Tag
 	if n := len(c.free); n > 0 {
-		t := c.free[n-1]
+		t = c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
-		*t = Tag{Core: core, MC: -1, Rank: -1, MissAt: now}
-		return t
+	} else {
+		t = new(Tag)
 	}
-	return &Tag{Core: core, MC: -1, Rank: -1, MissAt: now}
+	*t = Tag{Core: core, MC: -1, Rank: -1, MissAt: now}
+	if c.trace.Samples(c.created) {
+		t.TraceID = c.created + 1
+	}
+	c.created++
+	return t
 }
 
 // recycle puts a finished tag on the free list. Finishing the same tag
@@ -477,11 +483,16 @@ func (c *Collector) Finish(t *Tag, done sim.Cycle) {
 			c.rankDRAM[idx].Add(uint64(st[StageDRAM]))
 		}
 	}
+	if t.TraceID != 0 {
+		c.render(t)
+	}
 	c.recycle(t)
 }
 
 // FinishMerged closes a secondary (merged) miss: only its end-to-end
-// latency is recorded, since its stages overlap the primary's.
+// latency is recorded, since its stages overlap the primary's. A
+// sampled one is marked in the trace by an mshr.merge instant on its
+// core's track at the cycle it missed.
 func (c *Collector) FinishMerged(t *Tag, done sim.Cycle) {
 	if c == nil || t == nil {
 		return
@@ -489,7 +500,48 @@ func (c *Collector) FinishMerged(t *Tag, done sim.Cycle) {
 	t.DoneAt = done
 	c.merged.Inc()
 	c.mergedLat.Observe(int(t.Total()))
+	if t.TraceID != 0 {
+		c.trace.Instant(c.trace.Track("cores", fmt.Sprintf("core%d", t.Core)), "mshr.merge", t.MissAt,
+			fmt.Sprintf(`{"miss":%d}`, t.TraceID))
+	}
 	c.recycle(t)
+}
+
+// render draws a finished, sampled primary into the trace from its own
+// timestamps. On a lane of its core's track: an l2.miss span from miss
+// to fill, tiled by one span per non-empty segment of the boundary
+// chain, named for the segment's stage, with mshr.alloc and fill
+// instants. For a miss an MC scheduled, on the MC's track the
+// mrq.enqueue instant and the burst — from its start on the data bus to
+// the end of the bus stage, so it includes the hand-off to the next hop
+// — and on the rank's track the activate (or cas.rowhit) instant and
+// the dram.access span, from scheduling to corrected delivery.
+func (c *Collector) render(t *Tag) {
+	tr, args, b := c.trace, fmt.Sprintf(`{"miss":%d}`, t.TraceID), t.bounds()
+	core := tr.Lane("cores", fmt.Sprintf("core%d", t.Core), t.MissAt, t.DoneAt)
+	tr.Complete(core, "l2.miss", t.MissAt, t.DoneAt, args)
+	if t.AllocAt != 0 {
+		tr.Instant(core, "mshr.alloc", t.AllocAt, args)
+	}
+	for i, s := range segStage {
+		if b[i+1] > b[i] {
+			tr.Complete(core, s.String(), b[i], b[i+1], args)
+		}
+	}
+	tr.Instant(core, "fill", t.DoneAt, args)
+	if t.Rank < 0 {
+		return
+	}
+	mc, rank := fmt.Sprintf("mc%d", t.MC), fmt.Sprintf("mc%d.rank%d", t.MC, t.Rank)
+	tr.Instant(tr.Track("mcs", mc), "mrq.enqueue", t.QueueAt, args)
+	busEnd := b[StageBus+1]
+	tr.Complete(tr.Lane("mcs", mc, t.BurstAt, busEnd), "burst", t.BurstAt, busEnd, args)
+	act := "activate"
+	if t.RowHit {
+		act = "cas.rowhit"
+	}
+	tr.Instant(tr.Track("dram", rank), act, t.SchedAt, args)
+	tr.Complete(tr.Lane("dram", rank, t.SchedAt, t.DataAt), "dram.access", t.SchedAt, t.DataAt, args)
 }
 
 // StageSummary is one stage's line of the breakdown.

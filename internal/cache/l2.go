@@ -117,11 +117,6 @@ type L2 struct {
 	// multiple MCs requires a full crossbar; Section 4.1).
 	crossPenalty sim.Cycle
 
-	// Telemetry (nil when disabled): sampled demand-miss lifecycles are
-	// opened on the issuing core's track here and closed at the fill.
-	trace      *telemetry.Tracer
-	coreTracks []telemetry.Track
-
 	// attrib (nil when disabled) opens a cycle-accounting tag on every
 	// demand miss and folds it back in at the fill.
 	attrib *attrib.Collector
@@ -237,12 +232,12 @@ func (l *L2) Register(e *sim.Engine) {
 // MSHRBanks exposes the MSHR files (for the dynamic resizer and stats).
 func (l *L2) MSHRBanks() []*mshr.File { return l.mshrBanks }
 
-// Instrument registers the shared-L2 metrics ("l2.*") and attaches the
-// tracer. Cumulative hit/miss/stall counts come from the existing stats
-// (sampled as monotone series); MSHR occupancy, set-aside queue depth,
-// and bank input queues are live gauges; each MSHR bank also registers
-// its probe-count distribution under "l2.mshr<m>.*".
-func (l *L2) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
+// Instrument registers the shared-L2 metrics ("l2.*"). Cumulative
+// hit/miss/stall counts come from the existing stats (sampled as
+// monotone series); MSHR occupancy, set-aside queue depth, and bank
+// input queues are live gauges; each MSHR bank also registers its
+// probe-count distribution under "l2.mshr<m>.*".
+func (l *L2) Instrument(reg *telemetry.Registry) {
 	reg.GaugeFunc("l2.accesses", func() float64 { return float64(l.stats.Accesses) })
 	reg.GaugeFunc("l2.hits", func() float64 { return float64(l.stats.Hits) })
 	reg.GaugeFunc("l2.demand_misses", func() float64 { return float64(l.stats.DemandMisses) })
@@ -269,13 +264,6 @@ func (l *L2) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	reg.GaugeFunc("prefetch.l2.stride_candidates", func() float64 { return float64(l.pfStats.StrideCandidates) })
 	reg.GaugeFunc("prefetch.l2.nextline_candidates", func() float64 { return float64(l.pfStats.NextLineCandidates) })
 	reg.GaugeFunc("prefetch.l2.accuracy", func() float64 { return l.PrefetchStats().Accuracy() })
-	l.trace = tr
-	if tr != nil {
-		l.coreTracks = make([]telemetry.Track, l.cfg.Cores)
-		for c := 0; c < l.cfg.Cores; c++ {
-			l.coreTracks[c] = tr.Track("cores", fmt.Sprintf("core%d", c))
-		}
-	}
 }
 
 // AttachAttrib enables memory-latency attribution: every demand miss
@@ -621,10 +609,6 @@ func (l *L2) missPath(r *mem.Request, now sim.Cycle) (probes int, ok bool) {
 	if found {
 		l.mshrBusy[m] = start + busyFor
 		entry.Merge(r)
-		if p := entry.Primary(); p != nil && p.Traced && r.Core >= 0 {
-			l.trace.Instant(l.coreTracks[r.Core], "mshr.merge", now,
-				fmt.Sprintf(`{"req":%d,"line":"%#x"}`, r.ID, uint64(r.Line)))
-		}
 		return probes, true
 	}
 	if f.Full() {
@@ -649,15 +633,6 @@ func (l *L2) missPath(r *mem.Request, now sim.Cycle) (probes int, ok bool) {
 	if r.Kind.IsDemand() && r.Core >= 0 {
 		l.stats.DemandMisses++
 		l.missesBy[r.Core]++
-		// Open a sampled lifecycle: the span runs on the issuing core's
-		// track from the L2 miss until the fill wakes the waiters.
-		if l.trace != nil && l.trace.SampleReq() {
-			r.Traced = true
-			tr := l.coreTracks[r.Core]
-			l.trace.Begin(tr, "l2.miss", now)
-			l.trace.Instant(tr, "mshr.alloc", now,
-				fmt.Sprintf(`{"req":%d,"line":"%#x","bank":%d}`, r.ID, uint64(r.Line), m))
-		}
 	}
 	// Issue toward the MC once the MSHR access completes.
 	l.events.AtCall(l.mshrBusy[m], l.issueEntry, entry)
@@ -684,7 +659,6 @@ func (l *L2) issue(mshrIdx int, e *mshr.Entry) {
 	read.Core = primary.Core
 	read.PC = primary.PC
 	read.Born = primary.Born
-	read.Traced = primary.Traced
 	read.Attrib = primary.Attrib
 	read.Owner = e
 	read.OwnerIdx = mshrIdx
@@ -753,12 +727,6 @@ func (l *L2) handleFill(mshrIdx int, e *mshr.Entry, read *mem.Request, at sim.Cy
 		} else {
 			l.pfPending[e.Line] = struct{}{}
 		}
-	}
-	if read.Traced && read.Core >= 0 {
-		tr := l.coreTracks[read.Core]
-		l.trace.Instant(tr, "fill", at,
-			fmt.Sprintf(`{"req":%d,"waiters":%d,"rowhit":%t}`, read.ID, len(e.Waiters), read.RowHit))
-		l.trace.End(tr, "l2.miss", at)
 	}
 	// Close the lifecycles: the primary's tag (carried by the derived
 	// read) gets the full stage decomposition; merged secondaries

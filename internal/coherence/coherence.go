@@ -410,10 +410,8 @@ func (f *Fabric) DigestWords(emit func(...uint64)) {
 	f.mesh.DigestWords(emit)
 }
 
-// Instrument registers the "coherence.*" and "noc.*" gauges. The
-// fabric emits no trace events; the tracer parameter is what lets it
-// stand wherever the shared L2 does.
-func (f *Fabric) Instrument(reg *telemetry.Registry, _ *telemetry.Tracer) {
+// Instrument registers the "coherence.*" and "noc.*" gauges.
+func (f *Fabric) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+	"sort"
+	"strings"
 	"testing"
 
 	"stackedsim/internal/attrib"
@@ -10,9 +13,10 @@ import (
 )
 
 // attribRun builds a system over the given config, attaches an
-// attribution collector (optionally with a per-tag check), runs a short
-// window, and returns the metrics plus the collector.
-func attribRun(t *testing.T, cfg *config.Config, check func(*attrib.Tag)) (Metrics, *attrib.Collector) {
+// attribution collector (optionally with a per-tag check, and drawing
+// into tr's trace when tr is non-nil), runs a short window, and returns
+// the metrics plus the collector.
+func attribRun(t *testing.T, cfg *config.Config, check func(*attrib.Tag), tr *telemetry.Tracer) (Metrics, *attrib.Collector) {
 	t.Helper()
 	cfg.WarmupCycles = 5_000
 	cfg.MeasureCycles = 20_000
@@ -29,6 +33,7 @@ func attribRun(t *testing.T, cfg *config.Config, check func(*attrib.Tag)) (Metri
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.tracer = tr
 	col := sys.NewAttribCollector(telemetry.NewRegistry())
 	col.Check = check
 	sys.AttachAttrib(col)
@@ -38,15 +43,22 @@ func attribRun(t *testing.T, cfg *config.Config, check func(*attrib.Tag)) (Metri
 // TestAttributionConservation pins the tentpole invariant on live
 // traffic: for every finished primary miss, across organizations with
 // very different pipelines (off-chip FSB, on-stack single MC, four
-// banked MCs), the four stage durations sum exactly to the end-to-end
-// latency. No cycle may be double-counted or dropped.
+// banked MCs, the directory/mesh machine, a stack cache), the stage
+// durations sum exactly to the end-to-end latency. No cycle may be
+// double-counted or dropped. The Chrome trace drawn from the same tags
+// must tile each sampled miss exactly as its stages do.
 func TestAttributionConservation(t *testing.T) {
-	configs := []*config.Config{config.Baseline2D(), config.Fast3D(), config.QuadMC(), config.ManyCore(16, 4)}
+	configs := []*config.Config{config.Baseline2D(), config.Fast3D(), config.QuadMC(), config.ManyCore(16, 4), stackConfigs()[0]}
 	for _, cfg := range configs {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			finished := 0
+			tr := telemetry.NewTracer(8)
+			sampled := map[uint64][attrib.NumStages]sim.Cycle{}
 			_, col := attribRun(t, cfg, func(tag *attrib.Tag) {
+				if tag.TraceID != 0 {
+					sampled[tag.TraceID] = tag.Stages()
+				}
 				finished++
 				st := tag.Stages()
 				var sum sim.Cycle
@@ -65,10 +77,11 @@ func TestAttributionConservation(t *testing.T) {
 						t.Fatalf("miss #%d: negative stage %v = %d", finished, attrib.Stage(i), s)
 					}
 				}
-			})
+			}, tr)
 			if finished == 0 {
 				t.Fatal("no demand misses finished — attribution is not wired")
 			}
+			checkTraceTiles(t, tr, sampled)
 			b := col.Breakdown()
 			if b.Requests != uint64(finished) {
 				t.Fatalf("breakdown counts %d requests, Check saw %d", b.Requests, finished)
@@ -87,11 +100,91 @@ func TestAttributionConservation(t *testing.T) {
 	}
 }
 
+// checkTraceTiles holds a trace to the tags it was drawn from: every
+// sampled primary (its stages by TraceID) has an l2.miss span whose
+// stage spans, on the same lane and in time order, tile it end to end
+// and sum per stage to the tag's decomposition; and no thread holds two
+// overlapping spans of one name.
+func checkTraceTiles(t *testing.T, tr *telemetry.Tracer, sampled map[uint64][attrib.NumStages]sim.Cycle) {
+	t.Helper()
+	if len(sampled) == 0 || tr.Dropped() != 0 {
+		t.Fatalf("%d sampled misses finished, %d trace events dropped", len(sampled), tr.Dropped())
+	}
+	var buf strings.Builder
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name     string
+			Ph       string
+			Pid, Tid int
+			TS       sim.Cycle `json:"ts"`
+			Dur      sim.Cycle `json:"dur"`
+			Args     struct{ Miss uint64 }
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(buf.String()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	stageOf := map[string]attrib.Stage{}
+	for s := attrib.Stage(0); s < attrib.NumStages; s++ {
+		stageOf[s.String()] = s
+	}
+	type lane struct{ pid, tid int }
+	type span struct {
+		lane       lane
+		name       string
+		start, end sim.Cycle
+	}
+	misses := map[uint64]span{}
+	segs := map[uint64][]span{}
+	byName := map[span][]span{} // keyed by lane and name only
+	for _, e := range doc.TraceEvents {
+		if e.Ph != "X" {
+			continue
+		}
+		s := span{lane{e.Pid, e.Tid}, e.Name, e.TS, e.TS + e.Dur}
+		byName[span{lane: s.lane, name: s.name}] = append(byName[span{lane: s.lane, name: s.name}], s)
+		if e.Name == "l2.miss" {
+			misses[e.Args.Miss] = s
+		} else if _, ok := stageOf[e.Name]; ok {
+			segs[e.Args.Miss] = append(segs[e.Args.Miss], s)
+		}
+	}
+	for id, want := range sampled {
+		m, ok := misses[id]
+		if !ok {
+			t.Fatalf("sampled miss %d has no l2.miss span", id)
+		}
+		sort.Slice(segs[id], func(i, j int) bool { return segs[id][i].start < segs[id][j].start })
+		at, got := m.start, [attrib.NumStages]sim.Cycle{}
+		for _, s := range segs[id] {
+			if s.lane != m.lane || s.start != at {
+				t.Fatalf("miss %d: %s span %d–%d on %v does not continue its l2.miss on %v at %d", id, s.name, s.start, s.end, s.lane, m.lane, at)
+			}
+			got[stageOf[s.name]] += s.end - s.start
+			at = s.end
+		}
+		if at != m.end || got != want {
+			t.Fatalf("miss %d: stage spans end at %d and sum to %v; l2.miss ends at %d, stages are %v", id, at, got, m.end, want)
+		}
+	}
+	for k, ss := range byName {
+		sort.Slice(ss, func(i, j int) bool { return ss[i].start < ss[j].start })
+		for i := 1; i < len(ss); i++ {
+			if ss[i].start < ss[i-1].end {
+				t.Fatalf("thread %v holds overlapping %q spans %d–%d and %d–%d", k.lane, k.name, ss[i-1].start, ss[i-1].end, ss[i].start, ss[i].end)
+			}
+		}
+	}
+}
+
 // TestAttributionBreakdownCoverage checks the per-core/per-MC/per-rank
 // fan-out on the quad-MC machine: every row present, group totals
 // consistent with the global ones.
 func TestAttributionBreakdownCoverage(t *testing.T) {
-	_, col := attribRun(t, config.QuadMC(), nil)
+	_, col := attribRun(t, config.QuadMC(), nil, nil)
 	b := col.Breakdown()
 	if len(b.PerCore) != 4 || len(b.PerMC) != 4 || len(b.PerRank) != 16 {
 		t.Fatalf("group rows = %d cores / %d MCs / %d ranks, want 4/4/16",
@@ -139,7 +232,7 @@ func TestAttributionDoesNotPerturbSimulation(t *testing.T) {
 		}
 		base := plain.Run()
 
-		instr, col := attribRun(t, mk(), nil)
+		instr, col := attribRun(t, mk(), nil, nil)
 		if col.Breakdown().Requests == 0 {
 			t.Fatalf("%s: attribution recorded nothing", cfg.Name)
 		}

@@ -120,7 +120,7 @@ func TestStackAttributionConservation(t *testing.T) {
 						t.Fatalf("miss #%d: negative stage %v = %d", finished, attrib.Stage(i), s)
 					}
 				}
-			})
+			}, nil)
 			if finished == 0 {
 				t.Fatal("no demand misses finished")
 			}

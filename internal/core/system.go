@@ -86,6 +86,8 @@ type System struct {
 
 	// ids is the shared request ID source and object pool.
 	ids *mem.IDSource
+	// tracer is AttachTelemetry's, for NewAttribCollector's collectors.
+	tracer *telemetry.Tracer
 }
 
 // secondLevel is what System asks of the second-level organization
@@ -96,7 +98,7 @@ type System struct {
 // apart.
 type secondLevel interface {
 	Register(e *sim.Engine)
-	Instrument(reg *telemetry.Registry, tr *telemetry.Tracer)
+	Instrument(reg *telemetry.Registry)
 	AttachAttrib(col *attrib.Collector)
 	ResetStats()
 	DemandMissesByCore() []uint64
@@ -391,7 +393,7 @@ func (s *System) newChannel(busName, dramName string, p memctrl.Params) *memctrl
 			bank.SetFaults(view)
 		}
 	}
-	p.FRFCFS, p.WordBytes = s.Cfg.SchedFRFCFS, 8
+	p.FRFCFS = s.Cfg.SchedFRFCFS
 	mc := memctrl.New(p)
 	mc.SetFaults(view)
 	s.channels = append(s.channels, channel{mc, busName, dramName})
@@ -463,24 +465,26 @@ func (s *System) EngineReport() EngineReport {
 // AttachTelemetry wires tel through every component and registers the
 // interval sampler as an observer, so each sample reflects the end of
 // its cycle. Call it after construction and before Run. All
-// instrumentation is read-only (gauges poll live state, trace events
-// annotate sampled requests), so an instrumented run produces exactly
-// the simulation results of an uninstrumented one. A nil tel is a no-op.
+// instrumentation is read-only (gauges poll live state; the trace is
+// drawn from finished attribution tags, see NewAttribCollector), so an
+// instrumented run produces exactly the simulation results of an
+// uninstrumented one. A nil tel is a no-op.
 func (s *System) AttachTelemetry(tel *telemetry.Telemetry) {
 	if tel == nil {
 		return
 	}
-	reg, tr := tel.Reg(), tel.Trace()
+	reg := tel.Reg()
+	s.tracer = tel.Trace()
 	for _, c := range s.Cores {
 		c.Instrument(reg)
 	}
-	s.second.Instrument(reg, tr)
+	s.second.Instrument(reg)
 	// Registration order is CSV column order: a group of channels lists
 	// its controllers, then its buses, then its ranks; the stack layer
 	// sits between the stacked channels and the backing one.
 	instrument := func(chs []channel) {
 		for _, ch := range chs {
-			ch.mc.Instrument(reg, tr)
+			ch.mc.Instrument(reg)
 		}
 		for _, ch := range chs {
 			ch.mc.Bus().Instrument(reg, ch.bus)
@@ -540,10 +544,13 @@ func (s *System) AttachPowerThermal(reg *telemetry.Registry, every int64) *power
 func (s *System) AttachAttrib(col *attrib.Collector) { s.second.AttachAttrib(col) }
 
 // NewAttribCollector registers an attribution collector shaped for this
-// system's machine (cores, MCs, ranks) in reg. Nil registry → nil
+// system's machine (cores, MCs, ranks) in reg, drawing the Chrome trace
+// when AttachTelemetry came first with a tracer. Nil registry → nil
 // collector (disabled).
 func (s *System) NewAttribCollector(reg *telemetry.Registry) *attrib.Collector {
-	return attrib.NewCollector(reg, s.Cfg.Cores, s.Cfg.MCs, s.Cfg.RanksPerMC())
+	col := attrib.NewCollector(reg, s.Cfg.Cores, s.Cfg.MCs, s.Cfg.RanksPerMC())
+	col.Trace(s.tracer)
+	return col
 }
 
 // instrumentEngine registers the "engine.*" efficiency gauges: how much

@@ -16,7 +16,8 @@ func readFile(t *testing.T, dir, name string) ([]byte, error) {
 }
 
 // telemetryRun builds a quad-MC system over mix VH1, attaches a fresh
-// telemetry set, runs a short window, and returns both.
+// telemetry set and the attribution collector its trace is drawn from,
+// runs a short window, and returns both.
 func telemetryRun(t *testing.T, sampleEvery int64) (Metrics, *telemetry.Telemetry) {
 	t.Helper()
 	cfg := config.QuadMC()
@@ -33,6 +34,7 @@ func telemetryRun(t *testing.T, sampleEvery int64) (Metrics, *telemetry.Telemetr
 		t.Fatal(err)
 	}
 	sys.AttachTelemetry(tel)
+	sys.AttachAttrib(sys.NewAttribCollector(tel.Reg()))
 	return sys.Run(), tel
 }
 
@@ -153,6 +155,7 @@ func TestTelemetryExportWritesArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.AttachTelemetry(tel)
+	sys.AttachAttrib(sys.NewAttribCollector(tel.Reg()))
 	sys.Run()
 	err = tel.Export(telemetry.Manifest{Config: cfg.Name, Seed: cfg.Seed, Cycles: int64(sys.Engine.Now())})
 	if err != nil {

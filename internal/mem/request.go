@@ -63,12 +63,6 @@ type Request struct {
 	// issuing cache must unwind its bookkeeping.
 	Dropped bool
 
-	// Traced marks a request whose lifecycle the telemetry tracer
-	// sampled; downstream components emit trace events only for marked
-	// requests, and derived requests inherit the mark. Always false
-	// when tracing is disabled, so the flag costs one branch.
-	Traced bool
-
 	// Excl marks ownership intent under directory coherence: the L1 sets
 	// it on store(-allocate) misses so a private L2 requests the line in
 	// an exclusive (writable) state via GetM instead of GetS. The shared

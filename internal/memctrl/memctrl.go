@@ -56,12 +56,14 @@ type Params struct {
 	// the demand word) has crossed the bus; the remaining beats still
 	// occupy it.
 	CriticalWordFirst bool
-	// WordBytes is the demand-word transfer size under CWF (8).
-	WordBytes int
 	// Respond is invoked when a request's data has fully crossed the
 	// channel. It may be nil for fire-and-forget traffic.
 	Respond func(r *mem.Request, now sim.Cycle)
 }
+
+// wordBytes is the demand word a critical-word-first read delivers
+// ahead of the rest of its line.
+const wordBytes = 8
 
 // queued is one MRQ entry: a request and its DRAM location, decoded
 // once when the request is admitted.
@@ -87,13 +89,9 @@ type Controller struct {
 	// keeps the seed behaviour of ticking every cycle.
 	handle *sim.TickHandle
 
-	// Telemetry (all nil/zero when disabled): the MRQ delay
-	// distribution, the controller's trace track, and one DRAM track
-	// per owned rank.
+	// queueDelay is the MRQ delay distribution (nil when telemetry is
+	// disabled).
 	queueDelay *telemetry.Distribution
-	trace      *telemetry.Tracer
-	mcTrack    telemetry.Track
-	rankTracks []telemetry.Track
 
 	// flt, when set, injects controller faults: stall/flap windows
 	// gate scheduling edges, stuck or dead ranks are skipped by the
@@ -185,12 +183,10 @@ func (c *Controller) CheckDrained() error {
 	return errors.Join(errs...)
 }
 
-// Instrument registers the controller's metrics under "mc<id>.*" and
-// attaches the tracer: MRQ depth as a live gauge, cumulative
-// read/write/row-hit/reject counts, and the queueing-delay
-// distribution. Trace events go to one "mc<id>" track plus one
-// "mc<id>.rank<r>" DRAM track per owned rank.
-func (c *Controller) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
+// Instrument registers the controller's metrics under "mc<id>.*": MRQ
+// depth as a live gauge, cumulative read/write/row-hit/reject counts,
+// and the queueing-delay distribution.
+func (c *Controller) Instrument(reg *telemetry.Registry) {
 	name := fmt.Sprintf("mc%d", c.p.ID)
 	reg.GaugeFunc(name+".readq.depth", func() float64 { return float64(c.queue.Len()) })
 	reg.GaugeFunc(name+".reads", func() float64 { return float64(c.stats.Reads) })
@@ -198,12 +194,6 @@ func (c *Controller) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	reg.GaugeFunc(name+".rowhits", func() float64 { return float64(c.stats.RowHits) })
 	reg.GaugeFunc(name+".rejects", func() float64 { return float64(c.stats.Rejected) })
 	c.queueDelay = reg.Distribution(name + ".queue.delay")
-	c.trace = tr
-	c.mcTrack = tr.Track("mcs", name)
-	c.rankTracks = make([]telemetry.Track, len(c.p.Ranks))
-	for r := range c.p.Ranks {
-		c.rankTracks[r] = tr.Track("dram", fmt.Sprintf("%s.rank%d", name, r))
-	}
 }
 
 // Full reports whether Submit would fail.
@@ -234,10 +224,6 @@ func (c *Controller) Submit(r *mem.Request, now sim.Cycle) bool {
 	// sleeping through an idle span. Submitters tick before the
 	// controller, so the request is considered this very cycle.
 	c.handle.Wake()
-	if r.Traced {
-		c.trace.Instant(c.mcTrack, "mrq.enqueue", now,
-			fmt.Sprintf(`{"req":%d,"depth":%d}`, r.ID, c.queue.Len()))
-	}
 	return true
 }
 
@@ -369,38 +355,15 @@ func (c *Controller) tick(now sim.Cycle) {
 	} else {
 		c.stats.Reads++
 	}
-	if r.Traced {
-		rk := c.rankTracks[loc.Rank]
-		if rowHit {
-			c.trace.Instant(rk, "cas.rowhit", now,
-				fmt.Sprintf(`{"req":%d,"bank":%d,"row":%d}`, r.ID, loc.Bank, loc.Row))
-		} else {
-			c.trace.Instant(rk, "activate", now,
-				fmt.Sprintf(`{"req":%d,"bank":%d,"row":%d}`, r.ID, loc.Bank, loc.Row))
-		}
-		// The DRAM service interval: scheduling until the array delivers.
-		c.trace.Begin(rk, "dram.access", now)
-		c.trace.End(rk, "dram.access", dataAt)
-	}
 	// The line crosses the channel data bus once the array delivers (or,
 	// for writes, symmetric occupancy to carry the data in).
 	start, end := c.p.DataBus.ReserveTagged(dataAt, c.p.LineBytes, r.Attrib)
 	if c.p.CriticalWordFirst && !write {
 		// The demand word leads the burst: the requester restarts after
 		// the first beat even though the tail still occupies the bus.
-		word := c.p.WordBytes
-		if word <= 0 {
-			word = 8
-		}
-		if early := start + c.p.DataBus.TransferCyclesAt(start, word); early < end {
+		if early := start + c.p.DataBus.TransferCyclesAt(start, wordBytes); early < end {
 			end = early
 		}
-	}
-	if r.Traced {
-		// The burst across the channel data bus; bus reservations are
-		// serialized, so these slices never overlap on the MC track.
-		c.trace.Begin(c.mcTrack, "burst", start)
-		c.trace.End(c.mcTrack, "burst", end)
 	}
 	c.done.AtCall(end, c.respondFn, r)
 }

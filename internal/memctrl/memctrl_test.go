@@ -269,8 +269,8 @@ func TestCriticalWordFirstCompletesEarly(t *testing.T) {
 			AMap: amap, Ranks: []*dram.Rank{dram.NewRank(timing, 4, 1, 0, 1000)},
 			QueueCap: 8, DataBus: bus.New(8, 4, true), // 2D FSB: 16 cycles per line
 			Divider: sim.NewDivider(4), FRFCFS: true, LineBytes: 64,
-			CriticalWordFirst: cwf, WordBytes: 8,
-			Respond: func(r *mem.Request, now sim.Cycle) { *out = now },
+			CriticalWordFirst: cwf,
+			Respond:           func(r *mem.Request, now sim.Cycle) { *out = now },
 		})
 	}
 	var plain, early sim.Cycle
@@ -299,7 +299,7 @@ func TestCriticalWordFirstStillOccupiesBus(t *testing.T) {
 	c := New(Params{
 		AMap: amap, Ranks: []*dram.Rank{dram.NewRank(timing, 4, 1, 0, 1000)},
 		QueueCap: 8, DataBus: databus, Divider: sim.NewDivider(4),
-		FRFCFS: true, LineBytes: 64, CriticalWordFirst: true, WordBytes: 8,
+		FRFCFS: true, LineBytes: 64, CriticalWordFirst: true,
 		Respond: func(*mem.Request, sim.Cycle) { done++ },
 	})
 	c.Submit(req(1, 0x1000, mem.Read), 0)
@@ -320,7 +320,7 @@ func TestCriticalWordFirstDoesNotApplyToWrites(t *testing.T) {
 	c := New(Params{
 		AMap: amap, Ranks: []*dram.Rank{dram.NewRank(timing, 4, 1, 0, 1000)},
 		QueueCap: 8, DataBus: bus.New(8, 1, false), Divider: sim.NewDivider(1),
-		FRFCFS: true, LineBytes: 64, CriticalWordFirst: true, WordBytes: 8,
+		FRFCFS: true, LineBytes: 64, CriticalWordFirst: true,
 		Respond: func(r *mem.Request, now sim.Cycle) { at = now },
 	})
 	c.Submit(req(1, 0x1000, mem.Writeback), 0)

@@ -16,10 +16,11 @@ type Options struct {
 	Dir string
 	// SampleEvery is the time-series interval in cycles (0 = no sampler).
 	SampleEvery int64
-	// TraceEvents enables the request-lifecycle tracer.
+	// TraceEvents enables the Chrome trace, which an attribution
+	// collector draws from its tags (internal/attrib).
 	TraceEvents bool
-	// TraceSample admits one in N request lifecycles to the trace
-	// (<=1 = every request).
+	// TraceSample admits one in N demand-miss lifecycles to the trace
+	// (<=1 = every one).
 	TraceSample int
 }
 

@@ -223,12 +223,11 @@ func TestNilSamplerAndTracerAreNoOps(t *testing.T) {
 		t.Fatal("nil sampler must have no rows")
 	}
 	var tr *Tracer
-	if tr.SampleReq() {
+	if tr.Samples(0) {
 		t.Fatal("nil tracer must never sample")
 	}
 	track := tr.Track("p", "t")
-	tr.Begin(track, "x", 1)
-	tr.End(track, "x", 2)
+	tr.Complete(tr.Lane("p", "t", 1, 2), "x", 1, 2, "")
 	tr.Instant(track, "y", 1, "")
 	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer must record nothing")
@@ -246,7 +245,7 @@ func TestTracerSamplingIsDeterministicModulo(t *testing.T) {
 	tr := NewTracer(4)
 	var admitted []int
 	for i := 0; i < 12; i++ {
-		if tr.SampleReq() {
+		if tr.Samples(uint64(i)) {
 			admitted = append(admitted, i)
 		}
 	}

@@ -20,11 +20,11 @@ type Track struct {
 // cycles, rendered as the viewer's microsecond field (1 cycle = 1 "µs"
 // on screen); no wall-clock time is ever recorded.
 type event struct {
-	name string
-	ph   byte // 'B', 'E', 'i', 'M'
-	ts   sim.Cycle
-	tr   Track
-	arg  string // optional pre-rendered JSON args object
+	name    string
+	ph      byte // 'X' (complete), 'i' (instant), 'M' (metadata)
+	ts, dur sim.Cycle
+	tr      Track
+	arg     string // optional pre-rendered JSON args object
 }
 
 // DefaultMaxEvents bounds the in-memory trace buffer (~96 bytes/event).
@@ -36,16 +36,18 @@ const DefaultMaxEvents = 1 << 20
 // immediately, so tracing costs one nil check when disabled.
 //
 // Full-fidelity traces of every request would dominate run time and
-// memory, so lifecycles are sampled: SampleReq deterministically admits
-// one in every sampleRate requests (cycle-ordered, so a given seed and
-// configuration always traces the same requests), and the event buffer
-// is capped at MaxEvents (drops are counted, never silent).
+// memory, so lifecycles are sampled: Samples admits one in every
+// sampleRate lifecycles by the order they were opened in (so a given
+// seed and configuration always traces the same ones), and the event
+// buffer is capped at MaxEvents (drops are counted, never silent).
 type Tracer struct {
 	sampleRate uint64
-	seen       uint64
 	events     []event
 	procs      map[string]int
 	threads    map[string]Track
+	// laneFree holds, per thread given to Lane, the cycle the last span
+	// on each of its lanes ends.
+	laneFree map[string][]sim.Cycle
 	// MaxEvents caps the buffer; 0 means DefaultMaxEvents.
 	MaxEvents int
 	dropped   uint64
@@ -61,18 +63,16 @@ func NewTracer(sampleRate int) *Tracer {
 		sampleRate: uint64(sampleRate),
 		procs:      make(map[string]int),
 		threads:    make(map[string]Track),
+		laneFree:   make(map[string][]sim.Cycle),
 	}
 }
 
-// SampleReq reports whether the next request lifecycle should be
-// traced. The decision is a deterministic modulo over a request
-// counter, not a random draw, preserving run reproducibility.
-func (t *Tracer) SampleReq() bool {
-	if t == nil {
-		return false
-	}
-	t.seen++
-	return (t.seen-1)%t.sampleRate == 0
+// Samples reports whether lifecycle n — counted from 0 in the order its
+// producer opens them — is traced. The decision is a deterministic
+// modulo, not a random draw, preserving run reproducibility. A nil
+// tracer samples nothing.
+func (t *Tracer) Samples(n uint64) bool {
+	return t != nil && n%t.sampleRate == 0
 }
 
 // Track resolves (and on first use creates) the track for the given
@@ -97,6 +97,30 @@ func (t *Tracer) Track(process, thread string) Track {
 	return tr
 }
 
+// Lane returns the track of the first of thread's lanes — the thread
+// itself, then "<thread> #2", "#3", … — on which no span runs past
+// start, and holds that lane until end. A viewer nests the complete
+// events of one thread, so spans that only partly overlap must sit on
+// different threads. Nil tracer → zero Track.
+func (t *Tracer) Lane(process, thread string, start, end sim.Cycle) Track {
+	if t == nil {
+		return Track{}
+	}
+	key := process + "\x00" + thread
+	free, i := t.laneFree[key], 0
+	for i < len(free) && free[i] > start {
+		i++
+	}
+	if i == len(free) {
+		free = append(free, 0)
+	}
+	free[i], t.laneFree[key] = end, free
+	if i > 0 {
+		thread = fmt.Sprintf("%s #%d", thread, i+1)
+	}
+	return t.Track(process, thread)
+}
+
 func (t *Tracer) meta(kind string, tr Track, name string) {
 	t.events = append(t.events, event{
 		name: kind, ph: 'M', tr: tr,
@@ -105,6 +129,9 @@ func (t *Tracer) meta(kind string, tr Track, name string) {
 }
 
 func (t *Tracer) push(e event) {
+	if t == nil || e.tr == (Track{}) {
+		return
+	}
 	max := t.MaxEvents
 	if max <= 0 {
 		max = DefaultMaxEvents
@@ -116,28 +143,16 @@ func (t *Tracer) push(e event) {
 	t.events = append(t.events, e)
 }
 
-// Begin opens a duration slice named name on tr at cycle now.
-func (t *Tracer) Begin(tr Track, name string, now sim.Cycle) {
-	if t == nil || tr == (Track{}) {
-		return
-	}
-	t.push(event{name: name, ph: 'B', ts: now, tr: tr})
-}
-
-// End closes the most recent open slice on tr at cycle now.
-func (t *Tracer) End(tr Track, name string, now sim.Cycle) {
-	if t == nil || tr == (Track{}) {
-		return
-	}
-	t.push(event{name: name, ph: 'E', ts: now, tr: tr})
+// Complete records a span named name on tr from cycle start to cycle
+// end, optionally carrying a pre-rendered JSON args object (pass "" for
+// none).
+func (t *Tracer) Complete(tr Track, name string, start, end sim.Cycle, args string) {
+	t.push(event{name: name, ph: 'X', ts: start, dur: end - start, tr: tr, arg: args})
 }
 
 // Instant marks a point event on tr at cycle now, optionally carrying a
 // pre-rendered JSON args object (pass "" for none).
 func (t *Tracer) Instant(tr Track, name string, now sim.Cycle, args string) {
-	if t == nil || tr == (Track{}) {
-		return
-	}
 	t.push(event{name: name, ph: 'i', ts: now, tr: tr, arg: args})
 }
 
@@ -158,8 +173,8 @@ func (t *Tracer) Dropped() uint64 {
 }
 
 // WriteJSON writes the trace in Chrome trace_event "JSON object"
-// format. Event order is emission order, which is cycle order within a
-// deterministic run.
+// format. Event order is emission order, which a deterministic run
+// repeats exactly; the viewers order events by timestamp themselves.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, `{"traceEvents":[]}`)
@@ -172,11 +187,11 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 			b.WriteString(",\n")
 		}
 		fmt.Fprintf(&b, `{"name":%q,"ph":%q,"pid":%d,"tid":%d`, e.name, string(e.ph), e.tr.pid, e.tr.tid)
-		if e.ph != 'M' {
-			fmt.Fprintf(&b, `,"ts":%d`, int64(e.ts))
-		}
-		if e.ph == 'i' {
-			b.WriteString(`,"s":"t"`)
+		switch e.ph {
+		case 'X':
+			fmt.Fprintf(&b, `,"ts":%d,"dur":%d`, int64(e.ts), int64(e.dur))
+		case 'i':
+			fmt.Fprintf(&b, `,"ts":%d,"s":"t"`, int64(e.ts))
 		}
 		if e.arg != "" {
 			fmt.Fprintf(&b, `,"args":%s`, e.arg)

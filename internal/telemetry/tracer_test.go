@@ -11,25 +11,31 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// buildLifecycleTrace emits the canonical sampled request lifecycle the
-// simulator produces: L2 miss on a core track, MSHR alloc, MC enqueue,
-// DRAM activate/CAS, burst, fill.
+// buildLifecycleTrace emits the canonical sampled miss the attribution
+// collector draws: an l2.miss span on a core lane tiled by its stage
+// spans, MSHR alloc and fill instants, the MC enqueue and burst, and
+// the rank's activate and array access — plus a second miss's array
+// access overlapping the first on the same rank, which Lane moves to an
+// overflow thread.
 func buildLifecycleTrace() *Tracer {
 	tr := NewTracer(1)
-	core0 := tr.Track("cores", "core0")
+	miss := `{"miss":1}`
+	core0 := tr.Lane("cores", "core0", 100, 163)
 	mc0 := tr.Track("mcs", "mc0")
 	rank0 := tr.Track("dram", "mc0.rank0")
 
-	tr.Begin(core0, "l2.miss", 100)
-	tr.Instant(core0, "mshr.alloc", 100, `{"req":7,"line":"0x40","bank":0}`)
-	tr.Instant(mc0, "mrq.enqueue", 112, `{"req":8,"depth":3}`)
-	tr.Instant(rank0, "activate", 120, `{"req":8,"bank":2,"row":5}`)
-	tr.Begin(rank0, "dram.access", 120)
-	tr.End(rank0, "dram.access", 155)
-	tr.Begin(mc0, "burst", 155)
-	tr.End(mc0, "burst", 163)
-	tr.Instant(core0, "fill", 163, `{"req":8,"waiters":1,"rowhit":false}`)
-	tr.End(core0, "l2.miss", 163)
+	tr.Complete(core0, "l2.miss", 100, 163, miss)
+	tr.Instant(core0, "mshr.alloc", 102, miss)
+	tr.Complete(core0, "mshr", 100, 112, miss)
+	tr.Complete(core0, "queue", 112, 120, miss)
+	tr.Complete(core0, "dram", 120, 155, miss)
+	tr.Complete(core0, "bus", 155, 163, miss)
+	tr.Instant(core0, "fill", 163, miss)
+	tr.Instant(mc0, "mrq.enqueue", 112, miss)
+	tr.Complete(tr.Lane("mcs", "mc0", 155, 163), "burst", 155, 163, miss)
+	tr.Instant(rank0, "activate", 120, miss)
+	tr.Complete(tr.Lane("dram", "mc0.rank0", 120, 155), "dram.access", 120, 155, miss)
+	tr.Complete(tr.Lane("dram", "mc0.rank0", 130, 150), "dram.access", 130, 150, `{"miss":2}`)
 	return tr
 }
 
@@ -63,8 +69,9 @@ func TestTraceGolden(t *testing.T) {
 }
 
 // TestTraceJSONShape checks the structural contract the viewers rely
-// on: a traceEvents array whose records carry name/ph/pid/tid, 'B'/'E'
-// pairs on the same track, and metadata naming every process/thread.
+// on: a traceEvents array whose records carry name/ph/pid/tid, complete
+// events with a duration, no two spans on one thread that only partly
+// overlap, and metadata naming every process/thread.
 func TestTraceJSONShape(t *testing.T) {
 	var b strings.Builder
 	if err := buildLifecycleTrace().WriteJSON(&b); err != nil {
@@ -77,6 +84,7 @@ func TestTraceJSONShape(t *testing.T) {
 			Pid  int             `json:"pid"`
 			Tid  int             `json:"tid"`
 			TS   *int64          `json:"ts"`
+			Dur  *int64          `json:"dur"`
 			S    string          `json:"s"`
 			Args json.RawMessage `json:"args"`
 		} `json:"traceEvents"`
@@ -84,7 +92,8 @@ func TestTraceJSONShape(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	open := map[[2]int]int{}
+	type span struct{ start, end int64 }
+	spans := map[[2]int][]span{}
 	var metas, instants int
 	for _, e := range doc.TraceEvents {
 		switch e.Ph {
@@ -93,14 +102,11 @@ func TestTraceJSONShape(t *testing.T) {
 			if len(e.Args) == 0 {
 				t.Fatalf("metadata event %q without args", e.Name)
 			}
-		case "B":
-			open[[2]int{e.Pid, e.Tid}]++
-		case "E":
-			key := [2]int{e.Pid, e.Tid}
-			open[key]--
-			if open[key] < 0 {
-				t.Fatalf("unbalanced E for %q on pid=%d tid=%d", e.Name, e.Pid, e.Tid)
+		case "X":
+			if e.Dur == nil || *e.Dur < 0 {
+				t.Fatalf("complete event %q without a duration", e.Name)
 			}
+			spans[[2]int{e.Pid, e.Tid}] = append(spans[[2]int{e.Pid, e.Tid}], span{*e.TS, *e.TS + *e.Dur})
 		case "i":
 			instants++
 			if e.S != "t" {
@@ -113,13 +119,18 @@ func TestTraceJSONShape(t *testing.T) {
 			t.Fatalf("event %q without ts", e.Name)
 		}
 	}
-	for key, n := range open {
-		if n != 0 {
-			t.Fatalf("track %v left %d spans open", key, n)
+	for key, ss := range spans {
+		for i, a := range ss {
+			for _, c := range ss[i+1:] {
+				nested := (a.start <= c.start && c.end <= a.end) || (c.start <= a.start && a.end <= c.end)
+				if !nested && a.start < c.end && c.start < a.end {
+					t.Fatalf("track %v holds partly overlapping spans %v and %v", key, a, c)
+				}
+			}
 		}
 	}
-	if metas != 6 { // 3 process_name + 3 thread_name
-		t.Fatalf("%d metadata events, want 6", metas)
+	if metas != 7 { // 3 process_name + 4 thread_name (mc0.rank0 #2 included)
+		t.Fatalf("%d metadata events, want 7", metas)
 	}
 	if instants != 4 {
 		t.Fatalf("%d instants, want 4", instants)

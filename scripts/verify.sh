@@ -51,6 +51,21 @@ if [ -n "$moved" ]; then
 	exit 1
 fi
 
+# A miss's life is recorded once, on its attribution tag: the Chrome
+# trace is drawn from finished tags by attrib.Collector, which core hands
+# the tracer. A component holding a tracer, or a request carrying a trace
+# mark, is a second recorder of the same misses.
+echo "== no *telemetry.Tracer outside telemetry, attrib, core and cmd/; no trace field on mem.Request"
+hooks=$(
+	grep -rn --include='*.go' '\*telemetry\.Tracer' internal cmd | grep -v '_test\.go:' | grep -vE '^(internal/(telemetry|attrib|core)/|cmd/)' || true
+	awk '/^type Request struct/,/^}/' internal/mem/request.go | grep -E '^[[:space:]]*[A-Za-z_]*[Tt]rac[A-Za-z_]*[[:space:]]' || true
+)
+if [ -n "$hooks" ]; then
+	echo "$hooks" >&2
+	echo "verify: a second trace recorder has moved back in" >&2
+	exit 1
+fi
+
 # A command is `func main() { os.Exit(run(args, stdout, stderr)) }` and
 # nothing else exits: deferred cleanups run on every path, and the exit
 # codes and messages are tested in-process by its main_test.go.
