@@ -40,6 +40,12 @@ const (
 	stateShift = 1
 )
 
+// prefetched is the state byte the L1 and the shared L2, whose arrays keep
+// no other state there, give a line a prefetch installed and demand has
+// not touched yet. Held in the way, the mark leaves with the line —
+// eviction and Invalidate drop it — and a statistics reset keeps it.
+const prefetched uint8 = 1
+
 // Array is a passive set-associative cache array with true-LRU
 // replacement. All addresses passed in must be line-aligned.
 //
@@ -133,15 +139,48 @@ func (a *Array) find(lineAddr mem.Addr) int {
 
 // Lookup probes for lineAddr, updating LRU and stats on a hit.
 func (a *Array) Lookup(lineAddr mem.Addr) bool {
+	_, hit := a.LookupState(lineAddr)
+	return hit
+}
+
+// LookupState is Lookup for an owner that keeps a state byte with each
+// line: the scan that finds the way also reports its state (zero on a
+// miss).
+func (a *Array) LookupState(lineAddr mem.Addr) (state uint8, hit bool) {
 	a.stats.Lookups++
 	i := a.find(lineAddr)
 	if i < 0 {
-		return false
+		return 0, false
 	}
 	a.stats.Hits++
+	a.touch(i)
+	return uint8(a.tags[i] >> stateShift), true
+}
+
+// Grant is the probe of an owner whose state byte decides whether a
+// resident line can serve an access (a private L2's shared copy cannot
+// serve a store). A line held in any state but deny counts as a lookup
+// and a hit and becomes most recently used; an absent line, or one held
+// in state deny, leaves stats and LRU alone. Either way one scan reports
+// the line's state, zero if absent.
+func (a *Array) Grant(lineAddr mem.Addr, deny uint8) (state uint8, ok bool) {
+	i := a.find(lineAddr)
+	if i < 0 {
+		return 0, false
+	}
+	if state = uint8(a.tags[i] >> stateShift); state == deny {
+		return state, false
+	}
+	a.stats.Lookups++
+	a.stats.Hits++
+	a.touch(i)
+	return state, true
+}
+
+// touch makes the way whose metadata word sits at i most recently used.
+func (a *Array) touch(i int) {
 	a.clock++
 	a.tags[i] = a.clock<<flagBits | a.tags[i]&flagMask
-	return true
 }
 
 // Contains probes without touching LRU state or stats.

@@ -52,17 +52,17 @@ type L1 struct {
 	latency   sim.Cycle
 	lineBytes int
 	mshrCap   int
-	misses    map[mem.Addr]*l1Miss
+	misses    MissTable[l1Miss]
 	out       Outbox // toward the level below
 	ids       *mem.IDSource
 	stride    *prefetch.Stride
 	nextline  bool
 	stats     L1Stats
 
-	// Prefetch effectiveness (observation only): lines a prefetch
-	// installed that demand has not yet touched.
-	pfPending map[mem.Addr]struct{}
-	pfStats   prefetch.Stats
+	// Prefetch effectiveness (observation only). A line a prefetch
+	// installed that demand has not yet touched carries the state byte
+	// prefetched in its way.
+	pfStats prefetch.Stats
 
 	// handle, when set, lets the controller sleep whenever the outbox
 	// is empty — Tick's only job is retrying rejected requests.
@@ -118,11 +118,10 @@ func NewL1(p L1Params) *L1 {
 		latency:   p.Latency,
 		lineBytes: p.LineBytes,
 		mshrCap:   p.MSHRs,
-		misses:    make(map[mem.Addr]*l1Miss),
+		misses:    NewMissTable[l1Miss](p.MSHRs),
 		out:       NewOutbox(p.Below),
 		ids:       p.IDs,
 		nextline:  p.Prefetch,
-		pfPending: make(map[mem.Addr]struct{}),
 		storeHint: p.StoreHint,
 	}
 	if p.Prefetch {
@@ -158,14 +157,16 @@ func (l *L1) SettleBlocked(store bool, k uint64) {
 	l.arr.stats.Lookups += k
 }
 
-// freeMSHR deletes the MSHR entry for ln and, if the core was turned
-// away since the last one freed, wakes it to retry.
-func (l *L1) freeMSHR(ln mem.Addr) {
-	delete(l.misses, ln)
+// freeMSHR deletes and returns the MSHR entry for ln (nil if there is
+// none) and, if the core was turned away since the last one freed, wakes
+// it to retry.
+func (l *L1) freeMSHR(ln mem.Addr) *l1Miss {
+	m := l.misses.Remove(ln)
 	if l.sawBlocked {
 		l.sawBlocked = false
 		l.owner.Wake()
 	}
+	return m
 }
 
 // newMiss returns a recycled (or fresh) miss node.
@@ -186,12 +187,12 @@ func (l *L1) ArrayStats() *ArrayStats { return l.arr.Stats() }
 func (l *L1) Latency() sim.Cycle { return l.latency }
 
 // OutstandingMisses reports live MSHR entries.
-func (l *L1) OutstandingMisses() int { return len(l.misses) }
+func (l *L1) OutstandingMisses() int { return l.misses.Len() }
 
 // InFlight counts what the controller still holds: live MSHR entries
 // and requests the level below rejected — among them victim writebacks,
 // which hold no entry. Zero exactly when the L1 has drained.
-func (l *L1) InFlight() int { return len(l.misses) + l.out.Len() }
+func (l *L1) InFlight() int { return l.misses.Len() + l.out.Len() }
 
 func (l *L1) line(a mem.Addr) mem.Addr { return a &^ mem.Addr(l.lineBytes-1) }
 
@@ -205,10 +206,10 @@ func (l *L1) Access(now sim.Cycle, pc uint64, addr mem.Addr, store bool, done fu
 		l.stats.Loads++
 	}
 	ln := l.line(addr)
-	if l.arr.Lookup(ln) {
-		if _, ok := l.pfPending[ln]; ok {
+	if st, hit := l.arr.LookupState(ln); hit {
+		if st == prefetched {
 			l.pfStats.Useful++
-			delete(l.pfPending, ln)
+			l.arr.SetState(ln, 0)
 		}
 		if store {
 			l.arr.MarkDirty(ln)
@@ -219,7 +220,7 @@ func (l *L1) Access(now sim.Cycle, pc uint64, addr mem.Addr, store bool, done fu
 		l.train(now, pc, addr)
 		return Hit
 	}
-	if m, ok := l.misses[ln]; ok {
+	if m := l.misses.Find(ln); m != nil {
 		// Secondary miss: merge.
 		l.stats.Merges++
 		m.waiters = append(m.waiters, done)
@@ -232,7 +233,7 @@ func (l *L1) Access(now sim.Cycle, pc uint64, addr mem.Addr, store bool, done fu
 		l.train(now, pc, addr)
 		return Miss
 	}
-	if len(l.misses) >= l.mshrCap {
+	if l.misses.Len() >= l.mshrCap {
 		l.stats.Blocked++
 		l.sawBlocked = true
 		return Blocked
@@ -240,7 +241,7 @@ func (l *L1) Access(now sim.Cycle, pc uint64, addr mem.Addr, store bool, done fu
 	l.stats.Misses++
 	m := l.newMiss(ln, false, store)
 	m.waiters = append(m.waiters, done)
-	l.misses[ln] = m
+	l.misses.Add(ln, m)
 	r := l.ids.NewRequest()
 	r.Kind = mem.Read // write-allocate: fetch the line even for stores
 	r.Excl = store    // ownership intent for a coherent private L2
@@ -274,15 +275,15 @@ func (l *L1) maybePrefetch(now sim.Cycle, pc uint64, addr mem.Addr) {
 	if l.arr.Contains(ln) {
 		return
 	}
-	if _, pending := l.misses[ln]; pending {
+	if l.misses.Find(ln) != nil {
 		return
 	}
-	if len(l.misses) >= l.mshrCap {
+	if l.misses.Len() >= l.mshrCap {
 		return // never stall demand traffic for a prefetch
 	}
 	l.stats.Prefetches++
 	l.pfStats.Issued++
-	l.misses[ln] = l.newMiss(ln, true, false)
+	l.misses.Add(ln, l.newMiss(ln, true, false))
 	r := l.ids.NewRequest()
 	r.Kind = mem.Prefetch
 	r.Addr = addr
@@ -308,8 +309,8 @@ func (l *L1) handleDone(r *mem.Request, now sim.Cycle) {
 // merged into it while it was in flight, the line is re-requested as
 // demand traffic; otherwise the MSHR entry simply goes away.
 func (l *L1) drop(r *mem.Request, now sim.Cycle) {
-	m, ok := l.misses[r.Line]
-	if !ok {
+	m := l.misses.Find(r.Line)
+	if m == nil {
 		panic(fmt.Sprintf("cache: L1 drop for unknown line %#x", uint64(r.Line)))
 	}
 	if len(m.waiters) == 0 && !m.dirty {
@@ -335,25 +336,23 @@ func (l *L1) drop(r *mem.Request, now sim.Cycle) {
 // fill handles a returning line: install it, write back any dirty victim,
 // and wake the waiters.
 func (l *L1) fill(ln mem.Addr, now sim.Cycle) {
-	m, ok := l.misses[ln]
-	if !ok {
+	m := l.freeMSHR(ln)
+	if m == nil {
 		panic(fmt.Sprintf("cache: L1 fill for unknown line %#x", uint64(ln)))
 	}
-	l.freeMSHR(ln)
-	victim, victimDirty, evicted := l.arr.Fill(ln, m.dirty)
-	if evicted {
-		delete(l.pfPending, victim)
-	}
 	// A prefetch-opened miss that demand merged into was useful on
-	// arrival; an untouched one waits for a demand hit or eviction.
+	// arrival; an untouched one is marked in its way until a demand hit
+	// (useful) or its eviction (wasted) decides.
+	var st uint8
 	if m.prefetch {
 		if len(m.waiters) > 0 || m.dirty {
 			l.pfStats.Useful++
 		} else {
-			l.pfPending[ln] = struct{}{}
+			st = prefetched
 		}
 	}
-	if evicted && victimDirty {
+	victim, victimFlags, evicted := l.arr.fill(ln, m.dirty, st)
+	if evicted && victimFlags&dirtyFlag != 0 {
 		l.stats.Writebacks++
 		l.out.Send(l.ids.Writeback(victim, l.core, now), now)
 	}
@@ -379,7 +378,6 @@ func (l *L1) Tick(now sim.Cycle) {
 // in-flight miss for the same line is untouched — its fill belongs to
 // the next coherence epoch and lands normally.
 func (l *L1) InvalidateLine(ln mem.Addr) (wasPresent, wasDirty bool) {
-	delete(l.pfPending, ln)
 	return l.arr.Invalidate(ln)
 }
 
@@ -393,7 +391,7 @@ func (l *L1) PrefetchStats() prefetch.Stats {
 }
 
 // ResetStats zeroes the counters (end of warmup). Lines prefetched
-// during warmup may still prove useful, so pfPending survives.
+// during warmup may still prove useful, so their marks survive.
 func (l *L1) ResetStats() {
 	l.stats = L1Stats{}
 	l.pfStats = prefetch.Stats{}

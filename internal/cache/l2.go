@@ -105,12 +105,11 @@ type L2 struct {
 	stats    L2Stats
 	missesBy []uint64 // demand misses per core (MPKI accounting)
 
-	// Prefetch effectiveness: lines brought in by an L2 prefetch and not
-	// yet touched by demand, keyed by global line address. Bounded by
-	// cache capacity (evictions delete their key). Pure observation —
-	// never consulted for a simulation decision.
-	pfPending map[mem.Addr]struct{}
-	pfStats   prefetch.Stats
+	// Prefetch effectiveness. A line an L2 prefetch brought in that
+	// demand has not yet touched carries the state byte prefetched in its
+	// bank array's way. Pure observation — never consulted for a
+	// simulation decision.
+	pfStats prefetch.Stats
 
 	// crossPenalty is the extra latency for L2-bank-to-MC routing when
 	// banking granularities are mismatched (line-interleaved L2 with
@@ -179,7 +178,6 @@ func NewL2(p L2Params) *L2 {
 	for m, mc := range p.MCs {
 		l.wb[m] = NewOutbox(mc)
 	}
-	l.pfPending = make(map[mem.Addr]struct{})
 	for b := 0; b < cfg.L2Banks; b++ {
 		l.banks = append(l.banks, &l2bank{
 			arr: NewArray(fmt.Sprintf("L2b%d", b), sets, cfg.L2Ways, cfg.LineBytes),
@@ -513,9 +511,9 @@ func (l *L2) drainMSHRWaiters(now sim.Cycle) {
 		for r, ok := w.q.Peek(); ok; r, ok = w.q.Peek() {
 			l.headPolls++
 			arr := l.banks[l.bankFor(r.Line)].arr
-			if arr.Lookup(l.toLocal(r.Line)) {
+			if st, hit := arr.LookupState(l.toLocal(r.Line)); hit {
 				l.stats.Hits++
-				l.notePrefetchUse(r.Line)
+				l.notePrefetchUse(arr, r.Line, st)
 				done := now + l.latency
 				// The miss resolved while set aside: another request
 				// filled the line, so the whole lifetime was MSHR wait
@@ -558,11 +556,11 @@ func (l *L2) tickBank(b *l2bank, now sim.Cycle) {
 		return
 	default:
 		l.stats.Accesses++
-		if b.arr.Lookup(l.toLocal(r.Line)) {
+		if st, hit := b.arr.LookupState(l.toLocal(r.Line)); hit {
 			b.inq.Pop()
 			b.busy = now + 1
 			l.stats.Hits++
-			l.notePrefetchUse(r.Line)
+			l.notePrefetchUse(b.arr, r.Line, st)
 			l.events.AtCall(now+l.latency, l.completeReq, r)
 			l.trainPrefetch(now, r)
 			return
@@ -698,22 +696,10 @@ func (l *L2) retryMCs(now sim.Cycle) {
 // handleFill receives a line from memory: install it in the right bank,
 // write back the victim if dirty, wake every waiter, release the entry.
 func (l *L2) handleFill(mshrIdx int, e *mshr.Entry, read *mem.Request, at sim.Cycle) {
-	bankIdx := l.bankFor(e.Line)
-	b := l.banks[bankIdx]
-	victim, victimDirty, evicted := b.arr.Fill(l.toLocal(e.Line), e.Dirty)
-	if evicted {
-		delete(l.pfPending, l.toGlobal(victim, bankIdx))
-	}
-	if evicted && victimDirty {
-		l.stats.WritebacksOut++
-		victimLine := l.toGlobal(victim, bankIdx)
-		// at, not l.now: a fill runs from a controller's tick, when l.now
-		// is stale from the L2's last one.
-		l.wb[l.mcFor(victimLine)].Send(l.ids.Writeback(victimLine, -1, at), at)
-	}
 	// Prefetch accounting: a prefetch-initiated fill that a demand miss
-	// merged into was useful immediately; otherwise remember the line
-	// until a demand hit (useful) or eviction (wasted) decides.
+	// merged into was useful immediately; otherwise the line is marked in
+	// its way until a demand hit (useful) or its eviction (wasted) decides.
+	var st uint8
 	if p := e.Primary(); p != nil && p.Kind == mem.Prefetch && p.Core < 0 {
 		demandWaiter := false
 		for _, w := range e.Waiters {
@@ -725,8 +711,18 @@ func (l *L2) handleFill(mshrIdx int, e *mshr.Entry, read *mem.Request, at sim.Cy
 		if demandWaiter {
 			l.pfStats.Useful++
 		} else {
-			l.pfPending[e.Line] = struct{}{}
+			st = prefetched
 		}
+	}
+	bankIdx := l.bankFor(e.Line)
+	b := l.banks[bankIdx]
+	victim, victimFlags, evicted := b.arr.fill(l.toLocal(e.Line), e.Dirty, st)
+	if evicted && victimFlags&dirtyFlag != 0 {
+		l.stats.WritebacksOut++
+		victimLine := l.toGlobal(victim, bankIdx)
+		// at, not l.now: a fill runs from a controller's tick, when l.now
+		// is stale from the L2's last one.
+		l.wb[l.mcFor(victimLine)].Send(l.ids.Writeback(victimLine, -1, at), at)
 	}
 	// Close the lifecycles: the primary's tag (carried by the derived
 	// read) gets the full stage decomposition; merged secondaries
@@ -752,12 +748,13 @@ func (l *L2) handleFill(mshrIdx int, e *mshr.Entry, read *mem.Request, at sim.Cy
 	}
 }
 
-// notePrefetchUse marks a demand touch on a line: if an L2 prefetch
-// brought it in and demand had not yet used it, the prefetch was useful.
-func (l *L2) notePrefetchUse(line mem.Addr) {
-	if _, ok := l.pfPending[line]; ok {
+// notePrefetchUse records a demand hit on line, found in its bank array
+// arr in state st: if an L2 prefetch brought the line in and demand had
+// not yet used it, the prefetch was useful, and the mark goes.
+func (l *L2) notePrefetchUse(arr *Array, line mem.Addr, st uint8) {
+	if st == prefetched {
 		l.pfStats.Useful++
-		delete(l.pfPending, line)
+		arr.SetState(l.toLocal(line), 0)
 	}
 }
 
@@ -810,8 +807,8 @@ func (l *L2) trainPrefetch(now sim.Cycle, r *mem.Request) {
 }
 
 // ResetStats zeroes the L2 counters, including per-core miss accounting
-// and each bank array's statistics (end of warmup). The pfPending set
-// survives: lines prefetched during warmup can still prove useful.
+// and each bank array's statistics (end of warmup). The prefetch marks
+// survive: lines prefetched during warmup can still prove useful.
 func (l *L2) ResetStats() {
 	l.stats = L2Stats{}
 	l.pfStats = prefetch.Stats{}

@@ -218,7 +218,7 @@ func (f *Fabric) DeferredRequests() int {
 func (f *Fabric) InFlight() int {
 	n := f.mesh.InFlight()
 	for _, l := range f.l2s {
-		n += len(l.misses) + len(l.wb) + l.inbox.Len() + l.out.Len() + l.hits.Len()
+		n += l.misses.Len() + len(l.wb) + l.inbox.Len() + l.out.Len() + l.hits.Len()
 	}
 	for _, d := range f.dirs {
 		n += d.inbox.Len() + d.out.Len() + d.toMC.Len() + d.lookups.Len()
@@ -234,7 +234,7 @@ func (f *Fabric) InFlight() int {
 func (f *Fabric) CheckDrained() error {
 	var errs []error
 	for c, l := range f.l2s {
-		if n := len(l.misses); n != 0 {
+		if n := l.misses.Len(); n != 0 {
 			errs = append(errs, fmt.Errorf("private L2 %d holds %d outstanding misses after quiesce", c, n))
 		}
 		if n := len(l.wb); n != 0 {

@@ -84,7 +84,7 @@ type PrivateL2 struct {
 
 	hits *sim.Delay[*mem.Request] // hits on their way back to the L1
 
-	misses map[mem.Addr]*pl2Miss
+	misses cache.MissTable[pl2Miss]
 	wb     map[mem.Addr]*wbEntry
 
 	// dl1/il1 are the L1s stacked above, invalidated alongside this
@@ -105,7 +105,7 @@ func newPrivateL2(f *Fabric, id int) *PrivateL2 {
 		arr:      cache.NewArrayBySize(fmt.Sprintf("pl2.%d", id), cfg.PrivL2KB*1024, cfg.PrivL2Ways, cfg.LineBytes),
 		cap:      cfg.PrivL2MSHRs,
 		hits:     sim.NewDelay[*mem.Request](sim.Cycle(cfg.PrivL2Latency)),
-		misses:   make(map[mem.Addr]*pl2Miss),
+		misses:   cache.NewMissTable[pl2Miss](cfg.PrivL2MSHRs),
 		wb:       make(map[mem.Addr]*wbEntry),
 	}
 	return p
@@ -125,7 +125,7 @@ func (p *PrivateL2) State(line mem.Addr) pstate { return pstate(p.arr.State(line
 func (p *PrivateL2) setState(line mem.Addr, st pstate) { p.arr.SetState(line, uint8(st)) }
 
 // OutstandingMisses reports live miss-table entries — test hook.
-func (p *PrivateL2) OutstandingMisses() int { return len(p.misses) }
+func (p *PrivateL2) OutstandingMisses() int { return p.misses.Len() }
 
 // WritebacksInFlight reports writeback-buffer entries — test hook.
 func (p *PrivateL2) WritebacksInFlight() int { return len(p.wb) }
@@ -145,21 +145,24 @@ func (p *PrivateL2) Submit(r *mem.Request, now sim.Cycle) bool {
 	}
 	p.stats.Accesses++
 	line := r.Line
-	st := p.State(line)
-	if st != 0 && !(r.Excl && st == psShared) {
+	var deny pstate // a load: any copy serves
+	if r.Excl {
+		deny = psShared // a store needs E or M
+	}
+	st, hit := p.arr.Grant(line, uint8(deny))
+	if hit {
 		// Hit with sufficient permission. An exclusive copy a store
 		// touches becomes modified now; the write is coming.
-		if r.Excl && st != psModified {
+		if r.Excl && pstate(st) != psModified {
 			p.setState(line, psModified)
 		}
-		p.arr.Lookup(line) // LRU touch
 		p.stats.Hits++
 		p.hits.Push(now, r)
 		p.handle.Wake()
 		return true
 	}
 	// Miss — or an upgrade: data in hand (S) but a store needs M.
-	if m, ok := p.misses[line]; ok {
+	if m := p.misses.Find(line); m != nil {
 		p.stats.Merges++
 		if r.Excl {
 			m.wantExcl = true
@@ -185,7 +188,7 @@ func (p *PrivateL2) Submit(r *mem.Request, now sim.Cycle) bool {
 		p.stats.WBHolds++
 		return false
 	}
-	if len(p.misses) >= p.cap {
+	if p.misses.Len() >= p.cap {
 		if r.Kind == mem.Prefetch {
 			p.stats.PrefetchDrops++
 			r.Dropped = true
@@ -199,7 +202,7 @@ func (p *PrivateL2) Submit(r *mem.Request, now sim.Cycle) bool {
 		p.stats.DemandMisses++
 	}
 	excl := r.Excl
-	if excl && st == psShared {
+	if excl && pstate(st) == psShared {
 		p.stats.Upgrades++
 	}
 	if r.Attrib == nil && r.Kind.IsDemand() && r.Core >= 0 {
@@ -208,7 +211,7 @@ func (p *PrivateL2) Submit(r *mem.Request, now sim.Cycle) bool {
 	r.Attrib.Alloc(now)
 	m := p.newMiss(line, excl)
 	m.waiters = append(m.waiters, r)
-	p.misses[line] = m
+	p.misses.Add(line, m)
 	p.sendRequest(m, r.Attrib, now)
 	return true
 }
@@ -220,7 +223,7 @@ func (p *PrivateL2) Submit(r *mem.Request, now sim.Cycle) bool {
 func (p *PrivateL2) submitWB(r *mem.Request, now sim.Cycle) bool {
 	p.stats.WritebacksIn++
 	line := r.Line
-	if m, ok := p.misses[line]; ok {
+	if m := p.misses.Find(line); m != nil {
 		m.dirtyWB = true
 		if !m.excl {
 			m.wantExcl = true
@@ -237,14 +240,14 @@ func (p *PrivateL2) submitWB(r *mem.Request, now sim.Cycle) bool {
 		// Shared with dirty data above: chase ownership, holding the
 		// write in the miss entry. A full miss table pushes back — the
 		// L1 retries rather than dropping the write.
-		if len(p.misses) >= p.cap {
+		if p.misses.Len() >= p.cap {
 			p.stats.WritebacksIn-- // retried: do not double count
 			return false
 		}
 		p.stats.Upgrades++
 		m := p.newMiss(line, true)
 		m.dirtyWB = true
-		p.misses[line] = m
+		p.misses.Add(line, m)
 		p.sendRequest(m, nil, now)
 	default:
 		// Orphan: this L2 evicted the line while the L1 kept a dirty
@@ -273,17 +276,17 @@ func (p *PrivateL2) StoreHint(line mem.Addr, now sim.Cycle) {
 	case psExcl:
 		p.setState(line, psModified)
 	case psShared:
-		if m, ok := p.misses[line]; ok {
+		if m := p.misses.Find(line); m != nil {
 			m.wantExcl = true
 			return
 		}
-		if len(p.misses) >= p.cap {
+		if p.misses.Len() >= p.cap {
 			return
 		}
 		p.stats.Upgrades++
 		m := p.newMiss(line, true)
 		m.dirtyWB = true // the L1 copy is dirty the moment the hint fires
-		p.misses[line] = m
+		p.misses.Add(line, m)
 		p.sendRequest(m, nil, now)
 	}
 }
@@ -347,7 +350,7 @@ func (p *PrivateL2) process(m *message, now sim.Cycle) {
 		// fill lands.
 		if st := p.State(m.line); st != psExcl && st != psModified {
 			if _, wbOK := p.wb[m.line]; !wbOK {
-				if ms, msOK := p.misses[m.line]; msOK {
+				if ms := p.misses.Find(m.line); ms != nil {
 					p.stats.FwdDeferred++
 					ms.fwds = append(ms.fwds, m)
 					return // m stays alive; drained after the fill
@@ -369,11 +372,10 @@ func (p *PrivateL2) process(m *message, now sim.Cycle) {
 // granted state, evict the victim, wake the waiters.
 func (p *PrivateL2) fill(m *message, now sim.Cycle) {
 	line := m.line
-	miss, ok := p.misses[line]
-	if !ok {
+	miss := p.misses.Remove(line)
+	if miss == nil {
 		panic(fmt.Sprintf("coherence: %s for line %#x with no miss at core %d", m.kind, uint64(line), p.id))
 	}
-	delete(p.misses, line)
 
 	st := psShared
 	switch m.kind {
@@ -440,11 +442,10 @@ func (p *PrivateL2) drainFwds(miss *pl2Miss, now sim.Cycle) {
 
 // ackM completes an upgrade: the data was already here in S.
 func (p *PrivateL2) ackM(m *message, now sim.Cycle) {
-	miss, ok := p.misses[m.line]
-	if !ok {
+	miss := p.misses.Remove(m.line)
+	if miss == nil {
 		panic(fmt.Sprintf("coherence: AckM for line %#x with no miss at core %d", uint64(m.line), p.id))
 	}
-	delete(p.misses, m.line)
 	p.install(m.line, psModified, now)
 	p.finishWaiters(m.tag, miss, now)
 	p.drainFwds(miss, now)
@@ -472,7 +473,7 @@ func (p *PrivateL2) evict(victim mem.Addr, vst pstate, now sim.Cycle) {
 	_, l1Dirty := p.dl1.InvalidateLine(victim)
 	p.il1.InvalidateLine(victim)
 	dirty := vst == psModified || l1Dirty
-	if m, ok := p.misses[victim]; ok {
+	if m := p.misses.Find(victim); m != nil {
 		// An upgrade is in flight for the victim (only upgrade misses
 		// have their line resident). No PutM: the directory still sees
 		// us as a sharer, the grant will re-install the line, and a
@@ -534,7 +535,7 @@ func (p *PrivateL2) invalidate(m *message, now sim.Cycle) {
 			p.stats.InvL1Dirty++
 		}
 		p.il1.InvalidateLine(m.line)
-	} else if ms, ok := p.misses[m.line]; ok && !ms.excl {
+	} else if ms := p.misses.Find(m.line); ms != nil && !ms.excl {
 		// No copy but a GetS in flight: either the directory already
 		// granted us the line (the data — possibly cache-to-cache from
 		// another core — races this Inv on an unordered path), or the

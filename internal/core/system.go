@@ -329,9 +329,9 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 		}
 		s.L1s = append(s.L1s, l1)
 		s.IL1s = append(s.IL1s, il1)
-		dt := tlb.New(64, 4)
+		dt := tlb.New(64, 4, s.Pages)
 		s.TLBs = append(s.TLBs, dt)
-		it := tlb.New(32, 4)
+		it := tlb.New(32, 4, s.Pages)
 		s.ITLBs = append(s.ITLBs, it)
 		s.Cores = append(s.Cores, cpu.New(cpu.Params{
 			ID:     c,

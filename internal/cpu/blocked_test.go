@@ -63,14 +63,15 @@ type rig struct {
 func newRig(fullTick, prefetch bool, ops []UOp, script []step) *rig {
 	cfg := config.Baseline2D()
 	cfg.ROBSize = 8
-	r := &rig{eng: sim.NewEngine(), dt: tlb.New(64, 4), port: &scriptPort{}}
+	pt := mem.NewPageTable(1<<32, 4096)
+	r := &rig{eng: sim.NewEngine(), dt: tlb.New(64, 4, pt), port: &scriptPort{}}
 	r.l1 = cache.NewL1(cache.L1Params{
 		Array: cache.NewArray("dl1", 32, 12, 64), Latency: 20, LineBytes: 64,
 		MSHRs: 1, Below: r.port, IDs: &mem.IDSource{}, Prefetch: prefetch,
 	})
 	r.core = New(Params{
 		Cfg: cfg, L1: r.l1, DTLB: r.dt,
-		Pages: mem.NewPageTable(1<<32, 4096), Source: &scriptSource{ops: ops},
+		Pages: pt, Source: &scriptSource{ops: ops},
 	})
 	r.eng.SetFullTick(fullTick)
 	slot := func(after bool) sim.TickFunc {

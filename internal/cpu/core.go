@@ -95,9 +95,9 @@ type Core struct {
 	cfg *config.Config
 	l1  *cache.L1
 	dt  *tlb.TLB
-	il1 *cache.L1 // optional instruction cache (nil = ideal fetch)
-	it  *tlb.TLB  // optional ITLB
-	pt  *mem.PageTable
+	il1 *cache.L1      // optional instruction cache (nil = ideal fetch)
+	it  *tlb.TLB       // optional ITLB
+	pt  *mem.PageTable // translates fetches directly when there is no ITLB
 	src UOpSource
 
 	// Fetch state: the μop waiting on instruction supply, the last
@@ -164,6 +164,7 @@ type Params struct {
 	Source UOpSource
 	// IL1 and ITLB model the instruction-fetch path; both may be nil
 	// for an ideal front end (unit tests, fetch-insensitive studies).
+	// Without an ITLB, fetches translate through Pages directly.
 	IL1  *cache.L1
 	ITLB *tlb.TLB
 }
@@ -263,7 +264,7 @@ func (c *Core) Halt() {
 func (c *Core) Settle(_, cycles sim.Cycle) {
 	if c.l1Blocked {
 		op := &c.rob[c.memQ.At(0)].op
-		c.dt.Rehit(c.vpage(c.vaddr(op)), uint64(cycles))
+		c.dt.Rehit(c.vaddr(op), uint64(cycles))
 		c.l1.SettleBlocked(op.Store, uint64(cycles))
 	}
 	c.stats.Cycles += uint64(cycles)
@@ -447,22 +448,18 @@ func (c *Core) vaddr(op *UOp) mem.VAddr {
 	return mem.CoreSpace(c.id, op.VAddr)
 }
 
-// vpage is the DTLB key of a virtual address.
-func (c *Core) vpage(v mem.VAddr) uint64 { return uint64(v) / uint64(c.cfg.PageBytes) }
-
 // tryIssue performs the TLB and L1 access for the memory μop at ROB
 // index idx. It reports false when the L1 cannot accept it.
 func (c *Core) tryIssue(idx int, now sim.Cycle) bool {
 	e := &c.rob[idx]
-	vaddr := c.vaddr(&e.op)
-	if e.readyAt <= now && !c.dt.Access(c.vpage(vaddr)) {
+	paddr, hit := c.dt.Access(c.vaddr(&e.op))
+	if !hit {
 		// TLB miss: pay the walk; the μop stays queued and retries
 		// when the walk completes.
 		c.stats.TLBWalks++
 		e.readyAt = now + tlbWalkCycles
 		return false
 	}
-	paddr := c.pt.Translate(vaddr)
 	if e.op.Store {
 		c.stats.Stores++
 		// Stores retire through the store buffer: the μop completes at
@@ -512,14 +509,18 @@ func (c *Core) fetched(op *UOp, now sim.Cycle) bool {
 	if line == c.lastFetchLine {
 		return true // same line as the previous μop: already streamed in
 	}
-	if c.it != nil && !c.it.Access(uint64(vaddr)/uint64(c.cfg.PageBytes)) {
+	var paddr mem.Addr
+	if c.it == nil {
+		paddr = c.pt.Translate(vaddr) // no ITLB: nothing to walk
+	} else if p, hit := c.it.Access(vaddr); hit {
+		paddr = p
+	} else {
 		// ITLB walk: charge it as front-end stall time.
 		c.fetchStallUntil = now + tlbWalkCycles
 		c.stats.TLBWalks++
 		c.stats.FetchStall++
 		return false
 	}
-	paddr := c.pt.Translate(vaddr)
 	switch c.il1.Access(now, op.PC, paddr, false, c.fetchDone) {
 	case cache.Hit:
 		c.lastFetchLine = line

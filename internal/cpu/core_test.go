@@ -54,10 +54,11 @@ func testCore(t *testing.T, src UOpSource, port cache.Port) *Core {
 		Core: 0, Array: cache.NewArray("dl1", 32, 12, 64), Latency: 3,
 		LineBytes: 64, MSHRs: 8, Below: port, IDs: &mem.IDSource{},
 	})
+	pt := mem.NewPageTable(1<<32, 4096)
 	return New(Params{
 		ID: 0, Cfg: cfg, L1: l1,
-		DTLB:   tlb.New(64, 4),
-		Pages:  mem.NewPageTable(1<<32, 4096),
+		DTLB:   tlb.New(64, 4, pt),
+		Pages:  pt,
 		Source: src,
 	})
 }
@@ -227,7 +228,8 @@ func TestL1BlockedRetries(t *testing.T) {
 		{Mem: true, VAddr: 0x10000, PC: 1},
 		{Mem: true, VAddr: 0x20000, PC: 2},
 	}}
-	c := New(Params{ID: 0, Cfg: cfg, L1: l1, DTLB: tlb.New(64, 4), Pages: mem.NewPageTable(1<<32, 4096), Source: src})
+	pt := mem.NewPageTable(1<<32, 4096)
+	c := New(Params{ID: 0, Cfg: cfg, L1: l1, DTLB: tlb.New(64, 4, pt), Pages: pt, Source: src})
 	for now := sim.Cycle(1); now <= 400; now++ {
 		c.Tick(now)
 		if now%50 == 0 {
@@ -325,10 +327,11 @@ func testCoreWithIL1(t *testing.T, src UOpSource, port cache.Port) *Core {
 			LineBytes: 64, MSHRs: 8, Below: port, IDs: &mem.IDSource{},
 		})
 	}
+	pt := mem.NewPageTable(1<<32, 4096)
 	return New(Params{
 		ID: 0, Cfg: cfg, L1: mk("dl1"), IL1: mk("il1"),
-		DTLB: tlb.New(64, 4), ITLB: tlb.New(32, 4),
-		Pages:  mem.NewPageTable(1<<32, 4096),
+		DTLB: tlb.New(64, 4, pt), ITLB: tlb.New(32, 4, pt),
+		Pages:  pt,
 		Source: src,
 	})
 }
@@ -428,7 +431,8 @@ func TestStoreBlockedRetriesAndCompletes(t *testing.T) {
 		{Mem: true, VAddr: 0x10000, PC: 1},              // load occupies the only MSHR
 		{Mem: true, Store: true, VAddr: 0x20000, PC: 2}, // store blocked, retries
 	}}
-	c := New(Params{ID: 0, Cfg: cfg, L1: l1, DTLB: tlb.New(64, 4), Pages: mem.NewPageTable(1<<32, 4096), Source: src})
+	pt := mem.NewPageTable(1<<32, 4096)
+	c := New(Params{ID: 0, Cfg: cfg, L1: l1, DTLB: tlb.New(64, 4, pt), Pages: pt, Source: src})
 	for now := sim.Cycle(1); now <= 600; now++ {
 		c.Tick(now)
 		if now%100 == 0 {

@@ -5,7 +5,10 @@ package tlb
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+
+	"stackedsim/internal/mem"
 )
 
 // Stats counts TLB events.
@@ -22,40 +25,64 @@ func (s *Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
+// noFrame marks an entry not yet given its page's frame: page bases are
+// page-aligned, so no frame starts at the all-ones address.
+const noFrame = ^mem.Addr(0)
+
 type entry struct {
 	vpage uint64
+	frame mem.Addr // physical page base, noFrame until the entry's first hit
 	valid bool
 	used  uint64
 }
 
 // TLB is a set-associative translation cache keyed by virtual page
-// number.
+// number over one page table. An entry holds its page's physical base:
+// the first hit after a fill asks the page table (which allocates the
+// frame on first touch) and every later hit answers from the entry. A
+// page's frame never changes once allocated, so a held base cannot go
+// stale.
 type TLB struct {
-	sets  int
-	ways  int
-	ents  []entry
-	clock uint64
-	stats Stats
+	ways      int
+	setMask   uint64 // sets-1: a page's set is the low bits of its number
+	pageShift uint   // log2 of the page size
+	offMask   uint64 // the page-offset bits of an address
+	pt        *mem.PageTable
+	ents      []entry
+	clock     uint64
+	stats     Stats
 }
 
-// New returns a TLB with entries total entries and the given
-// associativity.
-func New(entries, ways int) *TLB {
-	if entries < 1 || ways < 1 || entries%ways != 0 {
+// New returns a TLB over page table pt with entries total entries and
+// the given associativity; the set count must be a power of two.
+func New(entries, ways int, pt *mem.PageTable) *TLB {
+	if ways < 1 || entries < ways || entries%ways != 0 || (entries/ways)&(entries/ways-1) != 0 {
 		panic(fmt.Sprintf("tlb: %d entries / %d ways invalid", entries, ways))
 	}
-	return &TLB{sets: entries / ways, ways: ways, ents: make([]entry, entries)}
+	sets := entries / ways
+	return &TLB{
+		ways:      ways,
+		setMask:   uint64(sets - 1),
+		pageShift: uint(bits.TrailingZeros64(pt.PageBytes())),
+		offMask:   pt.PageBytes() - 1,
+		pt:        pt,
+		ents:      make([]entry, entries),
+	}
 }
 
 // Stats returns the counters.
 func (t *TLB) Stats() *Stats { return &t.stats }
 
-// Access looks up vpage, inserting it on a miss (hardware-walked TLB).
-// It reports whether the access hit.
-func (t *TLB) Access(vpage uint64) bool {
+// setBase reports where vpage's set starts in ents.
+func (t *TLB) setBase(vpage uint64) int { return int(vpage&t.setMask) * t.ways }
+
+// Access looks up v's page, inserting it on a miss (hardware-walked TLB).
+// A hit reports v's physical address; a miss reports false and leaves the
+// frame unallocated — the walk is paid before the retry that hits.
+func (t *TLB) Access(v mem.VAddr) (mem.Addr, bool) {
 	t.stats.Accesses++
-	set := int(vpage % uint64(t.sets))
-	base := set * t.ways
+	vpage := uint64(v) >> t.pageShift
+	base := t.setBase(vpage)
 	victim := base
 	var oldest uint64 = ^uint64(0)
 	for w := 0; w < t.ways; w++ {
@@ -63,7 +90,11 @@ func (t *TLB) Access(vpage uint64) bool {
 		if e.valid && e.vpage == vpage {
 			t.clock++
 			e.used = t.clock
-			return true
+			off := mem.Addr(uint64(v) & t.offMask)
+			if e.frame == noFrame {
+				e.frame = t.pt.Translate(v) - off
+			}
+			return e.frame | off, true
 		}
 		if !e.valid {
 			oldest = 0
@@ -75,16 +106,17 @@ func (t *TLB) Access(vpage uint64) bool {
 	}
 	t.stats.Misses++
 	t.clock++
-	t.ents[victim] = entry{vpage: vpage, valid: true, used: t.clock}
-	return false
+	t.ents[victim] = entry{vpage: vpage, frame: noFrame, valid: true, used: t.clock}
+	return 0, false
 }
 
-// Rehit leaves the TLB exactly as k consecutive Access(vpage) hits
-// would: a caller that can prove its next k lookups are re-probes of a
-// resident page (a core stalled on a full L1 MSHR file) settles them in
-// one step instead of performing them.
-func (t *TLB) Rehit(vpage uint64, k uint64) {
-	base := int(vpage%uint64(t.sets)) * t.ways
+// Rehit leaves the TLB exactly as k consecutive Access(v) hits would: a
+// caller that can prove its next k lookups are re-probes of a resident
+// page (a core stalled on a full L1 MSHR file) settles them in one step
+// instead of performing them.
+func (t *TLB) Rehit(v mem.VAddr, k uint64) {
+	vpage := uint64(v) >> t.pageShift
+	base := t.setBase(vpage)
 	for w := 0; w < t.ways; w++ {
 		if e := &t.ents[base+w]; e.valid && e.vpage == vpage {
 			t.stats.Accesses += k

@@ -66,6 +66,26 @@ if [ -n "$hooks" ]; then
 	exit 1
 fi
 
+# Per-access state lives where the modelled hardware keeps it: a page's
+# frame in its TLB entry, a prefetched line's untouched mark in its cache
+# way, a controller's misses in a bounded cache.MissTable. A pfPending
+# set or a misses map in the caches, or a Translate call in the core
+# outside the no-ITLB fetch fallback (the TLBs translate on an entry's
+# first hit, in internal/tlb), puts a map lookup back on every access.
+echo "== no pfPending or misses map in the caches; the core translates only without an ITLB"
+maps=$(
+	grep -rnE 'pfPending|^[[:space:]]*misses[[:space:]]+map\[' --include='*.go' internal/cache internal/coherence/privl2.go | grep -v '_test\.go:' || true
+	for f in internal/cpu/*.go internal/tlb/*.go; do
+		case $f in *_test.go) continue ;; esac
+		awk '/Translate\(/ && prev !~ /if (c\.it == nil|e\.frame == noFrame) \{/ { print FILENAME ":" FNR ":" $0 } { prev = $0 }' "$f"
+	done
+)
+if [ -n "$maps" ]; then
+	echo "$maps" >&2
+	echo "verify: a per-access map lookup has moved back in" >&2
+	exit 1
+fi
+
 # A command is `func main() { os.Exit(run(args, stdout, stderr)) }` and
 # nothing else exits: deferred cleanups run on every path, and the exit
 # codes and messages are tested in-process by its main_test.go.
