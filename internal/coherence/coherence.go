@@ -203,8 +203,8 @@ func (f *Fabric) Register(e *sim.Engine) {
 func (f *Fabric) DeferredRequests() int {
 	n := 0
 	for _, d := range f.dirs {
-		for _, e := range d.lines {
-			n += len(e.deferred)
+		for i := range d.lines.slots {
+			n += len(d.lines.slots[i].deferred)
 		}
 	}
 	return n

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"stackedsim/internal/cache"
 	"stackedsim/internal/mem"
@@ -9,7 +10,7 @@ import (
 )
 
 // dstate is a directory entry's protocol state. Entries exist only for
-// lines away from Invalid — absence from the map is I — except that an
+// lines away from Invalid — absence from the table is I — except that an
 // entry which returns to I with requests still deferred behind it lives
 // on, at dirI, until settle has replayed them.
 type dstate uint8
@@ -53,44 +54,6 @@ func (s dstate) String() string {
 	return "I"
 }
 
-// dirEntry tracks one line away from Invalid.
-type dirEntry struct {
-	state    dstate
-	owner    int      // dirM / trBusyFwdS
-	sharers  []uint64 // exact sharer bitvector, sized to the core count
-	acksLeft int      // trBusyInv
-	// req is the request being served while busy; reqWasSharer caches
-	// its membership before the invalidations cleared the set.
-	req          *message
-	reqWasSharer bool
-	// deferred queues requests that arrived while the line was busy,
-	// replayed in order once it settles.
-	deferred []*message
-}
-
-func (e *dirEntry) setSharer(c int)   { e.sharers[c/64] |= 1 << (c % 64) }
-func (e *dirEntry) clearSharer(c int) { e.sharers[c/64] &^= 1 << (c % 64) }
-func (e *dirEntry) isSharer(c int) bool {
-	return e.sharers[c/64]&(1<<(c%64)) != 0
-}
-func (e *dirEntry) sharerCount() int {
-	n := 0
-	for _, w := range e.sharers {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-func (e *dirEntry) clearSharers() {
-	for i := range e.sharers {
-		e.sharers[i] = 0
-	}
-}
-
-// dirSlab is how many directory entries one slab allocation holds.
-const dirSlab = 256
-
 // DirStats counts directory-bank events.
 type DirStats struct {
 	GetS      uint64
@@ -119,28 +82,26 @@ type Directory struct {
 	endpoint
 	id int // MC / bank index
 
-	lines map[mem.Addr]*dirEntry
+	// lines holds an entry for every line away from Invalid: a bank
+	// tracks thousands of them.
+	lines dirTable
 
 	lookups *sim.Delay[*message] // popped from the inbox, in the pipelined lookup
 	toMC    cache.Outbox         // the protocol's memory reads and writes
-
-	freeEntry []*dirEntry
-	// Fresh entries and their sharer words are carved from slabs: a
-	// bank tracks tens of thousands of lines, and one allocation per
-	// dirSlab of them replaces two per line.
-	slab      []dirEntry
-	slabWords []uint64
 
 	onMemRead func(r *mem.Request, now sim.Cycle)
 
 	stats DirStats
 }
 
+// dirTableSlots is a bank's table size before its first growth.
+const dirTableSlots = 1024
+
 func newDirectory(f *Fabric, id, node int, mc cache.Port) *Directory {
 	d := &Directory{
 		endpoint: endpoint{f: f, node: node},
 		id:       id,
-		lines:    make(map[mem.Addr]*dirEntry),
+		lines:    newDirTable(f.cfg.Cores, dirTableSlots),
 		lookups:  sim.NewDelay[*message](sim.Cycle(f.cfg.DirLatency)),
 		toMC:     cache.NewOutbox(mc),
 	}
@@ -154,39 +115,11 @@ func (d *Directory) Stats() *DirStats { return &d.stats }
 // EntryState reports a line's directory state ("I" when absent) — test
 // hook for the protocol suite.
 func (d *Directory) EntryState(line mem.Addr) string {
-	if e, ok := d.lines[line]; ok {
+	if e := d.lines.entry(d.lines.find(line)); e != nil {
 		return e.state.String()
 	}
 	return "I"
 }
-
-func (d *Directory) newEntry() *dirEntry {
-	if n := len(d.freeEntry); n > 0 {
-		e := d.freeEntry[n-1]
-		d.freeEntry[n-1] = nil
-		d.freeEntry = d.freeEntry[:n-1]
-		e.state = dirI
-		e.owner = -1
-		e.acksLeft = 0
-		e.req = nil
-		e.reqWasSharer = false
-		e.clearSharers()
-		e.deferred = e.deferred[:0]
-		return e
-	}
-	words := (d.f.cfg.Cores + 63) / 64
-	if len(d.slab) == 0 {
-		d.slab = make([]dirEntry, dirSlab)
-		d.slabWords = make([]uint64, dirSlab*words)
-	}
-	e := &d.slab[0]
-	e.owner = -1
-	e.sharers = d.slabWords[:words:words]
-	d.slab, d.slabWords = d.slab[1:], d.slabWords[words:]
-	return e
-}
-
-func (d *Directory) releaseEntry(e *dirEntry) { d.freeEntry = append(d.freeEntry, e) }
 
 // recv queues a delivered protocol message and stamps the requester's
 // lifecycle with its arrival at the directory.
@@ -252,15 +185,16 @@ func (d *Directory) memWrite(line mem.Addr, now sim.Cycle) {
 // memReadDone completes a trBusyMem* entry: grant the data and settle.
 func (d *Directory) memReadDone(r *mem.Request, now sim.Cycle) {
 	line := r.Line
-	e, ok := d.lines[line]
-	if !ok || (e.state != trBusyMemS && e.state != trBusyMemM) {
+	i := d.lines.find(line)
+	e := d.lines.entry(i)
+	if e == nil || (e.state != trBusyMemS && e.state != trBusyMemM) {
 		panic(fmt.Sprintf("coherence: dir%d memory read for line %#x in state %s", d.id, uint64(line), d.EntryState(line)))
 	}
 	req := e.req
 	e.req = nil
 	switch e.state {
 	case trBusyMemS:
-		if e.sharerCount() == 0 {
+		if d.lines.sharerCount(i) == 0 {
 			// No sharers: MESI's E grant. Tracked as ownership.
 			d.stats.DataE++
 			e.state = dirM
@@ -271,7 +205,7 @@ func (d *Directory) memReadDone(r *mem.Request, now sim.Cycle) {
 		} else {
 			d.stats.DataS++
 			e.state = dirS
-			e.setSharer(req.from)
+			d.lines.setSharer(i, req.from)
 			grant := d.f.newMsg(mData, line, d.node)
 			grant.tag = req.tag
 			d.inject(grant, req.from, now)
@@ -280,7 +214,7 @@ func (d *Directory) memReadDone(r *mem.Request, now sim.Cycle) {
 		d.stats.DataE++
 		e.state = dirM
 		e.owner = req.from
-		e.clearSharers()
+		d.lines.clearSharers(i)
 		grant := d.f.newMsg(mDataE, line, d.node)
 		grant.excl = true
 		grant.tag = req.tag
@@ -296,17 +230,17 @@ func (d *Directory) memReadDone(r *mem.Request, now sim.Cycle) {
 // dirM is forwarded and forgotten, leaving the line stable without
 // another settle ever coming, so whatever queued behind it would wait
 // forever. The entry is looked up afresh each round because a replay
-// may release it.
+// may remove it.
 func (d *Directory) settle(line mem.Addr, now sim.Cycle) {
 	for {
-		e := d.lines[line]
+		i := d.lines.find(line)
+		e := d.lines.entry(i)
 		if e == nil || e.state.busy() {
 			return
 		}
 		if len(e.deferred) == 0 {
 			if e.state == dirI {
-				delete(d.lines, line)
-				d.releaseEntry(e)
+				d.lines.remove(i)
 			}
 			return
 		}
@@ -318,20 +252,24 @@ func (d *Directory) settle(line mem.Addr, now sim.Cycle) {
 	}
 }
 
-// process handles one protocol message at this bank.
+// process handles one protocol message at this bank. Every handler works
+// on the one line m names, by its slot i (-1 when the line has no
+// entry), and reads the entry through the slot until the line is
+// inserted or settled: no handler holds an entry across another line's
+// insert or removal.
 func (d *Directory) process(m *message, now sim.Cycle) {
-	e := d.lines[m.line]
+	i := d.lines.find(m.line)
 	switch m.kind {
 	case mGetS:
-		d.getS(m, e, now)
+		d.getS(m, i, now)
 	case mGetM:
-		d.getM(m, e, now)
+		d.getM(m, i, now)
 	case mPutM:
-		d.putM(m, e, now)
+		d.putM(m, i, now)
 	case mInvAck:
-		d.invAck(m, e, now)
+		d.invAck(m, i, now)
 	case mWBData:
-		d.wbData(m, e, now)
+		d.wbData(m, i, now)
 	default:
 		panic(fmt.Sprintf("coherence: dir%d received %s", d.id, m.kind))
 	}
@@ -343,20 +281,19 @@ func (d *Directory) defer_(m *message, e *dirEntry) {
 	e.deferred = append(e.deferred, m)
 }
 
-// entryFor returns the entry a request against an Invalid line starts
-// from: a fresh one, or the dirI entry its deferred queue kept alive.
-func (d *Directory) entryFor(line mem.Addr, e *dirEntry) *dirEntry {
-	if e == nil {
-		e = d.newEntry()
-		d.lines[line] = e
+// entryFor returns the slot a request against line starts from: i, or,
+// when the line has no entry, a fresh one at dirI.
+func (d *Directory) entryFor(line mem.Addr, i int) int {
+	if i < 0 {
+		i = d.lines.insert(line)
 	}
-	return e
+	return i
 }
 
-func (d *Directory) getS(m *message, e *dirEntry, now sim.Cycle) {
+func (d *Directory) getS(m *message, i int, now sim.Cycle) {
+	e := &d.lines.slots[d.entryFor(m.line, i)]
 	switch {
-	case e == nil || e.state == dirI:
-		e = d.entryFor(m.line, e)
+	case e.state == dirI:
 		e.state = trBusyMemS
 		e.req = m
 		d.memRead(m, now)
@@ -378,36 +315,40 @@ func (d *Directory) getS(m *message, e *dirEntry, now sim.Cycle) {
 	}
 }
 
-func (d *Directory) getM(m *message, e *dirEntry, now sim.Cycle) {
+func (d *Directory) getM(m *message, i int, now sim.Cycle) {
+	i = d.entryFor(m.line, i)
+	e := &d.lines.slots[i]
 	switch {
-	case e == nil || e.state == dirI:
-		e = d.entryFor(m.line, e)
+	case e.state == dirI:
 		e.state = trBusyMemM
 		e.req = m
 		d.memRead(m, now)
 	case e.state.busy():
 		d.defer_(m, e)
 	case e.state == dirS:
-		wasSharer := e.isSharer(m.from)
-		others := e.sharerCount()
+		wasSharer := d.lines.isSharer(i, m.from)
+		others := d.lines.sharerCount(i)
 		if wasSharer {
 			others--
 		}
 		if others == 0 {
 			// Sole sharer upgrading: grant immediately.
-			d.grantAckM(m, e, now)
+			d.grantAckM(m, i, now)
 			d.settle(m.line, now)
 			return
 		}
 		e.state = trBusyInv
 		e.req = m
 		e.reqWasSharer = wasSharer
-		e.acksLeft = others
-		for c := 0; c < d.f.cfg.Cores; c++ {
-			if c != m.from && e.isSharer(c) {
-				d.stats.InvSent++
-				inv := d.f.newMsg(mInv, m.line, d.node)
-				d.inject(inv, c, now)
+		e.acksLeft = int32(others)
+		// The sharers in ascending core order, word by word.
+		for w := 0; w <= d.lines.extra; w++ {
+			for set := *d.lines.word(i, w); set != 0; set &= set - 1 {
+				if c := 64*w + bits.TrailingZeros64(set); c != m.from {
+					d.stats.InvSent++
+					inv := d.f.newMsg(mInv, m.line, d.node)
+					d.inject(inv, c, now)
+				}
 			}
 		}
 	case e.state == dirM:
@@ -425,18 +366,20 @@ func (d *Directory) getM(m *message, e *dirEntry, now sim.Cycle) {
 }
 
 // grantAckM upgrades a sharer to owner without a data transfer.
-func (d *Directory) grantAckM(m *message, e *dirEntry, now sim.Cycle) {
+func (d *Directory) grantAckM(m *message, i int, now sim.Cycle) {
 	d.stats.AckM++
+	e := &d.lines.slots[i]
 	e.state = dirM
 	e.owner = m.from
-	e.clearSharers()
+	d.lines.clearSharers(i)
 	ack := d.f.newMsg(mAckM, m.line, d.node)
 	ack.tag = m.tag
 	d.inject(ack, m.from, now)
 	d.f.putMsg(m)
 }
 
-func (d *Directory) putM(m *message, e *dirEntry, now sim.Cycle) {
+func (d *Directory) putM(m *message, i int, now sim.Cycle) {
+	e := d.lines.entry(i)
 	switch {
 	case e != nil && e.state == dirM && e.owner == m.from:
 		// The owner's eviction: write the data, retire the line.
@@ -460,8 +403,8 @@ func (d *Directory) putM(m *message, e *dirEntry, now sim.Cycle) {
 		e.req = nil
 		e.state = dirS
 		e.owner = -1
-		e.clearSharers()
-		e.setSharer(req.from)
+		d.lines.clearSharers(i)
+		d.lines.setSharer(i, req.from)
 		d.f.putMsg(req)
 		d.ackWB(m, now)
 		d.settle(m.line, now)
@@ -489,8 +432,9 @@ func (d *Directory) ackWB(m *message, now sim.Cycle) {
 	d.f.putMsg(m)
 }
 
-func (d *Directory) invAck(m *message, e *dirEntry, now sim.Cycle) {
+func (d *Directory) invAck(m *message, i int, now sim.Cycle) {
 	d.stats.InvAcks++
+	e := d.lines.entry(i)
 	if e == nil || e.state != trBusyInv {
 		panic(fmt.Sprintf("coherence: dir%d InvAck for line %#x in state %s", d.id, uint64(m.line), d.EntryState(m.line)))
 	}
@@ -503,7 +447,7 @@ func (d *Directory) invAck(m *message, e *dirEntry, now sim.Cycle) {
 	if e.reqWasSharer {
 		// The requester held the data in S all along: upgrade.
 		e.req = nil
-		d.grantAckM(req, e, now)
+		d.grantAckM(req, i, now)
 		d.settle(m.line, now)
 		return
 	}
@@ -513,7 +457,8 @@ func (d *Directory) invAck(m *message, e *dirEntry, now sim.Cycle) {
 	d.memRead(req, now)
 }
 
-func (d *Directory) wbData(m *message, e *dirEntry, now sim.Cycle) {
+func (d *Directory) wbData(m *message, i int, now sim.Cycle) {
+	e := d.lines.entry(i)
 	if e == nil || e.state != trBusyFwdS {
 		panic(fmt.Sprintf("coherence: dir%d WBData for line %#x in state %s", d.id, uint64(m.line), d.EntryState(m.line)))
 	}
@@ -523,9 +468,9 @@ func (d *Directory) wbData(m *message, e *dirEntry, now sim.Cycle) {
 	req := e.req
 	e.req = nil
 	e.state = dirS
-	e.clearSharers()
-	e.setSharer(m.from)      // the demoted owner keeps an S copy
-	e.setSharer(m.requester) // the requester got the data cache-to-cache
+	d.lines.clearSharers(i)
+	d.lines.setSharer(i, m.from)      // the demoted owner keeps an S copy
+	d.lines.setSharer(i, m.requester) // the requester got the data cache-to-cache
 	e.owner = -1
 	d.f.putMsg(req)
 	d.f.putMsg(m)

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"stackedsim/internal/cache"
@@ -240,6 +241,58 @@ func TestWriteMissInvalidatesSharers(t *testing.T) {
 	}
 }
 
+// TestWideSharerInvalidation covers the sharer words past the first, on
+// a fabric of more than 64 cores: sharers on both sides of core 63 are
+// counted exactly, and a GetM sends one Inv to each other sharer, in
+// ascending core order.
+func TestWideSharerInvalidation(t *testing.T) {
+	r := newRig(t, 81, 1)
+	d := r.f.dirs[0]
+	readers := []int{80, 3, 64, 62, 63}
+	var done []*bool
+	for n, c := range readers {
+		done = append(done, r.access(c, sim.Cycle(1+300*n), line0, false))
+	}
+	r.run(5000)
+	for n, ok := range done {
+		if !*ok {
+			t.Fatalf("core %d's load never completed", readers[n])
+		}
+	}
+	i := d.lines.find(line0)
+	if i < 0 || d.lines.slots[i].state != dirS {
+		t.Fatalf("directory state = %s after the loads, want S", d.EntryState(line0))
+	}
+	if got := d.lines.sharerCount(i); got != len(readers) {
+		t.Errorf("sharerCount = %d, want %d", got, len(readers))
+	}
+	for c := 0; c < 81; c++ {
+		if got, want := d.lines.isSharer(i, c), slices.Contains(readers, c); got != want {
+			t.Errorf("core %d: isSharer = %v, want %v", c, got, want)
+		}
+	}
+
+	// With the bank's injection port held full, every Inv waits in the
+	// bank's retry queue in the order the directory sent it.
+	now := r.eng.Now()
+	for r.f.mesh.Send(d.node, d.node+1, 8, nil, now) {
+	}
+	d.process(r.f.newMsg(mGetM, line0, 63), now)
+	var got []int
+	for o, ok := d.out.Pop(); ok; o, ok = d.out.Pop() {
+		if o.m.kind != mInv {
+			t.Fatalf("bank sent %s to core %d, want only Invs", o.m.kind, o.dst)
+		}
+		got = append(got, o.dst)
+	}
+	if want := []int{3, 62, 64, 80}; !slices.Equal(got, want) {
+		t.Errorf("Invs sent to cores %v, want %v", got, want)
+	}
+	if e := d.lines.entry(d.lines.find(line0)); e.state != trBusyInv || e.acksLeft != 4 || d.stats.InvSent != 4 {
+		t.Errorf("after the GetM: state %s, %d acks awaited, %d Invs counted; want BusyInv, 4, 4", e.state, e.acksLeft, d.stats.InvSent)
+	}
+}
+
 func TestSharerUpgradeGetsAckM(t *testing.T) {
 	r := newRig(t, 4, 1)
 	r.access(0, 1, line0, false)
@@ -305,8 +358,9 @@ func TestDeferredQueueDrainsPastForwardAndForget(t *testing.T) {
 	doneC := r.access(2, 16, line0, false)
 
 	maxDeferred := 0
+	lines := &r.f.dirs[0].lines
 	probe := func() {
-		if e, ok := r.f.dirs[0].lines[line0]; ok && len(e.deferred) > maxDeferred {
+		if e := lines.entry(lines.find(line0)); e != nil && len(e.deferred) > maxDeferred {
 			maxDeferred = len(e.deferred)
 		}
 	}
@@ -339,14 +393,14 @@ func TestDeferredRequestReplaysAgainstInvalidLine(t *testing.T) {
 	if !*owned || d.EntryState(line0) != "M" {
 		t.Fatalf("setup: owned=%v state=%s", *owned, d.EntryState(line0))
 	}
-	e := d.lines[line0]
+	e := d.lines.entry(d.lines.find(line0))
 	getS := r.f.newMsg(mGetS, line0, 1)
 	d.defer_(getS, e)
 	d.process(r.f.newMsg(mPutM, line0, 0), r.eng.Now())
 	if got := d.EntryState(line0); got != "BusyMemS" {
 		t.Fatalf("line is %s after the eviction, want BusyMemS: the parked GetS was not replayed", got)
 	}
-	if e := d.lines[line0]; e.req != getS || len(e.deferred) != 0 {
+	if e := d.lines.entry(d.lines.find(line0)); e.req != getS || len(e.deferred) != 0 {
 		t.Fatalf("entry serves %v with %d still parked, want the parked GetS and none", e.req, len(e.deferred))
 	}
 }

@@ -36,9 +36,14 @@ type Msg struct {
 	// when it enters the input port. A message on the wheel with a
 	// compass out is on that link (out is re-routed when it lands); one
 	// with portLocal is in its destination's ejection stage.
-	out  int
-	ser  sim.Cycle // link occupancy: ceil(Bytes/LinkBytes)
-	next *Msg      // the message behind this one in its wheel slot
+	out int
+	// dx and dy are the hops left east (negative: west) and south
+	// (negative: north), set by Send and counted down per hop.
+	dx, dy int32
+	ser    sim.Cycle // link occupancy: ceil(Bytes/LinkBytes)
+	// next is the message behind this one in its input port's FIFO or
+	// in its wheel slot; a message is never on both.
+	next *Msg
 }
 
 // Router ports, in the fixed arbitration order used by Tick. Local
@@ -56,6 +61,12 @@ const (
 // neighbouring router (a message leaving eastward arrives on the west
 // port).
 var opposite = [numPorts]int{portLocal, portEast, portWest, portSouth, portNorth}
+
+// hopX and hopY are the grid step an output direction takes.
+var (
+	hopX = [numPorts]int32{portWest: -1, portEast: 1}
+	hopY = [numPorts]int32{portNorth: -1, portSouth: 1}
+)
 
 // Params sizes a mesh.
 type Params struct {
@@ -108,11 +119,12 @@ func (s *Stats) AvgHops() float64 {
 	return float64(s.Hops) / float64(s.Delivered)
 }
 
+// inPort is an input buffer: a FIFO chained through Msg.next.
 type inPort struct {
-	q sim.Queue[*Msg]
+	head, tail *Msg
 	// reserved counts the local injection port's messages, which Send
 	// bounds by BufPkts. A compass port's bound is its upstream router's
-	// credits; the queue itself is unbounded.
+	// credits; the FIFO itself is unbounded.
 	reserved int
 }
 
@@ -130,8 +142,6 @@ type router struct {
 	ports   uint8           // bit pt is set while in[pt] holds a message
 }
 
-type xy struct{ x, y int }
-
 // wheelSlot is the FIFO of messages whose link traversal or ejection
 // completes on one cycle, chained through Msg.next.
 type wheelSlot struct{ head, tail *Msg }
@@ -140,10 +150,12 @@ type wheelSlot struct{ head, tail *Msg }
 type Mesh struct {
 	p       Params
 	routers []router
-	coord   []xy // node i's place in the grid
-	handle  *sim.TickHandle
-	stats   Stats
-	queued  int // messages resident in some input queue
+	// step[out] is the node number's change leaving through out, and
+	// the way back from the router a message on input port out came from.
+	step   [numPorts]int
+	handle *sim.TickHandle
+	stats  Stats
+	queued int // messages resident in some input queue
 	// occupied has bit r set exactly while router r holds a queued
 	// message; Tick walks it instead of the routers.
 	occupied []uint64
@@ -183,10 +195,9 @@ func New(p Params) *Mesh {
 		// or wire: its events fire on the next tick.
 		panic(fmt.Sprintf("noc: negative latency (link %d, router %d)", p.LinkLatency, p.RouterLatency))
 	}
-	m := &Mesh{p: p, routers: make([]router, p.W*p.H), occupied: make([]uint64, (p.W*p.H+63)/64)}
-	m.coord = make([]xy, len(m.routers))
-	for i := range m.coord {
-		m.coord[i] = xy{i % p.W, i / p.W}
+	m := &Mesh{p: p, routers: make([]router, p.W*p.H), occupied: make([]uint64, (p.W*p.H+63)/64),
+		step: [numPorts]int{portWest: -1, portEast: 1, portNorth: -p.W, portSouth: p.W}}
+	for i := range m.routers {
 		for out := portWest; out < numPorts; out++ {
 			m.routers[i].credits[out] = p.BufPkts
 		}
@@ -255,7 +266,7 @@ func (m *Mesh) Send(src, dst, bytes int, payload any, now sim.Cycle) bool {
 	}
 	msg := m.pool.Get()
 	*msg = Msg{Src: src, Dst: dst, Bytes: bytes, Payload: payload, born: now, at: src, port: portLocal,
-		ser: m.serCycles(bytes)}
+		dx: int32(dst%m.p.W - src%m.p.W), dy: int32(dst/m.p.W - src/m.p.W), ser: m.serCycles(bytes)}
 	lp.reserved++
 	m.enqueue(msg)
 	m.stats.Injected++
@@ -270,12 +281,15 @@ func (m *Mesh) Send(src, dst, bytes int, payload any, now sim.Cycle) bool {
 // on each of them.
 func (m *Mesh) enqueue(msg *Msg) {
 	rt := &m.routers[msg.at]
-	msg.out = m.route(msg.at, msg.Dst)
+	msg.out = route(msg)
 	ip := &rt.in[msg.port]
-	if ip.q.Empty() {
+	if ip.tail == nil {
+		ip.head = msg
 		rt.headOut[msg.port] = uint8(msg.out)
+	} else {
+		ip.tail.next = msg
 	}
-	ip.q.Push(msg)
+	ip.tail = msg
 	if rt.ports == 0 {
 		m.occupied[msg.at/64] |= 1 << (msg.at % 64)
 	}
@@ -289,53 +303,40 @@ func (m *Mesh) enqueue(msg *Msg) {
 func (m *Mesh) dequeue(r, pt int) *Msg {
 	rt := &m.routers[r]
 	ip := &rt.in[pt]
-	msg, _ := ip.q.Pop()
+	msg := ip.head
+	ip.head, msg.next = msg.next, nil
 	if pt == portLocal {
 		ip.reserved--
 	} else {
-		m.routers[m.neighbor(r, pt)].credits[opposite[pt]]++
+		m.routers[r+m.step[pt]].credits[opposite[pt]]++
 	}
 	m.queued--
-	if next, ok := ip.q.Peek(); ok {
-		rt.headOut[pt] = uint8(next.out)
-	} else if rt.ports &^= 1 << pt; rt.ports == 0 {
+	if ip.head != nil {
+		rt.headOut[pt] = uint8(ip.head.out)
+		return msg
+	}
+	ip.tail = nil
+	if rt.ports &^= 1 << pt; rt.ports == 0 {
 		m.occupied[r/64] &^= 1 << (r % 64)
 	}
 	return msg
 }
 
-// route returns the output port a message at node cur takes toward dst:
-// X-dimension first, then Y, then local ejection.
-func (m *Mesh) route(cur, dst int) int {
-	c, d := m.coord[cur], m.coord[dst]
+// route returns the output port a message takes from where it is, by
+// the hops it has left: X-dimension first, then Y, then local ejection.
+func route(msg *Msg) int {
 	switch {
-	case c.x < d.x:
+	case msg.dx > 0:
 		return portEast
-	case c.x > d.x:
+	case msg.dx < 0:
 		return portWest
-	case c.y < d.y:
+	case msg.dy > 0:
 		return portSouth
-	case c.y > d.y:
+	case msg.dy < 0:
 		return portNorth
 	default:
 		return portLocal
 	}
-}
-
-// neighbor returns the node reached by leaving cur through out — and
-// the one a message arriving on input port out came from.
-func (m *Mesh) neighbor(cur, out int) int {
-	switch out {
-	case portEast:
-		return cur + 1
-	case portWest:
-		return cur - 1
-	case portSouth:
-		return cur + m.p.W
-	case portNorth:
-		return cur - m.p.W
-	}
-	return cur
 }
 
 // serCycles is the link occupancy of one message.
@@ -447,8 +448,10 @@ func (m *Mesh) tickRouter(r int, now sim.Cycle) {
 		msg := m.dequeue(r, pt)
 		rt.credits[out]--
 		rt.outBusy[out] = now + msg.ser
-		msg.at = m.neighbor(r, out)
+		msg.at += m.step[out]
 		msg.port = opposite[out]
+		msg.dx -= hopX[out]
+		msg.dy -= hopY[out]
 		m.stats.Hops++
 		m.stats.Flits += uint64(msg.ser)
 		m.schedule(msg, now+m.p.RouterLatency+msg.ser+m.p.LinkLatency)

@@ -34,15 +34,15 @@ fi
 
 # The hierarchy's recurring shapes have one implementation each:
 # cache.Outbox (refusal-and-retry toward a Port), sim.Delay (a
-# fixed-latency pipe) and sim.Pool (a free list). Three pools stay
-# hand-written because they guard a double release or carve slabs
-# (attrib.Tag, mem.Request, the directory's entries), and two components
-# keep the heap because their delays vary and their event kinds share one
-# same-cycle order (cache.L2, memctrl.Controller).
+# fixed-latency pipe) and sim.Pool (a free list). Two pools stay
+# hand-written because they guard a double release (attrib.Tag,
+# mem.Request), and two components keep the heap because their delays
+# vary and their event kinds share one same-cycle order (cache.L2,
+# memctrl.Controller).
 echo "== no free list outside sim.Pool, no sim.EventQueue outside cache/l2.go and memctrl"
 src() { grep -rnE "$1" --include='*.go' internal | grep -v '_test\.go:' | grep -vE "^internal/($2)" || true; }
 moved=$(
-	src '^[[:space:]]*free[A-Za-z_]*[[:space:]]+\[\]\*' 'sim/|attrib/attrib\.go:[0-9]+:.*\*Tag$|mem/request\.go:[0-9]+:.*\*Request$|coherence/directory\.go:[0-9]+:.*\*dirEntry$'
+	src '^[[:space:]]*free[A-Za-z_]*[[:space:]]+\[\]\*' 'sim/|attrib/attrib\.go:[0-9]+:.*\*Tag$|mem/request\.go:[0-9]+:.*\*Request$'
 	src 'sim\.EventQueue' 'sim/|cache/l2\.go:|memctrl/'
 )
 if [ -n "$moved" ]; then
@@ -83,6 +83,22 @@ maps=$(
 if [ -n "$maps" ]; then
 	echo "$maps" >&2
 	echo "verify: a per-access map lookup has moved back in" >&2
+	exit 1
+fi
+
+# The many-core fabric keeps its bookkeeping flat: a directory bank's
+# lines are the slots of its open-addressed table, and a mesh input
+# port's FIFO is chained through its messages. A map in the directory or
+# a sim.Queue in the mesh puts a hashed lookup back on every protocol
+# step, or a separate ring back on every hop.
+echo "== no map in the directory bank, no sim.Queue in the mesh"
+flat=$(
+	grep -n 'map\[' internal/coherence/directory.go internal/coherence/dirtable.go || true
+	grep -Hn 'sim\.Queue' internal/noc/noc.go || true
+)
+if [ -n "$flat" ]; then
+	echo "$flat" >&2
+	echo "verify: a map or a ring queue has moved back into the fabric" >&2
 	exit 1
 fi
 
