@@ -282,12 +282,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return usage(fmt.Errorf("the workload has %d programs, the machine %d cores (see -cores)", len(labels), cfg.Cores))
 	}
 
+	var sys *core.System // a single run's machine, live until the heap profile is written
 	if *memProfile != "" {
 		// Deferred ahead of the CPU profile, so it runs after that one has
 		// stopped, and on every exit from here on: a sweep, a ledger cache
 		// hit and an interrupted run leave their heap profile too.
 		defer func() {
-			if err := writeHeapProfile(*memProfile); err != nil {
+			if err := writeHeapProfile(*memProfile, sys); err != nil {
 				code = max(code, fatal(err))
 			}
 		}()
@@ -337,7 +338,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		})
 	}
 
-	var sys *core.System
 	var from *core.Checkpoint
 	var err error
 	switch {
@@ -639,14 +639,18 @@ func writeJSON(path string, v any) error {
 }
 
 // writeHeapProfile writes the -memprofile file: the live heap after a
-// collection.
-func writeHeapProfile(path string) error {
+// collection, with keep — the run's machine — still reachable, so that
+// the in-use view shows what the machine holds rather than what is left
+// once it is gone.
+func writeHeapProfile(path string, keep any) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
+	err = pprof.WriteHeapProfile(f)
+	runtime.KeepAlive(keep)
+	if err != nil {
 		f.Close()
 		return err
 	}

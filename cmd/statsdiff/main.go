@@ -80,6 +80,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// A NaN or infinite threshold compares false against every change,
+	// and a negative one reads as report-only: each would turn the gate
+	// off without saying so.
+	if t := *threshold; t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+		fmt.Fprintf(stderr, "statsdiff: -threshold %g: need a finite number >= 0\n", t)
+		return 2
+	}
 	fatal := func(err error) int {
 		fmt.Fprintf(stderr, "statsdiff: %v\n", err)
 		return 2

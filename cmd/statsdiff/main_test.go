@@ -269,6 +269,36 @@ func TestLedgerMode(t *testing.T) {
 	}
 }
 
+// TestThresholdOutOfRange: a threshold no change can exceed (NaN, Inf)
+// or one that reads as report-only (negative) would pass a 12% hmipc
+// drop and let -pin bless it, so each is a usage error in both modes and
+// the baseline tag stays where it was.
+func TestThresholdOutOfRange(t *testing.T) {
+	base := writeTemp(t, "base.csv", "cycle,ipc\n1000,1.0\n")
+	worse := writeTemp(t, "worse.csv", "cycle,ipc\n1000,0.8\n")
+	dir := ledgerFixture(t)
+	l, err := ledger.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := l.Tags()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, th := range []string{"NaN", "Inf", "-Inf", "-1"} {
+		if code, out := run(t, "-threshold", th, base, worse); code != 2 {
+			t.Errorf("file mode, -threshold %s: exit %d, want 2\n%s", th, code, out)
+		}
+		code, out := run(t, "-ledger-dir", dir, "-a", "latest", "-b", "blessed", "-threshold", th, "-pin", "blessed")
+		if code != 2 {
+			t.Errorf("ledger mode, -threshold %s -pin: exit %d, want 2\n%s", th, code, out)
+		}
+	}
+	if after, err := l.Tags(); err != nil || after["blessed"] != before["blessed"] {
+		t.Fatalf("blessed moved from %s to %s (%v)", before["blessed"], after["blessed"], err)
+	}
+}
+
 // TestDiffNaNAlwaysBreaches pins the gate's NaN rule: NaN never
 // compares, so without special-casing a corrupt export would pass any
 // threshold — including report-only mode.

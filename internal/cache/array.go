@@ -29,15 +29,19 @@ func (s *ArrayStats) MissRate() float64 {
 	return float64(s.Lookups-s.Hits) / float64(s.Lookups)
 }
 
-// A way's metadata word carries its LRU stamp above flagBits of flags —
-// stamp<<flagBits | state<<stateShift | dirty: the dirty bit, then a state
-// byte the array's owner defines (the private L2 keeps a line's MESI state
-// there).
+// A way is one word: key | dirty<<keyBits | state<<stateShift |
+// stamp<<stampShift. The low 32 bits are the key — the way's line number
+// plus one; an invalid way's whole word is zero — then the dirty bit, then
+// a state byte the array's owner defines (the private L2 keeps a line's
+// MESI state there), and in the top 23 bits the LRU stamp.
 const (
-	flagBits   = 9
-	flagMask   = 1<<flagBits - 1
-	dirtyFlag  = 1
-	stateShift = 1
+	keyBits    = 32
+	dirtyFlag  = 1 << keyBits
+	stateShift = keyBits + 1
+	stampShift = stateShift + 8
+	keyMask    = 1<<keyBits - 1
+	flagMask   = 1<<stampShift - dirtyFlag // the dirty bit and the state byte
+	stampMask  = 1<<64 - 1<<stampShift
 )
 
 // prefetched is the state byte the L1 and the shared L2, whose arrays keep
@@ -49,14 +53,12 @@ const prefetched uint8 = 1
 // Array is a passive set-associative cache array with true-LRU
 // replacement. All addresses passed in must be line-aligned.
 //
-// The tag store is one slab of words, not an array of per-way structs: for
-// each set in turn, its ways' keys and then its ways' metadata words. A
-// key is the way's line number plus one (zero marks an invalid way), so
-// the scan every operation starts with reads eight contiguous bytes a way
-// and nothing else; the metadata — LRU stamp and flags — sits right behind
-// the keys and is read only for the way a scan found and when a full set
-// picks its victim. Stamps are unique, so the order of whole metadata
-// words is the order of their stamps.
+// The tag store is one slab of words, a set's ways side by side, and a
+// way is one word: the scan every operation starts with reads eight
+// contiguous bytes a way, and the words it loaded are the ones a full
+// set picks its victim from. Within a set stamps are unique, so the
+// order of whole words is the order of their stamps; renumber keeps them
+// inside their 23-bit field.
 type Array struct {
 	name      string
 	sets      int
@@ -65,8 +67,8 @@ type Array struct {
 	lineShift uint
 	setMask   uint64   // sets-1, used when sets is a power of two
 	pow2      bool     // sets is a power of two
-	tags      []uint64 // per set: ways keys, then ways metadata words
-	clock     uint64   // LRU stamp source
+	tags      []uint64 // per set: its ways' words
+	clock     uint64   // the last stamp handed out, in its field
 	stats     ArrayStats
 }
 
@@ -89,7 +91,7 @@ func NewArray(name string, sets, ways, lineBytes int) *Array {
 		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
 		setMask:   uint64(sets - 1),
 		pow2:      sets&(sets-1) == 0,
-		tags:      make([]uint64, 2*sets*ways),
+		tags:      make([]uint64, sets*ways),
 	}
 }
 
@@ -114,24 +116,23 @@ func (a *Array) SizeBytes() int { return a.sets * a.ways * a.lineBytes }
 // Stats returns the counters.
 func (a *Array) Stats() *ArrayStats { return &a.stats }
 
-// index reports where lineAddr's set starts in the slab and the key a way
-// holding the line carries.
-func (a *Array) index(lineAddr mem.Addr) (base int, key uint64) {
-	n := uint64(lineAddr) >> a.lineShift
+// index reports where lineAddr's set starts in the slab, the line's
+// number and the key a way holding the line carries.
+func (a *Array) index(lineAddr mem.Addr) (base int, n uint64, key uint32) {
+	n = uint64(lineAddr) >> a.lineShift
 	if a.pow2 {
-		return int(n&a.setMask) * 2 * a.ways, n + 1
+		return int(n&a.setMask) * a.ways, n, uint32(n + 1)
 	}
-	return int(n%uint64(a.sets)) * 2 * a.ways, n + 1
+	return int(n%uint64(a.sets)) * a.ways, n, uint32(n + 1)
 }
 
-// find reports where the metadata word of lineAddr's way — the first
-// matching one of its set — sits in the slab, or -1. The way's key is
-// a.ways words before it.
+// find reports where the word of lineAddr's way — the first matching one
+// of its set — sits in the slab, or -1.
 func (a *Array) find(lineAddr mem.Addr) int {
-	base, key := a.index(lineAddr)
-	for w, k := range a.tags[base : base+a.ways] {
-		if k == key {
-			return base + a.ways + w
+	base, _, key := a.index(lineAddr)
+	for w, word := range a.tags[base : base+a.ways] {
+		if uint32(word) == key {
+			return base + w
 		}
 	}
 	return -1
@@ -153,7 +154,7 @@ func (a *Array) LookupState(lineAddr mem.Addr) (state uint8, hit bool) {
 		return 0, false
 	}
 	a.stats.Hits++
-	a.touch(i)
+	a.tags[i] = a.stamp() | a.tags[i]&^stampMask
 	return uint8(a.tags[i] >> stateShift), true
 }
 
@@ -173,14 +174,46 @@ func (a *Array) Grant(lineAddr mem.Addr, deny uint8) (state uint8, ok bool) {
 	}
 	a.stats.Lookups++
 	a.stats.Hits++
-	a.touch(i)
+	a.tags[i] = a.stamp() | a.tags[i]&^stampMask
 	return state, true
 }
 
-// touch makes the way whose metadata word sits at i most recently used.
-func (a *Array) touch(i int) {
-	a.clock++
-	a.tags[i] = a.clock<<flagBits | a.tags[i]&flagMask
+// stamp advances the clock and returns it, renumbering first if the clock
+// would overflow its field. A hit and a fill each take one, so the way
+// they write becomes its set's most recently used.
+func (a *Array) stamp() uint64 {
+	if a.clock == stampMask {
+		a.renumber()
+	}
+	a.clock += 1 << stampShift
+	return a.clock
+}
+
+// renumber restamps each set's valid ways 1..n, oldest first, and restarts
+// the clock above every set's n. Only a set's own stamps are ever compared,
+// so each set keeps its LRU order exactly; invalid ways stay zero.
+func (a *Array) renumber() {
+	stamps := make([]uint64, a.ways)
+	for base := 0; base < len(a.tags); base += a.ways {
+		set := a.tags[base : base+a.ways]
+		for w, word := range set {
+			stamps[w] = 0
+			if word != 0 {
+				stamps[w] = 1 // one more than the ways older than this one
+				for _, other := range set {
+					if other != 0 && other < word {
+						stamps[w]++
+					}
+				}
+			}
+		}
+		for w, stamp := range stamps {
+			if stamp != 0 {
+				set[w] = stamp<<stampShift | set[w]&^stampMask
+			}
+		}
+	}
+	a.clock = uint64(a.ways) << stampShift
 }
 
 // Contains probes without touching LRU state or stats.
@@ -235,31 +268,34 @@ func (a *Array) FillState(lineAddr mem.Addr, dirty bool, state uint8) (victim me
 
 // fill installs the line in the first invalid way of its set, else in the
 // way with the strictly oldest stamp, and returns the flags of the line
-// that way held.
+// that way held. A line whose number does not fit the key panics.
 func (a *Array) fill(lineAddr mem.Addr, dirty bool, state uint8) (victim mem.Addr, victimFlags uint64, evicted bool) {
-	base, key := a.index(lineAddr)
-	keys, meta := a.tags[base:base+a.ways], a.tags[base+a.ways:base+2*a.ways]
+	base, n, key := a.index(lineAddr)
+	if n >= keyMask {
+		panic(fmt.Sprintf("cache %s: line %#x is beyond the 32-bit key", a.name, uint64(lineAddr)))
+	}
+	set := a.tags[base : base+a.ways]
 	way := -1
-	for w, k := range keys {
-		if k == key {
+	for w, word := range set {
+		if uint32(word) == key {
 			panic(fmt.Sprintf("cache %s: Fill of present line %#x", a.name, uint64(lineAddr)))
 		}
-		if k == 0 && way < 0 {
+		if word == 0 && way < 0 {
 			way = w
 		}
 	}
 	a.stats.Fills++
 	if way < 0 {
 		way = 0
-		for w, m := range meta {
-			if m < meta[way] {
+		for w, word := range set {
+			if word < set[way] {
 				way = w
 			}
 		}
 		evicted = true
 		a.stats.Evictions++
-		victim = mem.Addr((keys[way] - 1) << a.lineShift)
-		victimFlags = meta[way] & flagMask
+		victim = mem.Addr((set[way]&keyMask - 1) << a.lineShift)
+		victimFlags = set[way] & flagMask
 		if victimFlags&dirtyFlag != 0 {
 			a.stats.DirtyEvict++
 		}
@@ -268,9 +304,7 @@ func (a *Array) fill(lineAddr mem.Addr, dirty bool, state uint8) (victim mem.Add
 	if dirty {
 		flags |= dirtyFlag
 	}
-	a.clock++
-	keys[way] = key
-	meta[way] = a.clock<<flagBits | flags
+	set[way] = a.stamp() | flags | uint64(key)
 	return victim, victimFlags, evicted
 }
 
@@ -281,7 +315,7 @@ func (a *Array) Invalidate(lineAddr mem.Addr) (wasPresent, wasDirty bool) {
 		return false, false
 	}
 	wasDirty = a.tags[i]&dirtyFlag != 0
-	a.tags[i-a.ways], a.tags[i] = 0, 0
+	a.tags[i] = 0
 	return true, wasDirty
 }
 

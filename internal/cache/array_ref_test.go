@@ -135,7 +135,20 @@ func (a *refArray) Invalidate(lineAddr mem.Addr) (wasPresent, wasDirty bool) {
 // replaced with the same seeded random operations over every geometry the
 // machine builds — and two it does not — and requires every return value
 // along the way and every counter at the end to agree.
-func TestArrayMatchesReference(t *testing.T) {
+func TestArrayMatchesReference(t *testing.T) { matchReference(t, 0) }
+
+// TestArrayRenumberMatchesReference is the same drive with the array's
+// clock moved to just below the top of its stamp field every ~1 k
+// operations, so renumber runs hundreds of times (dozens in -short) with
+// sets full and about to pick victims. The reference's clock never wraps:
+// a renumber that lost or reversed a set's LRU order, or left an invalid
+// way non-zero, shows as a different victim or a wrong eviction.
+func TestArrayRenumberMatchesReference(t *testing.T) { matchReference(t, 1000) }
+
+// matchReference runs the drive; with renumberEvery > 0 it moves the
+// clock to within 8 stamps of overflow every renumberEvery operations and
+// requires renumber to have run once for each time it did.
+func matchReference(t *testing.T, renumberEvery int) {
 	ops := 400_000
 	if testing.Short() {
 		ops = 40_000
@@ -165,7 +178,18 @@ func TestArrayMatchesReference(t *testing.T) {
 				setsUsed = min(setsUsed, 32)
 			}
 			lines := 2 * g.ways * g.sets // the span of line numbers drawn from
+			moved, renumbered, last := 0, 0, uint64(0)
 			for i := 0; i < ops; i++ {
+				if renumberEvery > 0 {
+					if a.clock < last {
+						renumbered++
+					}
+					if i%renumberEvery == 0 {
+						a.clock = stampMask - uint64(rng.Intn(8))<<stampShift
+						moved++
+					}
+					last = a.clock
+				}
 				addr := mem.Addr((rng.Intn(2*g.ways)*g.sets + rng.Intn(setsUsed)) * lineBytes)
 				dirty, state := rng.Intn(2) == 0, uint8(rng.Intn(256))
 				switch op := rng.Intn(16); {
@@ -216,6 +240,12 @@ func TestArrayMatchesReference(t *testing.T) {
 					}
 				}
 			}
+			if a.clock < last {
+				renumbered++
+			}
+			if renumbered != moved {
+				t.Errorf("clock moved to the top %d times, renumbered %d", moved, renumbered)
+			}
 			if *a.Stats() != ref.stats {
 				t.Errorf("counters %+v, reference %+v", *a.Stats(), ref.stats)
 			}
@@ -254,6 +284,34 @@ func BenchmarkArrayLookupMiss(b *testing.B) {
 	for b.Loop() {
 		if arrs[i%banks].Lookup(mem.Addr((sets*ways + i*67%sets) * lineBytes)) {
 			b.Fatal("hit on an absent line")
+		}
+		i++
+	}
+}
+
+// BenchmarkArrayFillEvict times a fill into a full, host-cold 24-way set:
+// the key scan that proves the line absent and the victim choice over the
+// words it loaded. The sets are the shared L2's, visited as
+// BenchmarkArrayLookupMiss visits them; each set's fills cycle through
+// twice its ways of lines, so every fill is of an absent line and evicts.
+func BenchmarkArrayFillEvict(b *testing.B) {
+	const banks, sets, ways, lineBytes = 16, 512, 24, 64
+	var arrs [banks]*Array
+	for i := range arrs {
+		arrs[i] = NewArray("bench", sets, ways, lineBytes)
+		for n := 0; n < sets*ways; n++ {
+			arrs[i].Fill(mem.Addr(n*lineBytes), false)
+		}
+	}
+	var filled [banks][sets]int // fills into each set so far
+	i := 0
+	for b.Loop() {
+		bank, set := i%banks, i*67%sets
+		k := &filled[bank][set]
+		tag := (ways + *k) % (2 * ways)
+		*k++
+		if _, _, evicted := arrs[bank].Fill(mem.Addr((tag*sets+set)*lineBytes), false); !evicted {
+			b.Fatal("a fill into a full set evicted nothing")
 		}
 		i++
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"stackedsim/internal/config"
 	"stackedsim/internal/mem"
 )
 
@@ -15,6 +16,38 @@ func TestArrayGeometry(t *testing.T) {
 	if a.SizeBytes() != 12*1024*1024 {
 		t.Fatalf("SizeBytes = %d", a.SizeBytes())
 	}
+}
+
+// TestArrayOneWordPerWay: a way's key, flags and LRU stamp share one
+// word, so the tag store is sets*ways words — a private L2's 8-way set is
+// one 64-byte host line.
+func TestArrayOneWordPerWay(t *testing.T) {
+	for _, g := range []struct{ sets, ways int }{{32, 12}, {512, 24}, {1024, 8}, {533, 24}, {3, 5}} {
+		if a := NewArray("t", g.sets, g.ways, 64); len(a.tags) != g.sets*g.ways {
+			t.Errorf("%d x %d: %d words, want %d", g.sets, g.ways, len(a.tags), g.sets*g.ways)
+		}
+	}
+}
+
+// TestArrayKeyRange: the last line number config.MaxLines admits fills,
+// and the next one, whose key would not fit 32 bits, panics rather than
+// alias a line it truncates to.
+func TestArrayKeyRange(t *testing.T) {
+	a := NewArray("t", 1, 2, 64)
+	last := mem.Addr((config.MaxLines - 1) * 64)
+	a.Fill(last, true)
+	if !a.Contains(last) || a.Contains(0) {
+		t.Fatal("the last line's key aliases another line")
+	}
+	if victim, dirty, _ := a.Fill(0, false); victim != 0 || dirty {
+		t.Fatalf("second fill evicted %#x", uint64(victim))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a line beyond the 32-bit key filled")
+		}
+	}()
+	a.Fill(last+64, false)
 }
 
 func TestArrayMissThenHit(t *testing.T) {

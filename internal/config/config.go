@@ -303,6 +303,11 @@ type Config struct {
 	DirLatency    int `json:",omitempty"`
 }
 
+// MaxLines bounds the lines a memory may hold: a cache way names its line
+// by number plus one in a 32-bit key (cache.Array), so a line number must
+// stay below MaxLines. This is a bound of the tag store, not a knob.
+const MaxLines = 1<<32 - 1
+
 // Validate reports the first problem with the configuration.
 func (c *Config) Validate() error {
 	switch {
@@ -334,6 +339,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: L2MSHRMult = %d", c.L2MSHRMult)
 	case c.MemoryGB <= 0:
 		return fmt.Errorf("config: MemoryGB = %d", c.MemoryGB)
+	case float64(c.MemoryGB)*(1<<30)/float64(c.LineBytes) > MaxLines:
+		return fmt.Errorf("config: %d GB of %d-byte lines is more than the %d lines a cache can name", c.MemoryGB, c.LineBytes, MaxLines)
 	case c.L2Banks%c.MCs != 0:
 		return fmt.Errorf("config: L2Banks %d must be a multiple of MCs %d", c.L2Banks, c.MCs)
 	case c.L1SizeKB*1024%(c.L1Ways*c.LineBytes) != 0:

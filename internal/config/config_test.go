@@ -120,6 +120,8 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.RowBufferEntries = 0 },
 		func(c *Config) { c.L2MSHRMult = 0 },
 		func(c *Config) { c.MemoryGB = 0 },
+		func(c *Config) { c.MemoryGB = 256 }, // 2^32 lines of 64 bytes
+		func(c *Config) { c.MemoryGB, c.LineBytes = 128, 32 },
 		func(c *Config) { c.L2Banks = 6; c.MCs = 4 },
 	}
 	for i, mutate := range mutations {

@@ -190,6 +190,9 @@ func TestCompareEndpointErrors(t *testing.T) {
 		"/compare?a=latest":                       http.StatusBadRequest,
 		"/compare?a=latest&b=nope":                http.StatusNotFound,
 		"/compare?a=latest&b=blessed&threshold=x": http.StatusBadRequest,
+		// NaN and Inf parse, but no change would ever exceed them.
+		"/compare?a=latest&b=blessed&threshold=NaN": http.StatusBadRequest,
+		"/compare?a=latest&b=blessed&threshold=Inf": http.StatusBadRequest,
 	} {
 		resp, err := http.Get(ts.URL + url)
 		if err != nil {

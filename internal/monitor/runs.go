@@ -124,7 +124,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	threshold := 0.05
 	if t := q.Get("threshold"); t != "" {
 		v, err := strconv.ParseFloat(t, 64)
-		if err != nil || v < 0 {
+		if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			http.Error(w, fmt.Sprintf("bad threshold %q", t), http.StatusBadRequest)
 			return
 		}
