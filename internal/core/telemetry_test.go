@@ -40,35 +40,55 @@ func telemetryRun(t *testing.T, sampleEvery int64) (Metrics, *telemetry.Telemetr
 
 // TestTelemetryDoesNotPerturbSimulation pins the core invariant: an
 // instrumented run must produce bit-identical simulation results to an
-// uninstrumented one — telemetry observes, never participates.
+// uninstrumented one — telemetry observes, never participates. Both
+// instrumented shapes are held to it: telemetry with the attribution
+// collector its trace is drawn from, and telemetry alone (the sampler
+// and a tracer with no tags to draw, as with stacksim -attrib=false).
 func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 	cfg := config.QuadMC()
 	cfg.WarmupCycles = 5_000
 	cfg.MeasureCycles = 20_000
-	plain, err := NewSystem(cfg, []string{"S.all", "mcf", "S.copy", "milc"})
+	mix := []string{"S.all", "mcf", "S.copy", "milc"}
+	plain, err := NewSystem(cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := plain.Run()
 
+	bare, err := NewSystem(cfg, mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare.AttachTelemetry(telemetry.New(telemetry.Options{
+		Dir: t.TempDir(), SampleEvery: 250, TraceEvents: true, TraceSample: 4,
+	}))
+	alone := bare.Run()
+
 	instr, tel := telemetryRun(t, 500)
-	if base.HMIPC != instr.HMIPC {
-		t.Fatalf("telemetry changed HMIPC: %v vs %v", base.HMIPC, instr.HMIPC)
-	}
-	for i := range base.IPC {
-		if base.IPC[i] != instr.IPC[i] {
-			t.Fatalf("telemetry changed core %d IPC: %v vs %v", i, base.IPC[i], instr.IPC[i])
-		}
-	}
-	if base.DRAMReads != instr.DRAMReads || base.DRAMWrites != instr.DRAMWrites {
-		t.Fatalf("telemetry changed DRAM traffic: %d/%d vs %d/%d",
-			base.DRAMReads, base.DRAMWrites, instr.DRAMReads, instr.DRAMWrites)
-	}
-	if base.RowHitRate != instr.RowHitRate {
-		t.Fatalf("telemetry changed row-hit rate: %v vs %v", base.RowHitRate, instr.RowHitRate)
-	}
 	if tel.Tracer.Len() == 0 {
 		t.Fatal("tracer recorded no events on a missing-heavy mix")
+	}
+	for _, run := range []struct {
+		name string
+		m    Metrics
+	}{{"telemetry+attribution", instr}, {"telemetry alone", alone}} {
+		m := run.m
+		if base.HMIPC != m.HMIPC {
+			t.Fatalf("%s changed HMIPC: %v vs %v", run.name, base.HMIPC, m.HMIPC)
+		}
+		for i := range base.IPC {
+			if base.IPC[i] != m.IPC[i] {
+				t.Fatalf("%s changed core %d IPC: %v vs %v", run.name, i, base.IPC[i], m.IPC[i])
+			}
+		}
+		if base.DRAMReads != m.DRAMReads || base.DRAMWrites != m.DRAMWrites {
+			t.Fatalf("%s changed DRAM traffic: %d/%d vs %d/%d",
+				run.name, base.DRAMReads, base.DRAMWrites, m.DRAMReads, m.DRAMWrites)
+		}
+		if base.L2MissRate != m.L2MissRate || base.RowHitRate != m.RowHitRate {
+			t.Fatalf("%s changed L2 miss or row-hit rate: %v/%v vs %v/%v",
+				run.name, base.L2MissRate, base.RowHitRate, m.L2MissRate, m.RowHitRate)
+		}
 	}
 }
 

@@ -1,7 +1,19 @@
 package monitor
 
+import (
+	"io"
+	"net/http"
+)
+
+// handleDashboard serves the live run dashboard page.
+func (s *Server) handleDashboard(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	io.WriteString(w, dashboardHTML) //nolint:errcheck // best-effort over HTTP
+}
+
 // dashboardHTML is the live run dashboard: dependency-free HTML/SVG
-// that subscribes to /events and plots the window signals. Styling
+// that polls /snapshot once a second and plots the window signals,
+// derived from the snapshot's metrics in the script. Styling
 // follows the repo's chart conventions — CSS custom properties carry
 // the light/dark palette, single-series lines wear categorical slot 1
 // (blue) with no legend, text wears ink tokens, and a latest-values
@@ -173,27 +185,47 @@ function push(key, cycle, v) {
   draw(key);
 }
 
-function onEvent(ev) {
-  const d = JSON.parse(ev.data);
-  tiles.cycle.textContent = d.cycle.toLocaleString();
+// onSnapshot plots one /snapshot. Committed μops and skipped cycles
+// are cumulative and differenced against the previous snapshot, so a
+// failed poll widens one window instead of corrupting the series.
+function onSnapshot(d) {
+  const m = d.metrics || {}, pt = d.power_thermal;
+  let committed = 0, depth = 0, mcs = 0;
+  for (const k in m) {
+    if (/^core\d+\.committed$/.test(k)) committed += m[k];
+    if (/^mc\d+\.readq\.depth$/.test(k)) { depth += m[k]; mcs++; }
+  }
+  const cur = { cycle: d.cycle, committed, skipped: m["engine.cycles_skipped"] || 0 };
+  tiles.cycle.textContent = cur.cycle.toLocaleString();
   if (d.progress && d.progress.ledger_hits != null) hits = d.progress.ledger_hits;
   tiles.hits.textContent = hits.toLocaleString();
-  if (prev && d.cycle > prev.cycle) {
-    const dc = d.cycle - prev.cycle;
-    push("ipc", d.cycle, (d.committed - prev.committed) / dc);
-    push("skip", d.cycle, (d.cycles_skipped - prev.cycles_skipped) / dc);
+  if (prev && cur.cycle === prev.cycle) return; // no Collect since the last poll
+  if (prev && cur.cycle > prev.cycle) {
+    const dc = cur.cycle - prev.cycle;
+    push("ipc", cur.cycle, (cur.committed - prev.committed) / dc);
+    push("skip", cur.cycle, (cur.skipped - prev.skipped) / dc);
   }
-  if (d.power_w != null) push("power", d.cycle, d.power_w);
-  if (d.temp_c != null) push("temp", d.cycle, d.temp_c);
-  if (d.mc_queue && d.mc_queue.length)
-    push("queue", d.cycle, d.mc_queue.reduce((a, b) => a + b, 0) / d.mc_queue.length);
-  prev = d;
+  // The tracker's block wins over its gauges: the same data, present
+  // before the first window closes.
+  push("power", cur.cycle, pt ? pt.total_power_w : m["power.total.w"]);
+  push("temp", cur.cycle, pt ? pt.max_dram_temp_c : m["thermal.max_dram.c"]);
+  if (mcs) push("queue", cur.cycle, depth / mcs);
+  prev = cur;
 }
 
+const POLL_MS = 1000;
 const status = document.getElementById("status"), stext = document.getElementById("statustext");
-const es = new EventSource("/events");
-es.onopen = () => { status.classList.add("live"); stext.textContent = "live"; };
-es.onerror = () => { status.classList.remove("live"); stext.textContent = "disconnected — retrying"; };
-es.onmessage = onEvent;
+async function poll() {
+  try {
+    const res = await fetch("/snapshot", { cache: "no-store" });
+    if (!res.ok) throw new Error("HTTP " + res.status);
+    onSnapshot(await res.json());
+    status.classList.add("live"); stext.textContent = "live";
+  } catch (e) {
+    status.classList.remove("live"); stext.textContent = "disconnected — retrying";
+  }
+  setTimeout(poll, POLL_MS);
+}
+poll();
 </script></body></html>
 `

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,11 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"stackedsim/internal/ledger"
-	"stackedsim/internal/sim"
-	"stackedsim/internal/telemetry"
 )
 
 // ledgerFixture builds a deterministic two-run store: a baseline and a
@@ -219,98 +215,5 @@ func TestLedgerEndpointsWithoutLedger(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET %s without ledger = %d, want 404", url, resp.StatusCode)
 		}
-	}
-}
-
-// readSSEEvent reads lines until one "data: {...}" event arrives.
-func readSSEEvent(t *testing.T, r *bufio.Reader) map[string]any {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatalf("SSE stream closed early: %v", err)
-		}
-		if strings.HasPrefix(line, "data: ") {
-			var ev map[string]any
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(strings.TrimSpace(line), "data: ")), &ev); err != nil {
-				t.Fatalf("SSE event is not JSON: %v\n%s", err, line)
-			}
-			return ev
-		}
-	}
-	t.Fatal("no SSE event within deadline")
-	return nil
-}
-
-// TestSSEHandshake pins the /events contract: the handshake event
-// arrives immediately on connect with the last published snapshot, and
-// each subsequent Collect pushes a fresh event.
-func TestSSEHandshake(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	committed := reg.Gauge("core0.committed")
-	committed.Set(1000)
-	reg.Gauge("mc0.readq.depth").Set(3)
-	s := &Server{Registry: reg}
-	s.Collect(5000)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/event-stream") {
-		t.Fatalf("content type %q is not SSE", ct)
-	}
-	r := bufio.NewReader(resp.Body)
-	ev := readSSEEvent(t, r)
-	if ev["cycle"].(float64) != 5000 || ev["committed"].(float64) != 1000 {
-		t.Fatalf("handshake event = %v", ev)
-	}
-	if q := ev["mc_queue"].([]any); len(q) != 1 || q[0].(float64) != 3 {
-		t.Fatalf("mc_queue = %v", ev["mc_queue"])
-	}
-
-	// A later Collect must push a second event without the client asking.
-	committed.Set(2500)
-	deadline := time.Now().Add(3 * time.Second)
-	pushed := make(chan map[string]any, 1)
-	go func() {
-		defer func() { recover() }() //nolint:errcheck // reader may fail after test ends
-		pushed <- readSSEEvent(t, r)
-	}()
-	// Collect from this goroutine (the "sim loop"); retry until the
-	// handler has re-armed on the broadcast channel.
-	var ev2 map[string]any
-	for ev2 == nil && time.Now().Before(deadline) {
-		s.Collect(6000)
-		select {
-		case ev2 = <-pushed:
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
-	if ev2 == nil {
-		t.Fatal("no pushed event after Collect")
-	}
-	if ev2["cycle"].(float64) != 6000 || ev2["committed"].(float64) != 2500 {
-		t.Fatalf("pushed event = %v", ev2)
-	}
-}
-
-// TestSSEZeroPerturbation pins the no-subscriber fast path: Collect on
-// a server nobody watches never allocates or touches a broadcast
-// channel.
-func TestSSEZeroPerturbation(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	s := &Server{Registry: reg}
-	for i := 0; i < 100; i++ {
-		s.Collect(sim.Cycle(i))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.notify != nil {
-		t.Fatal("Collect created a broadcast channel with no subscribers")
 	}
 }

@@ -5,19 +5,16 @@
 // /healthz, and the stdlib pprof handlers. With a run ledger attached
 // it also serves the cross-run surface — /runs (list + filter), /runs/
 // {id} (full manifest + metrics), /compare?a=&b= (threshold-classified
-// delta) — and a live /dashboard page fed by /events, a Server-Sent
-// Events stream of the published snapshots.
+// delta) — and a live /dashboard page that polls /snapshot.
 //
 // The simulation loop and the HTTP handlers never share the registry:
 // the loop publishes a snapshot under a brief mutex via Collect (wired
 // as an engine ticker), handlers copy it under the same mutex and
 // render outside it. A slow scraper therefore can never block a
 // simulated cycle, and the registry — which is not safe for concurrent
-// access — is only ever read from the simulation goroutine. The SSE
-// path keeps the same property: with no subscriber connected, Collect
-// pays one atomic load and nothing else; with subscribers, it closes a
-// broadcast channel under the same brief mutex. Ledger handlers read
-// only the append-only store on disk, never the simulation.
+// access — is only ever read from the simulation goroutine. Collect
+// does no per-watcher work. Ledger handlers read only the append-only
+// store on disk, never the simulation.
 package monitor
 
 import (
@@ -134,19 +131,9 @@ type Server struct {
 	// of the farm package (and core with it).
 	FarmHandler http.Handler
 
-	mu   sync.Mutex
-	snap snapshot
-	// notify is the SSE broadcast channel: closed and replaced under mu
-	// by Collect whenever subscribers exist, so every waiting /events
-	// handler wakes per published snapshot. Lazily created; nil until
-	// the first subscriber asks for it.
-	notify chan struct{}
-
+	mu       sync.Mutex
+	snap     snapshot
 	collects atomic.Int64
-	// sseClients gates the broadcast: Collect pays one atomic load when
-	// it is zero, preserving the zero-perturbation contract for runs
-	// nobody is watching.
-	sseClients atomic.Int64
 
 	ln  net.Listener
 	srv *http.Server
@@ -178,10 +165,6 @@ func (s *Server) Collect(now sim.Cycle) {
 	}
 	s.mu.Lock()
 	s.snap = snap
-	if s.sseClients.Load() > 0 && s.notify != nil {
-		close(s.notify)
-		s.notify = make(chan struct{})
-	}
 	s.mu.Unlock()
 	s.collects.Add(1)
 }
@@ -216,7 +199,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/runs", s.handleRuns)
 	mux.HandleFunc("/runs/{id}", s.handleRun)
 	mux.HandleFunc("/compare", s.handleCompare)
-	mux.HandleFunc("/events", s.handleEvents)
 	mux.HandleFunc("/dashboard", s.handleDashboard)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -27,6 +28,11 @@ func TestPaperStackWithinDRAMLimit(t *testing.T) {
 	}
 	if s.MaxDRAMTempC() <= s.AmbientC {
 		t.Fatal("DRAM cooler than ambient")
+	}
+	// EXPERIMENTS.md quotes this stack's worst case as examples/thermal
+	// prints it.
+	if got := fmt.Sprintf("%.1f", s.MaxDRAMTempC()); got != "73.8" {
+		t.Fatalf("paper stack's worst DRAM temperature = %s C, EXPERIMENTS.md quotes 73.8", got)
 	}
 }
 

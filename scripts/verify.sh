@@ -3,9 +3,10 @@
 # `go build ./... && go test ./...` gate plus formatting, vet, the whole
 # tree under the race detector (-short skips only the real-window
 # stability sweep, which the plain pass covers), one iteration of every
-# micro-benchmark under internal/, and the benchmark harness's own smoke
-# test — bench/ is a separate module the root commands do not descend
-# into, so a root-module change could otherwise break it unnoticed.
+# micro-benchmark in the module, one run of every examples/ program, and
+# the benchmark harness's own smoke test — bench/ is a separate module
+# the root commands do not descend into, so a root-module change could
+# otherwise break it unnoticed.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -122,11 +123,26 @@ go test ./...
 echo "== go test -race -short ./..."
 go test -race -short ./...
 
-# Every micro-benchmark under internal/ once: they measure single layers
+# Every micro-benchmark in the module once: they measure single layers
 # (the mesh, the queue, the cache array) and nothing else runs them, so
-# this is what keeps them compiling and their own checks passing.
-echo "== go test -run '^\$' -bench . -benchtime 1x ./internal/..."
-go test -run '^$' -bench . -benchtime 1x ./internal/...
+# this is what keeps them compiling and their own checks passing. The
+# whole module, not only internal/, so that a benchmark added anywhere
+# runs too; the end-to-end measurements are bench/'s.
+echo "== go test -run '^\$' -bench . -benchtime 1x ./..."
+go test -run '^$' -bench . -benchtime 1x ./...
+
+# Every examples/ program once, to a zero exit. go build compiles them
+# and nothing else runs them; EXPERIMENTS.md quotes examples/thermal.
+echo "== every examples/ program runs"
+exdir=$(mktemp -d)
+trap 'rm -rf "$exdir"' EXIT
+go build -o "$exdir/" ./examples/...
+for ex in "$exdir"/*; do
+	if ! "$ex" >/dev/null; then
+		echo "verify: examples/$(basename "$ex") failed" >&2
+		exit 1
+	fi
+done
 
 echo "== go vet -C bench ./... && go test -C bench ./..."
 go vet -C bench ./...
