@@ -112,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		stackMode   = fs.String("stack-mode", "memory", "stacked-DRAM use: memory (all of main memory), cache, or memcache (hot region + cache)")
 		stackCapMB  = fs.Int("stack-cap-mb", 64, "stack capacity in MB (cache/memcache modes)")
 		stackWays   = fs.Int("stack-ways", 16, "stack cache associativity")
-		stackSRAM   = fs.Bool("stack-tags-sram", true, "tag directory in SRAM (false = tags stored in the stacked DRAM)")
 		stackTagLat = fs.Int("stack-tag-lat", 2, "SRAM tag-probe latency in CPU cycles")
 		stackFill   = fs.Int("stack-fill-bytes", 0, "fill/allocation granularity in bytes (0 = one page)")
 		stackHot    = fs.Float64("stack-hot-frac", 0.5, "memcache: fraction of the stack that is direct-addressed hot memory")
@@ -196,7 +195,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		cfg = cfg.WithStackCache(mode, *stackCapMB)
 		cfg.StackWays = *stackWays
-		cfg.StackTagsInSRAM = *stackSRAM
 		cfg.StackTagLatency = *stackTagLat
 		if *stackFill > 0 {
 			cfg.StackFillBytes = *stackFill
@@ -545,8 +543,8 @@ func validateFlags(explicit map[string]string, telemetryDir string, sampleEvery 
 	checkpoint, resume, traces string, ckptEvery int64, stackMode, ledgerDir string, jobs int) error {
 	set := func(name string) bool { _, ok := explicit[name]; return ok }
 	if stackMode == "memory" {
-		for _, name := range []string{"stack-cap-mb", "stack-ways", "stack-tags-sram",
-			"stack-tag-lat", "stack-fill-bytes", "stack-hot-frac"} {
+		for _, name := range []string{"stack-cap-mb", "stack-ways", "stack-tag-lat",
+			"stack-fill-bytes", "stack-hot-frac"} {
 			if set(name) {
 				return fmt.Errorf("-%s does nothing in memory mode; add -stack-mode cache or memcache", name)
 			}

@@ -58,7 +58,6 @@ func TestUsageErrors(t *testing.T) {
 		{"-cores 2 -traces a.trc,b.trc,c.trc", "the workload has 3 programs, the machine 2 cores (see -cores)"},
 		{run + " -stack-cap-mb 8", "-stack-cap-mb does nothing in memory mode; add -stack-mode cache or memcache"},
 		{run + " -stack-ways 4", "-stack-ways does nothing in memory mode; add -stack-mode cache or memcache"},
-		{run + " -stack-tags-sram=false", "-stack-tags-sram does nothing in memory mode; add -stack-mode cache or memcache"},
 		{run + " -stack-tag-lat 3", "-stack-tag-lat does nothing in memory mode; add -stack-mode cache or memcache"},
 		{run + " -stack-fill-bytes 256", "-stack-fill-bytes does nothing in memory mode; add -stack-mode cache or memcache"},
 		{run + " -stack-hot-frac 0.3", "-stack-hot-frac does nothing in memory mode; add -stack-mode cache or memcache"},
@@ -117,8 +116,11 @@ func TestUsageErrors(t *testing.T) {
 			t.Fatalf("stacksim %s: a usage error, yet it left %v behind", c.args, left)
 		}
 	}
-	if code, _, errs := stacksim(t, "-no-such-flag"); code != 2 || !strings.Contains(errs, "flag provided but not defined") {
-		t.Errorf("unknown flag: exit %d stderr %q", code, errs)
+	// -stack-tags-sram is not a flag: the stack cache has one tag directory.
+	for _, flag := range []string{"-no-such-flag", "-stack-tags-sram=false"} {
+		if code, _, errs := stacksim(t, flag); code != 2 || !strings.Contains(errs, "flag provided but not defined") {
+			t.Errorf("unknown flag %s: exit %d stderr %q", flag, code, errs)
+		}
 	}
 }
 

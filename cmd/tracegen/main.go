@@ -6,8 +6,8 @@
 //	tracegen -bench mcf -n 1000000 -o mcf.trace
 //	tracegen -inspect mcf.trace
 //
-// A recorded trace replays through `stacksim -traces` (and
-// examples/tracereplay) cycle-exact to the generator-driven run.
+// A recorded trace replays through `stacksim -traces` cycle-exact to the
+// generator-driven run.
 package main
 
 import (

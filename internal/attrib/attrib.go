@@ -58,8 +58,7 @@ const (
 	// StageStackHit runs from the stack-cache layer first seeing the
 	// request to its acceptance into a stacked MC's MRQ: the SRAM tag
 	// lookup latency plus any wait for a free MRQ slot. Zero in memory
-	// mode (the layer does not exist) and under tags-in-DRAM (the tag
-	// check rides the stacked access itself).
+	// mode (the layer does not exist).
 	StageStackHit
 	// StageQueue runs from MRQ acceptance to the scheduler picking the
 	// request (FR-FCFS queueing plus controller-clock edge alignment).

@@ -220,7 +220,8 @@ func TestRetryStageTelescopes(t *testing.T) {
 }
 
 // TestStackStagesTelescope pins the stack-cache stages across the
-// three request shapes the layer produces.
+// two request shapes the layer produces, and a full stacked chain
+// followed by a stack miss.
 func TestStackStagesTelescope(t *testing.T) {
 	sum := func(st [NumStages]sim.Cycle) sim.Cycle {
 		var s sim.Cycle
@@ -230,7 +231,7 @@ func TestStackStagesTelescope(t *testing.T) {
 		return s
 	}
 
-	// Tags-in-SRAM hit: probe at 104, tag latency + MRQ wait until
+	// Hit: probe at 104, tag latency + MRQ wait until
 	// acceptance at 110, then the usual stacked access.
 	hit := fullTag()
 	hit.Probe(104)
@@ -243,7 +244,7 @@ func TestStackStagesTelescope(t *testing.T) {
 		t.Fatalf("sram-hit sum %d != total %d", sum(st), hit.Total())
 	}
 
-	// Tags-in-SRAM miss: the request never visits a stacked MC —
+	// Miss: the request never visits a stacked MC —
 	// queue/dram/bus collapse into the miss decision, and everything
 	// after it is the off-chip stage.
 	miss := &Tag{MissAt: 100, ProbeAt: 104, StackAt: 108, DoneAt: 300}
@@ -256,9 +257,10 @@ func TestStackStagesTelescope(t *testing.T) {
 		t.Fatalf("sram-miss sum %d != total %d", sum(st), miss.Total())
 	}
 
-	// Tags-in-DRAM miss: the compound tag+data access rides the stacked
-	// MC (full chain), the miss resolves at stacked delivery, and the
-	// backing round trip follows.
+	// Full chain, then a miss: every stacked checkpoint is stamped
+	// before StackResolve, and the backing round trip follows. The layer
+	// probes its tags before any stacked access, so it never sends this
+	// shape, but Tag.Stages still has to telescope it.
 	dmiss := fullTag()
 	dmiss.Probe(100)
 	dmiss.StackResolve(190)
@@ -266,10 +268,10 @@ func TestStackStagesTelescope(t *testing.T) {
 	st = dmiss.Stages()
 	want = [NumStages]sim.Cycle{0, 0, 0, 10, 20, 40, 0, 20, 210}
 	if st != want {
-		t.Fatalf("dram-tag-miss stages = %v, want %v", st, want)
+		t.Fatalf("full-chain-miss stages = %v, want %v", st, want)
 	}
 	if sum(st) != dmiss.Total() {
-		t.Fatalf("dram-tag-miss sum %d != total %d", sum(st), dmiss.Total())
+		t.Fatalf("full-chain-miss sum %d != total %d", sum(st), dmiss.Total())
 	}
 }
 

@@ -252,10 +252,10 @@ type Config struct {
 	StackCapMB int
 	// StackWays is the stack cache's set associativity.
 	StackWays int
-	// StackTagsInSRAM selects the tag-directory variant: true models an
-	// on-die SRAM directory probed in StackTagLatency cycles before any
-	// stacked access; false stores tags in the stacked DRAM itself, so
-	// the tag check rides a compound tag+data access.
+	// StackTagsInSRAM must be true in cache and memcache mode: the stack
+	// cache's tags live in an on-die SRAM directory probed in
+	// StackTagLatency cycles before any stacked access. The field stays
+	// because every config's JSON, and so every RunID, carries it.
 	StackTagsInSRAM bool
 	// StackTagLatency is the SRAM tag-probe latency in CPU cycles.
 	StackTagLatency int
@@ -434,8 +434,10 @@ func (c *Config) validateStack() error {
 	case capBytes%int64(c.StackWays*c.StackFillBytes) != 0:
 		return fmt.Errorf("config: stack capacity %d MB not divisible into %d ways of %d-byte blocks",
 			c.StackCapMB, c.StackWays, c.StackFillBytes)
-	case c.StackTagsInSRAM && c.StackTagLatency < 1:
-		return fmt.Errorf("config: StackTagLatency = %d with tags in SRAM, need >= 1", c.StackTagLatency)
+	case !c.StackTagsInSRAM:
+		return fmt.Errorf("config: StackTagsInSRAM = false in %s mode; the stack cache keeps its tags in SRAM", c.StackMode)
+	case c.StackTagLatency < 1:
+		return fmt.Errorf("config: StackTagLatency = %d, need >= 1", c.StackTagLatency)
 	case c.StackHotFrac < 0 || c.StackHotFrac >= 1:
 		return fmt.Errorf("config: StackHotFrac = %g, need [0, 1)", c.StackHotFrac)
 	case c.StackMode == StackMemCache && c.StackHotFrac == 0:

@@ -213,6 +213,8 @@ func TestValidateCatchesBadStackConfigs(t *testing.T) {
 		func(c *Config) { c.StackFillBytes = 32 },              // < LineBytes
 		func(c *Config) { c.StackFillBytes = 2 * c.PageBytes }, // > PageBytes
 		func(c *Config) { c.StackTagLatency = 0 },              // SRAM tags need latency
+		func(c *Config) { c.StackTagsInSRAM = false },          // the only tag directory is SRAM
+		func(c *Config) { c.StackMode, c.StackHotFrac, c.StackTagsInSRAM = StackMemCache, 0.5, false },
 		func(c *Config) { c.StackHotFrac = 1.5 },
 		func(c *Config) { c.StackMode = StackMemCache; c.StackHotFrac = 0 },
 		func(c *Config) { c.BackingRanks = 0 },

@@ -53,25 +53,19 @@ func TestStackMemoryParity(t *testing.T) {
 	}
 }
 
-// stackConfigs enumerates the four stack organizations under test:
-// cache and memcache, each with tags in SRAM and tags in DRAM.
+// stackConfigs enumerates the two stack organizations under test:
+// cache and memcache.
 func stackConfigs() []*config.Config {
 	var out []*config.Config
 	for _, mode := range []config.StackMode{config.StackCache, config.StackMemCache} {
-		for _, sram := range []bool{true, false} {
-			cfg := config.Fast3D().WithStackCache(mode, 8)
-			cfg.StackTagsInSRAM = sram
-			if mode == config.StackMemCache {
-				// A small hot region (128 KB = 32 frames) so short test
-				// windows drive traffic through both the direct path and
-				// the tag path.
-				cfg.StackHotFrac = 1.0 / 64
-			}
-			if !sram {
-				cfg.Name += "-dramtags"
-			}
-			out = append(out, cfg)
+		cfg := config.Fast3D().WithStackCache(mode, 8)
+		if mode == config.StackMemCache {
+			// A small hot region (128 KB = 32 frames) so short test
+			// windows drive traffic through both the direct path and
+			// the tag path.
+			cfg.StackHotFrac = 1.0 / 64
 		}
+		out = append(out, cfg)
 	}
 	return out
 }

@@ -191,14 +191,10 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 		s.Faults = inj
 	}
 
-	// DRAM + controllers. In cache/memcache modes the stacked MCs
-	// deliver completions to the stack-cache layer (constructed below;
-	// no request can complete before construction finishes) instead of
-	// completing requests themselves.
-	respond := func(r *mem.Request, now sim.Cycle) { r.Complete(now) }
-	if stacked {
-		respond = func(r *mem.Request, now sim.Cycle) { s.Stack.RespondStacked(r, now) }
-	}
+	// DRAM + controllers. Every channel completes what it serves: in
+	// cache/memcache modes the stack-cache layer (built below) has
+	// resolved a request before it reaches a stacked MC.
+	complete := func(r *mem.Request, now sim.Cycle) { r.Complete(now) }
 	timing := dram.TimingInCycles(cfg.Timing, cfg.CPUMHz)
 	for m := 0; m < cfg.MCs; m++ {
 		ranks := make([]*dram.Rank, cfg.RanksPerMC())
@@ -218,7 +214,7 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 			Divider:           sim.NewDivider(cfg.BusDivider),
 			LineBytes:         cfg.LineBytes,
 			CriticalWordFirst: cfg.CriticalWordFirst,
-			Respond:           respond,
+			Respond:           complete,
 		}))
 	}
 
@@ -260,7 +256,7 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 			DataBus:   bus.New(cfg.BackingBusBytes, cfg.BackingBusDivider, cfg.BackingBusDDR),
 			Divider:   sim.NewDivider(cfg.BackingBusDivider),
 			LineBytes: cfg.StackFillBytes,
-			Respond:   func(r *mem.Request, now sim.Cycle) { s.Stack.RespondBacking(r, now) },
+			Respond:   complete,
 		})
 		// The memcache hot region holds the first-touched pages: the
 		// frames the allocator handed out while the region still had
@@ -860,25 +856,11 @@ func (s *System) Digest() uint64 {
 }
 
 // RunWorkload builds cfg's machine for w and runs it under ctx: the one
-// build-and-run step behind the Runner, RunMix and RunSingle.
+// build-and-run step behind the Runner.
 func RunWorkload(ctx context.Context, cfg *config.Config, w workload.Workload) (Metrics, error) {
 	sys, err := NewSystem(cfg, w.Benchmarks())
 	if err != nil {
 		return Metrics{}, err
 	}
 	return sys.RunContext(ctx)
-}
-
-// RunMix builds and runs the named Table 2b mix under cfg.
-func RunMix(cfg *config.Config, mixName string) (Metrics, error) {
-	w, err := workload.OfMix(mixName)
-	if err != nil {
-		return Metrics{}, fmt.Errorf("core: %w", err)
-	}
-	return RunWorkload(context.Background(), cfg, w)
-}
-
-// RunSingle runs one benchmark alone on core 0 (Table 2a methodology).
-func RunSingle(cfg *config.Config, benchmark string) (Metrics, error) {
-	return RunWorkload(context.Background(), cfg, workload.Single(benchmark))
 }

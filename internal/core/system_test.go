@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -19,6 +20,26 @@ func short(cfg *config.Config) *config.Config {
 	cfg.WarmupCycles = 50_000
 	cfg.MeasureCycles = 150_000
 	return cfg
+}
+
+// runMix runs the named Table 2b mix under cfg, failing t on an error.
+func runMix(t *testing.T, cfg *config.Config, name string) Metrics {
+	t.Helper()
+	w, err := workload.OfMix(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runOn(t, cfg, w)
+}
+
+// runOn runs w under cfg, failing t on an error.
+func runOn(t *testing.T, cfg *config.Config, w workload.Workload) Metrics {
+	t.Helper()
+	m, err := RunWorkload(context.Background(), cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestNewSystemValidation(t *testing.T) {
@@ -39,10 +60,7 @@ func TestNewSystemValidation(t *testing.T) {
 }
 
 func TestRunMixProducesProgress(t *testing.T) {
-	m, err := RunMix(short(config.Fast3D()), "VH1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := runMix(t, short(config.Fast3D()), "VH1")
 	if m.HMIPC <= 0 {
 		t.Fatalf("HMIPC = %v, want > 0", m.HMIPC)
 	}
@@ -63,14 +81,8 @@ func TestRunMixProducesProgress(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, err := RunMix(short(config.QuadMC()), "H1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunMix(short(config.QuadMC()), "H1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runMix(t, short(config.QuadMC()), "H1")
+	b := runMix(t, short(config.QuadMC()), "H1")
 	if a.HMIPC != b.HMIPC || a.DRAMReads != b.DRAMReads {
 		t.Fatalf("nondeterministic: %.6f/%d vs %.6f/%d", a.HMIPC, a.DRAMReads, b.HMIPC, b.DRAMReads)
 	}
@@ -78,10 +90,10 @@ func TestDeterminism(t *testing.T) {
 
 func TestSeedChangesResult(t *testing.T) {
 	cfg := short(config.Fast3D())
-	a, _ := RunMix(cfg, "H2")
+	a := runMix(t, cfg, "H2")
 	cfg2 := short(config.Fast3D())
 	cfg2.Seed = 99
-	b, _ := RunMix(cfg2, "H2")
+	b := runMix(t, cfg2, "H2")
 	if a.HMIPC == b.HMIPC && a.DRAMReads == b.DRAMReads {
 		t.Fatal("different seeds produced identical runs (suspicious)")
 	}
@@ -93,10 +105,7 @@ func TestSection3Ordering(t *testing.T) {
 	hmipc := map[string]float64{}
 	for _, mk := range []func() *config.Config{config.Baseline2D, config.Simple3D, config.Wide3D, config.Fast3D} {
 		cfg := short(mk())
-		m, err := RunMix(cfg, "VH1")
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := runMix(t, cfg, "VH1")
 		hmipc[cfg.Name] = m.HMIPC
 	}
 	if !(hmipc["2D"] < hmipc["3D"] && hmipc["3D"] < hmipc["3D-wide"] && hmipc["3D-wide"] < hmipc["3D-fast"]) {
@@ -112,14 +121,8 @@ func TestSection3Ordering(t *testing.T) {
 // TestAggressiveOrgBeats3DFast checks the Section 4 claim on a
 // bandwidth-hungry mix.
 func TestAggressiveOrgBeats3DFast(t *testing.T) {
-	base, err := RunMix(short(config.Fast3D()), "VH2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	quad, err := RunMix(short(config.QuadMC()), "VH2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runMix(t, short(config.Fast3D()), "VH2")
+	quad := runMix(t, short(config.QuadMC()), "VH2")
 	if quad.HMIPC <= base.HMIPC {
 		t.Fatalf("quad-MC (%.4f) did not beat 3D-fast (%.4f)", quad.HMIPC, base.HMIPC)
 	}
@@ -129,14 +132,8 @@ func TestAggressiveOrgBeats3DFast(t *testing.T) {
 // improve a very-high-miss mix on the aggressive organization.
 func TestMSHRScalingHelps(t *testing.T) {
 	base := config.QuadMC()
-	small, err := RunMix(short(base.Clone()), "VH1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := RunMix(short(base.WithMSHR(8, config.MSHRIdealCAM, false)), "VH1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := runMix(t, short(base.Clone()), "VH1")
+	big := runMix(t, short(base.WithMSHR(8, config.MSHRIdealCAM, false)), "VH1")
 	if big.HMIPC <= small.HMIPC {
 		t.Fatalf("8x MSHR (%.4f) did not beat 1x (%.4f)", big.HMIPC, small.HMIPC)
 	}
@@ -149,14 +146,8 @@ func TestMSHRScalingHelps(t *testing.T) {
 // performs within a few percent of the ideal single-cycle CAM.
 func TestVBFCloseToIdealCAM(t *testing.T) {
 	base := config.DualMC()
-	cam, err := RunMix(short(base.WithMSHR(8, config.MSHRIdealCAM, false)), "VH2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vbf, err := RunMix(short(base.WithMSHR(8, config.MSHRVBF, false)), "VH2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cam := runMix(t, short(base.WithMSHR(8, config.MSHRIdealCAM, false)), "VH2")
+	vbf := runMix(t, short(base.WithMSHR(8, config.MSHRVBF, false)), "VH2")
 	ratio := vbf.HMIPC / cam.HMIPC
 	if ratio < 0.85 || ratio > 1.1 {
 		t.Fatalf("VBF/CAM HMIPC ratio = %.3f, want near 1", ratio)
@@ -193,24 +184,18 @@ func TestRunSingleCollectsMPKI(t *testing.T) {
 	cfg := short(config.Baseline2D())
 	cfg.Cores = 1
 	cfg.L2SizeKB = 6 * 1024
-	m, err := RunSingle(cfg, "S.all")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := runOn(t, cfg, workload.Single("S.all"))
 	if len(m.MPKI) != 1 || m.MPKI[0] <= 50 {
 		t.Fatalf("S.all MPKI = %v, want large", m.MPKI)
 	}
-	low, err := RunSingle(cfg, "namd")
-	if err != nil {
-		t.Fatal(err)
-	}
+	low := runOn(t, cfg, workload.Single("namd"))
 	if low.MPKI[0] >= m.MPKI[0] {
 		t.Fatalf("namd MPKI (%.1f) not below S.all (%.1f)", low.MPKI[0], m.MPKI[0])
 	}
 }
 
 func TestRunMixUnknown(t *testing.T) {
-	if _, err := RunMix(config.Fast3D(), "nope"); err == nil {
+	if _, err := NewRunner(20_000, 50_000).MixMetrics(config.Fast3D(), "nope"); err == nil {
 		t.Fatal("unknown mix accepted")
 	}
 }
@@ -275,10 +260,7 @@ func TestTraceReplayMatchesGenerator(t *testing.T) {
 	}
 	replayed := replay.Run()
 
-	direct, err := RunSingle(cfg, "libquantum")
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := runOn(t, cfg, workload.Single("libquantum"))
 	if replayed.HMIPC != direct.HMIPC || replayed.DRAMReads != direct.DRAMReads {
 		t.Fatalf("replay %.5f/%d != direct %.5f/%d",
 			replayed.HMIPC, replayed.DRAMReads, direct.HMIPC, direct.DRAMReads)
@@ -304,10 +286,7 @@ func TestNewSystemFromSourcesValidation(t *testing.T) {
 }
 
 func TestEnergyAccounting(t *testing.T) {
-	m, err := RunMix(short(config.QuadMC()), "VH1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := runMix(t, short(config.QuadMC()), "VH1")
 	if m.Energy.TotalUJ() <= 0 {
 		t.Fatal("no energy accounted")
 	}
@@ -315,10 +294,7 @@ func TestEnergyAccounting(t *testing.T) {
 		t.Fatal("no per-access energy")
 	}
 	// More row-buffer entries must cut activation energy per access.
-	one, err := RunMix(short(config.Aggressive(4, 16, 1)), "VH1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := runMix(t, short(config.Aggressive(4, 16, 1)), "VH1")
 	if m.Energy.PerAccessNJ() >= one.Energy.PerAccessNJ() {
 		t.Fatalf("4RB energy/access (%.2f) not below 1RB (%.2f)",
 			m.Energy.PerAccessNJ(), one.Energy.PerAccessNJ())
@@ -326,34 +302,22 @@ func TestEnergyAccounting(t *testing.T) {
 }
 
 func TestCriticalWordFirstHelpsNarrowBus(t *testing.T) {
-	base, err := RunMix(short(config.Simple3D()), "VH1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runMix(t, short(config.Simple3D()), "VH1")
 	cwfCfg := short(config.Simple3D())
 	cwfCfg.CriticalWordFirst = true
 	cwfCfg.Name = "3D-cwf"
-	cwf, err := RunMix(cwfCfg, "VH1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cwf := runMix(t, cwfCfg, "VH1")
 	if cwf.HMIPC <= base.HMIPC {
 		t.Fatalf("CWF (%.4f) did not help the narrow bus (%.4f)", cwf.HMIPC, base.HMIPC)
 	}
 }
 
 func TestSmartRefreshDoesNotHurt(t *testing.T) {
-	base, err := RunMix(short(config.QuadMC()), "VH2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runMix(t, short(config.QuadMC()), "VH2")
 	sCfg := short(config.QuadMC())
 	sCfg.SmartRefresh = true
 	sCfg.Name = "quadmc-smartref"
-	smart, err := RunMix(sCfg, "VH2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	smart := runMix(t, sCfg, "VH2")
 	// Refresh overhead is small, so require only no regression beyond
 	// noise.
 	if smart.HMIPC < base.HMIPC*0.97 {
@@ -592,10 +556,7 @@ func TestRefreshSkipRateReported(t *testing.T) {
 	if m.RefreshSkipRate < 0 || m.RefreshSkipRate > 1 {
 		t.Fatalf("RefreshSkipRate = %v", m.RefreshSkipRate)
 	}
-	off, err := RunMix(short(config.QuadMC()), "VH1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	off := runMix(t, short(config.QuadMC()), "VH1")
 	if off.RefreshSkipRate != 0 {
 		t.Fatalf("skip rate %v without smart refresh", off.RefreshSkipRate)
 	}
@@ -610,14 +571,8 @@ func TestRefreshSkipRateReported(t *testing.T) {
 // — so the claim is checked as a ratio rather than as zero.)
 func TestScalableMHAMattersFarMoreOn3D(t *testing.T) {
 	gain := func(mk func() *config.Config) float64 {
-		base, err := RunMix(short(mk()), "VH1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		big, err := RunMix(short(mk().WithMSHR(8, config.MSHRVBF, true)), "VH1")
-		if err != nil {
-			t.Fatal(err)
-		}
+		base := runMix(t, short(mk()), "VH1")
+		big := runMix(t, short(mk().WithMSHR(8, config.MSHRVBF, true)), "VH1")
 		return big.HMIPC/base.HMIPC - 1
 	}
 	g2d, g3d := gain(config.Baseline2D), gain(config.QuadMC)

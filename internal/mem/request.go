@@ -69,13 +69,6 @@ type Request struct {
 	// L2 ignores it, so seed-mode behavior is unchanged.
 	Excl bool
 
-	// StackDirect marks a request the stack-cache layer routes around
-	// its tag path: direct-addressed hot-region traffic, tag-resolved
-	// hits, and the layer's own fill writes. The layer's completion
-	// handler finishes such requests without a second tag decision.
-	// Always false when the stack operates as plain memory.
-	StackDirect bool
-
 	// Attrib, when cycle accounting is enabled, carries the per-stage
 	// timestamps of this miss's lifecycle; derived requests inherit the
 	// tag so downstream components stamp the original miss. Nil when

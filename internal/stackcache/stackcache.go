@@ -18,14 +18,12 @@
 // first, modelling OS placement of hot pages — and only the remainder
 // of the capacity operates as a cache.
 //
-// Two tag-directory variants are modelled. Tags-in-SRAM probes an
-// on-die directory for StackTagLatency cycles before any stacked
-// access: hits pay the probe then the stacked access, misses skip the
-// stack entirely and go straight off chip. Tags-in-DRAM stores tags
-// with the data, so every cacheable access rides the stacked channel
-// as a compound tag+data access and the hit/miss decision falls at
-// stacked delivery — cheaper hits (no serial probe), costlier misses
-// (the stacked round trip is wasted work before the off-chip fetch).
+// The tag directory is on-die SRAM, probed for StackTagLatency cycles
+// before any stacked access: hits pay the probe then the stacked
+// access, misses skip the stack entirely and go straight off chip. So
+// every request that reaches a stacked controller is already resolved,
+// and the stacked and backing controllers complete requests like any
+// other channel.
 //
 // Deliberate simplifications, documented for the record: the SRAM tag
 // port is pipelined (latency, no occupancy); a stack fill occupies the
@@ -87,11 +85,9 @@ type Params struct {
 	Cfg *config.Config
 	// AMap is the CPU-side address map (routes blocks to stacked MCs).
 	AMap mem.AddrMap
-	// Stacked are the stacked-DRAM controllers; their Respond callbacks
-	// must be the layer's RespondStacked.
+	// Stacked are the stacked-DRAM controllers.
 	Stacked []*memctrl.Controller
-	// Backing is the off-chip controller; its Respond callback must be
-	// the layer's RespondBacking.
+	// Backing is the off-chip controller.
 	Backing *memctrl.Controller
 	IDs     *mem.IDSource
 	// Hot reports whether a physical address lives in the memcache hot
@@ -104,10 +100,9 @@ type Params struct {
 // cfg.StackMode != StackMemory; no nil-receiver paths exist because
 // disabled means absent.
 type Layer struct {
-	mode       config.StackMode
-	tagsInSRAM bool
-	fillBytes  int
-	hot        func(mem.Addr) bool // memcache: resident in the hot region
+	mode      config.StackMode
+	fillBytes int
+	hot       func(mem.Addr) bool // memcache: resident in the hot region
 
 	tags    *cache.Array
 	amap    mem.AddrMap
@@ -121,8 +116,7 @@ type Layer struct {
 	back  cache.Outbox   // reads + writebacks toward the backing MC
 	stack []cache.Outbox // per stacked MC: resolved traffic toward it
 
-	probes *sim.Delay[*mem.Request] // SRAM tag probes awaiting their decision
-	now    sim.Cycle
+	probes *sim.Delay[*mem.Request] // tag probes awaiting their decision
 	stats  Stats
 
 	// handle, when set, lets the layer sleep while its outboxes are
@@ -158,19 +152,18 @@ func New(p Params) *Layer {
 			cacheBytes, cfg.StackWays, cfg.StackFillBytes))
 	}
 	l := &Layer{
-		mode:       cfg.StackMode,
-		tagsInSRAM: cfg.StackTagsInSRAM,
-		fillBytes:  cfg.StackFillBytes,
-		hot:        p.Hot,
-		tags:       cache.NewArray("stacktags", sets, cfg.StackWays, cfg.StackFillBytes),
-		amap:       p.AMap,
-		stacked:    p.Stacked,
-		backing:    p.Backing,
-		ids:        p.IDs,
-		pending:    make(map[mem.Addr]*missEntry),
-		back:       cache.NewOutbox(p.Backing),
-		stack:      make([]cache.Outbox, len(p.Stacked)),
-		probes:     sim.NewDelay[*mem.Request](sim.Cycle(cfg.StackTagLatency)),
+		mode:      cfg.StackMode,
+		fillBytes: cfg.StackFillBytes,
+		hot:       p.Hot,
+		tags:      cache.NewArray("stacktags", sets, cfg.StackWays, cfg.StackFillBytes),
+		amap:      p.AMap,
+		stacked:   p.Stacked,
+		backing:   p.Backing,
+		ids:       p.IDs,
+		pending:   make(map[mem.Addr]*missEntry),
+		back:      cache.NewOutbox(p.Backing),
+		stack:     make([]cache.Outbox, len(p.Stacked)),
+		probes:    sim.NewDelay[*mem.Request](sim.Cycle(cfg.StackTagLatency)),
 	}
 	for mc, c := range p.Stacked {
 		l.stack[mc] = cache.NewOutbox(c)
@@ -180,14 +173,15 @@ func New(p Params) *Layer {
 }
 
 // SetHandle arms the idle fast-path: the layer sleeps while its
-// outboxes are empty until its next delayed tag decision.
+// outboxes are empty until its next delayed tag decision. It is called
+// at construction, with the outboxes empty.
 func (l *Layer) SetHandle(h *sim.TickHandle) {
 	l.handle = h
 	l.back.SetOwner(h)
 	for mc := range l.stack {
 		l.stack[mc].SetOwner(h)
 	}
-	l.sched(l.now)
+	h.SleepUntil(l.probes.NextAt())
 }
 
 // queued counts the traffic waiting in the outboxes for a full MRQ.
@@ -254,38 +248,26 @@ func (l *Layer) direct(a mem.Addr) bool {
 // reads and writebacks. A false return means "retry later" (the L2's
 // own queues hold the request), exactly as a controller's Submit.
 func (l *Layer) submit(mc int, r *mem.Request, now sim.Cycle) bool {
-	l.now = now
 	switch r.Kind {
 	case mem.Read:
 		if l.direct(r.Line) {
-			r.StackDirect = true
 			if l.stacked[mc].Submit(r, now) {
 				l.stats.DirectReads++
 				return true
 			}
-			r.StackDirect = false
 			return false
 		}
+		// The probe takes StackTagLatency cycles, then the hit proceeds
+		// on the stack or the miss goes off chip. The request is
+		// accepted here; the layer owns it until resolution.
 		r.Attrib.Probe(now)
-		if !l.tagsInSRAM {
-			// Tags-in-DRAM: the compound tag+data access rides the
-			// stacked channel; the decision falls at delivery.
-			return l.stacked[mc].Submit(r, now)
-		}
-		// Tags-in-SRAM: the probe takes StackTagLatency cycles, then the
-		// hit proceeds on the stack or the miss goes off chip. The
-		// request is accepted here; the layer owns it until resolution.
 		l.probes.Push(now, r)
 		l.sched(now)
 		return true
 	case mem.Writeback:
 		return l.submitWriteback(mc, r, now)
-	default:
-		// Nothing above emits other kinds toward memory; pass through
-		// untagged rather than guess.
-		r.StackDirect = true
-		return l.stacked[mc].Submit(r, now)
 	}
+	panic(fmt.Sprintf("stackcache: the L2 sent %v down; it sends only reads and writebacks", r))
 }
 
 // submitWriteback routes an L2 writeback: hot region → stacked memory;
@@ -293,24 +275,20 @@ func (l *Layer) submit(mc int, r *mem.Request, now sim.Cycle) bool {
 // absent block → forward off chip without allocating.
 func (l *Layer) submitWriteback(mc int, r *mem.Request, now sim.Cycle) bool {
 	if l.direct(r.Line) {
-		r.StackDirect = true
 		if l.stacked[mc].Submit(r, now) {
 			l.stats.DirectWrites++
 			return true
 		}
-		r.StackDirect = false
 		return false
 	}
 	blk := l.block(r.Line)
 	if l.tags.Contains(blk) {
-		r.StackDirect = true
 		if l.stacked[mc].Submit(r, now) {
 			l.tags.MarkDirty(blk)
 			l.stats.WritebacksIn++
 			return true
 		}
 		// Rejected: the retry re-probes (the block may be gone by then).
-		r.StackDirect = false
 		return false
 	}
 	if l.backing.Submit(r, now) {
@@ -321,38 +299,14 @@ func (l *Layer) submitWriteback(mc int, r *mem.Request, now sim.Cycle) bool {
 	return false
 }
 
-// resolveSRAM applies the tag decision StackTagLatency cycles after the
+// resolve applies the tag decision StackTagLatency cycles after the
 // probe.
-func (l *Layer) resolveSRAM(r *mem.Request, now sim.Cycle) {
+func (l *Layer) resolve(r *mem.Request, now sim.Cycle) {
 	l.stats.Probes++
 	blk := l.block(r.Line)
 	if l.tags.Lookup(blk) {
 		l.stats.Hits++
-		// Resolved hit: the stacked access is pure data from here on.
-		r.StackDirect = true
 		l.toStacked(r, now)
-		return
-	}
-	l.stats.Misses++
-	r.Attrib.StackResolve(now)
-	l.forwardMiss(r, now)
-}
-
-// RespondStacked is every stacked MC's completion callback. Resolved
-// traffic (hot-region accesses, SRAM-resolved hits, fill writes,
-// absorbed writebacks) completes; an unresolved read is a
-// tags-in-DRAM compound access whose decision falls due now.
-func (l *Layer) RespondStacked(r *mem.Request, now sim.Cycle) {
-	l.now = now
-	if r.Kind != mem.Read || r.StackDirect {
-		r.Complete(now)
-		return
-	}
-	l.stats.Probes++
-	blk := l.block(r.Line)
-	if l.tags.Lookup(blk) {
-		l.stats.Hits++
-		r.Complete(now)
 		return
 	}
 	l.stats.Misses++
@@ -408,7 +362,6 @@ func (l *Layer) finishMiss(blk mem.Addr, at sim.Cycle) {
 		fill.Line = blk
 		fill.Core = -1
 		fill.Born = at
-		fill.StackDirect = true
 		l.toStacked(fill, at)
 	}
 	for _, w := range e.waiters {
@@ -422,19 +375,10 @@ func (l *Layer) toStacked(r *mem.Request, now sim.Cycle) {
 	l.stack[l.amap.MCOf(r.Line)].Send(r, now)
 }
 
-// RespondBacking is the backing MC's completion callback: block
-// fetches run their OnDone (finishMiss), forwarded writebacks just
-// complete.
-func (l *Layer) RespondBacking(r *mem.Request, now sim.Cycle) {
-	l.now = now
-	r.Complete(now)
-}
-
 // Tick applies the tag decisions that fall due and retries the outboxes.
 func (l *Layer) Tick(now sim.Cycle) {
-	l.now = now
 	for r, at, ok := l.probes.Pop(now); ok; r, at, ok = l.probes.Pop(now) {
-		l.resolveSRAM(r, at)
+		l.resolve(r, at)
 	}
 	l.back.Retry(now)
 	for mc := range l.stack {

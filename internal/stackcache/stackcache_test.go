@@ -12,7 +12,8 @@ import (
 )
 
 // rig wires a layer to real stacked and backing controllers, ticked by
-// hand, so each flow can be driven request by request.
+// hand, so each flow can be driven request by request. The controllers
+// complete what they serve, as in a full system.
 type rig struct {
 	cfg     *config.Config
 	l       *Layer
@@ -38,6 +39,7 @@ func newRig(t *testing.T, mode config.StackMode, mutate func(*config.Config), ho
 		MCs: cfg.MCs, RanksPerMC: cfg.RanksPerMC(), Banks: cfg.BanksPerRank,
 	}
 	rg := &rig{cfg: cfg}
+	complete := func(r *mem.Request, now sim.Cycle) { r.Complete(now) }
 	timing := dram.TimingInCycles(cfg.Timing, cfg.CPUMHz)
 	for m := 0; m < cfg.MCs; m++ {
 		ranks := make([]*dram.Rank, cfg.RanksPerMC())
@@ -50,7 +52,7 @@ func newRig(t *testing.T, mode config.StackMode, mutate func(*config.Config), ho
 			DataBus:  bus.New(cfg.BusBytes, cfg.BusDivider, cfg.BusDDR),
 			Divider:  sim.NewDivider(cfg.BusDivider),
 			FRFCFS:   cfg.SchedFRFCFS, LineBytes: cfg.LineBytes,
-			Respond: func(r *mem.Request, now sim.Cycle) { rg.l.RespondStacked(r, now) },
+			Respond: complete,
 		}))
 	}
 	btiming := dram.TimingInCycles(cfg.BackingTiming, cfg.CPUMHz)
@@ -68,7 +70,7 @@ func newRig(t *testing.T, mode config.StackMode, mutate func(*config.Config), ho
 		DataBus:  bus.New(cfg.BackingBusBytes, cfg.BackingBusDivider, cfg.BackingBusDDR),
 		Divider:  sim.NewDivider(cfg.BackingBusDivider),
 		FRFCFS:   cfg.SchedFRFCFS, LineBytes: cfg.StackFillBytes,
-		Respond: func(r *mem.Request, now sim.Cycle) { rg.l.RespondBacking(r, now) },
+		Respond: complete,
 	})
 	rg.l = New(Params{
 		Cfg: cfg, AMap: amap,
@@ -242,32 +244,6 @@ func TestDirtyVictimGoesOffChip(t *testing.T) {
 	}
 }
 
-func TestDRAMTagsDecideAtDelivery(t *testing.T) {
-	rg := newRig(t, config.StackCache, func(c *config.Config) { c.StackTagsInSRAM = false }, nil)
-	var d1, d2 sim.Cycle
-	if !rg.read(1, 0x40000, &d1) {
-		t.Fatal("submit rejected")
-	}
-	st := rg.l.Stats()
-	if st.Probes != 0 {
-		t.Fatal("tags-in-DRAM probe counted before stacked delivery")
-	}
-	rg.settle(t, 20_000)
-	if d1 == 0 || st.Probes != 1 || st.Misses != 1 {
-		t.Fatalf("compound miss: done %d probes %d misses %d", d1, st.Probes, st.Misses)
-	}
-	if !rg.read(2, 0x40040, &d2) {
-		t.Fatal("submit rejected")
-	}
-	rg.run(20_000)
-	if d2 == 0 || st.Hits != 1 {
-		t.Fatalf("compound hit: done %d hits %d", d2, st.Hits)
-	}
-	if st.BackingReads != 1 {
-		t.Fatalf("backing reads %d, want 1", st.BackingReads)
-	}
-}
-
 func TestMemCacheHotRegionBypassesTags(t *testing.T) {
 	hotLimit := mem.Addr(64 << 10)
 	hot := func(a mem.Addr) bool { return a < hotLimit }
@@ -320,5 +296,10 @@ func TestNewPanics(t *testing.T) {
 		cfg.StackMode = config.StackMemCache
 		cfg.StackHotFrac = 0.5
 		New(Params{Cfg: cfg, AMap: rg.l.amap, Stacked: rg.stacked, Backing: rg.backing, IDs: &mem.IDSource{}})
+	})
+	// The L2 sends only reads and writebacks down.
+	mustPanic("a write through a front", func() {
+		rg := newRig(t, config.StackCache, nil, nil)
+		rg.l.Fronts()[0].Submit(&mem.Request{ID: 1, Kind: mem.Write}, 0)
 	})
 }

@@ -103,6 +103,23 @@ if [ -n "$flat" ]; then
 	exit 1
 fi
 
+# The stack cache keeps one tag directory, in SRAM: a request reaches a
+# stacked controller already resolved, and every controller completes
+# what it serves. A routing bit on mem.Request, a second completion path
+# in the layer, or a read of StackTagsInSRAM outside internal/config
+# (the field stays only because every config's JSON, and so every RunID,
+# carries it) brings the removed tags-in-DRAM mode back.
+echo "== no StackDirect or RespondStacked under internal/, no StackTagsInSRAM outside internal/config"
+tags=$(
+	grep -rnE 'StackDirect|RespondStacked' --include='*.go' internal || true
+	grep -rn 'StackTagsInSRAM' --include='*.go' cmd internal examples | grep -v '_test\.go:' | grep -v '^internal/config/' || true
+)
+if [ -n "$tags" ]; then
+	echo "$tags" >&2
+	echo "verify: a second tag-directory mode has moved back into the stack cache" >&2
+	exit 1
+fi
+
 # A command is `func main() { os.Exit(run(args, stdout, stderr)) }` and
 # nothing else exits: deferred cleanups run on every path, and the exit
 # codes and messages are tested in-process by its main_test.go.
@@ -131,8 +148,11 @@ go test -race -short ./...
 echo "== go test -run '^\$' -bench . -benchtime 1x ./..."
 go test -run '^$' -bench . -benchtime 1x ./...
 
-# Every examples/ program once, to a zero exit. go build compiles them
-# and nothing else runs them; EXPERIMENTS.md quotes examples/thermal.
+# Every examples/ program once, to a zero exit: that is examples/thermal
+# alone, whose 73.8 C EXPERIMENTS.md quotes and whose layer x CPU-power
+# sweep no command prints. go build compiles it and nothing else runs it.
+# The studies the other example programs printed are commands now
+# (README "Examples").
 echo "== every examples/ program runs"
 exdir=$(mktemp -d)
 trap 'rm -rf "$exdir"' EXIT
