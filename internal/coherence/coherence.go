@@ -203,9 +203,19 @@ func (f *Fabric) Register(e *sim.Engine) {
 func (f *Fabric) DeferredRequests() int {
 	n := 0
 	for _, d := range f.dirs {
-		for i := range d.lines.slots {
-			n += len(d.lines.slots[i].deferred)
+		for _, rec := range d.lines.open() {
+			n += len(rec.deferred)
 		}
+	}
+	return n
+}
+
+// TransientLines counts the lines with an open transaction record —
+// busy, or with requests deferred — across every directory bank.
+func (f *Fabric) TransientLines() int {
+	n := 0
+	for _, d := range f.dirs {
+		n += d.lines.openTxns
 	}
 	return n
 }
@@ -228,9 +238,9 @@ func (f *Fabric) InFlight() int {
 
 // CheckDrained reports what a quiesced fabric must not show: private L2
 // miss tables and writeback buffers that never drained, messages stuck
-// in the mesh or credits it never returned, a request still parked
-// behind a directory line (the liveness clause), or counters that do
-// not balance.
+// in the mesh or credits it never returned, a directory line still in
+// flight — each by bank, line, state and the requests parked behind it
+// (the liveness clause) — or counters that do not balance.
 func (f *Fabric) CheckDrained() error {
 	var errs []error
 	for c, l := range f.l2s {
@@ -250,8 +260,10 @@ func (f *Fabric) CheckDrained() error {
 	if n := f.mesh.CreditsOutstanding(); n != 0 {
 		errs = append(errs, fmt.Errorf("mesh links miss %d credits after quiesce", n))
 	}
-	if n := f.DeferredRequests(); n != 0 {
-		errs = append(errs, fmt.Errorf("directory holds %d deferred requests after quiesce", n))
+	for _, d := range f.dirs {
+		for line, rec := range d.lines.open() {
+			errs = append(errs, fmt.Errorf("directory %d holds line %#x in %s with %d deferred requests after quiesce", d.id, uint64(line), d.EntryState(line), len(rec.deferred)))
+		}
 	}
 	if cs := f.Stats(); cs.Hits > cs.Accesses {
 		errs = append(errs, fmt.Errorf("coherence: hits %d exceed accesses %d", cs.Hits, cs.Accesses))
@@ -425,6 +437,7 @@ func (f *Fabric) Instrument(reg *telemetry.Registry) {
 	reg.GaugeFunc("coherence.wb_races", func() float64 { return float64(f.Stats().WBRaces) })
 	reg.GaugeFunc("coherence.orphan_writebacks", func() float64 { return float64(f.Stats().OrphanWBs) })
 	reg.GaugeFunc("coherence.dir_deferred", func() float64 { return float64(f.Stats().Deferred) })
+	reg.GaugeFunc("coherence.dir_transient", func() float64 { return float64(f.TransientLines()) })
 	reg.GaugeFunc("coherence.dir_mem_reads", func() float64 { return float64(f.Stats().MemReads) })
 	reg.GaugeFunc("coherence.dir_mem_writes", func() float64 { return float64(f.Stats().MemWrites) })
 

@@ -12,7 +12,8 @@ import (
 // dstate is a directory entry's protocol state. Entries exist only for
 // lines away from Invalid — absence from the table is I — except that an
 // entry which returns to I with requests still deferred behind it lives
-// on, at dirI, until settle has replayed them.
+// on, at dirI, until settle has replayed them. A line in a busy state,
+// or with requests deferred, has an open transaction record.
 type dstate uint8
 
 const (
@@ -82,8 +83,8 @@ type Directory struct {
 	endpoint
 	id int // MC / bank index
 
-	// lines holds an entry for every line away from Invalid: a bank
-	// tracks thousands of them.
+	// lines holds an entry for every line away from Invalid (a bank
+	// tracks thousands of them) and a record for each line in flight.
 	lines dirTable
 
 	lookups *sim.Delay[*message] // popped from the inbox, in the pipelined lookup
@@ -94,14 +95,18 @@ type Directory struct {
 	stats DirStats
 }
 
-// dirTableSlots is a bank's table size before its first growth.
-const dirTableSlots = 1024
+// dirTableSlots and dirTxns are a bank's table size and record slab
+// size before their first growth.
+const (
+	dirTableSlots = 1024
+	dirTxns       = 64
+)
 
 func newDirectory(f *Fabric, id, node int, mc cache.Port) *Directory {
 	d := &Directory{
 		endpoint: endpoint{f: f, node: node},
 		id:       id,
-		lines:    newDirTable(f.cfg.Cores, dirTableSlots),
+		lines:    newDirTable(f.cfg.Cores, dirTableSlots, dirTxns, f.cfg.LineBytes),
 		lookups:  sim.NewDelay[*message](sim.Cycle(f.cfg.DirLatency)),
 		toMC:     cache.NewOutbox(mc),
 	}
@@ -115,8 +120,8 @@ func (d *Directory) Stats() *DirStats { return &d.stats }
 // EntryState reports a line's directory state ("I" when absent) — test
 // hook for the protocol suite.
 func (d *Directory) EntryState(line mem.Addr) string {
-	if e := d.lines.entry(d.lines.find(line)); e != nil {
-		return e.state.String()
+	if i := d.lines.find(line); i >= 0 {
+		return d.lines.state(i).String()
 	}
 	return "I"
 }
@@ -184,37 +189,37 @@ func (d *Directory) memWrite(line mem.Addr, now sim.Cycle) {
 
 // memReadDone completes a trBusyMem* entry: grant the data and settle.
 func (d *Directory) memReadDone(r *mem.Request, now sim.Cycle) {
-	line := r.Line
-	i := d.lines.find(line)
-	e := d.lines.entry(i)
-	if e == nil || (e.state != trBusyMemS && e.state != trBusyMemM) {
+	line, t := r.Line, &d.lines
+	i := t.find(line)
+	if i < 0 || (t.state(i) != trBusyMemS && t.state(i) != trBusyMemM) {
 		panic(fmt.Sprintf("coherence: dir%d memory read for line %#x in state %s", d.id, uint64(line), d.EntryState(line)))
 	}
-	req := e.req
-	e.req = nil
-	switch e.state {
+	rec := t.txn(i)
+	req := rec.req
+	rec.req = nil
+	switch t.state(i) {
 	case trBusyMemS:
-		if d.lines.sharerCount(i) == 0 {
+		if t.sharerCount(i) == 0 {
 			// No sharers: MESI's E grant. Tracked as ownership.
 			d.stats.DataE++
-			e.state = dirM
-			e.owner = req.from
+			t.setState(i, dirM)
+			t.setOwner(i, req.from)
 			grant := d.f.newMsg(mDataE, line, d.node)
 			grant.tag = req.tag
 			d.inject(grant, req.from, now)
 		} else {
 			d.stats.DataS++
-			e.state = dirS
-			d.lines.setSharer(i, req.from)
+			t.setState(i, dirS)
+			t.setSharer(i, req.from)
 			grant := d.f.newMsg(mData, line, d.node)
 			grant.tag = req.tag
 			d.inject(grant, req.from, now)
 		}
 	case trBusyMemM:
 		d.stats.DataE++
-		e.state = dirM
-		e.owner = req.from
-		d.lines.clearSharers(i)
+		t.setState(i, dirM)
+		t.setOwner(i, req.from)
+		t.clearSharers(i)
 		grant := d.f.newMsg(mDataE, line, d.node)
 		grant.excl = true
 		grant.tag = req.tag
@@ -225,29 +230,33 @@ func (d *Directory) memReadDone(r *mem.Request, now sim.Cycle) {
 }
 
 // settle replays deferred requests, oldest first, for as long as the
-// line stays stable, and reclaims an entry that ends up Invalid with
-// nothing queued. One replay is not enough: a GetM replayed against
-// dirM is forwarded and forgotten, leaving the line stable without
-// another settle ever coming, so whatever queued behind it would wait
-// forever. The entry is looked up afresh each round because a replay
-// may remove it.
+// line stays stable, then closes the line's record and reclaims an entry
+// that ends up Invalid. One replay is not enough: a GetM replayed
+// against dirM is forwarded and forgotten, leaving the line stable
+// without another settle ever coming, so whatever queued behind it
+// would wait forever. The entry is looked up afresh each round because
+// a replay may remove it.
 func (d *Directory) settle(line mem.Addr, now sim.Cycle) {
+	t := &d.lines
 	for {
-		i := d.lines.find(line)
-		e := d.lines.entry(i)
-		if e == nil || e.state.busy() {
+		i := t.find(line)
+		if i < 0 || t.state(i).busy() {
 			return
 		}
-		if len(e.deferred) == 0 {
-			if e.state == dirI {
-				d.lines.remove(i)
+		rec := t.txn(i)
+		if rec == nil || len(rec.deferred) == 0 {
+			if rec != nil {
+				t.closeTxn(i)
+			}
+			if t.state(i) == dirI {
+				t.remove(i)
 			}
 			return
 		}
-		m := e.deferred[0]
-		copy(e.deferred, e.deferred[1:])
-		e.deferred[len(e.deferred)-1] = nil
-		e.deferred = e.deferred[:len(e.deferred)-1]
+		m := rec.deferred[0]
+		copy(rec.deferred, rec.deferred[1:])
+		rec.deferred[len(rec.deferred)-1] = nil
+		rec.deferred = rec.deferred[:len(rec.deferred)-1]
 		d.process(m, now)
 	}
 }
@@ -275,10 +284,11 @@ func (d *Directory) process(m *message, now sim.Cycle) {
 	}
 }
 
-// defer_ parks a request behind a busy line.
-func (d *Directory) defer_(m *message, e *dirEntry) {
+// defer_ parks a request behind the busy line in slot i.
+func (d *Directory) defer_(m *message, i int) {
 	d.stats.Deferred++
-	e.deferred = append(e.deferred, m)
+	rec := d.lines.openTxn(i)
+	rec.deferred = append(rec.deferred, m)
 }
 
 // entryFor returns the slot a request against line starts from: i, or,
@@ -291,43 +301,38 @@ func (d *Directory) entryFor(line mem.Addr, i int) int {
 }
 
 func (d *Directory) getS(m *message, i int, now sim.Cycle) {
-	e := &d.lines.slots[d.entryFor(m.line, i)]
-	switch {
-	case e.state == dirI:
-		e.state = trBusyMemS
-		e.req = m
+	i, t := d.entryFor(m.line, i), &d.lines
+	switch s := t.state(i); {
+	case s == dirI:
+		t.begin(i, trBusyMemS, m)
 		d.memRead(m, now)
-	case e.state.busy():
-		d.defer_(m, e)
-	case e.state == dirS:
+	case s.busy():
+		d.defer_(m, i)
+	case s == dirS:
 		// Memory is clean in S; the data still comes from DRAM.
-		e.state = trBusyMemS
-		e.req = m
+		t.begin(i, trBusyMemS, m)
 		d.memRead(m, now)
-	case e.state == dirM:
+	case s == dirM:
 		d.stats.FwdGetS++
-		e.state = trBusyFwdS
-		e.req = m
+		t.begin(i, trBusyFwdS, m)
 		fwd := d.f.newMsg(mFwdGetS, m.line, d.node)
 		fwd.requester = m.from
 		fwd.tag = m.tag
-		d.inject(fwd, e.owner, now)
+		d.inject(fwd, t.owner(i), now)
 	}
 }
 
 func (d *Directory) getM(m *message, i int, now sim.Cycle) {
-	i = d.entryFor(m.line, i)
-	e := &d.lines.slots[i]
-	switch {
-	case e.state == dirI:
-		e.state = trBusyMemM
-		e.req = m
+	i, t := d.entryFor(m.line, i), &d.lines
+	switch s := t.state(i); {
+	case s == dirI:
+		t.begin(i, trBusyMemM, m)
 		d.memRead(m, now)
-	case e.state.busy():
-		d.defer_(m, e)
-	case e.state == dirS:
-		wasSharer := d.lines.isSharer(i, m.from)
-		others := d.lines.sharerCount(i)
+	case s.busy():
+		d.defer_(m, i)
+	case s == dirS:
+		wasSharer := t.isSharer(i, m.from)
+		others := t.sharerCount(i)
 		if wasSharer {
 			others--
 		}
@@ -337,13 +342,12 @@ func (d *Directory) getM(m *message, i int, now sim.Cycle) {
 			d.settle(m.line, now)
 			return
 		}
-		e.state = trBusyInv
-		e.req = m
-		e.reqWasSharer = wasSharer
-		e.acksLeft = int32(others)
+		rec := t.begin(i, trBusyInv, m)
+		rec.reqWasSharer = wasSharer
+		rec.acksLeft = int32(others)
 		// The sharers in ascending core order, word by word.
-		for w := 0; w <= d.lines.extra; w++ {
-			for set := *d.lines.word(i, w); set != 0; set &= set - 1 {
+		for w := 0; w <= t.extra; w++ {
+			for set := *t.word(i, w); set != 0; set &= set - 1 {
 				if c := 64*w + bits.TrailingZeros64(set); c != m.from {
 					d.stats.InvSent++
 					inv := d.f.newMsg(mInv, m.line, d.node)
@@ -351,7 +355,7 @@ func (d *Directory) getM(m *message, i int, now sim.Cycle) {
 				}
 			}
 		}
-	case e.state == dirM:
+	case s == dirM:
 		// Forward-and-forget: ownership moves to the requester now;
 		// the old owner serves the data (from cache or its writeback
 		// buffer) without further directory involvement.
@@ -359,8 +363,8 @@ func (d *Directory) getM(m *message, i int, now sim.Cycle) {
 		fwd := d.f.newMsg(mFwdGetM, m.line, d.node)
 		fwd.requester = m.from
 		fwd.tag = m.tag
-		d.inject(fwd, e.owner, now)
-		e.owner = m.from
+		d.inject(fwd, t.owner(i), now)
+		t.setOwner(i, m.from)
 		d.f.putMsg(m)
 	}
 }
@@ -368,9 +372,8 @@ func (d *Directory) getM(m *message, i int, now sim.Cycle) {
 // grantAckM upgrades a sharer to owner without a data transfer.
 func (d *Directory) grantAckM(m *message, i int, now sim.Cycle) {
 	d.stats.AckM++
-	e := &d.lines.slots[i]
-	e.state = dirM
-	e.owner = m.from
+	d.lines.setState(i, dirM)
+	d.lines.setOwner(i, m.from)
 	d.lines.clearSharers(i)
 	ack := d.f.newMsg(mAckM, m.line, d.node)
 	ack.tag = m.tag
@@ -379,18 +382,21 @@ func (d *Directory) grantAckM(m *message, i int, now sim.Cycle) {
 }
 
 func (d *Directory) putM(m *message, i int, now sim.Cycle) {
-	e := d.lines.entry(i)
+	t, s := &d.lines, dirI // an absent line is I
+	if i >= 0 {
+		s = t.state(i)
+	}
+	owned := (s == dirM || s == trBusyFwdS) && t.owner(i) == m.from
 	switch {
-	case e != nil && e.state == dirM && e.owner == m.from:
+	case owned && s == dirM:
 		// The owner's eviction: write the data, retire the line.
 		if !m.clean {
 			d.memWrite(m.line, now)
 		}
-		e.state = dirI
-		e.owner = -1
+		t.setState(i, dirI)
 		d.ackWB(m, now)
 		d.settle(m.line, now)
-	case e != nil && e.state == trBusyFwdS && e.owner == m.from:
+	case owned:
 		// Writeback race: our FwdGetS crossed the owner's eviction.
 		// The owner serves the requester from its writeback buffer,
 		// and this PutM doubles as the demotion data — the evicted
@@ -399,17 +405,17 @@ func (d *Directory) putM(m *message, i int, now sim.Cycle) {
 		if !m.clean {
 			d.memWrite(m.line, now)
 		}
-		req := e.req
-		e.req = nil
-		e.state = dirS
-		e.owner = -1
-		d.lines.clearSharers(i)
-		d.lines.setSharer(i, req.from)
+		rec := t.txn(i)
+		req := rec.req
+		rec.req = nil
+		t.setState(i, dirS)
+		t.clearSharers(i)
+		t.setSharer(i, req.from)
 		d.f.putMsg(req)
 		d.ackWB(m, now)
 		d.settle(m.line, now)
-	case e != nil && e.state.busy():
-		d.defer_(m, e)
+	case s.busy():
+		d.defer_(m, i)
 	default:
 		// Stale PutM: the sender lost ownership before the eviction
 		// arrived (a forward beat it) or never had it (an orphan L1
@@ -417,7 +423,7 @@ func (d *Directory) putM(m *message, i int, now sim.Cycle) {
 		// freshest copy, so it reaches memory; under dirM the new
 		// owner's copy supersedes it and the data is dropped.
 		d.stats.StalePutM++
-		if !m.clean && (e == nil || e.state != dirM) {
+		if !m.clean && s != dirM {
 			d.memWrite(m.line, now)
 		}
 		d.ackWB(m, now)
@@ -434,44 +440,44 @@ func (d *Directory) ackWB(m *message, now sim.Cycle) {
 
 func (d *Directory) invAck(m *message, i int, now sim.Cycle) {
 	d.stats.InvAcks++
-	e := d.lines.entry(i)
-	if e == nil || e.state != trBusyInv {
+	if i < 0 || d.lines.state(i) != trBusyInv {
 		panic(fmt.Sprintf("coherence: dir%d InvAck for line %#x in state %s", d.id, uint64(m.line), d.EntryState(m.line)))
 	}
 	d.f.putMsg(m)
-	e.acksLeft--
-	if e.acksLeft > 0 {
+	rec := d.lines.txn(i)
+	rec.acksLeft--
+	if rec.acksLeft > 0 {
 		return
 	}
-	req := e.req
-	if e.reqWasSharer {
+	req := rec.req
+	if rec.reqWasSharer {
 		// The requester held the data in S all along: upgrade.
-		e.req = nil
+		rec.req = nil
 		d.grantAckM(req, i, now)
 		d.settle(m.line, now)
 		return
 	}
 	// The requester never had the data (its S copy was evicted, or it
 	// never shared): fetch it from memory.
-	e.state = trBusyMemM
+	d.lines.setState(i, trBusyMemM)
 	d.memRead(req, now)
 }
 
 func (d *Directory) wbData(m *message, i int, now sim.Cycle) {
-	e := d.lines.entry(i)
-	if e == nil || e.state != trBusyFwdS {
+	t := &d.lines
+	if i < 0 || t.state(i) != trBusyFwdS {
 		panic(fmt.Sprintf("coherence: dir%d WBData for line %#x in state %s", d.id, uint64(m.line), d.EntryState(m.line)))
 	}
 	if m.dirty {
 		d.memWrite(m.line, now)
 	}
-	req := e.req
-	e.req = nil
-	e.state = dirS
-	d.lines.clearSharers(i)
-	d.lines.setSharer(i, m.from)      // the demoted owner keeps an S copy
-	d.lines.setSharer(i, m.requester) // the requester got the data cache-to-cache
-	e.owner = -1
+	rec := t.txn(i)
+	req := rec.req
+	rec.req = nil
+	t.setState(i, dirS)
+	t.clearSharers(i)
+	t.setSharer(i, m.from)      // the demoted owner keeps an S copy
+	t.setSharer(i, m.requester) // the requester got the data cache-to-cache
 	d.f.putMsg(req)
 	d.f.putMsg(m)
 	d.settle(m.line, now)

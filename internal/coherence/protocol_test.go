@@ -260,7 +260,7 @@ func TestWideSharerInvalidation(t *testing.T) {
 		}
 	}
 	i := d.lines.find(line0)
-	if i < 0 || d.lines.slots[i].state != dirS {
+	if i < 0 || d.lines.state(i) != dirS {
 		t.Fatalf("directory state = %s after the loads, want S", d.EntryState(line0))
 	}
 	if got := d.lines.sharerCount(i); got != len(readers) {
@@ -288,8 +288,8 @@ func TestWideSharerInvalidation(t *testing.T) {
 	if want := []int{3, 62, 64, 80}; !slices.Equal(got, want) {
 		t.Errorf("Invs sent to cores %v, want %v", got, want)
 	}
-	if e := d.lines.entry(d.lines.find(line0)); e.state != trBusyInv || e.acksLeft != 4 || d.stats.InvSent != 4 {
-		t.Errorf("after the GetM: state %s, %d acks awaited, %d Invs counted; want BusyInv, 4, 4", e.state, e.acksLeft, d.stats.InvSent)
+	if i := d.lines.find(line0); d.lines.state(i) != trBusyInv || d.lines.txn(i).acksLeft != 4 || d.stats.InvSent != 4 {
+		t.Errorf("after the GetM: state %s, %d acks awaited, %d Invs counted; want BusyInv, 4, 4", d.lines.state(i), d.lines.txn(i).acksLeft, d.stats.InvSent)
 	}
 }
 
@@ -360,8 +360,8 @@ func TestDeferredQueueDrainsPastForwardAndForget(t *testing.T) {
 	maxDeferred := 0
 	lines := &r.f.dirs[0].lines
 	probe := func() {
-		if e := lines.entry(lines.find(line0)); e != nil && len(e.deferred) > maxDeferred {
-			maxDeferred = len(e.deferred)
+		if i := lines.find(line0); i >= 0 && lines.txn(i) != nil && len(lines.txn(i).deferred) > maxDeferred {
+			maxDeferred = len(lines.txn(i).deferred)
 		}
 	}
 	for c := sim.Cycle(2); c < 120; c++ {
@@ -393,15 +393,75 @@ func TestDeferredRequestReplaysAgainstInvalidLine(t *testing.T) {
 	if !*owned || d.EntryState(line0) != "M" {
 		t.Fatalf("setup: owned=%v state=%s", *owned, d.EntryState(line0))
 	}
-	e := d.lines.entry(d.lines.find(line0))
 	getS := r.f.newMsg(mGetS, line0, 1)
-	d.defer_(getS, e)
+	d.defer_(getS, d.lines.find(line0))
 	d.process(r.f.newMsg(mPutM, line0, 0), r.eng.Now())
 	if got := d.EntryState(line0); got != "BusyMemS" {
 		t.Fatalf("line is %s after the eviction, want BusyMemS: the parked GetS was not replayed", got)
 	}
-	if e := d.lines.entry(d.lines.find(line0)); e.req != getS || len(e.deferred) != 0 {
-		t.Fatalf("entry serves %v with %d still parked, want the parked GetS and none", e.req, len(e.deferred))
+	if rec := d.lines.txn(d.lines.find(line0)); rec.req != getS || len(rec.deferred) != 0 {
+		t.Fatalf("entry serves %v with %d still parked, want the parked GetS and none", rec.req, len(rec.deferred))
+	}
+}
+
+// TestTransactionRecordsGrowAndRecycle holds more lines in flight at one
+// bank than its record slab starts with: 16 cores each miss on 8 lines
+// of their own behind a slow memory, so the slab must grow, and every
+// record must close as its line settles. A second wave, 8 cores reading
+// the lines 8 others own, puts as many lines into BusyFwdS at once as
+// the first wave's half; those reuse closed records, so the slab does
+// not grow again.
+func TestTransactionRecordsGrowAndRecycle(t *testing.T) {
+	r := newRig(t, 16, 1)
+	r.mcs[0].lat = 400
+	d := r.f.dirs[0]
+	lineOf := func(c, j int) mem.Addr { return line0 + mem.Addr(8*c+j)*64 }
+	var done []*bool
+	for c := 0; c < 16; c++ {
+		for j := 0; j < 8; j++ {
+			done = append(done, r.access(c, sim.Cycle(1+j), lineOf(c, j), false))
+		}
+	}
+	peak := 0
+	probe := func() { peak = max(peak, r.f.TransientLines()) }
+	for c := sim.Cycle(1); c < 6000; c++ {
+		r.eng.Schedule(c, probe)
+	}
+	drained := func(wave string) {
+		t.Helper()
+		for n, ok := range done {
+			if !*ok {
+				t.Fatalf("%s: access %d never completed", wave, n)
+			}
+		}
+		if n := r.f.TransientLines(); n != 0 || len(d.lines.closed) != len(d.lines.txns) {
+			t.Fatalf("%s: %d records open, %d of %d closed after every line settled", wave, n, len(d.lines.closed), len(d.lines.txns))
+		}
+	}
+	r.run(3000)
+	drained("first wave")
+	grown := len(d.lines.txns)
+	if peak <= dirTxns || grown < peak {
+		t.Fatalf("first wave: at most %d lines in flight and %d records made, want more than the slab's %d and at least the peak", peak, grown, dirTxns)
+	}
+
+	peak, done = 0, nil
+	for c := 0; c < 8; c++ {
+		for j := 0; j < 8; j++ {
+			done = append(done, r.access(c, sim.Cycle(3000+j), lineOf(c+8, j), false))
+		}
+	}
+	r.run(6000)
+	drained("second wave")
+	if peak == 0 || len(d.lines.txns) != grown {
+		t.Fatalf("second wave: at most %d lines in flight, slab of %d records after %d: the closed records were not reused", peak, len(d.lines.txns), grown)
+	}
+	for c := 8; c < 16; c++ {
+		for j := 0; j < 8; j++ {
+			if st := d.EntryState(lineOf(c, j)); st != "S" {
+				t.Fatalf("line %#x is %s after the forwarded read, want S", uint64(lineOf(c, j)), st)
+			}
+		}
 	}
 }
 

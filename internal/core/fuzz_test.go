@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"stackedsim/internal/config"
+	"stackedsim/internal/sim"
+	"stackedsim/internal/telemetry"
 	"stackedsim/internal/workload"
 )
 
@@ -41,10 +43,42 @@ func FuzzManyCoreDrains(f *testing.F) {
 		}
 		sys.Run()
 		if !sys.DrainQuiesce(500_000) {
-			t.Fatalf("%s %s seed %d: %d requests still in flight after the drain", cfg.Name, progs[0], seed, sys.inFlight())
+			t.Fatalf("%s %s seed %d: %d requests still in flight after the drain:\n%v", cfg.Name, progs[0], seed, sys.inFlight(), sys.CheckInvariants())
 		}
 		if err := sys.CheckInvariants(); err != nil {
 			t.Fatalf("%s %s seed %d: %v", cfg.Name, progs[0], seed, err)
 		}
 	})
+}
+
+// TestDirTransientGauge reads coherence.dir_transient, the directory
+// lines in flight across the banks, on a 16-core MESI machine: above
+// zero while the producers and consumers run, zero once the machine has
+// drained.
+func TestDirTransientGauge(t *testing.T) {
+	cfg := config.ManyCore(16, 4)
+	cfg.WarmupCycles, cfg.MeasureCycles = 0, 20_000
+	progs := make([]string, cfg.Cores)
+	for i := range progs {
+		progs[i] = "producer-consumer"
+	}
+	sys, err := NewSystem(cfg, progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	sys.Coh.Instrument(reg)
+	g := reg.Gauge("coherence.dir_transient")
+	peak := 0.0
+	sys.Observe(97, sim.TickFunc(func(sim.Cycle) { peak = max(peak, g.Value()) }))
+	sys.Run()
+	if peak == 0 {
+		t.Fatal("no directory line was in flight at any reading mid-run")
+	}
+	if !sys.DrainQuiesce(500_000) {
+		t.Fatalf("%d requests still in flight after the drain", sys.inFlight())
+	}
+	if v := g.Value(); v != 0 {
+		t.Fatalf("coherence.dir_transient = %v after the drain, want 0", v)
+	}
 }

@@ -229,18 +229,6 @@ func TestPageTableOffsetPreserved(t *testing.T) {
 	}
 }
 
-func TestPageTableLookup(t *testing.T) {
-	pt := NewPageTable(1<<20, 4096)
-	if _, ok := pt.Lookup(0x5000); ok {
-		t.Fatal("Lookup before touch succeeded")
-	}
-	want := pt.Translate(0x5000)
-	got, ok := pt.Lookup(0x5000)
-	if !ok || got != want {
-		t.Fatalf("Lookup = %#x,%v want %#x,true", uint64(got), ok, uint64(want))
-	}
-}
-
 func TestPageTableWraps(t *testing.T) {
 	pt := NewPageTable(4*4096, 4096) // 4 frames
 	used := map[Addr]bool{}

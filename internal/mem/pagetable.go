@@ -106,16 +106,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Lookup reports the existing translation without allocating.
-func (pt *PageTable) Lookup(v VAddr) (Addr, bool) {
-	vpage := v / VAddr(pt.pageBytes)
-	frame, ok := pt.table[vpage]
-	if !ok {
-		return 0, false
-	}
-	return frame*pt.pageBytes + Addr(v%VAddr(pt.pageBytes)), true
-}
-
 // CoreSpace returns a virtual address in core c's private address space.
 // Bits 48+ carry the core ID, far above any workload footprint.
 func CoreSpace(core int, v uint64) VAddr {

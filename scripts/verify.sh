@@ -2,8 +2,9 @@
 # Tier-1 verification for stackedsim: the baseline
 # `go build ./... && go test ./...` gate plus formatting, vet, the whole
 # tree under the race detector (-short skips only the real-window
-# stability sweep, which the plain pass covers), one iteration of every
-# micro-benchmark in the module, one run of every examples/ program, and
+# stability sweep, which the plain pass covers), ten seconds of fuzzing
+# the directory table, one iteration of every micro-benchmark in the
+# module, one run of every examples/ program, and
 # the benchmark harness's own smoke test — bench/ is a separate module
 # the root commands do not descend into, so a root-module change could
 # otherwise break it unnoticed.
@@ -88,7 +89,8 @@ if [ -n "$maps" ]; then
 fi
 
 # The many-core fabric keeps its bookkeeping flat: a directory bank's
-# lines are the slots of its open-addressed table, and a mesh input
+# lines are the slots of its open-addressed table, the records of its
+# lines in flight a slab beside it (both in dirtable.go), and a mesh input
 # port's FIFO is chained through its messages. A map in the directory or
 # a sim.Queue in the mesh puts a hashed lookup back on every protocol
 # step, or a separate ring back on every hop.
@@ -139,6 +141,16 @@ go test ./...
 
 echo "== go test -race -short ./..."
 go test -race -short ./...
+
+# The directory table and its transaction-record slab against a map, past
+# the seed corpus the plain pass runs: ten seconds of new inputs (slots
+# moved by growth and shift-back deletion, records opened, deferred into,
+# closed and recycled). A failing input is written under
+# internal/coherence/testdata/fuzz and fails the plain pass from then on.
+echo "== go test -run '^\$' -fuzz '^FuzzDirTable\$' -fuzztime 10s ./internal/coherence"
+fuzzstart=$(date +%s)
+go test -run '^$' -fuzz '^FuzzDirTable$' -fuzztime 10s ./internal/coherence
+echo "verify: FuzzDirTable step took $(($(date +%s) - fuzzstart)) s"
 
 # Every micro-benchmark in the module once: they measure single layers
 # (the mesh, the queue, the cache array) and nothing else runs them, so
