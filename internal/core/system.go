@@ -263,12 +263,8 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 		// room, modelling OS placement of hot pages in stacked memory.
 		var hot func(mem.Addr) bool
 		if cfg.StackMode == config.StackMemCache {
-			hotFrames := uint64(cfg.StackHotBytes() / int64(cfg.PageBytes))
-			pages := s.Pages
-			hot = func(a mem.Addr) bool {
-				n, ok := pages.FrameOrder(a)
-				return ok && n < hotFrames
-			}
+			s.Pages.TrackHot(uint64(cfg.StackHotBytes() / int64(cfg.PageBytes)))
+			hot = s.Pages.Hot
 		}
 		s.Stack = stackcache.New(stackcache.Params{
 			Cfg:     cfg,

@@ -244,6 +244,10 @@ func TestPageTableWraps(t *testing.T) {
 	if fifth > 3 {
 		t.Fatalf("wrapped frame %d out of range", fifth)
 	}
+	// Allocated counts mapped pages, not frames: five on four frames.
+	if n := pt.Allocated(); n != 5 {
+		t.Fatalf("Allocated() = %d after five first touches, want 5", n)
+	}
 }
 
 func TestPageTablePanicsOnBadSizes(t *testing.T) {

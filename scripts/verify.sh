@@ -3,8 +3,8 @@
 # `go build ./... && go test ./...` gate plus formatting, vet, the whole
 # tree under the race detector (-short skips only the real-window
 # stability sweep, which the plain pass covers), ten seconds of fuzzing
-# the directory table, one iteration of every micro-benchmark in the
-# module, one run of every examples/ program, and
+# the directory table and five the page table, one iteration of every
+# micro-benchmark in the module, one run of every examples/ program, and
 # the benchmark harness's own smoke test — bench/ is a separate module
 # the root commands do not descend into, so a root-module change could
 # otherwise break it unnoticed.
@@ -69,14 +69,16 @@ if [ -n "$hooks" ]; then
 fi
 
 # Per-access state lives where the modelled hardware keeps it: a page's
-# frame in its TLB entry, a prefetched line's untouched mark in its cache
-# way, a controller's misses in a bounded cache.MissTable. A pfPending
-# set or a misses map in the caches, or a Translate call in the core
-# outside the no-ITLB fetch fallback (the TLBs translate on an entry's
-# first hit, in internal/tlb), puts a map lookup back on every access.
-echo "== no pfPending or misses map in the caches; the core translates only without an ITLB"
+# frame in its TLB entry and in a leaf of the page table, a prefetched
+# line's untouched mark in its cache way, a controller's misses in a
+# bounded cache.MissTable. A pfPending set or a misses map in the caches,
+# a map in the page table, or a Translate call in the core outside the
+# no-ITLB fetch fallback (the TLBs translate on an entry's first hit, in
+# internal/tlb), puts a map lookup back on every access or TLB fill.
+echo "== no pfPending or misses map in the caches, no map in the page table; the core translates only without an ITLB"
 maps=$(
 	grep -rnE 'pfPending|^[[:space:]]*misses[[:space:]]+map\[' --include='*.go' internal/cache internal/coherence/privl2.go | grep -v '_test\.go:' || true
+	grep -Hn 'map\[' internal/mem/pagetable.go || true
 	for f in internal/cpu/*.go internal/tlb/*.go; do
 		case $f in *_test.go) continue ;; esac
 		awk '/Translate\(/ && prev !~ /if (c\.it == nil|e\.frame == noFrame) \{/ { print FILENAME ":" FNR ":" $0 } { prev = $0 }' "$f"
@@ -151,6 +153,15 @@ echo "== go test -run '^\$' -fuzz '^FuzzDirTable\$' -fuzztime 10s ./internal/coh
 fuzzstart=$(date +%s)
 go test -run '^$' -fuzz '^FuzzDirTable$' -fuzztime 10s ./internal/coherence
 echo "verify: FuzzDirTable step took $(($(date +%s) - fuzzstart)) s"
+
+# The page table's leaves, leaf-number table and hot-frame bitmap against
+# the two-map table they replaced, past the seed corpus: five seconds of
+# new translation streams over wrapping allocators. A failing input is
+# written under internal/mem/testdata/fuzz and fails the plain pass.
+echo "== go test -run '^\$' -fuzz '^FuzzPageTable\$' -fuzztime 5s ./internal/mem"
+fuzzstart=$(date +%s)
+go test -run '^$' -fuzz '^FuzzPageTable$' -fuzztime 5s ./internal/mem
+echo "verify: FuzzPageTable step took $(($(date +%s) - fuzzstart)) s"
 
 # Every micro-benchmark in the module once: they measure single layers
 # (the mesh, the queue, the cache array) and nothing else runs them, so
