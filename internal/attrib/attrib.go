@@ -137,10 +137,10 @@ type Tag struct {
 	CAS       sim.Cycle
 
 	// dead marks a tag whose lifecycle Finish/FinishMerged already
-	// closed; it sits on the collector's free list until NewTag
-	// resurrects it. Guards against a tag being finished twice, which
-	// would put it on the free list twice and silently share one tag
-	// between two future misses.
+	// closed; it sits in the collector's pool until NewTag resurrects
+	// it. Guards against a tag being finished twice, which would put it
+	// in the pool twice and silently share one tag between two future
+	// misses.
 	dead bool
 }
 
@@ -346,12 +346,12 @@ type Collector struct {
 	trace   *telemetry.Tracer
 	created uint64
 
-	// free recycles finished tags: a tag's lifecycle ends inside
+	// tags recycles finished tags: a tag's lifecycle ends inside
 	// Finish/FinishMerged (callers drop their reference immediately
 	// after), so the collector reuses the object for the next miss.
 	// Confined to the single simulation goroutine, like the rest of
 	// the collector's mutable state.
-	free []*Tag
+	tags sim.Pool[Tag]
 }
 
 // NewCollector registers the attribution metrics for a machine of the
@@ -414,14 +414,7 @@ func (c *Collector) NewTag(now sim.Cycle, core int) *Tag {
 	if c == nil {
 		return nil
 	}
-	var t *Tag
-	if n := len(c.free); n > 0 {
-		t = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-	} else {
-		t = new(Tag)
-	}
+	t := c.tags.Get()
 	*t = Tag{Core: core, MC: -1, Rank: -1, MissAt: now}
 	if c.trace.Samples(c.created) {
 		t.TraceID = c.created + 1
@@ -430,14 +423,14 @@ func (c *Collector) NewTag(now sim.Cycle, core int) *Tag {
 	return t
 }
 
-// recycle puts a finished tag on the free list. Finishing the same tag
+// recycle returns a finished tag to the pool. Finishing the same tag
 // twice panics rather than corrupting two future misses' accounting.
 func (c *Collector) recycle(t *Tag) {
 	if t.dead {
 		panic("attrib: tag finished twice")
 	}
 	t.dead = true
-	c.free = append(c.free, t)
+	c.tags.Put(t)
 }
 
 // Finish closes a primary miss's lifecycle at cycle done and folds its

@@ -2,6 +2,7 @@ package attrib
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -366,4 +367,33 @@ func TestTagPoolReuseAndDoubleFinishPanics(t *testing.T) {
 	}()
 	c.FinishMerged(reused, 60)
 	c.Finish(reused, 70)
+}
+
+// TestTagPoolHandsOutFinishedFirst pins the tag pool on its slabs: the
+// tags a finish returned go out again before any fresh one, and a
+// double finish still panics.
+func TestTagPoolHandsOutFinishedFirst(t *testing.T) {
+	c := NewCollector(telemetry.NewRegistry(), 1, 1, 1)
+	tags := make([]*Tag, 8)
+	for i := range tags {
+		tags[i] = c.NewTag(sim.Cycle(i), 0)
+	}
+	for _, tag := range tags[:3] {
+		c.Finish(tag, 100)
+	}
+	for i := range 3 {
+		if tag := c.NewTag(200, 0); !slices.Contains(tags[:3], tag) || tag.MissAt != 200 {
+			t.Fatalf("NewTag %d with 3 finished returned %p %+v, not one of them reset", i, tag, *tag)
+		}
+	}
+	if tag := c.NewTag(300, 0); slices.Contains(tags, tag) {
+		t.Fatalf("NewTag with none finished returned the live %p", tag)
+	}
+	c.Finish(tags[5], 400)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("double Finish did not panic")
+		}
+	}()
+	c.Finish(tags[5], 500)
 }

@@ -36,9 +36,19 @@ type L1Stats struct {
 	Writebacks    uint64
 }
 
+// Waiter is what an L1 miss runs when its line arrives: Fn(Arg, now).
+// A component that waits on many misses keeps one method value in Fn
+// and tells them apart by Arg (a core's ROB index), so issuing a miss
+// allocates no closure — the idiom of mem.Request's Owner/OwnerIdx. The
+// zero Waiter waits for nothing.
+type Waiter struct {
+	Fn  func(arg int, now sim.Cycle)
+	Arg int
+}
+
 type l1Miss struct {
 	line     mem.Addr
-	waiters  []func(now sim.Cycle)
+	waiters  []Waiter
 	dirty    bool // a store is merged: fill dirty
 	prefetch bool // opened by the prefetcher, not a demand miss
 }
@@ -197,9 +207,9 @@ func (l *L1) InFlight() int { return l.misses.Len() + l.out.Len() }
 func (l *L1) line(a mem.Addr) mem.Addr { return a &^ mem.Addr(l.lineBytes-1) }
 
 // Access performs a load or store at cycle now. On Hit the caller should
-// treat the data as ready at now+Latency(). On Miss, done fires when the
+// treat the data as ready at now+Latency(). On Miss, done runs when the
 // line arrives. On Blocked nothing was done and the core must retry.
-func (l *L1) Access(now sim.Cycle, pc uint64, addr mem.Addr, store bool, done func(now sim.Cycle)) AccessOutcome {
+func (l *L1) Access(now sim.Cycle, pc uint64, addr mem.Addr, store bool, done Waiter) AccessOutcome {
 	if store {
 		l.stats.Stores++
 	} else {
@@ -357,8 +367,8 @@ func (l *L1) fill(ln mem.Addr, now sim.Cycle) {
 		l.out.Send(l.ids.Writeback(victim, l.core, now), now)
 	}
 	for _, w := range m.waiters {
-		if w != nil {
-			w(now)
+		if w.Fn != nil {
+			w.Fn(w.Arg, now)
 		}
 	}
 	l.missPool.Put(m)

@@ -38,7 +38,7 @@ func TestL1MissThenFillThenHit(t *testing.T) {
 	port := &fakePort{}
 	l1 := newTestL1(port)
 	var doneAt sim.Cycle
-	out := l1.Access(10, 0x400, 0x1008, false, func(now sim.Cycle) { doneAt = now })
+	out := l1.Access(10, 0x400, 0x1008, false, Waiter{Fn: func(_ int, now sim.Cycle) { doneAt = now }})
 	if out != Miss {
 		t.Fatalf("first access = %v, want Miss", out)
 	}
@@ -54,7 +54,7 @@ func TestL1MissThenFillThenHit(t *testing.T) {
 		t.Fatalf("waiter fired at %d, want 50", doneAt)
 	}
 	// Now a hit.
-	if out := l1.Access(60, 0x400, 0x1010, false, nil); out != Hit {
+	if out := l1.Access(60, 0x400, 0x1010, false, Waiter{}); out != Hit {
 		t.Fatalf("post-fill access = %v, want Hit", out)
 	}
 }
@@ -63,7 +63,7 @@ func TestL1SecondaryMissMerges(t *testing.T) {
 	port := &fakePort{}
 	l1 := newTestL1(port)
 	fired := 0
-	cb := func(sim.Cycle) { fired++ }
+	cb := Waiter{Fn: func(int, sim.Cycle) { fired++ }}
 	l1.Access(0, 1, 0x1000, false, cb)
 	out := l1.Access(1, 2, 0x1020, false, cb) // same line
 	if out != Miss {
@@ -85,12 +85,12 @@ func TestL1MSHRExhaustionBlocks(t *testing.T) {
 	port := &fakePort{}
 	l1 := newTestL1(port)
 	for i := 0; i < 8; i++ {
-		out := l1.Access(0, 1, mem.Addr(i*0x1000), false, nil)
+		out := l1.Access(0, 1, mem.Addr(i*0x1000), false, Waiter{})
 		if out != Miss {
 			t.Fatalf("miss %d = %v", i, out)
 		}
 	}
-	if out := l1.Access(0, 1, 0x9000, false, nil); out != Blocked {
+	if out := l1.Access(0, 1, 0x9000, false, Waiter{}); out != Blocked {
 		t.Fatalf("9th miss = %v, want Blocked", out)
 	}
 	if l1.Stats().Blocked != 1 {
@@ -104,7 +104,7 @@ func TestL1MSHRExhaustionBlocks(t *testing.T) {
 func TestL1StoreWriteAllocate(t *testing.T) {
 	port := &fakePort{}
 	l1 := newTestL1(port)
-	out := l1.Access(0, 1, 0x2000, true, nil)
+	out := l1.Access(0, 1, 0x2000, true, Waiter{})
 	if out != Miss {
 		t.Fatalf("store miss = %v", out)
 	}
@@ -114,7 +114,7 @@ func TestL1StoreWriteAllocate(t *testing.T) {
 	set := (uint64(0x2000) / 64) % 32
 	for k := 1; k <= 20; k++ {
 		addr := mem.Addr((uint64(k)*32 + set) * 64)
-		if out := l1.Access(0, 1, addr, false, nil); out == Miss {
+		if out := l1.Access(0, 1, addr, false, Waiter{}); out == Miss {
 			port.reqs[len(port.reqs)-1].Complete(20)
 		}
 	}
@@ -136,10 +136,10 @@ func TestL1StoreWriteAllocate(t *testing.T) {
 func TestL1StoreHitMarksDirtyOnly(t *testing.T) {
 	port := &fakePort{}
 	l1 := newTestL1(port)
-	l1.Access(0, 1, 0x2000, false, nil)
+	l1.Access(0, 1, 0x2000, false, Waiter{})
 	port.reqs[0].Complete(10)
 	n := len(port.reqs)
-	if out := l1.Access(20, 1, 0x2000, true, nil); out != Hit {
+	if out := l1.Access(20, 1, 0x2000, true, Waiter{}); out != Hit {
 		t.Fatal("store to resident line missed")
 	}
 	if len(port.reqs) != n {
@@ -150,7 +150,7 @@ func TestL1StoreHitMarksDirtyOnly(t *testing.T) {
 func TestL1RetryAfterRejection(t *testing.T) {
 	port := &fakePort{reject: true}
 	l1 := newTestL1(port)
-	l1.Access(0, 1, 0x3000, false, nil)
+	l1.Access(0, 1, 0x3000, false, Waiter{})
 	if len(port.reqs) != 0 {
 		t.Fatal("request accepted despite rejection")
 	}
@@ -168,7 +168,7 @@ func TestL1PrefetchIssues(t *testing.T) {
 		Core: 0, Array: NewArray("dl1", 32, 12, 64), Latency: 3,
 		LineBytes: 64, MSHRs: 8, Below: port, IDs: &mem.IDSource{}, Prefetch: true,
 	})
-	l1.Access(0, 0x400, 0x1000, false, nil)
+	l1.Access(0, 0x400, 0x1000, false, Waiter{})
 	// Demand miss + next-line prefetch.
 	var pf *mem.Request
 	for _, r := range port.reqs {
@@ -185,7 +185,7 @@ func TestL1PrefetchIssues(t *testing.T) {
 	// Prefetch fill must not fire any core waiter (none registered) and
 	// must land in the array.
 	pf.Complete(30)
-	if out := l1.Access(40, 0x400, 0x1040, false, nil); out != Hit {
+	if out := l1.Access(40, 0x400, 0x1040, false, Waiter{}); out != Hit {
 		t.Fatalf("prefetched line = %v, want Hit", out)
 	}
 }
@@ -197,13 +197,13 @@ func TestL1PrefetchNeverBlocksDemand(t *testing.T) {
 		LineBytes: 64, MSHRs: 2, Below: port, IDs: &mem.IDSource{}, Prefetch: true,
 	})
 	// First miss consumes one MSHR; its prefetch consumes the second.
-	l1.Access(0, 1, 0x1000, false, nil)
+	l1.Access(0, 1, 0x1000, false, Waiter{})
 	// Second demand miss: MSHRs full (demand gets Blocked, prefetch was
 	// already capped). The prefetcher must not have consumed an entry
 	// when it would leave no room... here it did, demonstrating the cap
 	// check only guards the prefetch itself. Verify no panic and state
 	// remains consistent.
-	out := l1.Access(1, 2, 0x5000, false, nil)
+	out := l1.Access(1, 2, 0x5000, false, Waiter{})
 	if out != Blocked && out != Miss {
 		t.Fatalf("unexpected outcome %v", out)
 	}
@@ -250,7 +250,7 @@ func TestL1DroppedPrefetchUnwinds(t *testing.T) {
 		Core: 0, Array: NewArray("dl1", 32, 12, 64), Latency: 3,
 		LineBytes: 64, MSHRs: 8, Below: port, IDs: &mem.IDSource{}, Prefetch: true,
 	})
-	l1.Access(0, 0x400, 0x1000, false, nil) // demand miss + next-line prefetch
+	l1.Access(0, 0x400, 0x1000, false, Waiter{}) // demand miss + next-line prefetch
 	var pf *mem.Request
 	for _, r := range port.reqs {
 		if r.Kind == mem.Prefetch {
@@ -271,7 +271,7 @@ func TestL1DroppedPrefetchUnwinds(t *testing.T) {
 	if l1.Stats().PrefetchDrops != 1 {
 		t.Fatalf("PrefetchDrops = %d, want 1", l1.Stats().PrefetchDrops)
 	}
-	if out := l1.Access(30, 0x500, pf.Line, false, nil); out == Hit {
+	if out := l1.Access(30, 0x500, pf.Line, false, Waiter{}); out == Hit {
 		t.Fatal("dropped line present in the array")
 	}
 }
@@ -282,7 +282,7 @@ func TestL1DroppedPrefetchWithMergedDemandReissues(t *testing.T) {
 		Core: 0, Array: NewArray("dl1", 32, 12, 64), Latency: 3,
 		LineBytes: 64, MSHRs: 8, Below: port, IDs: &mem.IDSource{}, Prefetch: true,
 	})
-	l1.Access(0, 0x400, 0x1000, false, nil)
+	l1.Access(0, 0x400, 0x1000, false, Waiter{})
 	var pf *mem.Request
 	for _, r := range port.reqs {
 		if r.Kind == mem.Prefetch {
@@ -294,7 +294,7 @@ func TestL1DroppedPrefetchWithMergedDemandReissues(t *testing.T) {
 	}
 	// A demand load merges into the in-flight prefetch.
 	fired := 0
-	if out := l1.Access(5, 0x500, pf.Line, false, func(sim.Cycle) { fired++ }); out != Miss {
+	if out := l1.Access(5, 0x500, pf.Line, false, Waiter{Fn: func(int, sim.Cycle) { fired++ }}); out != Miss {
 		t.Fatalf("merge outcome = %v, want Miss", out)
 	}
 	// The hierarchy drops the prefetch: the L1 must re-issue the line as
@@ -317,7 +317,7 @@ func TestL1DroppedPrefetchWithMergedDemandReissues(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("waiter fired %d times, want 1", fired)
 	}
-	if out := l1.Access(60, 0x500, pf.Line, false, nil); out != Hit {
+	if out := l1.Access(60, 0x500, pf.Line, false, Waiter{}); out != Hit {
 		t.Fatal("line absent after re-issued fill")
 	}
 }

@@ -44,7 +44,7 @@ func newL1PfRig(t *testing.T) pfRig {
 		prefetch: func(line mem.Addr) { l1.maybePrefetch(now, 0, line); serve() },
 		demand: func(line mem.Addr) bool {
 			now++
-			hit := l1.Access(now, 0, line, false, nil) == Hit
+			hit := l1.Access(now, 0, line, false, Waiter{}) == Hit
 			serve()
 			return hit
 		},

@@ -113,7 +113,7 @@ func (r *rig) access(core int, at sim.Cycle, addr mem.Addr, store bool) *bool {
 	var try func()
 	try = func() {
 		now := r.eng.Now()
-		switch r.l1s[core].Access(now, 0x400, addr, store, func(sim.Cycle) { *done = true }) {
+		switch r.l1s[core].Access(now, 0x400, addr, store, cache.Waiter{Fn: func(int, sim.Cycle) { *done = true }}) {
 		case cache.Hit:
 			*done = true
 		case cache.Blocked:

@@ -441,7 +441,7 @@ func TestQuiesceSeesL1RetryQueue(t *testing.T) {
 		}
 	}
 	// Dirty the victim, then displace it.
-	noop := func(sim.Cycle) {}
+	noop := cache.Waiter{Fn: func(int, sim.Cycle) {}}
 	l1.Access(0, 0, victim, true, noop)
 	l1.Access(0, 0, other, false, noop)
 	if l1.OutstandingMisses() != 0 || l1.InFlight() != 1 {

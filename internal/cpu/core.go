@@ -134,14 +134,15 @@ type Core struct {
 	idleReason idleReason
 	l1Blocked  bool // this tick, the L1 answered the head of memQ Blocked
 
-	// fillFns are prebuilt per-ROB-slot L1 fill callbacks, so issuing a
-	// load allocates no closure. fillSeq[i] records the μop sequence the
-	// slot held at issue, preserving the stale-fill guard. fetchDone is
-	// the single prebuilt IL1 fill callback (fetchWait serializes
-	// instruction fills, so one is enough).
-	fillFns   []func(sim.Cycle)
+	// loadFill is loadDone bound once: every load's L1 fill waiter
+	// calls it with the load's ROB slot as Arg, so issuing a load
+	// allocates no closure. fillSeq[i] records the μop sequence the slot
+	// held at issue, preserving the stale-fill guard. fetchFill is the
+	// IL1's waiter (fetchWait serializes instruction fills, so one is
+	// enough).
+	loadFill  func(idx int, now sim.Cycle)
 	fillSeq   []uint64
-	fetchDone func(sim.Cycle)
+	fetchFill cache.Waiter
 }
 
 // idleReason is the stall statistic a sleeping core would have counted
@@ -188,27 +189,28 @@ func New(p Params) *Core {
 		lastFetchLine: ^mem.Addr(0),
 	}
 	c.fillSeq = make([]uint64, len(c.rob))
-	c.fillFns = make([]func(sim.Cycle), len(c.rob))
-	for i := range c.fillFns {
-		idx := i
-		c.fillFns[idx] = func(at sim.Cycle) {
-			// Guard against the ROB slot having been recycled. A load's
-			// slot cannot be reused while its fill is outstanding (it
-			// must complete to commit), so at most one fill per slot is
-			// in flight and comparing against the issue-time sequence
-			// is exact.
-			if c.rob[idx].seq == c.fillSeq[idx] {
-				c.rob[idx].state = stDone
-			}
-			c.handle.Wake()
-		}
-	}
-	c.fetchDone = func(at sim.Cycle) {
-		c.fetchWait = false
-		c.lastFetchLine = c.pendingFetchLine
-		c.handle.Wake()
-	}
+	c.loadFill = c.loadDone
+	c.fetchFill = cache.Waiter{Fn: c.fetchDone}
 	return c
+}
+
+// loadDone is the L1 fill of the load issued from ROB slot idx.
+func (c *Core) loadDone(idx int, _ sim.Cycle) {
+	// Guard against the ROB slot having been recycled. A load's slot
+	// cannot be reused while its fill is outstanding (it must complete
+	// to commit), so at most one fill per slot is in flight and
+	// comparing against the issue-time sequence is exact.
+	if c.rob[idx].seq == c.fillSeq[idx] {
+		c.rob[idx].state = stDone
+	}
+	c.handle.Wake()
+}
+
+// fetchDone is the IL1 fill of the outstanding instruction fetch.
+func (c *Core) fetchDone(_ int, _ sim.Cycle) {
+	c.fetchWait = false
+	c.lastFetchLine = c.pendingFetchLine
+	c.handle.Wake()
 }
 
 // SetHandle arms the idle fast-path: with an engine tick handle the
@@ -464,7 +466,7 @@ func (c *Core) tryIssue(idx int, now sim.Cycle) bool {
 		c.stats.Stores++
 		// Stores retire through the store buffer: the μop completes at
 		// issue; the cache access proceeds in the background.
-		switch c.l1.Access(now, e.op.PC, paddr, true, nil) {
+		switch c.l1.Access(now, e.op.PC, paddr, true, cache.Waiter{}) {
 		case cache.Blocked:
 			c.stats.Stores--
 			c.l1Blocked = true
@@ -475,7 +477,7 @@ func (c *Core) tryIssue(idx int, now sim.Cycle) bool {
 	}
 	c.stats.Loads++
 	c.fillSeq[idx] = e.seq
-	switch c.l1.Access(now, e.op.PC, paddr, false, c.fillFns[idx]) {
+	switch c.l1.Access(now, e.op.PC, paddr, false, cache.Waiter{Fn: c.loadFill, Arg: idx}) {
 	case cache.Hit:
 		e.timed = true
 		e.readyAt = now + c.l1.Latency()
@@ -521,7 +523,7 @@ func (c *Core) fetched(op *UOp, now sim.Cycle) bool {
 		c.stats.FetchStall++
 		return false
 	}
-	switch c.il1.Access(now, op.PC, paddr, false, c.fetchDone) {
+	switch c.il1.Access(now, op.PC, paddr, false, c.fetchFill) {
 	case cache.Hit:
 		c.lastFetchLine = line
 		return true

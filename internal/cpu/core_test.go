@@ -250,6 +250,26 @@ func TestNewValidation(t *testing.T) {
 	New(Params{})
 }
 
+// TestNewAllocatesNothingPerROBSlot pins that a core's loads share one
+// fill waiter: building a core makes as many allocations with a
+// 512-entry ROB as with a 16-entry one.
+func TestNewAllocatesNothingPerROBSlot(t *testing.T) {
+	pt := mem.NewPageTable(1<<32, 4096)
+	l1 := cache.NewL1(cache.L1Params{
+		Core: 0, Array: cache.NewArray("dl1", 32, 12, 64), Latency: 3,
+		LineBytes: 64, MSHRs: 8, Below: &instantPort{}, IDs: &mem.IDSource{},
+	})
+	allocs := func(rob int) float64 {
+		cfg := config.Baseline2D()
+		cfg.ROBSize = rob
+		p := Params{Cfg: cfg, L1: l1, DTLB: tlb.New(64, 4, pt), Pages: pt, Source: &scriptSource{}}
+		return testing.AllocsPerRun(10, func() { New(p) })
+	}
+	if small, large := allocs(16), allocs(512); small != large {
+		t.Fatalf("New made %v allocations with a 16-entry ROB and %v with a 512-entry one, want the same", small, large)
+	}
+}
+
 func TestStatsIPCZeroCycles(t *testing.T) {
 	var s Stats
 	if s.IPC() != 0 {

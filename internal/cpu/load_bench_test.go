@@ -33,12 +33,12 @@ func BenchmarkLoadHit(b *testing.B) {
 	dt.Access(v) // the walk
 	paddr, _ := dt.Access(v)
 	// A demand miss on the line before brings this one in by prefetch.
-	l1.Access(0, 1, paddr-mem.Addr(cfg.LineBytes), false, nil)
+	l1.Access(0, 1, paddr-mem.Addr(cfg.LineBytes), false, cache.Waiter{})
 	port.pump(1)
 	const pc = 2
 	for b.Loop() {
 		p, hit := dt.Access(v)
-		if !hit || l1.Access(3, pc, p, false, nil) != cache.Hit {
+		if !hit || l1.Access(3, pc, p, false, cache.Waiter{}) != cache.Hit {
 			b.Fatal("load missed")
 		}
 	}

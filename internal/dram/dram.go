@@ -67,8 +67,7 @@ type BankStats struct {
 // until then.
 type Bank struct {
 	timing    Timing
-	rb        []rbEntry // MRU first
-	rbCap     int
+	rb        []rbEntry // MRU first; its capacity is the cache's
 	busyUntil sim.Cycle
 	lastAct   sim.Cycle // most recent activate, for the tRAS constraint
 	stats     BankStats
@@ -78,12 +77,10 @@ type Bank struct {
 	flt *fault.MCView
 }
 
-// NewBank returns an idle bank with the given row-buffer-cache capacity.
+// NewBank returns an idle bank with the given row-buffer-cache capacity:
+// the one bank of a rank that never refreshes.
 func NewBank(t Timing, rowBufEntries int) *Bank {
-	if rowBufEntries < 1 {
-		panic(fmt.Sprintf("dram: row buffer entries %d must be >= 1", rowBufEntries))
-	}
-	return &Bank{timing: t, rbCap: rowBufEntries, lastAct: -1 << 62}
+	return NewRank(t, 1, rowBufEntries, 0, 0).Banks[0]
 }
 
 // Stats returns the bank's counters.
@@ -167,7 +164,7 @@ func (b *Bank) access(now sim.Cycle, row int64, write bool, tag *attrib.Tag) (da
 	// Miss: bring the row into the row-buffer cache.
 	start := now
 	var writeRec, precharge sim.Cycle
-	if len(b.rb) >= b.rbCap {
+	if len(b.rb) == cap(b.rb) {
 		// Evict the LRU entry. Its sense amps must be precharged, and a
 		// dirty entry must complete write recovery first. Precharge also
 		// respects the tRAS minimum since that row's activation; we
@@ -259,9 +256,19 @@ func NewRank(t Timing, banks, rowBufEntries, refreshMS int, cpuMHz float64) *Ran
 	if banks < 1 {
 		panic(fmt.Sprintf("dram: rank needs >= 1 bank, got %d", banks))
 	}
+	if rowBufEntries < 1 {
+		panic(fmt.Sprintf("dram: row buffer entries %d must be >= 1", rowBufEntries))
+	}
+	// The banks are one slab and their row-buffer caches another, cut
+	// into one slice per bank whose capacity is the cache's: a bank's
+	// accesses fill it and never grow it.
+	slab := make([]Bank, banks)
+	rbs := make([]rbEntry, banks*rowBufEntries)
 	r := &Rank{Banks: make([]*Bank, banks)}
 	for i := range r.Banks {
-		r.Banks[i] = NewBank(t, rowBufEntries)
+		rb := rbs[i*rowBufEntries : i*rowBufEntries : (i+1)*rowBufEntries]
+		slab[i] = Bank{timing: t, rb: rb, lastAct: -1 << 62}
+		r.Banks[i] = &slab[i]
 	}
 	if refreshMS > 0 {
 		ns := float64(refreshMS) * 1e6 / rowsPerRefreshPeriod

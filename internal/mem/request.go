@@ -88,7 +88,8 @@ type Request struct {
 	done bool
 
 	// src, when the request came from an IDSource pool, is where
-	// Complete returns it; released guards against double release.
+	// Complete returns it; released guards against double release and
+	// tells NewRequest a recycled request from a fresh one.
 	src      *IDSource
 	released bool
 }
@@ -105,7 +106,7 @@ func (r *Request) Done() bool { return r.done }
 //
 // A request's lifecycle ends when Complete returns — no component reads
 // or writes a request after completing it — so pooled requests are
-// handed straight back to their IDSource free list here. Requests built
+// handed straight back to their IDSource pool here. Requests built
 // as literals (tests, cold paths) have no source and are left to the GC.
 func (r *Request) Complete(now sim.Cycle) {
 	if r.done {
@@ -122,10 +123,10 @@ func (r *Request) Complete(now sim.Cycle) {
 
 // IDSource hands out unique request IDs and pools the Request objects
 // themselves. It is confined to one simulated System and accessed only
-// from the single simulation goroutine, so the free list needs no lock.
+// from the single simulation goroutine, so the pool needs no lock.
 type IDSource struct {
 	next uint64
-	free []*Request
+	pool sim.Pool[Request]
 
 	gets, hits, puts uint64
 }
@@ -137,20 +138,18 @@ func (s *IDSource) Next() uint64 {
 }
 
 // NewRequest returns a zeroed Request carrying a fresh ID, reusing a
-// previously completed one when the free list has any. The request
-// returns to the pool automatically when Complete runs; callers must
-// not retain it past that point.
+// previously completed one when the pool has any. The request returns
+// to the pool automatically when Complete runs; callers must not retain
+// it past that point. A hit is a released request handed out again: a
+// fresh node from the pool's slab is zero, and so never released.
 func (s *IDSource) NewRequest() *Request {
 	s.gets++
-	if n := len(s.free); n > 0 {
+	r := s.pool.Get()
+	if r.released {
 		s.hits++
-		r := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		*r = Request{ID: s.Next(), src: s}
-		return r
 	}
-	return &Request{ID: s.Next(), src: s}
+	*r = Request{ID: s.Next(), src: s}
+	return r
 }
 
 // Writeback returns a request that writes line back to the level below,
@@ -165,7 +164,7 @@ func (s *IDSource) Writeback(line Addr, core int, now sim.Cycle) *Request {
 	return r
 }
 
-// release returns a completed request to the free list. Releasing the
+// release returns a completed request to the pool. Releasing the
 // same request twice panics: it would hand two future misses the same
 // object and corrupt the simulation silently.
 func (s *IDSource) release(r *Request) {
@@ -174,7 +173,7 @@ func (s *IDSource) release(r *Request) {
 	}
 	r.released = true
 	s.puts++
-	s.free = append(s.free, r)
+	s.pool.Put(r)
 }
 
 // Recycle returns a pooled request that was built but never submitted

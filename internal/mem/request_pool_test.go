@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 
 	"stackedsim/internal/sim"
@@ -108,4 +109,36 @@ func TestRecycleThenCompletePanics(t *testing.T) {
 		}
 	}()
 	r.Complete(1)
+}
+
+// TestPoolHitsCountOnlyRecycled pins mem.pool_hit_rate's numerator: a
+// request from a fresh slab node is never a hit, however many fresh
+// nodes the slab holds; a completed request handed out again is one.
+func TestPoolHitsCountOnlyRecycled(t *testing.T) {
+	var s IDSource
+	reqs := make([]*Request, 8)
+	for i := range reqs {
+		reqs[i] = s.NewRequest()
+	}
+	if gets, hits, puts := s.PoolStats(); gets != 8 || hits != 0 || puts != 0 {
+		t.Fatalf("8 fresh requests: PoolStats = %d/%d/%d, want 8/0/0", gets, hits, puts)
+	}
+	for _, r := range reqs[:3] {
+		r.Complete(1)
+	}
+	for range 3 {
+		r := s.NewRequest()
+		if !slices.Contains(reqs[:3], r) {
+			t.Fatalf("NewRequest with 3 completed returned %v, not one of them", r)
+		}
+	}
+	if gets, hits, puts := s.PoolStats(); gets != 11 || hits != 3 || puts != 3 {
+		t.Fatalf("3 completed and 3 taken: PoolStats = %d/%d/%d, want 11/3/3", gets, hits, puts)
+	}
+	if r := s.NewRequest(); slices.Contains(reqs, r) {
+		t.Fatalf("NewRequest with none completed returned the live %v", r)
+	}
+	if _, hits, _ := s.PoolStats(); hits != 3 {
+		t.Fatalf("a fresh request counted as a hit: hits=%d, want 3", hits)
+	}
 }

@@ -179,21 +179,41 @@ func (d *Delay[T]) NextAt() Cycle {
 // returns a node exactly as Put left it, or a zero one when none is
 // free: the caller resets what it reuses, and so keeps what is worth
 // keeping (a waiter slice's backing array). A pool guards nothing — a
-// node Put twice is handed out twice — so types whose double release
-// must panic keep a list of their own.
+// node Put twice is handed out twice — so a type whose double release
+// must panic marks its nodes itself and checks the mark before Put.
+//
+// Fresh nodes come a slab at a time: when Get finds nothing to recycle
+// it allocates a slab, returns its first node and hands out the rest,
+// in order, once the recycled ones run out again. Each slab is twice
+// the last, from poolFirstSlab up to poolMaxSlab nodes, so a pool that
+// grows to n nodes makes about log2(n) allocations, and the nodes it
+// holds beyond its high-water mark, the rest of the last slab, number
+// fewer than poolMaxSlab and fewer than that mark plus poolFirstSlab.
 type Pool[T any] struct {
-	free []*T
+	free  []*T
+	slab  []T // fresh nodes not yet handed out
+	grown int // size of the last slab allocated
 }
 
-// Get returns a recycled node, or a new zero one.
+const (
+	poolFirstSlab = 4
+	poolMaxSlab   = 256
+)
+
+// Get returns a recycled node, or a fresh zero one.
 func (p *Pool[T]) Get() *T {
-	n := len(p.free)
-	if n == 0 {
-		return new(T)
+	if n := len(p.free); n > 0 {
+		x := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		return x
 	}
-	x := p.free[n-1]
-	p.free[n-1] = nil
-	p.free = p.free[:n-1]
+	if len(p.slab) == 0 {
+		p.grown = min(max(2*p.grown, poolFirstSlab), poolMaxSlab)
+		p.slab = make([]T, p.grown)
+	}
+	x := &p.slab[0]
+	p.slab = p.slab[1:]
 	return x
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -252,10 +253,41 @@ func TestPool(t *testing.T) {
 	if x, y := p.Get(), p.Get(); x == y {
 		t.Fatal("two Gets returned one object after two Puts")
 	}
+	// Fresh nodes come in doubling slabs of 4 up to 256: 1,000 Gets
+	// from a never-Put pool make at most ceil(log2(1000/4)) + 1 slab
+	// allocations, and hand out 1,000 distinct zero nodes.
+	const gets = 1000
+	var sink *node // keeps the new nodes on the heap
+	slabs := math.Ceil(math.Log2(gets/poolFirstSlab)) + 1
+	if allocs := testing.AllocsPerRun(1, func() {
+		var fresh Pool[node]
+		for range gets {
+			sink = fresh.Get()
+		}
+	}); allocs > slabs || sink == nil {
+		t.Fatalf("%d Gets from a never-Put pool made %v allocations, want at most %v", gets, allocs, slabs)
+	}
 	var fresh Pool[node]
-	var sink *node // keeps the new node on the heap
-	if allocs := testing.AllocsPerRun(100, func() { sink = fresh.Get() }); allocs != 1 || sink == nil {
-		t.Fatalf("a never-Put pool made %v allocations per Get, want 1", allocs)
+	seen := make(map[*node]bool, gets)
+	for i := range gets {
+		x := fresh.Get()
+		if *x != (node{}) || seen[x] {
+			t.Fatalf("fresh Get %d handed out %p %+v, want a new zero node", i, x, *x)
+		}
+		seen[x] = true
+		x.v = i + 1
+	}
+	// A recycled node goes out before the rest of the slab, and the
+	// slab's next fresh node after it.
+	var mixed Pool[node]
+	first := mixed.Get()
+	first.v = 9
+	mixed.Put(first)
+	if got := mixed.Get(); got != first || got.v != 9 {
+		t.Fatalf("Get with a node Put and fresh ones left returned %p %+v, want the recycled %p", got, *got, first)
+	}
+	if got := mixed.Get(); got == first || *got != (node{}) {
+		t.Fatalf("Get after the recycled node returned %p %+v, want a fresh zero node", got, *got)
 	}
 	var warm Pool[node]
 	warm.Put(new(node))

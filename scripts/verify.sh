@@ -36,15 +36,16 @@ fi
 
 # The hierarchy's recurring shapes have one implementation each:
 # cache.Outbox (refusal-and-retry toward a Port), sim.Delay (a
-# fixed-latency pipe) and sim.Pool (a free list). Two pools stay
-# hand-written because they guard a double release (attrib.Tag,
-# mem.Request), and two components keep the heap because their delays
-# vary and their event kinds share one same-cycle order (cache.L2,
+# fixed-latency pipe) and sim.Pool (a free list, grown a slab at a
+# time). sim.Pool is the only free list: the two pools that guard a
+# double release (attrib.Tag, mem.Request) mark their nodes and keep them
+# in one. Two components keep the heap because their delays vary and
+# their event kinds share one same-cycle order (cache.L2,
 # memctrl.Controller).
 echo "== no free list outside sim.Pool, no sim.EventQueue outside cache/l2.go and memctrl"
 src() { grep -rnE "$1" --include='*.go' internal | grep -v '_test\.go:' | grep -vE "^internal/($2)" || true; }
 moved=$(
-	src '^[[:space:]]*free[A-Za-z_]*[[:space:]]+\[\]\*' 'sim/|attrib/attrib\.go:[0-9]+:.*\*Tag$|mem/request\.go:[0-9]+:.*\*Request$'
+	src '^[[:space:]]*free[A-Za-z_]*[[:space:]]+\[\]\*' 'sim/'
 	src 'sim\.EventQueue' 'sim/|cache/l2\.go:|memctrl/'
 )
 if [ -n "$moved" ]; then
@@ -65,6 +66,18 @@ hooks=$(
 if [ -n "$hooks" ]; then
 	echo "$hooks" >&2
 	echo "verify: a second trace recorder has moved back in" >&2
+	exit 1
+fi
+
+# What an L1 miss runs when its line arrives is a cache.Waiter, a
+# function shared by many misses and the int that tells them apart: a
+# slice of funcs in the core or the L1 is a closure per ROB slot or per
+# waiter back on every machine built.
+echo "== no []func( in internal/cpu or internal/cache/l1.go"
+funcs=$(grep -nE '\[\]func\(' internal/cpu/*.go internal/cache/l1.go | grep -v '_test\.go:' || true)
+if [ -n "$funcs" ]; then
+	echo "$funcs" >&2
+	echo "verify: a slice of fill callbacks has moved back in" >&2
 	exit 1
 fi
 
