@@ -22,7 +22,7 @@
 // With -farm host:port each simulation is dispatched to a sim-farm
 // coordinator (cmd/simfarm) instead of running in-process. Figures are
 // byte-identical either way; worker deaths mid-sweep are absorbed by
-// the farm's checkpointed failover.
+// the farm's failover, which re-leases the cell and reruns it.
 package main
 
 import (

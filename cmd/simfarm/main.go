@@ -9,9 +9,9 @@
 // (degraded when work is pending with no live workers, or the ledger
 // store is unreachable), /metrics and the ledger's /runs endpoints.
 // Workers simulate leased jobs under heartbeat-renewed leases and
-// drain on SIGTERM/SIGINT: the in-flight job is checkpointed, handed
-// back to the coordinator, and the worker deregisters, so a
-// rescheduled worker resumes instead of restarting.
+// drain on SIGTERM/SIGINT: the in-flight job is stopped and handed back
+// to the coordinator, and the worker deregisters; the next worker to
+// lease the job reruns it from cycle zero.
 package main
 
 import (
@@ -140,7 +140,6 @@ func runWorker(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 	coordinator := fs.String("coordinator", "", "coordinator address (host:port), required")
 	name := fs.String("name", "", "worker name, unique within the pool (default host-pid)")
 	poll := fs.Duration("poll", 250*time.Millisecond, "idle wait between lease attempts")
-	checkpointEvery := fs.Int64("checkpoint-every", 1_000_000, "cycles between checkpoint uploads (each refreshes the digest a successor's replay from cycle zero is checked against; none saves work)")
 	if err := fs.Parse(args); err != nil {
 		return parseExit(err)
 	}
@@ -155,11 +154,10 @@ func runWorker(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 		*name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	w := &farm.Worker{
-		Client:          farm.NewClient(*coordinator),
-		Name:            *name,
-		Poll:            *poll,
-		CheckpointEvery: *checkpointEvery,
-		Log:             stdout,
+		Client: farm.NewClient(*coordinator),
+		Name:   *name,
+		Poll:   *poll,
+		Log:    stdout,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

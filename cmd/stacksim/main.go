@@ -38,7 +38,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -124,9 +123,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 		faultScenario = fs.String("fault-scenario", "", "JSON fault scenario to inject into the memory hierarchy (see docs/ROBUSTNESS.md)")
 		faultSeed     = fs.Int64("fault-seed", 0, "override the scenario's fault-stream seed (0 keeps the scenario/run default)")
-		checkpoint    = fs.String("checkpoint", "", "write periodic replay checkpoints to this file (single run only)")
-		ckptEvery     = fs.Int64("checkpoint-every", 1_000_000, "cycles between checkpoint writes")
-		resume        = fs.String("resume", "", "resume from this checkpoint file; the run's config and workload come from the checkpoint")
 		deadline      = fs.Duration("deadline", 0, "wall-clock limit for the run (0 = none); a cut-off run still reports and exports")
 
 		telemetryDir = fs.String("telemetry-dir", "", "directory for telemetry exports (enables telemetry)")
@@ -161,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = f.Value.String() })
 	sweep := strings.Contains(*mixName, ",")
 	if err := validateFlags(explicit, *telemetryDir, *sampleEvery, *monitorAddr, sweep,
-		*checkpoint, *resume, *traces, *ckptEvery, *stackMode, *ledgerDir, *jobs); err != nil {
+		*traces, *stackMode, *ledgerDir, *jobs); err != nil {
 		return usage(err)
 	}
 
@@ -248,12 +244,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// The workload is the last thing that can be a usage error. The
 	// canonical mix label keys the ledger the same way the sweep and the
 	// experiment harness do, so all three dedupe against each other; w
-	// stays the zero Workload for resumed and trace-driven runs, which the
-	// ledger never addresses. labels name the cores in the manifest.
+	// stays the zero Workload for trace-driven runs, which the ledger
+	// never addresses. labels name the cores in the manifest.
 	var w workload.Workload
 	mixes := strings.Split(*mixName, ",")
 	switch {
-	case *resume != "" || *traces != "":
+	case *traces != "":
 	case *mixName != "":
 		for i := range mixes {
 			var err error
@@ -336,16 +332,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		})
 	}
 
-	var from *core.Checkpoint
 	var err error
 	switch {
-	case *resume != "":
-		if from, err = core.LoadCheckpoint(*resume); err != nil {
-			return fatal(err)
-		}
-		cfg, labels = from.Config, from.Benchmarks
-		sys, err = core.NewSystemFromCheckpoint(from)
-		fmt.Fprintf(stdout, "resume: %s at cycle %d (%s)\n", *resume, from.Cycle, cfg.Name)
 	case *traces != "":
 		sources := make([]cpu.UOpSource, len(labels))
 		for i, path := range labels {
@@ -409,24 +397,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if col != nil {
 			mon.AttribFn = col.Breakdown
 		}
-		if *checkpoint != "" {
-			// A checkpointed run's crash-recovery story depends on the
-			// checkpoint directory staying writable; surface trouble on
-			// /healthz as degraded instead of only failing at the next
-			// periodic write.
-			dir := filepath.Dir(*checkpoint)
-			mon.HealthFn = func() []monitor.HealthCheck {
-				check := monitor.HealthCheck{Name: "checkpoint", Status: "ok", Detail: dir}
-				if probe, err := os.CreateTemp(dir, ".healthz-*"); err != nil {
-					check.Status = "degraded"
-					check.Detail = err.Error()
-				} else {
-					probe.Close()
-					os.Remove(probe.Name())
-				}
-				return []monitor.HealthCheck{check}
-			}
-		}
 		if pt != nil {
 			// Collect runs on the simulation goroutine, so reading the
 			// tracker here is race-free.
@@ -451,25 +421,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		sys.Observe(collectEvery, mon)
 	}
 
-	// One run loop for every single run: a plain run is a checkpointed
-	// run with an empty plan. -resume keeps its file current, -checkpoint
-	// writes the one it names.
-	ckptPath := cmp.Or(*checkpoint, *resume)
-	plan := core.CheckpointPlan{From: from}
-	if ckptPath != "" {
-		plan.Every = *ckptEvery
-		plan.Sink = func(cp *core.Checkpoint) error { return cp.Write(ckptPath) }
-	}
+	// RunContext fails only when ctx is done: the run was cut off, and
+	// rerunning the same command finishes it.
 	started := time.Now()
-	m, runErr := sys.RunCheckpointed(ctx, plan)
-	switch {
-	case runErr == nil:
-	case ctx.Err() == nil:
-		// Not a cancellation: a bad checkpoint or a failed write.
-		return fatal(runErr)
-	case ckptPath != "":
-		fmt.Fprintf(stderr, "stacksim: interrupted at cycle %d; checkpoint saved to %s\n", sys.Engine.Now(), ckptPath)
-	default:
+	m, runErr := sys.RunContext(ctx)
+	if runErr != nil {
 		fmt.Fprintf(stderr, "stacksim: interrupted at cycle %d; metrics below are partial\n", sys.Engine.Now())
 	}
 	report(stdout, cfg, m)
@@ -533,14 +489,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 // validateFlags rejects flag combinations that would otherwise be
 // silent no-ops: the telemetry sub-flags do nothing without
-// -telemetry-dir, the monitor serves a single run's registry, so it
-// conflicts with sweep mode, and checkpoint/resume describe one
-// generator-driven run. Which machines are legal is not its business:
+// -telemetry-dir, and the monitor serves a single run's registry, so it
+// conflicts with sweep mode. Which machines are legal is not its business:
 // run asks config.Validate about the assembled config. explicit holds the
 // flags set on the command line; the returned error is the usage message,
 // without the "stacksim: " prefix.
 func validateFlags(explicit map[string]string, telemetryDir string, sampleEvery int64, monitorAddr string, sweep bool,
-	checkpoint, resume, traces string, ckptEvery int64, stackMode, ledgerDir string, jobs int) error {
+	traces, stackMode, ledgerDir string, jobs int) error {
 	set := func(name string) bool { _, ok := explicit[name]; return ok }
 	if stackMode == "memory" {
 		for _, name := range []string{"stack-cap-mb", "stack-ways", "stack-tag-lat",
@@ -563,30 +518,6 @@ func validateFlags(explicit map[string]string, telemetryDir string, sampleEvery 
 	if explicit["trace-events"] == "true" && explicit["attrib"] == "false" {
 		return errors.New("-trace-events draws the trace from the attribution tags; it conflicts with -attrib=false")
 	}
-	if checkpoint != "" || resume != "" {
-		if sweep {
-			return errors.New("-checkpoint/-resume describe a single run; they conflict with a multi-mix sweep")
-		}
-		if traces != "" {
-			return errors.New("-checkpoint/-resume rebuild the workload from benchmark generators; they conflict with -traces")
-		}
-	}
-	if resume != "" {
-		// The checkpoint carries the run's full config, workload and
-		// fault scenario; flags that would contradict it are rejected
-		// rather than silently ignored.
-		for _, name := range []string{"config", "mix", "bench", "fault-scenario", "fault-seed", "seed", "warmup", "measure"} {
-			if set(name) {
-				return fmt.Errorf("-%s conflicts with -resume (the checkpoint carries the run's config)", name)
-			}
-		}
-	}
-	if set("checkpoint-every") && checkpoint == "" && resume == "" {
-		return errors.New("-checkpoint-every does nothing without -checkpoint or -resume")
-	}
-	if ckptEvery <= 0 && (checkpoint != "" || resume != "") {
-		return errors.New("-checkpoint-every must be a positive cycle count")
-	}
 	if set("fault-seed") && !set("fault-scenario") {
 		return errors.New("-fault-seed does nothing without -fault-scenario")
 	}
@@ -595,17 +526,11 @@ func validateFlags(explicit map[string]string, telemetryDir string, sampleEvery 
 	if sampleEvery < 0 {
 		return errors.New("-sample-every must be >= 0 cycles (0 disables the time-series)")
 	}
-	if ledgerDir != "" {
-		// The ledger addresses a run by its config and workload *names*;
-		// a trace workload's behavior lives in the trace file contents,
-		// which the digest never sees, so a hit could serve the wrong
-		// run. Checkpoint/resume runs are partial by construction.
-		if traces != "" {
-			return errors.New("-ledger-dir conflicts with -traces (trace contents are outside the run's content address)")
-		}
-		if checkpoint != "" || resume != "" {
-			return errors.New("-ledger-dir conflicts with -checkpoint/-resume (the ledger records only complete, from-scratch runs)")
-		}
+	// The ledger addresses a run by its config and workload *names*; a
+	// trace workload's behavior lives in the trace file contents, which
+	// the digest never sees, so a hit could serve the wrong run.
+	if ledgerDir != "" && traces != "" {
+		return errors.New("-ledger-dir conflicts with -traces (trace contents are outside the run's content address)")
 	}
 	if monitorAddr != "" {
 		if sweep {

@@ -68,23 +68,9 @@ func TestUsageErrors(t *testing.T) {
 		{run + " -attrib=false", "-attrib does nothing without -telemetry-dir; add -telemetry-dir <dir>"},
 		{run + " -power=false", "-power does nothing without -telemetry-dir; add -telemetry-dir <dir>"},
 		{run + " -telemetry-dir $T/tel -trace-events -attrib=false", "-trace-events draws the trace from the attribution tags; it conflicts with -attrib=false"},
-		{"-mix H1,H2 -checkpoint x.ckpt", "-checkpoint/-resume describe a single run; they conflict with a multi-mix sweep"},
-		{run + " -checkpoint x.ckpt -traces a.trc", "-checkpoint/-resume rebuild the workload from benchmark generators; they conflict with -traces"},
-		{"-resume x.ckpt -config 3D", "-config conflicts with -resume (the checkpoint carries the run's config)"},
-		{"-resume x.ckpt -mix H1", "-mix conflicts with -resume (the checkpoint carries the run's config)"},
-		{"-resume x.ckpt -bench mcf", "-bench conflicts with -resume (the checkpoint carries the run's config)"},
-		{"-resume x.ckpt -fault-scenario sc.json", "-fault-scenario conflicts with -resume (the checkpoint carries the run's config)"},
-		{"-resume x.ckpt -fault-seed 3", "-fault-seed conflicts with -resume (the checkpoint carries the run's config)"},
-		{"-resume x.ckpt -seed 3", "-seed conflicts with -resume (the checkpoint carries the run's config)"},
-		{"-resume x.ckpt -warmup 1", "-warmup conflicts with -resume (the checkpoint carries the run's config)"},
-		{"-resume x.ckpt -measure 1", "-measure conflicts with -resume (the checkpoint carries the run's config)"},
-		{run + " -checkpoint-every 10", "-checkpoint-every does nothing without -checkpoint or -resume"},
-		{run + " -checkpoint x.ckpt -checkpoint-every 0", "-checkpoint-every must be a positive cycle count"},
-		{"-resume x.ckpt -checkpoint-every -5", "-checkpoint-every must be a positive cycle count"},
 		{run + " -fault-seed 3", "-fault-seed does nothing without -fault-scenario"},
 		{run + " -telemetry-dir d -sample-every -1", "-sample-every must be >= 0 cycles (0 disables the time-series)"},
 		{run + " -ledger-dir d -traces a.trc", "-ledger-dir conflicts with -traces (trace contents are outside the run's content address)"},
-		{run + " -ledger-dir d -checkpoint x.ckpt", "-ledger-dir conflicts with -checkpoint/-resume (the ledger records only complete, from-scratch runs)"},
 		{"-mix H1,H2 -telemetry-dir d -monitor-addr 127.0.0.1:0", "-monitor-addr serves a single run; it conflicts with a multi-mix sweep (use cmd/experiments -monitor-addr for fleet progress)"},
 		{run + " -monitor-addr 127.0.0.1:0", "-monitor-addr needs the telemetry registry; add -telemetry-dir <dir>"},
 		{run + " -j -1", "-j must be >= 0 (0 = GOMAXPROCS)"},
@@ -117,8 +103,9 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 	// -stack-tags-sram is not a flag: the stack cache has one tag directory.
-	for _, flag := range []string{"-no-such-flag", "-stack-tags-sram=false"} {
-		if code, _, errs := stacksim(t, flag); code != 2 || !strings.Contains(errs, "flag provided but not defined") {
+	// -resume is not one either: a cut-off run is finished by rerunning it.
+	for _, flag := range []string{"-no-such-flag", "-stack-tags-sram=false", "-resume x.ckpt"} {
+		if code, _, errs := stacksim(t, strings.Fields(flag)...); code != 2 || !strings.Contains(errs, "flag provided but not defined") {
 			t.Errorf("unknown flag %s: exit %d stderr %q", flag, code, errs)
 		}
 	}
@@ -130,7 +117,6 @@ func TestRuntimeFailuresExitOne(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mix", "H1", "-fault-scenario", "missing.json"},
 		{"-mix", "H1", "-traces", "missing.trc"},
-		{"-resume", "missing.ckpt"},
 		{"-config", "3D", "-bench", "nosuchbench"},
 	} {
 		if code, _, errs := stacksim(t, args...); code != 1 || !strings.HasPrefix(errs, "stacksim: ") {
@@ -277,26 +263,6 @@ func TestInterruptedRunStillFlushes(t *testing.T) {
 	}
 	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
 		t.Errorf("CPU profile after an interrupted run: %v, %v; want a non-empty file", st, err)
-	}
-}
-
-// TestCheckpointResumeMESI drives the round trip docs/ROBUSTNESS.md
-// describes on the directory/mesh machine, which -checkpoint used to
-// refuse: a run cut off by -deadline saves its checkpoint and exits 1,
-// and -resume replays to it, passes the digest check and prints the
-// uninterrupted run's report after its one "resume:" line.
-func TestCheckpointResumeMESI(t *testing.T) {
-	machine := []string{"-coherence", "mesi", "-cores", "16", "-bench", "producer-consumer", "-warmup", "1000", "-measure", "600000"}
-	want := mustRun(t, machine...)
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	code, _, errs := stacksim(t, append(machine, "-checkpoint", ckpt, "-checkpoint-every", "20000", "-deadline", "25ms")...)
-	if code != 1 || !strings.Contains(errs, "checkpoint saved to "+ckpt) {
-		t.Fatalf("interrupted run: exit %d stderr %q, want exit 1 and a saved checkpoint", code, errs)
-	}
-	resumed := mustRun(t, "-resume", ckpt)
-	first, rest, _ := strings.Cut(resumed, "\n")
-	if !strings.HasPrefix(first, "resume: "+ckpt+" at cycle ") || rest != want {
-		t.Errorf("resumed run:\n%s\nwant the uninterrupted run's report after a resume: line:\n%s", resumed, want)
 	}
 }
 

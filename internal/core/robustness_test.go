@@ -2,10 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -108,12 +105,75 @@ func TestDisabledInjectorParity(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeParity interrupts a run mid-measure, resumes it
-// from the checkpoint in a fresh system, and requires the result to be
-// bit-identical to an uninterrupted run.
-func TestCheckpointResumeParity(t *testing.T) {
+// TestSlicedRunParity pins that a run cut into Engine.RunCtx slices,
+// with the statistics reset at the warmup boundary (the way bench/ times
+// its measured window), is the uninterrupted run: metrics and digest are
+// bit-identical. Slice boundaries land on exact cycles even where the
+// engine would jump an idle span whole, and the 16-core directory/mesh
+// machine carries its in-flight protocol traffic across them.
+func TestSlicedRunParity(t *testing.T) {
+	mesi := config.ManyCore(16, 4)
+	mesi.WarmupCycles, mesi.MeasureCycles = 2_000, 10_000
+	idle := config.Baseline2D()
+	idle.WarmupCycles, idle.MeasureCycles = 2_000, 28_000
+	for _, tc := range []struct {
+		name       string
+		cfg        *config.Config
+		benchmarks []string
+		slice      int64
+		skips      bool
+	}{
+		// faults on: the injected stream must not notice the slices
+		{"2D+faults", faultyConfig(), []string{"mcf", "libquantum"}, 7_000, false},
+		{"mesi16", mesi, workload.Uniform("producer-consumer", 16).Benchmarks(), 2_500, false},
+		// a slice finer than the typical idle span splits spans
+		{"2D-skipping", idle, []string{"mcf", "libquantum"}, 1_000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			whole, err := NewSystem(tc.cfg, tc.benchmarks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := whole.Run()
+			wantDigest := whole.Digest()
+
+			sliced, err := NewSystem(tc.cfg, tc.benchmarks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runSlices := func(n int64) {
+				for left := n; left > 0; {
+					k := min(left, tc.slice)
+					if _, err := sliced.Engine.RunCtx(context.Background(), sim.Cycle(k)); err != nil {
+						t.Fatal(err)
+					}
+					left -= k
+				}
+			}
+			runSlices(tc.cfg.WarmupCycles)
+			sliced.ResetStats()
+			runSlices(tc.cfg.MeasureCycles)
+			got := sliced.Collect()
+			if tc.skips && sliced.Engine.CyclesSkipped() == 0 {
+				t.Fatal("workload produced no skipped cycles; the slices split no idle span")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("sliced run diverged from uninterrupted:\n%+v\nvs\n%+v", got, want)
+			}
+			if d := sliced.Digest(); d != wantDigest {
+				t.Fatalf("sliced digest %#x, uninterrupted %#x", d, wantDigest)
+			}
+		})
+	}
+}
+
+// TestCutOffRunRerunParity pins how a cut-off run is finished: a fresh
+// machine built from the same config and rerun from cycle zero reaches
+// the uninterrupted run's metrics and digest, faults included, whatever
+// the cancelled machine left behind.
+func TestCutOffRunRerunParity(t *testing.T) {
 	benchmarks := []string{"mcf", "libquantum"}
-	cfg := faultyConfig() // faults on, so the fault stream must survive resume too
+	cfg := faultyConfig()
 
 	uninterrupted, err := NewSystem(cfg, benchmarks)
 	if err != nil {
@@ -122,45 +182,29 @@ func TestCheckpointResumeParity(t *testing.T) {
 	want := uninterrupted.Run()
 	wantDigest := uninterrupted.Digest()
 
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	interrupted, err := NewSystem(cfg, benchmarks)
+	cut, err := NewSystem(cfg, benchmarks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cancel from inside the simulation partway through the measured
-	// window; the cancelled RunCheckpointed emits a final checkpoint, and
-	// the sink writes each one over the last, as stacksim -checkpoint does.
-	toFile := func(c *Checkpoint) error { return c.Write(path) }
 	ctx, cancel := context.WithCancel(context.Background())
-	interrupted.Engine.Schedule(27_001, cancel)
-	if _, err := interrupted.RunCheckpointed(ctx, CheckpointPlan{Every: 7_000, Sink: toFile}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run returned %v, want Canceled", err)
+	defer cancel()
+	cut.Engine.Schedule(27_001, cancel)
+	if _, err := cut.RunContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cut-off run returned %v, want Canceled", err)
 	}
-	stopped := int64(interrupted.Engine.Now())
-	if total := cfg.WarmupCycles + cfg.MeasureCycles; stopped >= total {
-		t.Fatalf("run was not interrupted (stopped at %d of %d)", stopped, total)
+	if stopped, total := int64(cut.Engine.Now()), cfg.WarmupCycles+cfg.MeasureCycles; stopped >= total {
+		t.Fatalf("run was not cut off (stopped at %d of %d)", stopped, total)
 	}
 
-	cp, err := LoadCheckpoint(path)
+	rerun, err := NewSystem(cfg, benchmarks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Cycle != stopped {
-		t.Fatalf("checkpoint at cycle %d, run stopped at %d", cp.Cycle, stopped)
+	if got := rerun.Run(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rerun diverged from uninterrupted:\n%+v\nvs\n%+v", got, want)
 	}
-	resumed, err := NewSystemFromCheckpoint(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := resumed.RunCheckpointed(context.Background(), CheckpointPlan{Every: 7_000, From: cp, Sink: toFile})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumed run diverged from uninterrupted:\n%+v\nvs\n%+v", got, want)
-	}
-	if d := resumed.Digest(); d != wantDigest {
-		t.Fatalf("resumed digest %#x, uninterrupted %#x", d, wantDigest)
+	if d := rerun.Digest(); d != wantDigest {
+		t.Fatalf("rerun digest %#x, uninterrupted %#x", d, wantDigest)
 	}
 }
 
@@ -200,128 +244,6 @@ func TestCancelledRunMetricsCoverElapsedWindow(t *testing.T) {
 	full := power.Account(sys.dramParams(), sys.dramActivity(), cfg.MeasureCycles, cfg.CPUMHz)
 	if m.Energy.StaticUJ <= 0 || m.Energy.StaticUJ >= full.StaticUJ/10 {
 		t.Errorf("static energy %v uJ covers more than the elapsed window (full window: %v uJ)", m.Energy.StaticUJ, full.StaticUJ)
-	}
-}
-
-// TestCheckpointSinkFromParity pins the fileless wire path a sim farm
-// uses: checkpoints delivered through Sink, serialized, and resumed
-// through From must reproduce an uninterrupted run bit-for-bit — no
-// file ever touches disk. The 16-core row is the directory/mesh machine:
-// its private L2s, directory banks and mesh replay to the same digest.
-func TestCheckpointSinkFromParity(t *testing.T) {
-	mesi := config.ManyCore(16, 4)
-	mesi.WarmupCycles = 2_000
-	mesi.MeasureCycles = 10_000
-	for _, tc := range []struct {
-		name       string
-		cfg        *config.Config
-		benchmarks []string
-		cut, every int64
-	}{
-		// faults on: the injected stream must survive too
-		{"2D+faults", faultyConfig(), []string{"mcf", "libquantum"}, 27_001, 7_000},
-		{"mesi16", mesi, workload.Uniform("producer-consumer", 16).Benchmarks(), 6_501, 2_500},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			uninterrupted, err := NewSystem(tc.cfg, tc.benchmarks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := uninterrupted.Run()
-			wantDigest := uninterrupted.Digest()
-
-			interrupted, err := NewSystem(tc.cfg, tc.benchmarks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			interrupted.Engine.Schedule(sim.Cycle(tc.cut), cancel)
-			var last *Checkpoint
-			_, runErr := interrupted.RunCheckpointed(ctx, CheckpointPlan{Every: tc.every, Sink: func(c *Checkpoint) error { last = c; return nil }})
-			if !errors.Is(runErr, context.Canceled) {
-				t.Fatalf("interrupted run returned %v, want Canceled", runErr)
-			}
-			if last == nil {
-				t.Fatal("sink received no checkpoint")
-			}
-			if stopped := int64(interrupted.Engine.Now()); last.Cycle != stopped || stopped >= tc.cfg.WarmupCycles+tc.cfg.MeasureCycles {
-				t.Fatalf("final sink checkpoint at cycle %d, run stopped at %d of %d", last.Cycle, stopped, tc.cfg.WarmupCycles+tc.cfg.MeasureCycles)
-			}
-
-			// Round-trip through JSON: the form a coordinator stores and a
-			// successor worker receives in its lease.
-			raw, err := json.Marshal(last)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var from Checkpoint
-			if err := json.Unmarshal(raw, &from); err != nil {
-				t.Fatal(err)
-			}
-			resumed, err := NewSystemFromCheckpoint(&from)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := resumed.RunCheckpointed(context.Background(), CheckpointPlan{Every: tc.every, From: &from})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("From-resumed run diverged from uninterrupted:\n%+v\nvs\n%+v", got, want)
-			}
-			if d := resumed.Digest(); d != wantDigest {
-				t.Fatalf("From-resumed digest %#x, uninterrupted %#x", d, wantDigest)
-			}
-		})
-	}
-}
-
-// TestCheckpointDigestMismatch pins that resume refuses a checkpoint
-// whose recorded digest the replay cannot reproduce.
-func TestCheckpointDigestMismatch(t *testing.T) {
-	cfg := config.Baseline2D()
-	cfg.WarmupCycles = 5_000
-	cfg.MeasureCycles = 20_000
-	sys, err := NewSystem(cfg, []string{"mcf"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Engine.Run(12_000)
-	cp := sys.Checkpoint()
-	cp.Digest ^= 1 // corrupt
-	fresh, err := NewSystemFromCheckpoint(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = fresh.RunCheckpointed(context.Background(), CheckpointPlan{From: cp})
-	if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
-		t.Fatalf("resume with corrupt digest returned %v, want digest mismatch", err)
-	}
-}
-
-// TestCheckpointLoadErrors pins the failure messages for unusable
-// checkpoint files.
-func TestCheckpointLoadErrors(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, content string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	if _, err := LoadCheckpoint(filepath.Join(dir, "missing.ckpt")); err == nil {
-		t.Fatal("missing checkpoint loaded")
-	}
-	if _, err := LoadCheckpoint(write("empty.ckpt", "")); err == nil || !strings.Contains(err.Error(), "empty") {
-		t.Fatalf("empty checkpoint: %v", err)
-	}
-	if _, err := LoadCheckpoint(write("trunc.ckpt", `{"version":1,"cycle":`)); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Fatalf("truncated checkpoint: %v", err)
-	}
-	if _, err := LoadCheckpoint(write("vers.ckpt", `{"version":99}`)); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("future-version checkpoint: %v", err)
 	}
 }
 

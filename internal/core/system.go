@@ -712,12 +712,19 @@ func (s *System) Run() Metrics {
 	return m
 }
 
-// RunContext is Run with cancellation: warmup then the measured window,
-// polling ctx between cycle chunks. On cancellation it returns the
-// metrics collected so far (partial, still well-formed) along with
-// ctx's error, so sweeps can export what completed.
+// RunContext is Run with cancellation: warmup, the end-of-warmup
+// statistics reset, then the measured window, polling ctx between cycle
+// chunks. On cancellation it returns the metrics collected so far
+// (partial, still well-formed) along with ctx's error, so sweeps can
+// export what completed. A cut-off run is finished by running it again:
+// every run is deterministic from its config and seed.
 func (s *System) RunContext(ctx context.Context) (Metrics, error) {
-	return s.RunCheckpointed(ctx, CheckpointPlan{})
+	_, err := s.Engine.RunCtx(ctx, sim.Cycle(s.Cfg.WarmupCycles))
+	if err == nil {
+		s.ResetStats()
+		_, err = s.Engine.RunCtx(ctx, sim.Cycle(s.Cfg.MeasureCycles))
+	}
+	return s.Collect(), err
 }
 
 // Collect gathers metrics for the elapsed measured window.
@@ -804,8 +811,7 @@ func (s *System) Collect() Metrics {
 // Digest folds the architectural state visible through statistics —
 // per-core commit counts, cache/controller/bank/bus counters and the
 // fault log — into one FNV-1a hash. Two systems that simulated the
-// same cycles from the same inputs have equal digests; checkpoint
-// resume uses this to verify replay put the machine back exactly.
+// same cycles from the same inputs have equal digests.
 func (s *System) Digest() uint64 {
 	s.Engine.Settle()
 	h := fnv.New64a()

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -210,62 +207,6 @@ func l2Sides(s *System) l2Side {
 		out.MSHRs = append(out.MSHRs, *f.Stats())
 	}
 	return out
-}
-
-// TestCheckpointAcrossSkippedRegion pins that checkpoint/resume and the
-// idle-skip engine compose: checkpoint boundaries land on exact cycles
-// even when the run loop is jumping idle spans, the digest taken at
-// such a boundary matches the replayed one, and the final metrics are
-// bit-identical to an uninterrupted run. The config and workload are
-// chosen so that skipping is actually happening (asserted below) —
-// a checkpoint cadence finer than the typical idle span forces many
-// boundaries to split spans the engine would otherwise jump whole.
-func TestCheckpointAcrossSkippedRegion(t *testing.T) {
-	cfg := config.Baseline2D()
-	cfg.WarmupCycles = 2_000
-	cfg.MeasureCycles = 28_000
-	benchmarks := []string{"mcf", "libquantum"}
-
-	uninterrupted, err := NewSystem(cfg, benchmarks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := uninterrupted.Run()
-	if uninterrupted.Engine.CyclesSkipped() == 0 {
-		t.Fatal("workload produced no skipped cycles; test exercises nothing")
-	}
-	wantDigest := uninterrupted.Digest()
-
-	path := filepath.Join(t.TempDir(), "skip.ckpt")
-	interrupted, err := NewSystem(cfg, benchmarks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	interrupted.Engine.Schedule(17_501, cancel)
-	toFile := func(c *Checkpoint) error { return c.Write(path) }
-	if _, err := interrupted.RunCheckpointed(ctx, CheckpointPlan{Every: 1_000, Sink: toFile}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run returned %v, want Canceled", err)
-	}
-
-	cp, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := NewSystemFromCheckpoint(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := resumed.RunCheckpointed(context.Background(), CheckpointPlan{Every: 1_000, From: cp, Sink: toFile})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("resume across skipped regions diverged:\n%+v\nvs\n%+v", got, want)
-	}
-	if d := resumed.Digest(); d != wantDigest {
-		t.Fatalf("resumed digest %#x, uninterrupted %#x", d, wantDigest)
-	}
 }
 
 // TestSaturatedCoresDoNotPoll is the efficiency floor under the

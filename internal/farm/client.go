@@ -209,12 +209,11 @@ func (c *Client) Lease(ctx context.Context, worker string) (*LeasedJob, error) {
 	return &out, nil
 }
 
-// Heartbeat renews (or with release=true hands back) a lease,
-// uploading the latest checkpoint when one is given. Returns
+// Heartbeat renews (or with release=true hands back) a lease. Returns
 // ErrLeaseLost when the coordinator no longer recognizes the lease.
-func (c *Client) Heartbeat(ctx context.Context, worker, id string, checkpoint json.RawMessage, release bool) error {
+func (c *Client) Heartbeat(ctx context.Context, worker, id string, release bool) error {
 	_, err := c.do(ctx, http.MethodPost, "/farm/heartbeat",
-		HeartbeatRequest{Worker: worker, ID: id, Checkpoint: checkpoint, Release: release}, nil)
+		HeartbeatRequest{Worker: worker, ID: id, Release: release}, nil)
 	return err
 }
 

@@ -120,7 +120,7 @@ func TestClientLeaseLost(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 
-	err := retryClient(ts.URL).Heartbeat(context.Background(), "w1", "job", nil, false)
+	err := retryClient(ts.URL).Heartbeat(context.Background(), "w1", "job", false)
 	if !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("err = %v, want ErrLeaseLost", err)
 	}

@@ -49,18 +49,17 @@ type Params struct {
 
 // job is the coordinator's record of one cell.
 type job struct {
-	id         string
-	cell       Cell
-	state      string
-	attempts   int // dispatches
-	failures   int // expired leases + error completions
-	notBefore  time.Time
-	worker     string
-	expires    time.Time
-	checkpoint json.RawMessage
-	errors     []string
-	summary    json.RawMessage
-	digest     uint64
+	id        string
+	cell      Cell
+	state     string
+	attempts  int // dispatches
+	failures  int // expired leases + error completions
+	notBefore time.Time
+	worker    string
+	expires   time.Time
+	errors    []string
+	summary   json.RawMessage
+	digest    uint64
 }
 
 type workerInfo struct {
@@ -152,8 +151,7 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 }
 
 // failLocked charges one failure and either requeues the job with
-// backoff or quarantines it. The stored checkpoint survives either way:
-// a failover resume and a post-mortem both want it.
+// backoff or quarantines it.
 func (c *Coordinator) failLocked(j *job, now time.Time, reason string) {
 	c.failures++
 	j.failures++
@@ -187,8 +185,8 @@ func (c *Coordinator) backoffLocked(n int) time.Duration {
 }
 
 // enqueueLocked adds id to the dispatch order (front = next). Released
-// and failed jobs go to the front so resumes-in-progress beat fresh
-// work (their checkpoint state is hottest).
+// and failed jobs go to the front, so a cell already dispatched once
+// finishes before fresh work starts.
 func (c *Coordinator) enqueueLocked(id string, front bool) {
 	for _, q := range c.queue {
 		if q == id {
@@ -349,12 +347,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		c.dispatched++
 		c.workers[req.Worker].job = j.id
 		writeJSON(w, http.StatusOK, LeasedJob{
-			ID:         j.id,
-			Config:     j.cell.Config,
-			Workload:   j.cell.Workload,
-			Attempt:    j.attempts,
-			LeaseMS:    c.p.Lease.Milliseconds(),
-			Checkpoint: j.checkpoint,
+			ID:       j.id,
+			Config:   j.cell.Config,
+			Workload: j.cell.Workload,
+			Attempt:  j.attempts,
+			LeaseMS:  c.p.Lease.Milliseconds(),
 		})
 		return
 	}
@@ -370,11 +367,10 @@ func (c *Coordinator) touchWorkerLocked(name string, now time.Time) {
 	wi.lastSeen = now
 }
 
-// handleHeartbeat renews a lease (and stores the worker's latest
-// checkpoint). 410 Gone tells a worker its lease was lost — the job
-// expired and may already be running elsewhere, so the worker must
-// abandon it. Release=true is the graceful path: job back to the front
-// of the queue, checkpoint retained, no failure charged.
+// handleHeartbeat renews a lease. 410 Gone tells a worker its lease was
+// lost — the job expired and may already be running elsewhere, so the
+// worker must abandon it. Release=true is the graceful path: job back to
+// the front of the queue, no failure charged.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
 	if !decodeBody(w, r, &req) {
@@ -394,9 +390,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if j.state != StateRunning || j.worker != req.Worker {
 		writeError(w, http.StatusGone, "lease on %q lost (state %s, held by %q)", req.ID, j.state, j.worker)
 		return
-	}
-	if len(req.Checkpoint) > 0 {
-		j.checkpoint = req.Checkpoint
 	}
 	if req.Release {
 		j.state = StateQueued
@@ -466,7 +459,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	j.state = StateDone
 	j.summary = req.Record.Summary
 	j.digest = req.Digest
-	j.checkpoint = nil
 	if wi := c.workers[j.worker]; wi != nil && wi.job == j.id {
 		wi.job = ""
 	}
@@ -484,7 +476,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDeregister removes a worker from the pool, releasing any job it
-// still holds (graceful, checkpoint retained).
+// still holds (graceful, no failure charged).
 func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	var req DeregisterRequest
 	if !decodeBody(w, r, &req) {

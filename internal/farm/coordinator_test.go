@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -126,21 +125,6 @@ func (h *coordHarness) status(t *testing.T) Status {
 	return s
 }
 
-// sameJSON compares two JSON documents semantically: the coordinator's
-// indenting encoder may reflow raw checkpoint bytes without changing
-// their content.
-func sameJSON(t *testing.T, a, b json.RawMessage) bool {
-	t.Helper()
-	var va, vb any
-	if err := json.Unmarshal(a, &va); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &vb); err != nil {
-		t.Fatal(err)
-	}
-	return reflect.DeepEqual(va, vb)
-}
-
 // record builds a minimal-but-valid completion record for a cell.
 func completionFor(t *testing.T, cell Cell, digest uint64) *ledger.Record {
 	t.Helper()
@@ -255,20 +239,19 @@ func TestQueueOverflowSheds(t *testing.T) {
 
 // TestLeaseExpiryRedispatch is the fake-clock lease test: a worker
 // that stops heartbeating loses the job after the TTL, the next lease
-// re-dispatches it (attempt 2) carrying the dead worker's checkpoint,
-// and the dead worker's late heartbeat gets 410 Gone.
+// re-dispatches it (attempt 2), and the dead worker's late heartbeat
+// gets 410 Gone.
 func TestLeaseExpiryRedispatch(t *testing.T) {
 	lease := 10 * time.Second
 	h := newHarness(t, Params{Lease: lease, BackoffBase: time.Second, MaxAttempts: 5})
 	sub := h.submit(t, testCell(t, 1))
 
 	job, _ := h.lease(t, "w1")
-	if job == nil || job.Attempt != 1 || len(job.Checkpoint) != 0 {
+	if job == nil || job.Attempt != 1 {
 		t.Fatalf("first lease = %+v", job)
 	}
-	// Heartbeat with a checkpoint inside the TTL renews the lease.
-	cp := json.RawMessage(`{"version":1,"cycle":3000}`)
-	if code := h.post(t, "/farm/heartbeat", HeartbeatRequest{Worker: "w1", ID: job.ID, Checkpoint: cp}, nil); code != http.StatusOK {
+	// A heartbeat inside the TTL renews the lease.
+	if code := h.post(t, "/farm/heartbeat", HeartbeatRequest{Worker: "w1", ID: job.ID}, nil); code != http.StatusOK {
 		t.Fatalf("heartbeat = %d", code)
 	}
 	h.clock.Advance(lease / 2)
@@ -296,9 +279,6 @@ func TestLeaseExpiryRedispatch(t *testing.T) {
 	}
 	if job2.ID != sub.ID || job2.Attempt != 2 {
 		t.Fatalf("re-dispatch = %+v", job2)
-	}
-	if !sameJSON(t, job2.Checkpoint, cp) {
-		t.Fatalf("re-dispatch lost the checkpoint: %s", job2.Checkpoint)
 	}
 
 	// The dead worker wakes up: its lease is gone.
@@ -370,17 +350,15 @@ func TestBackoffBounds(t *testing.T) {
 }
 
 // TestGracefulRelease pins the drain path: a releasing heartbeat
-// requeues the job at the front with its checkpoint, charging no
-// failure, and deregister does the same for a worker that still holds
-// a job.
+// requeues the job at the front, charging no failure, and deregister
+// does the same for a worker that still holds a job.
 func TestGracefulRelease(t *testing.T) {
 	h := newHarness(t, Params{})
 	h.submit(t, testCell(t, 1))
 	h.submit(t, testCell(t, 2))
 
 	job, _ := h.lease(t, "w1")
-	cp := json.RawMessage(`{"version":1,"cycle":2000}`)
-	if code := h.post(t, "/farm/heartbeat", HeartbeatRequest{Worker: "w1", ID: job.ID, Checkpoint: cp, Release: true}, nil); code != http.StatusOK {
+	if code := h.post(t, "/farm/heartbeat", HeartbeatRequest{Worker: "w1", ID: job.ID, Release: true}, nil); code != http.StatusOK {
 		t.Fatalf("release = %d", code)
 	}
 	if s := h.status(t); s.Failures != 0 || s.JobsQueued != 2 {
@@ -388,7 +366,7 @@ func TestGracefulRelease(t *testing.T) {
 	}
 	// Front of the queue: the released job dispatches before the other.
 	job2, _ := h.lease(t, "w2")
-	if job2.ID != job.ID || !sameJSON(t, job2.Checkpoint, cp) || job2.Attempt != 2 {
+	if job2.ID != job.ID || job2.Attempt != 2 {
 		t.Fatalf("released job re-lease = %+v", job2)
 	}
 

@@ -3,6 +3,7 @@ package farm
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -10,12 +11,10 @@ import (
 	"time"
 
 	"stackedsim/internal/config"
-	"stackedsim/internal/core"
 	"stackedsim/internal/ledger"
 )
 
-// failoverCell is a cell long enough to cross several checkpoint
-// boundaries mid-measure.
+// failoverCell is a cell long enough to be cut mid-measure.
 func failoverCell(t *testing.T) Cell {
 	t.Helper()
 	cfg := config.Baseline2D()
@@ -28,48 +27,54 @@ func failoverCell(t *testing.T) Cell {
 	return Cell{Config: raw, Workload: []string{"mix:H1"}}
 }
 
+// cutCtx is a context whose Err reports cancellation from its n-th call
+// on. The engine polls Err once per few thousand cycles, so a run under
+// it stops at a fixed cycle, the way a worker killed mid-run does.
+type cutCtx struct {
+	context.Context
+	n int
+}
+
+func (c *cutCtx) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// runCut runs job under a cutCtx and requires that the cut landed inside
+// the measured window.
+func runCut(t *testing.T, job *LeasedJob) {
+	t.Helper()
+	_, sys, err := RunJob(&cutCtx{Context: context.Background(), n: 10}, job)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cut run returned %v, want Canceled", err)
+	}
+	warm, total := sys.Cfg.WarmupCycles, sys.Cfg.WarmupCycles+sys.Cfg.MeasureCycles
+	if now := int64(sys.Engine.Now()); now <= warm || now >= total {
+		t.Fatalf("run cut at cycle %d, want inside the measured window (%d, %d)", now, warm, total)
+	}
+}
+
 // TestShardFailoverParity is the acceptance pin for failover: a worker
-// killed mid-run whose job is resumed by a successor from the last
-// uploaded checkpoint produces metrics and an architectural digest
-// bit-identical to an uninterrupted run.
+// killed mid-run whose job is rerun from cycle zero by a successor
+// produces metrics and an architectural digest bit-identical to an
+// uninterrupted run.
 func TestShardFailoverParity(t *testing.T) {
 	cell := failoverCell(t)
-	const every = int64(30_000)
 
 	whole := &LeasedJob{ID: "whole", Config: cell.Config, Workload: cell.Workload, Attempt: 1}
-	wantM, wantSys, err := RunJob(context.Background(), whole, every, nil)
+	wantM, wantSys, err := RunJob(context.Background(), whole)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantDigest := wantSys.Digest()
 
-	// Worker A dies immediately after uploading its first checkpoint —
-	// the harshest failover point, with the most work left to replay.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var uploaded json.RawMessage
-	jobA := &LeasedJob{ID: "a", Config: cell.Config, Workload: cell.Workload, Attempt: 1}
-	_, _, errA := RunJob(ctx, jobA, every, func(cp *core.Checkpoint) error {
-		if uploaded == nil {
-			raw, merr := json.Marshal(cp)
-			if merr != nil {
-				t.Error(merr)
-			}
-			uploaded = raw
-			cancel()
-		}
-		return nil
-	})
-	if errA == nil {
-		t.Fatal("interrupted run reported no error")
-	}
-	if uploaded == nil {
-		t.Fatal("no checkpoint reached the sink before the kill")
-	}
+	runCut(t, &LeasedJob{ID: "a", Config: cell.Config, Workload: cell.Workload, Attempt: 1})
 
-	// Worker B resumes from A's wire-format checkpoint.
-	jobB := &LeasedJob{ID: "b", Config: cell.Config, Workload: cell.Workload, Attempt: 2, Checkpoint: uploaded}
-	gotM, gotSys, err := RunJob(context.Background(), jobB, every, nil)
+	// Worker B holds attempt 2 of the same cell.
+	jobB := &LeasedJob{ID: "b", Config: cell.Config, Workload: cell.Workload, Attempt: 2}
+	gotM, gotSys, err := RunJob(context.Background(), jobB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +87,16 @@ func TestShardFailoverParity(t *testing.T) {
 }
 
 // TestWorkerFailoverEndToEnd drives the whole protocol with a real
-// coordinator and a real Worker: worker A leases the job, uploads a
-// checkpoint, and vanishes without a word; the lease expires; worker B
-// picks the job up as attempt 2 and lands a result identical to an
-// uninterrupted run — exactly one completion, none lost, none
+// coordinator and a real Worker: worker A leases the job, heartbeats
+// once, dies mid-run and vanishes without a word; the lease expires;
+// worker B picks the job up as attempt 2 and lands a result identical
+// to an uninterrupted run — exactly one completion, none lost, none
 // duplicated.
 func TestWorkerFailoverEndToEnd(t *testing.T) {
 	cell := failoverCell(t)
-	const every = int64(20_000)
 
 	ref := &LeasedJob{ID: "ref", Config: cell.Config, Workload: cell.Workload, Attempt: 1}
-	_, refSys, err := RunJob(context.Background(), ref, every, nil)
+	_, refSys, err := RunJob(context.Background(), ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,38 +124,22 @@ func TestWorkerFailoverEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Worker A: lease, simulate to the first checkpoint, upload it,
-	// then go silent forever.
+	// Worker A: lease, heartbeat, simulate part of the cell, then go
+	// silent forever.
 	jobA, err := client.Lease(ctx, "wA")
 	if err != nil || jobA == nil {
 		t.Fatalf("lease A = %v, %v", jobA, err)
 	}
-	actx, acancel := context.WithCancel(ctx)
-	defer acancel()
-	var uploaded json.RawMessage
-	_, _, errA := RunJob(actx, jobA, every, func(cp *core.Checkpoint) error {
-		if uploaded == nil {
-			raw, merr := json.Marshal(cp)
-			if merr != nil {
-				t.Error(merr)
-			}
-			uploaded = raw
-			acancel()
-		}
-		return nil
-	})
-	if errA == nil || uploaded == nil {
-		t.Fatalf("worker A did not die mid-run (err=%v)", errA)
-	}
-	if err := client.Heartbeat(ctx, "wA", jobA.ID, uploaded, false); err != nil {
+	if err := client.Heartbeat(ctx, "wA", jobA.ID, false); err != nil {
 		t.Fatal(err)
 	}
+	runCut(t, jobA)
 	time.Sleep(400 * time.Millisecond) // lease TTL + slack
 
 	// Worker B: the real lease/heartbeat/complete loop.
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
-	w := &Worker{Client: client, Name: "wB", Poll: 20 * time.Millisecond, CheckpointEvery: every}
+	w := &Worker{Client: client, Name: "wB", Poll: 20 * time.Millisecond}
 	done := make(chan struct{})
 	go func() {
 		w.Run(wctx)
@@ -185,6 +173,97 @@ func TestWorkerFailoverEndToEnd(t *testing.T) {
 	}
 	if len(ms) != 1 {
 		t.Fatalf("ledger holds %d records, want 1", len(ms))
+	}
+}
+
+// TestWorkerDrainReleasesMidRun drives a real Worker through the drain
+// a SIGTERM starts: its Run context is cancelled while the job is
+// simulating, so the worker hands the lease back and deregisters. The
+// job is queued again with no failure charged, and a second worker
+// reruns it from cycle zero to the uninterrupted run's digest.
+func TestWorkerDrainReleasesMidRun(t *testing.T) {
+	cfg := config.Baseline2D()
+	cfg.WarmupCycles = 20_000
+	cfg.MeasureCycles = 1_000_000 // long enough to be running when the drain lands
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := Cell{Config: raw, Workload: []string{"mix:H1"}}
+
+	ref := &LeasedJob{ID: "ref", Config: cell.Config, Workload: cell.Workload, Attempt: 1}
+	_, refSys, err := RunJob(context.Background(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDigest := refSys.Digest()
+
+	coord := NewCoordinator(Params{Lease: 5 * time.Second, MaxAttempts: 2})
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(ts.Close)
+	client := NewClient(ts.URL)
+	ctx := context.Background()
+	sub, err := client.Submit(ctx, cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Worker A: drained as soon as the coordinator sees it running.
+	actx, acancel := context.WithCancel(ctx)
+	defer acancel()
+	wA := &Worker{Client: client, Name: "wA", Poll: 5 * time.Millisecond}
+	doneA := make(chan struct{})
+	go func() {
+		wA.Run(actx)
+		close(doneA)
+	}()
+	for stop := time.Now().Add(60 * time.Second); ; time.Sleep(time.Millisecond) {
+		js, err := client.Job(ctx, sub.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if js.State == StateRunning {
+			break
+		}
+		if time.Now().After(stop) {
+			t.Fatalf("worker A never leased the job (state %s)", js.State)
+		}
+	}
+	acancel()
+	<-doneA
+
+	js, err := client.Job(ctx, sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js.State != StateQueued || js.Failures != 0 || js.Attempts != 1 {
+		t.Fatalf("after the drain job = %+v, want queued after 1 attempt with no failure charged", js)
+	}
+	s, err := client.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Workers) != 0 || s.Failures != 0 || s.Completed != 0 {
+		t.Fatalf("after the drain status = %+v, want wA deregistered and nothing charged or completed", s)
+	}
+
+	// Worker B reruns the cell from cycle zero.
+	bctx, bcancel := context.WithCancel(ctx)
+	defer bcancel()
+	wB := &Worker{Client: client, Name: "wB", Poll: 5 * time.Millisecond}
+	doneB := make(chan struct{})
+	go func() {
+		wB.Run(bctx)
+		close(doneB)
+	}()
+	js = awaitOutcome(t, client, sub.ID)
+	bcancel()
+	<-doneB
+	if js.State != StateDone || js.Attempts != 2 || js.Failures != 0 {
+		t.Fatalf("job after the rerun = %+v, want done on attempt 2 with no failure", js)
+	}
+	if js.Digest != wantDigest {
+		t.Fatalf("rerun digest %#x, uninterrupted %#x", js.Digest, wantDigest)
 	}
 }
 
@@ -241,7 +320,7 @@ func TestPoisonJobQuarantine(t *testing.T) {
 
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
-	w := &Worker{Client: client, Name: "w1", Poll: 10 * time.Millisecond, CheckpointEvery: 1_000}
+	w := &Worker{Client: client, Name: "w1", Poll: 10 * time.Millisecond}
 	done := make(chan struct{})
 	go func() {
 		w.Run(wctx)
@@ -293,7 +372,7 @@ func TestBadGeometryJobFailsWorkerSurvives(t *testing.T) {
 	for _, bad := range []*config.Config{l1, l2} {
 		cell := cellOf(bad)
 		job := &LeasedJob{ID: "bad", Config: cell.Config, Workload: cell.Workload, Attempt: 1}
-		if _, _, err := RunJob(context.Background(), job, 1_000, nil); err == nil {
+		if _, _, err := RunJob(context.Background(), job); err == nil {
 			t.Fatalf("RunJob built a machine from L1Ways=%d L2SizeKB=%d L2Ways=%d", bad.L1Ways, bad.L2SizeKB, bad.L2Ways)
 		}
 	}
@@ -310,7 +389,7 @@ func TestBadGeometryJobFailsWorkerSurvives(t *testing.T) {
 	ctx := context.Background()
 
 	wctx, wcancel := context.WithCancel(ctx)
-	w := &Worker{Client: client, Name: "w1", Poll: 10 * time.Millisecond, CheckpointEvery: 1_000}
+	w := &Worker{Client: client, Name: "w1", Poll: 10 * time.Millisecond}
 	done := make(chan struct{})
 	go func() {
 		w.Run(wctx)

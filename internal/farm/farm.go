@@ -10,14 +10,14 @@
 //   - Leases are renewed by heartbeat. A worker that stops heartbeating
 //     (crash, network flap, preemption) loses its lease; the job is
 //     re-dispatched with exponential backoff + jitter to the next
-//     worker, which resumes from the dead worker's last uploaded
-//     checkpoint. Determinism makes the failover result bit-identical
-//     to an uninterrupted run (TestShardFailoverParity pins this).
+//     worker, which reruns the cell from cycle zero. Determinism makes
+//     the failover result bit-identical to an uninterrupted run
+//     (TestShardFailoverParity pins this).
 //   - Degradation is graceful: a full queue sheds submissions with
 //     429 plus Retry-After instead of collapsing, jobs that exhaust
 //     their retry budget are quarantined with their error chain rather
-//     than wedging the sweep, and SIGTERM drains workers (finish or
-//     checkpoint, hand the lease back, deregister).
+//     than wedging the sweep, and SIGTERM drains workers (stop the run,
+//     hand the lease back, deregister).
 //
 // The coordinator mounts on the monitor mux under /farm/; core.Runner
 // reaches it through Client, which implements core.FarmBackend.
@@ -66,26 +66,22 @@ type LeaseRequest struct {
 }
 
 // LeasedJob is one dispatched job: the cell to simulate, which attempt
-// this is, the lease TTL the worker must renew within, and — after a
-// failover — the previous holder's last uploaded checkpoint.
+// this is, and the lease TTL the worker must renew within.
 type LeasedJob struct {
-	ID         string          `json:"id"`
-	Config     json.RawMessage `json:"config"`
-	Workload   []string        `json:"workload"`
-	Attempt    int             `json:"attempt"`
-	LeaseMS    int64           `json:"lease_ms"`
-	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
+	ID       string          `json:"id"`
+	Config   json.RawMessage `json:"config"`
+	Workload []string        `json:"workload"`
+	Attempt  int             `json:"attempt"`
+	LeaseMS  int64           `json:"lease_ms"`
 }
 
-// HeartbeatRequest renews a lease. Checkpoint, when present, replaces
-// the job's stored checkpoint (the worker's latest replay cursor).
-// Release hands the job back gracefully — requeued at the front, no
-// failure charged — which is how a draining worker exits mid-run.
+// HeartbeatRequest renews a lease. Release hands the job back
+// gracefully — requeued at the front, no failure charged — which is how
+// a draining worker exits mid-run.
 type HeartbeatRequest struct {
-	Worker     string          `json:"worker"`
-	ID         string          `json:"id"`
-	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
-	Release    bool            `json:"release,omitempty"`
+	Worker  string `json:"worker"`
+	ID      string `json:"id"`
+	Release bool   `json:"release,omitempty"`
 }
 
 // CompleteRequest finishes a job: either a full ledger record plus the
@@ -100,7 +96,7 @@ type CompleteRequest struct {
 }
 
 // DeregisterRequest removes a worker from the pool, requeueing any job
-// it still holds (checkpoint retained).
+// it still holds.
 type DeregisterRequest struct {
 	Worker string `json:"worker"`
 }

@@ -20,14 +20,15 @@ import (
 // Worker claims jobs from a coordinator one at a time, simulating each
 // under a heartbeat-renewed lease. Failure handling end to end:
 //
-//   - The heartbeat goroutine uploads the run's latest checkpoint every
-//     third of the lease TTL. If the coordinator answers 410 (lease
-//     lost), the worker cancels the run and abandons it — some other
-//     worker owns the job now.
+//   - The heartbeat goroutine renews the lease every third of the lease
+//     TTL. If the coordinator answers 410 (lease lost), the worker
+//     cancels the run and abandons it — some other worker owns the job
+//     now.
 //   - A cancelled Run context (SIGTERM drain) stops the simulation at
-//     the next cycle-chunk boundary; the final checkpoint is handed
-//     back with a releasing heartbeat and the worker deregisters, so
-//     its successor resumes instead of restarting.
+//     the next cycle-chunk boundary; the lease is handed back with a
+//     releasing heartbeat and the worker deregisters. Its successor
+//     reruns the cell from cycle zero, which determinism makes
+//     bit-identical to an uninterrupted run.
 //   - A panicking or failing simulation completes the job with its
 //     error (plus stack), charging the job's retry budget instead of
 //     killing the worker.
@@ -39,10 +40,6 @@ type Worker struct {
 	// Poll is the idle wait between lease attempts when the queue is
 	// empty (default 250ms).
 	Poll time.Duration
-	// CheckpointEvery is the cycle interval between checkpoint
-	// snapshots (default 1_000_000). Shorter intervals tighten the
-	// failover window at the cost of more snapshot work.
-	CheckpointEvery int64
 	// Log, when non-nil, receives one line per job event.
 	Log io.Writer
 }
@@ -58,8 +55,8 @@ func (w *Worker) logf(format string, args ...any) {
 }
 
 // Run leases and executes jobs until ctx is cancelled, then drains:
-// the in-flight job (if any) is checkpointed and released, and the
-// worker deregisters from the pool.
+// the in-flight job (if any) is released, and the worker deregisters
+// from the pool.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Client == nil || w.Name == "" {
 		return fmt.Errorf("farm: worker needs a Client and a Name")
@@ -99,37 +96,15 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // process runs one leased job to an outcome: completion, graceful
-// checkpoint-and-release (drain), or abandonment (lease lost).
+// release (drain), or abandonment (lease lost).
 func (w *Worker) process(ctx context.Context, job *LeasedJob) {
 	defer func() {
 		if p := recover(); p != nil {
 			w.complete(job, nil, 0, fmt.Sprintf("worker panic: %v\n%s", p, debug.Stack()))
 		}
 	}()
-	w.logf("leased %s attempt %d (resume=%v)", job.ID, job.Attempt, len(job.Checkpoint) > 0)
+	w.logf("leased %s attempt %d", job.ID, job.Attempt)
 	started := time.Now()
-
-	var mu sync.Mutex
-	var latest *core.Checkpoint
-	sink := func(cp *core.Checkpoint) error {
-		mu.Lock()
-		latest = cp
-		mu.Unlock()
-		return nil
-	}
-	latestJSON := func() json.RawMessage {
-		mu.Lock()
-		cp := latest
-		mu.Unlock()
-		if cp == nil {
-			return nil
-		}
-		raw, err := json.Marshal(cp)
-		if err != nil {
-			return nil
-		}
-		return raw
-	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -151,7 +126,7 @@ func (w *Worker) process(ctx context.Context, job *LeasedJob) {
 				return
 			case <-t.C:
 				hctx, hcancel := context.WithTimeout(context.Background(), opTimeout)
-				err := w.Client.Heartbeat(hctx, w.Name, job.ID, latestJSON(), false)
+				err := w.Client.Heartbeat(hctx, w.Name, job.ID, false)
 				hcancel()
 				if errors.Is(err, ErrLeaseLost) {
 					abandoned.Store(true)
@@ -169,7 +144,7 @@ func (w *Worker) process(ctx context.Context, job *LeasedJob) {
 		}
 	}()
 
-	m, sys, runErr := RunJob(runCtx, job, w.CheckpointEvery, sink)
+	m, sys, runErr := RunJob(runCtx, job)
 	close(stopHB)
 	hbDone.Wait()
 
@@ -185,14 +160,14 @@ func (w *Worker) process(ctx context.Context, job *LeasedJob) {
 	case abandoned.Load():
 		w.logf("abandoned %s (lease lost)", job.ID)
 	case ctx.Err() != nil:
-		// Draining: hand the final checkpoint back with the lease.
+		// Draining: hand the lease back for a successor to rerun.
 		hctx, hcancel := context.WithTimeout(context.Background(), opTimeout)
-		err := w.Client.Heartbeat(hctx, w.Name, job.ID, latestJSON(), true)
+		err := w.Client.Heartbeat(hctx, w.Name, job.ID, true)
 		hcancel()
 		if err != nil {
 			w.logf("release of %s failed: %v", job.ID, err)
 		} else {
-			w.logf("released %s with checkpoint", job.ID)
+			w.logf("released %s", job.ID)
 		}
 	default:
 		w.complete(job, nil, 0, runErr.Error())
@@ -215,11 +190,10 @@ func (w *Worker) complete(job *LeasedJob, rec *ledger.Record, digest uint64, err
 }
 
 // RunJob executes one leased job's simulation: decode the cell, build
-// the system, optionally resume from the lease's checkpoint, and run
-// with periodic checkpoints delivered to sink. Exposed so tests (and
-// any embedder) can run the exact worker execution path without a
+// the system and run it from cycle zero. Exposed so tests (and any
+// embedder) can run the exact worker execution path without a
 // coordinator; the returned System provides the Digest.
-func RunJob(ctx context.Context, job *LeasedJob, every int64, sink func(*core.Checkpoint) error) (core.Metrics, *core.System, error) {
+func RunJob(ctx context.Context, job *LeasedJob) (core.Metrics, *core.System, error) {
 	var cfg config.Config
 	if err := json.Unmarshal(job.Config, &cfg); err != nil {
 		return core.Metrics{}, nil, fmt.Errorf("farm: job %s config does not decode: %w", job.ID, err)
@@ -228,20 +202,10 @@ func RunJob(ctx context.Context, job *LeasedJob, every int64, sink func(*core.Ch
 	if err != nil {
 		return core.Metrics{}, nil, fmt.Errorf("farm: job %s: %w", job.ID, err)
 	}
-	var from *core.Checkpoint
-	if len(job.Checkpoint) > 0 {
-		from = new(core.Checkpoint)
-		if err := json.Unmarshal(job.Checkpoint, from); err != nil {
-			return core.Metrics{}, nil, fmt.Errorf("farm: job %s checkpoint does not decode: %w", job.ID, err)
-		}
-	}
 	sys, err := core.NewSystem(&cfg, w.Benchmarks())
 	if err != nil {
 		return core.Metrics{}, nil, err
 	}
-	if every <= 0 {
-		every = 1_000_000
-	}
-	m, err := sys.RunCheckpointed(ctx, core.CheckpointPlan{Every: every, From: from, Sink: sink})
+	m, err := sys.RunContext(ctx)
 	return m, sys, err
 }

@@ -364,7 +364,7 @@ func (e *Engine) nextInteresting() Cycle {
 // advance moves simulated time forward by up to n cycles (n >= 1) and
 // returns the cycles consumed. Provably idle spans are jumped over
 // without entering Step; skipped cycles count as consumed, so run
-// budgets, checkpoint cursors, and sampling intervals see them exactly
+// budgets, slice boundaries, and sampling intervals see them exactly
 // as if they had been stepped one by one.
 func (e *Engine) advance(n Cycle) Cycle {
 	if e.fullTick {

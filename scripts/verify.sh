@@ -137,6 +137,20 @@ if [ -n "$tags" ]; then
 	exit 1
 fi
 
+# A cut-off run is finished by rerunning it. A checkpoint held only a
+# cursor and a digest, so a resume replayed every cycle from zero and
+# saved nothing. The replay API, a worker's checkpoint interval, or a
+# -checkpoint, -checkpoint-every or -resume flag brings the removed mode
+# back.
+echo "== no checkpoint/resume under cmd/ or internal/"
+ckpt=$(grep -rnE 'RunCheckpointed|CheckpointPlan|LoadCheckpoint|NewSystemFromCheckpoint|CheckpointEvery|[A-Za-z0-9]\((&[^,]+, )?"(checkpoint|checkpoint-every|resume)",' \
+	--include='*.go' cmd internal || true)
+if [ -n "$ckpt" ]; then
+	echo "$ckpt" >&2
+	echo "verify: checkpoint/resume has moved back in" >&2
+	exit 1
+fi
+
 # A command is `func main() { os.Exit(run(args, stdout, stderr)) }` and
 # nothing else exits: deferred cleanups run on every path, and the exit
 # codes and messages are tested in-process by its main_test.go.
