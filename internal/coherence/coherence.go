@@ -94,6 +94,11 @@ type message struct {
 	// the data response. Nil when attribution is off or the message has
 	// no associated demand miss.
 	tag *attrib.Tag
+	// next is the request behind this one in its line's deferred queue
+	// at a directory bank (txn.deferHead). A message waits in at most
+	// one place at a time: deferred there, or held as a private-L2
+	// miss's early forward (pl2Miss.fwd), which needs no link.
+	next *message
 }
 
 // Params wires a fabric.
@@ -204,7 +209,7 @@ func (f *Fabric) DeferredRequests() int {
 	n := 0
 	for _, d := range f.dirs {
 		for _, rec := range d.lines.open() {
-			n += len(rec.deferred)
+			n += rec.deferred()
 		}
 	}
 	return n
@@ -262,7 +267,7 @@ func (f *Fabric) CheckDrained() error {
 	}
 	for _, d := range f.dirs {
 		for line, rec := range d.lines.open() {
-			errs = append(errs, fmt.Errorf("directory %d holds line %#x in %s with %d deferred requests after quiesce", d.id, uint64(line), d.EntryState(line), len(rec.deferred)))
+			errs = append(errs, fmt.Errorf("directory %d holds line %#x in %s with %d deferred requests after quiesce", d.id, uint64(line), d.EntryState(line), rec.deferred()))
 		}
 	}
 	if cs := f.Stats(); cs.Hits > cs.Accesses {

@@ -244,7 +244,7 @@ func (d *Directory) settle(line mem.Addr, now sim.Cycle) {
 			return
 		}
 		rec := t.txn(i)
-		if rec == nil || len(rec.deferred) == 0 {
+		if rec == nil || rec.deferHead == nil {
 			if rec != nil {
 				t.closeTxn(i)
 			}
@@ -253,11 +253,7 @@ func (d *Directory) settle(line mem.Addr, now sim.Cycle) {
 			}
 			return
 		}
-		m := rec.deferred[0]
-		copy(rec.deferred, rec.deferred[1:])
-		rec.deferred[len(rec.deferred)-1] = nil
-		rec.deferred = rec.deferred[:len(rec.deferred)-1]
-		d.process(m, now)
+		d.process(rec.pop(), now)
 	}
 }
 
@@ -287,8 +283,7 @@ func (d *Directory) process(m *message, now sim.Cycle) {
 // defer_ parks a request behind the busy line in slot i.
 func (d *Directory) defer_(m *message, i int) {
 	d.stats.Deferred++
-	rec := d.lines.openTxn(i)
-	rec.deferred = append(rec.deferred, m)
+	d.lines.openTxn(i).push(m)
 }
 
 // entryFor returns the slot a request against line starts from: i, or,

@@ -40,7 +40,7 @@ func fuzzKeys() []mem.Addr {
 }
 
 // fuzzLine is FuzzDirTable's reference for one live line: its key index,
-// and its record while one is open.
+// and its record while one is open, the deferred requests as a slice.
 type fuzzLine struct {
 	k        int
 	open     bool
@@ -50,20 +50,22 @@ type fuzzLine struct {
 
 // FuzzDirTable drives the directory table and its record slab against a
 // map through inserts, removals, the growth they cause, and records
-// opened, deferred into and closed. Each op byte names a key (low five
-// bits) and an operation (top three): insert, remove (closing the
-// line's record first, as settle does), open a record to serve a
-// request, defer a request, close the record after replaying its queue,
-// or a lookup. Every live entry carries its key's state, owner and
-// sharers, which must survive the moves and a record's opening and
-// closing. After every operation each live key is found with its
-// payload and its record (or none) as the map has it, each other key is
-// absent, every free slot is clear, the bank counts the open records
-// the map does, no record is reachable from two lines, and every record
-// no line reaches is closed, clear and on the free stack.
+// opened, deferred into, replayed and closed. Each op byte names a key
+// (low five bits) and an operation (top three): insert, remove (closing
+// the line's record first, as settle does), open a record to serve a
+// request, defer a request, replay the oldest deferred request (which
+// must be the oldest the map holds, or none when it holds none), or
+// close the record after replaying its queue. Every live entry carries
+// its key's state, owner and sharers, which must survive the moves and
+// a record's opening and closing. After every operation each live key
+// is found with its payload and its record (or none) as the map has it,
+// the record's queue walked from its head in the map's order, each
+// other key is absent, every free slot is clear, the bank counts the
+// open records the map does, no record is reachable from two lines, and
+// every record no line reaches is closed, clear and on the free stack.
 func FuzzDirTable(f *testing.F) {
 	const (
-		ins, rem, open, dfr, cls = 0 << 5, 1 << 5, 2 << 5, 3 << 5, 4 << 5
+		ins, rem, open, dfr, cls, pop = 0 << 5, 1 << 5, 2 << 5, 3 << 5, 4 << 5, 7 << 5
 	)
 	// The last-slot run wraps into slot 0, its lines holding records;
 	// removing its head must pull the wrapped entries back across the
@@ -83,7 +85,12 @@ func FuzzDirTable(f *testing.F) {
 		grow = append(grow, rem|k, cls|(k+1), open|k, ins|k, open|k)
 	}
 	f.Add(uint8(255), grow)
-	f.Add(uint8(1), []byte{ins | 12, ins | 13, ins | 0, ins | 1, open | 12, open | 0, cls | 12, cls | 0, open | 13, dfr | 1, rem | 13, rem | 1, open | 0, 7<<5 | 0})
+	f.Add(uint8(1), []byte{ins | 12, ins | 13, ins | 0, ins | 1, open | 12, open | 0, cls | 12, cls | 0, open | 13, dfr | 1, rem | 13, rem | 1, open | 0, pop | 0})
+	// A record closed with a queue behind it is reopened for another
+	// line, whose queue must start empty; a queue replayed empty while
+	// its record stays open takes new requests from an empty list, as
+	// settle's replays of a line that goes busy again leave it.
+	f.Add(uint8(8), []byte{ins | 3, ins | 4, dfr | 3, dfr | 3, dfr | 3, cls | 3, dfr | 4, open | 3, dfr | 3, pop | 3, dfr | 3, pop | 3, pop | 3, pop | 3, dfr | 3, dfr | 3, pop | 3})
 
 	keys := fuzzKeys()
 	f.Fuzz(func(t *testing.T, c uint8, ops []byte) {
@@ -108,7 +115,7 @@ func FuzzDirTable(f *testing.F) {
 			case rem:
 				if live {
 					if rec := tb.txn(i); rec != nil {
-						clear(rec.deferred) // replayed
+						replayAll(rec)
 						tb.closeTxn(i)
 					}
 					tb.remove(i)
@@ -123,13 +130,22 @@ func FuzzDirTable(f *testing.F) {
 			case dfr, 6 << 5:
 				if live {
 					m := &message{line: line}
-					rec := tb.openTxn(i)
-					rec.deferred = append(rec.deferred, m)
+					tb.openTxn(i).push(m)
 					ref.open, ref.deferred = true, append(ref.deferred, m)
+				}
+			case pop:
+				if live && ref.open {
+					var want *message
+					if len(ref.deferred) > 0 {
+						want, ref.deferred = ref.deferred[0], ref.deferred[1:]
+					}
+					if got := tb.txn(i).pop(); got != want {
+						t.Fatalf("op %d: key %d replayed %p, want %p", n, k, got, want)
+					}
 				}
 			case cls:
 				if live && ref.open {
-					clear(tb.txn(i).deferred) // replayed
+					replayAll(tb.txn(i))
 					tb.closeTxn(i)
 					*ref = fuzzLine{k: k}
 				}
@@ -137,6 +153,27 @@ func FuzzDirTable(f *testing.F) {
 			checkDirTable(t, n, &tb, keys, shadow, cores)
 		}
 	})
+}
+
+// replayAll empties a record's deferred queue the way settle does,
+// oldest first.
+func replayAll(r *txn) {
+	for r.pop() != nil {
+	}
+}
+
+// deferredOf walks a record's deferred queue from its head, in order,
+// for at most limit requests (a queue linked into a cycle stops there),
+// and reports whether its tail names the last request walked.
+func deferredOf(r *txn, limit int) ([]*message, bool) {
+	var q []*message
+	for m := r.deferHead; m != nil && len(q) < limit; m = m.next {
+		q = append(q, m)
+	}
+	if len(q) == 0 {
+		return q, r.deferTail == nil
+	}
+	return q, r.deferTail == q[len(q)-1]
 }
 
 // checkDirTable holds tb to FuzzDirTable's reference after op n.
@@ -178,8 +215,9 @@ func checkDirTable(t *testing.T, n int, tb *dirTable, keys []mem.Addr, shadow ma
 			continue
 		}
 		opened++
-		if rec.key != tb.slots[i].key || rec.req != ref.req || !slices.Equal(rec.deferred, ref.deferred) {
-			t.Fatalf("op %d: key %d's record serves %p with %d deferred, want %p with %d", n, k, rec.req, len(rec.deferred), ref.req, len(ref.deferred))
+		q, tailOK := deferredOf(rec, len(ref.deferred)+1)
+		if rec.key != tb.slots[i].key || rec.req != ref.req || !slices.Equal(q, ref.deferred) || !tailOK {
+			t.Fatalf("op %d: key %d's record serves %p with %d deferred (tail in place: %v), want %p with %d", n, k, rec.req, len(q), tailOK, ref.req, len(ref.deferred))
 		}
 	}
 	if tb.openTxns != opened {
@@ -214,7 +252,7 @@ func checkDirTable(t *testing.T, n int, tb *dirTable, keys []mem.Addr, shadow ma
 		t.Fatalf("op %d: %d records walked, %d closed of %d, with %d open", n, walked, len(tb.closed), len(tb.txns), opened)
 	}
 	for _, x := range tb.closed {
-		if r := &tb.txns[x]; reached[uint32(x)] || r.key != 0 || r.req != nil || len(r.deferred) != 0 || r.owner != 0 {
+		if r := &tb.txns[x]; reached[uint32(x)] || r.key != 0 || r.req != nil || r.deferHead != nil || r.deferTail != nil || r.owner != 0 {
 			t.Fatalf("op %d: closed record %d is reachable or not clear", n, x)
 		}
 		reached[uint32(x)] = true

@@ -31,11 +31,12 @@ type pl2Miss struct {
 	// directory granted us the line, then a writer claimed the epoch
 	// before the data landed). Serve the waiters once, install nothing.
 	noInstall bool
-	// fwds holds forwards that arrived before our own fill: the
+	// fwd holds a forward that arrived before our own fill: the
 	// directory chains ownership forward-and-forget, so a FwdGetS/M
 	// can reach us while the data is still in flight from the old
-	// owner. Drained after the fill installs.
-	fwds    []*message
+	// owner. Replayed after the fill installs. The directory serializes
+	// per line, so one is the most a miss can hold.
+	fwd     *message
 	waiters []*mem.Request
 }
 
@@ -351,9 +352,12 @@ func (p *PrivateL2) process(m *message, now sim.Cycle) {
 		if st := p.State(m.line); st != psExcl && st != psModified {
 			if _, wbOK := p.wb[m.line]; !wbOK {
 				if ms := p.misses.Find(m.line); ms != nil {
+					if ms.fwd != nil {
+						panic(fmt.Sprintf("coherence: a second forward (%s after %s) for line %#x held at core %d", m.kind, ms.fwd.kind, uint64(m.line), p.id))
+					}
 					p.stats.FwdDeferred++
-					ms.fwds = append(ms.fwds, m)
-					return // m stays alive; drained after the fill
+					ms.fwd = m
+					return // m stays alive; replayed after the fill
 				}
 			}
 		}
@@ -413,7 +417,7 @@ func (p *PrivateL2) fill(m *message, now sim.Cycle) {
 			p.sendPutM(line, true, now)
 		}
 		p.il1.InvalidateLine(line)
-		p.drainFwds(miss, now)
+		p.replayFwd(miss, now)
 		p.missPool.Put(miss)
 		return
 	}
@@ -425,17 +429,15 @@ func (p *PrivateL2) fill(m *message, now sim.Cycle) {
 		// writeback path is the safety net).
 		p.StoreHint(line, now)
 	}
-	p.drainFwds(miss, now)
+	p.replayFwd(miss, now)
 	p.missPool.Put(miss)
 }
 
-// drainFwds replays forwards that arrived before the fill they depend
-// on. The directory serializes per line, so at most one forward can be
-// pending; the loop is for form.
-func (p *PrivateL2) drainFwds(miss *pl2Miss, now sim.Cycle) {
-	for len(miss.fwds) > 0 {
-		fm := miss.fwds[0]
-		miss.fwds = miss.fwds[:copy(miss.fwds, miss.fwds[1:])]
+// replayFwd replays the forward, if any, that arrived before the fill
+// it depends on.
+func (p *PrivateL2) replayFwd(miss *pl2Miss, now sim.Cycle) {
+	if fm := miss.fwd; fm != nil {
+		miss.fwd = nil
 		p.process(fm, now)
 	}
 }
@@ -448,7 +450,7 @@ func (p *PrivateL2) ackM(m *message, now sim.Cycle) {
 	}
 	p.install(m.line, psModified, now)
 	p.finishWaiters(m.tag, miss, now)
-	p.drainFwds(miss, now)
+	p.replayFwd(miss, now)
 	p.missPool.Put(miss)
 }
 

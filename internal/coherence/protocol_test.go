@@ -360,8 +360,8 @@ func TestDeferredQueueDrainsPastForwardAndForget(t *testing.T) {
 	maxDeferred := 0
 	lines := &r.f.dirs[0].lines
 	probe := func() {
-		if i := lines.find(line0); i >= 0 && lines.txn(i) != nil && len(lines.txn(i).deferred) > maxDeferred {
-			maxDeferred = len(lines.txn(i).deferred)
+		if i := lines.find(line0); i >= 0 && lines.txn(i) != nil {
+			maxDeferred = max(maxDeferred, lines.txn(i).deferred())
 		}
 	}
 	for c := sim.Cycle(2); c < 120; c++ {
@@ -399,8 +399,8 @@ func TestDeferredRequestReplaysAgainstInvalidLine(t *testing.T) {
 	if got := d.EntryState(line0); got != "BusyMemS" {
 		t.Fatalf("line is %s after the eviction, want BusyMemS: the parked GetS was not replayed", got)
 	}
-	if rec := d.lines.txn(d.lines.find(line0)); rec.req != getS || len(rec.deferred) != 0 {
-		t.Fatalf("entry serves %v with %d still parked, want the parked GetS and none", rec.req, len(rec.deferred))
+	if rec := d.lines.txn(d.lines.find(line0)); rec.req != getS || rec.deferred() != 0 {
+		t.Fatalf("entry serves %v with %d still parked, want the parked GetS and none", rec.req, rec.deferred())
 	}
 }
 
@@ -462,6 +462,77 @@ func TestTransactionRecordsGrowAndRecycle(t *testing.T) {
 				t.Fatalf("line %#x is %s after the forwarded read, want S", uint64(lineOf(c, j)), st)
 			}
 		}
+	}
+}
+
+// TestDeferralPathsAllocateNothing pins the hot-line paths of a warm
+// machine to zero allocations. Writers on distinct cores store to one
+// line at once: the first GetM makes it BusyMemM, the rest defer behind
+// it, and settle replays them as a chain of forwards, each of which
+// can overtake the fill that makes its target the owner, so the target
+// holds it on its miss. Round one defers 2 GetMs; round two, the one
+// measured, defers 7 behind a fresh line, so it reuses round one's
+// closed record and the recycled misses with a deeper queue than they
+// have held. First the same 8 cores store to 8 lines of their own,
+// which defers nothing but grows the bank's inbox and lookup rings and
+// the fabric's pools to round two's high-water marks.
+func TestDeferralPathsAllocateNothing(t *testing.T) {
+	r := newRig(t, 16, 1)
+	d := r.f.dirs[0]
+	served := 0
+	done := cache.Waiter{Fn: func(int, sim.Cycle) { served++ }}
+	// store has core c store to lines[c], all in one cycle, and runs the
+	// machine until every store completes.
+	store := func(lines []mem.Addr) {
+		served = 0
+		now := r.eng.Now()
+		for c, line := range lines {
+			if r.l1s[c].Access(now, 0x400, line, true, done) != cache.Miss {
+				t.Fatalf("core %d's store to line %#x did not miss", c, uint64(line))
+			}
+		}
+		r.run(2000)
+		if served != len(lines) {
+			t.Fatalf("%d of %d stores completed", served, len(lines))
+		}
+	}
+	own := make([]mem.Addr, 8)
+	for c := range own {
+		own[c] = line0 + mem.Addr(c+1)*0x1000
+	}
+	hot := [][]mem.Addr{slices.Repeat([]mem.Addr{line0}, 3), slices.Repeat([]mem.Addr{line0 + 0x40}, 8)}
+	r.run(1)
+	store(own)
+	if d.stats.Deferred != 0 {
+		t.Fatalf("the stores to 8 lines deferred %d requests, want none", d.stats.Deferred)
+	}
+
+	deferred, held := make([]uint64, 0, 2), make([]uint64, 0, 2)
+	round := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		store(hot[round])
+		deferred = append(deferred, d.stats.Deferred)
+		var fwds uint64
+		for c := range 16 {
+			fwds += r.f.L2(c).stats.FwdDeferred
+		}
+		held = append(held, fwds)
+		round++
+	})
+	if round != 2 {
+		t.Fatalf("%d rounds ran, want 2", round)
+	}
+	if deferred[0] != 2 || deferred[1] != 2+7 {
+		t.Fatalf("the bank deferred %d then %d requests in all, want 2 then 9: the hot line did not form", deferred[0], deferred[1])
+	}
+	if held[0] == 0 || held[1] == held[0] {
+		t.Fatalf("%d then %d forwards held behind in-flight fills in all, want some in each round", held[0], held[1])
+	}
+	if allocs != 0 {
+		t.Errorf("round two allocated %v times, want 0", allocs)
+	}
+	if n := r.f.DeferredRequests(); n != 0 {
+		t.Errorf("%d requests still deferred", n)
 	}
 }
 

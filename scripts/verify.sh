@@ -81,6 +81,19 @@ if [ -n "$funcs" ]; then
 	exit 1
 fi
 
+# A protocol message waits in at most one place: deferred behind a busy
+# line, in its directory record's FIFO threaded through message.next, or
+# held as a private-L2 miss's one early forward. A slice of messages in
+# the fabric is a queue that grows behind a hot line again, and one that
+# a reused record or miss reallocates.
+echo "== no []*message in internal/coherence"
+msgs=$(grep -nF '[]*message' internal/coherence/*.go | grep -v '_test\.go:' || true)
+if [ -n "$msgs" ]; then
+	echo "$msgs" >&2
+	echo "verify: a slice of protocol messages has moved back in" >&2
+	exit 1
+fi
+
 # Per-access state lives where the modelled hardware keeps it: a page's
 # frame in its TLB entry and in a leaf of the page table, a prefetched
 # line's untouched mark in its cache way, a controller's misses in a
