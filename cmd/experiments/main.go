@@ -18,11 +18,6 @@
 // served from it without simulating, so re-generating a figure after an
 // unrelated change is nearly free. The monitor then also serves /runs,
 // /compare and the /dashboard over the same store.
-//
-// With -farm host:port each simulation is dispatched to a sim-farm
-// coordinator (cmd/simfarm) instead of running in-process. Figures are
-// byte-identical either way; worker deaths mid-sweep are absorbed by
-// the farm's failover, which re-leases the cell and reruns it.
 package main
 
 import (
@@ -42,7 +37,6 @@ import (
 
 	"stackedsim/internal/config"
 	"stackedsim/internal/core"
-	"stackedsim/internal/farm"
 	"stackedsim/internal/floorplan"
 	"stackedsim/internal/ledger"
 	"stackedsim/internal/monitor"
@@ -77,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		monAddr = fs.String("monitor-addr", "", "serve live runner progress (/metrics, /snapshot, /healthz, pprof) on this address")
 		ledDir  = fs.String("ledger-dir", "", "content-addressed run ledger: record completed runs here and serve known runs from it without re-simulating")
 		runTmo  = fs.Duration("run-timeout", 0, "per-simulation wall-time limit (0 = none); an over-budget run fails alone")
-		farmFlg = fs.String("farm", "", "dispatch simulations to the sim-farm coordinator at this address (host:port) instead of simulating in-process")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile to this file")
@@ -104,9 +97,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	if *runTmo < 0 {
 		return usage("-run-timeout must be >= 0 (0 = no limit)")
-	}
-	if *farmFlg != "" && (*cpuProfile != "" || *memProfile != "") {
-		return usage("-cpuprofile/-memprofile profile the local process, but -farm runs the simulations remotely; profile the workers instead")
 	}
 	wanted := map[string]bool{}
 	for _, e := range strings.Split(*expFlag, ",") {
@@ -177,9 +167,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	r.Workers = *jobs
 	r.Ctx = ctx
 	r.RunTimeout = *runTmo
-	if *farmFlg != "" {
-		r.Farm = farm.NewClient(*farmFlg)
-	}
 	if *verbose {
 		r.Progress = stderr
 	}

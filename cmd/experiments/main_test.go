@@ -33,7 +33,6 @@ func TestUsageErrors(t *testing.T) {
 	for _, c := range []struct{ args, want string }{
 		{"-j -1", "-j must be >= 0 (0 = GOMAXPROCS)"},
 		{"-run-timeout -1s", "-run-timeout must be >= 0 (0 = no limit)"},
-		{"-farm x -cpuprofile f", "-cpuprofile/-memprofile profile the local process, but -farm runs the simulations remotely; profile the workers instead"},
 		{"-exp fig4,bogus", `unknown experiment "bogus"` + valid},
 		{"-exp ,", "-exp selects no experiment" + valid},
 	} {
@@ -42,8 +41,11 @@ func TestUsageErrors(t *testing.T) {
 			t.Errorf("experiments %s:\n exit %d stderr %q stdout %q\n want exit 2 stderr %q", c.args, code, errs, out, "experiments: "+c.want+"\n")
 		}
 	}
-	if code, _, errs := experiments("-no-such-flag"); code != 2 || !strings.Contains(errs, "flag provided but not defined") {
-		t.Errorf("unknown flag: exit %d stderr %q", code, errs)
+	// -farm is not a flag: a sweep runs on one host, in -j workers.
+	for _, flag := range []string{"-no-such-flag", "-farm x"} {
+		if code, _, errs := experiments(strings.Fields(flag)...); code != 2 || !strings.Contains(errs, "flag provided but not defined") {
+			t.Errorf("unknown flag %s: exit %d stderr %q", flag, code, errs)
+		}
 	}
 	// The help text names every experiment the registry holds.
 	code, _, errs := experiments("-h")

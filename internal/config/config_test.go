@@ -233,7 +233,8 @@ func TestValidateCatchesBadStackConfigs(t *testing.T) {
 
 // TestValidateCatchesBadCacheGeometry: a cache whose size does not divide
 // into sets panics the array constructor, and configs arrive from
-// outside (a farm job's JSON), so Validate must turn each away first.
+// outside (stacksim's flags, a ledger manifest), so Validate must turn
+// each away first.
 func TestValidateCatchesBadCacheGeometry(t *testing.T) {
 	for _, tc := range []struct {
 		name string

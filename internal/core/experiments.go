@@ -70,13 +70,11 @@ type Runner struct {
 	Experiment string
 	// GitRevision is stamped into ledger manifests when known.
 	GitRevision string
-	// Farm, when non-nil, dispatches simulations to a remote sim-farm
-	// coordinator instead of executing them in-process. The worker pool,
-	// memo, ledger recall/record and progress reporting all behave
-	// exactly as for local runs — only the innermost "simulate" step is
-	// replaced by a farm round trip, so figures are byte-identical
-	// either way. Set before the first run request.
-	Farm FarmBackend
+
+	// simulate runs one cell; nil means RunWorkload. Only a test sets
+	// it, to put a panic inside execute: NewSystem validates every
+	// config, so no real input can panic there.
+	simulate func(context.Context, *config.Config, workload.Workload) (Metrics, error)
 
 	mu   sync.Mutex
 	memo map[string]*inflight
@@ -131,13 +129,6 @@ type RunnerStatus struct {
 	Reports            []RunReport
 }
 
-// FarmBackend executes one (config, workload) cell remotely and
-// returns its metrics. *farm.Client implements it; the interface lives
-// here so core never imports the farm package.
-type FarmBackend interface {
-	Run(ctx context.Context, cfg *config.Config, workload []string) (Metrics, error)
-}
-
 // Status reports the live run-state counters and a copy of the per-run
 // reports. Safe to call from any goroutine at any time (the monitor
 // endpoint polls it).
@@ -181,7 +172,7 @@ func (r *Runner) child(warmup, measure int64) *Runner {
 	c.Ledger = r.Ledger
 	c.Experiment = r.Experiment
 	c.GitRevision = r.GitRevision
-	c.Farm = r.Farm
+	c.simulate = r.simulate
 	c.sem = r.pool()
 	return c
 }
@@ -298,35 +289,30 @@ func (r *Runner) progressf(format string, args ...any) {
 }
 
 // cell is the run path of one (config, workload) cell: recall it from
-// the ledger, else simulate it — on the Farm backend when one is
-// attached, in-process otherwise — and record the result.
+// the ledger, else simulate it and record the result.
 //
 // A run whose content address is already recorded is recalled without
 // simulating (the cross-process analogue of the in-process
-// single-flight memo), so a warm local ledger short-circuits the farm
-// round trip too. Recall round-trips Metrics exactly, so a warm sweep
-// is numerically identical to a cold one. Ledger write failures are
-// reported but never fail the run — losing a cache entry is
+// single-flight memo). Recall round-trips Metrics exactly, so a warm
+// sweep is numerically identical to a cold one. Ledger write failures
+// are reported but never fail the run — losing a cache entry is
 // recoverable, losing a finished simulation is not.
 func (r *Runner) cell(ctx context.Context, run *config.Config, w workload.Workload) (Metrics, error) {
+	simulate := r.simulate
+	if simulate == nil {
+		simulate = RunWorkload
+	}
 	labels := w.Labels()
-	simulate := func() (Metrics, error) {
-		if r.Farm != nil {
-			return r.Farm.Run(ctx, run, labels)
+	if r.Ledger != nil {
+		if m, rec, err := Recall(r.Ledger, run, labels); err == nil && rec != nil {
+			r.ledgerHits.Add(1)
+			r.progressf("hit %-28s %-4s (ledger %s)\n", run.Name, strings.Join(labels, ","), rec.Manifest.ID)
+			return m, nil
 		}
-		return RunWorkload(ctx, run, w)
-	}
-	if r.Ledger == nil {
-		return simulate()
-	}
-	if m, rec, err := Recall(r.Ledger, run, labels); err == nil && rec != nil {
-		r.ledgerHits.Add(1)
-		r.progressf("hit %-28s %-4s (ledger %s)\n", run.Name, strings.Join(labels, ","), rec.Manifest.ID)
-		return m, nil
 	}
 	started := time.Now()
-	m, err := simulate()
-	if err != nil {
+	m, err := simulate(ctx, run, w)
+	if err != nil || r.Ledger == nil {
 		return m, err
 	}
 	rec, err := NewRunRecord(run, labels, &m, r.Experiment, r.GitRevision,

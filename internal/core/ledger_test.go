@@ -188,8 +188,8 @@ func TestRunIdentitySeedSensitivity(t *testing.T) {
 // TestRunIDGoldens pins the content address of one run per workload
 // role, captured before the Workload type owned the label spellings
 // (window 50k+150k, seed 1, stackedsim-v8). A drift here orphans every
-// recorded run and every farm job key; bump SimVersion and re-capture
-// only when results really stopped being comparable.
+// recorded run; bump SimVersion and re-capture only when results really
+// stopped being comparable.
 func TestRunIDGoldens(t *testing.T) {
 	table2a := config.Baseline2D()
 	table2a.Cores = 1

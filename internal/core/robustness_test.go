@@ -292,7 +292,12 @@ func TestRunnerCancellation(t *testing.T) {
 func TestRunnerPanicIsolation(t *testing.T) {
 	r := NewRunner(1_000, 2_000)
 	r.Workers = 2
-	r.Farm = panicOnH2{}
+	r.simulate = func(ctx context.Context, cfg *config.Config, w workload.Workload) (Metrics, error) {
+		if w.String() == "H2" {
+			panic("injected test panic")
+		}
+		return RunWorkload(ctx, cfg, w)
+	}
 	h2, err := workload.OfMix("H2")
 	if err != nil {
 		t.Fatal(err)
@@ -313,21 +318,6 @@ func TestRunnerPanicIsolation(t *testing.T) {
 	if st.Failed != 1 || st.Completed != 1 {
 		t.Fatalf("status = %+v, want 1 failed / 1 completed", st)
 	}
-}
-
-// panicOnH2 is a farm backend that panics on mix H2 and simulates every
-// other cell in-process.
-type panicOnH2 struct{}
-
-func (panicOnH2) Run(ctx context.Context, cfg *config.Config, labels []string) (Metrics, error) {
-	if labels[0] == "mix:H2" {
-		panic("injected test panic")
-	}
-	w, err := workload.ParseLabels(labels)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return RunWorkload(ctx, cfg, w)
 }
 
 // TestRunnerRunTimeout pins the per-run deadline: a run that cannot

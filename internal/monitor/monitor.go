@@ -54,8 +54,8 @@ type Progress struct {
 }
 
 // HealthCheck is one named readiness probe in the /healthz report.
-// Status is "ok", "degraded" (serving but impaired: unreachable
-// ledger, a farm with pending work and no live workers) or "down".
+// Status is "ok", "degraded" (serving but impaired: a ledger whose
+// index cannot be read) or "down".
 type HealthCheck struct {
 	Name   string `json:"name"`
 	Status string `json:"status"`
@@ -121,15 +121,6 @@ type Server struct {
 	// only touch the on-disk store, never the simulation. It also adds
 	// a built-in "ledger" reachability check to /healthz.
 	Ledger *ledger.Ledger
-	// HealthFn, when set, contributes extra readiness checks to
-	// /healthz (e.g. the farm coordinator's worker-pool liveness).
-	// Polled from handler goroutines; must be safe for concurrent use.
-	HealthFn func() []HealthCheck
-	// FarmHandler, when set, is mounted under /farm/ — the sim-farm
-	// coordinator's job API rides on the same mux and lifecycle as the
-	// observability plane. The handler is generic so monitor stays free
-	// of the farm package (and core with it).
-	FarmHandler http.Handler
 
 	mu       sync.Mutex
 	snap     snapshot
@@ -205,9 +196,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if s.FarmHandler != nil {
-		mux.Handle("/farm/", s.FarmHandler)
-	}
 	return mux
 }
 
@@ -288,9 +276,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			check.Detail = fmt.Sprintf("runs=%d", len(ms))
 		}
 		report.Checks = append(report.Checks, check)
-	}
-	if s.HealthFn != nil {
-		report.Checks = append(report.Checks, s.HealthFn()...)
 	}
 	for _, c := range report.Checks {
 		if healthRank(c.Status) > healthRank(report.Status) {

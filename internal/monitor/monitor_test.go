@@ -6,10 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"stackedsim/internal/attrib"
+	"stackedsim/internal/ledger"
 	"stackedsim/internal/powerthermal"
 	"stackedsim/internal/telemetry"
 )
@@ -183,13 +186,22 @@ func TestHealthzCountsCollects(t *testing.T) {
 }
 
 // TestHealthzReadiness pins the structured readiness contract: a
-// degraded check flips the overall status and the HTTP code to 503
-// (so `curl -fsS /healthz` is a working script gate), and HealthFn
-// checks merge with the built-ins.
+// degraded check flips the overall status and the HTTP code to 503 (so
+// `curl -fsS /healthz` is a working script gate). The check that goes
+// degraded is the built-in one of an attached ledger whose index no
+// longer parses; once the index is gone the store reads as empty and
+// the report is 200 again.
 func TestHealthzReadiness(t *testing.T) {
 	s, ts := testServer(t)
-	s.HealthFn = func() []HealthCheck {
-		return []HealthCheck{{Name: "workers", Status: "degraded", Detail: "pending work, no live workers"}}
+	dir := t.TempDir()
+	led, err := ledger.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Ledger = led
+	index := filepath.Join(dir, "index.jsonl")
+	if err := os.WriteFile(index, []byte("{not json\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -209,10 +221,12 @@ func TestHealthzReadiness(t *testing.T) {
 	if rep.Status != "degraded" {
 		t.Fatalf("overall status = %q, want degraded", rep.Status)
 	}
-	if len(rep.Checks) != 1 || rep.Checks[0].Name != "workers" {
+	if len(rep.Checks) != 1 || rep.Checks[0].Name != "ledger" || rep.Checks[0].Status != "degraded" {
 		t.Fatalf("checks = %+v", rep.Checks)
 	}
-	s.HealthFn = func() []HealthCheck { return []HealthCheck{{Name: "workers", Status: "ok"}} }
+	if err := os.Remove(index); err != nil {
+		t.Fatal(err)
+	}
 	get(t, ts.URL+"/healthz") // asserts 200 when every check is ok
 }
 

@@ -2,12 +2,14 @@ package workload
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// TestLabelsRoundTrip pins the wire contract: parsing the labels a
-// Workload prints rebuilds the same labels, benchmarks and name, for
-// every Table 2b mix and every benchmark in each of its three roles.
+// TestLabelsRoundTrip pins what a round trip from labels back to a
+// workload needs, and what a RunID needs of them: two workloads that
+// run differently never share a label list, for every Table 2b mix and
+// every benchmark in each of its three roles.
 func TestLabelsRoundTrip(t *testing.T) {
 	var all []Workload
 	for _, m := range Mixes {
@@ -20,18 +22,19 @@ func TestLabelsRoundTrip(t *testing.T) {
 		}
 		all = append(all, w)
 	}
+	if _, err := OfMix("nope"); err == nil || err.Error() != `unknown mix "nope"` {
+		t.Errorf("OfMix(nope) error = %v", err)
+	}
 	for _, s := range append(append([]Spec(nil), Specs...), SharedSpecs...) {
 		all = append(all, Single(s.Name), Uniform(s.Name, 16), List(s.Name, "mcf"))
 	}
+	seen := map[string]Workload{}
 	for _, w := range all {
-		got, err := ParseLabels(w.Labels())
-		if err != nil {
-			t.Errorf("ParseLabels(%v): %v", w.Labels(), err)
-			continue
+		key := strings.Join(w.Labels(), "|")
+		if prev, ok := seen[key]; ok && !reflect.DeepEqual(prev, w) {
+			t.Errorf("labels %v name both %+v and %+v", w.Labels(), prev, w)
 		}
-		if !reflect.DeepEqual(got, w) {
-			t.Errorf("ParseLabels(%v) = %+v, want %+v", w.Labels(), got, w)
-		}
+		seen[key] = w
 	}
 }
 
@@ -52,26 +55,5 @@ func TestLabelSpellings(t *testing.T) {
 		if !reflect.DeepEqual(c.w.Labels(), c.labels) || c.w.String() != c.name {
 			t.Errorf("labels %v name %q, want %v %q", c.w.Labels(), c.w, c.labels, c.name)
 		}
-	}
-}
-
-func TestParseLabelsRejectsMalformed(t *testing.T) {
-	for _, labels := range [][]string{
-		nil,
-		{},
-		{"mix:NOPE"},
-		{"mix:vh1"},
-		{"VH1"},
-		{"mix:VH1", "mix:H1"},
-		{"single:mcf", "single:mcf"},
-		{"bench:mcf", "single:mcf"},
-		{"bench:mcf", ""},
-	} {
-		if w, err := ParseLabels(labels); err == nil {
-			t.Errorf("ParseLabels(%q) = %+v, want an error", labels, w)
-		}
-	}
-	if _, err := OfMix("nope"); err == nil || err.Error() != `unknown mix "nope"` {
-		t.Errorf("OfMix(nope) error = %v", err)
 	}
 }

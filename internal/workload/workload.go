@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// The label spellings below are part of every ledger RunID and of the
-// farm wire format; they are written and read only in this file.
+// The label spellings below are part of every ledger RunID; they are
+// written only in this file.
 const (
 	mixLabel    = "mix:"
 	singleLabel = "single:"
@@ -14,8 +14,8 @@ const (
 )
 
 // Workload is what one simulation runs: one benchmark per core, and the
-// canonical labels that name it in ledger content addresses, farm cells
-// and run manifests. The zero Workload runs nothing and has no labels.
+// canonical labels that name it in ledger content addresses and run
+// manifests. The zero Workload runs nothing and has no labels.
 type Workload struct {
 	name    string
 	labels  []string
@@ -59,33 +59,6 @@ func Uniform(bench string, cores int) Workload {
 		benches[i] = bench
 	}
 	return List(benches...)
-}
-
-// ParseLabels rebuilds the Workload a label list came from: a lone
-// "mix:<Name>" or "single:<bench>", or one "bench:<b>" per core. Labels
-// arrive from outside the process (a farm cell, a ledger manifest), so
-// anything else — including an unknown mix — is an error.
-func ParseLabels(labels []string) (Workload, error) {
-	if len(labels) == 0 {
-		return Workload{}, fmt.Errorf("workload: no labels")
-	}
-	if len(labels) == 1 {
-		if name, ok := strings.CutPrefix(labels[0], mixLabel); ok {
-			return OfMix(name)
-		}
-		if bench, ok := strings.CutPrefix(labels[0], singleLabel); ok {
-			return Single(bench), nil
-		}
-	}
-	benches := make([]string, len(labels))
-	for i, l := range labels {
-		b, ok := strings.CutPrefix(l, benchLabel)
-		if !ok {
-			return Workload{}, fmt.Errorf("workload: label %q is not %s/%s/%s", l, mixLabel, singleLabel, benchLabel)
-		}
-		benches[i] = b
-	}
-	return List(benches...), nil
 }
 
 // Labels returns the canonical labels; the caller must not modify them.

@@ -164,6 +164,23 @@ if [ -n "$ckpt" ]; then
 	exit 1
 fi
 
+# A sweep runs on one host: experiments -j fans the cells out over a
+# worker pool and the run ledger skips the ones already recorded. The
+# sim farm (a coordinator leasing cells to remote workers) had no
+# figure, digest or bench workload reading it and went. Its packages,
+# the seams only it used (core.FarmBackend, the monitor's FarmHandler
+# and HealthFn) or a -farm flag bring it back.
+echo "== no sim farm under cmd/ or internal/"
+farm=$(
+	for d in internal/farm cmd/simfarm; do if [ -e "$d" ]; then echo "$d exists"; fi; done
+	grep -rnE 'FarmBackend|FarmHandler|HealthFn|[A-Za-z0-9]\((&[^,]+, )?"farm",' --include='*.go' cmd internal | grep -v '_test\.go:' || true
+)
+if [ -n "$farm" ]; then
+	echo "$farm" >&2
+	echo "verify: the sim farm has moved back in" >&2
+	exit 1
+fi
+
 # A command is `func main() { os.Exit(run(args, stdout, stderr)) }` and
 # nothing else exits: deferred cleanups run on every path, and the exit
 # codes and messages are tested in-process by its main_test.go.
