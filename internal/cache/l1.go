@@ -46,12 +46,22 @@ type Waiter struct {
 	Arg int
 }
 
+// l1Miss is one MSHR entry. Its waiters start out in inline, room the
+// pool's slab pays for, so a miss with at most two loads waiting (most
+// of them) never allocates a slice; one that outgrows it keeps the
+// larger slice when the node is recycled.
 type l1Miss struct {
 	line     mem.Addr
 	waiters  []Waiter
+	inline   [2]Waiter
 	dirty    bool // a store is merged: fill dirty
 	prefetch bool // opened by the prefetcher, not a demand miss
 }
+
+// L1MissPool recycles L1 miss nodes. The L1s of one machine share one
+// pool, so a 64-core machine grows one rather than 128; like the rest
+// of a machine, it is used from one goroutine only.
+type L1MissPool struct{ sim.Pool[l1Miss] }
 
 // L1 is a private per-core data cache controller: a lockup-free cache
 // with a fixed number of MSHRs, write-back write-allocate policy, and the
@@ -86,10 +96,10 @@ type L1 struct {
 	sawBlocked bool
 
 	// onDone is the prebuilt completion callback shared by every
-	// request this controller issues (no per-miss closure), and
-	// missPool recycles l1Miss nodes (reusing their waiter slices).
-	onDone   func(*mem.Request, sim.Cycle)
-	missPool sim.Pool[l1Miss]
+	// request this controller issues (no per-miss closure), and pool
+	// is where its miss nodes come from and go back to.
+	onDone func(*mem.Request, sim.Cycle)
+	pool   *L1MissPool
 
 	// storeHint, when set, is notified of stores that complete inside
 	// the L1 (hits and merges into in-flight misses) so a coherent
@@ -112,6 +122,9 @@ type L1Params struct {
 	// (see L1.storeHint). Coherent configurations pass the private L2's
 	// upgrade path here.
 	StoreHint func(line mem.Addr, now sim.Cycle)
+	// Pool is the machine's shared miss-node pool; nil gives the L1
+	// one of its own.
+	Pool *L1MissPool
 }
 
 // NewL1 builds an L1 controller.
@@ -133,6 +146,10 @@ func NewL1(p L1Params) *L1 {
 		ids:       p.IDs,
 		nextline:  p.Prefetch,
 		storeHint: p.StoreHint,
+		pool:      p.Pool,
+	}
+	if l.pool == nil {
+		l.pool = new(L1MissPool)
 	}
 	if p.Prefetch {
 		l.stride = prefetch.NewStride(64)
@@ -179,12 +196,29 @@ func (l *L1) freeMSHR(ln mem.Addr) *l1Miss {
 	return m
 }
 
-// newMiss returns a recycled (or fresh) miss node.
+// newMiss returns a recycled (or fresh) miss node. A fresh node's
+// waiters start in its inline room.
 func (l *L1) newMiss(ln mem.Addr, prefetch, dirty bool) *l1Miss {
-	m := l.missPool.Get()
+	m := l.pool.Get()
+	w := m.waiters[:0]
+	if w == nil {
+		w = m.inline[:0]
+	}
 	clear(m.waiters)
-	*m = l1Miss{line: ln, waiters: m.waiters[:0], prefetch: prefetch, dirty: dirty}
+	*m = l1Miss{line: ln, waiters: w, prefetch: prefetch, dirty: dirty}
 	return m
+}
+
+// wait parks done on m. A store's zero Waiter waits for nothing and is
+// not kept: a store also sets m.dirty, and every decision fill and drop
+// make on a merged store (re-request a dropped prefetch, count a
+// prefetch useful) reads len(m.waiters) > 0 || m.dirty, which m.dirty
+// alone keeps true, so leaving it out changes none of them.
+func (m *l1Miss) wait(done Waiter, store bool) {
+	if store && done.Fn == nil {
+		return
+	}
+	m.waiters = append(m.waiters, done)
 }
 
 // Stats returns the counters.
@@ -233,7 +267,7 @@ func (l *L1) Access(now sim.Cycle, pc uint64, addr mem.Addr, store bool, done Wa
 	if m := l.misses.Find(ln); m != nil {
 		// Secondary miss: merge.
 		l.stats.Merges++
-		m.waiters = append(m.waiters, done)
+		m.wait(done, store)
 		if store {
 			m.dirty = true
 			if l.storeHint != nil {
@@ -250,7 +284,7 @@ func (l *L1) Access(now sim.Cycle, pc uint64, addr mem.Addr, store bool, done Wa
 	}
 	l.stats.Misses++
 	m := l.newMiss(ln, false, store)
-	m.waiters = append(m.waiters, done)
+	m.wait(done, store)
 	l.misses.Add(ln, m)
 	r := l.ids.NewRequest()
 	r.Kind = mem.Read // write-allocate: fetch the line even for stores
@@ -327,7 +361,7 @@ func (l *L1) drop(r *mem.Request, now sim.Cycle) {
 		l.stats.PrefetchDrops++
 		l.pfStats.Drops++
 		l.freeMSHR(r.Line)
-		l.missPool.Put(m)
+		l.pool.Put(m)
 		return
 	}
 	// A demand access merged in: the data is needed after all.
@@ -371,7 +405,7 @@ func (l *L1) fill(ln mem.Addr, now sim.Cycle) {
 			w.Fn(w.Arg, now)
 		}
 	}
-	l.missPool.Put(m)
+	l.pool.Put(m)
 }
 
 // Tick retries requests the level below rejected.

@@ -702,8 +702,8 @@ func (l *L2) handleFill(mshrIdx int, e *mshr.Entry, read *mem.Request, at sim.Cy
 	var st uint8
 	if p := e.Primary(); p != nil && p.Kind == mem.Prefetch && p.Core < 0 {
 		demandWaiter := false
-		for _, w := range e.Waiters {
-			if w != p && w.Kind.IsDemand() {
+		for w := p.Next(); w != nil; w = w.Next() {
+			if w.Kind.IsDemand() {
 				demandWaiter = true
 				break
 			}
@@ -728,7 +728,7 @@ func (l *L2) handleFill(mshrIdx int, e *mshr.Entry, read *mem.Request, at sim.Cy
 	// read) gets the full stage decomposition; merged secondaries
 	// overlapped it, so only their end-to-end latency is recorded.
 	l.attrib.Finish(read.Attrib, at)
-	for _, w := range e.Waiters {
+	for w := e.Waiters.Pop(); w != nil; w = e.Waiters.Pop() {
 		if w.Attrib != nil && w.Attrib.Merged {
 			l.attrib.FinishMerged(w.Attrib, at)
 		}

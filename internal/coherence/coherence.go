@@ -130,7 +130,10 @@ type Fabric struct {
 
 	ctrlBytes, dataBytes int
 
-	msgs sim.Pool[message]
+	// msgs and misses are the machine's protocol messages and its
+	// private L2s' miss entries: one pool of each for all the cores.
+	msgs   sim.Pool[message]
+	misses sim.Pool[pl2Miss]
 }
 
 // New builds the fabric. The config must have passed Validate with

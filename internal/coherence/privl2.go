@@ -36,8 +36,9 @@ type pl2Miss struct {
 	// can reach us while the data is still in flight from the old
 	// owner. Replayed after the fill installs. The directory serializes
 	// per line, so one is the most a miss can hold.
-	fwd     *message
-	waiters []*mem.Request
+	fwd *message
+	// waiters are the L1 requests parked on the miss, in arrival order.
+	waiters mem.Waitlist
 }
 
 // wbEntry is one eviction held in the writeback buffer: a PutM/PutE in
@@ -85,15 +86,12 @@ type PrivateL2 struct {
 
 	hits *sim.Delay[*mem.Request] // hits on their way back to the L1
 
-	misses cache.MissTable[pl2Miss]
-	wb     map[mem.Addr]*wbEntry
+	misses cache.MissTable[pl2Miss] // entries from the fabric's pool
+	wb     map[mem.Addr]wbEntry
 
 	// dl1/il1 are the L1s stacked above, invalidated alongside this
 	// cache on protocol actions. Set via SetL1s after construction.
 	dl1, il1 *cache.L1
-
-	missPool sim.Pool[pl2Miss]
-	wbPool   sim.Pool[wbEntry]
 
 	stats PL2Stats
 }
@@ -107,7 +105,7 @@ func newPrivateL2(f *Fabric, id int) *PrivateL2 {
 		cap:      cfg.PrivL2MSHRs,
 		hits:     sim.NewDelay[*mem.Request](sim.Cycle(cfg.PrivL2Latency)),
 		misses:   cache.NewMissTable[pl2Miss](cfg.PrivL2MSHRs),
-		wb:       make(map[mem.Addr]*wbEntry),
+		wb:       make(map[mem.Addr]wbEntry),
 	}
 	return p
 }
@@ -131,10 +129,11 @@ func (p *PrivateL2) OutstandingMisses() int { return p.misses.Len() }
 // WritebacksInFlight reports writeback-buffer entries — test hook.
 func (p *PrivateL2) WritebacksInFlight() int { return len(p.wb) }
 
+// newMiss returns a recycled (or fresh) miss entry from the fabric's
+// pool.
 func (p *PrivateL2) newMiss(line mem.Addr, excl bool) *pl2Miss {
-	m := p.missPool.Get()
-	clear(m.waiters)
-	*m = pl2Miss{line: line, excl: excl, waiters: m.waiters[:0]}
+	m := p.f.misses.Get()
+	*m = pl2Miss{line: line, excl: excl}
 	return m
 }
 
@@ -172,7 +171,7 @@ func (p *PrivateL2) Submit(r *mem.Request, now sim.Cycle) bool {
 			r.Attrib = p.f.attrib.NewTag(now, r.Core)
 			r.Attrib.MarkMerged()
 		}
-		m.waiters = append(m.waiters, r)
+		m.waiters.Push(r)
 		return true
 	}
 	if _, ok := p.wb[line]; ok {
@@ -211,7 +210,7 @@ func (p *PrivateL2) Submit(r *mem.Request, now sim.Cycle) bool {
 	}
 	r.Attrib.Alloc(now)
 	m := p.newMiss(line, excl)
-	m.waiters = append(m.waiters, r)
+	m.waiters.Push(r)
 	p.misses.Add(line, m)
 	p.sendRequest(m, r.Attrib, now)
 	return true
@@ -259,6 +258,7 @@ func (p *PrivateL2) submitWB(r *mem.Request, now sim.Cycle) bool {
 			// carried no data, send a dirty PutM after its ack.
 			if !w.dirty {
 				w.redirty = true
+				p.wb[line] = w
 			}
 		} else {
 			p.sendPutM(line, true, now)
@@ -307,9 +307,7 @@ func (p *PrivateL2) sendRequest(m *pl2Miss, tag *attrib.Tag, now sim.Cycle) {
 // sendPutM evicts an owned (or orphaned) line: PutM with data when
 // dirty, PutE otherwise, held in the writeback buffer until WBAck.
 func (p *PrivateL2) sendPutM(line mem.Addr, dirty bool, now sim.Cycle) {
-	w := p.wbPool.Get()
-	*w = wbEntry{dirty: dirty}
-	p.wb[line] = w
+	p.wb[line] = wbEntry{dirty: dirty}
 	msg := p.f.newMsg(mPutM, line, p.id)
 	msg.clean = !dirty
 	p.inject(msg, p.f.homeDir(line).node, now)
@@ -418,7 +416,7 @@ func (p *PrivateL2) fill(m *message, now sim.Cycle) {
 		}
 		p.il1.InvalidateLine(line)
 		p.replayFwd(miss, now)
-		p.missPool.Put(miss)
+		p.f.misses.Put(miss)
 		return
 	}
 	p.install(line, st, now)
@@ -430,7 +428,7 @@ func (p *PrivateL2) fill(m *message, now sim.Cycle) {
 		p.StoreHint(line, now)
 	}
 	p.replayFwd(miss, now)
-	p.missPool.Put(miss)
+	p.f.misses.Put(miss)
 }
 
 // replayFwd replays the forward, if any, that arrived before the fill
@@ -451,7 +449,7 @@ func (p *PrivateL2) ackM(m *message, now sim.Cycle) {
 	p.install(m.line, psModified, now)
 	p.finishWaiters(m.tag, miss, now)
 	p.replayFwd(miss, now)
-	p.missPool.Put(miss)
+	p.f.misses.Put(miss)
 }
 
 // install places a line in the array in state st (if capacity evicted it
@@ -501,10 +499,11 @@ func (p *PrivateL2) evict(victim mem.Addr, vst pstate, now sim.Cycle) {
 }
 
 // finishWaiters closes the attribution lifecycles and completes every
-// L1 request parked on the miss.
+// L1 request parked on the miss, oldest first. Each is popped before it
+// completes: Complete recycles the request, link and all.
 func (p *PrivateL2) finishWaiters(tag *attrib.Tag, miss *pl2Miss, now sim.Cycle) {
 	p.f.attrib.Finish(tag, now)
-	for _, w := range miss.waiters {
+	for w := miss.waiters.Pop(); w != nil; w = miss.waiters.Pop() {
 		if w.Attrib != nil && w.Attrib.Merged {
 			p.f.attrib.FinishMerged(w.Attrib, now)
 		}
@@ -520,9 +519,7 @@ func (p *PrivateL2) wbAck(m *message, now sim.Cycle) {
 		panic(fmt.Sprintf("coherence: WBAck for line %#x with no writeback at core %d", uint64(m.line), p.id))
 	}
 	delete(p.wb, m.line)
-	redirty := w.redirty
-	p.wbPool.Put(w)
-	if redirty {
+	if w.redirty {
 		p.sendPutM(m.line, true, now)
 	}
 }

@@ -476,6 +476,13 @@ func TestTransactionRecordsGrowAndRecycle(t *testing.T) {
 // have held. First the same 8 cores store to 8 lines of their own,
 // which defers nothing but grows the bank's inbox and lookup rings and
 // the fabric's pools to round two's high-water marks.
+//
+// A last pair of rounds parks several L1 requests on one private-L2
+// miss: core 8 issues reads of a line another core owns all at once, so
+// one GetS leaves and the rest merge onto the miss. The measured round
+// parks five reads, more than the first round's two, on an entry that
+// comes recycled from the fabric's pool. It must allocate nothing, and
+// the reads must complete in the order they arrived.
 func TestDeferralPathsAllocateNothing(t *testing.T) {
 	r := newRig(t, 16, 1)
 	d := r.f.dirs[0]
@@ -533,6 +540,35 @@ func TestDeferralPathsAllocateNothing(t *testing.T) {
 	}
 	if n := r.f.DeferredRequests(); n != 0 {
 		t.Errorf("%d requests still deferred", n)
+	}
+
+	l2 := r.f.L2(8)
+	order := make([]int, 0, 5)
+	record := func(req *mem.Request, _ sim.Cycle) { order = append(order, req.OwnerIdx) }
+	merges := l2.Stats().Merges
+	round = 0
+	allocs = testing.AllocsPerRun(1, func() {
+		order = order[:0]
+		now := r.eng.Now()
+		for i := range []int{2, 5}[round] {
+			req := r.f.ids.NewRequest()
+			req.Kind, req.Addr, req.Line, req.Core = mem.Read, own[round], own[round], 8
+			req.OwnerIdx, req.OnDone = i, record
+			if !l2.Submit(req, now) {
+				t.Fatalf("round %d: core 8's L2 refused read %d", round, i)
+			}
+		}
+		r.run(2000)
+		round++
+	})
+	if got := l2.Stats().Merges - merges; got != 1+4 {
+		t.Fatalf("%d reads merged onto core 8's misses, want 1 then 4", got)
+	}
+	if !slices.Equal(order, []int{0, 1, 2, 3, 4}) {
+		t.Errorf("the reads parked on one miss completed in the order %v, want the order they arrived, [0 1 2 3 4]", order)
+	}
+	if allocs != 0 {
+		t.Errorf("a round of reads merging onto a recycled miss allocated %v times, want 0", allocs)
 	}
 }
 

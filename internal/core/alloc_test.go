@@ -39,7 +39,11 @@ func h1Machine(t *testing.T) *System {
 // allocates: a machine's bookkeeping comes in slabs (pools, a rank's
 // banks and row buffers) and a core's loads share one fill waiter.
 // Pools grown a node at a time and a closure per ROB slot make 774
-// allocations to build the machine and 379 to run it.
+// allocations to build the machine and 379 to run it. On the 64-core
+// machine, a miss pool per L1 and per private L2, a waiter slice per
+// miss node and memory queues grown by doubling make 3,488 in the run;
+// one pool per machine and kind, waiters threaded through the requests
+// (or held inline) and queues sized once make 523.
 func TestMachineAllocations(t *testing.T) {
 	h1Machine(t) // the first build in a process also fills package-level tables
 	var sys *System
@@ -48,6 +52,20 @@ func TestMachineAllocations(t *testing.T) {
 	}
 	if n := mallocs(func() { sys.Run() }); n > 300 {
 		t.Errorf("a 2k + 8k-cycle run made %d allocations, want at most 300", n)
+	}
+
+	// The 64-core directory machine, read-mostly: each core's DL1, IL1
+	// and private L2 would grow miss bookkeeping of its own if they did
+	// not draw from one pool per machine.
+	cfg := config.ManyCore(64, 4)
+	cfg.Seed = 1
+	cfg.WarmupCycles, cfg.MeasureCycles = 10_000, 40_000
+	many, err := NewSystem(cfg, slices.Repeat([]string{"read-mostly-shared"}, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := mallocs(func() { many.Run() }); n > 800 {
+		t.Errorf("a 64-core 10k + 40k-cycle run made %d allocations, want at most 800", n)
 	}
 }
 

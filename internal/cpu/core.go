@@ -189,6 +189,7 @@ func New(p Params) *Core {
 		lastFetchLine: ^mem.Addr(0),
 	}
 	c.fillSeq = make([]uint64, len(c.rob))
+	c.memQ.Reserve(len(c.rob)) // it holds ROB indices, so never more
 	c.loadFill = c.loadDone
 	c.fetchFill = cache.Waiter{Fn: c.fetchDone}
 	return c

@@ -142,3 +142,41 @@ func TestPoolHitsCountOnlyRecycled(t *testing.T) {
 		t.Fatalf("a fresh request counted as a hit: hits=%d, want 3", hits)
 	}
 }
+
+// TestWaitlist pins the parked-request FIFO: requests leave in the order
+// they were pushed, a popped request can be parked again (on this list
+// or another), and a request parked twice panics rather than ending up
+// completed by two misses.
+func TestWaitlist(t *testing.T) {
+	var s IDSource
+	var l, other Waitlist
+	if l.Head() != nil || l.Pop() != nil {
+		t.Fatal("the zero Waitlist is not empty")
+	}
+	rs := []*Request{s.NewRequest(), s.NewRequest(), s.NewRequest()}
+	for _, r := range rs {
+		l.Push(r)
+	}
+	if l.Head() != rs[0] || rs[0].Next() != rs[1] || rs[1].Next() != rs[2] || rs[2].Next() != nil {
+		t.Fatalf("three pushed requests read back from %v, want %v", l.Head(), rs[0])
+	}
+	first := l.Pop()
+	other.Push(first) // unparked by the Pop, so free to wait elsewhere
+	l.Push(l.Pop())   // ... or on the same list again, at its tail
+	var got []*Request
+	for r := l.Pop(); r != nil; r = l.Pop() {
+		got = append(got, r)
+	}
+	if want := []*Request{rs[2], rs[1]}; first != rs[0] || !slices.Equal(got, want) {
+		t.Fatalf("popped %v then %v, want %v then %v", first, got, rs[0], want)
+	}
+	if l.Head() != nil || other.Head() != first {
+		t.Fatal("a drained Waitlist is not empty, or the other lost its request")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a request parked on two waitlists did not panic")
+		}
+	}()
+	l.Push(first)
+}

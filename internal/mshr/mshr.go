@@ -27,28 +27,23 @@ import (
 type Entry struct {
 	Line    mem.Addr
 	slot    int
-	Waiters []*mem.Request // all requests for this line, primary first
-	Issued  bool           // sent to the memory controller
-	Dirty   bool           // a merged write must leave the line dirty
+	Waiters mem.Waitlist // all requests for this line, primary first
+	Issued  bool         // sent to the memory controller
+	Dirty   bool         // a merged write must leave the line dirty
 }
 
 // Primary returns the request that allocated the entry.
-func (e *Entry) Primary() *mem.Request {
-	if len(e.Waiters) == 0 {
-		return nil
-	}
-	return e.Waiters[0]
-}
+func (e *Entry) Primary() *mem.Request { return e.Waiters.Head() }
 
 // Merge attaches a secondary miss. A request joining a live entry
 // (i.e. any waiter after the primary) overlaps the primary's lifecycle,
 // so its attribution tag, if any, collapses to a merged-latency-only
 // observation.
 func (e *Entry) Merge(r *mem.Request) {
-	if len(e.Waiters) > 0 {
+	if e.Waiters.Head() != nil {
 		r.Attrib.MarkMerged()
 	}
-	e.Waiters = append(e.Waiters, r)
+	e.Waiters.Push(r)
 	if r.Kind == mem.Write {
 		e.Dirty = true
 	}
@@ -92,8 +87,7 @@ type File struct {
 	owner *sim.TickHandle
 
 	// pool recycles released entries so steady-state miss traffic
-	// allocates no Entry objects (and reuses each entry's Waiters
-	// backing array).
+	// allocates no Entry objects.
 	pool sim.Pool[Entry]
 }
 
@@ -217,8 +211,7 @@ func (f *File) Allocate(line mem.Addr, r *mem.Request) (*Entry, bool) {
 	f.stats.Allocs++
 	f.changes++
 	e := f.pool.Get()
-	clear(e.Waiters) // drop stale request references
-	*e = Entry{Line: line, slot: slot, Waiters: e.Waiters[:0]}
+	*e = Entry{Line: line, slot: slot}
 	if r != nil {
 		e.Merge(r)
 	}
@@ -226,8 +219,8 @@ func (f *File) Allocate(line mem.Addr, r *mem.Request) (*Entry, bool) {
 	return e, true
 }
 
-// Release frees the entry (after its fill completed and waiters were
-// serviced).
+// Release frees the entry (after its fill completed and its waiters
+// were popped and serviced).
 func (f *File) Release(e *Entry) {
 	if f.entries[e.slot] != e {
 		panic(fmt.Sprintf("mshr: Release of stale entry for line %#x", uint64(e.Line)))

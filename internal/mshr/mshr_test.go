@@ -46,8 +46,8 @@ func TestMergeSecondaryMiss(t *testing.T) {
 	r2 := &mem.Request{ID: 2, Kind: mem.Write, Line: 0x40}
 	e, _ := f.Allocate(0x40, r1)
 	e.Merge(r2)
-	if len(e.Waiters) != 2 {
-		t.Fatalf("waiters = %d, want 2", len(e.Waiters))
+	if e.Primary() != r1 || r1.Next() != r2 || r2.Next() != nil {
+		t.Fatal("waiters are not r1 then r2")
 	}
 	if !e.Dirty {
 		t.Fatal("merged write did not mark entry dirty")

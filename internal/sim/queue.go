@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // Queue is a bounded FIFO used for request queues throughout the memory
 // hierarchy. A capacity of 0 means unbounded. The zero value is an
 // empty unbounded queue.
@@ -7,7 +9,8 @@ package sim
 // Items live in a circular buffer whose length is a power of two, so
 // Push, Pop, Peek and At are O(1) and a queue in steady state never
 // allocates: the buffer doubles only when a push finds it full, and so
-// stays below twice the deepest the queue has been. Every slot an item
+// stays below twice the deepest the queue has been (or is sized once by
+// Reserve, for a queue whose depth has a known bound). Every slot an item
 // leaves is zeroed — a queue of pointers does not pin what it has
 // handed back (pooled requests and messages are recycled by their
 // owners the moment they are popped).
@@ -52,8 +55,21 @@ func (q *Queue[T]) Push(item T) bool {
 }
 
 // grow doubles the buffer, unwrapping the items to its front.
-func (q *Queue[T]) grow() {
-	buf := make([]T, max(1, 2*len(q.buf)))
+func (q *Queue[T]) grow() { q.resize(max(1, 2*len(q.buf))) }
+
+// Reserve makes room for n items in one allocation, so a queue whose
+// depth has a known bound never grows while it runs. It does nothing
+// when the room is already there.
+func (q *Queue[T]) Reserve(n int) {
+	if n > len(q.buf) {
+		q.resize(1 << bits.Len(uint(n-1)))
+	}
+}
+
+// resize moves the items to a buffer of size slots (a power of two, at
+// least the number of items), unwrapped to its front.
+func (q *Queue[T]) resize(size int) {
+	buf := make([]T, size)
 	k := copy(buf, q.buf[q.head:])
 	copy(buf[k:], q.buf[:q.head])
 	q.buf, q.head = buf, 0

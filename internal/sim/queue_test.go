@@ -295,3 +295,35 @@ func TestPool(t *testing.T) {
 		t.Fatalf("a Get/Put pair made %v allocations in steady state", allocs)
 	}
 }
+
+// TestQueueReserve pins Reserve: one allocation makes room for n items
+// (a buffer of the next power of two), after which n pushes, wrapped
+// around the ring, allocate nothing and come out in order.
+func TestQueueReserve(t *testing.T) {
+	var q Queue[int]
+	if a := testing.AllocsPerRun(1, func() { q = Queue[int]{}; q.Reserve(100) }); a != 1 {
+		t.Fatalf("Reserve(100) made %v allocations, want 1", a)
+	}
+	if len(q.buf) != 128 {
+		t.Fatalf("Reserve(100) made room for %d, want 128", len(q.buf))
+	}
+	q.Reserve(50) // already there: a no-op
+	for i := range 60 {
+		q.Push(i)
+	}
+	for range 60 {
+		q.Pop()
+	}
+	if a := testing.AllocsPerRun(1, func() {
+		for i := range 100 {
+			q.Push(i)
+		}
+		for i := range 100 {
+			if v, _ := q.Pop(); v != i {
+				t.Fatalf("popped %d, want %d", v, i)
+			}
+		}
+	}); a != 0 || len(q.buf) != 128 {
+		t.Fatalf("100 pushes into reserved room made %v allocations and a buffer of %d, want 0 and 128", a, len(q.buf))
+	}
+}

@@ -74,12 +74,6 @@ func (s *Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(n)
 }
 
-// missEntry is one in-flight block fetch; later misses to the same
-// block merge instead of duplicating the off-chip read.
-type missEntry struct {
-	waiters []*mem.Request
-}
-
 // Params configures the layer.
 type Params struct {
 	Cfg *config.Config
@@ -110,7 +104,10 @@ type Layer struct {
 	backing *memctrl.Controller
 	ids     *mem.IDSource
 
-	pending map[mem.Addr]*missEntry // in-flight block fetches by block addr
+	// pending holds the in-flight block fetches by block address, each
+	// with the L2 reads waiting on it: later misses to the same block
+	// merge instead of duplicating the off-chip read.
+	pending map[mem.Addr]mem.Waitlist
 
 	// Outboxes toward full MRQs, retried every cycle in Tick.
 	back  cache.Outbox   // reads + writebacks toward the backing MC
@@ -127,9 +124,6 @@ type Layer struct {
 	// fetchDone is the prebuilt completion of every block fetch (the
 	// block address rides in Request.Line): no per-request closure.
 	fetchDone func(r *mem.Request, now sim.Cycle)
-
-	// missPool recycles miss-merge nodes (reusing waiter slices).
-	missPool sim.Pool[missEntry]
 }
 
 // New builds the layer for a cache or memcache configuration.
@@ -160,7 +154,7 @@ func New(p Params) *Layer {
 		stacked:   p.Stacked,
 		backing:   p.Backing,
 		ids:       p.IDs,
-		pending:   make(map[mem.Addr]*missEntry),
+		pending:   make(map[mem.Addr]mem.Waitlist),
 		back:      cache.NewOutbox(p.Backing),
 		stack:     make([]cache.Outbox, len(p.Stacked)),
 		probes:    sim.NewDelay[*mem.Request](sim.Cycle(cfg.StackTagLatency)),
@@ -203,14 +197,6 @@ func (l *Layer) sched(now sim.Cycle) {
 		return
 	}
 	l.handle.SleepUntil(l.probes.NextAt())
-}
-
-// newMiss returns a recycled (or fresh) miss node seeded with r.
-func (l *Layer) newMiss(r *mem.Request) *missEntry {
-	e := l.missPool.Get()
-	clear(e.waiters) // drop stale request references
-	e.waiters = append(e.waiters[:0], r)
-	return e
 }
 
 // front adapts one stacked MC's share of the address space to the
@@ -318,12 +304,13 @@ func (l *Layer) resolve(r *mem.Request, now sim.Cycle) {
 // in-flight fetch of the same block.
 func (l *Layer) forwardMiss(r *mem.Request, now sim.Cycle) {
 	blk := l.block(r.Line)
-	if e, ok := l.pending[blk]; ok {
+	w, merge := l.pending[blk]
+	w.Push(r)
+	l.pending[blk] = w
+	if merge {
 		l.stats.MissMerges++
-		e.waiters = append(e.waiters, r)
 		return
 	}
-	l.pending[blk] = l.newMiss(r)
 	fetch := l.ids.NewRequest()
 	fetch.Kind = mem.Read
 	fetch.Addr = blk
@@ -341,8 +328,8 @@ func (l *Layer) forwardMiss(r *mem.Request, now sim.Cycle) {
 
 // finishMiss installs a fetched block and completes every waiter.
 func (l *Layer) finishMiss(blk mem.Addr, at sim.Cycle) {
-	e := l.pending[blk]
-	if e == nil {
+	w, ok := l.pending[blk]
+	if !ok {
 		panic(fmt.Sprintf("stackcache: fill for unknown block %#x", uint64(blk)))
 	}
 	delete(l.pending, blk)
@@ -364,10 +351,9 @@ func (l *Layer) finishMiss(blk mem.Addr, at sim.Cycle) {
 		fill.Born = at
 		l.toStacked(fill, at)
 	}
-	for _, w := range e.waiters {
-		w.Complete(at)
+	for r := w.Pop(); r != nil; r = w.Pop() {
+		r.Complete(at)
 	}
-	l.missPool.Put(e)
 }
 
 // toStacked sends resolved traffic to the owning stacked MC.

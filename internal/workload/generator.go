@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"stackedsim/internal/cpu"
@@ -77,7 +78,26 @@ func NewGenerator(spec Spec, seed int64) *Generator {
 	g.runAddr = 0
 	g.hotBytes = spec.EffectiveHotBytes()
 	g.coldFrac = spec.EffectiveColdFrac()
+	// The batch slices at their largest, so a run never grows them: the
+	// most memory μops one memBatch emits, and those with the fillers
+	// MemFrac puts behind them (one spare for the carry's rounding).
+	mems := maxBatch(spec.Pattern, streams)
+	fillers := int(math.Ceil(float64(mems) * (1 - spec.MemFrac) / spec.MemFrac))
+	g.memOps = make([]cpu.UOp, 0, mems)
+	g.pending = make([]cpu.UOp, 0, mems+fillers+1)
 	return g
+}
+
+// maxBatch is the most memory μops memBatch emits in one iteration of
+// pattern over streams streams.
+func maxBatch(p Pattern, streams int) int {
+	switch p {
+	case Streaming, Strided:
+		return streams
+	case PointerChase, ProducerConsumer, LockContended:
+		return 2
+	}
+	return 1
 }
 
 // Spec returns the generator's benchmark spec.

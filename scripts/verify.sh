@@ -94,6 +94,30 @@ if [ -n "$msgs" ]; then
 	exit 1
 fi
 
+# A request parked on a miss waits in a mem.Waitlist, a FIFO threaded
+# through the requests: on an L2 MSHR entry, a private L2's miss, or a
+# stack-layer block fetch, and on one of them at a time. A slice of
+# requests is a waiter list that a recycled entry regrows again.
+echo "== no []*mem.Request in internal/"
+reqs=$(grep -rnE '\[\]\*(mem\.)?Request\b' --include='*.go' internal | grep -v '_test\.go:' || true)
+if [ -n "$reqs" ]; then
+	echo "$reqs" >&2
+	echo "verify: a slice of parked requests has moved back in" >&2
+	exit 1
+fi
+
+# A machine's L1s share one miss pool (cache.L1MissPool, made in core)
+# and its private L2s one on the Fabric, and a writeback-buffer entry is
+# a map value. A pool per controller is 192 pools grown one by one on a
+# 64-core machine.
+echo "== no missPool or wbPool field in internal/cache/l1.go or internal/coherence/privl2.go"
+pools=$(grep -nE '^[[:space:]]*(missPool|wbPool)[[:space:]]+\*?sim\.Pool' internal/cache/l1.go internal/coherence/privl2.go || true)
+if [ -n "$pools" ]; then
+	echo "$pools" >&2
+	echo "verify: a miss or writeback pool per controller has moved back in" >&2
+	exit 1
+fi
+
 # Per-access state lives where the modelled hardware keeps it: a page's
 # frame in its TLB entry and in a leaf of the page table, a prefetched
 # line's untouched mark in its cache way, a controller's misses in a
