@@ -37,9 +37,9 @@ import (
 
 	"stackedsim/internal/config"
 	"stackedsim/internal/core"
-	"stackedsim/internal/floorplan"
 	"stackedsim/internal/ledger"
 	"stackedsim/internal/monitor"
+	"stackedsim/internal/powerthermal"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -258,7 +258,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	if want("tsv") {
-		fmt.Fprintln(stdout, floorplan.Report())
+		fmt.Fprintln(stdout, powerthermal.PaperReport())
 		ran++
 	}
 

@@ -93,3 +93,38 @@ func TestFigure4CSV(t *testing.T) {
 		t.Errorf("fig4 CSV md5 %s:\n%s", got, out)
 	}
 }
+
+// TestTSVBlock pins -exp tsv, the printer of the arithmetic the paper
+// states only as text: the Section 2.2/2.4/4.1 lines as they have always
+// read, then the Section 2.4 thermal check — the stack-height sweep and
+// the paper's stack, whose 73.8 C EXPERIMENTS.md quotes.
+func TestTSVBlock(t *testing.T) {
+	code, out, errs := experiments("-exp", "tsv")
+	if code != 0 || errs != "" {
+		t.Fatalf("exit %d, stderr %q", code, errs)
+	}
+	const area = `TSV arithmetic (Section 2.2):
+  1024-bit bus at 10um pitch: 0.32 mm^2
+  1Kb buses per cm^2: 312 (paper: over three hundred)
+DRAM density (Section 2.4):
+  80nm: 10.9 Mb/mm^2; 50nm: 27.9 Mb/mm^2 (paper: 27.9)
+  1GB layer footprint at 50nm: 294 mm^2 (paper: 294)
+  8GB stack: 8 layers (+logic: 9)
+Row-buffer budget (Section 4.1):
+  8 ranks x 8 banks x 4KB x 1 entry: 256 KB (paper: 256KB)
+  16 ranks: 512 KB total
+
+`
+	if !strings.HasPrefix(out, area) {
+		t.Fatalf("the area arithmetic moved:\n%s", out)
+	}
+	for _, want := range []string{
+		"layers    60W CPU  80W CPU  100W CPU  130W CPU",
+		"8+logic   68.8C    73.8C    78.8C     86.3C !",
+		"worst-case DRAM: 73.8C (limit 85C, ok=true)",
+	} {
+		if !strings.Contains(out[len(area):], want) {
+			t.Fatalf("thermal check missing %q:\n%s", want, out)
+		}
+	}
+}

@@ -3,7 +3,7 @@
 // Processors" (ISCA 2008).
 //
 // The simulator lives under internal/ and the runnable entry points
-// under cmd/ and examples/. cmd/experiments regenerates every table and
+// under cmd/. cmd/experiments regenerates every table and
 // figure of the paper's evaluation (DESIGN.md's per-experiment index),
 // internal/core's TestFiguresGolden pins each one, and bench/ measures
 // the simulator's speed.

@@ -2,11 +2,13 @@ package core
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
 	"stackedsim/internal/config"
 	"stackedsim/internal/powerthermal"
+	"stackedsim/internal/sim"
 	"stackedsim/internal/telemetry"
 )
 
@@ -57,6 +59,56 @@ func TestPowerThermalParity(t *testing.T) {
 			}
 			if pt.Summary().Windows == 0 {
 				t.Fatal("tracker closed no windows over the measured run")
+			}
+		})
+	}
+}
+
+// TestTrackerAccountsTheRunsJoules pins that the tracker and the run
+// charge the same DRAM energy. With windows that tile the measured
+// window, the tracker's on-stack and off-chip DRAM power times each
+// window's length sums to the run's stacked plus backing energy.
+func TestTrackerAccountsTheRunsJoules(t *testing.T) {
+	const window = 500
+	for _, mk := range []struct {
+		name string
+		cfg  func() *config.Config
+	}{
+		{"2D", config.Baseline2D},
+		{"quadMC", config.QuadMC},
+		{"fast3D-cache", func() *config.Config {
+			return config.Fast3D().WithStackCache(config.StackCache, 64)
+		}},
+	} {
+		t.Run(mk.name, func(t *testing.T) {
+			cfg := mk.cfg()
+			cfg.WarmupCycles = 10 * window
+			cfg.MeasureCycles = 40 * window
+			sys, err := NewSystem(cfg, []string{"S.all", "mcf", "S.copy", "milc"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt := sys.AttachPowerThermal(telemetry.NewRegistry(), window)
+			seconds := window / (cfg.CPUMHz * 1e6)
+			joules, windows := 0.0, 0
+			// Behind the tracker: each tick reads the window it just closed.
+			sys.Observe(window, sim.TickFunc(func(now sim.Cycle) {
+				if now > sim.Cycle(cfg.WarmupCycles) {
+					st := pt.State()
+					joules += (st.DRAMPowerW + st.OffChipPowerW) * seconds
+					windows++
+				}
+			}))
+			m := sys.Run()
+			if windows != 40 {
+				t.Fatalf("%d windows closed in the measured window, want 40", windows)
+			}
+			want := m.Energy.TotalUJ() + m.EnergyBacking.TotalUJ()
+			if (cfg.StackMode != config.StackMemory) != (m.EnergyBacking.TotalUJ() > 0) || want <= 0 {
+				t.Fatalf("energy %v, backing %v: the run charged the wrong channels", m.Energy, m.EnergyBacking)
+			}
+			if got := joules * 1e6; math.Abs(got-want) > 1e-9*want {
+				t.Fatalf("tracker accounted %.12g uJ, the run %.12g uJ", got, want)
 			}
 		})
 	}

@@ -10,7 +10,6 @@ import (
 
 	"stackedsim/internal/config"
 	"stackedsim/internal/fault"
-	"stackedsim/internal/power"
 	"stackedsim/internal/sim"
 	"stackedsim/internal/workload"
 )
@@ -241,7 +240,7 @@ func TestCancelledRunMetricsCoverElapsedWindow(t *testing.T) {
 	if want := float64(busy) / float64(elapsed*uint64(len(sys.MCs))); m.BusUtilization != want || want > 1 || want < 0.1 {
 		t.Errorf("BusUtilization = %v, want %v (busy cycles over the elapsed window, a saturated bus)", m.BusUtilization, want)
 	}
-	full := power.Account(sys.dramParams(), sys.dramActivity(), cfg.MeasureCycles, cfg.CPUMHz)
+	full, _ := sys.machine.Energy(cfg.MeasureCycles)
 	if m.Energy.StaticUJ <= 0 || m.Energy.StaticUJ >= full.StaticUJ/10 {
 		t.Errorf("static energy %v uJ covers more than the elapsed window (full window: %v uJ)", m.Energy.StaticUJ, full.StaticUJ)
 	}

@@ -21,7 +21,6 @@ import (
 	"stackedsim/internal/memctrl"
 	"stackedsim/internal/mshr"
 	"stackedsim/internal/noc"
-	"stackedsim/internal/power"
 	"stackedsim/internal/powerthermal"
 	"stackedsim/internal/prefetch"
 	"stackedsim/internal/sim"
@@ -67,6 +66,10 @@ type System struct {
 	// channels is every memory channel in walk order: MCs, then
 	// Backing when there is one.
 	channels []channel
+	// machine is the view of the machine the power/thermal package
+	// reads (the tracker, and the energy of Collect and the energy
+	// gauges): the configuration, channels and committed μops.
+	machine powerthermal.Machine
 
 	Resizer *mshr.Resizer
 	// resetters are the observers (see Observe) that restart their own
@@ -370,6 +373,12 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 	if s.Resizer != nil {
 		s.Resizer.SetHandle(s.Engine.RegisterEvery(1, 0, s.Resizer))
 	}
+	s.machine = powerthermal.Machine{Cfg: s.Cfg, Committed: s.committed, Channels: make([]powerthermal.Channel, len(s.channels))}
+	for i, ch := range s.channels {
+		s.machine.Channels[i] = powerthermal.Channel{
+			Name: ch.dram, Ranks: ch.mc.Ranks(), Bus: ch.mc.Bus(), OffChip: ch.mc == s.Backing,
+		}
+	}
 	return s, nil
 }
 
@@ -519,13 +528,7 @@ func (s *System) AttachPowerThermal(reg *telemetry.Registry, every int64) *power
 	if reg == nil {
 		return nil
 	}
-	m := powerthermal.Machine{Cfg: s.Cfg, Committed: s.committed}
-	for _, ch := range s.channels {
-		m.Channels = append(m.Channels, powerthermal.Channel{
-			Name: ch.dram, Ranks: ch.mc.Ranks(), Bus: ch.mc.Bus(), OffChip: ch.mc == s.Backing,
-		})
-	}
-	t := powerthermal.New(m, reg, every)
+	t := powerthermal.New(s.machine, reg, every)
 	s.Observe(int(t.Every()), t)
 	return t
 }
@@ -560,49 +563,15 @@ func (s *System) instrumentEngine(reg *telemetry.Registry) {
 	reg.GaugeFunc("engine.pool_puts", func() float64 { return float64(s.EngineReport().PoolPuts) })
 }
 
-// activity sums the DRAM counters the given channels accumulated since
-// the last ResetStats into a power.Activity.
-func activity(mcs ...*memctrl.Controller) power.Activity {
-	var act power.Activity
-	for _, mc := range mcs {
-		st := mc.Stats()
-		act.ColumnReads += st.Reads
-		act.ColumnWrites += st.Writes
-		act.BytesMoved += mc.Bus().Stats().Bytes
-		act.Ranks += len(mc.Ranks())
-		for _, rank := range mc.Ranks() {
-			for _, bank := range rank.Banks {
-				bs := bank.Stats()
-				act.Activates += bs.Activates
-				act.Refreshes += bs.Refreshes
-			}
-		}
-	}
-	return act
-}
-
-// dramActivity is the stacked channels' activity; the backing
-// channel's, accounted with off-chip DDR2 energies, is
-// activity(s.Backing).
-func (s *System) dramActivity() power.Activity { return activity(s.MCs...) }
-
-// dramParams picks the energy parameters of the stacked channel: TSV IO
-// for on-stack DRAM, off-chip DDR2 IO for the 2D organization.
-func (s *System) dramParams() power.Params {
-	if s.Cfg.BusDivider > 1 {
-		return power.DDR2()
-	}
-	return power.Stacked3D()
-}
-
 // instrumentEnergy registers the cumulative DRAM energy breakdown as
 // poll-driven gauges, so the sampler's time-series (and statsdiff) can
 // gate on energy regressions. Values are microjoules accumulated since
 // the last ResetStats — at the final sample, the measured window's
 // energy, matching Metrics.Energy.
 func (s *System) instrumentEnergy(reg *telemetry.Registry) {
-	energy := func() power.Breakdown {
-		return power.Account(s.dramParams(), s.dramActivity(), s.measured(), s.Cfg.CPUMHz)
+	energy := func() powerthermal.Breakdown {
+		stack, _ := s.machine.Energy(s.measured())
+		return stack
 	}
 	reg.GaugeFunc("power.energy.activate_uj", func() float64 { return energy().ActivateUJ })
 	reg.GaugeFunc("power.energy.read_uj", func() float64 { return energy().ReadUJ })
@@ -613,7 +582,8 @@ func (s *System) instrumentEnergy(reg *telemetry.Registry) {
 	reg.GaugeFunc("power.energy.total_uj", func() float64 { return energy().TotalUJ() })
 	if s.Stack != nil {
 		reg.GaugeFunc("power.energy.backing_uj", func() float64 {
-			return power.Account(power.DDR2(), activity(s.Backing), s.measured(), s.Cfg.CPUMHz).TotalUJ()
+			_, backing := s.machine.Energy(s.measured())
+			return backing.TotalUJ()
 		})
 	}
 }
@@ -676,10 +646,10 @@ type Metrics struct {
 	// Energy is the DRAM energy breakdown of the measured window
 	// (Section 4.2's power argument), using off-chip IO energies for
 	// the 2D organization and TSV energies for stacked ones.
-	Energy power.Breakdown
+	Energy powerthermal.Breakdown
 	// EnergyBacking is the off-chip backing channel's energy (DDR2 IO;
 	// zero in StackMemory mode, where the channel is absent).
-	EnergyBacking power.Breakdown
+	EnergyBacking powerthermal.Breakdown
 
 	// RefreshSkipRate is the fraction of refresh commands smart refresh
 	// elided (0 unless config.SmartRefresh).
@@ -790,13 +760,12 @@ func (s *System) Collect() Metrics {
 	if elapsed > 0 {
 		m.BusUtilization = float64(busBusy) / float64(uint64(elapsed)*uint64(len(s.MCs)))
 	}
-	m.Energy = power.Account(s.dramParams(), s.dramActivity(), elapsed, s.Cfg.CPUMHz)
+	m.Energy, m.EnergyBacking = s.machine.Energy(elapsed)
 	if skipped+issued > 0 {
 		m.RefreshSkipRate = float64(skipped) / float64(skipped+issued)
 	}
 	m.Faults = s.Faults.Stats()
 	if s.Stack != nil {
-		m.EnergyBacking = power.Account(power.DDR2(), activity(s.Backing), elapsed, s.Cfg.CPUMHz)
 		m.Stack = *s.Stack.Stats()
 		m.StackHitRate = m.Stack.HitRate()
 		bst := s.Backing.Stats()

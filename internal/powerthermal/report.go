@@ -3,8 +3,6 @@ package powerthermal
 import (
 	"fmt"
 	"strings"
-
-	"stackedsim/internal/thermal"
 )
 
 // heatShades maps a normalized activity/temperature to a glyph.
@@ -91,7 +89,7 @@ func (t *Tracker) Report() string {
 			"offchip", t.offW, t.offC, t.offPeakC, t.offOverCycles)
 	}
 	fmt.Fprintf(&sb, "  worst-case DRAM: %.1fC (limit %.0fC, ok=%v); exceedances %d, over-limit cycles %d\n",
-		t.maxDRAMC, thermal.DRAMThermalLimitC, !t.over, t.cExceed.Value(), t.cOverCycles.Value())
+		t.maxDRAMC, DRAMThermalLimitC, !t.over, t.cExceed.Value(), t.cOverCycles.Value())
 	sb.WriteString(t.bankHeatmap())
 	if len(t.traj) > 0 {
 		lo, hi := t.traj[0].TempC[0], t.traj[0].TempC[0]
@@ -107,11 +105,11 @@ func (t *Tracker) Report() string {
 		}
 		fmt.Fprintf(&sb, "  temperature trajectory (%d samples, shade %.1f..%.1fC):\n", len(t.traj), lo, hi)
 		vals := make([]float64, len(t.traj))
-		for i, l := range t.stack.Layers {
+		for i, name := range t.stack.Names {
 			for s, tp := range t.traj {
 				vals[s] = tp.TempC[i]
 			}
-			fmt.Fprintf(&sb, "    %-12s |%s| %.1fC\n", l.Name, sparkline(vals, lo, hi), t.tr.TempC(i))
+			fmt.Fprintf(&sb, "    %-12s |%s| %.1fC\n", name, sparkline(vals, lo, hi), t.stack.TempC(i))
 		}
 	}
 	return sb.String()

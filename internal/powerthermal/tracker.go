@@ -1,10 +1,13 @@
-// Package powerthermal reproduces the paper's Section 2.4 argument — a
-// DRAM stack on a quad-core stays under the 85 °C rating — from measured
-// activity: a per-window tracker that turns the counters a run keeps
-// anyway into per-layer power (internal/power) and steps a transient
-// thermal model (internal/thermal) over the floorplan the configuration
-// implies (internal/floorplan), and the whole-run steady-state row
-// `-exp thermal` prints. It sees the machine only through a Machine, the
+// Package powerthermal is the paper's power and thermal arithmetic:
+// the DRAM energy of a run's activity (energy.go, Section 4.2), the
+// stack's floorplan and the Section 2 area figures (floorplan.go), and
+// a one-dimensional thermal model of the die stack (stack.go). From
+// them it reproduces the Section 2.4 argument — a DRAM stack on a
+// quad-core stays under the 85 °C rating — from measured activity: a
+// per-window tracker that turns the counters a run keeps anyway into
+// per-layer power and steps the transient model over the floorplan the
+// configuration implies, and the whole-run steady-state row `-exp
+// thermal` prints. It sees the machine only through a Machine, the
 // small view internal/core fills.
 package powerthermal
 
@@ -12,11 +15,8 @@ import (
 	"stackedsim/internal/bus"
 	"stackedsim/internal/config"
 	"stackedsim/internal/dram"
-	"stackedsim/internal/floorplan"
-	"stackedsim/internal/power"
 	"stackedsim/internal/sim"
 	"stackedsim/internal/telemetry"
-	"stackedsim/internal/thermal"
 )
 
 // DefaultWindow is the power/thermal sampling window in CPU cycles
@@ -51,7 +51,7 @@ type Machine struct {
 // Channel is one memory channel of a Machine: its ranks and data bus
 // under the name its DRAM goes by in reports ("mc0", "backing").
 // OffChip marks the commodity channel behind a stack cache, whose energy
-// is accounted with DDR2 parameters and never lands on a stacked die.
+// is charged at DDR2 energies and never lands on a stacked die.
 type Channel struct {
 	Name    string
 	Ranks   []*dram.Rank
@@ -110,18 +110,16 @@ type Summary struct {
 // one (core's TestPowerThermalParity).
 type Tracker struct {
 	m     Machine
-	place floorplan.Placement
-	stack *thermal.Stack
-	tr    *thermal.Transient
+	place Placement
+	stack *Stack
 
-	dramP      power.Params
+	dramP      Params
 	every      int64
-	dramBase   int  // stack index of DRAM layer 0
 	hasOffchip bool // any off-chip DRAM (2D organization or backing channel)
 
 	last      sim.Cycle
-	prevRank  []power.Activity // per rank's cumulative counters, channel by channel
-	prevBytes []uint64         // per channel bus
+	prevRank  []Activity // per rank's cumulative counters, channel by channel
+	prevBytes []uint64   // per channel bus
 	prevUops  uint64
 	layerUJ   []float64 // scratch: this window's energy per stack layer
 
@@ -156,13 +154,10 @@ func New(m Machine, reg *telemetry.Registry, every int64) *Tracker {
 		every = DefaultWindow
 	}
 	place := placementFor(m.Cfg)
-	st := thermal.NewStack(place.DRAMLayers, place.Logic)
-	// A placement with nothing stacked is the 2D organization: its DRAM
-	// sits behind off-chip DDR2 IO, stacked DRAM behind TSVs.
-	ranks, dramP, offchip := 0, power.Stacked3D(), !place.Stacked()
-	if offchip {
-		dramP = power.DDR2()
-	}
+	st := NewStack(place)
+	// A placement with nothing stacked is the 2D organization: all its
+	// DRAM is off-chip.
+	ranks, offchip := 0, !place.Stacked()
 	for _, ch := range m.Channels {
 		ranks += len(ch.Ranks)
 		offchip = offchip || ch.OffChip
@@ -171,31 +166,26 @@ func New(m Machine, reg *telemetry.Registry, every int64) *Tracker {
 		m:          m,
 		place:      place,
 		stack:      st,
-		tr:         thermal.NewTransient(st),
-		dramP:      dramP,
+		dramP:      place.params(false),
 		every:      every,
-		dramBase:   1,
 		hasOffchip: offchip,
-		prevRank:   make([]power.Activity, ranks),
+		prevRank:   make([]Activity, ranks),
 		prevBytes:  make([]uint64, len(m.Channels)),
-		layerUJ:    make([]float64, len(st.Layers)),
-		peakC:      make([]float64, len(st.Layers)),
-		overCycles: make([]int64, len(st.Layers)),
+		layerUJ:    make([]float64, len(st.Names)),
+		peakC:      make([]float64, len(st.Names)),
+		overCycles: make([]int64, len(st.Names)),
 		stride:     1,
 	}
-	if place.Logic {
-		t.dramBase = 2
-	}
 	for i := range t.peakC {
-		t.peakC[i] = st.AmbientC
+		t.peakC[i] = AmbientC
 	}
 	t.gCPUW = reg.Gauge("power.cpu.w")
 	t.gDRAMW = reg.Gauge("power.dram.w")
 	t.gOffW = reg.Gauge("power.offchip.w")
 	t.gTotalW = reg.Gauge("power.total.w")
-	for _, l := range st.Layers {
-		t.gLayerW = append(t.gLayerW, reg.Gauge("power.layer."+l.Name+".w"))
-		t.gLayerC = append(t.gLayerC, reg.Gauge("thermal.layer."+l.Name+".c"))
+	for _, name := range st.Names {
+		t.gLayerW = append(t.gLayerW, reg.Gauge("power.layer."+name+".w"))
+		t.gLayerC = append(t.gLayerC, reg.Gauge("thermal.layer."+name+".c"))
 	}
 	t.gMaxDRAMC = reg.Gauge("thermal.max_dram.c")
 	t.gOverLimit = reg.Gauge("thermal.over_limit")
@@ -209,19 +199,6 @@ func New(m Machine, reg *telemetry.Registry, every int64) *Tracker {
 
 // Every is the sampling window in cycles.
 func (t *Tracker) Every() int64 { return t.every }
-
-// countRank is one rank's cumulative event counters.
-func countRank(r *dram.Rank) power.Activity {
-	var a power.Activity
-	for _, b := range r.Banks {
-		st := b.Stats()
-		a.Activates += st.Activates
-		a.Refreshes += st.Refreshes
-		a.ColumnReads += st.Reads
-		a.ColumnWrites += st.Writes
-	}
-	return a
-}
 
 // Tick closes one sampling window: counter deltas -> per-layer energy
 // -> per-layer power -> one transient thermal step.
@@ -244,14 +221,14 @@ func (t *Tracker) Tick(now sim.Cycle) {
 	// accounted once, below.
 	idx := 0
 	var bytes uint64
-	var back power.Activity
+	var back Activity
 	for c, ch := range t.m.Channels {
 		for _, rank := range ch.Ranks {
 			cur := countRank(rank)
 			prev := t.prevRank[idx]
 			t.prevRank[idx] = cur
 			idx++
-			d := power.Activity{
+			d := Activity{
 				Activates:    cur.Activates - prev.Activates,
 				Refreshes:    cur.Refreshes - prev.Refreshes,
 				ColumnReads:  cur.ColumnReads - prev.ColumnReads,
@@ -259,16 +236,12 @@ func (t *Tracker) Tick(now sim.Cycle) {
 				Ranks:        1,
 			}
 			if ch.OffChip {
-				back.Ranks++
-				back.Activates += d.Activates
-				back.Refreshes += d.Refreshes
-				back.ColumnReads += d.ColumnReads
-				back.ColumnWrites += d.ColumnWrites
+				back.add(d)
 				continue
 			}
-			b := power.Account(t.dramP, d, window, mhz)
+			b := Account(t.dramP, d, window, mhz)
 			if t.place.Stacked() {
-				t.layerUJ[t.dramBase+t.place.LayerOfRank(idx-1)] += b.TotalUJ()
+				t.layerUJ[t.place.dramBase()+t.place.LayerOfRank(idx-1)] += b.TotalUJ()
 			} else {
 				offUJ += b.TotalUJ()
 			}
@@ -283,60 +256,57 @@ func (t *Tracker) Tick(now sim.Cycle) {
 		}
 	}
 
-	// Channel IO energy: dissipated in the TSV drivers on the logic die
-	// (spread across the DRAM dies when the peripheral logic lives on
-	// them), or in the off-chip pins for the 2D organization.
+	// Channel IO energy: dissipated on the placement's IO dies, or in
+	// the off-chip pins for the 2D organization.
 	busUJ := float64(bytes) * t.dramP.BusPJPerByte * 1e-6
-	switch {
-	case !t.place.Stacked():
-		offUJ += busUJ
-	case t.place.Logic:
-		t.layerUJ[1] += busUJ
-	default:
-		per := busUJ / float64(t.place.DRAMLayers)
-		for i := 0; i < t.place.DRAMLayers; i++ {
-			t.layerUJ[t.dramBase+i] += per
+	if t.place.Stacked() {
+		first, n := t.place.ioDies()
+		per := busUJ / float64(n)
+		for i := first; i < first+n; i++ {
+			t.layerUJ[i] += per
 		}
+	} else {
+		offUJ += busUJ
 	}
 
 	// Backing channel: commodity DIMMs off-chip.
 	if back.Ranks > 0 {
-		offUJ += power.Account(power.DDR2(), back, window, mhz).TotalUJ()
+		offUJ += Account(t.place.params(true), back, window, mhz).TotalUJ()
 	}
 
 	// Processor power from committed μops.
 	uops := t.m.Committed()
 	du := uops - t.prevUops
 	t.prevUops = uops
-	t.cpuW = power.DefaultCPU().PowerW(du, seconds)
+	t.cpuW = DefaultCPU().PowerW(du, seconds)
 
 	// Energy -> average power over the window; integrate the stack.
-	t.stack.Layers[0].PowerW = t.cpuW
-	for i := 1; i < len(t.stack.Layers); i++ {
-		t.stack.Layers[i].PowerW = t.layerUJ[i] * 1e-6 / seconds
+	t.stack.PowerW[0] = t.cpuW
+	for i := 1; i < len(t.stack.PowerW); i++ {
+		t.stack.PowerW[i] = t.layerUJ[i] * 1e-6 / seconds
 	}
-	t.tr.Step(seconds * DefaultThermalAccel)
+	t.stack.Step(seconds * DefaultThermalAccel)
 	t.dramW = t.stack.TotalPowerW() - t.cpuW
 	t.offW = offUJ * 1e-6 / seconds
 
-	t.maxDRAMC = t.tr.MaxDRAMTempC()
+	t.maxDRAMC = maxDRAMC(t.stack.tempC)
 	t.offC = 0
 	if t.hasOffchip {
-		t.offC = thermal.OffChipDRAMTempC(t.offW)
+		t.offC = OffChipDRAMTempC(t.offW)
 		if t.offC > t.maxDRAMC {
 			t.maxDRAMC = t.offC
 		}
 		if t.offC > t.offPeakC {
 			t.offPeakC = t.offC
 		}
-		if t.offC > thermal.DRAMThermalLimitC {
+		if t.offC > DRAMThermalLimitC {
 			t.offOverCycles += uint64(window)
 		}
 	}
 
 	// Limit accounting: an exceedance event per rising edge, plus the
 	// cycles spent over the limit.
-	over := t.maxDRAMC > thermal.DRAMThermalLimitC
+	over := t.maxDRAMC > DRAMThermalLimitC
 	if over && !t.over {
 		t.cExceed.Inc()
 	}
@@ -346,12 +316,12 @@ func (t *Tracker) Tick(now sim.Cycle) {
 	}
 
 	t.windows++
-	for i := range t.stack.Layers {
-		c := t.tr.TempC(i)
+	for i := range t.stack.Names {
+		c := t.stack.TempC(i)
 		if c > t.peakC[i] {
 			t.peakC[i] = c
 		}
-		if i > 0 && c > thermal.DRAMThermalLimitC {
+		if i > 0 && c > DRAMThermalLimitC {
 			t.overCycles[i] += window
 		}
 	}
@@ -365,7 +335,7 @@ func (t *Tracker) recordTrajectory(now sim.Cycle) {
 		return
 	}
 	t.sinceKept = 0
-	t.traj = append(t.traj, TrajectoryPoint{Cycle: int64(now), TempC: t.tr.Temperatures()})
+	t.traj = append(t.traj, TrajectoryPoint{Cycle: int64(now), TempC: t.stack.Temperatures()})
 	if len(t.traj) >= trajCap {
 		kept := t.traj[:0]
 		for i := 0; i < len(t.traj); i += 2 {
@@ -381,8 +351,8 @@ func (t *Tracker) publish() {
 	t.gDRAMW.Set(t.dramW)
 	t.gOffW.Set(t.offW)
 	t.gTotalW.Set(t.cpuW + t.dramW + t.offW)
-	for i := range t.stack.Layers {
-		t.gLayerW[i].Set(t.stack.Layers[i].PowerW)
+	for i, w := range t.stack.PowerW {
+		t.gLayerW[i].Set(w)
 	}
 	t.publishTemps()
 	if t.over {
@@ -393,8 +363,8 @@ func (t *Tracker) publish() {
 }
 
 func (t *Tracker) publishTemps() {
-	for i := range t.stack.Layers {
-		t.gLayerC[i].Set(t.tr.TempC(i))
+	for i := range t.stack.Names {
+		t.gLayerC[i].Set(t.stack.TempC(i))
 	}
 	t.gMaxDRAMC.Set(t.maxDRAMC)
 }
@@ -412,7 +382,7 @@ func (t *Tracker) ResetStats() {
 	t.windows = 0
 	clear(t.overCycles)
 	for i := range t.peakC {
-		t.peakC[i] = t.tr.TempC(i)
+		t.peakC[i] = t.stack.TempC(i)
 	}
 	t.offPeakC = t.offC
 	t.offOverCycles = 0
@@ -432,18 +402,18 @@ func (t *Tracker) State() *State {
 		OffChipPowerW:    t.offW,
 		TotalPowerW:      t.cpuW + t.dramW + t.offW,
 		MaxDRAMTempC:     t.maxDRAMC,
-		LimitC:           thermal.DRAMThermalLimitC,
+		LimitC:           DRAMThermalLimitC,
 		WithinLimit:      !t.over,
 		LimitExceedances: t.cExceed.Value(),
 		OverLimitCycles:  t.cOverCycles.Value(),
 		OffChipTempC:     t.offC,
 		OffChipPeakC:     t.offPeakC,
 	}
-	for i, l := range t.stack.Layers {
+	for i, name := range t.stack.Names {
 		s.Layers = append(s.Layers, Layer{
-			Name:            l.Name,
-			PowerW:          l.PowerW,
-			TempC:           t.tr.TempC(i),
+			Name:            name,
+			PowerW:          t.stack.PowerW[i],
+			TempC:           t.stack.TempC(i),
 			PeakC:           t.peakC[i],
 			OverLimitCycles: t.overCycles[i],
 		})

@@ -11,7 +11,6 @@ import (
 	"stackedsim/internal/dram"
 	"stackedsim/internal/sim"
 	"stackedsim/internal/telemetry"
-	"stackedsim/internal/thermal"
 )
 
 // machine is a hand-built view of cfg's machine: the channels core
@@ -121,7 +120,7 @@ func TestTracking(t *testing.T) {
 	if s.DRAMPowerW <= 0 || s.OffChipPowerW != 0 {
 		t.Fatalf("stacked run: %.2fW on the stack, %.2fW off-chip", s.DRAMPowerW, s.OffChipPowerW)
 	}
-	if s.Layers[0].TempC <= thermal.DefaultAmbientC {
+	if s.Layers[0].TempC <= AmbientC {
 		t.Fatalf("CPU die at %.1fC did not warm above ambient", s.Layers[0].TempC)
 	}
 	for _, l := range s.Layers {
@@ -144,7 +143,7 @@ func TestTracking(t *testing.T) {
 		t.Fatalf("trajectory of %d samples from cycle %d, want 40 from 5500 (restarted at the reset)",
 			len(s.Trajectory), s.Trajectory[0].Cycle)
 	}
-	if s.Trajectory[0].TempC[0] <= thermal.DefaultAmbientC {
+	if s.Trajectory[0].TempC[0] <= AmbientC {
 		t.Fatal("the reset cooled the dies: temperatures must carry over the warmup boundary")
 	}
 	if got := len(s.Trajectory[0].TempC); got != len(s.Layers) {
@@ -179,7 +178,7 @@ func TestOffChip2D(t *testing.T) {
 	if s.DRAMPowerW != 0 {
 		t.Fatalf("2D run reports %.2fW on-stack DRAM power", s.DRAMPowerW)
 	}
-	if s.OffChipTempC <= thermal.DefaultAmbientC {
+	if s.OffChipTempC <= AmbientC {
 		t.Fatalf("off-chip DRAM at %.1fC under load", s.OffChipTempC)
 	}
 	if s.MaxDRAMTempC != s.OffChipTempC {

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Reports the exported funcs and methods that nothing outside _test.go
-# files names, across the root module, bench/ and examples/: the
+# files names, across the root module and bench/: the
 # candidates of the deletion audit (DESIGN.md §9). One awk pass, by name
 # only — a method counts as called when any identifier of that name is
 # used, so a report is a place to look, not a verdict (a method reached
