@@ -269,29 +269,28 @@ func (a *Array) FillState(lineAddr mem.Addr, dirty bool, state uint8) (victim me
 // fill installs the line in the first invalid way of its set, else in the
 // way with the strictly oldest stamp, and returns the flags of the line
 // that way held. A line whose number does not fit the key panics.
+//
+// One scan finds both: the way with the first smallest word. An invalid
+// way's word is zero, below every valid one, and valid stamps are unique
+// within a set, so that is the first invalid way if there is one and the
+// oldest line if not.
 func (a *Array) fill(lineAddr mem.Addr, dirty bool, state uint8) (victim mem.Addr, victimFlags uint64, evicted bool) {
 	base, n, key := a.index(lineAddr)
 	if n >= keyMask {
 		panic(fmt.Sprintf("cache %s: line %#x is beyond the 32-bit key", a.name, uint64(lineAddr)))
 	}
 	set := a.tags[base : base+a.ways]
-	way := -1
+	way := 0
 	for w, word := range set {
 		if uint32(word) == key {
 			panic(fmt.Sprintf("cache %s: Fill of present line %#x", a.name, uint64(lineAddr)))
 		}
-		if word == 0 && way < 0 {
+		if word < set[way] {
 			way = w
 		}
 	}
 	a.stats.Fills++
-	if way < 0 {
-		way = 0
-		for w, word := range set {
-			if word < set[way] {
-				way = w
-			}
-		}
+	if set[way] != 0 {
 		evicted = true
 		a.stats.Evictions++
 		victim = mem.Addr((set[way]&keyMask - 1) << a.lineShift)

@@ -179,10 +179,12 @@ func NewL2(p L2Params) *L2 {
 		l.wb[m] = NewOutbox(mc)
 	}
 	for b := 0; b < cfg.L2Banks; b++ {
-		l.banks = append(l.banks, &l2bank{
+		bank := &l2bank{
 			arr: NewArray(fmt.Sprintf("L2b%d", b), sets, cfg.L2Ways, cfg.LineBytes),
 			inq: sim.NewQueue[*mem.Request](bankQueueCap),
-		})
+		}
+		bank.inq.Reserve(bankQueueCap)
+		l.banks = append(l.banks, bank)
 	}
 	mshrBanks := cfg.MCs
 	if cfg.MSHRUnified {

@@ -15,12 +15,14 @@ type Port interface {
 
 // Outbox is the sending side of a Port: what a component that must not
 // lose a refused request holds toward the level below. A request the
-// port refuses waits here, the owner is woken to retry it, and the
-// queue drains in order.
+// port refuses waits here, parked on a list threaded through the
+// requests, so refusal allocates nothing; the owner is woken to retry
+// it, and the list drains in order.
 type Outbox struct {
 	to    Port
 	owner *sim.TickHandle
-	q     sim.Queue[*mem.Request]
+	q     mem.Waitlist
+	n     int // requests parked on q
 }
 
 // NewOutbox returns an empty outbox toward to.
@@ -38,18 +40,25 @@ func (o *Outbox) SetOwner(h *sim.TickHandle) { o.owner = h }
 func (o *Outbox) Send(r *mem.Request, now sim.Cycle) {
 	if !o.to.Submit(r, now) {
 		o.q.Push(r)
+		o.n++
 		o.owner.Wake()
 	}
 }
 
 // Retry offers the queued requests, oldest first, until one is refused:
 // order is kept among them, so nothing behind a refused head is tried.
+// The head is unparked before it is offered, since the port may park it
+// on a waitlist of its own, and parked again at the front on refusal.
 func (o *Outbox) Retry(now sim.Cycle) {
-	for !o.q.Empty() && o.to.Submit(o.q.At(0), now) {
-		o.q.Pop()
+	for r := o.q.Pop(); r != nil; r = o.q.Pop() {
+		if !o.to.Submit(r, now) {
+			o.q.PushFront(r)
+			return
+		}
+		o.n--
 	}
 }
 
 // Len reports the requests waiting for a retry — part of what the owner
 // has in flight.
-func (o *Outbox) Len() int { return o.q.Len() }
+func (o *Outbox) Len() int { return o.n }

@@ -83,22 +83,58 @@ func (k msgKind) toDirectory() bool { return k <= mWBData }
 type message struct {
 	kind      msgKind
 	line      mem.Addr
-	from      int  // sender core (mesh node); directory responses carry the bank's node
-	requester int  // Fwd*: core the owner must send data to
-	clean     bool // PutM: the line was never written (PutE) — no memory update
-	dirty     bool // WBData: the demoted line was modified
-	excl      bool // DataE/DataOwner: the grant is exclusive (GetM response)
+	from      int   // sender core (mesh node); directory responses carry the bank's node
+	requester int   // Fwd*: core the owner must send data to
+	clean     bool  // PutM: the line was never written (PutE) — no memory update
+	dirty     bool  // WBData: the demoted line was modified
+	excl      bool  // DataE/DataOwner: the grant is exclusive (GetM response)
+	dst       int32 // the mesh node the sender injects it toward
 
 	// tag carries the requester's cycle-accounting lifecycle along the
 	// protocol path, so forwards hand it to whoever ends up injecting
 	// the data response. Nil when attribution is off or the message has
 	// no associated demand miss.
 	tag *attrib.Tag
-	// next is the request behind this one in its line's deferred queue
-	// at a directory bank (txn.deferHead). A message waits in at most
-	// one place at a time: deferred there, or held as a private-L2
-	// miss's early forward (pl2Miss.fwd), which needs no link.
+	// next is the message behind this one on the msgList it waits on:
+	// its sender's retry queue (endpoint.out), its receiver's inbox
+	// (endpoint.inbox), or its line's deferred requests at a directory
+	// bank (txn.deferred). A message is in one place at a time: on one
+	// of those lists, in the mesh, in a bank's lookup pipe, or held as
+	// a private-L2 miss's early forward (pl2Miss.fwd); only the lists
+	// link through it.
 	next *message
+}
+
+// msgList is a FIFO of messages threaded through message.next, so
+// queueing a message allocates nothing. The zero value is empty.
+type msgList struct {
+	head, tail *message
+	n          int
+}
+
+// push queues m behind the list's messages.
+func (l *msgList) push(m *message) {
+	if l.tail == nil {
+		l.head = m
+	} else {
+		l.tail.next = m
+	}
+	l.tail = m
+	l.n++
+}
+
+// pop unlinks and returns the oldest message, nil when the list is
+// empty.
+func (l *msgList) pop() *message {
+	m := l.head
+	if m != nil {
+		l.head, m.next = m.next, nil
+		if l.head == nil {
+			l.tail = nil
+		}
+		l.n--
+	}
+	return m
 }
 
 // Params wires a fabric.
@@ -212,7 +248,7 @@ func (f *Fabric) DeferredRequests() int {
 	n := 0
 	for _, d := range f.dirs {
 		for _, rec := range d.lines.open() {
-			n += rec.deferred()
+			n += rec.deferred.n
 		}
 	}
 	return n
@@ -236,10 +272,10 @@ func (f *Fabric) TransientLines() int {
 func (f *Fabric) InFlight() int {
 	n := f.mesh.InFlight()
 	for _, l := range f.l2s {
-		n += l.misses.Len() + len(l.wb) + l.inbox.Len() + l.out.Len() + l.hits.Len()
+		n += l.misses.Len() + len(l.wb) + l.inbox.n + l.out.n + l.nhits
 	}
 	for _, d := range f.dirs {
-		n += d.inbox.Len() + d.out.Len() + d.toMC.Len() + d.lookups.Len()
+		n += d.inbox.n + d.out.n + d.toMC.Len() + d.lookups.Len()
 	}
 	return n
 }
@@ -270,7 +306,7 @@ func (f *Fabric) CheckDrained() error {
 	}
 	for _, d := range f.dirs {
 		for line, rec := range d.lines.open() {
-			errs = append(errs, fmt.Errorf("directory %d holds line %#x in %s with %d deferred requests after quiesce", d.id, uint64(line), d.EntryState(line), rec.deferred()))
+			errs = append(errs, fmt.Errorf("directory %d holds line %#x in %s with %d deferred requests after quiesce", d.id, uint64(line), d.EntryState(line), rec.deferred.n))
 		}
 	}
 	if cs := f.Stats(); cs.Hits > cs.Accesses {

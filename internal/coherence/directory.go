@@ -110,6 +110,10 @@ func newDirectory(f *Fabric, id, node int, mc cache.Port) *Directory {
 		lookups:  sim.NewDelay[*message](sim.Cycle(f.cfg.DirLatency)),
 		toMC:     cache.NewOutbox(mc),
 	}
+	// Tick moves at most one message a cycle into the pipe and first
+	// empties it of what is due, so it never holds more than a latency's
+	// worth of pushes and the one just made.
+	d.lookups.Reserve(f.cfg.DirLatency + 1)
 	d.onMemRead = d.memReadDone
 	return d
 }
@@ -156,7 +160,7 @@ func (d *Directory) Tick(now sim.Cycle) {
 	for m, at, ok := d.lookups.Pop(now); ok; m, at, ok = d.lookups.Pop(now) {
 		d.process(m, at)
 	}
-	if m, ok := d.inbox.Pop(); ok {
+	if m := d.inbox.pop(); m != nil {
 		d.lookups.Push(now, m)
 	}
 	d.retry(now)
@@ -244,7 +248,7 @@ func (d *Directory) settle(line mem.Addr, now sim.Cycle) {
 			return
 		}
 		rec := t.txn(i)
-		if rec == nil || rec.deferHead == nil {
+		if rec == nil || rec.deferred.head == nil {
 			if rec != nil {
 				t.closeTxn(i)
 			}
@@ -253,7 +257,7 @@ func (d *Directory) settle(line mem.Addr, now sim.Cycle) {
 			}
 			return
 		}
-		d.process(rec.pop(), now)
+		d.process(rec.deferred.pop(), now)
 	}
 }
 
@@ -283,7 +287,7 @@ func (d *Directory) process(m *message, now sim.Cycle) {
 // defer_ parks a request behind the busy line in slot i.
 func (d *Directory) defer_(m *message, i int) {
 	d.stats.Deferred++
-	d.lines.openTxn(i).push(m)
+	d.lines.openTxn(i).deferred.push(m)
 }
 
 // entryFor returns the slot a request against line starts from: i, or,

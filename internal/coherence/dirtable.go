@@ -40,47 +40,13 @@ type txn struct {
 	// req is the request being served while busy; reqWasSharer caches
 	// its membership before the invalidations cleared the set.
 	req *message
-	// deferHead and deferTail are the requests that arrived while the
-	// line was busy, replayed in order once it settles: a FIFO threaded
-	// through message.next, so deferring a request allocates nothing.
-	deferHead, deferTail *message
-	key                  uint32 // the line's key; zero while the record is closed
-	owner                int32  // the line's owner (dirM, trBusyFwdS) while open
-	acksLeft             int32  // trBusyInv
-	reqWasSharer         bool
-}
-
-// push queues m behind the record's deferred requests.
-func (r *txn) push(m *message) {
-	if r.deferTail == nil {
-		r.deferHead = m
-	} else {
-		r.deferTail.next = m
-	}
-	r.deferTail = m
-}
-
-// pop unlinks and returns the oldest deferred request, nil when none
-// is queued.
-func (r *txn) pop() *message {
-	m := r.deferHead
-	if m != nil {
-		r.deferHead, m.next = m.next, nil
-		if r.deferHead == nil {
-			r.deferTail = nil
-		}
-	}
-	return m
-}
-
-// deferred counts the record's deferred requests by walking them: for
-// the drain checks, not the protocol.
-func (r *txn) deferred() int {
-	n := 0
-	for m := r.deferHead; m != nil; m = m.next {
-		n++
-	}
-	return n
+	// deferred are the requests that arrived while the line was busy,
+	// replayed in order once it settles.
+	deferred     msgList
+	key          uint32 // the line's key; zero while the record is closed
+	owner        int32  // the line's owner (dirM, trBusyFwdS) while open
+	acksLeft     int32  // trBusyInv
+	reqWasSharer bool
 }
 
 // dirTable indexes one bank's lines: open addressing with linear

@@ -130,7 +130,7 @@ func FuzzDirTable(f *testing.F) {
 			case dfr, 6 << 5:
 				if live {
 					m := &message{line: line}
-					tb.openTxn(i).push(m)
+					tb.openTxn(i).deferred.push(m)
 					ref.open, ref.deferred = true, append(ref.deferred, m)
 				}
 			case pop:
@@ -139,7 +139,7 @@ func FuzzDirTable(f *testing.F) {
 					if len(ref.deferred) > 0 {
 						want, ref.deferred = ref.deferred[0], ref.deferred[1:]
 					}
-					if got := tb.txn(i).pop(); got != want {
+					if got := tb.txn(i).deferred.pop(); got != want {
 						t.Fatalf("op %d: key %d replayed %p, want %p", n, k, got, want)
 					}
 				}
@@ -158,22 +158,26 @@ func FuzzDirTable(f *testing.F) {
 // replayAll empties a record's deferred queue the way settle does,
 // oldest first.
 func replayAll(r *txn) {
-	for r.pop() != nil {
+	for r.deferred.pop() != nil {
 	}
 }
 
 // deferredOf walks a record's deferred queue from its head, in order,
 // for at most limit requests (a queue linked into a cycle stops there),
-// and reports whether its tail names the last request walked.
+// and reports whether its tail names the last request walked and its
+// count the number walked.
 func deferredOf(r *txn, limit int) ([]*message, bool) {
 	var q []*message
-	for m := r.deferHead; m != nil && len(q) < limit; m = m.next {
+	for m := r.deferred.head; m != nil && len(q) < limit; m = m.next {
 		q = append(q, m)
 	}
-	if len(q) == 0 {
-		return q, r.deferTail == nil
+	if r.deferred.n != len(q) {
+		return q, false
 	}
-	return q, r.deferTail == q[len(q)-1]
+	if len(q) == 0 {
+		return q, r.deferred.tail == nil
+	}
+	return q, r.deferred.tail == q[len(q)-1]
 }
 
 // checkDirTable holds tb to FuzzDirTable's reference after op n.
@@ -217,7 +221,7 @@ func checkDirTable(t *testing.T, n int, tb *dirTable, keys []mem.Addr, shadow ma
 		opened++
 		q, tailOK := deferredOf(rec, len(ref.deferred)+1)
 		if rec.key != tb.slots[i].key || rec.req != ref.req || !slices.Equal(q, ref.deferred) || !tailOK {
-			t.Fatalf("op %d: key %d's record serves %p with %d deferred (tail in place: %v), want %p with %d", n, k, rec.req, len(q), tailOK, ref.req, len(ref.deferred))
+			t.Fatalf("op %d: key %d's record serves %p with %d deferred (tail and count in place: %v), want %p with %d", n, k, rec.req, len(q), tailOK, ref.req, len(ref.deferred))
 		}
 	}
 	if tb.openTxns != opened {
@@ -252,7 +256,7 @@ func checkDirTable(t *testing.T, n int, tb *dirTable, keys []mem.Addr, shadow ma
 		t.Fatalf("op %d: %d records walked, %d closed of %d, with %d open", n, walked, len(tb.closed), len(tb.txns), opened)
 	}
 	for _, x := range tb.closed {
-		if r := &tb.txns[x]; reached[uint32(x)] || r.key != 0 || r.req != nil || r.deferHead != nil || r.deferTail != nil || r.owner != 0 {
+		if r := &tb.txns[x]; reached[uint32(x)] || r.key != 0 || r.req != nil || r.deferred != (msgList{}) || r.owner != 0 {
 			t.Fatalf("op %d: closed record %d is reachable or not clear", n, x)
 		}
 		reached[uint32(x)] = true

@@ -2,23 +2,19 @@ package coherence
 
 import "stackedsim/internal/sim"
 
-// outMsg is an injection the mesh rejected, queued for retry.
-type outMsg struct {
-	m   *message
-	dst int
-}
-
 // endpoint is a controller's place on the mesh, the part a directory
 // bank and a private L2 share: delivered messages wait in inbox for the
 // owner's Tick (mesh ejection and protocol work stay in separate engine
-// phases), injections the mesh refused wait in out and are retried in
-// order, and handle lets it sleep whenever both are empty and the owner's
-// own fixed-latency pipe has nothing due.
+// phases), injections the mesh refused wait in out, each carrying its
+// destination, and are retried in order, and handle lets it sleep
+// whenever both are empty and the owner's own fixed-latency pipe has
+// nothing due. Both lists are threaded through the messages, so neither
+// allocates.
 type endpoint struct {
 	f      *Fabric
 	node   int
-	inbox  sim.Queue[*message]
-	out    sim.Queue[outMsg]
+	inbox  msgList
+	out    msgList
 	handle *sim.TickHandle
 }
 
@@ -31,20 +27,22 @@ func (ep *endpoint) register(e *sim.Engine, owner sim.Ticker) {
 
 // recv queues a delivered message for the owner's next Tick.
 func (ep *endpoint) recv(m *message, now sim.Cycle) {
-	ep.inbox.Push(m)
+	ep.inbox.push(m)
 	ep.handle.Wake()
 }
 
-// inject sends m into the mesh, queueing it for retry (in order) when the
-// injection port is out of credits. Unlike a cache.Outbox it never lets a
-// fresh message overtake a queued one: the mesh orders messages per
-// source-destination pair and the protocol relies on it.
+// inject sends m into the mesh toward node dst, queueing it for retry (in
+// order) when the injection port is out of credits. Unlike a
+// cache.Outbox it never lets a fresh message overtake a queued one: the
+// mesh orders messages per source-destination pair and the protocol
+// relies on it.
 func (ep *endpoint) inject(m *message, dst int, now sim.Cycle) {
-	if ep.out.Empty() && ep.f.send(ep.node, dst, m, now) {
+	m.dst = int32(dst)
+	if ep.out.head == nil && ep.f.send(ep.node, dst, m, now) {
 		ep.stamp(m, now)
 		return
 	}
-	ep.out.Push(outMsg{m: m, dst: dst})
+	ep.out.push(m)
 	ep.handle.Wake()
 }
 
@@ -52,9 +50,9 @@ func (ep *endpoint) inject(m *message, dst int, now sim.Cycle) {
 // again: order is kept, so nothing behind a refused head could go, and a
 // link-bound bank's queue runs tens deep.
 func (ep *endpoint) retry(now sim.Cycle) {
-	for o, ok := ep.out.Peek(); ok && ep.f.send(ep.node, o.dst, o.m, now); o, ok = ep.out.Peek() {
-		ep.out.Pop()
-		ep.stamp(o.m, now)
+	for m := ep.out.head; m != nil && ep.f.send(ep.node, int(m.dst), m, now); m = ep.out.head {
+		ep.out.pop()
+		ep.stamp(m, now)
 	}
 }
 
@@ -74,7 +72,7 @@ func (ep *endpoint) stamp(m *message, now sim.Cycle) {
 // all while a message waits, an injection retries or retries of the
 // owner's own pin it awake.
 func (ep *endpoint) sleep(now sim.Cycle, pinned bool, next sim.Cycle) {
-	if pinned || !ep.inbox.Empty() || !ep.out.Empty() {
+	if pinned || ep.inbox.head != nil || ep.out.head != nil {
 		next = now + 1
 	}
 	ep.handle.SleepUntil(next)

@@ -84,7 +84,13 @@ type PrivateL2 struct {
 	arr *cache.Array
 	cap int // miss table bound
 
-	hits *sim.Delay[*mem.Request] // hits on their way back to the L1
+	// hits are the hits on their way back to the L1, a fixed-latency
+	// pipe threaded through the requests: each is stamped with the cycle
+	// it hit (Request.Issued) and is ready hitLat cycles later. Hits
+	// arrive in cycle order, so the head is the first ready.
+	hits   mem.Waitlist
+	nhits  int
+	hitLat sim.Cycle
 
 	misses cache.MissTable[pl2Miss] // entries from the fabric's pool
 	wb     map[mem.Addr]wbEntry
@@ -103,7 +109,7 @@ func newPrivateL2(f *Fabric, id int) *PrivateL2 {
 		id:       id,
 		arr:      cache.NewArrayBySize(fmt.Sprintf("pl2.%d", id), cfg.PrivL2KB*1024, cfg.PrivL2Ways, cfg.LineBytes),
 		cap:      cfg.PrivL2MSHRs,
-		hits:     sim.NewDelay[*mem.Request](sim.Cycle(cfg.PrivL2Latency)),
+		hitLat:   sim.Cycle(cfg.PrivL2Latency),
 		misses:   cache.NewMissTable[pl2Miss](cfg.PrivL2MSHRs),
 		wb:       make(map[mem.Addr]wbEntry),
 	}
@@ -157,7 +163,9 @@ func (p *PrivateL2) Submit(r *mem.Request, now sim.Cycle) bool {
 			p.setState(line, psModified)
 		}
 		p.stats.Hits++
-		p.hits.Push(now, r)
+		r.Issued = now
+		p.hits.Push(r)
+		p.nhits++
 		p.handle.Wake()
 		return true
 	}
@@ -316,18 +324,20 @@ func (p *PrivateL2) sendPutM(line mem.Addr, dirty bool, now sim.Cycle) {
 // Tick completes the hits that fall due, drains the inbox, and retries
 // rejected injections, head first until one is refused.
 func (p *PrivateL2) Tick(now sim.Cycle) {
-	for r, at, ok := p.hits.Pop(now); ok; r, at, ok = p.hits.Pop(now) {
-		r.Complete(at)
+	for r := p.hits.Head(); r != nil && r.Issued+p.hitLat <= now; r = p.hits.Head() {
+		p.hits.Pop()
+		p.nhits--
+		r.Complete(r.Issued + p.hitLat)
 	}
-	for {
-		m, ok := p.inbox.Pop()
-		if !ok {
-			break
-		}
+	for m := p.inbox.pop(); m != nil; m = p.inbox.pop() {
 		p.process(m, now)
 	}
 	p.retry(now)
-	p.sleep(now, false, p.hits.NextAt())
+	next := sim.FarFuture
+	if r := p.hits.Head(); r != nil {
+		next = r.Issued + p.hitLat
+	}
+	p.sleep(now, false, next)
 }
 
 // process handles one protocol message addressed to this cache.

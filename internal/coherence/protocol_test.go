@@ -279,11 +279,11 @@ func TestWideSharerInvalidation(t *testing.T) {
 	}
 	d.process(r.f.newMsg(mGetM, line0, 63), now)
 	var got []int
-	for o, ok := d.out.Pop(); ok; o, ok = d.out.Pop() {
-		if o.m.kind != mInv {
-			t.Fatalf("bank sent %s to core %d, want only Invs", o.m.kind, o.dst)
+	for m := d.out.pop(); m != nil; m = d.out.pop() {
+		if m.kind != mInv {
+			t.Fatalf("bank sent %s to core %d, want only Invs", m.kind, m.dst)
 		}
-		got = append(got, o.dst)
+		got = append(got, int(m.dst))
 	}
 	if want := []int{3, 62, 64, 80}; !slices.Equal(got, want) {
 		t.Errorf("Invs sent to cores %v, want %v", got, want)
@@ -361,7 +361,7 @@ func TestDeferredQueueDrainsPastForwardAndForget(t *testing.T) {
 	lines := &r.f.dirs[0].lines
 	probe := func() {
 		if i := lines.find(line0); i >= 0 && lines.txn(i) != nil {
-			maxDeferred = max(maxDeferred, lines.txn(i).deferred())
+			maxDeferred = max(maxDeferred, lines.txn(i).deferred.n)
 		}
 	}
 	for c := sim.Cycle(2); c < 120; c++ {
@@ -399,8 +399,8 @@ func TestDeferredRequestReplaysAgainstInvalidLine(t *testing.T) {
 	if got := d.EntryState(line0); got != "BusyMemS" {
 		t.Fatalf("line is %s after the eviction, want BusyMemS: the parked GetS was not replayed", got)
 	}
-	if rec := d.lines.txn(d.lines.find(line0)); rec.req != getS || rec.deferred() != 0 {
-		t.Fatalf("entry serves %v with %d still parked, want the parked GetS and none", rec.req, rec.deferred())
+	if rec := d.lines.txn(d.lines.find(line0)); rec.req != getS || rec.deferred.n != 0 {
+		t.Fatalf("entry serves %v with %d still parked, want the parked GetS and none", rec.req, rec.deferred.n)
 	}
 }
 
@@ -569,6 +569,123 @@ func TestDeferralPathsAllocateNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("a round of reads merging onto a recycled miss allocated %v times, want 0", allocs)
+	}
+}
+
+// TestRetryPathsAllocateNothing drives, in an allocation-checked round,
+// the places a message or request waits its turn: a burst of GetS from
+// many cores for a few lines in a directory bank's inbox, the bank's
+// memory reads its controller refuses (they wait in the bank's
+// cache.Outbox), the Invs of a GetM against every other core, which
+// overrun the bank's injection port and wait in its retry queue, L1
+// misses a full private-L2 miss table refuses (they wait in the L1's
+// Outbox), and loads that hit in the private L2 and wait out its hit
+// latency. A deeper round toward the other bank first grows the
+// machine's pools; AllocsPerRun's warm-up round then waits shallowly toward this
+// bank, and the measured round deeper on every path, so a queue that
+// grew by doubling would allocate there. It must allocate nothing.
+func TestRetryPathsAllocateNothing(t *testing.T) {
+	r := newRig(t, 16, 2)
+	served := 0
+	done := cache.Waiter{Fn: func(int, sim.Cycle) { served++ }}
+	count := func(*mem.Request, sim.Cycle) { served++ }
+	// access has each core in cores load (or store) the lines, all in
+	// one cycle, each missing in its L1.
+	access := func(cores []int, store bool, lines ...mem.Addr) {
+		now := r.eng.Now()
+		for _, c := range cores {
+			for _, line := range lines {
+				if r.l1s[c].Access(now, 0x400, line, store, done) != cache.Miss {
+					t.Fatalf("core %d's access to line %#x did not miss in its L1", c, uint64(line))
+				}
+			}
+		}
+	}
+	type waits struct {
+		inbox, out             int
+		rejected, stalls, hits uint64
+	}
+	var w waits
+	// until runs the machine a cycle at a time until n accesses have
+	// completed since the last call, noting the deepest inbox and retry
+	// queue of bank d.
+	until := func(d *Directory, n int) {
+		for c := 0; served < n; c++ {
+			if c == 5000 {
+				t.Fatalf("%d of %d accesses completed in 5000 cycles", served, n)
+			}
+			r.run(1)
+			w.inbox, w.out = max(w.inbox, d.inbox.n), max(w.out, d.out.n)
+		}
+		served = 0
+	}
+	readers := make([]int, 15)
+	for c := range readers {
+		readers[c] = c + 1
+	}
+	lines := make([]mem.Addr, 0, 32)
+	// round drives every path toward bank d, with core c's L1 refused
+	// and hitting, at depth k: 0 (shallow) or 1 (deep), the readers
+	// sharing ns lines.
+	round := func(d *Directory, c, k, ns int, base mem.Addr) waits {
+		l2 := r.f.L2(c)
+		lines = lines[:0]
+		for ln := base; len(lines) < cap(lines); ln += 0x40 {
+			if r.f.homeDir(ln) == d {
+				lines = append(lines, ln)
+			}
+		}
+		shared, filled := lines[:ns], lines[ns:ns+l2.cap]
+		refused := lines[ns+l2.cap : ns+l2.cap+1+3*k]
+		w = waits{rejected: r.f.mesh.Stats().Rejected, stalls: l2.stats.MSHRStalls, hits: l2.stats.Hits}
+
+		r.mcs[d.id].rejects = 1 + 2*k
+		access(readers[:7+8*k], false, shared...)
+		until(d, (7+8*k)*len(shared))
+		access([]int{0}, true, shared[0])
+		until(d, 1)
+
+		now := r.eng.Now()
+		for i, ln := range filled {
+			req := r.f.ids.NewRequest()
+			req.Kind, req.Addr, req.Line, req.Core, req.OnDone = mem.Read, ln, ln, c, count
+			if !l2.Submit(req, now) {
+				t.Fatalf("core %d's L2 refused read %d with its miss table not yet full", c, i)
+			}
+		}
+		access([]int{c}, false, refused...)
+		until(d, len(filled)+len(refused))
+		access([]int{c}, false, filled[:2+6*k]...)
+		until(d, 2+6*k)
+
+		w.rejected = r.f.mesh.Stats().Rejected - w.rejected
+		w.stalls, w.hits = l2.stats.MSHRStalls-w.stalls, l2.stats.Hits-w.hits
+		return w
+	}
+	// The stub memory's event heap is not the machine's: grow it first.
+	for range 256 {
+		r.mcs[0].events.At(0, func() {})
+	}
+	r.run(1)
+	round(r.f.dirs[1], 9, 1, 8, line0)
+	var seen [2]waits
+	n := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		seen[n] = round(r.f.dirs[0], 8, n, 1+3*n, line0+mem.Addr(n+1)*0x100000)
+		n++
+	})
+	if n != 2 {
+		t.Fatalf("%d rounds ran, want 2", n)
+	}
+	one, two := seen[0], seen[1]
+	if two.inbox <= one.inbox || two.out <= one.out || two.rejected == 0 || r.mcs[0].rejects != 0 || one.stalls == 0 || two.stalls <= one.stalls || one.hits != 2 || two.hits != 8 {
+		t.Fatalf("rounds one and two waited %+v and %+v; want round two deeper in the inbox, the retry queue and the L1's refusals, injections refused, every memory refusal retried, and 2 then 8 L2 hits", one, two)
+	}
+	if allocs != 0 {
+		t.Errorf("round two allocated %v times, want 0", allocs)
+	}
+	if n := r.f.InFlight(); n != 0 {
+		t.Errorf("%d messages, misses or requests still in flight after the rounds", n)
 	}
 }
 

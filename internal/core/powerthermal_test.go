@@ -201,3 +201,68 @@ func TestThermalFigure(t *testing.T) {
 		}
 	}
 }
+
+// TestEnergyGaugesMatchCollect pins the power.energy.* gauges, which
+// share one computation per cycle and window: read at every sample they
+// equal a fresh breakdown, at the end of the run each equals its field
+// of Metrics.Energy (or EnergyBacking), and a ResetStats at the same
+// cycle is not served the window before it.
+func TestEnergyGaugesMatchCollect(t *testing.T) {
+	for _, mk := range []struct {
+		name string
+		cfg  func() *config.Config
+	}{
+		{"quadMC", config.QuadMC},
+		{"fast3D-cache", func() *config.Config {
+			return config.Fast3D().WithStackCache(config.StackCache, 64)
+		}},
+	} {
+		t.Run(mk.name, func(t *testing.T) {
+			cfg := mk.cfg()
+			cfg.WarmupCycles, cfg.MeasureCycles = 2_000, 8_000
+			sys, err := NewSystem(cfg, []string{"S.all", "mcf", "S.copy", "milc"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := telemetry.NewRegistry()
+			sys.instrumentEnergy(reg)
+			gauges := func(b, backing powerthermal.Breakdown) map[string]float64 {
+				want := map[string]float64{
+					"power.energy.activate_uj": b.ActivateUJ,
+					"power.energy.read_uj":     b.ReadUJ,
+					"power.energy.write_uj":    b.WriteUJ,
+					"power.energy.refresh_uj":  b.RefreshUJ,
+					"power.energy.bus_uj":      b.BusUJ,
+					"power.energy.static_uj":   b.StaticUJ,
+					"power.energy.total_uj":    b.TotalUJ(),
+				}
+				if sys.Stack != nil {
+					want["power.energy.backing_uj"] = backing.TotalUJ()
+				}
+				return want
+			}
+			check := func(when string, b, backing powerthermal.Breakdown) {
+				t.Helper()
+				for name, want := range gauges(b, backing) {
+					if got := reg.Gauge(name).Value(); got != want {
+						t.Fatalf("%s: %s reads %v, want %v", when, name, got, want)
+					}
+				}
+			}
+			samples := 0
+			sys.Observe(500, sim.TickFunc(func(now sim.Cycle) {
+				stack, backing := sys.machine.Energy(sys.measured())
+				check("a sample", stack, backing)
+				samples++
+			}))
+			m := sys.Run()
+			if samples != 20 || m.Energy.TotalUJ() <= 0 || (sys.Stack != nil) != (m.EnergyBacking.TotalUJ() > 0) {
+				t.Fatalf("%d samples, energy %v, backing %v: the run did not exercise the gauges", samples, m.Energy, m.EnergyBacking)
+			}
+			check("the run's end", m.Energy, m.EnergyBacking)
+			sys.ResetStats()
+			stack, backing := sys.machine.Energy(0)
+			check("a reset at the run's last cycle", stack, backing)
+		})
+	}
+}

@@ -567,12 +567,22 @@ func (s *System) instrumentEngine(reg *telemetry.Registry) {
 // poll-driven gauges, so the sampler's time-series (and statsdiff) can
 // gate on energy regressions. Values are microjoules accumulated since
 // the last ResetStats — at the final sample, the measured window's
-// energy, matching Metrics.Energy.
+// energy, matching Metrics.Energy. One sampler row reads every gauge at
+// one cycle, so the breakdowns are computed once per cycle and window:
+// a walk of every bank, not one per gauge.
 func (s *System) instrumentEnergy(reg *telemetry.Registry) {
-	energy := func() powerthermal.Breakdown {
-		stack, _ := s.machine.Energy(s.measured())
-		return stack
+	var (
+		at, since      sim.Cycle = -1, -1
+		stack, backing powerthermal.Breakdown
+	)
+	energies := func() (powerthermal.Breakdown, powerthermal.Breakdown) {
+		if now := s.Engine.Now(); now != at || s.statsSince != since {
+			at, since = now, s.statsSince
+			stack, backing = s.machine.Energy(s.measured())
+		}
+		return stack, backing
 	}
+	energy := func() powerthermal.Breakdown { b, _ := energies(); return b }
 	reg.GaugeFunc("power.energy.activate_uj", func() float64 { return energy().ActivateUJ })
 	reg.GaugeFunc("power.energy.read_uj", func() float64 { return energy().ReadUJ })
 	reg.GaugeFunc("power.energy.write_uj", func() float64 { return energy().WriteUJ })
@@ -581,10 +591,7 @@ func (s *System) instrumentEnergy(reg *telemetry.Registry) {
 	reg.GaugeFunc("power.energy.static_uj", func() float64 { return energy().StaticUJ })
 	reg.GaugeFunc("power.energy.total_uj", func() float64 { return energy().TotalUJ() })
 	if s.Stack != nil {
-		reg.GaugeFunc("power.energy.backing_uj", func() float64 {
-			_, backing := s.machine.Energy(s.measured())
-			return backing.TotalUJ()
-		})
+		reg.GaugeFunc("power.energy.backing_uj", func() float64 { _, b := energies(); return b.TotalUJ() })
 	}
 }
 

@@ -164,6 +164,20 @@ func (l *Waitlist) Pop() *Request {
 	return r
 }
 
+// PushFront parks r ahead of the list's requests: what a caller that
+// popped the head to offer it elsewhere does when the offer is refused,
+// so the list keeps its order. It panics if r is already parked.
+func (l *Waitlist) PushFront(r *Request) {
+	if r.parked {
+		panic(fmt.Sprintf("mem: %v parked on a second waitlist", r))
+	}
+	r.parked, r.next = true, l.head
+	if l.head == nil {
+		l.tail = r
+	}
+	l.head = r
+}
+
 // Head returns the oldest request without unparking it, nil when none
 // is parked; Next walks the rest.
 func (l *Waitlist) Head() *Request { return l.head }

@@ -116,6 +116,7 @@ func New(p Params) *Controller {
 		panic("memctrl: LineBytes must be >= 1")
 	}
 	c := &Controller{p: p, queue: sim.NewQueue[queued](p.QueueCap)}
+	c.queue.Reserve(p.QueueCap)
 	c.respondFn = func(arg any, at sim.Cycle) {
 		c.stats.Completed++
 		if c.p.Respond != nil {

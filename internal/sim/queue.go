@@ -160,6 +160,11 @@ func NewDelay[T any](latency Cycle) *Delay[T] {
 // Len reports the number of in-flight items.
 func (d *Delay[T]) Len() int { return d.items.Len() }
 
+// Reserve makes room for n in-flight items in one allocation, for a pipe
+// whose depth has a known bound (the pushes one latency's worth of
+// cycles can make).
+func (d *Delay[T]) Reserve(n int) { d.items.Reserve(n) }
+
 // Push inserts item at cycle now; it becomes ready at now+latency.
 func (d *Delay[T]) Push(now Cycle, item T) {
 	ready := now + d.latency

@@ -327,3 +327,22 @@ func TestQueueReserve(t *testing.T) {
 		t.Fatalf("100 pushes into reserved room made %v allocations and a buffer of %d, want 0 and 128", a, len(q.buf))
 	}
 }
+
+// TestDelayReserve pins Delay.Reserve: a pipe sized for its bound, one
+// push a cycle with what is due popped first, holds at most its latency
+// in items and fills the room it was given with one allocation.
+func TestDelayReserve(t *testing.T) {
+	const lat = 4
+	var d *Delay[int]
+	if a := testing.AllocsPerRun(1, func() {
+		d = NewDelay[int](lat)
+		d.Reserve(lat + 1)
+		for now := range Cycle(64) {
+			for _, _, ok := d.Pop(now); ok; _, _, ok = d.Pop(now) {
+			}
+			d.Push(now, int(now))
+		}
+	}); a != 2 || len(d.items.buf) != 8 || d.Len() != lat {
+		t.Fatalf("building, reserving and running a pipe made %v allocations, a buffer of %d and %d in flight; want 2, 8 and %d", a, len(d.items.buf), d.Len(), lat)
+	}
+}

@@ -92,16 +92,34 @@ if [ -n "$funcs" ]; then
 	exit 1
 fi
 
-# A protocol message waits in at most one place: deferred behind a busy
-# line, in its directory record's FIFO threaded through message.next, or
-# held as a private-L2 miss's one early forward. A slice of messages in
-# the fabric is a queue that grows behind a hot line again, and one that
-# a reused record or miss reallocates.
+# A protocol message waits in at most one place: in its sender's retry
+# queue, its receiver's inbox or its directory record's deferred FIFO,
+# each threaded through message.next, in the mesh or a bank's lookup
+# pipe, or held as a private-L2 miss's one early forward. A slice of
+# messages in the fabric is a queue that grows behind a hot line again,
+# and one that a reused record or miss reallocates.
 echo "== no []*message in internal/coherence"
 msgs=$(grep -nF '[]*message' internal/coherence/*.go | grep -v '_test\.go:' || true)
 if [ -n "$msgs" ]; then
 	echo "$msgs" >&2
 	echo "verify: a slice of protocol messages has moved back in" >&2
+	exit 1
+fi
+
+# The queues a 64-core run fills and drains on every miss are lists
+# threaded through what they hold: an endpoint's inbox and retry queue
+# (the destination rides on the message), a cache.Outbox's refused
+# requests (a mem.Waitlist), a private L2's hits. A ring of messages, an
+# outMsg pair or a ring in the Outbox grows by doubling during the run
+# again.
+echo "== no outMsg or sim.Queue[*message] in internal/coherence, no sim.Queue in cache.Outbox"
+rings=$(
+	grep -nE 'outMsg|sim\.Queue\[\*message\]' internal/coherence/*.go | grep -v '_test\.go:' || true
+	grep -Hn 'sim\.Queue' internal/cache/port.go || true
+)
+if [ -n "$rings" ]; then
+	echo "$rings" >&2
+	echo "verify: a ring queue has moved back onto the many-core request path" >&2
 	exit 1
 fi
 
