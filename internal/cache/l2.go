@@ -704,7 +704,7 @@ func (l *L2) handleFill(mshrIdx int, e *mshr.Entry, read *mem.Request, at sim.Cy
 	var st uint8
 	if p := e.Primary(); p != nil && p.Kind == mem.Prefetch && p.Core < 0 {
 		demandWaiter := false
-		for w := p.Next(); w != nil; w = w.Next() {
+		for w := range e.Waiters.All() { // the primary, a prefetch, is none
 			if w.Kind.IsDemand() {
 				demandWaiter = true
 				break

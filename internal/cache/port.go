@@ -21,8 +21,7 @@ type Port interface {
 type Outbox struct {
 	to    Port
 	owner *sim.TickHandle
-	q     mem.Waitlist
-	n     int // requests parked on q
+	q     sim.List[*mem.Request]
 }
 
 // NewOutbox returns an empty outbox toward to.
@@ -39,8 +38,7 @@ func (o *Outbox) SetOwner(h *sim.TickHandle) { o.owner = h }
 // recorded digest: do not queue behind a non-empty outbox instead.
 func (o *Outbox) Send(r *mem.Request, now sim.Cycle) {
 	if !o.to.Submit(r, now) {
-		o.q.Push(r)
-		o.n++
+		o.q.Push(r, &r.Link)
 		o.owner.Wake()
 	}
 }
@@ -52,13 +50,12 @@ func (o *Outbox) Send(r *mem.Request, now sim.Cycle) {
 func (o *Outbox) Retry(now sim.Cycle) {
 	for r := o.q.Pop(); r != nil; r = o.q.Pop() {
 		if !o.to.Submit(r, now) {
-			o.q.PushFront(r)
+			o.q.PushFront(r, &r.Link)
 			return
 		}
-		o.n--
 	}
 }
 
 // Len reports the requests waiting for a retry — part of what the owner
 // has in flight.
-func (o *Outbox) Len() int { return o.n }
+func (o *Outbox) Len() int { return o.q.Len() }

@@ -78,64 +78,29 @@ func (k msgKind) String() string {
 // dispatches on it, since a directory shares its mesh node with a core.
 func (k msgKind) toDirectory() bool { return k <= mWBData }
 
-// message is one protocol message. Messages are pooled by the fabric;
-// the receiver releases them after processing.
+// message is one protocol message, one object from newMsg to the putMsg
+// of whoever consumes it: the mesh moves the header it embeds, whose Body
+// points back at it. Src is the sender's node (a core, or a directory
+// bank's node) and Dst the node it is injected toward.
 type message struct {
+	noc.Header[*message]
 	kind      msgKind
 	line      mem.Addr
-	from      int   // sender core (mesh node); directory responses carry the bank's node
-	requester int   // Fwd*: core the owner must send data to
-	clean     bool  // PutM: the line was never written (PutE) — no memory update
-	dirty     bool  // WBData: the demoted line was modified
-	excl      bool  // DataE/DataOwner: the grant is exclusive (GetM response)
-	dst       int32 // the mesh node the sender injects it toward
+	requester int  // Fwd*: core the owner must send data to
+	clean     bool // PutM: the line was never written (PutE) — no memory update
+	dirty     bool // WBData: the demoted line was modified
+	excl      bool // DataE/DataOwner: the grant is exclusive (GetM response)
 
 	// tag carries the requester's cycle-accounting lifecycle along the
 	// protocol path, so forwards hand it to whoever ends up injecting
 	// the data response. Nil when attribution is off or the message has
 	// no associated demand miss.
 	tag *attrib.Tag
-	// next is the message behind this one on the msgList it waits on:
-	// its sender's retry queue (endpoint.out), its receiver's inbox
-	// (endpoint.inbox), or its line's deferred requests at a directory
-	// bank (txn.deferred). A message is in one place at a time: on one
-	// of those lists, in the mesh, in a bank's lookup pipe, or held as
-	// a private-L2 miss's early forward (pl2Miss.fwd); only the lists
-	// link through it.
-	next *message
 }
 
-// msgList is a FIFO of messages threaded through message.next, so
-// queueing a message allocates nothing. The zero value is empty.
-type msgList struct {
-	head, tail *message
-	n          int
-}
-
-// push queues m behind the list's messages.
-func (l *msgList) push(m *message) {
-	if l.tail == nil {
-		l.head = m
-	} else {
-		l.tail.next = m
-	}
-	l.tail = m
-	l.n++
-}
-
-// pop unlinks and returns the oldest message, nil when the list is
-// empty.
-func (l *msgList) pop() *message {
-	m := l.head
-	if m != nil {
-		l.head, m.next = m.next, nil
-		if l.head == nil {
-			l.tail = nil
-		}
-		l.n--
-	}
-	return m
-}
+// fifo is a queue of messages threaded through their headers' Link, the
+// link the mesh queues them on: a message is in one place at a time.
+type fifo = sim.List[*noc.Header[*message]]
 
 // Params wires a fabric.
 type Params struct {
@@ -154,7 +119,7 @@ type Fabric struct {
 	cfg  *config.Config
 	amap mem.AddrMap
 	ids  *mem.IDSource
-	mesh *noc.Mesh
+	mesh *noc.Mesh[*message]
 	l2s  []*PrivateL2
 	dirs []*Directory
 
@@ -193,7 +158,7 @@ func New(p Params) *Fabric {
 		ctrlBytes: 8,
 		dataBytes: 8 + cfg.LineBytes,
 	}
-	f.mesh = noc.New(noc.Params{
+	f.mesh = noc.NewOf[*message](noc.Params{
 		W: dim, H: dim,
 		LinkBytes:     cfg.MeshLinkBytes,
 		LinkLatency:   sim.Cycle(cfg.MeshLinkLatency),
@@ -220,7 +185,7 @@ func New(p Params) *Fabric {
 func (f *Fabric) L2(c int) *PrivateL2 { return f.l2s[c] }
 
 // Mesh exposes the NoC (stats, digest).
-func (f *Fabric) Mesh() *noc.Mesh { return f.mesh }
+func (f *Fabric) Mesh() *noc.Mesh[*message] { return f.mesh }
 
 // Register wires every fabric component into the engine's tick order:
 // private L2s, then directories, then the mesh. Both endpoint kinds
@@ -248,7 +213,7 @@ func (f *Fabric) DeferredRequests() int {
 	n := 0
 	for _, d := range f.dirs {
 		for _, rec := range d.lines.open() {
-			n += rec.deferred.n
+			n += rec.deferred.Len()
 		}
 	}
 	return n
@@ -272,10 +237,10 @@ func (f *Fabric) TransientLines() int {
 func (f *Fabric) InFlight() int {
 	n := f.mesh.InFlight()
 	for _, l := range f.l2s {
-		n += l.misses.Len() + len(l.wb) + l.inbox.n + l.out.n + l.nhits
+		n += l.misses.Len() + len(l.wb) + l.inbox.Len() + l.out.Len() + l.hits.Len()
 	}
 	for _, d := range f.dirs {
-		n += d.inbox.n + d.out.n + d.toMC.Len() + d.lookups.Len()
+		n += d.inbox.Len() + d.out.Len() + d.toMC.Len() + d.lookups.Len()
 	}
 	return n
 }
@@ -284,7 +249,8 @@ func (f *Fabric) InFlight() int {
 // miss tables and writeback buffers that never drained, messages stuck
 // in the mesh or credits it never returned, a directory line still in
 // flight — each by bank, line, state and the requests parked behind it
-// (the liveness clause) — or counters that do not balance.
+// (the liveness clause) — a message or miss entry its pool never got
+// back, or counters that do not balance.
 func (f *Fabric) CheckDrained() error {
 	var errs []error
 	for c, l := range f.l2s {
@@ -306,8 +272,17 @@ func (f *Fabric) CheckDrained() error {
 	}
 	for _, d := range f.dirs {
 		for line, rec := range d.lines.open() {
-			errs = append(errs, fmt.Errorf("directory %d holds line %#x in %s with %d deferred requests after quiesce", d.id, uint64(line), d.EntryState(line), rec.deferred.n))
+			errs = append(errs, fmt.Errorf("directory %d holds line %#x in %s with %d deferred requests after quiesce", d.id, uint64(line), d.EntryState(line), rec.deferred.Len()))
 		}
+	}
+	// Everything above is empty, so every message and miss entry the
+	// pools handed out must be back: one that is not leaked from a path
+	// that forgot its putMsg or its Put.
+	if n := f.msgs.Live(); n != 0 {
+		errs = append(errs, fmt.Errorf("fabric message pool: %d messages never recycled after quiesce", n))
+	}
+	if n := f.misses.Live(); n != 0 {
+		errs = append(errs, fmt.Errorf("private L2 miss pool: %d entries never recycled after quiesce", n))
 	}
 	if cs := f.Stats(); cs.Hits > cs.Accesses {
 		errs = append(errs, fmt.Errorf("coherence: hits %d exceed accesses %d", cs.Hits, cs.Accesses))
@@ -326,9 +301,9 @@ func (f *Fabric) CheckDrained() error {
 func (f *Fabric) AttachAttrib(col *attrib.Collector) { f.attrib = col }
 
 // deliver dispatches an ejected mesh message to the directory bank or
-// private L2 living at the destination node.
-func (f *Fabric) deliver(dst int, nm *noc.Msg, now sim.Cycle) {
-	m := nm.Payload.(*message)
+// private L2 living at its destination node.
+func (f *Fabric) deliver(dst int, h *noc.Header[*message], now sim.Cycle) {
+	m := h.Body
 	if m.kind.toDirectory() {
 		d := f.dirAtNode[dst]
 		if d < 0 {
@@ -355,22 +330,17 @@ func (f *Fabric) bytesOf(m *message) int {
 	return f.ctrlBytes
 }
 
-// send injects m into the mesh; false means the local injection port is
-// out of credits and the caller must retry.
-func (f *Fabric) send(src, dst int, m *message, now sim.Cycle) bool {
-	return f.mesh.Send(src, dst, f.bytesOf(m), m, now)
-}
-
 // homeDir returns the directory bank owning a line (the bank beside
 // the line's memory controller) — one bank per vertical slice.
 func (f *Fabric) homeDir(line mem.Addr) *Directory {
 	return f.dirs[f.amap.MCOf(line)]
 }
 
-// newMsg returns a pooled, zeroed message.
-func (f *Fabric) newMsg(kind msgKind, line mem.Addr, from int) *message {
+// newMsg returns a pooled message of kind for line, sent from mesh node
+// src, its other fields zero.
+func (f *Fabric) newMsg(kind msgKind, line mem.Addr, src int) *message {
 	m := f.msgs.Get()
-	*m = message{kind: kind, line: line, from: from}
+	*m = message{Header: noc.Header[*message]{Src: src, Body: m}, kind: kind, line: line}
 	return m
 }
 

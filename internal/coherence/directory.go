@@ -160,8 +160,8 @@ func (d *Directory) Tick(now sim.Cycle) {
 	for m, at, ok := d.lookups.Pop(now); ok; m, at, ok = d.lookups.Pop(now) {
 		d.process(m, at)
 	}
-	if m := d.inbox.pop(); m != nil {
-		d.lookups.Push(now, m)
+	if h := d.inbox.Pop(); h != nil {
+		d.lookups.Push(now, h.Body)
 	}
 	d.retry(now)
 	d.toMC.Retry(now)
@@ -177,7 +177,7 @@ func (d *Directory) memRead(m *message, now sim.Cycle) {
 	r.Kind = mem.Read
 	r.Addr = m.line
 	r.Line = m.line
-	r.Core = m.from
+	r.Core = m.Src
 	r.Born = now
 	r.Attrib = m.tag
 	r.OnDone = d.onMemRead
@@ -207,27 +207,27 @@ func (d *Directory) memReadDone(r *mem.Request, now sim.Cycle) {
 			// No sharers: MESI's E grant. Tracked as ownership.
 			d.stats.DataE++
 			t.setState(i, dirM)
-			t.setOwner(i, req.from)
+			t.setOwner(i, req.Src)
 			grant := d.f.newMsg(mDataE, line, d.node)
 			grant.tag = req.tag
-			d.inject(grant, req.from, now)
+			d.inject(grant, req.Src, now)
 		} else {
 			d.stats.DataS++
 			t.setState(i, dirS)
-			t.setSharer(i, req.from)
+			t.setSharer(i, req.Src)
 			grant := d.f.newMsg(mData, line, d.node)
 			grant.tag = req.tag
-			d.inject(grant, req.from, now)
+			d.inject(grant, req.Src, now)
 		}
 	case trBusyMemM:
 		d.stats.DataE++
 		t.setState(i, dirM)
-		t.setOwner(i, req.from)
+		t.setOwner(i, req.Src)
 		t.clearSharers(i)
 		grant := d.f.newMsg(mDataE, line, d.node)
 		grant.excl = true
 		grant.tag = req.tag
-		d.inject(grant, req.from, now)
+		d.inject(grant, req.Src, now)
 	}
 	d.f.putMsg(req)
 	d.settle(line, now)
@@ -248,7 +248,7 @@ func (d *Directory) settle(line mem.Addr, now sim.Cycle) {
 			return
 		}
 		rec := t.txn(i)
-		if rec == nil || rec.deferred.head == nil {
+		if rec == nil || rec.deferred.Len() == 0 {
 			if rec != nil {
 				t.closeTxn(i)
 			}
@@ -257,7 +257,7 @@ func (d *Directory) settle(line mem.Addr, now sim.Cycle) {
 			}
 			return
 		}
-		d.process(rec.deferred.pop(), now)
+		d.process(rec.deferred.Pop().Body, now)
 	}
 }
 
@@ -287,7 +287,7 @@ func (d *Directory) process(m *message, now sim.Cycle) {
 // defer_ parks a request behind the busy line in slot i.
 func (d *Directory) defer_(m *message, i int) {
 	d.stats.Deferred++
-	d.lines.openTxn(i).deferred.push(m)
+	d.lines.openTxn(i).deferred.Push(&m.Header, &m.Link)
 }
 
 // entryFor returns the slot a request against line starts from: i, or,
@@ -315,7 +315,7 @@ func (d *Directory) getS(m *message, i int, now sim.Cycle) {
 		d.stats.FwdGetS++
 		t.begin(i, trBusyFwdS, m)
 		fwd := d.f.newMsg(mFwdGetS, m.line, d.node)
-		fwd.requester = m.from
+		fwd.requester = m.Src
 		fwd.tag = m.tag
 		d.inject(fwd, t.owner(i), now)
 	}
@@ -330,7 +330,7 @@ func (d *Directory) getM(m *message, i int, now sim.Cycle) {
 	case s.busy():
 		d.defer_(m, i)
 	case s == dirS:
-		wasSharer := t.isSharer(i, m.from)
+		wasSharer := t.isSharer(i, m.Src)
 		others := t.sharerCount(i)
 		if wasSharer {
 			others--
@@ -347,7 +347,7 @@ func (d *Directory) getM(m *message, i int, now sim.Cycle) {
 		// The sharers in ascending core order, word by word.
 		for w := 0; w <= t.extra; w++ {
 			for set := *t.word(i, w); set != 0; set &= set - 1 {
-				if c := 64*w + bits.TrailingZeros64(set); c != m.from {
+				if c := 64*w + bits.TrailingZeros64(set); c != m.Src {
 					d.stats.InvSent++
 					inv := d.f.newMsg(mInv, m.line, d.node)
 					d.inject(inv, c, now)
@@ -360,10 +360,10 @@ func (d *Directory) getM(m *message, i int, now sim.Cycle) {
 		// buffer) without further directory involvement.
 		d.stats.FwdGetM++
 		fwd := d.f.newMsg(mFwdGetM, m.line, d.node)
-		fwd.requester = m.from
+		fwd.requester = m.Src
 		fwd.tag = m.tag
 		d.inject(fwd, t.owner(i), now)
-		t.setOwner(i, m.from)
+		t.setOwner(i, m.Src)
 		d.f.putMsg(m)
 	}
 }
@@ -372,11 +372,11 @@ func (d *Directory) getM(m *message, i int, now sim.Cycle) {
 func (d *Directory) grantAckM(m *message, i int, now sim.Cycle) {
 	d.stats.AckM++
 	d.lines.setState(i, dirM)
-	d.lines.setOwner(i, m.from)
+	d.lines.setOwner(i, m.Src)
 	d.lines.clearSharers(i)
 	ack := d.f.newMsg(mAckM, m.line, d.node)
 	ack.tag = m.tag
-	d.inject(ack, m.from, now)
+	d.inject(ack, m.Src, now)
 	d.f.putMsg(m)
 }
 
@@ -385,7 +385,7 @@ func (d *Directory) putM(m *message, i int, now sim.Cycle) {
 	if i >= 0 {
 		s = t.state(i)
 	}
-	owned := (s == dirM || s == trBusyFwdS) && t.owner(i) == m.from
+	owned := (s == dirM || s == trBusyFwdS) && t.owner(i) == m.Src
 	switch {
 	case owned && s == dirM:
 		// The owner's eviction: write the data, retire the line.
@@ -409,7 +409,7 @@ func (d *Directory) putM(m *message, i int, now sim.Cycle) {
 		rec.req = nil
 		t.setState(i, dirS)
 		t.clearSharers(i)
-		t.setSharer(i, req.from)
+		t.setSharer(i, req.Src)
 		d.f.putMsg(req)
 		d.ackWB(m, now)
 		d.settle(m.line, now)
@@ -433,7 +433,7 @@ func (d *Directory) putM(m *message, i int, now sim.Cycle) {
 // writeback-buffer entry, then releases the message.
 func (d *Directory) ackWB(m *message, now sim.Cycle) {
 	ack := d.f.newMsg(mWBAck, m.line, d.node)
-	d.inject(ack, m.from, now)
+	d.inject(ack, m.Src, now)
 	d.f.putMsg(m)
 }
 
@@ -475,7 +475,7 @@ func (d *Directory) wbData(m *message, i int, now sim.Cycle) {
 	rec.req = nil
 	t.setState(i, dirS)
 	t.clearSharers(i)
-	t.setSharer(i, m.from)      // the demoted owner keeps an S copy
+	t.setSharer(i, m.Src)       // the demoted owner keeps an S copy
 	t.setSharer(i, m.requester) // the requester got the data cache-to-cache
 	d.f.putMsg(req)
 	d.f.putMsg(m)

@@ -42,7 +42,7 @@ type txn struct {
 	req *message
 	// deferred are the requests that arrived while the line was busy,
 	// replayed in order once it settles.
-	deferred     msgList
+	deferred     fifo
 	key          uint32 // the line's key; zero while the record is closed
 	owner        int32  // the line's owner (dirM, trBusyFwdS) while open
 	acksLeft     int32  // trBusyInv

@@ -18,6 +18,16 @@ func TestDirEntryFitsOneSlot(t *testing.T) {
 	}
 }
 
+// TestMessageFitsTwoLines pins a protocol message, mesh header and all,
+// to two host cache lines: the fabric's pool hands messages out of slabs
+// of 128-byte elements, so the header's first line, which holds all a
+// hop touches, is one line of every message.
+func TestMessageFitsTwoLines(t *testing.T) {
+	if n := unsafe.Sizeof(message{}); n != 128 {
+		t.Fatalf("message is %d bytes, want 128", n)
+	}
+}
+
 // fuzzKeys is FuzzDirTable's key universe of 32 lines: 8 whose home is
 // the last slot and 4 whose home is slot 0 at every table size up to
 // 128 slots, so their probe runs wrap past the end of the array into
@@ -130,7 +140,8 @@ func FuzzDirTable(f *testing.F) {
 			case dfr, 6 << 5:
 				if live {
 					m := &message{line: line}
-					tb.openTxn(i).deferred.push(m)
+					m.Body = m
+					tb.openTxn(i).deferred.Push(&m.Header, &m.Link)
 					ref.open, ref.deferred = true, append(ref.deferred, m)
 				}
 			case pop:
@@ -139,7 +150,11 @@ func FuzzDirTable(f *testing.F) {
 					if len(ref.deferred) > 0 {
 						want, ref.deferred = ref.deferred[0], ref.deferred[1:]
 					}
-					if got := tb.txn(i).deferred.pop(); got != want {
+					var got *message
+					if h := tb.txn(i).deferred.Pop(); h != nil {
+						got = h.Body
+					}
+					if got != want {
 						t.Fatalf("op %d: key %d replayed %p, want %p", n, k, got, want)
 					}
 				}
@@ -158,26 +173,22 @@ func FuzzDirTable(f *testing.F) {
 // replayAll empties a record's deferred queue the way settle does,
 // oldest first.
 func replayAll(r *txn) {
-	for r.deferred.pop() != nil {
+	for r.deferred.Pop() != nil {
 	}
 }
 
 // deferredOf walks a record's deferred queue from its head, in order,
 // for at most limit requests (a queue linked into a cycle stops there),
-// and reports whether its tail names the last request walked and its
-// count the number walked.
+// and reports whether its count is the number walked.
 func deferredOf(r *txn, limit int) ([]*message, bool) {
 	var q []*message
-	for m := r.deferred.head; m != nil && len(q) < limit; m = m.next {
-		q = append(q, m)
+	for h := range r.deferred.All() {
+		if len(q) == limit {
+			break
+		}
+		q = append(q, h.Body)
 	}
-	if r.deferred.n != len(q) {
-		return q, false
-	}
-	if len(q) == 0 {
-		return q, r.deferred.tail == nil
-	}
-	return q, r.deferred.tail == q[len(q)-1]
+	return q, r.deferred.Len() == len(q)
 }
 
 // checkDirTable holds tb to FuzzDirTable's reference after op n.
@@ -221,7 +232,7 @@ func checkDirTable(t *testing.T, n int, tb *dirTable, keys []mem.Addr, shadow ma
 		opened++
 		q, tailOK := deferredOf(rec, len(ref.deferred)+1)
 		if rec.key != tb.slots[i].key || rec.req != ref.req || !slices.Equal(q, ref.deferred) || !tailOK {
-			t.Fatalf("op %d: key %d's record serves %p with %d deferred (tail and count in place: %v), want %p with %d", n, k, rec.req, len(q), tailOK, ref.req, len(ref.deferred))
+			t.Fatalf("op %d: key %d's record serves %p with %d deferred (count in place: %v), want %p with %d", n, k, rec.req, len(q), tailOK, ref.req, len(ref.deferred))
 		}
 	}
 	if tb.openTxns != opened {
@@ -256,7 +267,7 @@ func checkDirTable(t *testing.T, n int, tb *dirTable, keys []mem.Addr, shadow ma
 		t.Fatalf("op %d: %d records walked, %d closed of %d, with %d open", n, walked, len(tb.closed), len(tb.txns), opened)
 	}
 	for _, x := range tb.closed {
-		if r := &tb.txns[x]; reached[uint32(x)] || r.key != 0 || r.req != nil || r.deferred != (msgList{}) || r.owner != 0 {
+		if r := &tb.txns[x]; reached[uint32(x)] || r.key != 0 || r.req != nil || r.deferred != (fifo{}) || r.owner != 0 {
 			t.Fatalf("op %d: closed record %d is reachable or not clear", n, x)
 		}
 		reached[uint32(x)] = true

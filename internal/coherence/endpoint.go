@@ -13,8 +13,8 @@ import "stackedsim/internal/sim"
 type endpoint struct {
 	f      *Fabric
 	node   int
-	inbox  msgList
-	out    msgList
+	inbox  fifo
+	out    fifo
 	handle *sim.TickHandle
 }
 
@@ -27,7 +27,7 @@ func (ep *endpoint) register(e *sim.Engine, owner sim.Ticker) {
 
 // recv queues a delivered message for the owner's next Tick.
 func (ep *endpoint) recv(m *message, now sim.Cycle) {
-	ep.inbox.push(m)
+	ep.inbox.Push(&m.Header, &m.Link)
 	ep.handle.Wake()
 }
 
@@ -37,22 +37,27 @@ func (ep *endpoint) recv(m *message, now sim.Cycle) {
 // mesh orders messages per source-destination pair and the protocol
 // relies on it.
 func (ep *endpoint) inject(m *message, dst int, now sim.Cycle) {
-	m.dst = int32(dst)
-	if ep.out.head == nil && ep.f.send(ep.node, dst, m, now) {
+	m.Dst = dst
+	if ep.out.Len() == 0 && ep.f.mesh.Send(ep.node, dst, ep.f.bytesOf(m), &m.Header, now) {
 		ep.stamp(m, now)
 		return
 	}
-	ep.out.push(m)
+	ep.out.Push(&m.Header, &m.Link)
 	ep.handle.Wake()
 }
 
 // retry offers the head of the refused injections until one is refused
 // again: order is kept, so nothing behind a refused head could go, and a
-// link-bound bank's queue runs tens deep.
+// link-bound bank's queue runs tens deep. The head is unlinked before it
+// is offered, since the mesh queues it on the same link, and goes back
+// to the front on refusal.
 func (ep *endpoint) retry(now sim.Cycle) {
-	for m := ep.out.head; m != nil && ep.f.send(ep.node, int(m.dst), m, now); m = ep.out.head {
-		ep.out.pop()
-		ep.stamp(m, now)
+	for h := ep.out.Pop(); h != nil; h = ep.out.Pop() {
+		if !ep.f.mesh.Send(ep.node, h.Dst, ep.f.bytesOf(h.Body), h, now) {
+			ep.out.PushFront(h, &h.Link)
+			return
+		}
+		ep.stamp(h.Body, now)
 	}
 }
 
@@ -72,7 +77,7 @@ func (ep *endpoint) stamp(m *message, now sim.Cycle) {
 // all while a message waits, an injection retries or retries of the
 // owner's own pin it awake.
 func (ep *endpoint) sleep(now sim.Cycle, pinned bool, next sim.Cycle) {
-	if pinned || ep.inbox.head != nil || ep.out.head != nil {
+	if pinned || ep.inbox.Len() > 0 || ep.out.Len() > 0 {
 		next = now + 1
 	}
 	ep.handle.SleepUntil(next)

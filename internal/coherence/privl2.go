@@ -38,7 +38,7 @@ type pl2Miss struct {
 	// per line, so one is the most a miss can hold.
 	fwd *message
 	// waiters are the L1 requests parked on the miss, in arrival order.
-	waiters mem.Waitlist
+	waiters sim.List[*mem.Request]
 }
 
 // wbEntry is one eviction held in the writeback buffer: a PutM/PutE in
@@ -88,8 +88,7 @@ type PrivateL2 struct {
 	// pipe threaded through the requests: each is stamped with the cycle
 	// it hit (Request.Issued) and is ready hitLat cycles later. Hits
 	// arrive in cycle order, so the head is the first ready.
-	hits   mem.Waitlist
-	nhits  int
+	hits   sim.List[*mem.Request]
 	hitLat sim.Cycle
 
 	misses cache.MissTable[pl2Miss] // entries from the fabric's pool
@@ -164,8 +163,7 @@ func (p *PrivateL2) Submit(r *mem.Request, now sim.Cycle) bool {
 		}
 		p.stats.Hits++
 		r.Issued = now
-		p.hits.Push(r)
-		p.nhits++
+		p.hits.Push(r, &r.Link)
 		p.handle.Wake()
 		return true
 	}
@@ -179,7 +177,7 @@ func (p *PrivateL2) Submit(r *mem.Request, now sim.Cycle) bool {
 			r.Attrib = p.f.attrib.NewTag(now, r.Core)
 			r.Attrib.MarkMerged()
 		}
-		m.waiters.Push(r)
+		m.waiters.Push(r, &r.Link)
 		return true
 	}
 	if _, ok := p.wb[line]; ok {
@@ -218,7 +216,7 @@ func (p *PrivateL2) Submit(r *mem.Request, now sim.Cycle) bool {
 	}
 	r.Attrib.Alloc(now)
 	m := p.newMiss(line, excl)
-	m.waiters.Push(r)
+	m.waiters.Push(r, &r.Link)
 	p.misses.Add(line, m)
 	p.sendRequest(m, r.Attrib, now)
 	return true
@@ -326,11 +324,10 @@ func (p *PrivateL2) sendPutM(line mem.Addr, dirty bool, now sim.Cycle) {
 func (p *PrivateL2) Tick(now sim.Cycle) {
 	for r := p.hits.Head(); r != nil && r.Issued+p.hitLat <= now; r = p.hits.Head() {
 		p.hits.Pop()
-		p.nhits--
 		r.Complete(r.Issued + p.hitLat)
 	}
-	for m := p.inbox.pop(); m != nil; m = p.inbox.pop() {
-		p.process(m, now)
+	for h := p.inbox.Pop(); h != nil; h = p.inbox.Pop() {
+		p.process(h.Body, now)
 	}
 	p.retry(now)
 	next := sim.FarFuture

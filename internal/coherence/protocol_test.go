@@ -279,11 +279,11 @@ func TestWideSharerInvalidation(t *testing.T) {
 	}
 	d.process(r.f.newMsg(mGetM, line0, 63), now)
 	var got []int
-	for m := d.out.pop(); m != nil; m = d.out.pop() {
-		if m.kind != mInv {
-			t.Fatalf("bank sent %s to core %d, want only Invs", m.kind, m.dst)
+	for h := d.out.Pop(); h != nil; h = d.out.Pop() {
+		if h.Body.kind != mInv {
+			t.Fatalf("bank sent %s to core %d, want only Invs", h.Body.kind, h.Dst)
 		}
-		got = append(got, int(m.dst))
+		got = append(got, h.Dst)
 	}
 	if want := []int{3, 62, 64, 80}; !slices.Equal(got, want) {
 		t.Errorf("Invs sent to cores %v, want %v", got, want)
@@ -361,7 +361,7 @@ func TestDeferredQueueDrainsPastForwardAndForget(t *testing.T) {
 	lines := &r.f.dirs[0].lines
 	probe := func() {
 		if i := lines.find(line0); i >= 0 && lines.txn(i) != nil {
-			maxDeferred = max(maxDeferred, lines.txn(i).deferred.n)
+			maxDeferred = max(maxDeferred, lines.txn(i).deferred.Len())
 		}
 	}
 	for c := sim.Cycle(2); c < 120; c++ {
@@ -399,8 +399,8 @@ func TestDeferredRequestReplaysAgainstInvalidLine(t *testing.T) {
 	if got := d.EntryState(line0); got != "BusyMemS" {
 		t.Fatalf("line is %s after the eviction, want BusyMemS: the parked GetS was not replayed", got)
 	}
-	if rec := d.lines.txn(d.lines.find(line0)); rec.req != getS || rec.deferred.n != 0 {
-		t.Fatalf("entry serves %v with %d still parked, want the parked GetS and none", rec.req, rec.deferred.n)
+	if rec := d.lines.txn(d.lines.find(line0)); rec.req != getS || rec.deferred.Len() != 0 {
+		t.Fatalf("entry serves %v with %d still parked, want the parked GetS and none", rec.req, rec.deferred.Len())
 	}
 }
 
@@ -615,7 +615,7 @@ func TestRetryPathsAllocateNothing(t *testing.T) {
 				t.Fatalf("%d of %d accesses completed in 5000 cycles", served, n)
 			}
 			r.run(1)
-			w.inbox, w.out = max(w.inbox, d.inbox.n), max(w.out, d.out.n)
+			w.inbox, w.out = max(w.inbox, d.inbox.Len()), max(w.out, d.out.Len())
 		}
 		served = 0
 	}
@@ -686,6 +686,44 @@ func TestRetryPathsAllocateNothing(t *testing.T) {
 	}
 	if n := r.f.InFlight(); n != 0 {
 		t.Errorf("%d messages, misses or requests still in flight after the rounds", n)
+	}
+}
+
+// TestMessageOnOneListAtATime: a message waits in one place at a time —
+// an inbox, a retry queue, a line's deferred requests or the mesh — on
+// the one link its header holds. Delivering it again while it waits,
+// parking it elsewhere, or delivering it while the mesh still carries it
+// panics.
+func TestMessageOnOneListAtATime(t *testing.T) {
+	r := newRig(t, 4, 1)
+	d := r.f.dirs[0]
+	now := r.eng.Now()
+	waiting := r.f.newMsg(mGetS, line0, 1)
+	d.recv(waiting, now)
+	inMesh := r.f.newMsg(mGetS, line0, 1)
+	r.f.L2(1).inject(inMesh, d.node, now)
+	if r.f.mesh.InFlight() != 1 {
+		t.Fatalf("%d messages in the mesh after an injection, want 1", r.f.mesh.InFlight())
+	}
+	for name, push := range map[string]func(){
+		"a second delivery of an inbox's message":      func() { r.f.L2(1).recv(waiting, now) },
+		"a retry queue, for an inbox's message":        func() { d.out.Push(&waiting.Header, &waiting.Link) },
+		"the front of a retry queue":                   func() { d.out.PushFront(&waiting.Header, &waiting.Link) },
+		"a line's deferred requests":                   func() { d.defer_(waiting, d.lines.insert(line0)) },
+		"an inbox, for a message the mesh still holds": func() { d.recv(inMesh, now) },
+		"a retry queue, for a message in the mesh":     func() { d.out.Push(&inMesh.Header, &inMesh.Link) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("parking %s did not panic", name)
+				}
+			}()
+			push()
+		}()
+	}
+	if h := d.inbox.Pop(); h == nil || h.Body != waiting || d.inbox.Len() != 0 || d.out.Len() != 0 {
+		t.Fatal("a refused push changed a list")
 	}
 }
 

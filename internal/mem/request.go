@@ -87,10 +87,9 @@ type Request struct {
 
 	done bool
 
-	// next is the request parked behind this one on its Waitlist, and
-	// parked says it is on one: a request waits on at most one miss.
-	next   *Request
-	parked bool
+	// Link is the request's place on the one sim.List it is parked on:
+	// the waiters of a miss, a refused request's Outbox, a hit in flight.
+	Link sim.Link[*Request]
 
 	// src, when the request came from an IDSource pool, is where
 	// Complete returns it; released guards against double release and
@@ -125,65 +124,6 @@ func (r *Request) Complete(now sim.Cycle) {
 		r.src.release(r)
 	}
 }
-
-// Waitlist is the FIFO of requests parked on one miss, threaded through
-// the requests themselves, so parking a request allocates nothing. A
-// request waits on at most one list at a time: each level parks the
-// requests of the level above and sends requests of its own down. The
-// zero value is an empty list.
-type Waitlist struct {
-	head, tail *Request
-}
-
-// Push parks r behind the list's requests. It panics if r is already
-// parked: two lists sharing a request would complete it twice.
-func (l *Waitlist) Push(r *Request) {
-	if r.parked {
-		panic(fmt.Sprintf("mem: %v parked on a second waitlist", r))
-	}
-	r.parked = true
-	if l.tail == nil {
-		l.head = r
-	} else {
-		l.tail.next = r
-	}
-	l.tail = r
-}
-
-// Pop unparks and returns the oldest request, nil when none is parked.
-// A caller that completes what it pops pops first: Complete recycles
-// the request, link and all.
-func (l *Waitlist) Pop() *Request {
-	r := l.head
-	if r != nil {
-		l.head, r.next, r.parked = r.next, nil, false
-		if l.head == nil {
-			l.tail = nil
-		}
-	}
-	return r
-}
-
-// PushFront parks r ahead of the list's requests: what a caller that
-// popped the head to offer it elsewhere does when the offer is refused,
-// so the list keeps its order. It panics if r is already parked.
-func (l *Waitlist) PushFront(r *Request) {
-	if r.parked {
-		panic(fmt.Sprintf("mem: %v parked on a second waitlist", r))
-	}
-	r.parked, r.next = true, l.head
-	if l.head == nil {
-		l.tail = r
-	}
-	l.head = r
-}
-
-// Head returns the oldest request without unparking it, nil when none
-// is parked; Next walks the rest.
-func (l *Waitlist) Head() *Request { return l.head }
-
-// Next returns the request parked behind r, nil at the end of its list.
-func (r *Request) Next() *Request { return r.next }
 
 // IDSource hands out unique request IDs and pools the Request objects
 // themselves. It is confined to one simulated System and accessed only

@@ -143,26 +143,27 @@ func TestPoolHitsCountOnlyRecycled(t *testing.T) {
 	}
 }
 
-// TestWaitlist pins the parked-request FIFO: requests leave in the order
-// they were pushed, a popped request can be parked again (on this list
-// or another), and a request parked twice panics rather than ending up
-// completed by two misses.
+// TestWaitlist pins the requests' instance of sim.List, the FIFO a miss
+// parks them on: requests leave in the order they were pushed, a popped
+// request can be parked again (on this list or another), and a request
+// parked twice panics rather than ending up completed by two misses.
 func TestWaitlist(t *testing.T) {
 	var s IDSource
-	var l, other Waitlist
-	if l.Head() != nil || l.Pop() != nil {
-		t.Fatal("the zero Waitlist is not empty")
+	var l, other sim.List[*Request]
+	if l.Head() != nil || l.Pop() != nil || l.Len() != 0 {
+		t.Fatal("the zero list is not empty")
 	}
 	rs := []*Request{s.NewRequest(), s.NewRequest(), s.NewRequest()}
 	for _, r := range rs {
-		l.Push(r)
+		l.Push(r, &r.Link)
 	}
-	if l.Head() != rs[0] || rs[0].Next() != rs[1] || rs[1].Next() != rs[2] || rs[2].Next() != nil {
+	if l.Head() != rs[0] || !slices.Equal(slices.Collect(l.All()), rs) || l.Len() != 3 {
 		t.Fatalf("three pushed requests read back from %v, want %v", l.Head(), rs[0])
 	}
 	first := l.Pop()
-	other.Push(first) // unparked by the Pop, so free to wait elsewhere
-	l.Push(l.Pop())   // ... or on the same list again, at its tail
+	other.Push(first, &first.Link) // unparked by the Pop, so free to wait elsewhere
+	r := l.Pop()
+	l.Push(r, &r.Link) // ... or on the same list again, at its tail
 	var got []*Request
 	for r := l.Pop(); r != nil; r = l.Pop() {
 		got = append(got, r)
@@ -170,13 +171,20 @@ func TestWaitlist(t *testing.T) {
 	if want := []*Request{rs[2], rs[1]}; first != rs[0] || !slices.Equal(got, want) {
 		t.Fatalf("popped %v then %v, want %v then %v", first, got, rs[0], want)
 	}
-	if l.Head() != nil || other.Head() != first {
-		t.Fatal("a drained Waitlist is not empty, or the other lost its request")
+	if l.Head() != nil || l.Len() != 0 || other.Head() != first || other.Len() != 1 {
+		t.Fatal("a drained list is not empty, or the other lost its request")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a request parked on two waitlists did not panic")
-		}
-	}()
-	l.Push(first)
+	for name, park := range map[string]func(){
+		"Push":      func() { l.Push(first, &first.Link) },
+		"PushFront": func() { l.PushFront(first, &first.Link) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a request parked on two lists by %s did not panic", name)
+				}
+			}()
+			park()
+		}()
+	}
 }

@@ -27,9 +27,9 @@ import (
 type Entry struct {
 	Line    mem.Addr
 	slot    int
-	Waiters mem.Waitlist // all requests for this line, primary first
-	Issued  bool         // sent to the memory controller
-	Dirty   bool         // a merged write must leave the line dirty
+	Waiters sim.List[*mem.Request] // all requests for this line, primary first
+	Issued  bool                   // sent to the memory controller
+	Dirty   bool                   // a merged write must leave the line dirty
 }
 
 // Primary returns the request that allocated the entry.
@@ -43,7 +43,7 @@ func (e *Entry) Merge(r *mem.Request) {
 	if e.Waiters.Head() != nil {
 		r.Attrib.MarkMerged()
 	}
-	e.Waiters.Push(r)
+	e.Waiters.Push(r, &r.Link)
 	if r.Kind == mem.Write {
 		e.Dirty = true
 	}

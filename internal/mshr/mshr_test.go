@@ -1,6 +1,7 @@
 package mshr
 
 import (
+	"slices"
 	"testing"
 
 	"stackedsim/internal/config"
@@ -46,7 +47,7 @@ func TestMergeSecondaryMiss(t *testing.T) {
 	r2 := &mem.Request{ID: 2, Kind: mem.Write, Line: 0x40}
 	e, _ := f.Allocate(0x40, r1)
 	e.Merge(r2)
-	if e.Primary() != r1 || r1.Next() != r2 || r2.Next() != nil {
+	if e.Primary() != r1 || !slices.Equal(slices.Collect(e.Waiters.All()), []*mem.Request{r1, r2}) {
 		t.Fatal("waiters are not r1 then r2")
 	}
 	if !e.Dirty {

@@ -7,10 +7,11 @@ import (
 	"stackedsim/internal/sim"
 )
 
-// traceSend is one message of the golden traffic: its payload while in
-// the mesh, and its place in a source's retry queue while the injection
-// port refuses it.
+// traceSend is one message of the golden traffic: the header it crosses
+// the mesh by, and its place in a source's retry queue while the
+// injection port refuses it.
 type traceSend struct {
+	Header[*traceSend]
 	dst, bytes int
 	seq        uint64
 }
@@ -21,7 +22,7 @@ type traceSend struct {
 // retrying a refused Send in order before it offers anything newer —
 // the discipline the coherence endpoints follow.
 type traceGen struct {
-	m       *Mesh
+	m       *Mesh[*traceSend]
 	nodes   int
 	perTick int
 	until   sim.Cycle // no new traffic from this cycle on
@@ -39,11 +40,11 @@ const (
 	fnvPrime   = 1099511628211
 )
 
-func newTraceGen(m *Mesh, perTick int, until sim.Cycle) *traceGen {
+func newTraceGen(m *Mesh[*traceSend], perTick int, until sim.Cycle) *traceGen {
 	g := &traceGen{m: m, nodes: m.Nodes(), perTick: perTick, until: until,
 		lcg: 0x9e3779b97f4a7c15, pending: make([][]*traceSend, m.Nodes()), hash: fnvOffset}
-	m.Deliver = func(dst int, msg *Msg, now sim.Cycle) {
-		g.fold(uint64(now), uint64(msg.Src), uint64(dst), msg.Payload.(*traceSend).seq)
+	m.Deliver = func(dst int, msg *Header[*traceSend], now sim.Cycle) {
+		g.fold(uint64(now), uint64(msg.Src), uint64(dst), msg.Body.seq)
 	}
 	return g
 }
@@ -69,7 +70,7 @@ func (g *traceGen) bursting(now sim.Cycle) bool {
 func (g *traceGen) Tick(now sim.Cycle) {
 	for src := 0; src < g.nodes && g.queued > 0; src++ {
 		q := g.pending[src]
-		for len(q) > 0 && g.m.Send(src, q[0].dst, q[0].bytes, q[0], now) {
+		for len(q) > 0 && g.m.Send(src, q[0].dst, q[0].bytes, &q[0].Header, now) {
 			q = q[1:]
 			g.queued--
 		}
@@ -79,6 +80,7 @@ func (g *traceGen) Tick(now sim.Cycle) {
 		for i := 0; i < g.perTick; i++ {
 			r := g.next()
 			s := &traceSend{dst: int(r>>8) % g.nodes, bytes: 8, seq: g.seq}
+			s.Body = s
 			src := int(r>>20) % g.nodes
 			if r&7 == 0 {
 				s.dst = 0
@@ -87,7 +89,7 @@ func (g *traceGen) Tick(now sim.Cycle) {
 				s.bytes = 72
 			}
 			g.seq++
-			if len(g.pending[src]) > 0 || !g.m.Send(src, s.dst, s.bytes, s, now) {
+			if len(g.pending[src]) > 0 || !g.m.Send(src, s.dst, s.bytes, &s.Header, now) {
 				g.pending[src] = append(g.pending[src], s)
 				g.queued++
 			}
@@ -136,7 +138,7 @@ func TestMeshDeliveryTraceGolden(t *testing.T) {
 		p := Params{W: g.dim, H: g.dim, LinkBytes: 16, LinkLatency: g.link, RouterLatency: g.router, BufPkts: g.buf}
 		for _, driver := range []string{"every-cycle", "engine"} {
 			t.Run(fmt.Sprintf("%dx%d/buf%d/lat%d+%d/%s", g.dim, g.dim, g.buf, g.router, g.link, driver), func(t *testing.T) {
-				m := New(p)
+				m := NewOf[*traceSend](p)
 				gen := newTraceGen(m, g.perTick, trafficUntil)
 				if driver == "engine" {
 					eng := sim.NewEngine()
@@ -172,18 +174,18 @@ func TestMeshDeliveryTraceGolden(t *testing.T) {
 // already on it: everything must land on the cycle the event heap
 // landed it.
 func TestWheelGrowsForALongMessage(t *testing.T) {
-	m := New(Params{W: 3, H: 1, LinkBytes: 1, LinkLatency: 1, RouterLatency: 1, BufPkts: 4})
+	m := NewOf[string](Params{W: 3, H: 1, LinkBytes: 1, LinkLatency: 1, RouterLatency: 1, BufPkts: 4})
 	if len(m.wheel) > 8 {
 		t.Fatalf("the mesh starts with a %d-slot wheel; the test means to outgrow it", len(m.wheel))
 	}
 	log := ""
-	m.Deliver = func(dst int, msg *Msg, now sim.Cycle) {
-		log += fmt.Sprintf("%v:%d->%d@%d ", msg.Payload, msg.Src, dst, now)
+	m.Deliver = func(dst int, msg *Header[string], now sim.Cycle) {
+		log += fmt.Sprintf("%v:%d->%d@%d ", msg.Body, msg.Src, dst, now)
 	}
-	m.Send(0, 2, 2, "short", 0)
-	m.Send(1, 2, 1, "near", 0)
-	m.Send(0, 2, 100, "long", 0)
-	m.Send(0, 1, 3, "behind", 0)
+	m.Send(0, 2, 2, &Header[string]{Body: "short"}, 0)
+	m.Send(1, 2, 1, &Header[string]{Body: "near"}, 0)
+	m.Send(0, 2, 100, &Header[string]{Body: "long"}, 0)
+	m.Send(0, 1, 3, &Header[string]{Body: "behind"}, 0)
 	for c := sim.Cycle(0); c < 400; c++ {
 		m.Tick(c)
 	}
@@ -218,7 +220,7 @@ func TestNegativeLatencyPanics(t *testing.T) {
 // golden traffic at twice its rate: the router walk, the wheel and the
 // port queues, with no endpoint behind them.
 func BenchmarkMeshSaturated(b *testing.B) {
-	m := New(Params{W: 8, H: 8, LinkBytes: 16, LinkLatency: 1, RouterLatency: 2, BufPkts: 8})
+	m := NewOf[*traceSend](Params{W: 8, H: 8, LinkBytes: 16, LinkLatency: 1, RouterLatency: 2, BufPkts: 8})
 	gen := newTraceGen(m, 8, sim.FarFuture)
 	c := sim.Cycle(0)
 	for ; c < 2*traceBurst; c++ { // reach the working depth

@@ -10,8 +10,10 @@
 // The whole mesh is one sim.Ticker: the routers that hold a message
 // advance in a fixed deterministic order inside Tick, link traversals
 // ride a timing wheel, and the mesh sleeps whenever no message is queued
-// or in flight. The payload is opaque — the coherence layer (or any
-// other client) owns the message semantics; the mesh only moves bytes.
+// or in flight. A message crosses the mesh as the Header its client's
+// message embeds, and is handed back to Deliver as that same header: the
+// client owns the message, its meaning and its recycling; the mesh owns
+// nothing.
 package noc
 
 import (
@@ -21,30 +23,36 @@ import (
 	"stackedsim/internal/sim"
 )
 
-// Msg is one message in flight. Msgs are pooled by the mesh: obtain one
-// via Send (which copies the caller's fields) and never retain a *Msg
-// after the Deliver callback returns — the mesh recycles it.
-type Msg struct {
+// Header is what a message embeds to cross the mesh. Send addresses it;
+// the rest is the mesh's from Send until Deliver hands the header back.
+type Header[P any] struct {
+	// Link is the message's place on the one list it waits on: a port or
+	// a wheel slot in the mesh, one of the client's own lists outside it.
+	Link sim.Link[*Header[P]]
+	// at is the router the message is at and port the input port it
+	// occupies there. out is the output port it leaves at through, routed
+	// once when it enters the input port: a message on the wheel with a
+	// compass out is on that link (out is re-routed when it lands); one
+	// with portLocal is in its destination's ejection stage. dx and dy
+	// are the hops left east (negative: west) and south (negative:
+	// north), set by Send and counted down per hop. With the link they
+	// are all a hop touches, and sit in the header's first 64 bytes.
+	at        int32
+	dx, dy    int32
+	port, out uint8
+	ser       sim.Cycle // link occupancy: ceil(Bytes/LinkBytes)
+	born      sim.Cycle
+	// Body is what the receiver reads the message by, set by the client;
+	// for a message that embeds the header, a pointer to it.
+	Body P
+
 	Src, Dst int
 	Bytes    int
-	Payload  any
-
-	born sim.Cycle
-	at   int // current router while traversing
-	port int // input port the message occupies at .at
-	// out is the output port the message leaves .at through, routed once
-	// when it enters the input port. A message on the wheel with a
-	// compass out is on that link (out is re-routed when it lands); one
-	// with portLocal is in its destination's ejection stage.
-	out int
-	// dx and dy are the hops left east (negative: west) and south
-	// (negative: north), set by Send and counted down per hop.
-	dx, dy int32
-	ser    sim.Cycle // link occupancy: ceil(Bytes/LinkBytes)
-	// next is the message behind this one in its input port's FIFO or
-	// in its wheel slot; a message is never on both.
-	next *Msg
 }
+
+// Msg is a message that carries nothing but its header: the traffic of a
+// mesh built by New.
+type Msg = Header[struct{}]
 
 // Router ports, in the fixed arbitration order used by Tick. Local
 // (injection) traffic wins ties, then the compass ports.
@@ -60,7 +68,7 @@ const (
 // opposite maps an output direction to the input port it feeds on the
 // neighbouring router (a message leaving eastward arrives on the west
 // port).
-var opposite = [numPorts]int{portLocal, portEast, portWest, portSouth, portNorth}
+var opposite = [numPorts]uint8{portLocal, portEast, portWest, portSouth, portNorth}
 
 // hopX and hopY are the grid step an output direction takes.
 var (
@@ -119,20 +127,15 @@ func (s *Stats) AvgHops() float64 {
 	return float64(s.Hops) / float64(s.Delivered)
 }
 
-// inPort is an input buffer: a FIFO chained through Msg.next.
-type inPort struct {
-	head, tail *Msg
-	// reserved counts the local injection port's messages, which Send
-	// bounds by BufPkts. A compass port's bound is its upstream router's
-	// credits; the FIFO itself is unbounded.
-	reserved int
-}
-
 // router is one node's state. Whether the head of an occupied input
 // port moves is decided from it alone: headOut names the head's output,
 // outBusy the link's serialization, credits the room beyond it.
-type router struct {
-	in      [numPorts]inPort
+//
+// in are the input buffers. Send bounds the local injection port's by
+// BufPkts; a compass port's bound is its upstream router's credits, the
+// list itself is unbounded.
+type router[P any] struct {
+	in      [numPorts]sim.List[*Header[P]]
 	outBusy [numPorts]sim.Cycle // link busy (serializing) until this cycle
 	// credits[out] counts the free slots in the input buffer beyond the
 	// compass output out: taken when a message leaves through it,
@@ -142,14 +145,10 @@ type router struct {
 	ports   uint8           // bit pt is set while in[pt] holds a message
 }
 
-// wheelSlot is the FIFO of messages whose link traversal or ejection
-// completes on one cycle, chained through Msg.next.
-type wheelSlot struct{ head, tail *Msg }
-
 // Mesh is a W x H grid of routers. Node i sits at (i%W, i/W).
-type Mesh struct {
+type Mesh[P any] struct {
 	p       Params
-	routers []router
+	routers []router[P]
 	// step[out] is the node number's change leaving through out, and
 	// the way back from the router a message on input port out came from.
 	step   [numPorts]int
@@ -166,7 +165,7 @@ type Mesh struct {
 	// its length is a power of two above the longest delay scheduled so
 	// far. A slot's FIFO order is schedule order, and slots fire in
 	// cycle order — the order a (cycle, sequence) heap pops in.
-	wheel []wheelSlot
+	wheel []sim.List[*Header[P]]
 	// wheelAt is the cycle of the last tick: slots for earlier cycles
 	// are empty, and everything pending lies within a wheel's length of
 	// it. Its own slot can hold events again — a zero-delay one is
@@ -175,15 +174,17 @@ type Mesh struct {
 	pending int // events on the wheel
 
 	// Deliver receives every message that reaches its destination's
-	// local port. Must be set before traffic flows. The *Msg (and its
-	// Payload) is only valid for the duration of the call.
-	Deliver func(dst int, m *Msg, now sim.Cycle)
-
-	pool sim.Pool[Msg]
+	// local port, dst, as the header Send was given; from then on the
+	// message is the client's again. Must be set before traffic flows.
+	Deliver func(dst int, msg *Header[P], now sim.Cycle)
 }
 
-// New builds an idle mesh.
-func New(p Params) *Mesh {
+// New builds an idle mesh for messages that carry nothing but their
+// header.
+func New(p Params) *Mesh[struct{}] { return NewOf[struct{}](p) }
+
+// NewOf builds an idle mesh for messages whose headers carry a P.
+func NewOf[P any](p Params) *Mesh[P] {
 	if p.W < 1 || p.H < 1 {
 		panic(fmt.Sprintf("noc: invalid mesh %dx%d", p.W, p.H))
 	}
@@ -195,7 +196,7 @@ func New(p Params) *Mesh {
 		// or wire: its events fire on the next tick.
 		panic(fmt.Sprintf("noc: negative latency (link %d, router %d)", p.LinkLatency, p.RouterLatency))
 	}
-	m := &Mesh{p: p, routers: make([]router, p.W*p.H), occupied: make([]uint64, (p.W*p.H+63)/64),
+	m := &Mesh[P]{p: p, routers: make([]router[P], p.W*p.H), occupied: make([]uint64, (p.W*p.H+63)/64),
 		step: [numPorts]int{portWest: -1, portEast: 1, portNorth: -p.W, portSouth: p.W}}
 	for i := range m.routers {
 		for out := portWest; out < numPorts; out++ {
@@ -207,28 +208,28 @@ func New(p Params) *Mesh {
 }
 
 // Nodes reports the node count (W*H).
-func (m *Mesh) Nodes() int { return m.p.W * m.p.H }
+func (m *Mesh[P]) Nodes() int { return m.p.W * m.p.H }
 
 // SetHandle arms the idle fast-path: the mesh sleeps whenever nothing
 // is queued or in flight and wakes on Send.
-func (m *Mesh) SetHandle(h *sim.TickHandle) {
+func (m *Mesh[P]) SetHandle(h *sim.TickHandle) {
 	m.handle = h
 	h.SleepUntil(sim.FarFuture)
 }
 
 // Stats returns the counters.
-func (m *Mesh) Stats() *Stats { return &m.stats }
+func (m *Mesh[P]) Stats() *Stats { return &m.stats }
 
 // ResetStats clears the cumulative counters (warmup boundary).
-func (m *Mesh) ResetStats() { m.stats = Stats{} }
+func (m *Mesh[P]) ResetStats() { m.stats = Stats{} }
 
 // InFlight reports messages currently queued or traversing links —
 // zero means the mesh is drained.
-func (m *Mesh) InFlight() int { return m.queued + m.pending }
+func (m *Mesh[P]) InFlight() int { return m.queued + m.pending }
 
 // OccupiedRouters reports how many routers the mesh believes hold a
 // queued message — zero on a drained mesh.
-func (m *Mesh) OccupiedRouters() int {
+func (m *Mesh[P]) OccupiedRouters() int {
 	n := 0
 	for _, w := range m.occupied {
 		n += bits.OnesCount64(w)
@@ -239,7 +240,7 @@ func (m *Mesh) OccupiedRouters() int {
 // CreditsOutstanding reports how many credits the routers' compass
 // outputs are missing — slots taken downstream and not yet returned:
 // zero on a drained mesh.
-func (m *Mesh) CreditsOutstanding() int {
+func (m *Mesh[P]) CreditsOutstanding() int {
 	n := 0
 	for i := range m.routers {
 		for out := portWest; out < numPorts; out++ {
@@ -249,25 +250,22 @@ func (m *Mesh) CreditsOutstanding() int {
 	return n
 }
 
-func (m *Mesh) release(msg *Msg) {
-	msg.Payload = nil
-	m.pool.Put(msg)
-}
-
-// Send injects a message at node src toward node dst. It returns false
-// — consuming no resources — when src's local input buffer is out of
-// credits; the caller retries later (backpressure reaches all the way
-// into the clients). bytes sizes link serialization.
-func (m *Mesh) Send(src, dst, bytes int, payload any, now sim.Cycle) bool {
-	lp := &m.routers[src].in[portLocal]
-	if lp.reserved >= m.p.BufPkts {
+// Send injects the message whose header is msg at node src toward node
+// dst; a nil msg is a message with nothing but a header, which the mesh
+// makes. It returns false — consuming no resources — when src's local
+// input buffer is out of credits; the caller retries later (backpressure
+// reaches all the way into the clients). bytes sizes link serialization.
+func (m *Mesh[P]) Send(src, dst, bytes int, msg *Header[P], now sim.Cycle) bool {
+	if m.routers[src].in[portLocal].Len() >= m.p.BufPkts {
 		m.stats.Rejected++
 		return false
 	}
-	msg := m.pool.Get()
-	*msg = Msg{Src: src, Dst: dst, Bytes: bytes, Payload: payload, born: now, at: src, port: portLocal,
-		dx: int32(dst%m.p.W - src%m.p.W), dy: int32(dst/m.p.W - src/m.p.W), ser: m.serCycles(bytes)}
-	lp.reserved++
+	if msg == nil {
+		msg = new(Header[P])
+	}
+	msg.Src, msg.Dst, msg.Bytes, msg.born, msg.at, msg.port = src, dst, bytes, now, int32(src), portLocal
+	msg.dx, msg.dy = int32(dst%m.p.W-src%m.p.W), int32(dst/m.p.W-src/m.p.W)
+	msg.ser = m.serCycles(bytes)
 	m.enqueue(msg)
 	m.stats.Injected++
 	if m.handle != nil {
@@ -279,17 +277,14 @@ func (m *Mesh) Send(src, dst, bytes int, payload any, now sim.Cycle) bool {
 // enqueue lands a message in the input port it was bound for, routing it
 // there and then: a head that stalls for many cycles is not re-routed
 // on each of them.
-func (m *Mesh) enqueue(msg *Msg) {
+func (m *Mesh[P]) enqueue(msg *Header[P]) {
 	rt := &m.routers[msg.at]
 	msg.out = route(msg)
 	ip := &rt.in[msg.port]
-	if ip.tail == nil {
-		ip.head = msg
-		rt.headOut[msg.port] = uint8(msg.out)
-	} else {
-		ip.tail.next = msg
+	if ip.Len() == 0 {
+		rt.headOut[msg.port] = msg.out
 	}
-	ip.tail = msg
+	ip.Push(msg, &msg.Link)
 	if rt.ports == 0 {
 		m.occupied[msg.at/64] |= 1 << (msg.at % 64)
 	}
@@ -300,22 +295,18 @@ func (m *Mesh) enqueue(msg *Msg) {
 // dequeue pops and returns the head of input port pt of router r,
 // returning the credit it held: to Send's bound on the local port, to
 // the upstream router on a compass port.
-func (m *Mesh) dequeue(r, pt int) *Msg {
+func (m *Mesh[P]) dequeue(r, pt int) *Header[P] {
 	rt := &m.routers[r]
 	ip := &rt.in[pt]
-	msg := ip.head
-	ip.head, msg.next = msg.next, nil
-	if pt == portLocal {
-		ip.reserved--
-	} else {
+	msg := ip.Pop()
+	if pt != portLocal {
 		m.routers[r+m.step[pt]].credits[opposite[pt]]++
 	}
 	m.queued--
-	if ip.head != nil {
-		rt.headOut[pt] = uint8(ip.head.out)
+	if next := ip.Head(); next != nil {
+		rt.headOut[pt] = next.out
 		return msg
 	}
-	ip.tail = nil
 	if rt.ports &^= 1 << pt; rt.ports == 0 {
 		m.occupied[r/64] &^= 1 << (r % 64)
 	}
@@ -324,7 +315,7 @@ func (m *Mesh) dequeue(r, pt int) *Msg {
 
 // route returns the output port a message takes from where it is, by
 // the hops it has left: X-dimension first, then Y, then local ejection.
-func route(msg *Msg) int {
+func route[P any](msg *Header[P]) uint8 {
 	switch {
 	case msg.dx > 0:
 		return portEast
@@ -340,7 +331,7 @@ func route(msg *Msg) int {
 }
 
 // serCycles is the link occupancy of one message.
-func (m *Mesh) serCycles(bytes int) sim.Cycle {
+func (m *Mesh[P]) serCycles(bytes int) sim.Cycle {
 	if bytes < 1 {
 		bytes = 1
 	}
@@ -349,25 +340,19 @@ func (m *Mesh) serCycles(bytes int) sim.Cycle {
 
 // schedule puts msg on the wheel for cycle at (never before the current
 // tick's cycle: latencies are not negative).
-func (m *Mesh) schedule(msg *Msg, at sim.Cycle) {
+func (m *Mesh[P]) schedule(msg *Header[P], at sim.Cycle) {
 	if at-m.wheelAt >= sim.Cycle(len(m.wheel)) {
 		m.growWheel(at - m.wheelAt)
 	}
-	s := &m.wheel[int(at)&(len(m.wheel)-1)]
-	if s.tail == nil {
-		s.head = msg
-	} else {
-		s.tail.next = msg
-	}
-	s.tail = msg
+	m.wheel[int(at)&(len(m.wheel)-1)].Push(msg, &msg.Link)
 	m.pending++
 }
 
 // growWheel resizes the wheel to hold a delay of span cycles, moving
 // each pending cycle's FIFO to its new slot.
-func (m *Mesh) growWheel(span sim.Cycle) {
+func (m *Mesh[P]) growWheel(span sim.Cycle) {
 	old := m.wheel
-	m.wheel = make([]wheelSlot, 1<<bits.Len64(uint64(span)))
+	m.wheel = make([]sim.List[*Header[P]], 1<<bits.Len64(uint64(span)))
 	for i := range old {
 		c := int(m.wheelAt) + i
 		m.wheel[c&(len(m.wheel)-1)] = old[c&(len(old)-1)]
@@ -375,12 +360,12 @@ func (m *Mesh) growWheel(span sim.Cycle) {
 }
 
 // nextEvent reports the earliest cycle with an event on the wheel.
-func (m *Mesh) nextEvent() (sim.Cycle, bool) {
+func (m *Mesh[P]) nextEvent() (sim.Cycle, bool) {
 	if m.pending == 0 {
 		return 0, false
 	}
 	c := m.wheelAt
-	for m.wheel[int(c)&(len(m.wheel)-1)].head == nil {
+	for m.wheel[int(c)&(len(m.wheel)-1)].Len() == 0 {
 		c++
 	}
 	return c, true
@@ -388,11 +373,10 @@ func (m *Mesh) nextEvent() (sim.Cycle, bool) {
 
 // fireDue lands every link traversal and ejection due at or before now,
 // in cycle order and, within a cycle, in the order they were scheduled.
-func (m *Mesh) fireDue(now sim.Cycle) {
+func (m *Mesh[P]) fireDue(now sim.Cycle) {
 	for c := m.wheelAt; c <= now && m.pending > 0; c++ {
 		s := &m.wheel[int(c)&(len(m.wheel)-1)]
-		for msg := s.head; msg != nil; msg = s.head {
-			s.head, msg.next = msg.next, nil
+		for msg := s.Pop(); msg != nil; msg = s.Pop() {
 			m.pending--
 			if msg.out != portLocal {
 				m.enqueue(msg)
@@ -401,9 +385,7 @@ func (m *Mesh) fireDue(now sim.Cycle) {
 			m.stats.Delivered++
 			m.stats.LatencySum += uint64(c - msg.born)
 			m.Deliver(msg.Dst, msg, c)
-			m.release(msg)
 		}
-		s.tail = nil
 	}
 	m.wheelAt = now
 }
@@ -414,7 +396,7 @@ func (m *Mesh) fireDue(now sim.Cycle) {
 // message per port. Nothing enters a queue during the walk, so the
 // routers and ports it passes over are exactly those with no head to
 // consider.
-func (m *Mesh) Tick(now sim.Cycle) {
+func (m *Mesh[P]) Tick(now sim.Cycle) {
 	m.fireDue(now)
 	for w, word := range m.occupied {
 		for ; word != 0; word &= word - 1 {
@@ -428,7 +410,7 @@ func (m *Mesh) Tick(now sim.Cycle) {
 // output: the ejection stage, or the link if it is free and the router
 // holds a credit for the buffer beyond it. A head that cannot move is
 // decided from the router alone; only one that moves is loaded.
-func (m *Mesh) tickRouter(r int, now sim.Cycle) {
+func (m *Mesh[P]) tickRouter(r int, now sim.Cycle) {
 	rt := &m.routers[r]
 	for ports := rt.ports; ports != 0; ports &= ports - 1 {
 		pt := bits.TrailingZeros8(ports)
@@ -448,7 +430,7 @@ func (m *Mesh) tickRouter(r int, now sim.Cycle) {
 		msg := m.dequeue(r, pt)
 		rt.credits[out]--
 		rt.outBusy[out] = now + msg.ser
-		msg.at += m.step[out]
+		msg.at += int32(m.step[out])
 		msg.port = opposite[out]
 		msg.dx -= hopX[out]
 		msg.dy -= hopY[out]
@@ -460,7 +442,7 @@ func (m *Mesh) tickRouter(r int, now sim.Cycle) {
 
 // sched picks the sleep target after a tick: the next event if the
 // queues are drained, the next cycle while any head can still move.
-func (m *Mesh) sched(now sim.Cycle) {
+func (m *Mesh[P]) sched(now sim.Cycle) {
 	if m.handle == nil {
 		return
 	}
@@ -476,7 +458,7 @@ func (m *Mesh) sched(now sim.Cycle) {
 }
 
 // DigestWords folds the mesh counters into a run digest via emit.
-func (m *Mesh) DigestWords(emit func(...uint64)) {
+func (m *Mesh[P]) DigestWords(emit func(...uint64)) {
 	s := &m.stats
 	emit(s.Injected, s.Rejected, s.Delivered, s.Hops, s.Flits,
 		s.CreditStalls, s.LinkStalls, s.LatencySum)

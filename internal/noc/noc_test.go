@@ -3,11 +3,12 @@ package noc
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"stackedsim/internal/sim"
 )
 
-func drive(m *Mesh, cycles int) {
+func drive[P any](m *Mesh[P], cycles int) {
 	for c := sim.Cycle(0); c < sim.Cycle(cycles); c++ {
 		m.Tick(c)
 	}
@@ -17,17 +18,17 @@ func drive(m *Mesh, cycles int) {
 // analytically: six hops of (router + serialization + link) plus the
 // final ejection stage.
 func TestXYRoutingLatency(t *testing.T) {
-	m := New(Params{W: 4, H: 4, LinkBytes: 16, LinkLatency: 1, RouterLatency: 1, BufPkts: 4})
+	m := NewOf[string](Params{W: 4, H: 4, LinkBytes: 16, LinkLatency: 1, RouterLatency: 1, BufPkts: 4})
 	var deliveredAt sim.Cycle
 	var got int
-	m.Deliver = func(dst int, msg *Msg, now sim.Cycle) {
+	m.Deliver = func(dst int, msg *Header[string], now sim.Cycle) {
 		got++
 		deliveredAt = now
-		if dst != 15 || msg.Payload != "p" {
-			t.Errorf("delivered dst=%d payload=%v", dst, msg.Payload)
+		if dst != 15 || msg.Body != "p" {
+			t.Errorf("delivered dst=%d body=%v", dst, msg.Body)
 		}
 	}
-	if !m.Send(0, 15, 8, "p", 0) {
+	if !m.Send(0, 15, 8, &Header[string]{Body: "p"}, 0) {
 		t.Fatal("send rejected on empty mesh")
 	}
 	drive(m, 40)
@@ -150,5 +151,44 @@ func TestEngineSleepWake(t *testing.T) {
 	}
 	if eng.CyclesSkipped() == 0 {
 		t.Error("idle mesh should let the engine skip cycles")
+	}
+}
+
+// TestMessageInTheMeshCannotBeSentAgain: a message waits in one input
+// port or wheel slot at a time, through the one link its header holds.
+// Sending it again while it waits in its port or crosses a link panics,
+// and so does scheduling it onto the wheel while a port holds it.
+func TestMessageInTheMeshCannotBeSentAgain(t *testing.T) {
+	m := New(Params{W: 2, H: 1, LinkBytes: 16, LinkLatency: 1, RouterLatency: 1, BufPkts: 4})
+	m.Deliver = func(int, *Msg, sim.Cycle) {}
+	panics := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	waiting := new(Msg)
+	m.Send(0, 1, 8, waiting, 0)
+	panics("a second Send of a message in its port", func() { m.Send(0, 1, 8, waiting, 0) })
+	panics("scheduling a message in its port", func() { m.schedule(waiting, 1) })
+
+	crossing := new(Msg)
+	m.Send(0, 1, 8, crossing, 1)
+	m.Tick(1) // onto the link, on the wheel
+	if m.pending != 1 {
+		t.Fatalf("%d messages on the wheel after a tick, want 1", m.pending)
+	}
+	panics("a second Send of a message crossing a link", func() { m.Send(0, 1, 8, crossing, 1) })
+}
+
+// TestHopFieldsFitOneLine: everything a hop reads and writes — the link
+// and the route state — lies in a header's first 64 bytes.
+func TestHopFieldsFitOneLine(t *testing.T) {
+	var h Msg
+	if end := unsafe.Offsetof(h.ser) + unsafe.Sizeof(h.ser); end > 64 {
+		t.Fatalf("a hop's fields end %d bytes into the header, want at most 64", end)
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "math/bits"
+import (
+	"iter"
+	"math/bits"
+)
 
 // Queue is a bounded FIFO used for request queues throughout the memory
 // hierarchy. A capacity of 0 means unbounded. The zero value is an
@@ -196,6 +199,89 @@ func (d *Delay[T]) NextAt() Cycle {
 	return FarFuture
 }
 
+// List is a FIFO threaded through the links its elements embed, so
+// queueing allocates nothing. An element waits on at most one list at a
+// time: Push and PushFront panic on a link already on one, since two
+// lists holding an element would hand it out twice. The zero value is
+// empty.
+type List[P any] struct {
+	head, tail *Link[P]
+	n          int
+}
+
+// Link is an element's place on a List: the link behind it, the element
+// (stored by Push, so Pop needs no way back from a link to what embeds
+// it) and whether it is on a list.
+type Link[P any] struct {
+	next *Link[P]
+	elem P
+	on   bool
+}
+
+// Push queues e, through its link ln, behind the list's elements.
+func (l *List[P]) Push(e P, ln *Link[P]) {
+	l.hold(e, ln)
+	if l.tail == nil {
+		l.head = ln
+	} else {
+		l.tail.next = ln
+	}
+	l.tail = ln
+}
+
+// PushFront queues e ahead of the list's elements: what a caller that
+// popped the head to offer it elsewhere does when the offer is refused,
+// so the list keeps its order.
+func (l *List[P]) PushFront(e P, ln *Link[P]) {
+	l.hold(e, ln)
+	if l.head == nil {
+		l.tail = ln
+	}
+	ln.next, l.head = l.head, ln
+}
+
+func (l *List[P]) hold(e P, ln *Link[P]) {
+	if ln.on {
+		panic("sim: an element pushed onto a List is already on one")
+	}
+	ln.elem, ln.on = e, true
+	l.n++
+}
+
+// Pop unlinks and returns the oldest element, the zero P when the list
+// is empty. A caller that recycles what it pops pops first.
+func (l *List[P]) Pop() (e P) {
+	if ln := l.head; ln != nil {
+		l.head, ln.next, ln.on = ln.next, nil, false
+		if l.head == nil {
+			l.tail = nil
+		}
+		l.n--
+		e = ln.elem
+	}
+	return e
+}
+
+// Head returns the oldest element without unlinking it, the zero P when
+// the list is empty.
+func (l *List[P]) Head() (e P) {
+	if l.head != nil {
+		e = l.head.elem
+	}
+	return e
+}
+
+// Len reports the number of elements on the list.
+func (l *List[P]) Len() int { return l.n }
+
+// All yields the elements oldest first, leaving them on the list.
+func (l *List[P]) All() iter.Seq[P] {
+	return func(yield func(P) bool) {
+		for ln := l.head; ln != nil && yield(ln.elem); ln = ln.next {
+		}
+	}
+}
+
 // Pool recycles nodes of one type so a steady state allocates none. Get
 // returns a node exactly as Put left it, or a zero one when none is
 // free: the caller resets what it reuses, and so keeps what is worth
@@ -214,6 +300,7 @@ type Pool[T any] struct {
 	free  []*T
 	slab  []T // fresh nodes not yet handed out
 	grown int // size of the last slab allocated
+	live  int // nodes handed out by Get and not yet Put back
 }
 
 const (
@@ -223,6 +310,7 @@ const (
 
 // Get returns a recycled node, or a fresh zero one.
 func (p *Pool[T]) Get() *T {
+	p.live++
 	if n := len(p.free); n > 0 {
 		x := p.free[n-1]
 		p.free[n-1] = nil
@@ -239,4 +327,11 @@ func (p *Pool[T]) Get() *T {
 }
 
 // Put hands x back for a later Get. The caller no longer refers to it.
-func (p *Pool[T]) Put(x *T) { p.free = append(p.free, x) }
+func (p *Pool[T]) Put(x *T) {
+	p.live--
+	p.free = append(p.free, x)
+}
+
+// Live reports the nodes Get has handed out and Put not taken back: on a
+// machine with nothing in flight, a node its owner never recycled.
+func (p *Pool[T]) Live() int { return p.live }

@@ -79,6 +79,103 @@ func TestQueueAgainstSliceModel(t *testing.T) {
 	}
 }
 
+// node is an element of the list tests: a link and a value to tell
+// nodes apart.
+type node struct {
+	link Link[*node]
+	v    int
+}
+
+// TestListAgainstSliceModel drives a List and a plain slice with the
+// same random operations — pushes at either end, pops, in phases that
+// let the depth drift up and down and empty the list often — and
+// requires them to agree on every answer. A popped node is pushed again
+// later, so links are reused as the machine's pooled requests and
+// messages reuse theirs.
+func TestListAgainstSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var l List[*node]
+	var model, free []*node
+	empties := 0
+	for step := 0; step < 200_000; step++ {
+		pushBias := 6
+		if (step/300)%2 == 1 {
+			pushBias = 3
+		}
+		switch op := rng.Intn(10); {
+		case op < pushBias:
+			x := &node{v: step}
+			if n := len(free); n > 0 && rng.Intn(2) == 0 {
+				x, free = free[n-1], free[:n-1]
+			}
+			if rng.Intn(4) == 0 {
+				l.PushFront(x, &x.link)
+				model = append([]*node{x}, model...)
+			} else {
+				l.Push(x, &x.link)
+				model = append(model, x)
+			}
+		default:
+			got := l.Pop()
+			if len(model) == 0 {
+				if got != nil {
+					t.Fatalf("step %d: Pop of an empty list = %v", step, got)
+				}
+				continue
+			}
+			if got != model[0] {
+				t.Fatalf("step %d: Pop = %v, want %v", step, got, model[0])
+			}
+			model, free = model[1:], append(free, got)
+			if len(model) == 0 {
+				empties++
+			}
+		}
+		if l.Len() != len(model) {
+			t.Fatalf("step %d: Len %d, model holds %d", step, l.Len(), len(model))
+		}
+		if head := l.Head(); (len(model) == 0 && head != nil) || (len(model) > 0 && head != model[0]) {
+			t.Fatalf("step %d: Head = %v, model %v", step, head, model)
+		}
+		if step%97 == 0 && !slices.Equal(slices.Collect(l.All()), model) {
+			t.Fatalf("step %d: All = %v, model %v", step, slices.Collect(l.All()), model)
+		}
+	}
+	if empties < 100 {
+		t.Errorf("the list emptied only %d times", empties)
+	}
+}
+
+// TestListSecondPushPanics: an element already on a list — this one or
+// another — cannot be pushed at either end; once popped it can.
+func TestListSecondPushPanics(t *testing.T) {
+	var l, other List[*node]
+	x := &node{}
+	l.Push(x, &x.link)
+	for name, push := range map[string]func(){
+		"Push onto the same list":      func() { l.Push(x, &x.link) },
+		"PushFront onto the same list": func() { l.PushFront(x, &x.link) },
+		"Push onto another list":       func() { other.Push(x, &x.link) },
+		"PushFront onto another list":  func() { other.PushFront(x, &x.link) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			push()
+		}()
+	}
+	if l.Len() != 1 || other.Len() != 0 || l.Pop() != x {
+		t.Fatal("a refused push changed a list")
+	}
+	other.Push(x, &x.link)
+	if other.Pop() != x {
+		t.Fatal("a popped element could not wait on another list")
+	}
+}
+
 // TestQueueOutOfRangePanics: the ring must refuse an index past the
 // queued items even when the slot behind it exists.
 func TestQueueOutOfRangePanics(t *testing.T) {
@@ -183,6 +280,27 @@ func BenchmarkQueueDeepPop(b *testing.B) {
 	for b.Loop() {
 		p, _ := q.Pop()
 		q.Push(p)
+	}
+}
+
+// BenchmarkListPushPop fills a list 16 deep and drains it — the depth of
+// a busy mesh port or wheel slot — so a Push or Pop that stopped inlining
+// at its call sites shows here first. The work is in a function of its
+// own because b.Loop keeps the calls in its body from being inlined.
+func BenchmarkListPushPop(b *testing.B) {
+	nodes := make([]node, 16)
+	var l List[*node]
+	b.ReportAllocs()
+	for b.Loop() {
+		fillAndDrain(&l, nodes)
+	}
+}
+
+func fillAndDrain(l *List[*node], nodes []node) {
+	for i := range nodes {
+		l.Push(&nodes[i], &nodes[i].link)
+	}
+	for l.Pop() != nil {
 	}
 }
 

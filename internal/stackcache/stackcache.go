@@ -107,7 +107,7 @@ type Layer struct {
 	// pending holds the in-flight block fetches by block address, each
 	// with the L2 reads waiting on it: later misses to the same block
 	// merge instead of duplicating the off-chip read.
-	pending map[mem.Addr]mem.Waitlist
+	pending map[mem.Addr]sim.List[*mem.Request]
 
 	// Outboxes toward full MRQs, retried every cycle in Tick.
 	back  cache.Outbox   // reads + writebacks toward the backing MC
@@ -154,7 +154,7 @@ func New(p Params) *Layer {
 		stacked:   p.Stacked,
 		backing:   p.Backing,
 		ids:       p.IDs,
-		pending:   make(map[mem.Addr]mem.Waitlist),
+		pending:   make(map[mem.Addr]sim.List[*mem.Request]),
 		back:      cache.NewOutbox(p.Backing),
 		stack:     make([]cache.Outbox, len(p.Stacked)),
 		probes:    sim.NewDelay[*mem.Request](sim.Cycle(cfg.StackTagLatency)),
@@ -305,7 +305,7 @@ func (l *Layer) resolve(r *mem.Request, now sim.Cycle) {
 func (l *Layer) forwardMiss(r *mem.Request, now sim.Cycle) {
 	blk := l.block(r.Line)
 	w, merge := l.pending[blk]
-	w.Push(r)
+	w.Push(r, &r.Link)
 	l.pending[blk] = w
 	if merge {
 		l.stats.MissMerges++

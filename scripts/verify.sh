@@ -94,10 +94,11 @@ fi
 
 # A protocol message waits in at most one place: in its sender's retry
 # queue, its receiver's inbox or its directory record's deferred FIFO,
-# each threaded through message.next, in the mesh or a bank's lookup
-# pipe, or held as a private-L2 miss's one early forward. A slice of
-# messages in the fabric is a queue that grows behind a hot line again,
-# and one that a reused record or miss reallocates.
+# each a sim.List threaded through the Link of the noc.Header the message
+# embeds, in the mesh (on the same link) or a bank's lookup pipe, or held
+# as a private-L2 miss's one early forward. A slice of messages in the
+# fabric is a queue that grows behind a hot line again, and one that a
+# reused record or miss reallocates.
 echo "== no []*message in internal/coherence"
 msgs=$(grep -nF '[]*message' internal/coherence/*.go | grep -v '_test\.go:' || true)
 if [ -n "$msgs" ]; then
@@ -106,15 +107,15 @@ if [ -n "$msgs" ]; then
 	exit 1
 fi
 
-# The queues a 64-core run fills and drains on every miss are lists
+# The queues a 64-core run fills and drains on every miss are sim.Lists
 # threaded through what they hold: an endpoint's inbox and retry queue
-# (the destination rides on the message), a cache.Outbox's refused
-# requests (a mem.Waitlist), a private L2's hits. A ring of messages, an
-# outMsg pair or a ring in the Outbox grows by doubling during the run
-# again.
-echo "== no outMsg or sim.Queue[*message] in internal/coherence, no sim.Queue in cache.Outbox"
+# (the destination rides in the message's mesh header), a cache.Outbox's
+# refused requests and a private L2's hits (through Request.Link). A ring
+# of messages, an outMsg pair, a list type of the fabric's own or a ring
+# in the Outbox grows by doubling, or keeps a second FIFO, again.
+echo "== no outMsg, msgList or sim.Queue[*message] in internal/coherence, no sim.Queue in cache.Outbox"
 rings=$(
-	grep -nE 'outMsg|sim\.Queue\[\*message\]' internal/coherence/*.go | grep -v '_test\.go:' || true
+	grep -nE 'outMsg|msgList|sim\.Queue\[\*message\]' internal/coherence/*.go | grep -v '_test\.go:' || true
 	grep -Hn 'sim\.Queue' internal/cache/port.go || true
 )
 if [ -n "$rings" ]; then
@@ -123,12 +124,13 @@ if [ -n "$rings" ]; then
 	exit 1
 fi
 
-# A request parked on a miss waits in a mem.Waitlist, a FIFO threaded
-# through the requests: on an L2 MSHR entry, a private L2's miss, or a
+# A request parked on a miss waits in a sim.List[*mem.Request] threaded
+# through Request.Link: on an L2 MSHR entry, a private L2's miss, or a
 # stack-layer block fetch, and on one of them at a time. A slice of
-# requests is a waiter list that a recycled entry regrows again.
-echo "== no []*mem.Request in internal/"
-reqs=$(grep -rnE '\[\]\*(mem\.)?Request\b' --include='*.go' internal | grep -v '_test\.go:' || true)
+# requests is a waiter list that a recycled entry regrows again, and a
+# Waitlist type a second FIFO beside the one list.
+echo "== no []*mem.Request or Waitlist in internal/"
+reqs=$(grep -rnE '\[\]\*(mem\.)?Request\b|\bWaitlist\b' --include='*.go' internal | grep -v '_test\.go:' || true)
 if [ -n "$reqs" ]; then
 	echo "$reqs" >&2
 	echo "verify: a slice of parked requests has moved back in" >&2
@@ -172,9 +174,10 @@ fi
 # The many-core fabric keeps its bookkeeping flat: a directory bank's
 # lines are the slots of its open-addressed table, the records of its
 # lines in flight a slab beside it (both in dirtable.go), and a mesh input
-# port's FIFO is chained through its messages. A map in the directory or
-# a sim.Queue in the mesh puts a hashed lookup back on every protocol
-# step, or a separate ring back on every hop.
+# port's FIFO and wheel slot are sim.Lists chained through the headers of
+# the messages. A map in the directory or a sim.Queue in the mesh puts a
+# hashed lookup back on every protocol step, or a separate ring back on
+# every hop.
 echo "== no map in the directory bank, no sim.Queue in the mesh"
 flat=$(
 	grep -n 'map\[' internal/coherence/directory.go internal/coherence/dirtable.go || true
@@ -183,6 +186,39 @@ flat=$(
 if [ -n "$flat" ]; then
 	echo "$flat" >&2
 	echo "verify: a map or a ring queue has moved back into the fabric" >&2
+	exit 1
+fi
+
+# A FIFO of linkable objects is a sim.List: the element embeds a
+# sim.Link, Push and PushFront panic on an element already on a list, and
+# Len is the list's own count. A head and tail pointer pair, a pointer
+# next field or a store through one outside internal/sim is a second
+# hand-written list, with its own push and pop and no guard.
+echo "== one intrusive list: no hand-threaded FIFO outside internal/sim"
+fifos=$(grep -rnE 'head,[[:space:]]*tail[[:space:]]+\*|^[[:space:]]*next[[:space:]]+\*|\.(head|tail)\.next[[:space:]]*=[^=]|\.next[[:space:]]*=[[:space:]]*nil|\.next[[:space:]]*=[[:space:]]*[A-Za-z_.]*\.(head|tail)\b' \
+	--include='*.go' internal cmd | grep -v '_test\.go:' | grep -v '^internal/sim/' || true)
+if [ -n "$fifos" ]; then
+	echo "$fifos" >&2
+	echo "verify: a hand-threaded FIFO has moved back in beside sim.List" >&2
+	exit 1
+fi
+
+# A message crosses the mesh as the noc.Header its client's message
+# embeds and comes back to Deliver as that header, whose Body is the
+# client's message: one object and one pool (the client's) per message.
+# A field of type any in the mesh is a payload to assert back, and a
+# sim.Pool there a second object per message that the mesh copies into
+# and recycles.
+echo "== the mesh owns no message: no any field and no sim.Pool in internal/noc"
+owned=$(
+	for f in internal/noc/*.go; do
+		case $f in *_test.go) continue ;; esac
+		grep -HnE '^[[:space:]]+[A-Za-z_][A-Za-z0-9_]*([[:space:]]*,[[:space:]]*[A-Za-z_][A-Za-z0-9_]*)*[[:space:]]+(any|interface[[:space:]]*\{[[:space:]]*\})([[:space:]]|$)|sim\.Pool' "$f"
+	done || true
+)
+if [ -n "$owned" ]; then
+	echo "$owned" >&2
+	echo "verify: the mesh holds or pools its clients' messages again" >&2
 	exit 1
 fi
 
