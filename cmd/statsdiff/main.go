@@ -241,7 +241,6 @@ const (
 )
 
 type diffRow struct {
-	name string
 	kind diffKind
 	line string
 }
@@ -270,17 +269,17 @@ func diff(oldVals, newVals map[string]float64, threshold float64) (rows []diffRo
 		nv, ov := d.A, d.B
 		switch d.Kind {
 		case ledger.DiffOnlyA:
-			rows = append(rows, diffRow{d.Name, diffOnlyNew,
+			rows = append(rows, diffRow{diffOnlyNew,
 				fmt.Sprintf("  + %-32s %14s -> %14g (new metric)", d.Name, "-", nv)})
 		case ledger.DiffOnlyB:
-			rows = append(rows, diffRow{d.Name, diffOnlyOld,
+			rows = append(rows, diffRow{diffOnlyOld,
 				fmt.Sprintf("  - %-32s %14g -> %14s (removed)", d.Name, ov, "-")})
 		case ledger.DiffSame:
-			rows = append(rows, diffRow{d.Name, diffSame,
+			rows = append(rows, diffRow{diffSame,
 				fmt.Sprintf("    %-32s %14g (unchanged)", d.Name, ov)})
 		default:
 			if math.IsNaN(ov) || math.IsNaN(nv) {
-				rows = append(rows, diffRow{d.Name, diffBreach,
+				rows = append(rows, diffRow{diffBreach,
 					fmt.Sprintf("  ! %-32s %14g -> %14g (NaN: export or metric is broken)", d.Name, ov, nv)})
 				continue
 			}
@@ -290,7 +289,7 @@ func diff(oldVals, newVals map[string]float64, threshold float64) (rows []diffRo
 			} else if d.Kind == ledger.DiffBreach {
 				breaches-- // report-only mode: a non-NaN change never fails
 			}
-			rows = append(rows, diffRow{d.Name, kind,
+			rows = append(rows, diffRow{kind,
 				fmt.Sprintf("  %s %-32s %14g -> %14g (%+.2f%%)", mark, d.Name, ov, nv, 100*signedRel(ov, nv))})
 		}
 	}

@@ -71,7 +71,13 @@ func TestDiffThresholdGate(t *testing.T) {
 	}
 	kinds := map[string]diffKind{}
 	for _, r := range rows {
-		kinds[r.name] = r.kind
+		// A row's line is an optional marker (+, -, !), then the name.
+		f := strings.Fields(r.line)
+		name := f[0]
+		if strings.Contains("+-!", name) {
+			name = f[1]
+		}
+		kinds[name] = r.kind
 	}
 	want := map[string]diffKind{
 		"a": diffSame, "b": diffChanged, "c": diffBreach,

@@ -21,7 +21,6 @@ import (
 
 // Stats counts bus activity.
 type Stats struct {
-	Transfers  uint64
 	Bytes      uint64 // payload bytes moved
 	BusyCycles uint64 // cycles the wires were driven
 	WaitCycles uint64 // cycles transfers spent queued behind others
@@ -112,7 +111,6 @@ func (b *Bus) Reserve(now sim.Cycle, n int) (start, end sim.Cycle) {
 	}
 	end = start + dur
 	b.nextFree = end
-	b.stats.Transfers++
 	b.stats.Bytes += uint64(n)
 	b.stats.BusyCycles += uint64(dur)
 	return start, end

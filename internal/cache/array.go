@@ -14,11 +14,8 @@ import (
 
 // ArrayStats counts array-level events.
 type ArrayStats struct {
-	Lookups    uint64
-	Hits       uint64
-	Fills      uint64
-	Evictions  uint64
-	DirtyEvict uint64
+	Lookups uint64
+	Hits    uint64
 }
 
 // MissRate reports misses/lookups.
@@ -289,15 +286,10 @@ func (a *Array) fill(lineAddr mem.Addr, dirty bool, state uint8) (victim mem.Add
 			way = w
 		}
 	}
-	a.stats.Fills++
 	if set[way] != 0 {
 		evicted = true
-		a.stats.Evictions++
 		victim = mem.Addr((set[way]&keyMask - 1) << a.lineShift)
 		victimFlags = set[way] & flagMask
-		if victimFlags&dirtyFlag != 0 {
-			a.stats.DirtyEvict++
-		}
 	}
 	flags := uint64(state) << stateShift
 	if dirty {

@@ -19,22 +19,9 @@ const (
 	Miss
 	// Blocked: no MSHR available; the core must retry. The answer can
 	// only change when an MSHR entry is freed, which wakes the core
-	// (WakeOnFree); the per-cycle re-probes in between are settled by
-	// SettleBlocked rather than performed.
+	// (WakeOnFree), so it need not re-probe in between.
 	Blocked
 )
-
-// L1Stats counts L1 controller events.
-type L1Stats struct {
-	Loads         uint64
-	Stores        uint64
-	Misses        uint64
-	Merges        uint64
-	Blocked       uint64
-	Prefetches    uint64
-	PrefetchDrops uint64 // prefetches the hierarchy discarded
-	Writebacks    uint64
-}
 
 // Waiter is what an L1 miss runs when its line arrives: Fn(Arg, now).
 // A component that waits on many misses keeps one method value in Fn
@@ -51,7 +38,6 @@ type Waiter struct {
 // of them) never allocates a slice; one that outgrows it keeps the
 // larger slice when the node is recycled.
 type l1Miss struct {
-	line     mem.Addr
 	waiters  []Waiter
 	inline   [2]Waiter
 	dirty    bool // a store is merged: fill dirty
@@ -77,7 +63,6 @@ type L1 struct {
 	ids       *mem.IDSource
 	stride    *prefetch.Stride
 	nextline  bool
-	stats     L1Stats
 
 	// Prefetch effectiveness (observation only). A line a prefetch
 	// installed that demand has not yet touched carries the state byte
@@ -171,19 +156,6 @@ func (l *L1) SetHandle(h *sim.TickHandle) {
 // Blocked answer, so it need not poll a full MSHR file every cycle.
 func (l *L1) WakeOnFree(core *sim.TickHandle) { l.owner = core }
 
-// SettleBlocked counts k re-probes of a full MSHR file that the core
-// slept through, exactly as k Access calls answered Blocked would have:
-// each is a load or store, a tag lookup that misses, and a Blocked.
-func (l *L1) SettleBlocked(store bool, k uint64) {
-	if store {
-		l.stats.Stores += k
-	} else {
-		l.stats.Loads += k
-	}
-	l.stats.Blocked += k
-	l.arr.stats.Lookups += k
-}
-
 // freeMSHR deletes and returns the MSHR entry for ln (nil if there is
 // none) and, if the core was turned away since the last one freed, wakes
 // it to retry.
@@ -198,14 +170,14 @@ func (l *L1) freeMSHR(ln mem.Addr) *l1Miss {
 
 // newMiss returns a recycled (or fresh) miss node. A fresh node's
 // waiters start in its inline room.
-func (l *L1) newMiss(ln mem.Addr, prefetch, dirty bool) *l1Miss {
+func (l *L1) newMiss(prefetch, dirty bool) *l1Miss {
 	m := l.pool.Get()
 	w := m.waiters[:0]
 	if w == nil {
 		w = m.inline[:0]
 	}
 	clear(m.waiters)
-	*m = l1Miss{line: ln, waiters: w, prefetch: prefetch, dirty: dirty}
+	*m = l1Miss{waiters: w, prefetch: prefetch, dirty: dirty}
 	return m
 }
 
@@ -220,12 +192,6 @@ func (m *l1Miss) wait(done Waiter, store bool) {
 	}
 	m.waiters = append(m.waiters, done)
 }
-
-// Stats returns the counters.
-func (l *L1) Stats() *L1Stats { return &l.stats }
-
-// ArrayStats returns the tag array's counters.
-func (l *L1) ArrayStats() *ArrayStats { return l.arr.Stats() }
 
 // Latency reports the hit latency in cycles.
 func (l *L1) Latency() sim.Cycle { return l.latency }
@@ -244,11 +210,6 @@ func (l *L1) line(a mem.Addr) mem.Addr { return a &^ mem.Addr(l.lineBytes-1) }
 // treat the data as ready at now+Latency(). On Miss, done runs when the
 // line arrives. On Blocked nothing was done and the core must retry.
 func (l *L1) Access(now sim.Cycle, pc uint64, addr mem.Addr, store bool, done Waiter) AccessOutcome {
-	if store {
-		l.stats.Stores++
-	} else {
-		l.stats.Loads++
-	}
 	ln := l.line(addr)
 	if st, hit := l.arr.LookupState(ln); hit {
 		if st == prefetched {
@@ -266,7 +227,6 @@ func (l *L1) Access(now sim.Cycle, pc uint64, addr mem.Addr, store bool, done Wa
 	}
 	if m := l.misses.Find(ln); m != nil {
 		// Secondary miss: merge.
-		l.stats.Merges++
 		m.wait(done, store)
 		if store {
 			m.dirty = true
@@ -278,12 +238,10 @@ func (l *L1) Access(now sim.Cycle, pc uint64, addr mem.Addr, store bool, done Wa
 		return Miss
 	}
 	if l.misses.Len() >= l.mshrCap {
-		l.stats.Blocked++
 		l.sawBlocked = true
 		return Blocked
 	}
-	l.stats.Misses++
-	m := l.newMiss(ln, false, store)
+	m := l.newMiss(false, store)
 	m.wait(done, store)
 	l.misses.Add(ln, m)
 	r := l.ids.NewRequest()
@@ -325,9 +283,8 @@ func (l *L1) maybePrefetch(now sim.Cycle, pc uint64, addr mem.Addr) {
 	if l.misses.Len() >= l.mshrCap {
 		return // never stall demand traffic for a prefetch
 	}
-	l.stats.Prefetches++
 	l.pfStats.Issued++
-	l.misses.Add(ln, l.newMiss(ln, true, false))
+	l.misses.Add(ln, l.newMiss(true, false))
 	r := l.ids.NewRequest()
 	r.Kind = mem.Prefetch
 	r.Addr = addr
@@ -358,7 +315,6 @@ func (l *L1) drop(r *mem.Request, now sim.Cycle) {
 		panic(fmt.Sprintf("cache: L1 drop for unknown line %#x", uint64(r.Line)))
 	}
 	if len(m.waiters) == 0 && !m.dirty {
-		l.stats.PrefetchDrops++
 		l.pfStats.Drops++
 		l.freeMSHR(r.Line)
 		l.pool.Put(m)
@@ -397,7 +353,6 @@ func (l *L1) fill(ln mem.Addr, now sim.Cycle) {
 	}
 	victim, victimFlags, evicted := l.arr.fill(ln, m.dirty, st)
 	if evicted && victimFlags&dirtyFlag != 0 {
-		l.stats.Writebacks++
 		l.out.Send(l.ids.Writeback(victim, l.core, now), now)
 	}
 	for _, w := range m.waiters {
@@ -434,10 +389,9 @@ func (l *L1) PrefetchStats() prefetch.Stats {
 	return s
 }
 
-// ResetStats zeroes the counters (end of warmup). Lines prefetched
-// during warmup may still prove useful, so their marks survive.
+// ResetStats zeroes the prefetch counters (end of warmup). Lines
+// prefetched during warmup may still prove useful, so their marks survive.
 func (l *L1) ResetStats() {
-	l.stats = L1Stats{}
 	l.pfStats = prefetch.Stats{}
 	if l.stride != nil {
 		l.stride.Trained = 0

@@ -72,12 +72,12 @@ func TestL1SecondaryMissMerges(t *testing.T) {
 	if len(port.reqs) != 1 {
 		t.Fatalf("merge sent %d requests, want 1", len(port.reqs))
 	}
+	if n := l1.OutstandingMisses(); n != 1 {
+		t.Fatalf("merge left %d misses outstanding, want 1", n)
+	}
 	port.reqs[0].Complete(30)
 	if fired != 2 {
 		t.Fatalf("%d waiters fired, want 2", fired)
-	}
-	if l1.Stats().Merges != 1 {
-		t.Fatalf("Merges = %d", l1.Stats().Merges)
 	}
 }
 
@@ -93,8 +93,8 @@ func TestL1MSHRExhaustionBlocks(t *testing.T) {
 	if out := l1.Access(0, 1, 0x9000, false, Waiter{}); out != Blocked {
 		t.Fatalf("9th miss = %v, want Blocked", out)
 	}
-	if l1.Stats().Blocked != 1 {
-		t.Fatalf("Blocked = %d", l1.Stats().Blocked)
+	if len(port.reqs) != 8 {
+		t.Fatalf("%d requests sent, want 8: a Blocked access sends none", len(port.reqs))
 	}
 	if l1.OutstandingMisses() != 8 {
 		t.Fatalf("OutstandingMisses = %d", l1.OutstandingMisses())
@@ -118,10 +118,7 @@ func TestL1StoreWriteAllocate(t *testing.T) {
 			port.reqs[len(port.reqs)-1].Complete(20)
 		}
 	}
-	if l1.Stats().Writebacks == 0 {
-		t.Fatal("dirty line eviction produced no writeback")
-	}
-	// Find the writeback request.
+	// The dirty line's eviction sent a writeback below.
 	var wb *mem.Request
 	for _, r := range port.reqs {
 		if r.Kind == mem.Writeback {
@@ -179,8 +176,8 @@ func TestL1PrefetchIssues(t *testing.T) {
 	if pf == nil || pf.Line != 0x1040 {
 		t.Fatalf("next-line prefetch = %v, want line 0x1040", pf)
 	}
-	if l1.Stats().Prefetches == 0 {
-		t.Fatal("prefetch not counted")
+	if n := l1.PrefetchStats().Issued; n != 1 {
+		t.Fatalf("%d prefetches counted, want 1", n)
 	}
 	// Prefetch fill must not fire any core waiter (none registered) and
 	// must land in the array.
@@ -268,8 +265,8 @@ func TestL1DroppedPrefetchUnwinds(t *testing.T) {
 	if l1.OutstandingMisses() != before-1 {
 		t.Fatalf("outstanding = %d, want %d", l1.OutstandingMisses(), before-1)
 	}
-	if l1.Stats().PrefetchDrops != 1 {
-		t.Fatalf("PrefetchDrops = %d, want 1", l1.Stats().PrefetchDrops)
+	if n := l1.PrefetchStats().Drops; n != 1 {
+		t.Fatalf("%d prefetch drops counted, want 1", n)
 	}
 	if out := l1.Access(30, 0x500, pf.Line, false, Waiter{}); out == Hit {
 		t.Fatal("dropped line present in the array")

@@ -15,22 +15,10 @@ import (
 
 // L2Stats counts shared-L2 events.
 type L2Stats struct {
-	Accesses      uint64
-	Hits          uint64
-	DemandMisses  uint64 // misses from demand (non-prefetch, non-writeback) traffic
-	MSHRStalls    uint64 // cycles a bank head was blocked on a full MSHR
-	ProbeStalls   uint64 // cycles spent waiting for/performing MSHR probes
-	Prefetches    uint64
-	WritebacksIn  uint64 // writebacks received from L1s
-	WritebacksOut uint64 // dirty L2 victims sent to memory
-	MCRejects     uint64 // MC submissions deferred on a full MRQ
-}
-
-// unissuedEntry remembers which MSHR bank an entry deferred on a full
-// MRQ belongs to.
-type unissuedEntry struct {
-	mshrIdx int
-	e       *mshr.Entry
+	Accesses     uint64
+	Hits         uint64
+	DemandMisses uint64 // misses from demand (non-prefetch, non-writeback) traffic
+	MSHRStalls   uint64 // cycles a bank head was blocked on a full MSHR
 }
 
 // mshrWaiters is one MSHR bank's set-aside misses, oldest first. Every
@@ -41,17 +29,15 @@ type unissuedEntry struct {
 // what the last real poll cost.
 type mshrWaiters struct {
 	q sim.Queue[*mem.Request]
-	// What the head's last real poll found: the bank array its line is
-	// absent from, the entry probes the MSHR bank's lookup took, and that
-	// bank's change count.
-	arr    *Array
+	// What the head's last real poll found: the entry probes the MSHR
+	// bank's lookup took, and that bank's change count.
 	probes int
 	seen   uint64
 }
 
 // turnedAway records the poll in which the full bank f refused the head.
-func (w *mshrWaiters) turnedAway(arr *Array, f *mshr.File, probes int) {
-	w.arr, w.probes, w.seen = arr, probes, f.Changes()
+func (w *mshrWaiters) turnedAway(f *mshr.File, probes int) {
+	w.probes, w.seen = probes, f.Changes()
 }
 
 // l2bank is one bank of the shared cache: its own array slice and a
@@ -90,9 +76,9 @@ type L2 struct {
 	mshrBusy  []sim.Cycle
 	mshrLat   sim.Cycle
 
-	mcs      []Port
-	unissued [][]unissuedEntry // per MC: allocated but not yet in the MRQ
-	wb       []Outbox          // per MC: writebacks toward it
+	mcs []Port
+	rd  []Outbox // per MC: reads of allocated MSHR entries toward it
+	wb  []Outbox // per MC: writebacks toward it
 	// mshrWait holds misses that found their MSHR bank full. They are
 	// set aside (the bank pipeline keeps flowing — a full MSHR must not
 	// head-of-line-block unrelated hits) and retried as entries free up.
@@ -168,7 +154,7 @@ func NewL2(p L2Params) *L2 {
 		ids:          p.IDs,
 		mshrLat:      sim.Cycle(cfg.MSHRBankLat),
 		missesBy:     make([]uint64, cfg.Cores),
-		unissued:     make([][]unissuedEntry, cfg.MCs),
+		rd:           make([]Outbox, cfg.MCs),
 		wb:           make([]Outbox, cfg.MCs),
 		crossPenalty: 0,
 	}
@@ -176,6 +162,7 @@ func NewL2(p L2Params) *L2 {
 		l.crossPenalty = 4
 	}
 	for m, mc := range p.MCs {
+		l.rd[m] = NewOutbox(mc)
 		l.wb[m] = NewOutbox(mc)
 	}
 	for b := 0; b < cfg.L2Banks; b++ {
@@ -225,6 +212,7 @@ func (l *L2) Register(e *sim.Engine) {
 		f.WakeOnGrow(l.handle)
 	}
 	for m := range l.wb {
+		l.rd[m].SetOwner(l.handle)
 		l.wb[m].SetOwner(l.handle)
 	}
 }
@@ -273,15 +261,6 @@ func (l *L2) AttachAttrib(col *attrib.Collector) { l.attrib = col }
 
 // Stats returns the counters.
 func (l *L2) Stats() *L2Stats { return &l.stats }
-
-// ArrayStats returns each bank array's counters, in bank order.
-func (l *L2) ArrayStats() []*ArrayStats {
-	out := make([]*ArrayStats, len(l.banks))
-	for i, b := range l.banks {
-		out[i] = b.arr.Stats()
-	}
-	return out
-}
 
 // DemandMissesByCore reports per-core L2 demand misses (for MPKI).
 func (l *L2) DemandMissesByCore() []uint64 { return l.missesBy }
@@ -410,52 +389,38 @@ func (l *L2) Tick(now sim.Cycle) {
 }
 
 // Settle implements sim.Settler: the set-aside polls of the k cycles
-// after last, which the L2 slept through, leave their counts in the L2's
-// stats, its bank arrays' and its MSHR banks'.
-func (l *L2) Settle(last, k sim.Cycle) {
+// the L2 slept through leave their counts in its MSHR banks' stats.
+func (l *L2) Settle(_, k sim.Cycle) {
 	for m := range l.mshrWait {
-		l.settle(m, last, k)
+		l.settle(m, k)
 	}
 }
 
-// settle counts, without making them, the polls of MSHR bank m's set-aside
-// head on the k cycles after last. Each would have looked the head up in
-// its bank array (a miss) and in its full MSHR bank (a miss costing what
-// the last real poll cost), after waiting for the MSHR bank's port. That
-// holds for every cycle on which the bank is as the head's last real poll
-// left it: the head's line can enter the array only in handleFill of its
-// own MSHR entry, which would first have to be allocated, and is released,
-// in this bank; the lookup's cost and the bank's being full change only
-// with an allocation, a release or a new limit; and mshrBusy moves only in
-// the L2's own ticks, after the polls. A release or a raised limit also
-// wakes the L2, so the cycles it sleeps through always qualify; the cycle
-// it wakes on qualifies if the bank's change count stands
-// (drainMSHRWaiters).
-func (l *L2) settle(m int, last, k sim.Cycle) {
-	w := &l.mshrWait[m]
-	if w.q.Empty() {
-		return
-	}
-	w.arr.stats.Lookups += uint64(k)
-	l.mshrBanks[m].Relookup(w.probes, uint64(k))
-	// The poll at cycle c waits mshrBusy − (c + latency + crossPenalty)
-	// cycles for the port when that is positive: a series falling by
-	// one per cycle from its value on the first counted cycle.
-	if first := l.mshrBusy[m] - (last + 1 + l.latency + l.crossPenalty); first > 0 {
-		n := min(first, k)
-		l.stats.ProbeStalls += uint64(n*first - n*(n-1)/2)
+// settle counts, without making them, k polls of MSHR bank m's set-aside
+// head. Each would have missed in its full MSHR bank at what the last
+// real poll cost. That holds for every cycle on which the bank is as the
+// head's last real poll left it: the head's line can enter the array only
+// in handleFill of its own MSHR entry, which would first have to be
+// allocated, and is released, in this bank; and the lookup's cost and the
+// bank's being full change only with an allocation, a release or a new
+// limit. A release or a raised limit also wakes the L2, so the cycles it
+// sleeps through always qualify; the cycle it wakes on qualifies if the
+// bank's change count stands (drainMSHRWaiters).
+func (l *L2) settle(m int, k sim.Cycle) {
+	if w := &l.mshrWait[m]; !w.q.Empty() {
+		l.mshrBanks[m].Relookup(w.probes, uint64(k))
 	}
 }
 
 // sched chooses how long the L2 can sleep after ticking at now. Deferred
-// MC submissions pin it awake: they retry — and count rejects — every
-// cycle. A set-aside head a full bank turned away does not: handleFill
-// and a raised limit, the only things that can change the answer, wake
-// the L2, and settle counts the polls in between. The exception is a
-// bank whose lookups draw from the fault injector's shared random
-// stream, where every poll is made, on its own cycle. Otherwise the next
-// work is the earliest pending event or the earliest cycle a non-empty
-// bank queue can be served.
+// MC submissions pin it awake: they retry every cycle. A set-aside head
+// a full bank turned away does not: handleFill and a raised limit, the
+// only things that can change the answer, wake the L2, and settle
+// counts the polls in between. The exception is a bank whose lookups
+// draw from the fault injector's shared random stream, where every poll
+// is made, on its own cycle. Otherwise the next work is the earliest
+// pending event or the earliest cycle a non-empty bank queue can be
+// served.
 func (l *L2) sched(now sim.Cycle) {
 	for m := range l.mshrWait {
 		if !l.mshrWait[m].q.Empty() && l.mshrBanks[m].DrawsFaults() {
@@ -464,7 +429,7 @@ func (l *L2) sched(now sim.Cycle) {
 		}
 	}
 	for m := range l.mcs {
-		if len(l.unissued[m]) > 0 || l.wb[m].Len() > 0 {
+		if l.rd[m].Len() > 0 || l.wb[m].Len() > 0 {
 			l.handle.SleepUntil(now + 1)
 			return
 		}
@@ -507,7 +472,7 @@ func (l *L2) drainMSHRWaiters(now sim.Cycle) {
 		}
 		f := l.mshrBanks[m]
 		if settles && w.seen == f.Changes() && !f.DrawsFaults() {
-			l.settle(m, now-1, 1)
+			l.settle(m, 1)
 			continue
 		}
 		for r, ok := w.q.Peek(); ok; r, ok = w.q.Peek() {
@@ -525,7 +490,7 @@ func (l *L2) drainMSHRWaiters(now sim.Cycle) {
 				r.Attrib = nil
 				l.events.AtCall(done, l.completeReq, r)
 			} else if probes, fit := l.missPath(r, now); !fit {
-				w.turnedAway(arr, f, probes)
+				w.turnedAway(f, probes)
 				break // still full; preserve order
 			}
 			w.q.Pop()
@@ -545,7 +510,6 @@ func (l *L2) tickBank(b *l2bank, now sim.Cycle) {
 	case mem.Writeback:
 		b.inq.Pop()
 		b.busy = now + 1
-		l.stats.WritebacksIn++
 		if b.arr.Lookup(l.toLocal(r.Line)) {
 			b.arr.MarkDirty(l.toLocal(r.Line))
 			r.Complete(now)
@@ -582,7 +546,7 @@ func (l *L2) tickBank(b *l2bank, now sim.Cycle) {
 			w := &l.mshrWait[m]
 			if w.q.Empty() {
 				// r is the head, and this was its poll.
-				w.turnedAway(b.arr, l.mshrBanks[m], probes)
+				w.turnedAway(l.mshrBanks[m], probes)
 			}
 			w.q.Push(r)
 		}
@@ -600,10 +564,7 @@ func (l *L2) missPath(r *mem.Request, now sim.Cycle) (probes int, ok bool) {
 	f := l.mshrBanks[m]
 	// The probe occupies the MSHR bank; model its serialization.
 	start := now + l.latency + l.crossPenalty
-	if l.mshrBusy[m] > start {
-		l.stats.ProbeStalls += uint64(l.mshrBusy[m] - start)
-		start = l.mshrBusy[m]
-	}
+	start = max(start, l.mshrBusy[m])
 	entry, probes, found := f.Lookup(r.Line)
 	busyFor := sim.Cycle(probes) * l.mshrLat
 	if found {
@@ -639,19 +600,12 @@ func (l *L2) missPath(r *mem.Request, now sim.Cycle) (probes int, ok bool) {
 	return probes, true
 }
 
-// issue sends the entry's memory read to its controller, deferring on a
-// full MRQ. mshrIdx identifies the MSHR bank holding the entry (needed
-// for release); the destination controller comes from the address.
+// issue sends the entry's memory read toward its controller; a full MRQ
+// leaves it in the controller's outbox. mshrIdx identifies the MSHR bank
+// holding the entry (needed for release); the destination controller
+// comes from the address.
 func (l *L2) issue(mshrIdx int, e *mshr.Entry) {
-	if e.Issued {
-		return
-	}
-	mcIdx := l.mcFor(e.Line)
 	primary := e.Primary()
-	if primary == nil {
-		// Prefetch-originated entries always have a primary; defensive.
-		return
-	}
 	read := l.ids.NewRequest()
 	read.Kind = mem.Read
 	read.Addr = primary.Addr
@@ -663,35 +617,15 @@ func (l *L2) issue(mshrIdx int, e *mshr.Entry) {
 	read.Owner = e
 	read.OwnerIdx = mshrIdx
 	read.OnDone = l.onFill
-	if l.mcs[mcIdx].Submit(read, l.now) {
-		e.Issued = true
-	} else {
-		l.stats.MCRejects++
-		l.unissued[mcIdx] = append(l.unissued[mcIdx], unissuedEntry{mshrIdx: mshrIdx, e: e})
-		l.ids.Recycle(read) // a fresh read is built on each retry
-	}
+	l.rd[l.mcFor(e.Line)].Send(read, l.now)
 }
 
-// retryMCs drains deferred MC submissions and writebacks.
+// retryMCs drains deferred writebacks and MC reads.
 func (l *L2) retryMCs(now sim.Cycle) {
 	for m := range l.mcs {
 		// Writebacks first: they hold no MSHR and starve nothing above.
 		l.wb[m].Retry(now)
-		uq := l.unissued[m]
-		kept := uq[:0]
-		for i, u := range uq {
-			if u.e.Issued || len(kept) > 0 {
-				if !u.e.Issued {
-					kept = append(kept, uq[i])
-				}
-				continue
-			}
-			l.issue(u.mshrIdx, u.e)
-			if !u.e.Issued {
-				kept = append(kept, uq[i])
-			}
-		}
-		l.unissued[m] = kept
+		l.rd[m].Retry(now)
 	}
 }
 
@@ -720,7 +654,6 @@ func (l *L2) handleFill(mshrIdx int, e *mshr.Entry, read *mem.Request, at sim.Cy
 	b := l.banks[bankIdx]
 	victim, victimFlags, evicted := b.arr.fill(l.toLocal(e.Line), e.Dirty, st)
 	if evicted && victimFlags&dirtyFlag != 0 {
-		l.stats.WritebacksOut++
 		victimLine := l.toGlobal(victim, bankIdx)
 		// at, not l.now: a fill runs from a controller's tick, when l.now
 		// is stale from the L2's last one.
@@ -791,7 +724,6 @@ func (l *L2) trainPrefetch(now sim.Cycle, r *mem.Request) {
 	if _, _, found := f.Lookup(line); found || f.Full() {
 		return
 	}
-	l.stats.Prefetches++
 	l.pfStats.Issued++
 	pf := l.ids.NewRequest()
 	pf.Kind = mem.Prefetch
@@ -809,7 +741,7 @@ func (l *L2) trainPrefetch(now sim.Cycle, r *mem.Request) {
 }
 
 // ResetStats zeroes the L2 counters, including per-core miss accounting
-// and each bank array's statistics (end of warmup). The prefetch marks
+// and each MSHR bank's statistics (end of warmup). The prefetch marks
 // survive: lines prefetched during warmup can still prove useful.
 func (l *L2) ResetStats() {
 	l.stats = L2Stats{}
@@ -819,9 +751,6 @@ func (l *L2) ResetStats() {
 	}
 	for i := range l.missesBy {
 		l.missesBy[i] = 0
-	}
-	for _, b := range l.banks {
-		b.arr.ResetStats()
 	}
 	for _, f := range l.mshrBanks {
 		f.ResetStats()

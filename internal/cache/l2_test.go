@@ -168,12 +168,13 @@ func TestL2WritebackInHitMarksDirty(t *testing.T) {
 	if !wb.Done() {
 		t.Fatal("writeback not absorbed")
 	}
-	if rg.l2.Stats().WritebacksIn != 1 {
-		t.Fatalf("WritebacksIn = %d", rg.l2.Stats().WritebacksIn)
-	}
-	// No writeback should have reached DRAM.
+	// No writeback should have reached DRAM: the L2's copy holds it.
 	if rg.mcs[0].Stats().Writes+rg.mcs[1].Stats().Writes != 0 {
 		t.Fatal("absorbed writeback leaked to DRAM")
+	}
+	b := rg.l2.banks[rg.l2.bankFor(0x30000)]
+	if present, dirty := b.arr.Invalidate(rg.l2.toLocal(0x30000)); !present || !dirty {
+		t.Fatalf("L2 line after the writeback: present %t, dirty %t; want both", present, dirty)
 	}
 }
 
@@ -195,7 +196,7 @@ func TestL2PrefetchFillsWithoutWaiters(t *testing.T) {
 	var d1 sim.Cycle
 	rg.l2.Submit(rg.read(1, 0x50000, &d1), 0)
 	rg.run(1000)
-	if rg.l2.Stats().Prefetches == 0 {
+	if rg.l2.PrefetchStats().Issued == 0 {
 		t.Fatal("no L2 prefetch issued")
 	}
 	// The next line should now hit.
@@ -249,11 +250,12 @@ func TestL2DirtyEvictionWritesBack(t *testing.T) {
 			id++
 			rg.run(30)
 		}
-		if rg.l2.Stats().WritebacksOut > 0 {
+		if rg.mcs[0].Stats().Writes+rg.mcs[1].Stats().Writes > 0 {
 			break
 		}
 	}
-	if rg.l2.Stats().WritebacksOut == 0 {
+	// Only the dirty victim writes: everything else here is a read.
+	if rg.mcs[0].Stats().Writes+rg.mcs[1].Stats().Writes == 0 {
 		t.Fatal("dirty L2 eviction never wrote back")
 	}
 }

@@ -53,24 +53,19 @@ type wbEntry struct {
 
 // PL2Stats counts private-L2 events.
 type PL2Stats struct {
-	Accesses      uint64
-	Hits          uint64
-	DemandMisses  uint64
-	Merges        uint64
-	MSHRStalls    uint64
-	WBHolds       uint64 // misses held back behind an unacknowledged eviction
-	PrefetchDrops uint64
-	WritebacksIn  uint64
-	OrphanWB      uint64 // L1 writeback for a line this L2 no longer holds
-	Upgrades      uint64 // GetM issued with the data already held in S
-	InvRecv       uint64
-	InvL1Dirty    uint64 // invalidation hit a dirty L1 copy (write lost the race)
-	FwdServed     uint64 // forwards served from the cache
-	FwdFromWB     uint64 // forwards served from the writeback buffer (race)
-	FwdDeferred   uint64 // forwards held until our own in-flight fill landed
-	FillDropped   uint64 // fills discarded: invalidated while the data was in flight
-	EvictShared   uint64 // silent S evictions
-	EvictOwned    uint64 // E/M evictions (PutE/PutM)
+	Accesses     uint64
+	Hits         uint64
+	DemandMisses uint64
+	Merges       uint64
+	MSHRStalls   uint64
+	WritebacksIn uint64
+	OrphanWB     uint64 // L1 writeback for a line this L2 no longer holds
+	Upgrades     uint64 // GetM issued with the data already held in S
+	InvRecv      uint64
+	FwdServed    uint64 // forwards served from the cache
+	FwdFromWB    uint64 // forwards served from the writeback buffer (race)
+	EvictShared  uint64 // silent S evictions
+	EvictOwned   uint64 // E/M evictions (PutE/PutM)
 }
 
 // PrivateL2 is one core's private second-level cache: a MESI cache
@@ -186,17 +181,14 @@ func (p *PrivateL2) Submit(r *mem.Request, now sim.Cycle) bool {
 		// and let the ack retire a line we just re-acquired — hold the
 		// request back until the writeback buffer drains.
 		if r.Kind == mem.Prefetch {
-			p.stats.PrefetchDrops++
 			r.Dropped = true
 			r.Complete(now)
 			return true
 		}
-		p.stats.WBHolds++
 		return false
 	}
 	if p.misses.Len() >= p.cap {
 		if r.Kind == mem.Prefetch {
-			p.stats.PrefetchDrops++
 			r.Dropped = true
 			r.Complete(now)
 			return true
@@ -360,7 +352,6 @@ func (p *PrivateL2) process(m *message, now sim.Cycle) {
 					if ms.fwd != nil {
 						panic(fmt.Sprintf("coherence: a second forward (%s after %s) for line %#x held at core %d", m.kind, ms.fwd.kind, uint64(m.line), p.id))
 					}
-					p.stats.FwdDeferred++
 					ms.fwd = m
 					return // m stays alive; replayed after the fill
 				}
@@ -415,7 +406,6 @@ func (p *PrivateL2) fill(m *message, now sim.Cycle) {
 		// writeback for the stale-PutM rule. An ownership grant
 		// (E/M) is necessarily from a newer epoch than the Inv and
 		// installs normally.
-		p.stats.FillDropped++
 		p.finishWaiters(m.tag, miss, now)
 		if _, dirty := p.dl1.InvalidateLine(line); dirty {
 			p.stats.OrphanWB++
@@ -537,9 +527,7 @@ func (p *PrivateL2) wbAck(m *message, now sim.Cycle) {
 func (p *PrivateL2) invalidate(m *message, now sim.Cycle) {
 	p.stats.InvRecv++
 	if present, _ := p.arr.Invalidate(m.line); present {
-		if _, dirty := p.dl1.InvalidateLine(m.line); dirty {
-			p.stats.InvL1Dirty++
-		}
+		p.dl1.InvalidateLine(m.line)
 		p.il1.InvalidateLine(m.line)
 	} else if ms := p.misses.Find(m.line); ms != nil && !ms.excl {
 		// No copy but a GetS in flight: either the directory already

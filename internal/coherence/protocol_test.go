@@ -489,7 +489,9 @@ func TestDeferralPathsAllocateNothing(t *testing.T) {
 	served := 0
 	done := cache.Waiter{Fn: func(int, sim.Cycle) { served++ }}
 	// store has core c store to lines[c], all in one cycle, and runs the
-	// machine until every store completes.
+	// machine until every store completes, counting the cycles on which
+	// some core's miss holds a forward that overtook its fill.
+	var heldCycles uint64
 	store := func(lines []mem.Addr) {
 		served = 0
 		now := r.eng.Now()
@@ -498,7 +500,15 @@ func TestDeferralPathsAllocateNothing(t *testing.T) {
 				t.Fatalf("core %d's store to line %#x did not miss", c, uint64(line))
 			}
 		}
-		r.run(2000)
+		for range 2000 {
+			r.run(1)
+			for c, line := range lines {
+				if m := r.f.L2(c).misses.Find(line); m != nil && m.fwd != nil {
+					heldCycles++
+					break
+				}
+			}
+		}
 		if served != len(lines) {
 			t.Fatalf("%d of %d stores completed", served, len(lines))
 		}
@@ -519,11 +529,7 @@ func TestDeferralPathsAllocateNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() {
 		store(hot[round])
 		deferred = append(deferred, d.stats.Deferred)
-		var fwds uint64
-		for c := range 16 {
-			fwds += r.f.L2(c).stats.FwdDeferred
-		}
-		held = append(held, fwds)
+		held = append(held, heldCycles)
 		round++
 	})
 	if round != 2 {
@@ -533,7 +539,7 @@ func TestDeferralPathsAllocateNothing(t *testing.T) {
 		t.Fatalf("the bank deferred %d then %d requests in all, want 2 then 9: the hot line did not form", deferred[0], deferred[1])
 	}
 	if held[0] == 0 || held[1] == held[0] {
-		t.Fatalf("%d then %d forwards held behind in-flight fills in all, want some in each round", held[0], held[1])
+		t.Fatalf("a forward was held behind an in-flight fill on %d then %d cycles in all, want some in each round", held[0], held[1])
 	}
 	if allocs != 0 {
 		t.Errorf("round two allocated %v times, want 0", allocs)
@@ -844,12 +850,23 @@ func TestMissHeldBehindUnackedEviction(t *testing.T) {
 		forceEvict(r.f.L2(0), line0, 300)
 	})
 	done := r.access(0, 305, line0, false)
+	// Held: the load waits above the private L2, which opens no miss
+	// while the line's eviction is in its writeback buffer.
+	held := false
+	for c := sim.Cycle(306); c < 600; c++ {
+		r.eng.Schedule(c, func() {
+			l2 := r.f.L2(0)
+			if _, evicting := l2.wb[line0]; evicting && l2.misses.Find(line0) == nil && r.l1s[0].OutstandingMisses() > 0 {
+				held = true
+			}
+		})
+	}
 	r.run(1200)
 	if !*done {
 		t.Fatal("post-eviction load never completed")
 	}
-	if got := r.f.L2(0).Stats().WBHolds; got == 0 {
-		t.Error("WBHolds = 0: the miss was not held behind the unacknowledged eviction")
+	if !held {
+		t.Error("the miss was not held behind the unacknowledged eviction")
 	}
 	if st := r.f.L2(0).State(line0); st != psExcl {
 		t.Errorf("re-acquired state = %d, want E", st)

@@ -147,9 +147,10 @@ func (r *Runner) Status() RunnerStatus {
 	}
 }
 
-// inflight is the single-flight slot for one (config, mix) key. done is
-// closed once m/err are final.
+// inflight is the single-flight slot for one (config, mix) key: cfg is
+// the config the key names, as run. done is closed once m/err are final.
 type inflight struct {
+	cfg  config.Config
 	done chan struct{}
 	m    Metrics
 	err  error
@@ -195,8 +196,9 @@ func (r *Runner) pool() chan struct{} {
 	return r.sem
 }
 
-func (r *Runner) apply(cfg *config.Config) *config.Config {
-	c := cfg.Clone()
+// apply returns cfg as the runner runs it, with its windows.
+func (r *Runner) apply(cfg *config.Config) config.Config {
+	c := *cfg
 	if r.Warmup > 0 {
 		c.WarmupCycles = r.Warmup
 	}
@@ -208,22 +210,27 @@ func (r *Runner) apply(cfg *config.Config) *config.Config {
 
 // start enqueues (cfg, w) without waiting and returns its single-flight
 // slot, launching the run on the worker pool if this is the first
-// request for the key. The config is cloned before returning, so callers
-// may mutate cfg afterwards.
+// request for the key. The config is copied before returning, so callers
+// may mutate cfg afterwards. A key is the config's name and the
+// workload's labels, so it must name one machine: a request whose
+// config differs from the one the key already ran panics.
 func (r *Runner) start(cfg *config.Config, w workload.Workload) *inflight {
 	key := cfg.Name + "\x00" + strings.Join(w.Labels(), "\x00")
+	run := r.apply(cfg)
 	r.mu.Lock()
 	if r.memo == nil {
 		r.memo = map[string]*inflight{}
 	}
 	if in, ok := r.memo[key]; ok {
 		r.mu.Unlock()
+		if in.cfg != run {
+			panic(fmt.Sprintf("core: run key %q names two different configs", strings.ReplaceAll(key, "\x00", " ")))
+		}
 		return in
 	}
-	in := &inflight{done: make(chan struct{})}
+	in := &inflight{cfg: run, done: make(chan struct{})}
 	r.memo[key] = in
 	r.mu.Unlock()
-	run := r.apply(cfg)
 	sem := r.pool()
 	r.queued.Add(1)
 	go func() {
@@ -232,7 +239,8 @@ func (r *Runner) start(cfg *config.Config, w workload.Workload) *inflight {
 		r.queued.Add(-1)
 		r.running.Add(1)
 		started := time.Now()
-		in.m, in.err = r.execute(run, w)
+		run := in.cfg // the simulation's own copy: in.cfg stays as the key ran it
+		in.m, in.err = r.execute(&run, w)
 		wall := time.Since(started).Seconds()
 		r.running.Add(-1)
 		if in.err != nil {

@@ -209,7 +209,8 @@ func TestRunIDGoldens(t *testing.T) {
 		{table2a, workload.Single("mcf"), "72bc1d84c1b3b098"},
 		{config.ManyCore(16, 4), workload.Uniform("producer-consumer", 16), "827d71d5ac2ab377"},
 	} {
-		id, _, err := RunIdentity(r.apply(c.cfg), c.w.Labels())
+		run := r.apply(c.cfg)
+		id, _, err := RunIdentity(&run, c.w.Labels())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -328,3 +328,30 @@ func TestRunnerRunTimeout(t *testing.T) {
 		t.Fatalf("run returned %v, want DeadlineExceeded", err)
 	}
 }
+
+// TestRunnerMemoKeyNamesOneMachine pins that the runner's memo key — a
+// config's name and the workload's labels — names one machine: asking
+// again with the same config shares the run, and asking with a
+// different config under the same name panics, naming the key.
+func TestRunnerMemoKeyNamesOneMachine(t *testing.T) {
+	r := NewRunner(1_000, 2_000)
+	r.simulate = func(context.Context, *config.Config, workload.Workload) (Metrics, error) { return Metrics{}, nil }
+	h1, err := workload.OfMix("H1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := r.start(config.Fast3D(), h1)
+	if again := r.start(config.Fast3D(), h1); again != first {
+		t.Fatal("the same config under the same key did not share its run")
+	}
+	<-first.done
+	bigger := config.Fast3D()
+	bigger.L2SizeKB *= 2
+	defer func() {
+		p := recover()
+		if msg, _ := p.(string); !strings.Contains(msg, `"3D-fast mix:H1"`) {
+			t.Fatalf("a second config named 3D-fast: recovered %v, want a panic naming the key", p)
+		}
+	}()
+	r.start(bigger, h1)
+}

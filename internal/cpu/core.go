@@ -44,28 +44,9 @@ type UOpSource interface {
 	Next() UOp
 }
 
-// Stats counts per-core retirement and memory activity.
+// Stats counts per-core retirement since the last ResetStats.
 type Stats struct {
-	Cycles     uint64
-	Committed  uint64
-	Loads      uint64
-	Stores     uint64
-	TLBWalks   uint64
-	Mispredict uint64
-	// ROBStall counts cycles dispatch was blocked by a full ROB.
-	ROBStall uint64
-	// FetchMisses counts IL1 misses; FetchStall counts cycles dispatch
-	// waited on instruction supply (IL1 miss or ITLB walk).
-	FetchMisses uint64
-	FetchStall  uint64
-}
-
-// IPC reports committed μops per cycle.
-func (s *Stats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Committed) / float64(s.Cycles)
+	Committed uint64
 }
 
 type robState uint8
@@ -122,17 +103,10 @@ type Core struct {
 	halted          bool
 	committedTotal  uint64
 
-	// Idle fast-path state (active only once SetHandle is called).
-	// While the core sleeps, what a full-tick run would have done on
-	// each skipped cycle (count Cycles plus one stall counter, and
-	// re-probe the L1 if the head of memQ was turned away, all fixed
-	// across the span by construction) is caught up lazily: idleReason
-	// is snapshotted when the sleep is chosen, l1Blocked holds the last
-	// tick's outcome, and the engine has the skipped cycles settled
-	// (Settle) before the next Tick or a reading of the statistics.
-	handle     *sim.TickHandle
-	idleReason idleReason
-	l1Blocked  bool // this tick, the L1 answered the head of memQ Blocked
+	// Idle fast-path state (active only once SetHandle is called): the
+	// core sleeps through cycles on which it would change nothing.
+	handle    *sim.TickHandle
+	l1Blocked bool // this tick, the L1 answered the head of memQ Blocked
 
 	// loadFill is loadDone bound once: every load's L1 fill waiter
 	// calls it with the load's ROB slot as Arg, so issuing a load
@@ -144,16 +118,6 @@ type Core struct {
 	fillSeq   []uint64
 	fetchFill cache.Waiter
 }
-
-// idleReason is the stall statistic a sleeping core would have counted
-// on each skipped cycle had it ticked.
-type idleReason uint8
-
-const (
-	idleNone  idleReason = iota // no per-cycle stall counter (halted, or dispatch time-gated)
-	idleROB                     // dispatch blocked by a full ROB
-	idleFetch                   // dispatch waiting on an IL1 fill
-)
 
 // Params assembles a core.
 type Params struct {
@@ -217,9 +181,8 @@ func (c *Core) fetchDone(_ int, _ sim.Cycle) {
 // SetHandle arms the idle fast-path: with an engine tick handle the
 // core sleeps through cycles it can prove are stalls (waiting on a
 // fill, a TLB walk, a front-end refill, a full ROB, or a full L1 MSHR
-// file, which wakes it when an entry frees) and settles the per-cycle
-// stall statistics lazily. Without it, behaviour is the seed
-// tick-every-cycle model.
+// file, which wakes it when an entry frees). Without it, behaviour is
+// the seed tick-every-cycle model.
 func (c *Core) SetHandle(h *sim.TickHandle) {
 	c.handle = h
 	c.l1.WakeOnFree(h)
@@ -249,40 +212,16 @@ func (c *Core) Committed() uint64 { return c.committedTotal }
 
 // Halt stops the front end: no new μops dispatch, but queued work keeps
 // issuing and retiring so in-flight memory traffic drains (used by
-// System.DrainQuiesce and the invariant checker). Callers reading
-// statistics around a halt should Engine.Settle first; Halt wakes the
-// core so any sleep chosen under pre-halt dispatch rules is recomputed.
+// System.DrainQuiesce and the invariant checker). Halt wakes the core
+// so any sleep chosen under pre-halt dispatch rules is recomputed.
 func (c *Core) Halt() {
 	c.halted = true
 	c.handle.Wake()
 }
 
-// Settle implements sim.Settler. It counts a skipped idle span of
-// cycles: each would have incremented Cycles plus at most one stall
-// counter, and re-probed the DTLB and the L1 for the head of memQ if
-// the L1 had turned it away — all fixed across the span because nothing
-// that decides them can change while the core sleeps. The re-probe
-// leaves no trace in this core's own stats (Loads++ then Loads--), but
-// it does in the DL1's and the DTLB's.
-func (c *Core) Settle(_, cycles sim.Cycle) {
-	if c.l1Blocked {
-		op := &c.rob[c.memQ.At(0)].op
-		c.dt.Rehit(c.vaddr(op), uint64(cycles))
-		c.l1.SettleBlocked(op.Store, uint64(cycles))
-	}
-	c.stats.Cycles += uint64(cycles)
-	switch c.idleReason {
-	case idleROB:
-		c.stats.ROBStall += uint64(cycles)
-	case idleFetch:
-		c.stats.FetchStall += uint64(cycles)
-	}
-}
-
 // Tick advances the core one cycle: retire, issue memory operations,
 // then dispatch new μops.
 func (c *Core) Tick(now sim.Cycle) {
-	c.stats.Cycles++
 	c.commit(now)
 	c.issueMem(now)
 	if !c.halted {
@@ -298,19 +237,17 @@ func (c *Core) peekDone(i int, now sim.Cycle) bool {
 	return e.state == stDone || (e.timed && now >= e.readyAt)
 }
 
-// sched decides how long the core can sleep after ticking at now, and
-// which stall statistic each skipped cycle would have counted. The
+// sched decides how long the core can sleep after ticking at now. The
 // core stays awake (sleep target now+1) whenever any pipeline stage
 // could make progress on the next cycle. A head of memQ the L1 answered
-// Blocked is not progress: the L1 wakes the core when an MSHR frees,
-// and Settle counts the re-probes the sleep skipped.
+// Blocked is not progress: the L1 wakes the core when an MSHR frees.
 func (c *Core) sched(now sim.Cycle) {
 	wake := sim.FarFuture
 
 	if c.occupancy > 0 {
 		e := &c.rob[c.head]
 		if e.state == stDone {
-			c.setIdle(now+1, idleNone) // commit has work next cycle
+			c.handle.SleepUntil(now + 1) // commit has work next cycle
 			return
 		}
 		if e.timed && e.readyAt < wake {
@@ -336,36 +273,23 @@ func (c *Core) sched(now sim.Cycle) {
 			}
 		case !c.l1Blocked:
 			// Issueable next cycle (it only ran out of ports).
-			c.setIdle(now+1, idleNone)
+			c.handle.SleepUntil(now + 1)
 			return
 		}
 	}
 
-	reason := idleNone
+	// Dispatch that is time-gated resumes when the gate opens; one held
+	// by a full ROB wakes via the commit-head candidates above, and one
+	// waiting on an IL1 fill via its callback.
 	if !c.halted {
-		switch {
-		case c.fetchStallUntil > now+1:
-			// Dispatch is time-gated and counts nothing while gated;
-			// cap the sleep there so the stall reason stays constant
-			// across the whole skipped span.
-			if c.fetchStallUntil < wake {
-				wake = c.fetchStallUntil
-			}
-		case c.occupancy >= len(c.rob):
-			reason = idleROB // wakes via the commit-head candidates above
-		case c.fetchWait:
-			reason = idleFetch // wakes via the IL1 fill callback
-		default:
-			c.setIdle(now+1, idleNone) // dispatch can make progress
+		if c.fetchStallUntil > now+1 {
+			wake = min(wake, c.fetchStallUntil)
+		} else if c.occupancy < len(c.rob) && !c.fetchWait {
+			c.handle.SleepUntil(now + 1) // dispatch can make progress
 			return
 		}
 	}
 
-	c.setIdle(wake, reason)
-}
-
-func (c *Core) setIdle(wake sim.Cycle, reason idleReason) {
-	c.idleReason = reason
 	c.handle.SleepUntil(wake)
 }
 
@@ -380,7 +304,6 @@ func (c *Core) commit(now sim.Cycle) {
 			}
 		}
 		if e.op.Mispredict {
-			c.stats.Mispredict++
 			stall := now + sim.Cycle(c.cfg.MispredictPenalty)
 			if stall > c.fetchStallUntil {
 				c.fetchStallUntil = stall
@@ -459,24 +382,20 @@ func (c *Core) tryIssue(idx int, now sim.Cycle) bool {
 	if !hit {
 		// TLB miss: pay the walk; the μop stays queued and retries
 		// when the walk completes.
-		c.stats.TLBWalks++
 		e.readyAt = now + tlbWalkCycles
 		return false
 	}
 	if e.op.Store {
-		c.stats.Stores++
 		// Stores retire through the store buffer: the μop completes at
 		// issue; the cache access proceeds in the background.
 		switch c.l1.Access(now, e.op.PC, paddr, true, cache.Waiter{}) {
 		case cache.Blocked:
-			c.stats.Stores--
 			c.l1Blocked = true
 			return false
 		}
 		e.state = stDone
 		return true
 	}
-	c.stats.Loads++
 	c.fillSeq[idx] = e.seq
 	switch c.l1.Access(now, e.op.PC, paddr, false, cache.Waiter{Fn: c.loadFill, Arg: idx}) {
 	case cache.Hit:
@@ -486,7 +405,6 @@ func (c *Core) tryIssue(idx int, now sim.Cycle) bool {
 	case cache.Miss:
 		e.state = stInFlight
 	case cache.Blocked:
-		c.stats.Loads--
 		c.l1Blocked = true
 		return false
 	}
@@ -504,7 +422,6 @@ func (c *Core) fetched(op *UOp, now sim.Cycle) bool {
 		return true
 	}
 	if c.fetchWait {
-		c.stats.FetchStall++
 		return false // fill outstanding
 	}
 	vaddr := mem.CoreSpace(c.id, 1<<44|op.PC*instrBytes)
@@ -520,8 +437,6 @@ func (c *Core) fetched(op *UOp, now sim.Cycle) bool {
 	} else {
 		// ITLB walk: charge it as front-end stall time.
 		c.fetchStallUntil = now + tlbWalkCycles
-		c.stats.TLBWalks++
-		c.stats.FetchStall++
 		return false
 	}
 	switch c.il1.Access(now, op.PC, paddr, false, c.fetchFill) {
@@ -529,15 +444,12 @@ func (c *Core) fetched(op *UOp, now sim.Cycle) bool {
 		c.lastFetchLine = line
 		return true
 	case cache.Miss:
-		c.stats.FetchMisses++
-		c.stats.FetchStall++
 		c.fetchWait = true
 		// The fill callback records the line as resident.
 		ln := line
 		c.pendingFetchLine = ln
 		return false
 	default: // Blocked: retry next cycle
-		c.stats.FetchStall++
 		return false
 	}
 }
@@ -548,7 +460,6 @@ func (c *Core) dispatch(now sim.Cycle) {
 	}
 	for n := 0; n < c.cfg.DispatchWidth; n++ {
 		if c.occupancy >= len(c.rob) {
-			c.stats.ROBStall++
 			return
 		}
 		if !c.hasPending {

@@ -53,7 +53,6 @@ type BankStats struct {
 	Writes    uint64 // column writes, incl. writebacks
 	RowHits   uint64
 	Activates uint64
-	Evictions uint64 // row-buffer entries displaced
 	Refreshes uint64
 }
 
@@ -172,7 +171,6 @@ func (b *Bank) access(now sim.Cycle, row int64, write bool, tag *attrib.Tag) (da
 		// proxy rather than per-entry timestamps.
 		victim := b.rb[len(b.rb)-1]
 		b.rb = b.rb[:len(b.rb)-1]
-		b.stats.Evictions++
 		if victim.dirty {
 			start += b.timing.WR
 			writeRec = b.timing.WR

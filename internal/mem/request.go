@@ -54,10 +54,6 @@ type Request struct {
 	// Born is the cycle the core first emitted the request.
 	Born sim.Cycle
 
-	// RowHit records whether DRAM serviced this request from an open row
-	// or row-buffer cache entry (filled in by the DRAM model).
-	RowHit bool
-
 	// Dropped marks a prefetch the hierarchy discarded under resource
 	// pressure instead of servicing; it completes without data and the
 	// issuing cache must unwind its bookkeeping.
@@ -180,10 +176,10 @@ func (s *IDSource) release(r *Request) {
 	s.pool.Put(r)
 }
 
-// Recycle returns a pooled request that was built but never submitted
-// anywhere (e.g. a derived read the memory controller rejected, rebuilt
-// from scratch on the next attempt). The caller must hold the only
-// reference. Requests without a source are ignored.
+// Recycle returns a pooled request that no one will complete (e.g. an
+// L2 prefetch that found no MSHR entry, or one whose fill was the point).
+// The caller must hold the only reference. Requests without a source
+// are ignored.
 func (s *IDSource) Recycle(r *Request) {
 	if r.src != s {
 		return

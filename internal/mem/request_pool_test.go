@@ -16,7 +16,6 @@ func TestRequestPoolReuse(t *testing.T) {
 	r1.Kind = Writeback
 	r1.Addr = 0xdead
 	r1.Core = 3
-	r1.RowHit = true
 	r1.Owner = t
 	r1.OwnerIdx = 7
 	id1 := r1.ID
@@ -29,7 +28,7 @@ func TestRequestPoolReuse(t *testing.T) {
 	if r2.ID == id1 {
 		t.Fatal("recycled request kept its old ID")
 	}
-	if r2.Kind != Read || r2.Addr != 0 || r2.Core != 0 || r2.RowHit ||
+	if r2.Kind != Read || r2.Addr != 0 || r2.Core != 0 ||
 		r2.Owner != nil || r2.OwnerIdx != 0 || r2.Done() {
 		t.Fatalf("recycled request not reset: %+v", r2)
 	}

@@ -23,13 +23,11 @@ import (
 
 // Stats aggregates controller activity.
 type Stats struct {
-	Submitted   uint64
-	Rejected    uint64 // MRQ-full rejections
-	Reads       uint64
-	Writes      uint64
-	RowHits     uint64 // scheduled accesses that hit an open row
-	QueueCycles uint64 // total cycles requests waited in the MRQ
-	Completed   uint64
+	Rejected  uint64 // MRQ-full rejections
+	Reads     uint64
+	Writes    uint64
+	RowHits   uint64 // scheduled accesses that hit an open row
+	Completed uint64
 }
 
 // RowHitRate reports the fraction of scheduled accesses that hit a row
@@ -220,7 +218,6 @@ func (c *Controller) Submit(r *mem.Request, now sim.Cycle) bool {
 	c.queue.Push(queued{r, c.p.AMap.Decode(r.Line)})
 	r.Issued = now
 	r.Attrib.EnterQueue(now, c.p.ID)
-	c.stats.Submitted++
 	// New work: re-arm the tick schedule in case the controller was
 	// sleeping through an idle span. Submitters tick before the
 	// controller, so the request is considered this very cycle.
@@ -336,7 +333,6 @@ func (c *Controller) tick(now sim.Cycle) {
 	}
 	q := c.queue.RemoveAt(i)
 	r := q.r
-	c.stats.QueueCycles += uint64(now - r.Issued)
 	c.queueDelay.Observe(int(now - r.Issued))
 	loc, remapped := c.loc(q.loc, now)
 	if remapped {
@@ -347,7 +343,6 @@ func (c *Controller) tick(now sim.Cycle) {
 	r.Attrib.Sched(now, loc.Rank)
 	dataAt, rowHit := bk.AccessTagged(now, loc.Row, write, r.Attrib)
 	c.p.Ranks[loc.Rank].Touch(loc.Bank, loc.Row, now)
-	r.RowHit = rowHit
 	if rowHit {
 		c.stats.RowHits++
 	}

@@ -214,16 +214,26 @@ func TestSlowControllerClockDelaysScheduling(t *testing.T) {
 }
 
 func TestQueueWaitAccounting(t *testing.T) {
-	done := 0
-	c, _ := testSetup(t, true, func(*mem.Request, sim.Cycle) { done++ })
-	// Two reads to the SAME bank, different rows: second waits for first.
-	c.Submit(req(1, 0, mem.Read), 0)
-	c.Submit(req(2, 4*4096*4, mem.Read), 0)
-	for now := sim.Cycle(1); now <= 500 && done < 2; now++ {
-		c.Tick(now)
+	// run submits the reads at cycle 0 and reports when the last completed.
+	run := func(lines ...mem.Addr) sim.Cycle {
+		var last sim.Cycle
+		done := 0
+		c, _ := testSetup(t, true, func(_ *mem.Request, now sim.Cycle) { done++; last = now })
+		for i, line := range lines {
+			c.Submit(req(uint64(i+1), line, mem.Read), 0)
+		}
+		for now := sim.Cycle(1); now <= 500 && done < len(lines); now++ {
+			c.Tick(now)
+		}
+		if done != len(lines) {
+			t.Fatalf("%d of %d reads completed", done, len(lines))
+		}
+		return last
 	}
-	if c.Stats().QueueCycles == 0 {
-		t.Fatal("no queue wait recorded for bank conflict")
+	// Two reads to the SAME bank, different rows: second waits for first.
+	alone, behind := run(4*4096*4), run(0, 4*4096*4)
+	if behind <= alone {
+		t.Fatalf("read behind a bank conflict completed at %d, alone at %d: it did not wait in the queue", behind, alone)
 	}
 }
 

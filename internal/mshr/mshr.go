@@ -28,7 +28,6 @@ type Entry struct {
 	Line    mem.Addr
 	slot    int
 	Waiters sim.List[*mem.Request] // all requests for this line, primary first
-	Issued  bool                   // sent to the memory controller
 	Dirty   bool                   // a merged write must leave the line dirty
 }
 
@@ -52,9 +51,7 @@ func (e *Entry) Merge(r *mem.Request) {
 // Stats aggregates File counters.
 type Stats struct {
 	Accesses    uint64 // lookups
-	Hits        uint64 // lookups that matched a live entry (merges)
 	Allocs      uint64
-	AllocFails  uint64 // allocation attempts rejected (structure full)
 	Releases    uint64 // entries freed
 	Probes      uint64 // total entry probes across lookups
 	ProbeCounts *stats.Histogram
@@ -69,7 +66,6 @@ type File struct {
 	kind    config.MSHRKind
 	table   *vbf.Table
 	entries []*Entry // indexed by table slot
-	byLine  int      // live count (mirrors table)
 	stats   Stats
 	changes uint64 // entries allocated and released, limits set
 
@@ -187,7 +183,6 @@ func (f *File) Lookup(line mem.Addr) (e *Entry, probes int, found bool) {
 	if !found {
 		return nil, probes, false
 	}
-	f.stats.Hits++
 	return f.entries[slot], probes, true
 }
 
@@ -205,7 +200,6 @@ func (f *File) Relookup(probes int, n uint64) {
 func (f *File) Allocate(line mem.Addr, r *mem.Request) (*Entry, bool) {
 	slot, ok := f.table.Allocate(key(line))
 	if !ok {
-		f.stats.AllocFails++
 		return nil, false
 	}
 	f.stats.Allocs++

@@ -68,8 +68,8 @@ func TestCapacityExhaustion(t *testing.T) {
 	if _, ok := f.Allocate(0xc0, nil); ok {
 		t.Fatal("Allocate beyond capacity succeeded")
 	}
-	if f.Stats().AllocFails != 1 {
-		t.Fatalf("AllocFails = %d, want 1", f.Stats().AllocFails)
+	if f.Len() != 2 || f.Stats().Allocs != 2 {
+		t.Fatalf("a refused Allocate left %d entries, %d allocations; want 2, 2", f.Len(), f.Stats().Allocs)
 	}
 }
 
@@ -110,10 +110,14 @@ func TestVBFBeatsLinearOnCollisions(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	f := New(config.MSHRVBF, 8)
 	f.Allocate(0x40, nil)
-	f.Lookup(0x40) // hit
-	f.Lookup(0x80) // miss
+	if _, _, found := f.Lookup(0x40); !found {
+		t.Fatal("lookup of the allocated line missed")
+	}
+	if _, _, found := f.Lookup(0x80); found {
+		t.Fatal("lookup of an absent line hit")
+	}
 	s := f.Stats()
-	if s.Accesses != 2 || s.Hits != 1 || s.Allocs != 1 {
+	if s.Accesses != 2 || s.Allocs != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 	if s.ProbesPerAccess() <= 0 {
@@ -218,9 +222,6 @@ func TestResizerPicksBestSetting(t *testing.T) {
 	if banks[0].Limit() != 8 {
 		t.Fatalf("bank limit = %d, want 8", banks[0].Limit())
 	}
-	if r.Switches != 1 {
-		t.Fatalf("Switches = %d, want 1", r.Switches)
-	}
 }
 
 func TestResizerResamplesAfterEpoch(t *testing.T) {
@@ -228,18 +229,23 @@ func TestResizerResamplesAfterEpoch(t *testing.T) {
 	ctr := &fakeCounter{banks: banks, rate: map[int]uint64{16: 9, 8: 5, 4: 3}}
 	r := NewResizer(banks, func() uint64 { return ctr.count }, 10, 50)
 	sawTrainingAgain := false
+	fixes, training := 0, r.Training() // training→fixed transitions
 	for now := sim.Cycle(1); now <= 200; now++ {
 		ctr.advance()
 		r.Tick(now)
 		if now > 40 && r.Training() {
 			sawTrainingAgain = true
 		}
+		if training && !r.Training() {
+			fixes++
+		}
+		training = r.Training()
 	}
 	if !sawTrainingAgain {
 		t.Fatal("tuner never resampled after the epoch expired")
 	}
-	if r.Switches < 2 {
-		t.Fatalf("Switches = %d, want >= 2", r.Switches)
+	if fixes < 2 {
+		t.Fatalf("tuner settled on a setting %d times, want >= 2", fixes)
 	}
 }
 

@@ -25,10 +25,6 @@ type Resizer struct {
 	fixedUntil sim.Cycle
 	best       int // winning divisor index
 
-	// Switches counts training→fixed transitions; exported for tests
-	// and reports.
-	Switches uint64
-
 	// handle, when set, lets the tuner sleep between phase boundaries:
 	// the state machine is purely time-driven (a training sample or a
 	// fixed epoch elapsing), so every tick in between is provably a
@@ -137,7 +133,6 @@ func (r *Resizer) step(now sim.Cycle) {
 		r.phase = -1
 		r.fixedUntil = now + r.epoch
 		r.apply(r.divisors[r.best])
-		r.Switches++
 		return
 	}
 	if now >= r.fixedUntil {

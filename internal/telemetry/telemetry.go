@@ -33,8 +33,7 @@ import (
 // not supported — reset windows are derived in post-processing from the
 // cycle column. A nil *Counter is a no-op.
 type Counter struct {
-	name string
-	v    uint64
+	v uint64
 }
 
 // Inc adds one.
@@ -66,9 +65,8 @@ func (c *Counter) Value() uint64 {
 // poll-driven (a GaugeFunc read at each sample point). A nil *Gauge is
 // a no-op.
 type Gauge struct {
-	name string
-	v    float64
-	fn   func() float64
+	v  float64
+	fn func() float64
 }
 
 // Set records the current level. Calls on a poll-driven gauge are
@@ -95,8 +93,7 @@ func (g *Gauge) Value() float64 {
 // delays) into a histogram exported as count/mean/p50/p90/p99 at the
 // end of the run. A nil *Distribution is a no-op.
 type Distribution struct {
-	name string
-	h    *stats.Histogram
+	h *stats.Histogram
 }
 
 // Observe records one observation (clamped at 0).
@@ -170,7 +167,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return register(r, name, func() *Counter { return &Counter{name: name} })
+	return register(r, name, func() *Counter { return new(Counter) })
 }
 
 // Gauge returns the set-driven gauge registered under name.
@@ -178,7 +175,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return register(r, name, func() *Gauge { return &Gauge{name: name} })
+	return register(r, name, func() *Gauge { return new(Gauge) })
 }
 
 // GaugeFunc registers a poll-driven gauge whose value is fn() at each
@@ -188,7 +185,7 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) *Gauge {
 	if r == nil {
 		return nil
 	}
-	g := register(r, name, func() *Gauge { return &Gauge{name: name} })
+	g := register(r, name, func() *Gauge { return new(Gauge) })
 	g.fn = fn
 	return g
 }
@@ -199,7 +196,7 @@ func (r *Registry) Distribution(name string) *Distribution {
 		return nil
 	}
 	return register(r, name, func() *Distribution {
-		return &Distribution{name: name, h: stats.NewHistogram(distBuckets)}
+		return &Distribution{h: stats.NewHistogram(distBuckets)}
 	})
 }
 
@@ -212,7 +209,7 @@ func (r *Registry) DistributionN(name string, buckets int) *Distribution {
 		return nil
 	}
 	return register(r, name, func() *Distribution {
-		return &Distribution{name: name, h: stats.NewHistogram(buckets)}
+		return &Distribution{h: stats.NewHistogram(buckets)}
 	})
 }
 

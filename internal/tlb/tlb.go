@@ -6,24 +6,9 @@ package tlb
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"stackedsim/internal/mem"
 )
-
-// Stats counts TLB events.
-type Stats struct {
-	Accesses uint64
-	Misses   uint64
-}
-
-// MissRate reports misses/accesses.
-func (s *Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
 
 // noFrame marks an entry not yet given its page's frame: page bases are
 // page-aligned, so no frame starts at the all-ones address.
@@ -50,7 +35,6 @@ type TLB struct {
 	pt        *mem.PageTable
 	ents      []entry
 	clock     uint64
-	stats     Stats
 }
 
 // New returns a TLB over page table pt with entries total entries and
@@ -70,9 +54,6 @@ func New(entries, ways int, pt *mem.PageTable) *TLB {
 	}
 }
 
-// Stats returns the counters.
-func (t *TLB) Stats() *Stats { return &t.stats }
-
 // setBase reports where vpage's set starts in ents.
 func (t *TLB) setBase(vpage uint64) int { return int(vpage&t.setMask) * t.ways }
 
@@ -80,7 +61,6 @@ func (t *TLB) setBase(vpage uint64) int { return int(vpage&t.setMask) * t.ways }
 // A hit reports v's physical address; a miss reports false and leaves the
 // frame unallocated — the walk is paid before the retry that hits.
 func (t *TLB) Access(v mem.VAddr) (mem.Addr, bool) {
-	t.stats.Accesses++
 	vpage := uint64(v) >> t.pageShift
 	base := t.setBase(vpage)
 	victim := base
@@ -104,48 +84,7 @@ func (t *TLB) Access(v mem.VAddr) (mem.Addr, bool) {
 			victim = base + w
 		}
 	}
-	t.stats.Misses++
 	t.clock++
 	t.ents[victim] = entry{vpage: vpage, frame: noFrame, valid: true, used: t.clock}
 	return 0, false
 }
-
-// Rehit leaves the TLB exactly as k consecutive Access(v) hits would: a
-// caller that can prove its next k lookups are re-probes of a resident
-// page (a core stalled on a full L1 MSHR file) settles them in one step
-// instead of performing them.
-func (t *TLB) Rehit(v mem.VAddr, k uint64) {
-	vpage := uint64(v) >> t.pageShift
-	base := t.setBase(vpage)
-	for w := 0; w < t.ways; w++ {
-		if e := &t.ents[base+w]; e.valid && e.vpage == vpage {
-			t.stats.Accesses += k
-			t.clock += k
-			e.used = t.clock
-			return
-		}
-	}
-	panic(fmt.Sprintf("tlb: Rehit of absent page %#x", vpage))
-}
-
-// ReplacementOrder lists the resident pages set by set, each set from
-// least to most recently used — the order misses would evict them in.
-func (t *TLB) ReplacementOrder() []uint64 {
-	var out []uint64
-	for base := 0; base < len(t.ents); base += t.ways {
-		set := make([]entry, 0, t.ways)
-		for _, e := range t.ents[base : base+t.ways] {
-			if e.valid {
-				set = append(set, e)
-			}
-		}
-		sort.Slice(set, func(i, j int) bool { return set[i].used < set[j].used })
-		for _, e := range set {
-			out = append(out, e.vpage)
-		}
-	}
-	return out
-}
-
-// ResetStats zeroes the counters (end of warmup).
-func (t *TLB) ResetStats() { t.stats = Stats{} }

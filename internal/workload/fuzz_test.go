@@ -69,9 +69,6 @@ func FuzzSpec(f *testing.F) {
 					i, op.VAddr, s.Footprint, s.Pattern)
 			}
 		}
-		if g.Emitted != 2000 {
-			t.Fatalf("emitted %d μops, want 2000", g.Emitted)
-		}
 	})
 }
 

@@ -18,7 +18,6 @@ type Generator struct {
 	streamBase []uint64
 	streamPos  []uint64
 	streamLen  uint64 // bytes per stream
-	nextStream int
 
 	// Mixed state: current sequential run.
 	runAddr uint64
@@ -44,9 +43,6 @@ type Generator struct {
 	next    int
 	memOps  []cpu.UOp
 	pc      uint64 // synthetic PC space
-
-	// Emitted counts μops handed out (tests and trace tools).
-	Emitted uint64
 }
 
 // hotBase places the hot ring far above the cold footprint in the
@@ -110,7 +106,6 @@ func (g *Generator) Next() cpu.UOp {
 	}
 	op := g.pending[g.next]
 	g.next++
-	g.Emitted++
 	return op
 }
 

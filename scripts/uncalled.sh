@@ -5,6 +5,9 @@
 # only — a method counts as called when any identifier of that name is
 # used, so a report is a place to look, not a verdict (a method reached
 # only through a standard-library interface, like String, shows up too).
+# Its twin for state is TestEveryFieldHasAReader in the root package's
+# fields_test.go, which type-checks the same code and fails on a struct
+# field no non-test selector reads.
 set -eu
 cd "$(dirname "$0")/.."
 find . -name '*.go' ! -name '*_test.go' | sort | xargs awk '
