@@ -7,7 +7,7 @@
 //	experiments -exp all
 //	experiments -exp fig4,fig6a -measure 1000000 -v
 //	experiments -exp all -j 8
-//	experiments -exp all -ledger-dir runs/ -monitor-addr :8080
+//	experiments -exp all -ledger-dir runs/
 //
 // Runs fan out over a worker pool (-j, default GOMAXPROCS); output is
 // byte-identical to -j 1 because every simulation is deterministic in
@@ -16,8 +16,10 @@
 // With -ledger-dir every completed run lands in the content-addressed
 // run ledger and already-recorded (config, workload, seed) runs are
 // served from it without simulating, so re-generating a figure after an
-// unrelated change is nearly free. The monitor then also serves /runs,
-// /compare and the /dashboard over the same store.
+// unrelated change is nearly free; cmd/statsdiff -ledger-dir compares
+// and pins what a sweep recorded. A sweep's progress is -v and the
+// closing "ledger: N of M" and failed-run lines; -cpuprofile and
+// -memprofile profile it.
 package main
 
 import (
@@ -33,12 +35,10 @@ import (
 	"slices"
 	"strings"
 	"syscall"
-	"time"
 
 	"stackedsim/internal/config"
 	"stackedsim/internal/core"
 	"stackedsim/internal/ledger"
-	"stackedsim/internal/monitor"
 	"stackedsim/internal/powerthermal"
 )
 
@@ -47,7 +47,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // run is main's body behind an exit code with injectable streams: 0 on
 // success, 1 when an experiment failed or the sweep was interrupted, 2
 // on a usage error. Nothing below main calls os.Exit, so the deferred
-// cleanups (profile flush, graceful monitor shutdown) run on every path
+// cleanups (the profile flushes) run on every path
 // and the command is testable in-process; the result is named so that
 // the deferred heap-profile write can fail the invocation.
 func run(args []string, stdout, stderr io.Writer) (code int) {
@@ -68,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		verbose = fs.Bool("v", false, "print per-run progress")
 		csvOut  = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		jobs    = fs.Int("j", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		monAddr = fs.String("monitor-addr", "", "serve live runner progress (/metrics, /snapshot, /healthz, pprof) on this address")
 		ledDir  = fs.String("ledger-dir", "", "content-addressed run ledger: record completed runs here and serve known runs from it without re-simulating")
 		runTmo  = fs.Duration("run-timeout", 0, "per-simulation wall-time limit (0 = none); an over-budget run fails alone")
 
@@ -179,36 +178,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		r.Ledger = led
 		r.Experiment = *expFlag
 		r.GitRevision = ledger.GitDescribe()
-	}
-
-	// A long sweep is a black box until it exits; the monitor makes the
-	// fleet observable live (queued/running/completed runs plus pprof
-	// for the process itself). Simulations own their (per-run, private)
-	// registries, so only runner progress is served here.
-	if *monAddr != "" {
-		mon := &monitor.Server{Ledger: led, ProgressFn: func() monitor.Progress {
-			st := r.Status()
-			p := monitor.Progress{Queued: st.Queued, Running: st.Running, Completed: st.Completed,
-				Failed: st.Failed, LedgerHits: st.LedgerHits, LedgerWriteRetries: st.LedgerWriteRetries}
-			for _, rep := range st.Reports {
-				mr := monitor.RunReport{Config: rep.Config, Label: rep.Label, WallSeconds: rep.WallSeconds}
-				if rep.Err != nil {
-					mr.Err = rep.Err.Error()
-				}
-				p.Runs = append(p.Runs, mr)
-			}
-			return p
-		}}
-		if err := mon.Start(*monAddr); err != nil {
-			return fail(err)
-		}
-		defer func() {
-			// Graceful: let an in-flight scrape of the final state finish.
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			mon.Shutdown(sctx) //nolint:errcheck // best-effort on exit
-		}()
-		fmt.Fprintf(stderr, "monitor: serving runner progress on %s\n", mon.Addr())
 	}
 
 	// Every wanted figure is generated concurrently — each generator

@@ -41,8 +41,9 @@ func TestUsageErrors(t *testing.T) {
 			t.Errorf("experiments %s:\n exit %d stderr %q stdout %q\n want exit 2 stderr %q", c.args, code, errs, out, "experiments: "+c.want+"\n")
 		}
 	}
-	// -farm is not a flag: a sweep runs on one host, in -j workers.
-	for _, flag := range []string{"-no-such-flag", "-farm x"} {
+	// -farm is not a flag: a sweep runs on one host, in -j workers; nor
+	// is -monitor-addr: the monitor watches one stacksim run.
+	for _, flag := range []string{"-no-such-flag", "-farm x", "-monitor-addr :0"} {
 		if code, _, errs := experiments(strings.Fields(flag)...); code != 2 || !strings.Contains(errs, "flag provided but not defined") {
 			t.Errorf("unknown flag %s: exit %d stderr %q", flag, code, errs)
 		}

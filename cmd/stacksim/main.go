@@ -23,9 +23,8 @@
 // the memory-latency attribution table (disable with -attrib=false)
 // plus the power/thermal report with the per-bank activity heatmap and
 // per-layer temperature trajectory (disable with -power=false).
-// -monitor-addr serves /metrics, /snapshot, /healthz and pprof live
-// during the run, plus the run ledger endpoints (/runs, /compare,
-// /dashboard) when -ledger-dir is set; see docs/OBSERVABILITY.md.
+// -monitor-addr serves the live run on /metrics, /snapshot, /healthz,
+// /dashboard and pprof; see docs/OBSERVABILITY.md.
 //
 // With -ledger-dir every completed run is appended to a
 // content-addressed run ledger keyed by (config, workload, seed,
@@ -131,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		traceSample  = fs.Int("trace-sample", 64, "trace 1 in N demand-miss lifecycles")
 		attribOn     = fs.Bool("attrib", true, "memory-latency attribution (cycle accounting) when telemetry is enabled")
 		powerOn      = fs.Bool("power", true, "power/thermal tracking (per-layer power, transient temperatures) when telemetry is enabled")
-		monitorAddr  = fs.String("monitor-addr", "", "serve /metrics, /snapshot, /healthz and pprof on this address during the run")
+		monitorAddr  = fs.String("monitor-addr", "", "serve the run live on /metrics, /snapshot, /dashboard, /healthz and pprof at this address")
 		ledgerDir    = fs.String("ledger-dir", "", "content-addressed run ledger: record completed runs here and serve known (config, workload, seed) runs from it without re-simulating")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -393,7 +392,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// the published snapshot, so a slow scraper cannot block a cycle.
 	var mon *monitor.Server
 	if *monitorAddr != "" {
-		mon = &monitor.Server{Registry: tel.Reg(), Ledger: led}
+		mon = &monitor.Server{Registry: tel.Reg()}
 		if col != nil {
 			mon.AttribFn = col.Breakdown
 		}
@@ -534,7 +533,7 @@ func validateFlags(explicit map[string]string, telemetryDir string, sampleEvery 
 	}
 	if monitorAddr != "" {
 		if sweep {
-			return errors.New("-monitor-addr serves a single run; it conflicts with a multi-mix sweep (use cmd/experiments -monitor-addr for fleet progress)")
+			return errors.New("-monitor-addr serves a single run; it conflicts with a multi-mix sweep (a sweep reports its runs on stdout)")
 		}
 		if telemetryDir == "" {
 			return errors.New("-monitor-addr needs the telemetry registry; add -telemetry-dir <dir>")

@@ -71,7 +71,7 @@ func TestUsageErrors(t *testing.T) {
 		{run + " -fault-seed 3", "-fault-seed does nothing without -fault-scenario"},
 		{run + " -telemetry-dir d -sample-every -1", "-sample-every must be >= 0 cycles (0 disables the time-series)"},
 		{run + " -ledger-dir d -traces a.trc", "-ledger-dir conflicts with -traces (trace contents are outside the run's content address)"},
-		{"-mix H1,H2 -telemetry-dir d -monitor-addr 127.0.0.1:0", "-monitor-addr serves a single run; it conflicts with a multi-mix sweep (use cmd/experiments -monitor-addr for fleet progress)"},
+		{"-mix H1,H2 -telemetry-dir d -monitor-addr 127.0.0.1:0", "-monitor-addr serves a single run; it conflicts with a multi-mix sweep (a sweep reports its runs on stdout)"},
 		{run + " -monitor-addr 127.0.0.1:0", "-monitor-addr needs the telemetry registry; add -telemetry-dir <dir>"},
 		{run + " -j -1", "-j must be >= 0 (0 = GOMAXPROCS)"},
 		{"-mix H1,H2 -j -1", "-j must be >= 0 (0 = GOMAXPROCS)"},

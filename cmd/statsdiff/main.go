@@ -255,14 +255,13 @@ func changed(rows []diffRow) int {
 	return n
 }
 
-// diff compares the two runs metric by metric on top of ledger.Compare
-// (the same engine the monitor's /compare endpoint uses), rendering the
-// command's report lines. One semantic adjustment: ledger.Compare
-// treats every over-threshold change as a breach, while this command's
-// contract is that -threshold 0 means report-only — so in that mode
-// only NaNs remain breaches. NaN always breaches: NaN means the export
-// (or the metric's computation) is broken, and NaN's non-ordering would
-// otherwise let it sail through every comparison.
+// diff compares the two runs metric by metric on top of ledger.Compare,
+// rendering the command's report lines. One semantic adjustment:
+// ledger.Compare treats every over-threshold change as a breach, while
+// this command's contract is that -threshold 0 means report-only — so
+// in that mode only NaNs remain breaches. NaN always breaches: NaN means
+// the export (or the metric's computation) is broken, and NaN's
+// non-ordering would otherwise let it sail through every comparison.
 func diff(oldVals, newVals map[string]float64, threshold float64) (rows []diffRow, breaches int) {
 	deltas, breaches := ledger.Compare(newVals, oldVals, threshold)
 	for _, d := range deltas {

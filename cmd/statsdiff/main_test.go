@@ -247,12 +247,12 @@ func TestLedgerMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tags, err := l.Tags()
+	pinned, err := l.Resolve("known-good")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("pin did not land: %v", err)
 	}
-	if tags["known-good"] == "" || tags["known-good"] != tags["blessed"] {
-		t.Fatalf("pin did not land: tags %v", tags)
+	if blessed, _ := l.Resolve("blessed"); pinned != blessed {
+		t.Fatalf("known-good = %s, want blessed's %s", pinned, blessed)
 	}
 
 	for _, args := range [][]string{
@@ -287,7 +287,7 @@ func TestThresholdOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := l.Tags()
+	before, err := l.Resolve("blessed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,8 +300,8 @@ func TestThresholdOutOfRange(t *testing.T) {
 			t.Errorf("ledger mode, -threshold %s -pin: exit %d, want 2\n%s", th, code, out)
 		}
 	}
-	if after, err := l.Tags(); err != nil || after["blessed"] != before["blessed"] {
-		t.Fatalf("blessed moved from %s to %s (%v)", before["blessed"], after["blessed"], err)
+	if after, err := l.Resolve("blessed"); err != nil || after != before {
+		t.Fatalf("blessed moved from %s to %s (%v)", before, after, err)
 	}
 }
 

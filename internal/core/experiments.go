@@ -66,7 +66,7 @@ type Runner struct {
 	// Set before the first run request.
 	Ledger *ledger.Ledger
 	// Experiment labels this runner's manifests in the ledger (e.g.
-	// "fig4"), so /runs can be filtered per experiment.
+	// "fig4").
 	Experiment string
 	// GitRevision is stamped into ledger manifests when known.
 	GitRevision string
@@ -76,25 +76,15 @@ type Runner struct {
 	// config, so no real input can panic there.
 	simulate func(context.Context, *config.Config, workload.Workload) (Metrics, error)
 
-	mu   sync.Mutex
-	memo map[string]*inflight
-	sem  chan struct{}
-	runs atomic.Uint64
-
-	// Live run-state counters behind Status. Atomics, not mu: Status is
-	// polled from monitor HTTP handlers while workers run.
-	queued        atomic.Int64
-	running       atomic.Int64
-	completed     atomic.Int64
-	failed        atomic.Int64
-	ledgerHits    atomic.Int64
-	ledgerRetries atomic.Int64
-
-	// reports collects one RunReport per executed run (memo hits are
-	// not runs), behind its own mutex so Status never contends with the
-	// memo map.
-	reportMu sync.Mutex
-	reports  []RunReport
+	// mu guards memo, sem's creation and reports, which holds one
+	// RunReport per executed run (memo hits are not runs).
+	mu      sync.Mutex
+	memo    map[string]*inflight
+	sem     chan struct{}
+	reports []RunReport
+	runs    atomic.Uint64
+	// ledgerHits counts the runs recalled from the ledger.
+	ledgerHits atomic.Int64
 
 	progressMu sync.Mutex
 }
@@ -110,41 +100,23 @@ type RunReport struct {
 	Err         error
 }
 
-// RunnerStatus is a point-in-time view of the runner's worker pool:
-// runs waiting for a worker slot, currently executing, and finished
-// (split by outcome) plus the per-run reports, so a monitor can show
-// which runs failed and which ran slow. Memo hits never enter any
-// state.
+// RunnerStatus is what a finished sweep reports: how many runs the
+// ledger served and one report per executed run, so a caller can name
+// the runs that failed. Memo hits are not runs.
 type RunnerStatus struct {
-	Queued    int64
-	Running   int64
-	Completed int64
-	Failed    int64
 	// LedgerHits counts runs served from the result ledger instead of
 	// being simulated (always 0 when no Ledger is attached).
 	LedgerHits int64
-	// LedgerWriteRetries counts transient ledger write failures that
-	// were retried (each retried attempt, not each affected run).
-	LedgerWriteRetries int64
-	Reports            []RunReport
+	Reports    []RunReport
 }
 
-// Status reports the live run-state counters and a copy of the per-run
-// reports. Safe to call from any goroutine at any time (the monitor
-// endpoint polls it).
+// Status reports the ledger hits and a copy of the per-run reports.
+// Safe to call from any goroutine at any time.
 func (r *Runner) Status() RunnerStatus {
-	r.reportMu.Lock()
+	r.mu.Lock()
 	reports := append([]RunReport(nil), r.reports...)
-	r.reportMu.Unlock()
-	return RunnerStatus{
-		Queued:             r.queued.Load(),
-		Running:            r.running.Load(),
-		Completed:          r.completed.Load(),
-		Failed:             r.failed.Load(),
-		LedgerHits:         r.ledgerHits.Load(),
-		LedgerWriteRetries: r.ledgerRetries.Load(),
-		Reports:            reports,
-	}
+	r.mu.Unlock()
+	return RunnerStatus{LedgerHits: r.ledgerHits.Load(), Reports: reports}
 }
 
 // inflight is the single-flight slot for one (config, mix) key: cfg is
@@ -232,25 +204,16 @@ func (r *Runner) start(cfg *config.Config, w workload.Workload) *inflight {
 	r.memo[key] = in
 	r.mu.Unlock()
 	sem := r.pool()
-	r.queued.Add(1)
 	go func() {
 		sem <- struct{}{}
 		defer func() { <-sem }()
-		r.queued.Add(-1)
-		r.running.Add(1)
 		started := time.Now()
 		run := in.cfg // the simulation's own copy: in.cfg stays as the key ran it
 		in.m, in.err = r.execute(&run, w)
 		wall := time.Since(started).Seconds()
-		r.running.Add(-1)
-		if in.err != nil {
-			r.failed.Add(1)
-		} else {
-			r.completed.Add(1)
-		}
-		r.reportMu.Lock()
+		r.mu.Lock()
 		r.reports = append(r.reports, RunReport{Config: run.Name, Label: w.String(), WallSeconds: wall, Err: in.err})
-		r.reportMu.Unlock()
+		r.mu.Unlock()
 		if in.err == nil {
 			r.runs.Add(1)
 			r.progressf("ran %-28s %-4s HMIPC=%.4f\n", run.Name, w, in.m.HMIPC)
@@ -302,9 +265,9 @@ func (r *Runner) progressf(format string, args ...any) {
 // A run whose content address is already recorded is recalled without
 // simulating (the cross-process analogue of the in-process
 // single-flight memo). Recall round-trips Metrics exactly, so a warm
-// sweep is numerically identical to a cold one. Ledger write failures
-// are reported but never fail the run — losing a cache entry is
-// recoverable, losing a finished simulation is not.
+// sweep is numerically identical to a cold one. The record is written
+// once; a failed write is reported but never fails the run — losing a
+// cache entry is recoverable, losing a finished simulation is not.
 func (r *Runner) cell(ctx context.Context, run *config.Config, w workload.Workload) (Metrics, error) {
 	simulate := r.simulate
 	if simulate == nil {
@@ -326,40 +289,12 @@ func (r *Runner) cell(ctx context.Context, run *config.Config, w workload.Worklo
 	rec, err := NewRunRecord(run, labels, &m, r.Experiment, r.GitRevision,
 		started, time.Since(started).Seconds())
 	if err == nil {
-		err = r.putWithRetry(ctx, rec)
+		_, err = r.Ledger.Put(rec)
 	}
 	if err != nil {
 		r.progressf("ledger write failed for %s %s: %v\n", run.Name, strings.Join(labels, ","), err)
 	}
 	return m, nil
-}
-
-// ledgerPutAttempts bounds putWithRetry: one initial write plus up to
-// two retries with a short linear backoff. Ledger writes are local
-// filesystem renames, so transient failures (ENOSPC races, NFS blips)
-// either clear within milliseconds or are permanent.
-const ledgerPutAttempts = 3
-
-// putWithRetry writes rec to the ledger, retrying transient failures.
-// Each retried attempt is counted in Status().LedgerWriteRetries (the
-// ledger.write_retries metric); the last error is returned when all
-// attempts fail.
-func (r *Runner) putWithRetry(ctx context.Context, rec *ledger.Record) error {
-	var err error
-	for attempt := 1; attempt <= ledgerPutAttempts; attempt++ {
-		if attempt > 1 {
-			r.ledgerRetries.Add(1)
-			select {
-			case <-ctx.Done():
-				return err
-			case <-time.After(time.Duration(attempt-1) * 25 * time.Millisecond):
-			}
-		}
-		if _, err = r.Ledger.Put(rec); err == nil {
-			return nil
-		}
-	}
-	return err
 }
 
 // Metrics runs (or recalls) w under cfg: every request for the same

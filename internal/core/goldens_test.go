@@ -13,7 +13,8 @@ import (
 // dynamic resizer, both stack modes, a faulted backing channel and the
 // coherent many-core fabric — to the digest it had before System
 // started walking its parts through the channel view and the
-// second-level seam. Digest word order is the walk order, so a part
+// second-level seam. The 2D+mrq4 row, added later, is the one whose
+// controller refuses shared-L2 reads. Digest word order is the walk order, so a part
 // visited out of turn (or twice, or not at all) moves a value here.
 // The 64-core rows (a shorter window: they are the slowest machines
 // here) are the benchmark's two: the read-mostly one is the only machine
@@ -50,6 +51,11 @@ func TestDigestGoldens(t *testing.T) {
 			{Kind: fault.KindMSHRParity, Prob: 0.01},
 		},
 	}
+	// A four-entry MRQ, under the eight-entry L2 MSHR file, refuses
+	// shared-L2 reads, which then wait in the L2's read outbox.
+	mrq4 := config.Baseline2D()
+	mrq4.Name += "+mrq4"
+	mrq4.MRQTotal = 4
 	for _, g := range []struct {
 		cfg     *config.Config
 		benches []string
@@ -58,6 +64,7 @@ func TestDigestGoldens(t *testing.T) {
 	}{
 		{config.Baseline2D(), mix("VH1"), 0x5a2ea57e26925c3e, 0},
 		{config.QuadMC(), mix("VH1"), 0x78a73a9f3ab59498, 0},
+		{mrq4, mix("VH1"), 0x762e7f326f8ee69d, 0},
 		{config.DualMC().WithMSHR(8, config.MSHRVBF, true), mix("H1"), 0xa75d28e9a47b6670, 0},
 		{config.Fast3D().WithStackCache(config.StackCache, 64), mix("VH1"), 0x4490a933e86cb418, 0},
 		{config.Fast3D().WithStackCache(config.StackMemCache, 64), mix("VH1"), 0xb23e37ea24c2151c, 0},

@@ -21,6 +21,9 @@ func (s *System) CheckInvariants() error {
 			errs = append(errs, fmt.Errorf("IL1 %d holds %d misses and rejected requests after quiesce", i, n))
 		}
 	}
+	if n := s.l1Misses.Live(); n != 0 {
+		errs = append(errs, fmt.Errorf("L1 miss pool: %d entries never recycled after quiesce", n))
+	}
 	errs = append(errs, s.second.CheckDrained())
 	if s.Stack != nil {
 		errs = append(errs, s.Stack.CheckDrained())

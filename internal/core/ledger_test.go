@@ -119,9 +119,9 @@ func TestLedgerCacheHit(t *testing.T) {
 	}
 }
 
-// TestLedgerPutRetry pins the transient-write contract: a Put that
-// keeps failing is retried with backoff, counted in LedgerWriteRetries,
-// and never fails the run — the metrics still come back and the sweep
+// TestLedgerPutRetry pins the one-attempt write contract: a record gets
+// one Put, and a Put that fails never fails the run — the metrics still
+// come back, the failure is reported on Progress, and the sweep
 // continues.
 func TestLedgerPutRetry(t *testing.T) {
 	dir := t.TempDir()
@@ -135,7 +135,7 @@ func TestLedgerPutRetry(t *testing.T) {
 	r.Progress = &progress
 
 	// Break the store out from under the runner: runs/ becomes a file,
-	// so every Put attempt fails at MkdirTemp.
+	// so the Put fails at MkdirTemp.
 	runs := filepath.Join(dir, "runs")
 	if err := os.RemoveAll(runs); err != nil {
 		t.Fatal(err)
@@ -151,11 +151,8 @@ func TestLedgerPutRetry(t *testing.T) {
 	if m.Cycles == 0 {
 		t.Fatal("run returned empty metrics")
 	}
-	if got := r.Status().LedgerWriteRetries; got != 2 {
-		t.Fatalf("LedgerWriteRetries = %d, want 2 (3 attempts)", got)
-	}
-	if !strings.Contains(progress.String(), "ledger write failed") {
-		t.Fatalf("progress should report the exhausted write, got:\n%s", progress.String())
+	if got := strings.Count(progress.String(), "ledger write failed"); got != 1 {
+		t.Fatalf("progress should report the failed write once, got:\n%s", progress.String())
 	}
 }
 

@@ -248,7 +248,7 @@ func TestCancelledRunMetricsCoverElapsedWindow(t *testing.T) {
 
 // TestRunnerCancellation pins that a cancelled sweep drains fast with
 // partial results: memoized successes stay, unfinished keys fail with
-// the context error, and the counters account for every run.
+// the context error, and the reports account for every run.
 func TestRunnerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r := NewRunner(2_000, 5_000)
@@ -272,8 +272,8 @@ func TestRunnerCancellation(t *testing.T) {
 		t.Fatalf("memoized result lost after cancel: %v", err)
 	}
 	st := r.Status()
-	if st.Completed != 1 || st.Failed != 1 {
-		t.Fatalf("status = %+v, want 1 completed / 1 failed", st)
+	if ok, failed := countReports(st.Reports); ok != 1 || failed != 1 {
+		t.Fatalf("reports %+v: %d ok / %d failed, want 1 / 1", st.Reports, ok, failed)
 	}
 	var failed *RunReport
 	for i := range st.Reports {
@@ -314,9 +314,21 @@ func TestRunnerPanicIsolation(t *testing.T) {
 		t.Fatalf("runner broken after panic: %v", err)
 	}
 	st := r.Status()
-	if st.Failed != 1 || st.Completed != 1 {
-		t.Fatalf("status = %+v, want 1 failed / 1 completed", st)
+	if ok, failed := countReports(st.Reports); ok != 1 || failed != 1 {
+		t.Fatalf("reports %+v: %d ok / %d failed, want 1 / 1", st.Reports, ok, failed)
 	}
+}
+
+// countReports counts the runs that completed and the runs that failed.
+func countReports(reports []RunReport) (ok, failed int) {
+	for _, rep := range reports {
+		if rep.Err != nil {
+			failed++
+		} else {
+			ok++
+		}
+	}
+	return ok, failed
 }
 
 // TestRunnerRunTimeout pins the per-run deadline: a run that cannot

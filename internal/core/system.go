@@ -88,6 +88,8 @@ type System struct {
 
 	// ids is the shared request ID source and object pool.
 	ids *mem.IDSource
+	// l1Misses is the one miss-node pool of all the machine's L1s.
+	l1Misses cache.L1MissPool
 	// tracer is AttachTelemetry's, for NewAttribCollector's collectors.
 	tracer *telemetry.Tracer
 }
@@ -295,7 +297,6 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 
 	// Cores with private L1s and their μop sources.
 	s.Labels = append([]string(nil), labels...)
-	l1Misses := new(cache.L1MissPool) // one for all the machine's L1s
 	newL1 := func(kind string, c int, below cache.Port, storeHint func(mem.Addr, sim.Cycle)) *cache.L1 {
 		return cache.NewL1(cache.L1Params{
 			Core:      c,
@@ -307,7 +308,7 @@ func NewSystemFromSources(cfg *config.Config, sources []cpu.UOpSource, labels []
 			IDs:       ids,
 			Prefetch:  cfg.L1Prefetch, // Table 1: next-line, on the IL1 too
 			StoreHint: storeHint,
-			Pool:      l1Misses,
+			Pool:      &s.l1Misses,
 		})
 	}
 	for c := 0; c < len(sources); c++ {

@@ -37,8 +37,8 @@ const relSentinel = 1e18
 
 // Compare diffs run A (candidate) against run B (baseline) metric by
 // metric, sorted by name. threshold is the relative-change bound for a
-// breach (e.g. 0.05 = 5%). The rules match cmd/statsdiff's gate
-// semantics, which both it and the monitor /compare endpoint now share:
+// breach (e.g. 0.05 = 5%). The rules are cmd/statsdiff's gate
+// semantics:
 //
 //   - a NaN on either side always breaches (a poisoned stat must never
 //     pass a gate silently);

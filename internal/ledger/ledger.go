@@ -46,7 +46,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -326,36 +325,6 @@ func (l *Ledger) Manifests() ([]Manifest, error) {
 	return out, nil
 }
 
-// Filter selects manifests in List; zero fields match everything.
-type Filter struct {
-	ConfigDigest string
-	Config       string
-	Experiment   string
-}
-
-// List reads the index and keeps manifests matching the filter,
-// newest last (Put order).
-func (l *Ledger) List(f Filter) ([]Manifest, error) {
-	all, err := l.Manifests()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Manifest, 0, len(all))
-	for _, m := range all {
-		if f.ConfigDigest != "" && m.ConfigDigest != f.ConfigDigest && m.ID != f.ConfigDigest {
-			continue
-		}
-		if f.Config != "" && m.Config != f.Config {
-			continue
-		}
-		if f.Experiment != "" && m.Experiment != f.Experiment {
-			continue
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
 // Resolve maps a ref — a run ID, the literal "latest", or a tag name —
 // to a recorded run ID.
 func (l *Ledger) Resolve(ref string) (string, error) {
@@ -444,32 +413,4 @@ func (l *Ledger) Tag(name, ref string) error {
 		return fmt.Errorf("ledger: %w", err)
 	}
 	return nil
-}
-
-// Tags reports every pinned tag name -> run ID, sorted by name.
-func (l *Ledger) Tags() (map[string]string, error) {
-	entries, err := os.ReadDir(filepath.Join(l.dir, "tags"))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("ledger: %w", err)
-	}
-	out := make(map[string]string)
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.Type().IsRegular() || strings.HasPrefix(e.Name(), ".") {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(l.dir, "tags", name))
-		if err != nil {
-			return nil, fmt.Errorf("ledger: %w", err)
-		}
-		out[name] = strings.TrimSpace(string(data))
-	}
-	return out, nil
 }

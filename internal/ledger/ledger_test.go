@@ -252,13 +252,6 @@ func TestResolveLatestAndTags(t *testing.T) {
 	if id, _ := l.Resolve("blessed"); id != r2.Manifest.ID {
 		t.Fatalf("re-tag: blessed = %s, want %s", id, r2.Manifest.ID)
 	}
-	tags, err := l.Tags()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tags["blessed"] != r2.Manifest.ID {
-		t.Fatalf("Tags() = %v", tags)
-	}
 	if _, err := l.Resolve("no-such-run"); err == nil {
 		t.Fatal("resolving an unknown ref must fail")
 	}
@@ -279,45 +272,6 @@ func TestResolveRejectsTraversal(t *testing.T) {
 		if _, err := l.Resolve(ref); err == nil {
 			t.Errorf("Resolve(%q) must fail", ref)
 		}
-	}
-}
-
-func TestListFilters(t *testing.T) {
-	l, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := testRecord("quadMC", 1)
-	b := testRecord("baseline2D", 1)
-	b.Manifest.Experiment = "single"
-	for _, r := range []*Record{a, b} {
-		if _, err := l.Put(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := l.List(Filter{Config: "quadMC"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].ID != a.Manifest.ID {
-		t.Fatalf("Config filter: %+v", got)
-	}
-	got, _ = l.List(Filter{Experiment: "single"})
-	if len(got) != 1 || got[0].ID != b.Manifest.ID {
-		t.Fatalf("Experiment filter: %+v", got)
-	}
-	got, _ = l.List(Filter{ConfigDigest: a.Manifest.ConfigDigest})
-	if len(got) != 1 || got[0].ID != a.Manifest.ID {
-		t.Fatalf("ConfigDigest filter: %+v", got)
-	}
-	// Short ID works as a digest filter too.
-	got, _ = l.List(Filter{ConfigDigest: a.Manifest.ID})
-	if len(got) != 1 || got[0].ID != a.Manifest.ID {
-		t.Fatalf("ID-as-digest filter: %+v", got)
-	}
-	got, _ = l.List(Filter{})
-	if len(got) != 2 {
-		t.Fatalf("empty filter should match all, got %d", len(got))
 	}
 }
 

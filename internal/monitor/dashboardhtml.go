@@ -82,7 +82,7 @@ a { color: var(--series-1); }
   <h1>stacksim live run</h1>
   <span id="status"><span class="dot"></span><span id="statustext">connecting&hellip;</span></span>
   <span style="margin-left:auto;color:var(--ink-muted)">
-    <a href="/runs">runs</a> &middot; <a href="/snapshot">snapshot</a> &middot; <a href="/metrics">metrics</a>
+    <a href="/snapshot">snapshot</a> &middot; <a href="/metrics">metrics</a>
   </span>
 </header>
 <div class="tiles" id="tiles"></div>
@@ -102,7 +102,7 @@ const SIGNALS = [
 ];
 const series = {}; // key -> [{cycle, v}]
 SIGNALS.forEach(s => series[s.key] = []);
-let prev = null, hits = 0;
+let prev = null;
 
 const tilesEl = document.getElementById("tiles");
 const chartsEl = document.getElementById("charts");
@@ -119,7 +119,6 @@ function addTile(key, label, unit) {
 }
 addTile("cycle", "cycle", "");
 SIGNALS.forEach(s => addTile(s.key, s.title.replace(/ \(.*\)/, ""), ""));
-addTile("hits", "ledger hits", "");
 
 SIGNALS.forEach(sig => {
   const d = document.createElement("div");
@@ -197,8 +196,6 @@ function onSnapshot(d) {
   }
   const cur = { cycle: d.cycle, committed, skipped: m["engine.cycles_skipped"] || 0 };
   tiles.cycle.textContent = cur.cycle.toLocaleString();
-  if (d.progress && d.progress.ledger_hits != null) hits = d.progress.ledger_hits;
-  tiles.hits.textContent = hits.toLocaleString();
   if (prev && cur.cycle === prev.cycle) return; // no Collect since the last poll
   if (prev && cur.cycle > prev.cycle) {
     const dc = cur.cycle - prev.cycle;

@@ -1,11 +1,9 @@
-// Package monitor serves a live observability plane for a running
-// simulation over HTTP: /metrics (Prometheus text exposition rendered
-// from the telemetry registry), /snapshot (a JSON point-in-time dump
-// including the attribution breakdown and parallel-runner progress),
-// /healthz, and the stdlib pprof handlers. With a run ledger attached
-// it also serves the cross-run surface — /runs (list + filter), /runs/
-// {id} (full manifest + metrics), /compare?a=&b= (threshold-classified
-// delta) — and a live /dashboard page that polls /snapshot.
+// Package monitor serves the live view of one running simulation over
+// HTTP: /metrics (Prometheus text exposition rendered from the
+// telemetry registry), /snapshot (a JSON point-in-time dump including
+// the attribution breakdown and the power/thermal state), /healthz, a
+// /dashboard page that polls /snapshot, and the stdlib pprof handlers.
+// Recorded runs are read through cmd/statsdiff -ledger-dir, not here.
 //
 // The simulation loop and the HTTP handlers never share the registry:
 // the loop publishes a snapshot under a brief mutex via Collect (wired
@@ -13,8 +11,7 @@
 // render outside it. A slow scraper therefore can never block a
 // simulated cycle, and the registry — which is not safe for concurrent
 // access — is only ever read from the simulation goroutine. Collect
-// does no per-watcher work. Ledger handlers read only the append-only
-// store on disk, never the simulation.
+// does no per-watcher work.
 package monitor
 
 import (
@@ -29,47 +26,10 @@ import (
 	"time"
 
 	"stackedsim/internal/attrib"
-	"stackedsim/internal/ledger"
 	"stackedsim/internal/powerthermal"
 	"stackedsim/internal/sim"
 	"stackedsim/internal/telemetry"
 )
-
-// Progress counts a parallel runner's simulations by state. All fields
-// are cumulative except Queued and Running, which are instantaneous.
-type Progress struct {
-	Queued    int64 `json:"queued"`
-	Running   int64 `json:"running"`
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
-	// LedgerHits counts runs served from the result ledger instead of
-	// being simulated.
-	LedgerHits int64 `json:"ledger_hits,omitempty"`
-	// LedgerWriteRetries counts retried transient ledger write failures
-	// (the ledger.write_retries metric).
-	LedgerWriteRetries int64 `json:"ledger_write_retries,omitempty"`
-	// Runs, when supplied, lists every executed run so /snapshot shows
-	// which ones failed (Err != "") and which ran slow.
-	Runs []RunReport `json:"runs,omitempty"`
-}
-
-// HealthCheck is one named readiness probe in the /healthz report.
-// Status is "ok", "degraded" (serving but impaired: a ledger whose
-// index cannot be read) or "down".
-type HealthCheck struct {
-	Name   string `json:"name"`
-	Status string `json:"status"`
-	Detail string `json:"detail,omitempty"`
-}
-
-// RunReport mirrors core.RunReport on the wire: one executed run's
-// identity, wall time, and outcome (empty Err = success).
-type RunReport struct {
-	Config      string  `json:"config"`
-	Label       string  `json:"label"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Err         string  `json:"error,omitempty"`
-}
 
 // scalar is one counter/gauge value frozen at snapshot time.
 type scalar struct {
@@ -112,15 +72,6 @@ type Server struct {
 	// each snapshot (the tracker's State: no trajectory). Called from the
 	// Collect goroutine only.
 	PowerThermalFn func() *powerthermal.State
-	// ProgressFn, when set, supplies live runner progress. Unlike the
-	// registry it is polled from handler goroutines, so it must be
-	// safe for concurrent use (core.Runner's Status is atomics-backed).
-	ProgressFn func() Progress
-	// Ledger, when set, backs the /runs, /runs/{id} and /compare
-	// endpoints. The ledger is safe for concurrent use and its handlers
-	// only touch the on-disk store, never the simulation. It also adds
-	// a built-in "ledger" reachability check to /healthz.
-	Ledger *ledger.Ledger
 
 	mu       sync.Mutex
 	snap     snapshot
@@ -173,23 +124,12 @@ func (s *Server) copySnapshot() snapshot {
 	return s.snap
 }
 
-// progress polls ProgressFn (zero Progress when unset).
-func (s *Server) progress() (Progress, bool) {
-	if s.ProgressFn == nil {
-		return Progress{}, false
-	}
-	return s.ProgressFn(), true
-}
-
 // Handler builds the monitor mux (also used by httptest).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/snapshot", s.handleSnapshot)
-	mux.HandleFunc("/runs", s.handleRuns)
-	mux.HandleFunc("/runs/{id}", s.handleRun)
-	mux.HandleFunc("/compare", s.handleCompare)
 	mux.HandleFunc("/dashboard", s.handleDashboard)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -240,67 +180,26 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.srv.Shutdown(ctx)
 }
 
-// healthReport is the /healthz wire format: an overall status (the
-// worst of the checks), the snapshot count, and each named check.
+// healthReport is the /healthz wire format: a liveness status and the
+// number of snapshots published so far.
 type healthReport struct {
-	Status   string        `json:"status"`
-	Collects int64         `json:"collects"`
-	Checks   []HealthCheck `json:"checks,omitempty"`
+	Status   string `json:"status"`
+	Collects int64  `json:"collects"`
 }
 
-// healthRank orders statuses for the overall roll-up; unknown strings
-// rank as down so a misbehaving check can never mask a problem.
-func healthRank(status string) int {
-	switch status {
-	case "ok":
-		return 0
-	case "degraded":
-		return 1
-	default:
-		return 2
-	}
-}
-
-// handleHealthz serves the structured readiness report. HTTP status is
-// exit-code-friendly for scripts: 200 only when every check is ok, 503
-// otherwise — `curl -fsS /healthz` fails exactly when the process is
-// degraded. A bare server with no checks is always ok (liveness).
+// handleHealthz serves the liveness report: a server that answers is
+// ok, and collects shows whether the simulation is still publishing.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	report := healthReport{Status: "ok", Collects: s.collects.Load()}
-	if s.Ledger != nil {
-		check := HealthCheck{Name: "ledger", Status: "ok"}
-		if ms, err := s.Ledger.Manifests(); err != nil {
-			check.Status = "degraded"
-			check.Detail = err.Error()
-		} else {
-			check.Detail = fmt.Sprintf("runs=%d", len(ms))
-		}
-		report.Checks = append(report.Checks, check)
-	}
-	for _, c := range report.Checks {
-		if healthRank(c.Status) > healthRank(report.Status) {
-			report.Status = c.Status
-		}
-	}
-	code := http.StatusOK
-	if report.Status != "ok" {
-		code = http.StatusServiceUnavailable
-	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(report) //nolint:errcheck // best-effort over HTTP
+	enc.Encode(healthReport{Status: "ok", Collects: s.collects.Load()}) //nolint:errcheck // best-effort over HTTP
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap := s.copySnapshot()
-	var prog *Progress
-	if p, ok := s.progress(); ok {
-		prog = &p
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	writePrometheus(w, &snap, prog)
+	writePrometheus(w, &snap)
 }
 
 // jsonSnapshot is the /snapshot wire format.
@@ -310,7 +209,6 @@ type jsonSnapshot struct {
 	Distributions []jsonDist          `json:"distributions,omitempty"`
 	Attribution   *attrib.Breakdown   `json:"attribution,omitempty"`
 	PowerThermal  *powerthermal.State `json:"power_thermal,omitempty"`
-	Progress      *Progress           `json:"progress,omitempty"`
 }
 
 type jsonDist struct {
@@ -337,9 +235,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 		out.Distributions = append(out.Distributions, jsonDist{
 			Name: d.name, Count: d.count, Mean: d.mean, P50: d.p50, P90: d.p90, P99: d.p99,
 		})
-	}
-	if p, ok := s.progress(); ok {
-		out.Progress = &p
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -6,19 +6,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"stackedsim/internal/attrib"
-	"stackedsim/internal/ledger"
 	"stackedsim/internal/powerthermal"
 	"stackedsim/internal/telemetry"
 )
 
 // testServer wires a Server to a small live registry plus attribution
-// and progress sources, publishes one snapshot, and serves it.
+// and power/thermal sources, publishes one snapshot, and serves it.
 func testServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
@@ -49,9 +46,6 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 					{Name: "dram0", PowerW: 11.5, TempC: 70.25, PeakC: 70.25},
 				},
 			}
-		},
-		ProgressFn: func() Progress {
-			return Progress{Queued: 1, Running: 2, Completed: 3, Failed: 0}
 		},
 	}
 	s.Collect(5000)
@@ -93,9 +87,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`stacksim_mc0_queue_delay{quantile="0.5"} 7`,
 		"stacksim_mc0_queue_delay_count 1",
 		"stacksim_attrib_requests 1",
-		"# TYPE stacksim_runs_running gauge",
-		"stacksim_runs_running 2",
-		"# TYPE stacksim_runs_completed counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
@@ -117,7 +108,6 @@ func TestSnapshotEndpoint(t *testing.T) {
 			Count uint64 `json:"count"`
 		} `json:"distributions"`
 		Attribution *attrib.Breakdown `json:"attribution"`
-		Progress    *Progress         `json:"progress"`
 	}
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("/snapshot is not valid JSON: %v\n%s", err, body)
@@ -133,9 +123,6 @@ func TestSnapshotEndpoint(t *testing.T) {
 	}
 	if snap.Attribution == nil || snap.Attribution.Requests != 1 {
 		t.Fatalf("attribution missing from snapshot: %+v", snap.Attribution)
-	}
-	if snap.Progress == nil || snap.Progress.Completed != 3 {
-		t.Fatalf("progress missing from snapshot: %+v", snap.Progress)
 	}
 }
 
@@ -185,51 +172,6 @@ func TestHealthzCountsCollects(t *testing.T) {
 	}
 }
 
-// TestHealthzReadiness pins the structured readiness contract: a
-// degraded check flips the overall status and the HTTP code to 503 (so
-// `curl -fsS /healthz` is a working script gate). The check that goes
-// degraded is the built-in one of an attached ledger whose index no
-// longer parses; once the index is gone the store reads as empty and
-// the report is 200 again.
-func TestHealthzReadiness(t *testing.T) {
-	s, ts := testServer(t)
-	dir := t.TempDir()
-	led, err := ledger.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Ledger = led
-	index := filepath.Join(dir, "index.jsonl")
-	if err := os.WriteFile(index, []byte("{not json\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("degraded healthz status = %d, want 503", resp.StatusCode)
-	}
-	var rep struct {
-		Status string        `json:"status"`
-		Checks []HealthCheck `json:"checks"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Status != "degraded" {
-		t.Fatalf("overall status = %q, want degraded", rep.Status)
-	}
-	if len(rep.Checks) != 1 || rep.Checks[0].Name != "ledger" || rep.Checks[0].Status != "degraded" {
-		t.Fatalf("checks = %+v", rep.Checks)
-	}
-	if err := os.Remove(index); err != nil {
-		t.Fatal(err)
-	}
-	get(t, ts.URL+"/healthz") // asserts 200 when every check is ok
-}
-
 // TestSnapshotReflectsLatestCollect pins the swap semantics: handlers
 // always see the most recent Collect, never a mix.
 func TestSnapshotReflectsLatestCollect(t *testing.T) {
@@ -273,47 +215,42 @@ func TestStartServesRealListener(t *testing.T) {
 	}
 }
 
-// TestNilSourcesServeEmpty covers the experiments wiring: a Server with
-// no registry (progress only) must still serve all endpoints.
+// TestNilSourcesServeEmpty: a Server with no registry and no sources
+// still serves every endpoint, with only the cycle to report.
 func TestNilSourcesServeEmpty(t *testing.T) {
-	s := &Server{ProgressFn: func() Progress { return Progress{Running: 4} }}
+	s := &Server{}
 	s.Collect(0)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	body, _ := get(t, ts.URL+"/metrics")
-	if !strings.Contains(body, "stacksim_runs_running 4") {
-		t.Fatalf("progress-only /metrics missing runs gauge:\n%s", body)
+	if body != "# TYPE stacksim_cycle gauge\nstacksim_cycle 0\n" {
+		t.Fatalf("empty /metrics = %q", body)
 	}
 	body, _ = get(t, ts.URL+"/snapshot")
-	if !strings.Contains(body, `"running": 4`) {
-		t.Fatalf("progress-only /snapshot missing progress:\n%s", body)
+	if !strings.Contains(body, `"cycle": 0`) || !strings.Contains(body, `"metrics": {}`) {
+		t.Fatalf("empty /snapshot = %s", body)
 	}
+	get(t, ts.URL+"/dashboard")
+	get(t, ts.URL+"/healthz")
 }
 
-// TestSnapshotShowsRunReports pins the failed/slow-run surfacing: per-
-// run reports supplied through Progress appear in /snapshot.
-func TestSnapshotShowsRunReports(t *testing.T) {
-	s := &Server{ProgressFn: func() Progress {
-		return Progress{Completed: 1, Failed: 1, Runs: []RunReport{
-			{Config: "3D-fast", Label: "H1", WallSeconds: 1.5},
-			{Config: "3D-fast", Label: "H2", WallSeconds: 0.1, Err: "context canceled"},
-		}}
-	}}
+// TestLedgerEndpointsWithoutLedger: the monitor is the view of one live
+// run and serves no recorded runs (cmd/statsdiff -ledger-dir reads
+// those), so the paths the run browser once had are not found.
+func TestLedgerEndpointsWithoutLedger(t *testing.T) {
+	s := &Server{}
 	s.Collect(0)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	body, _ := get(t, ts.URL+"/snapshot")
-	var snap struct {
-		Progress *Progress `json:"progress"`
-	}
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Progress == nil || len(snap.Progress.Runs) != 2 {
-		t.Fatalf("snapshot runs = %+v", snap.Progress)
-	}
-	if snap.Progress.Runs[1].Err != "context canceled" {
-		t.Fatalf("failed run not surfaced: %+v", snap.Progress.Runs[1])
+	for _, url := range []string{"/runs", "/runs/abc", "/compare?a=x&b=y"} {
+		resp, err := http.Get(ts.URL + url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404", url, resp.StatusCode)
+		}
 	}
 }
 

@@ -41,9 +41,8 @@ func promValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// writePrometheus renders the snapshot (plus optional runner progress)
-// as Prometheus exposition text.
-func writePrometheus(w io.Writer, snap *snapshot, prog *Progress) {
+// writePrometheus renders the snapshot as Prometheus exposition text.
+func writePrometheus(w io.Writer, snap *snapshot) {
 	type line struct {
 		name string
 		typ  string
@@ -74,18 +73,6 @@ func writePrometheus(w io.Writer, snap *snapshot, prog *Progress) {
 		fmt.Fprintf(&b, "%s_count %d\n", n, d.count)
 		lines = append(lines, line{name: n, typ: "summary", body: b.String()})
 	}
-	if prog != nil {
-		add := func(name string, typ string, v int64) {
-			lines = append(lines, line{name: name, typ: typ, body: fmt.Sprintf("%s %d\n", name, v)})
-		}
-		add("stacksim_runs_queued", "gauge", prog.Queued)
-		add("stacksim_runs_running", "gauge", prog.Running)
-		add("stacksim_runs_completed", "counter", prog.Completed)
-		add("stacksim_runs_failed", "counter", prog.Failed)
-		add("stacksim_runs_ledger_hits", "counter", prog.LedgerHits)
-		add("stacksim_runs_ledger_write_retries", "counter", prog.LedgerWriteRetries)
-	}
-
 	sort.SliceStable(lines, func(i, j int) bool { return lines[i].name < lines[j].name })
 	for _, l := range lines {
 		fmt.Fprintf(w, "# TYPE %s %s\n%s", l.name, l.typ, l.body)

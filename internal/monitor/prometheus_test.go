@@ -58,7 +58,7 @@ func TestPrometheusGolden(t *testing.T) {
 	snap := srv.copySnapshot()
 
 	var b strings.Builder
-	writePrometheus(&b, &snap, &Progress{Queued: 4, Running: 2, Completed: 9, Failed: 1})
+	writePrometheus(&b, &snap)
 	got := b.String()
 
 	golden := filepath.Join("testdata", "metrics_golden.txt")
@@ -107,7 +107,7 @@ func TestPrometheusPowerThermalGolden(t *testing.T) {
 	snap := srv.copySnapshot()
 
 	var b strings.Builder
-	writePrometheus(&b, &snap, nil)
+	writePrometheus(&b, &snap)
 	got := b.String()
 
 	golden := filepath.Join("testdata", "metrics_powerthermal_golden.txt")
@@ -138,7 +138,7 @@ func TestPrometheusOrderIndependent(t *testing.T) {
 		srv.Collect(1)
 		snap := srv.copySnapshot()
 		var b strings.Builder
-		writePrometheus(&b, &snap, nil)
+		writePrometheus(&b, &snap)
 		return b.String()
 	}
 	a := render([]string{"z.last", "a.first", "m.mid"})

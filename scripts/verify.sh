@@ -270,6 +270,22 @@ if [ -n "$farm" ]; then
 	exit 1
 fi
 
+# The monitor is the live view of one simulation: recorded runs are read
+# through statsdiff -ledger-dir, and a sweep reports on stderr. A ledger
+# import or a ProgressFn in the monitor brings back the run browser or
+# the sweep-progress plane; a time.After in core brings back the retried
+# ledger write (a record gets one Put).
+echo "== the monitor serves one live run; a ledger record gets one Put"
+plane=$(
+	grep -rnE '"stackedsim/internal/ledger"|ProgressFn' --include='*.go' internal/monitor | grep -v '_test\.go:' || true
+	grep -rn 'time\.After' --include='*.go' internal/core | grep -v '_test\.go:' || true
+)
+if [ -n "$plane" ]; then
+	echo "$plane" >&2
+	echo "verify: the monitor serves more than one live run, or a ledger write is retried" >&2
+	exit 1
+fi
+
 # A command is `func main() { os.Exit(run(args, stdout, stderr)) }` and
 # nothing else exits: deferred cleanups run on every path, and the exit
 # codes and messages are tested in-process by its main_test.go.
