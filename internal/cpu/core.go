@@ -39,9 +39,32 @@ type UOp struct {
 	Shared bool
 }
 
-// UOpSource supplies the dynamic μop stream of one program.
+// UOpSource supplies the dynamic μop stream of one program, one μop
+// per Next. The μop is the caller's: the source keeps no reference to it.
 type UOpSource interface {
 	Next() UOp
+}
+
+// Batcher is a μop source that hands out its stream a batch at a time.
+// Batch returns the next μops in program order, at least one. The slice
+// and its backing array stay the source's: the caller never writes them
+// and reads them only until it next pulls from the source, which may
+// overwrite them. A core pulls from a source only through Batch; New
+// wraps a source without it in a one-μop adapter.
+type Batcher interface {
+	Batch() []UOp
+}
+
+// oneOp adapts a source that only has Next into a Batcher of one-μop
+// batches, each in the one-element slice op.
+type oneOp struct {
+	src UOpSource
+	op  []UOp
+}
+
+func (o *oneOp) Batch() []UOp {
+	o.op[0] = o.src.Next()
+	return o.op
 }
 
 // Stats counts per-core retirement since the last ResetStats.
@@ -79,13 +102,13 @@ type Core struct {
 	il1 *cache.L1      // optional instruction cache (nil = ideal fetch)
 	it  *tlb.TLB       // optional ITLB
 	pt  *mem.PageTable // translates fetches directly when there is no ITLB
-	src UOpSource
+	src Batcher
 
-	// Fetch state: the μop waiting on instruction supply, the last
-	// instruction line confirmed resident, and whether an IL1 fill is
-	// outstanding.
-	pendingOp        UOp
-	hasPending       bool
+	// Fetch state: the source's current batch, of which batch[0] is the
+	// next μop to dispatch (it waits there on instruction supply), the
+	// last instruction line confirmed resident, and whether an IL1 fill
+	// is outstanding.
+	batch            []UOp
 	lastFetchLine    mem.Addr
 	pendingFetchLine mem.Addr
 	fetchWait        bool
@@ -139,6 +162,10 @@ func New(p Params) *Core {
 	if p.Cfg == nil || p.L1 == nil || p.DTLB == nil || p.Pages == nil || p.Source == nil {
 		panic("cpu: New missing a required component")
 	}
+	src, ok := p.Source.(Batcher)
+	if !ok {
+		src = &oneOp{src: p.Source, op: make([]UOp, 1)}
+	}
 	c := &Core{
 		id:            p.ID,
 		cfg:           p.Cfg,
@@ -147,7 +174,7 @@ func New(p Params) *Core {
 		il1:           p.IL1,
 		it:            p.ITLB,
 		pt:            p.Pages,
-		src:           p.Source,
+		src:           src,
 		rob:           make([]robEntry, p.Cfg.ROBSize),
 		lastMemIdx:    -1,
 		lastFetchLine: ^mem.Addr(0),
@@ -314,7 +341,9 @@ func (c *Core) commit(now sim.Cycle) {
 		if c.lastMemIdx == c.head {
 			c.lastMemIdx = -1
 		}
-		c.head = (c.head + 1) % len(c.rob)
+		if c.head++; c.head == len(c.rob) {
+			c.head = 0
+		}
 		c.occupancy--
 	}
 }
@@ -462,32 +491,31 @@ func (c *Core) dispatch(now sim.Cycle) {
 		if c.occupancy >= len(c.rob) {
 			return
 		}
-		if !c.hasPending {
-			c.pendingOp = c.src.Next()
-			c.hasPending = true
+		if len(c.batch) == 0 {
+			c.batch = c.src.Batch()
 		}
-		if !c.fetched(&c.pendingOp, now) {
+		op := &c.batch[0]
+		if !c.fetched(op, now) {
 			return // waiting on instruction supply
 		}
-		op := c.pendingOp
-		c.hasPending = false
-		idx := c.tail
 		c.seq++
-		var prevSeq uint64
+		e := &c.rob[c.tail]
+		e.op = *op
+		c.batch = c.batch[1:]
+		e.prevMem, e.prevSeq, e.seq = c.lastMemIdx, 0, c.seq
 		if c.lastMemIdx >= 0 {
-			prevSeq = c.rob[c.lastMemIdx].seq
+			e.prevSeq = c.rob[c.lastMemIdx].seq
 		}
-		c.rob[idx] = robEntry{op: op, prevMem: c.lastMemIdx, prevSeq: prevSeq, seq: c.seq}
-		if op.Mem {
-			c.rob[idx].state = stWaiting
-			c.memQ.Push(idx)
-			c.lastMemIdx = idx
+		if e.op.Mem {
+			e.state, e.timed, e.readyAt = stWaiting, false, 0
+			c.memQ.Push(c.tail)
+			c.lastMemIdx = c.tail
 		} else {
-			c.rob[idx].timed = true
-			c.rob[idx].readyAt = now + 1
-			c.rob[idx].state = stInFlight
+			e.state, e.timed, e.readyAt = stInFlight, true, now+1
 		}
-		c.tail = (c.tail + 1) % len(c.rob)
+		if c.tail++; c.tail == len(c.rob) {
+			c.tail = 0
+		}
 		c.occupancy++
 	}
 }

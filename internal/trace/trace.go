@@ -98,9 +98,9 @@ func (w *Writer) Close() error {
 	return w.bw.Flush()
 }
 
-// Reader replays a recorded stream. It implements cpu.UOpSource by
-// looping back to the first μop at end of trace (programs re-run their
-// sample, as with SimPoint replay).
+// Reader replays a recorded stream. It implements cpu.UOpSource and
+// cpu.Batcher by looping back to the first μop at end of trace (programs
+// re-run their sample, as with SimPoint replay).
 type Reader struct {
 	ops []cpu.UOp
 	pos int
@@ -162,6 +162,15 @@ func (r *Reader) Next() cpu.UOp {
 		r.pos = 0
 	}
 	return op
+}
+
+// Batch implements cpu.Batcher: the rest of the trace up to its end,
+// zero-copy. The slice aliases the parsed trace, which nothing writes
+// after NewReader, so it stays valid for the life of the Reader.
+func (r *Reader) Batch() []cpu.UOp {
+	b := r.ops[r.pos:]
+	r.pos = 0
+	return b
 }
 
 // Record captures n μops from src.

@@ -132,3 +132,43 @@ func TestRecordGeneratorRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchReplaysLikeNext pins that Batch walks the same looping
+// stream as Next, across the wrap point: after Next has drawn part of
+// the trace, a Batch is the rest of it, and the next Batch the whole
+// trace again from its first μop.
+func TestBatchReplaysLikeNext(t *testing.T) {
+	spec, _ := workload.ByName("mcf")
+	var buf bytes.Buffer
+	if err := Record(&buf, workload.NewGenerator(spec, 3), 1000); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	batched, err := NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []cpu.UOp
+	for range 337 {
+		got = append(got, batched.Next())
+	}
+	for len(got) < 3500 {
+		b := batched.Batch()
+		if len(b) == 0 {
+			t.Fatalf("empty batch after %d μops", len(got))
+		}
+		got = append(got, b...)
+		if n := len(got); n == 1000 || n == 2000 {
+			got = append(got, batched.Next()) // a Next right at the wrap
+		}
+	}
+	for i, op := range got {
+		if want := single.Next(); op != want {
+			t.Fatalf("μop %d: Batch gives %+v, Next %+v", i, op, want)
+		}
+	}
+}

@@ -9,7 +9,8 @@ import (
 )
 
 // Generator synthesizes the μop stream for one benchmark. It implements
-// cpu.UOpSource deterministically for a given (spec, seed) pair.
+// cpu.UOpSource and cpu.Batcher deterministically for a given (spec,
+// seed) pair: the stream is the same however Next and Batch calls mix.
 type Generator struct {
 	spec Spec
 	rng  *rand.Rand
@@ -36,13 +37,17 @@ type Generator struct {
 	hotBytes uint64
 	coldFrac float64
 
-	// Pending μops for the current "iteration", handed out from next on;
-	// memOps is memBatch's scratch. Both are reused across iterations so
-	// a steady-state Next allocates nothing.
-	pending []cpu.UOp
-	next    int
-	memOps  []cpu.UOp
-	pc      uint64 // synthetic PC space
+	// Pending μops for the current "iteration", handed out from next on.
+	// The slice is reused across iterations so a steady-state Next or
+	// Batch allocates nothing. carry is the iteration's running filler
+	// share; fillPerMem (fillers per memory μop) and mispredP (the chance
+	// a filler is a mispredicted branch) are fixed by the spec.
+	pending    []cpu.UOp
+	next       int
+	carry      float64
+	fillPerMem float64
+	mispredP   float64
+	pc         uint64 // synthetic PC space
 }
 
 // hotBase places the hot ring far above the cold footprint in the
@@ -74,12 +79,14 @@ func NewGenerator(spec Spec, seed int64) *Generator {
 	g.runAddr = 0
 	g.hotBytes = spec.EffectiveHotBytes()
 	g.coldFrac = spec.EffectiveColdFrac()
-	// The batch slices at their largest, so a run never grows them: the
-	// most memory μops one memBatch emits, and those with the fillers
-	// MemFrac puts behind them (one spare for the carry's rounding).
+	g.fillPerMem = (1 - spec.MemFrac) / spec.MemFrac
+	// Scaled so the per-μop rate over the full stream is Mispred.
+	g.mispredP = spec.Mispred / spec.MemFrac * (1 - spec.MemFrac)
+	// The batch slice at its largest, so a run never grows it: the most
+	// memory μops one memBatch emits, and the fillers MemFrac puts
+	// behind them (one spare for the carry's rounding).
 	mems := maxBatch(spec.Pattern, streams)
 	fillers := int(math.Ceil(float64(mems) * (1 - spec.MemFrac) / spec.MemFrac))
-	g.memOps = make([]cpu.UOp, 0, mems)
 	g.pending = make([]cpu.UOp, 0, mems+fillers+1)
 	return g
 }
@@ -109,35 +116,48 @@ func (g *Generator) Next() cpu.UOp {
 	return op
 }
 
-// refill generates one iteration: a batch of memory μops according to the
-// pattern, interleaved with the filler compute μops implied by MemFrac
-// and the occasional mispredicted branch.
-func (g *Generator) refill() {
-	g.pending, g.next = g.pending[:0], 0
-	g.memOps = g.memBatch(g.memOps[:0])
-	fillPerMem := (1 - g.spec.MemFrac) / g.spec.MemFrac
-	carry := 0.0
-	for _, m := range g.memOps {
-		g.pending = append(g.pending, m)
-		carry += fillPerMem
-		for carry >= 1 {
-			carry--
-			g.pending = append(g.pending, g.filler())
-		}
+// Batch implements cpu.Batcher by handing out the rest of the current
+// iteration, generated first if none is left. The slice is the
+// generator's own buffer: the next iteration, which the next Batch (or a
+// Next past the batch) generates, overwrites it.
+func (g *Generator) Batch() []cpu.UOp {
+	if g.next == len(g.pending) {
+		g.refill()
 	}
-	if len(g.pending) == 0 {
-		g.pending = append(g.pending, g.filler())
+	b := g.pending[g.next:]
+	g.next = len(g.pending)
+	return b
+}
+
+// refill generates one iteration: a batch of memory μops according to the
+// pattern, each followed by the filler compute μops implied by MemFrac,
+// the occasional one a mispredicted branch. memBatch writes each memory
+// μop in its final slot and zeroes the slots of its fillers (see emit);
+// the fillers are then drawn in place, after every memory μop's draws.
+func (g *Generator) refill() {
+	g.pending, g.next, g.carry = g.pending[:0], 0, 0
+	g.memBatch()
+	for i := range g.pending {
+		if op := &g.pending[i]; !op.Mem {
+			g.filler(op)
+		}
 	}
 }
 
-// filler returns a compute μop, occasionally a mispredicted branch.
-func (g *Generator) filler() cpu.UOp {
-	op := cpu.UOp{PC: g.nextPC(0x10)}
-	if g.spec.Mispred > 0 && g.rng.Float64() < g.spec.Mispred/g.spec.MemFrac*(1-g.spec.MemFrac) {
-		// Scale so the per-μop rate over the full stream is Mispred.
-		op.Mispredict = true
+// emit appends memory μop op to the iteration, and after it a zeroed
+// slot for each filler compute μop that MemFrac puts behind it.
+func (g *Generator) emit(op cpu.UOp) {
+	g.pending = append(g.pending, op)
+	for g.carry += g.fillPerMem; g.carry >= 1; g.carry-- {
+		g.pending = append(g.pending, cpu.UOp{})
 	}
-	return op
+}
+
+// filler makes the zeroed slot op a compute μop, occasionally a
+// mispredicted branch.
+func (g *Generator) filler(op *cpu.UOp) {
+	op.PC = g.nextPC(0x10)
+	op.Mispredict = g.spec.Mispred > 0 && g.rng.Float64() < g.mispredP
 }
 
 func (g *Generator) nextPC(region uint64) uint64 {
@@ -171,13 +191,13 @@ func (g *Generator) cold() bool {
 	return g.coldFrac >= 1 || g.rng.Float64() < g.coldFrac
 }
 
-// memBatch appends the memory μops of one iteration to ops.
-func (g *Generator) memBatch(ops []cpu.UOp) []cpu.UOp {
+// memBatch emits the memory μops of one iteration.
+func (g *Generator) memBatch() {
 	switch g.spec.Pattern {
 	case Streaming, Strided:
 		for s := range g.streamBase {
 			if !g.cold() {
-				ops = append(ops, g.hotOp())
+				g.emit(g.hotOp())
 				continue
 			}
 			addr := g.streamBase[s] + g.streamPos[s]
@@ -188,30 +208,31 @@ func (g *Generator) memBatch(ops []cpu.UOp) []cpu.UOp {
 			store := s == len(g.streamBase)-1 && g.rng.Float64() < g.spec.StoreFrac*float64(len(g.streamBase))
 			// Each stream keeps its own PC so the IP-stride
 			// prefetcher can train per stream.
-			ops = append(ops, cpu.UOp{Mem: true, Store: store, VAddr: addr, PC: 0x100<<20 | uint64(s)})
+			g.emit(cpu.UOp{Mem: true, Store: store, VAddr: addr, PC: 0x100<<20 | uint64(s)})
 		}
-		return ops
 	case RandomAccess:
 		if !g.cold() {
-			return append(ops, g.hotOp())
+			g.emit(g.hotOp())
+			return
 		}
 		store := g.rng.Float64() < g.spec.StoreFrac
-		return append(ops, cpu.UOp{Mem: true, Store: store, VAddr: g.randomLine() + uint64(g.rng.Intn(8))*8, PC: 0x200 << 20})
+		g.emit(cpu.UOp{Mem: true, Store: store, VAddr: g.randomLine() + uint64(g.rng.Intn(8))*8, PC: 0x200 << 20})
 	case PointerChase:
 		if !g.cold() {
-			return append(ops, g.hotOp())
+			g.emit(g.hotOp())
+			return
 		}
 		// The next node address "depends" on the loaded value: model as
 		// a random hop that must wait for the previous load.
 		g.chaseAddr = g.randomLine()
-		ops = append(ops, cpu.UOp{Mem: true, VAddr: g.chaseAddr, PC: 0x300 << 20, DependsOnPrev: true})
+		g.emit(cpu.UOp{Mem: true, VAddr: g.chaseAddr, PC: 0x300 << 20, DependsOnPrev: true})
 		if g.rng.Float64() < g.spec.StoreFrac {
-			ops = append(ops, cpu.UOp{Mem: true, Store: true, VAddr: g.chaseAddr + 8, PC: 0x301 << 20})
+			g.emit(cpu.UOp{Mem: true, Store: true, VAddr: g.chaseAddr + 8, PC: 0x301 << 20})
 		}
-		return ops
 	case Mixed:
 		if !g.cold() {
-			return append(ops, g.hotOp())
+			g.emit(g.hotOp())
+			return
 		}
 		if g.runLeft <= 0 {
 			if g.rng.Float64() < g.spec.RandFrac {
@@ -228,7 +249,7 @@ func (g *Generator) memBatch(ops []cpu.UOp) []cpu.UOp {
 			g.runAddr = 0
 		}
 		store := g.rng.Float64() < g.spec.StoreFrac
-		return append(ops, cpu.UOp{Mem: true, Store: store, VAddr: addr, PC: 0x400 << 20})
+		g.emit(cpu.UOp{Mem: true, Store: store, VAddr: addr, PC: 0x400 << 20})
 	case ProducerConsumer:
 		// Write the leading edge of a sliding window over the shared
 		// ring and read half a ring behind it. Every core walks the
@@ -238,9 +259,8 @@ func (g *Generator) memBatch(ops []cpu.UOp) []cpu.UOp {
 		w := (g.shIter % lines) * 64
 		r := ((g.shIter + lines/2) % lines) * 64
 		g.shIter++
-		return append(ops,
-			cpu.UOp{Mem: true, Store: true, Shared: true, VAddr: w, PC: 0x600 << 20},
-			cpu.UOp{Mem: true, Shared: true, VAddr: r, PC: 0x601 << 20})
+		g.emit(cpu.UOp{Mem: true, Store: true, Shared: true, VAddr: w, PC: 0x600 << 20})
+		g.emit(cpu.UOp{Mem: true, Shared: true, VAddr: r, PC: 0x601 << 20})
 	case LockContended:
 		// Pick one of a few page-spaced lock lines (pages interleave
 		// across directory banks) and do a load-then-store on it: the
@@ -253,14 +273,13 @@ func (g *Generator) memBatch(ops []cpu.UOp) []cpu.UOp {
 		if l+64 > g.spec.SharedBytes {
 			l = 0
 		}
-		return append(ops,
-			cpu.UOp{Mem: true, Shared: true, VAddr: l, PC: 0x610 << 20},
-			cpu.UOp{Mem: true, Store: true, Shared: true, VAddr: l, PC: 0x611 << 20, DependsOnPrev: true})
+		g.emit(cpu.UOp{Mem: true, Shared: true, VAddr: l, PC: 0x610 << 20})
+		g.emit(cpu.UOp{Mem: true, Store: true, Shared: true, VAddr: l, PC: 0x611 << 20, DependsOnPrev: true})
 	case ReadMostlyShared:
 		// Random reads over a shared table; the rare store invalidates
 		// every reader's copy.
 		store := g.rng.Float64() < g.spec.StoreFrac
-		return append(ops, cpu.UOp{Mem: true, Store: store, Shared: true,
+		g.emit(cpu.UOp{Mem: true, Store: store, Shared: true,
 			VAddr: g.randomSharedLine() + uint64(g.rng.Intn(8))*8, PC: 0x620 << 20})
 	default:
 		panic(fmt.Sprintf("workload %s: unknown pattern %v", g.spec.Name, g.spec.Pattern))

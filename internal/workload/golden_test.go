@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"testing"
+
+	"stackedsim/internal/cpu"
 )
 
 // streamHash digests the first n μops of g, every field included.
@@ -77,10 +79,11 @@ func TestGoldenStreams(t *testing.T) {
 	}
 }
 
-// TestNextDoesNotAllocate pins that Next allocates nothing from the
-// first call on: NewGenerator sizes the batch slices for the largest
-// iteration the spec can emit, so building a generator and drawing
-// 10,000 μops from it allocates exactly what building it does.
+// TestNextDoesNotAllocate pins that Next and Batch allocate nothing
+// from the first call on: NewGenerator sizes the batch slice for the
+// largest iteration the spec can emit, so building a generator and
+// drawing 10,000 μops from it, one by one or a batch at a time,
+// allocates exactly what building it does.
 func TestNextDoesNotAllocate(t *testing.T) {
 	for _, s := range namedSpecs() {
 		build := testing.AllocsPerRun(10, func() { NewGenerator(s, 1) })
@@ -92,6 +95,55 @@ func TestNextDoesNotAllocate(t *testing.T) {
 		})
 		if run != build {
 			t.Errorf("%s: building a generator made %v allocations, building it and drawing 10000 μops %v", s.Name, build, run)
+		}
+		batched := testing.AllocsPerRun(10, func() {
+			g := NewGenerator(s, 1)
+			for n := 0; n < 10000; {
+				b := g.Batch()
+				sinkOp = b[len(b)-1]
+				n += len(b)
+			}
+		})
+		if batched != build {
+			t.Errorf("%s: building a generator made %v allocations, building it and drawing 10000 μops by Batch %v", s.Name, build, batched)
+		}
+	}
+}
+
+// TestBatchMatchesNext pins that Batch hands out the stream Next does:
+// at two seeds, for every named spec, 20,000 μops drawn by Batch calls
+// interleaved with runs of Next calls, some of which stop inside an
+// iteration so that the next Batch returns only its rest, equal the
+// first 20,000 that Next alone draws.
+func TestBatchMatchesNext(t *testing.T) {
+	const n = 20000
+	for _, s := range namedSpecs() {
+		for _, seed := range []int64{1, 2} {
+			single := NewGenerator(s, seed)
+			want := make([]cpu.UOp, n)
+			for i := range want {
+				want[i] = single.Next()
+			}
+			mixed := NewGenerator(s, seed)
+			got := make([]cpu.UOp, 0, n+64)
+			for call := 0; len(got) < n; call++ {
+				if call%3 == 2 {
+					for range call % 7 {
+						got = append(got, mixed.Next())
+					}
+					continue
+				}
+				b := mixed.Batch()
+				if len(b) == 0 {
+					t.Fatalf("%s seed %d: empty batch after %d μops", s.Name, seed, len(got))
+				}
+				got = append(got, b...)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s seed %d: μop %d is %+v by Batch and Next, %+v by Next alone", s.Name, seed, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }
